@@ -16,9 +16,7 @@ from .priors import (AffiliatedValuesPrior, BernoulliWeightsLLGPrior, CommonValu
 from .mechanisms import (LLGAuction, Mechanism, SingleObjectAuction, SplitAwardAuction,
                          TullockContest, crra, expost_utility, make_mechanism)
 from .strategy import Strategy, init_strategy, iterate_distance, load_strategy, save_strategy
-from .gradient import (GradientEngine, MemoryBudgetError, UtilityTensor,
-                       build_utility_tensor, expected_utility, gradient_general,
-                       gradient_symmetric_iid)
+from .gradient import GradientEngine, expected_utility, gradient_symmetric_iid
 from .learners import RunResult, make_learner, project_rows_to_simplex, run
 from .verify import (Certificate, best_response, best_response_matrix, collusive_profile,
                      relative_utility_loss, utility_loss, vs_probe)

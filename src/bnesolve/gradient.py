@@ -2,15 +2,20 @@
 
 The expected utility of agent i is linear in its own strategy matrix,
 ``u_i = <s_i, c_i>``, where the coefficient matrix c_i aggregates the ex-post
-utility tensor against the discrete prior and the opponents' conditional
-strategies.  Three interchangeable evaluation paths are provided:
+utility against the discrete prior and the opponents' conditional strategies.
+Three evaluation paths are provided:
 
-* a dense utility-tensor contraction (the generic formulation),
-* an affine path for risk-neutral payoffs ``u = v*A(b) + B(b)`` that
-  contracts the own-value axis into the prior once, avoiding the value axis
-  of the tensor entirely, and
-* an order-statistic fast path for symmetric independent private-value
-  single-object auctions whose cost is independent of the number of agents.
+* ``symmetric``: an order-statistic fast path for symmetric independent
+  private-value single-object auctions whose cost is independent of the
+  number of agents,
+* ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``, contracts the
+  own-value axis into the prior once, so no utility over the value axis is
+  ever formed, and
+* ``tensor``: the generic formulation for payoffs ``crra(v*A(b) + B(b))`` under
+  private or interdependent priors.  It contracts the prior with the
+  opponents' conditional strategies once, then walks the own-value axis in
+  chunks of ex-post utilities.  The memory budget sets the chunk size, not
+  which path runs.
 
 All paths agree to floating-point reassociation error; the engine picks the
 cheapest applicable one.
@@ -19,7 +24,6 @@ cheapest applicable one.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,67 +31,22 @@ from .mechanisms import Mechanism, crra
 from .priors import DiscretePrior
 from .strategy import Strategy, flatten_action_grids
 
-DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes of dense utility tensor per agent
+DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes of ex-post utilities held per agent at once
 
 _SYMMETRIC_KINDS = ("fpsb", "spsb", "all_pay")
+PATHS = ("symmetric", "affine", "tensor")
 
 
-class MemoryBudgetError(MemoryError):
-    pass
-
-
-@dataclass
-class UtilityTensor:
-    """Ex-post utilities over (own value index, full action-profile index)."""
-
-    agent: int
-    values: np.ndarray  # shape (M,) + (L_1, ..., L_n)
-    interdependent: bool  # own-value axis separate from own observation axis
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("utility tensor has non-finite entries")
-
-
-def _profile_components(flat_actions, lead_axes: int):
+def _profile_components(flat_actions):
     """Per-agent bid components broadcastable over the action-profile box."""
     n = len(flat_actions)
     comps = []
     for j, table in enumerate(flat_actions):
-        shape = [1] * (lead_axes + n)
-        shape[lead_axes + j] = table.shape[0]
+        shape = [1] * n
+        shape[j] = table.shape[0]
         comps.append(tuple(np.ascontiguousarray(table[:, d]).reshape(shape)
                            for d in range(table.shape[1])))
     return comps
-
-
-def tensor_cells(prior: DiscretePrior, agent: int, action_counts) -> int:
-    m = prior.val_grids[agent].count if not prior.values_equal_observations \
-        else prior.obs_grids[agent].count
-    return int(m * np.prod(action_counts, dtype=np.float64))
-
-
-def build_utility_tensor(mech: Mechanism, agent: int, prior: DiscretePrior,
-                         action_grids_per_agent,
-                         memory_budget: int = DEFAULT_MEMORY_BUDGET) -> UtilityTensor:
-    """Precompute u_i at every (own value, action profile) grid combination."""
-    flat = [flatten_action_grids(g) for g in action_grids_per_agent]
-    counts = [t.shape[0] for t in flat]
-    cells = tensor_cells(prior, agent, counts)
-    if cells * 8 > memory_budget:
-        raise MemoryBudgetError(
-            f"utility tensor needs {cells * 8 / 2**30:.1f} GiB "
-            f"(budget {memory_budget / 2**30:.1f} GiB); use coarser grids, raise the "
-            "budget, or the symmetric formulation")
-    interdependent = not prior.values_equal_observations
-    own_vals = (prior.val_grids[agent] if interdependent
-                else prior.obs_grids[agent]).points
-    comps = _profile_components(flat, lead_axes=1)
-    vshape = (own_vals.size,) + (1,) * len(flat)
-    a, b = mech.affine_parts(agent, comps)
-    u = crra(own_vals.reshape(vshape) * a + b, mech.risk_rho)
-    u = np.broadcast_to(u, (own_vals.size,) + tuple(counts)).copy()
-    return UtilityTensor(agent, u, interdependent)
 
 
 def _letters(k: int) -> list[str]:
@@ -110,35 +69,6 @@ def _divide_rows(c: np.ndarray, marginal: np.ndarray) -> np.ndarray:
     out = np.zeros_like(c)
     np.divide(c, marginal[:, None], out=out, where=marginal[:, None] > 0)
     return out
-
-
-def gradient_general(tensor: UtilityTensor, prior: DiscretePrior, strategies,
-                     agent: int | None = None) -> np.ndarray:
-    """Gradient c_i from the dense utility tensor (generic formulation).
-
-    c_i[k, l] sums u_i over all opponent observation/action combinations and
-    the own-value axis, weighted by the prior mass and the opponents'
-    conditional strategies, divided by the own observation marginal.  Rows
-    with zero marginal are zero.
-    """
-    i = tensor.agent if agent is None else agent
-    n = prior.n_agents
-    if prior.obs_joint is None:
-        raise ValueError("dense prior joint unavailable; use the symmetric formulation")
-    obs_letters = _letters(n)
-    act_letters = _letters(2 * n)[n:]
-    conditionals = [(j, strategies[j].conditionals()) for j in range(n) if j != i]
-    if tensor.interdependent:
-        joint = prior.value_joints[i]
-        joint_sub = "z" + "".join(obs_letters)
-        tensor_sub = "z" + "".join(act_letters)
-    else:
-        joint = prior.obs_joint
-        joint_sub = "".join(obs_letters)
-        tensor_sub = obs_letters[i] + "".join(act_letters)
-    c = _contract(joint, joint_sub, tensor.values, tensor_sub, conditionals, i,
-                  obs_letters, act_letters)
-    return _divide_rows(c, prior.marginals[i])
 
 
 def gradient_symmetric_iid(kind: str, own_values: np.ndarray, bid_values: np.ndarray,
@@ -184,8 +114,12 @@ class GradientEngine:
 
     Chooses, in order of preference: the symmetric order-statistic path (only
     in symmetric runs on i.i.d. private-value single-object auctions), the
-    affine path for risk-neutral payoffs, the dense tensor path within the
-    memory budget, and a value-axis streaming fallback.
+    affine path for risk-neutral payoffs, and the tensor path for any other
+    payoff and prior.  ``memory_budget`` bounds the bytes of ex-post utilities
+    the tensor path holds per agent (one own value's worth at least) and so
+    sets its chunk size along the own-value axis; it never changes which path
+    runs.  When one chunk covers the whole axis, the chunk is kept between
+    calls.  ``prefer_path`` forces one of ``PATHS``.
     """
 
     def __init__(self, mech: Mechanism, prior: DiscretePrior, action_grids_per_agent,
@@ -197,8 +131,8 @@ class GradientEngine:
         self.flat_actions = [flatten_action_grids(g) for g in self.action_grids]
         self.budget = memory_budget
         self._affine_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._tensor_cache: dict[int, UtilityTensor] = {}
         self._vweighted_cache: dict[int, np.ndarray] = {}
+        self._utility_cache: dict[int, np.ndarray] = {}
         self.path = self._select_path(symmetric, prefer_path)
 
     def _symmetric_applicable(self) -> bool:
@@ -214,6 +148,8 @@ class GradientEngine:
 
     def _select_path(self, symmetric: bool, prefer: str | None) -> str:
         if prefer is not None:
+            if prefer not in PATHS:
+                raise ValueError(f"unknown gradient path '{prefer}' (choose from {PATHS})")
             if prefer == "symmetric" and not self._symmetric_applicable():
                 raise ValueError("symmetric fast path not applicable to this setting")
             return prefer
@@ -223,28 +159,24 @@ class GradientEngine:
             raise ValueError("dense prior joint unavailable; run in symmetric mode")
         if self.mech.risk_rho == 1.0:
             return "affine"
-        counts = [t.shape[0] for t in self.flat_actions]
-        if all(tensor_cells(self.prior, i, counts) * 8 <= self.budget
-               for i in range(self.prior.n_agents)):
-            return "tensor"
-        return "streaming"
+        return "tensor"
+
+    def cache_bytes(self) -> int:
+        """Bytes held by the affine, value-weighted and utility caches."""
+        arrays = [x for pair in self._affine_cache.values() for x in pair]
+        arrays += list(self._vweighted_cache.values()) + list(self._utility_cache.values())
+        return sum(x.nbytes for x in arrays)
 
     # -- cached pieces ------------------------------------------------------
 
     def _affine_parts(self, agent: int):
         if agent not in self._affine_cache:
-            comps = _profile_components(self.flat_actions, lead_axes=0)
+            comps = _profile_components(self.flat_actions)
             a, b = self.mech.affine_parts(agent, comps)
             counts = tuple(t.shape[0] for t in self.flat_actions)
             self._affine_cache[agent] = (np.broadcast_to(a, counts).copy(),
                                          np.broadcast_to(b, counts).copy())
         return self._affine_cache[agent]
-
-    def _tensor(self, agent: int) -> UtilityTensor:
-        if agent not in self._tensor_cache:
-            self._tensor_cache[agent] = build_utility_tensor(
-                self.mech, agent, self.prior, self.action_grids, self.budget)
-        return self._tensor_cache[agent]
 
     def _value_weighted_joint(self, agent: int) -> np.ndarray:
         if agent not in self._vweighted_cache:
@@ -261,12 +193,8 @@ class GradientEngine:
                                        self.prior.n_agents, self.mech.risk_rho)
         elif self.path == "affine":
             c = self._gradient_affine(strategies, agent)
-        elif self.path == "tensor":
-            c = gradient_general(self._tensor(agent), self.prior, strategies, agent)
-        elif self.path == "streaming":
-            c = self._gradient_streaming(strategies, agent)
         else:
-            raise ValueError(f"unknown gradient path '{self.path}'")
+            c = self._gradient_tensor(strategies, agent)
         if not np.all(np.isfinite(c)):
             raise FloatingPointError("non-finite gradient entries")
         return c
@@ -285,37 +213,43 @@ class GradientEngine:
                        conditionals, agent, obs_letters, act_letters)
         return _divide_rows(cv + c1, self.prior.marginals[agent])
 
-    def _gradient_streaming(self, strategies, agent: int) -> np.ndarray:
-        """Tensor-path result without materializing the full value axis."""
-        prior, n = self.prior, self.prior.n_agents
-        if not prior.values_equal_observations:
-            raise MemoryBudgetError(
-                "utility tensor over budget for an interdependent-value prior; use "
-                "coarser grids or raise the budget")
-        obs_letters = _letters(n)
-        act_letters = _letters(2 * n)[n:]
-        conditionals = [(j, strategies[j].conditionals()) for j in range(n) if j != agent]
-        # W[k_i, l_{-i}]: prior joint contracted with the opponents' conditionals
-        operands, subs = [prior.obs_joint], ["".join(obs_letters)]
-        for j, q in conditionals:
-            operands.append(q)
-            subs.append(obs_letters[j] + act_letters[j])
-        opp_act = "".join(act_letters[j] for j in range(n) if j != agent)
-        w = np.einsum(",".join(subs) + "->" + obs_letters[agent] + opp_act,
-                      *operands, optimize=True)
-        own_vals = prior.obs_grids[agent].points
+    def _gradient_tensor(self, strategies, agent: int) -> np.ndarray:
+        """c_i[k, l] sums u_i over the opponents' observations and actions and the
+        own-value axis, weighted by the prior mass and the opponents' conditional
+        strategies, divided by the own observation marginal (zero rows where that
+        marginal is zero)."""
+        prior = self.prior
+        interdependent = not prior.values_equal_observations
+        # W[(m,) k_i, l_-i]: prior mass times the opponents' conditional strategies,
+        # with the own value m as a leading axis for interdependent priors.  Taking
+        # opponents in index order, the only observation axis ahead of k_j is k_i.
+        w = prior.value_joints[agent] if interdependent else prior.obs_joint
+        lead = int(interdependent)
+        for j in range(prior.n_agents):
+            if j != agent:
+                w = np.tensordot(w, strategies[j].conditionals(),
+                                 axes=(lead + int(agent < j), 0))
+        w = w.reshape(w.shape[:lead + 1] + (-1,))
+
+        own_vals = (prior.val_grids[agent] if interdependent
+                    else prior.obs_grids[agent]).points
         counts = [t.shape[0] for t in self.flat_actions]
         chunk = max(1, int(self.budget // (8 * np.prod(counts, dtype=np.float64))))
-        a, b = self._affine_parts(agent)
-        a, b = a[None], b[None]
-        c = np.empty((own_vals.size, counts[agent]))
-        u_sub = "z" + "".join(act_letters)
-        w_sub = "z" + opp_act
-        expr = f"{u_sub},{w_sub}->z{act_letters[agent]}"
+        cached = self._utility_cache.get(agent)
+        if cached is None:
+            a, b = (np.moveaxis(x, agent, 0).reshape(counts[agent], -1)
+                    for x in self._affine_parts(agent))
+        c = np.zeros((prior.obs_grids[agent].count, counts[agent]))
         for s in range(0, own_vals.size, chunk):
             e = min(s + chunk, own_vals.size)
-            vals = own_vals[s:e].reshape((e - s,) + (1,) * n)
-            u = crra(vals * a + b, self.mech.risk_rho)
-            u = np.broadcast_to(u, (e - s,) + tuple(counts))
-            c[s:e] = np.einsum(expr, u, w[s:e], optimize=True)
+            u = cached
+            if u is None:
+                # u[m, l_i, l_-i]: ex-post utilities of own values s..e-1
+                u = crra(own_vals[s:e, None, None] * a + b, self.mech.risk_rho)
+                if e - s == own_vals.size:
+                    self._utility_cache[agent] = u
+            if interdependent:
+                c += np.matmul(w[s:e], u.transpose(0, 2, 1)).sum(axis=0)
+            else:
+                c[s:e] = np.matmul(u, w[s:e, :, None])[..., 0]
         return _divide_rows(c, prior.marginals[agent])

@@ -167,6 +167,8 @@ class RunResult:
     iterations: int = 0
     wall_time: float = 0.0
     termination: str = "max_iterations"
+    gradient_path: str = ""             # GradientEngine.path that ran
+    engine_cache_bytes: int = 0         # bytes held by the engine caches at the end
 
     @property
     def converged(self) -> bool:
@@ -196,8 +198,7 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
         check_interval: int = 10, init: str = "random", seed=None,
         groups: list[list[int]] | None = None,
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
-        engine: GradientEngine | None = None, prefer_path: str | None = None,
-        progress=None) -> RunResult:
+        engine: GradientEngine | None = None, progress=None) -> RunResult:
     """Iterate simultaneous updates until convergence or the iteration cap.
 
     ``groups`` lists agents sharing one strategy (symmetric mode); gradients
@@ -213,7 +214,7 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
     _validate_groups(groups, prior, action_grids)
     if engine is None:
         engine = GradientEngine(mech, prior, action_grids, memory_budget=memory_budget,
-                                symmetric=len(groups) == 1, prefer_path=prefer_path)
+                                symmetric=len(groups) == 1)
 
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
@@ -283,4 +284,5 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
     wall = time.perf_counter() - start
     per_agent = profile()
     return RunResult(per_agent, groups, cert, loss_history, distance_history,
-                     iterations=updates_done, wall_time=wall, termination=termination)
+                     iterations=updates_done, wall_time=wall, termination=termination,
+                     gradient_path=engine.path, engine_cache_bytes=engine.cache_bytes())

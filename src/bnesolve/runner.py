@@ -137,6 +137,8 @@ def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
         "config_hash": cfg.hash(), "version": __version__,
         "losses": result.certificate.losses,
         "loss_history": result.loss_history[-10:],
+        "gradient_path": result.gradient_path,
+        "engine_cache_bytes": result.engine_cache_bytes,
         "baseline": report.baseline_id if report else None,
         "eval_samples": cfg.eval_samples, "eval_seed": eval_seed,
         "notes": {str(k): v for k, v in (report.notes.items() if report else [])},

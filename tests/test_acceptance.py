@@ -257,6 +257,14 @@ def test_criterion_08_tullock_contests():
     report("criterion 8 (contests)", ok, "; ".join(lines))
 
 
+def tensor_gradients(mech, prior, action_grids, strategies):
+    """Agent 0's tensor-path gradients: one chunk, then one own value per chunk."""
+    cells = int(np.prod([g.count for grids in action_grids for g in grids]))
+    return [b.GradientEngine(mech, prior, action_grids, memory_budget=budget,
+                             prefer_path="tensor").gradient(strategies, 0)
+            for budget in (b.gradient.DEFAULT_MEMORY_BUDGET, 8 * cells)]
+
+
 def test_criterion_09_oracle_equivalences():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
@@ -267,11 +275,12 @@ def test_criterion_09_oracle_equivalences():
     action_grids = [(b.make_uniform_grid(0, 1, 3),)] * 2
     strategies = [b.init_strategy("random", grids[i], action_grids[i],
                                   prior.marginals[i], seed=i) for i in range(2)]
-    tensor = b.build_utility_tensor(mech, 0, prior, action_grids)
-    c = b.gradient_general(tensor, prior, strategies, 0)
-    d_gradient = float(np.max(np.abs(c - naive_gradient(mech, prior, strategies, 0))))
-    d_linear = abs(b.expected_utility(strategies[0], c)
-                   - naive_expected_utility(mech, prior, strategies, 0))
+    oracle = naive_gradient(mech, prior, strategies, 0)
+    u_oracle = naive_expected_utility(mech, prior, strategies, 0)
+    d_gradient = d_linear = 0.0
+    for c in tensor_gradients(mech, prior, action_grids, strategies):
+        d_gradient = max(d_gradient, float(np.max(np.abs(c - oracle))))
+        d_linear = max(d_linear, abs(b.expected_utility(strategies[0], c) - u_oracle))
     # symmetric fast path vs the general formulation
     d_sym = 0.0
     for kind in ("fpsb", "spsb", "all_pay"):
@@ -281,11 +290,10 @@ def test_criterion_09_oracle_equivalences():
             p = b.independent_prior(g, [lambda x: np.ones_like(x)] * n)
             ag = [(b.make_uniform_grid(0, 1, k),)] * n
             shared = b.init_strategy("random", g[0], ag[0], p.marginals[0], seed=3)
-            t = b.build_utility_tensor(m, 0, p, ag)
-            c_gen = b.gradient_general(t, p, [shared] * n, 0)
             c_sym = b.gradient_symmetric_iid(kind, g[0].points, ag[0][0].points,
                                              shared, n)
-            d_sym = max(d_sym, float(np.max(np.abs(c_gen - c_sym))))
+            for c_gen in tensor_gradients(m, p, ag, [shared] * n):
+                d_sym = max(d_sym, float(np.max(np.abs(c_gen - c_sym))))
     # closed-form best response vs row-vertex enumeration
     d_br = 0.0
     for _ in range(20):

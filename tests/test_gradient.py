@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from bnesolve.gradient import (GradientEngine, MemoryBudgetError, build_utility_tensor,
-                               expected_utility, gradient_general, gradient_symmetric_iid)
+from bnesolve.gradient import (DEFAULT_MEMORY_BUDGET, GradientEngine, expected_utility,
+                               gradient_symmetric_iid)
 from bnesolve.grids import make_uniform_grid
-from bnesolve.mechanisms import LLGAuction, SingleObjectAuction, expost_utility
+from bnesolve.mechanisms import LLGAuction, SingleObjectAuction
 from bnesolve.priors import (CommonValuePrior, IndependentPrivatePrior, UniformMarginal,
                              independent_prior)
 from bnesolve.strategy import init_strategy
@@ -22,34 +22,47 @@ def ipv_setting(kind="fpsb", n=2, k=3, l=3, rho=1.0, seed=0, density=None):
     return mech, prior, action_grids, strategies
 
 
+def tensor_gradients(mech, prior, action_grids, strategies, agent):
+    """Tensor-path gradients of ``agent``: one chunk, then chunks of two own values."""
+    cells = int(np.prod([g.count for grids in action_grids for g in grids]))
+    return [GradientEngine(mech, prior, action_grids, memory_budget=budget,
+                           prefer_path="tensor").gradient(strategies, agent)
+            for budget in (DEFAULT_MEMORY_BUDGET, 2 * 8 * cells)]
+
+
 def test_tensor_entries_fpsb_two_point_grids():
-    mech, prior, action_grids, _ = ipv_setting(k=2, l=2)
-    t = build_utility_tensor(mech, 0, prior, action_grids)
-    assert t.values.shape == (2, 2, 2)
-    # own value 1, bids (1, 0): wins and pays 1
-    assert t.values[1, 1, 0] == 0.0
-    # tie at (0, 0): nothing allocated
-    assert t.values[1, 0, 0] == 0.0
-    assert t.values[1, 1, 1] == 0.0
-    assert t.values[0, 1, 0] == pytest.approx(-1.0)
+    mech, prior, action_grids, strategies = ipv_setting(k=2, l=2)
+    oracle = naive_gradient(mech, prior, strategies, 0)
+    for c in tensor_gradients(mech, prior, action_grids, strategies, 0):
+        assert c.shape == (2, 2)
+        assert np.max(np.abs(c - oracle)) < 1e-12
 
 
 def test_tensor_spot_checks_match_expost_utility():
-    mech, prior, action_grids, _ = ipv_setting(kind="all_pay", n=2, k=4, l=5, rho=0.7)
-    t = build_utility_tensor(mech, 0, prior, action_grids)
-    rng = np.random.default_rng(0)
-    b = action_grids[0][0].points
-    v = prior.obs_grids[0].points
-    for _ in range(100):
-        m, l1, l2 = rng.integers(0, [4, 5, 5])
-        direct = expost_utility(mech, 0, [b[l1], b[l2]], v[m])
-        assert t.values[m, l1, l2] == pytest.approx(direct, abs=1e-15)
+    mech, prior, action_grids, strategies = ipv_setting(kind="all_pay", n=2, k=4, l=5,
+                                                        rho=0.7)
+    oracle = naive_gradient(mech, prior, strategies, 0)
+    for c in tensor_gradients(mech, prior, action_grids, strategies, 0):
+        assert np.max(np.abs(c - oracle)) < 1e-12
 
 
-def test_memory_budget_enforced():
-    mech, prior, action_grids, _ = ipv_setting(k=8, l=8)
-    with pytest.raises(MemoryBudgetError, match="budget"):
-        build_utility_tensor(mech, 0, prior, action_grids, memory_budget=100)
+def test_engine_chunks_interdependent_prior_over_budget():
+    model = CommonValuePrior(3)
+    og = [make_uniform_grid(0, 2, 5)] * 3
+    vg = [make_uniform_grid(0, 1, 7)] * 3
+    prior = model.discretize(og, vg, sample_count=4000, seed=1, allow_small_sample=True)
+    mech = SingleObjectAuction("spsb", 3, risk_rho=0.5)
+    action_grids = [(make_uniform_grid(0, 1.5, 4),)] * 3
+    strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
+                                seed=i) for i in range(3)]
+    full = GradientEngine(mech, prior, action_grids)
+    tiny = GradientEngine(mech, prior, action_grids, memory_budget=100)
+    assert full.path == tiny.path == "tensor"
+    for agent in range(3):
+        c1 = full.gradient(strategies, agent)
+        c2 = tiny.gradient(strategies, agent)
+        assert np.max(np.abs(c1 - c2)) < 1e-12
+    assert full.cache_bytes() > 0 and tiny.cache_bytes() < full.cache_bytes()
 
 
 def test_gradient_vs_opponent_bidding_zero():
@@ -57,22 +70,20 @@ def test_gradient_vs_opponent_bidding_zero():
     zero = strategies[1].matrix * 0
     zero[:, 0] = prior.marginals[1]
     strategies[1] = strategies[1].with_matrix(zero)
-    t = build_utility_tensor(mech, 0, prior, action_grids)
-    c = gradient_general(t, prior, strategies, 0)
     o = prior.obs_grids[0].points
     b = action_grids[0][0].points
-    for k in range(3):
-        assert c[k, 0] == 0.0  # tie at zero: no winner
-        for l in (1, 2):
-            assert c[k, l] == pytest.approx(o[k] - b[l], abs=1e-12)
+    for c in tensor_gradients(mech, prior, action_grids, strategies, 0):
+        for k in range(3):
+            assert c[k, 0] == 0.0  # tie at zero: no winner
+            for l in (1, 2):
+                assert c[k, l] == pytest.approx(o[k] - b[l], abs=1e-12)
 
 
 def test_gradient_general_matches_naive_enumeration():
     mech, prior, action_grids, strategies = ipv_setting(k=3, l=3)
-    t = build_utility_tensor(mech, 0, prior, action_grids)
-    c = gradient_general(t, prior, strategies, 0)
     oracle = naive_gradient(mech, prior, strategies, 0)
-    assert np.max(np.abs(c - oracle)) < 1e-12
+    for c in tensor_gradients(mech, prior, action_grids, strategies, 0):
+        assert np.max(np.abs(c - oracle)) < 1e-12
 
 
 def test_gradient_general_interdependent_matches_naive():
@@ -84,12 +95,11 @@ def test_gradient_general_interdependent_matches_naive():
     action_grids = [(make_uniform_grid(0, 1.5, 3),)] * 2
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
                                 seed=i) for i in range(2)]
-    t = build_utility_tensor(mech, 0, prior, action_grids)
-    c = gradient_general(t, prior, strategies, 0)
     oracle = naive_gradient(mech, prior, strategies, 0)
-    assert np.max(np.abs(c - oracle)) < 1e-12
-    assert expected_utility(strategies[0], c) == pytest.approx(
-        naive_expected_utility(mech, prior, strategies, 0), abs=1e-12)
+    for c in tensor_gradients(mech, prior, action_grids, strategies, 0):
+        assert np.max(np.abs(c - oracle)) < 1e-12
+        assert expected_utility(strategies[0], c) == pytest.approx(
+            naive_expected_utility(mech, prior, strategies, 0), abs=1e-12)
 
 
 def test_gradient_three_agent_llg_matches_naive():
@@ -102,25 +112,23 @@ def test_gradient_three_agent_llg_matches_naive():
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
                                 seed=i) for i in range(3)]
     for agent in range(3):
-        t = build_utility_tensor(mech, agent, prior, action_grids)
-        c = gradient_general(t, prior, strategies, agent)
         oracle = naive_gradient(mech, prior, strategies, agent)
-        assert np.max(np.abs(c - oracle)) < 1e-12
+        for c in tensor_gradients(mech, prior, action_grids, strategies, agent):
+            assert np.max(np.abs(c - oracle)) < 1e-12
 
 
 def test_linearity_of_expected_utility():
     mech, prior, action_grids, strategies = ipv_setting(k=3, l=4, seed=5)
-    t = build_utility_tensor(mech, 0, prior, action_grids)
-    c = gradient_general(t, prior, strategies, 0)
-    for seed in range(10):
-        s = init_strategy("random", prior.obs_grids[0], action_grids[0],
-                          prior.marginals[0], seed=100 + seed)
-        probe = [s, strategies[1]]
-        assert expected_utility(s, c) == pytest.approx(
-            naive_expected_utility(mech, prior, probe, 0), abs=1e-12)
-    # bilinearity in the own strategy
-    assert np.vdot(0.5 * strategies[0].matrix, c) == pytest.approx(
-        0.5 * expected_utility(strategies[0], c), abs=1e-15)
+    for c in tensor_gradients(mech, prior, action_grids, strategies, 0):
+        for seed in range(10):
+            s = init_strategy("random", prior.obs_grids[0], action_grids[0],
+                              prior.marginals[0], seed=100 + seed)
+            probe = [s, strategies[1]]
+            assert expected_utility(s, c) == pytest.approx(
+                naive_expected_utility(mech, prior, probe, 0), abs=1e-12)
+        # bilinearity in the own strategy
+        assert np.vdot(0.5 * strategies[0].matrix, c) == pytest.approx(
+            0.5 * expected_utility(strategies[0], c), abs=1e-15)
 
 
 def test_symmetric_path_matches_general():
@@ -132,12 +140,11 @@ def test_symmetric_path_matches_general():
                         kind=kind, n=n, k=k, l=l, rho=rho, seed=2)
                     shared = strategies[0]
                     profile = [shared] * n
-                    t = build_utility_tensor(mech, 0, prior, action_grids)
-                    c_gen = gradient_general(t, prior, profile, 0)
                     c_sym = gradient_symmetric_iid(kind, prior.obs_grids[0].points,
                                                    action_grids[0][0].points, shared, n,
                                                    rho)
-                    assert np.max(np.abs(c_gen - c_sym)) < 1e-10, (kind, n, rho, k)
+                    for c_gen in tensor_gradients(mech, prior, action_grids, profile, 0):
+                        assert np.max(np.abs(c_gen - c_sym)) < 1e-10, (kind, n, rho, k)
 
 
 def test_symmetric_path_one_hot_opponent():
@@ -184,12 +191,10 @@ def test_symmetric_path_speed_many_agents():
 
 def test_engine_paths_agree():
     mech, prior, action_grids, strategies = ipv_setting(kind="spsb", n=2, k=5, l=6, seed=9)
-    by_path = {}
-    for path in ("affine", "tensor", "streaming"):
-        eng = GradientEngine(mech, prior, action_grids, prefer_path=path)
-        by_path[path] = eng.gradient(strategies, 0)
-    assert np.max(np.abs(by_path["affine"] - by_path["tensor"])) < 1e-12
-    assert np.max(np.abs(by_path["streaming"] - by_path["tensor"])) < 1e-12
+    c_affine = GradientEngine(mech, prior, action_grids,
+                              prefer_path="affine").gradient(strategies, 0)
+    for c in tensor_gradients(mech, prior, action_grids, strategies, 0):
+        assert np.max(np.abs(c_affine - c)) < 1e-12
 
 
 def test_engine_path_selection():
@@ -198,8 +203,9 @@ def test_engine_path_selection():
     assert GradientEngine(mech, prior, action_grids).path == "affine"
     mech_ra = SingleObjectAuction("fpsb", 2, risk_rho=0.5)
     assert GradientEngine(mech_ra, prior, action_grids).path == "tensor"
+    # the memory budget sets the tensor path's chunk size, not the path
     assert GradientEngine(mech_ra, prior, action_grids,
-                          memory_budget=200).path == "streaming"
+                          memory_budget=200).path == "tensor"
     # asymmetric marginals disqualify the symmetric fast path
     specs = [UniformMarginal(0, 1), UniformMarginal(0, 1)]
     model = IndependentPrivatePrior(specs)
@@ -215,14 +221,25 @@ def test_engine_path_selection():
                           symmetric=True).path == "affine"
 
 
-def test_engine_streaming_matches_on_risk_averse():
+def test_engine_rejects_unknown_path():
+    mech, prior, action_grids, _ = ipv_setting(n=2, k=4, l=4)
+    for name in ("bogus", "streaming"):
+        with pytest.raises(ValueError, match="symmetric.*affine.*tensor"):
+            GradientEngine(mech, prior, action_grids, prefer_path=name)
+
+
+def test_engine_chunked_matches_on_risk_averse():
     mech, prior, action_grids, strategies = ipv_setting(kind="all_pay", k=6, l=7, rho=0.5)
     full = GradientEngine(mech, prior, action_grids, prefer_path="tensor")
-    tiny = GradientEngine(mech, prior, action_grids, prefer_path="streaming",
+    tiny = GradientEngine(mech, prior, action_grids, prefer_path="tensor",
                           memory_budget=1000)
-    c1 = full.gradient(strategies, 0)
-    c2 = tiny.gradient(strategies, 0)
-    assert np.max(np.abs(c1 - c2)) < 1e-12
+    for agent in range(2):
+        c1 = full.gradient(strategies, agent)
+        c2 = tiny.gradient(strategies, agent)
+        assert np.max(np.abs(c1 - c2)) < 1e-12
+        # one chunk covers the value axis: kept between calls and reused
+        assert np.array_equal(full.gradient(strategies, agent), c1)
+    assert full.cache_bytes() >= 2 * 6 * 7 * 7 * 8
 
 
 def test_expected_utility_shape_mismatch():

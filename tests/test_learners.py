@@ -237,6 +237,7 @@ def test_run_gradients_precede_all_updates():
             self.inner = GradientEngine(mech, prior, action_grids)
             self.snapshots = []
             self.path = self.inner.path
+            self.cache_bytes = self.inner.cache_bytes
 
         def gradient(self, strategies, agent):
             self.snapshots.append((agent, [s.matrix.tobytes() for s in strategies]))

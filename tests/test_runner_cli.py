@@ -112,6 +112,19 @@ def test_run_batch_artifacts(tmp_path):
     assert summary.mean("L_agent0") is not None
 
 
+def test_meta_records_gradient_path_and_cache_bytes(tmp_path):
+    run_batch(build_problem(fast_cfg(runs=1, iterations=20)), tmp_path / "sym")
+    meta = json.loads((tmp_path / "sym" / "run_000" / "meta.json").read_text())
+    assert meta["gradient_path"] == "symmetric"
+    assert meta["engine_cache_bytes"] == 0
+    cfg = fast_cfg(runs=1, iterations=20, risk_rho=0.5, symmetric=False)
+    run_batch(build_problem(cfg), tmp_path / "ra")
+    meta = json.loads((tmp_path / "ra" / "run_000" / "meta.json").read_text())
+    assert meta["gradient_path"] == "tensor"
+    # at least one utility chunk of 12 values x 12 x 12 actions per agent
+    assert meta["engine_cache_bytes"] >= 2 * 12 ** 3 * 8
+
+
 def test_run_batch_refuses_overwrite(tmp_path):
     problem = build_problem(fast_cfg(runs=1))
     out = tmp_path / "batch"
