@@ -3,27 +3,32 @@
 The expected utility of agent i is linear in its own strategy matrix,
 ``u_i = <s_i, c_i>``, where the coefficient matrix c_i aggregates the ex-post
 utility against the discrete prior and the opponents' conditional strategies.
-Three evaluation paths are provided:
+Both general paths first contract the prior mass with the opponents'
+conditional strategies, one GEMM per opponent, into weights of shape
+(K_i, L_-i); they differ in what those weights meet.  Three evaluation paths
+are provided:
 
 * ``symmetric``: an order-statistic fast path for symmetric independent
   private-value single-object auctions whose cost is independent of the
   number of agents,
-* ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``, contracts the
-  own-value axis into the prior once, so no utility over the value axis is
-  ever formed, and
+* ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  For
+  interdependent priors the value-weighted joint and the joint are
+  contracted together, stacked; for private values the value weighting is a
+  row scaling after one contraction.  The weights meet A and B in one GEMM
+  each, against matrices of shape (L_i, L_-i) cached per agent.  A mechanism
+  may instead supply a kernel that never forms A and B
+  (``Mechanism.affine_kernel``): the split-award auction sums the weights
+  over threshold index ranges with prefix sums, and
 * ``tensor``: the generic formulation for payoffs ``crra(v*A(b) + B(b))`` under
-  private or interdependent priors.  It contracts the prior with the
-  opponents' conditional strategies once, then walks the own-value axis in
-  chunks of ex-post utilities.  The memory budget sets the chunk size, not
-  which path runs.
+  private or interdependent priors.  It walks the own-value axis in chunks of
+  ex-post utilities.  The memory budget sets the chunk size, not which path
+  runs.
 
 All paths agree to floating-point reassociation error; the engine picks the
 cheapest applicable one.
 """
 
 from __future__ import annotations
-
-import string
 
 import numpy as np
 
@@ -49,26 +54,12 @@ def _profile_components(flat_actions):
     return comps
 
 
-def _letters(k: int) -> list[str]:
-    return list(string.ascii_lowercase[:k])
-
-
-def _contract(joint, joint_sub, tensor, tensor_sub, conditionals, agent, obs_letters,
-              act_letters):
-    operands, subs = [joint], [joint_sub]
-    for j, q in conditionals:
-        operands.append(q)
-        subs.append(obs_letters[j] + act_letters[j])
-    operands.append(tensor)
-    subs.append(tensor_sub)
-    out = obs_letters[agent] + act_letters[agent]
-    return np.einsum(",".join(subs) + "->" + out, *operands, optimize=True)
-
-
 def _divide_rows(c: np.ndarray, marginal: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(c)
-    np.divide(c, marginal[:, None], out=out, where=marginal[:, None] > 0)
-    return out
+    """Divide the rows of ``c`` by ``marginal`` in place; rows of zero mass become zero."""
+    live = marginal > 0
+    np.divide(c, marginal[:, None], out=c, where=live[:, None])
+    c[~live] = 0.0
+    return c
 
 
 def gradient_symmetric_iid(kind: str, own_values: np.ndarray, bid_values: np.ndarray,
@@ -115,11 +106,14 @@ class GradientEngine:
     Chooses, in order of preference: the symmetric order-statistic path (only
     in symmetric runs on i.i.d. private-value single-object auctions), the
     affine path for risk-neutral payoffs, and the tensor path for any other
-    payoff and prior.  ``memory_budget`` bounds the bytes of ex-post utilities
+    payoff and prior.  On the affine path the mechanism's own kernel, when it
+    has one (split award), replaces the dense payoff matrices; its tables are
+    built here, once.  ``memory_budget`` bounds the bytes of ex-post utilities
     the tensor path holds per agent (one own value's worth at least) and so
     sets its chunk size along the own-value axis; it never changes which path
     runs.  When one chunk covers the whole axis, the chunk is kept between
-    calls.  ``prefer_path`` forces one of ``PATHS``.
+    calls.  ``prefer_path`` forces one of ``PATHS``.  One engine serves any
+    number of runs on the same problem.
     """
 
     def __init__(self, mech: Mechanism, prior: DiscretePrior, action_grids_per_agent,
@@ -134,6 +128,12 @@ class GradientEngine:
         self._vweighted_cache: dict[int, np.ndarray] = {}
         self._utility_cache: dict[int, np.ndarray] = {}
         self.path = self._select_path(symmetric, prefer_path)
+        self._kernels = {}
+        if self.path == "affine":
+            for i in range(prior.n_agents):
+                kernel = mech.affine_kernel(i, self.action_grids)
+                if kernel is not None:
+                    self._kernels[i] = kernel
 
     def _symmetric_applicable(self) -> bool:
         p, m = self.prior, self.mech
@@ -162,26 +162,55 @@ class GradientEngine:
         return "tensor"
 
     def cache_bytes(self) -> int:
-        """Bytes held by the affine, value-weighted and utility caches."""
+        """Bytes held by the affine, kernel, value-weighted and utility caches."""
         arrays = [x for pair in self._affine_cache.values() for x in pair]
         arrays += list(self._vweighted_cache.values()) + list(self._utility_cache.values())
-        return sum(x.nbytes for x in arrays)
+        return sum(x.nbytes for x in arrays) + sum(k.nbytes for k in self._kernels.values())
 
     # -- cached pieces ------------------------------------------------------
 
     def _affine_parts(self, agent: int):
+        """Dense (A, B) of ``agent`` with its own actions on rows: (L_i, L_-i)."""
         if agent not in self._affine_cache:
             comps = _profile_components(self.flat_actions)
-            a, b = self.mech.affine_parts(agent, comps)
             counts = tuple(t.shape[0] for t in self.flat_actions)
-            self._affine_cache[agent] = (np.broadcast_to(a, counts).copy(),
-                                         np.broadcast_to(b, counts).copy())
+            self._affine_cache[agent] = tuple(
+                np.ascontiguousarray(np.moveaxis(np.broadcast_to(x, counts), agent, 0)
+                                     .reshape(counts[agent], -1))
+                for x in self.mech.affine_parts(agent, comps))
         return self._affine_cache[agent]
 
-    def _value_weighted_joint(self, agent: int) -> np.ndarray:
+    def _value_weighted_pair(self, agent: int) -> np.ndarray:
+        """The value-weighted joint stacked on the joint (interdependent priors)."""
         if agent not in self._vweighted_cache:
-            self._vweighted_cache[agent] = self.prior.value_weighted_joint(agent)
+            self._vweighted_cache[agent] = np.stack([self.prior.value_weighted_joint(agent),
+                                                 self.prior.obs_joint])
         return self._vweighted_cache[agent]
+
+    def _opponent_weights(self, w, strategies, agent: int) -> np.ndarray:
+        """W[(lead,) k_i, l_-i]: prior mass ``w`` times the opponents' conditional
+        strategies, summed over the opponents' observations.
+
+        ``w`` has ``lead`` leading axes, then one observation axis per agent.
+        Each opponent's observation axis gives way, at its position, to its
+        action axis, one (batched) GEMM per opponent, so the prior is never
+        transposed and the opponents' actions stay in agent order; only the
+        result is transposed, to bring k_i first.
+        """
+        lead = w.ndim - self.prior.n_agents
+        for j in range(self.prior.n_agents):
+            if j == agent:
+                continue
+            q = strategies[j].conditionals()
+            shape, pos = w.shape, lead + j
+            after = int(np.prod(shape[pos + 1:]))
+            if after == 1:
+                w = w.reshape(-1, shape[pos]) @ q
+            else:
+                w = np.matmul(q.T, w.reshape(-1, shape[pos], after))
+            w = w.reshape(shape[:pos] + (q.shape[1],) + shape[pos + 1:])
+        w = np.moveaxis(w, lead + agent, lead)
+        return w.reshape(w.shape[:lead + 1] + (-1,))
 
     # -- paths ---------------------------------------------------------------
 
@@ -200,18 +229,28 @@ class GradientEngine:
         return c
 
     def _gradient_affine(self, strategies, agent: int) -> np.ndarray:
-        n = self.prior.n_agents
-        obs_letters = _letters(n)
-        act_letters = _letters(2 * n)[n:]
-        conditionals = [(j, strategies[j].conditionals()) for j in range(n) if j != agent]
+        """c_i = (Wv . A + W . B) / marginal, with Wv and W the value-weighted
+        and plain prior mass contracted with the opponents' conditionals."""
+        prior = self.prior
+        if prior.values_equal_observations:  # the value weighting is a row scaling
+            w = self._opponent_weights(prior.obs_joint, strategies, agent)
+            cv, c1 = self._contract_affine(agent, w, w)
+            cv *= prior.obs_grids[agent].points[:, None]
+        else:
+            wv, w1 = self._opponent_weights(self._value_weighted_pair(agent), strategies,
+                                            agent)
+            cv, c1 = self._contract_affine(agent, wv, w1)
+        cv += c1
+        return _divide_rows(cv, prior.marginals[agent])
+
+    def _contract_affine(self, agent: int, wa: np.ndarray, wb: np.ndarray):
+        """(wa . A, wb . B): the mechanism's kernel, or one GEMM each against
+        the cached dense A and B."""
+        kernel = self._kernels.get(agent)
+        if kernel is not None:
+            return kernel(wa, wb)
         a, b = self._affine_parts(agent)
-        joint_sub = "".join(obs_letters)
-        tensor_sub = "".join(act_letters)
-        cv = _contract(self._value_weighted_joint(agent), joint_sub, a, tensor_sub,
-                       conditionals, agent, obs_letters, act_letters)
-        c1 = _contract(self.prior.obs_joint, joint_sub, b, tensor_sub,
-                       conditionals, agent, obs_letters, act_letters)
-        return _divide_rows(cv + c1, self.prior.marginals[agent])
+        return wa @ a.T, wb @ b.T
 
     def _gradient_tensor(self, strategies, agent: int) -> np.ndarray:
         """c_i[k, l] sums u_i over the opponents' observations and actions and the
@@ -220,16 +259,10 @@ class GradientEngine:
         marginal is zero)."""
         prior = self.prior
         interdependent = not prior.values_equal_observations
-        # W[(m,) k_i, l_-i]: prior mass times the opponents' conditional strategies,
-        # with the own value m as a leading axis for interdependent priors.  Taking
-        # opponents in index order, the only observation axis ahead of k_j is k_i.
-        w = prior.value_joints[agent] if interdependent else prior.obs_joint
-        lead = int(interdependent)
-        for j in range(prior.n_agents):
-            if j != agent:
-                w = np.tensordot(w, strategies[j].conditionals(),
-                                 axes=(lead + int(agent < j), 0))
-        w = w.reshape(w.shape[:lead + 1] + (-1,))
+        # W[(m,) k_i, l_-i], with the own value m as a leading axis for
+        # interdependent priors
+        w = self._opponent_weights(prior.value_joints[agent] if interdependent
+                                   else prior.obs_joint, strategies, agent)
 
         own_vals = (prior.val_grids[agent] if interdependent
                     else prior.obs_grids[agent]).points
@@ -237,8 +270,7 @@ class GradientEngine:
         chunk = max(1, int(self.budget // (8 * np.prod(counts, dtype=np.float64))))
         cached = self._utility_cache.get(agent)
         if cached is None:
-            a, b = (np.moveaxis(x, agent, 0).reshape(counts[agent], -1)
-                    for x in self._affine_parts(agent))
+            a, b = self._affine_parts(agent)
         c = np.zeros((prior.obs_grids[agent].count, counts[agent]))
         for s in range(0, own_vals.size, chunk):
             e = min(s + chunk, own_vals.size)

@@ -59,6 +59,16 @@ class Mechanism:
         """(A, B) with quasilinear payoff value * A + B for ``agent``."""
         raise NotImplementedError
 
+    def affine_kernel(self, agent: int, action_grids):
+        """Contraction of opponent weights against (A, B) that never forms them.
+
+        ``action_grids`` holds every agent's tuple of action grids.  Returns a
+        callable taking weights ``wa`` and ``wb`` of shape (K_i, L_-i), which
+        may be one array, to ``(wa . A, wb . B)`` of shape (K_i, L_i), or None
+        when only the dense matrices are available.
+        """
+        return None
+
     def utility(self, agent: int, bids, value):
         """Ex-post utility of ``agent``, CRRA applied to the quasilinear payoff."""
         a, b = self.affine_parts(agent, bids)
@@ -283,18 +293,29 @@ class SplitAwardAuction(Mechanism):
         obs = [np.asarray(o, dtype=np.float64) for o in observations]
         return alloc, [self.utility(i, bids, obs[i]) for i in range(2)]
 
+    # A and B are linear in the own sole-source and split award indicators, so
+    # weighted win probabilities in their place give the weighted sums of A and B.
+
+    def cost_part(self, sole_own, split):
+        """A: minus the share of the supplier's cost that the awards commit."""
+        if self.cost_model == "scaled":
+            return -(sole_own + self.split_cost_factor * split)
+        return -sole_own
+
+    def price_part(self, sole_own, split, b100, b50):
+        """B: the awarded prices, less the fixed half-share cost if it is constant."""
+        if self.cost_model == "scaled":
+            return sole_own * b100 + split * b50
+        return sole_own * b100 + split * (b50 - self.split_cost_factor)
+
     def affine_parts(self, agent, bids):
         comps = self.components(bids)
         sole0, sole1, split = self.allocation(bids)
         sole_own = sole0 if agent == 0 else sole1
-        b100, b50 = comps[agent]
-        if self.cost_model == "scaled":
-            a = -(sole_own + self.split_cost_factor * split)
-            b = sole_own * b100 + split * b50
-        else:
-            a = -sole_own
-            b = sole_own * b100 + split * (b50 - self.split_cost_factor)
-        return a, b
+        return self.cost_part(sole_own, split), self.price_part(sole_own, split, *comps[agent])
+
+    def affine_kernel(self, agent, action_grids):
+        return SplitAwardKernel(self, agent, action_grids)
 
     def payments(self, bids):
         comps = self.components(bids)
@@ -310,6 +331,74 @@ class SplitAwardAuction(Mechanism):
                 lo, hi = self.action_rect[d]
                 if np.any(c < lo) or np.any(c > hi):
                     raise ValueError(f"bid component {d} outside [{lo}, {hi}]")
+
+
+class SplitAwardKernel:
+    """Split-award contraction of opponent weights from prefix sums.
+
+    Bidding (s, h) against the opponent's (s', h'), the agent wins alone iff
+    s < s' and s < h + h', and the split is awarded iff h + h' < s and
+    h + h' < s' (strict minima, as in ``SplitAwardAuction.allocation``).  On
+    ascending grids each condition selects a suffix or a prefix of an
+    opponent axis.  The threshold indices come from those same float
+    comparisons on per-axis tables, so ties are decided exactly as in the
+    dense payoff.  Sums of the weights over the selected ranges give the
+    weighted sole and split win probabilities of every own bid in O(K L)
+    instead of O(K L^2), and the (L_i, L_-i) payoff matrices are never formed.
+    """
+
+    def __init__(self, mech: SplitAwardAuction, agent: int, action_grids):
+        self.mech = mech
+        s_own, h_own = (g.points for g in action_grids[agent])
+        s_opp, h_opp = (g.points for g in action_grids[1 - agent])
+        self.n_s, self.n_h, n_hi = s_opp.size, h_opp.size, h_own.size
+        # fl(h_0 + h_1) with the own half price on rows, added in allocation's order
+        halves = (h_own[:, None] + h_opp[None, :] if agent == 0
+                  else h_opp[None, :] + h_own[:, None])
+        # sole: opponent sole prices from sole_s[s] on, half prices from sole_h[s, h] on
+        sole_s = self.n_s - (s_own[:, None] < s_opp[None, :]).sum(axis=1)
+        sole_h = self.n_h - (s_own[:, None, None] < halves[None]).sum(axis=2)
+        # split: opponent half prices below split_h[s, h], and for each of them
+        # sole prices from split_s[h, h'] on
+        split_h = (halves[None] < s_own[:, None, None]).sum(axis=2)
+        split_s = self.n_s - (halves[:, :, None] < s_opp[None, None, :]).sum(axis=2)
+        # rows of the padded sum tables of __call__, flattened over their first two axes
+        self.sole_at = (sole_s[:, None] * (self.n_h + 1) + sole_h).ravel()
+        self.split_cols = (split_s.T * (self.n_h + 1) + np.arange(self.n_h)[:, None]).ravel()
+        self.split_at = (split_h * n_hi + np.arange(n_hi)).ravel()
+        self.n_hi = n_hi
+        self.own_s = np.repeat(s_own, n_hi)
+        self.own_h = np.tile(h_own, s_own.size)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(x.nbytes for x in (self.sole_at, self.split_cols, self.split_at,
+                                      self.own_s, self.own_h))
+
+    def __call__(self, wa, wb):
+        """(wa . A, wb . B) for weights of shape (K, L_-i); one pass if ``wa is wb``."""
+        w = wa[None] if wa is wb else np.stack([wa, wb])
+        m, k = w.shape[:2]
+        mk, n_s, n_h = m * k, self.n_s, self.n_h
+        # t[a, b, :]: the weight columns at opponent sole price a and half price
+        # b; the zero slabs at a = n_s and b = n_h stand for empty ranges
+        t = np.zeros((n_s + 1, n_h + 1, mk))
+        t[:n_s, :n_h] = w.reshape(mk, n_s, n_h).transpose(1, 2, 0)
+        for a in range(n_s - 1, -1, -1):  # now: sole prices from a on
+            t[a] += t[a + 1]
+        rows = t.reshape(-1, mk)
+        # split: t at (split_s[h, h'], h') for every (h', h), summed over h' < split_h
+        pre = np.zeros((n_h + 1, self.n_hi, mk))
+        rows.take(self.split_cols, axis=0, out=pre[1:].reshape(-1, mk), mode="clip")
+        for b in range(n_h):
+            pre[b + 1] += pre[b]
+        for b in range(n_h - 1, -1, -1):  # now: and half prices from b on
+            t[:, b] += t[:, b + 1]
+        # gathered with the weight columns first: (m, K, L_i)
+        sole = rows.T[:, self.sole_at].reshape(m, k, -1)
+        split = pre.reshape(-1, mk).T[:, self.split_at].reshape(m, k, -1)
+        return (self.mech.cost_part(sole[0], split[0]),
+                self.mech.price_part(sole[-1], split[-1], self.own_s, self.own_h))
 
 
 def expost_utility(mech: Mechanism, agent: int, bids, value) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .config import Problem, RunConfig, build_problem
 from .evaluate import emit_plot_data, estimate_revenue, evaluate, lookup_analytic
+from .gradient import GradientEngine
 from .learners import RunResult, run
 from .strategy import save_strategy
 
@@ -68,15 +69,14 @@ def _write_metrics(path: Path, result: RunResult, n_agents: int, groups, header_
 
 
 def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
-              note: str, progress=None) -> dict:
+              note: str, engine: GradientEngine, progress=None) -> dict:
     cfg = problem.config
-    prior = problem.discretize()
-    result = run(problem.mech, prior, problem.action_grids,
+    result = run(problem.mech, engine.prior, problem.action_grids,
                  rule=cfg.learner, eta0=cfg.eta0, step_beta=cfg.step_beta,
                  iterations=cfg.iterations, tolerance=cfg.tolerance,
                  check_interval=cfg.check_interval, init=cfg.init,
                  seed=np.random.SeedSequence(run_seed), groups=problem.groups,
-                 memory_budget=problem.memory_budget, progress=progress)
+                 engine=engine, progress=progress)
     run_dir.mkdir(parents=True, exist_ok=True)
 
     reps = [g[0] for g in problem.groups]
@@ -187,13 +187,19 @@ def run_batch(problem: Problem, out, *, runs: int | None = None, force: bool = F
         if cfg.analytic == "auto" else None
     rows = []
     failures = []
+    engine = None  # one per problem: its caches serve every run
     for idx in range(runs):
         run_seed = (cfg.seed, idx)
         run_dir = out / f"run_{idx:03d}"
         started = time.perf_counter()
         try:
+            if engine is None:
+                engine = GradientEngine(problem.mech, problem.discretize(),
+                                        problem.action_grids,
+                                        memory_budget=problem.memory_budget,
+                                        symmetric=len(problem.groups) == 1)
             row = _run_once(problem, run_dir, run_seed, analytic, note=note,
-                            progress=progress)
+                            engine=engine, progress=progress)
         except Exception as exc:  # noqa: BLE001 - single-run failures are summarized
             row = {"run": run_dir.name, "seed": f"{cfg.seed}/{idx}", "status": "failed",
                    "termination": f"{type(exc).__name__}: {exc}",

@@ -104,11 +104,13 @@ class Strategy:
         live = cdf[:, -1:] > 0
         np.divide(cdf, cdf[:, -1:], out=cdf, where=live)
         u = rng.random(obs.size)
+        # per observation row: the number of CDF entries below u, i.e. the
+        # first action whose cumulative probability reaches u
         idx = np.empty(obs.size, dtype=np.int64)
-        chunk = 1 << 18
-        for s in range(0, obs.size, chunk):
-            e = min(s + chunk, obs.size)
-            idx[s:e] = (cdf[k[s:e]] < u[s:e, None]).sum(axis=1)
+        order = np.argsort(k, kind="stable")
+        rows, starts = np.unique(k[order], return_index=True)
+        for row, sel in zip(rows, np.split(order, starts[1:])):
+            idx[sel] = np.searchsorted(cdf[row], u[sel], side="left")
         idx = np.minimum(idx, self.action_count - 1)
         return self.action_values()[idx]
 
@@ -171,17 +173,19 @@ def sidecar_path(path) -> Path:
 def save_strategy(strategy: Strategy, path, metadata: dict | None = None):
     """Write the strategy matrix as CSV plus a metadata sidecar record."""
     path = Path(path)
-    coords = strategy.action_values()
     ndim = strategy.action_ndim
+    # csv's default dialect: comma-separated, "\r\n"-terminated, and no field
+    # (an integer or a float repr) needs quoting.  Coordinates are formatted
+    # once per action and observation values once per row.
+    tails = [",".join(map(repr, row)) + "\r\n" for row in strategy.action_values().tolist()]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["obs_index", "action_index", "mass", "obs_value"]
-                        + [f"action_value_{d}" for d in range(ndim)])
-        for k in range(strategy.obs_grid.count):
-            ov = repr(float(strategy.obs_grid.points[k]))
-            for l in range(strategy.action_count):
-                writer.writerow([k, l, repr(float(strategy.matrix[k, l])), ov]
-                                + [repr(float(coords[l, d])) for d in range(ndim)])
+        csv.writer(fh).writerow(["obs_index", "action_index", "mass", "obs_value"]
+                                + [f"action_value_{d}" for d in range(ndim)])
+        for k, (ov, masses) in enumerate(zip(strategy.obs_grid.points.tolist(),
+                                             strategy.matrix.tolist())):
+            mid = f",{ov!r},"
+            fh.writelines([f"{k},{l},{m!r}{mid}{tail}"
+                           for l, (m, tail) in enumerate(zip(masses, tails))])
     meta = {
         "obs_grid": _grid_to_json(strategy.obs_grid),
         "action_grids": [_grid_to_json(g) for g in strategy.action_grids],

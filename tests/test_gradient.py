@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import (DEFAULT_MEMORY_BUDGET, GradientEngine, expected_utility,
                                gradient_symmetric_iid)
 from bnesolve.grids import make_uniform_grid
-from bnesolve.mechanisms import LLGAuction, SingleObjectAuction
+from bnesolve.mechanisms import LLGAuction, SingleObjectAuction, SplitAwardAuction
+from bnesolve.presets import get_preset
 from bnesolve.priors import (CommonValuePrior, IndependentPrivatePrior, UniformMarginal,
                              independent_prior)
 from bnesolve.strategy import init_strategy
@@ -28,6 +30,12 @@ def tensor_gradients(mech, prior, action_grids, strategies, agent):
     return [GradientEngine(mech, prior, action_grids, memory_budget=budget,
                            prefer_path="tensor").gradient(strategies, agent)
             for budget in (DEFAULT_MEMORY_BUDGET, 2 * 8 * cells)]
+
+
+def affine_gradient(mech, prior, action_grids, strategies, agent):
+    engine = GradientEngine(mech, prior, action_grids)
+    assert engine.path == "affine"
+    return engine.gradient(strategies, agent)
 
 
 def test_tensor_entries_fpsb_two_point_grids():
@@ -96,7 +104,8 @@ def test_gradient_general_interdependent_matches_naive():
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
                                 seed=i) for i in range(2)]
     oracle = naive_gradient(mech, prior, strategies, 0)
-    for c in tensor_gradients(mech, prior, action_grids, strategies, 0):
+    for c in tensor_gradients(mech, prior, action_grids, strategies, 0) + [
+            affine_gradient(mech, prior, action_grids, strategies, 0)]:
         assert np.max(np.abs(c - oracle)) < 1e-12
         assert expected_utility(strategies[0], c) == pytest.approx(
             naive_expected_utility(mech, prior, strategies, 0), abs=1e-12)
@@ -113,7 +122,8 @@ def test_gradient_three_agent_llg_matches_naive():
                                 seed=i) for i in range(3)]
     for agent in range(3):
         oracle = naive_gradient(mech, prior, strategies, agent)
-        for c in tensor_gradients(mech, prior, action_grids, strategies, agent):
+        for c in tensor_gradients(mech, prior, action_grids, strategies, agent) + [
+                affine_gradient(mech, prior, action_grids, strategies, agent)]:
             assert np.max(np.abs(c - oracle)) < 1e-12
 
 
@@ -246,3 +256,85 @@ def test_expected_utility_shape_mismatch():
     mech, prior, action_grids, strategies = ipv_setting()
     with pytest.raises(ValueError):
         expected_utility(strategies[0], np.zeros((2, 2)))
+
+
+def dense_split_gradient(mech, prior, strategies, agent, rows=512):
+    """Affine gradient from the dense payoff matrices of ``mech.affine_parts``,
+    built in blocks of ``rows`` own actions."""
+    own = strategies[agent].action_values()
+    opp = strategies[1 - agent].action_values()
+    joint = prior.obs_joint if agent == 0 else prior.obs_joint.T
+    w1 = joint @ strategies[1 - agent].conditionals()
+    wv = prior.obs_grids[agent].points[:, None] * w1
+    c = np.empty((w1.shape[0], own.shape[0]))
+    for s in range(0, own.shape[0], rows):
+        mine = (own[s:s + rows, 0:1], own[s:s + rows, 1:2])
+        theirs = (opp[None, :, 0], opp[None, :, 1])
+        a, b = mech.affine_parts(agent, [mine, theirs] if agent == 0 else [theirs, mine])
+        c[:, s:s + rows] = wv @ a.T + w1 @ b.T
+    return c / prior.marginals[agent][:, None]
+
+
+def split_tie_setting(cost_model):
+    """Half-price sums land exactly on sole-price points, so strict minima tie."""
+    mech = SplitAwardAuction(0.3, cost_model)
+    og = [make_uniform_grid(1.0, 1.4, 3), make_uniform_grid(1.0, 1.4, 4)]
+    prior = independent_prior(og, [lambda x: x, lambda x: 3.0 - x])
+    action_grids = [(make_uniform_grid(1.0, 2.0, 5), make_uniform_grid(0.5, 1.0, 3)),
+                    (make_uniform_grid(1.0, 2.0, 5), make_uniform_grid(0.25, 1.0, 4))]
+    strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
+                                seed=i) for i in range(2)]
+    return mech, prior, action_grids, strategies
+
+
+def test_split_award_kernel_matches_naive_on_tie_grids():
+    for cost_model in ("scaled", "constant"):
+        mech, prior, action_grids, strategies = split_tie_setting(cost_model)
+        assert not np.array_equal(prior.marginals[0][:3], prior.marginals[1][:3])
+        engine = GradientEngine(mech, prior, action_grids)
+        assert engine.path == "affine"
+        # the grids do produce exact ties between the three prices
+        comps = [(a[:, 0], a[:, 1]) for a in (s.action_values() for s in strategies)]
+        split = comps[0][1][:, None] + comps[1][1][None, :]
+        assert np.any(np.isin(split, comps[0][0]))
+        for agent in range(2):
+            c = engine.gradient(strategies, agent)
+            oracle = naive_gradient(mech, prior, strategies, agent)
+            assert np.max(np.abs(c - oracle)) < 1e-12, (cost_model, agent)
+            assert np.max(np.abs(dense_split_gradient(mech, prior, strategies, agent)
+                                 - oracle)) < 1e-12
+        assert not engine._affine_cache
+
+
+def test_split_award_kernel_matches_naive_on_interdependent_prior():
+    # distinct value-weighted and plain weights take the kernel's stacked pass
+    model = CommonValuePrior(2)
+    og = [make_uniform_grid(0, 2, 3)] * 2
+    vg = [make_uniform_grid(0, 1, 4)] * 2
+    prior = model.discretize(og, vg, sample_count=2000, seed=0, allow_small_sample=True)
+    _, _, action_grids, _ = split_tie_setting("scaled")
+    strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
+                                seed=i) for i in range(2)]
+    ratio = prior.value_weighted_joint(0) / prior.obs_joint
+    assert np.ptp(ratio[prior.obs_joint > 0]) > 0.1  # not a multiple of the joint
+    for cost_model in ("scaled", "constant"):
+        mech = SplitAwardAuction(0.3, cost_model)
+        engine = GradientEngine(mech, prior, action_grids)
+        for agent in range(2):
+            c = engine.gradient(strategies, agent)
+            oracle = naive_gradient(mech, prior, strategies, agent)
+            assert np.max(np.abs(c - oracle)) < 1e-12, (cost_model, agent)
+
+
+def test_split_award_kernel_matches_dense_on_shipped_grids():
+    problem = build_problem(config_from_mapping(get_preset("split_award_uniform")))
+    prior = problem.discretize()
+    strategies = [init_strategy("random", prior.obs_grids[i], problem.action_grids[i],
+                                prior.marginals[i], seed=i) for i in range(2)]
+    engine = GradientEngine(problem.mech, prior, problem.action_grids)
+    for agent in range(2):
+        c = engine.gradient(strategies, agent)
+        dense = dense_split_gradient(problem.mech, prior, strategies, agent)
+        assert np.max(np.abs(dense)) > 0.1
+        assert np.max(np.abs(c - dense)) < 1e-12
+    assert 0 < engine.cache_bytes() < 1 << 20

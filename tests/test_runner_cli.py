@@ -125,6 +125,25 @@ def test_meta_records_gradient_path_and_cache_bytes(tmp_path):
     assert meta["engine_cache_bytes"] >= 2 * 12 ** 3 * 8
 
 
+def test_run_batch_builds_one_engine(tmp_path, monkeypatch):
+    import bnesolve.runner as runner_mod
+    built = []
+
+    class CountingEngine(runner_mod.GradientEngine):
+        def __init__(self, *a, **kw):
+            built.append(1)
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(runner_mod, "GradientEngine", CountingEngine)
+    cfg = fast_cfg(runs=3, iterations=20, risk_rho=0.5, symmetric=False)
+    summary = run_batch(build_problem(cfg), tmp_path / "batch")
+    assert [r["status"] for r in summary.rows] == ["ok"] * 3
+    assert len(built) == 1
+    cache = [json.loads((tmp_path / "batch" / f"run_{i:03d}" / "meta.json").read_text())
+             ["engine_cache_bytes"] for i in range(3)]
+    assert cache[0] == cache[1] == cache[2] >= 2 * 12 ** 3 * 8
+
+
 def test_run_batch_refuses_overwrite(tmp_path):
     problem = build_problem(fast_cfg(runs=1))
     out = tmp_path / "batch"

@@ -1,3 +1,6 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,63 @@ def test_sample_bids_empirical_matches_conditional():
     assert 0.5 * np.abs(freq - s.conditional(1)).sum() < 0.01
 
 
+def table_sample_bids(strategy, observations, rng):
+    """Reference sampler: gathers a full (draws x actions) CDF table."""
+    obs = np.atleast_1d(np.asarray(observations, dtype=np.float64))
+    k = strategy.obs_grid.nearest_index(obs)
+    cdf = np.cumsum(strategy.conditionals(), axis=1)
+    live = cdf[:, -1:] > 0
+    np.divide(cdf, cdf[:, -1:], out=cdf, where=live)
+    u = rng.random(obs.size)
+    idx = np.minimum((cdf[k] < u[:, None]).sum(axis=1), strategy.action_count - 1)
+    return strategy.action_values()[idx]
+
+
+class FixedDraws:
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def test_sample_bids_matches_table_formula():
+    og = make_uniform_grid(1.0, 1.4, 5)
+    ags = (make_uniform_grid(1.0, 2.5, 4), make_uniform_grid(0.3, 1.2, 3))
+    s = init_strategy("random", og, ags, np.full(5, 0.2), seed=4)
+    m = s.matrix.copy()
+    m[:, [0, 5, 6, 11]] = 0.0  # zero-probability actions: flat CDF steps
+    m[2] = 0.0
+    m[2, 7] = 0.2  # a pure row
+    s = s.with_matrix(m * (0.2 / m.sum(axis=1))[:, None])
+    obs = np.random.default_rng(3).uniform(0.9, 1.5, 5000)
+    got = s.sample_bids(obs, np.random.default_rng(8))
+    assert np.array_equal(got, table_sample_bids(s, obs, np.random.default_rng(8)))
+    # draws exactly on CDF values, including 0 and the flat steps
+    cdf = np.cumsum(s.conditionals(), axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.concatenate([[0.0], cdf[1], cdf[3], [0.5, 0.25, 1 - 2 ** -53]])
+    obs = np.repeat(og.points[[1, 3]], u.size // 2 + 1)[:u.size]
+    assert np.array_equal(s.sample_bids(obs, FixedDraws(u)),
+                          table_sample_bids(s, obs, FixedDraws(u)))
+
+
+def test_sample_bids_memory_is_linear_in_draws():
+    og = make_uniform_grid(1.0, 1.4, 32)
+    ags = (make_uniform_grid(1.0, 2.5, 64), make_uniform_grid(0.3, 1.2, 64))
+    s = init_strategy("random", og, ags, np.full(32, 1 / 32), seed=0)
+    obs = np.random.default_rng(0).uniform(1.0, 1.4, 1 << 18)
+    tracemalloc.start()
+    try:
+        bids = s.sample_bids(obs, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bids.shape == (1 << 18, 2)
+    assert peak < 64 << 20
+
+
 def test_iterate_distance():
     g = make_uniform_grid(0, 1, 2)
     uni = init_strategy("uniform", g, [g], np.array([0.5, 0.5]))
@@ -148,3 +208,32 @@ def test_csv_round_trip_two_dimensional(tmp_path):
     assert np.array_equal(loaded.action_grids[1].points, ags[1].points)
     header = path.read_text().splitlines()[0]
     assert header == "obs_index,action_index,mass,obs_value,action_value_0,action_value_1"
+
+
+def reference_save(strategy, path):
+    """Row-by-row strategy writer that formats every cell with repr."""
+    coords = strategy.action_values()
+    ndim = strategy.action_ndim
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["obs_index", "action_index", "mass", "obs_value"]
+                        + [f"action_value_{d}" for d in range(ndim)])
+        for k in range(strategy.obs_grid.count):
+            ov = repr(float(strategy.obs_grid.points[k]))
+            for l in range(strategy.action_count):
+                writer.writerow([k, l, repr(float(strategy.matrix[k, l])), ov]
+                                + [repr(float(coords[l, d])) for d in range(ndim)])
+
+
+def test_save_strategy_bytes_match_reference_writer(tmp_path):
+    og = make_uniform_grid(1.0, 1.4, 7)
+    ags = (make_uniform_grid(1.0, 2.5, 9), make_uniform_grid(0.3, 1.2, 5))
+    marginal = np.random.default_rng(2).dirichlet(np.ones(7))
+    s = init_strategy("random", og, ags, marginal, seed=6)
+    m = s.matrix.copy()
+    m[1, :3] = 0.0
+    m[1] *= marginal[1] / m[1].sum()
+    s = s.with_matrix(m)
+    save_strategy(s, tmp_path / "new.csv")
+    reference_save(s, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
