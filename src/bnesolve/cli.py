@@ -19,9 +19,8 @@ import numpy as np
 
 from .config import RunConfig, build_problem, config_from_mapping, load_config
 from .evaluate import evaluate, lookup_analytic
-from .learners import run
 from .presets import get_preset, preset_names
-from .runner import prepare_out_dir, run_batch, run_sweep
+from .runner import prepare_out_dir, run_batch, run_sweep, solve
 from .strategy import load_strategy
 from .verify import collusive_profile, vs_probe
 
@@ -143,18 +142,12 @@ def _cmd_preset(args) -> int:
 def _cmd_probe_vs(args) -> int:
     cfg = _load_cfg(args)
     problem = build_problem(cfg)
-    prior = problem.discretize()
-    result = run(problem.mech, prior, problem.action_grids, rule=cfg.learner,
-                 eta0=cfg.eta0, step_beta=cfg.step_beta, iterations=cfg.iterations,
-                 tolerance=cfg.tolerance, check_interval=cfg.check_interval,
-                 init=cfg.init, seed=np.random.SeedSequence((cfg.seed, 0)),
-                 groups=problem.groups, memory_budget=problem.memory_budget,
-                 progress=_progress_printer(args.quiet))
+    result = solve(problem, (cfg.seed, 0), progress=_progress_printer(args.quiet))
     if not result.converged:
         print(f"warning: run did not converge (max loss {result.certificate.max_loss:.2e})",
               file=sys.stderr)
     probe = collusive_profile(result.strategies, scale=args.scale)
-    value = vs_probe(problem.mech, prior, result.strategies, probe)
+    value = vs_probe(problem.mech, problem.prior, result.strategies, probe)
     print(f"probe value: {value:.6e} "
           f"({'variational stability violated' if value > 0 else 'no violation found'})")
     if args.out:

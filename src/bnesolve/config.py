@@ -4,6 +4,9 @@ A config file holds one ``key = value`` pair per line (``#`` comments);
 values are parsed as JSON where possible and kept as strings otherwise.  An
 ``include`` line merges a shipped preset id or another file first, so every
 experiment is reproducible from a single small file of overrides.
+
+``build_problem`` turns a config into a ``Problem``; ``runner.solve`` runs
+the problem once under the config's learner settings.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .gradient import GradientEngine
 from .grids import make_uniform_grid
 from .mechanisms import make_mechanism
 from .priors import (CommonValuePrior, AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
@@ -226,7 +230,12 @@ def _refine_groups(a: list[list[int]], b: list[list[int]], n: int) -> list[list[
 
 @dataclass
 class Problem:
-    """A fully materialized game: mechanism, grids, and discretized prior."""
+    """A fully materialized game: mechanism, grids, discretized prior and engine.
+
+    The discretized prior and the gradient engine are built on first use and
+    kept, so every run of the problem shares them.  ``dataclasses.replace``
+    carries the prior over but not the engine.
+    """
 
     config: RunConfig
     mech: object
@@ -236,6 +245,8 @@ class Problem:
     action_grids: list       # per agent, tuple of per-axis grids
     groups: list
     prior: object = field(default=None, repr=False)
+    _engine: GradientEngine | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     @property
     def memory_budget(self) -> int:
@@ -247,6 +258,13 @@ class Problem:
                 self.obs_grids, self.val_grids, sample_count=self.config.prior_samples,
                 seed=self.config.prior_seed)
         return self.prior
+
+    def engine(self) -> GradientEngine:
+        if self._engine is None:
+            self._engine = GradientEngine(self.mech, self.discretize(), self.action_grids,
+                                          memory_budget=self.memory_budget,
+                                          symmetric=len(self.groups) == 1)
+        return self._engine
 
 
 def _action_bounds(cfg: RunConfig):

@@ -87,17 +87,6 @@ class EvalReport:
     notes: dict = field(default_factory=dict)
 
 
-def _profile_bids(strategies, analytic, obs, rng, learned_agents):
-    bids = []
-    for j in range(obs.shape[1]):
-        if j in learned_agents:
-            b = strategies[j].sample_bids(obs[:, j], rng)
-            bids.append(tuple(b[:, d] for d in range(b.shape[1])))
-        else:
-            bids.append((np.asarray(analytic.bid_fns[j](obs[:, j]), dtype=np.float64),))
-    return bids
-
-
 def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechanism,
              n_samples: int = DEFAULT_EVAL_SAMPLES, seed: int = 0,
              agents=None) -> EvalReport:

@@ -4,7 +4,9 @@ All agents compute gradients from the current profile snapshot and then
 update simultaneously.  Dual-averaging and mirror-ascent rules use the step
 schedule ``eta_t = eta0 * t**(-beta)``; Frank-Wolfe uses ``2 / (1 + t)``.
 Convergence is certified by the relative utility loss against the exact best
-response, checked every ``check_interval`` iterations.
+response (``verify.certify``, fed the step's own gradients), checked every
+``check_interval`` iterations.  ``runner.solve`` is the usual way in: it fills
+``run``'s settings from a problem's config and passes the problem's engine.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradient import DEFAULT_MEMORY_BUDGET, GradientEngine
-from .strategy import Strategy, init_strategy
-from .verify import Certificate, best_response_matrix, utility_loss
+from .gradient import GradientEngine
+from .strategy import Strategy, init_strategy, iterate_distance
+from .verify import Certificate, best_response_matrix, certify
+# perfbench/spans.py wraps learners.utility_loss: drop this when perfbench is next edited
+from .verify import utility_loss  # noqa: F401
 
 POSITIVITY_FLOOR = 1e-300
 
@@ -174,10 +178,6 @@ class RunResult:
     def converged(self) -> bool:
         return self.termination == "converged"
 
-    @property
-    def group_strategies(self) -> list[Strategy]:
-        return [self.strategies[g[0]] for g in self.groups]
-
 
 def _validate_groups(groups, prior, action_grids):
     seen = sorted(i for g in groups for i in g)
@@ -197,7 +197,6 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
         step_beta: float = 0.5, iterations: int = 1000, tolerance: float = 1e-4,
         check_interval: int = 10, init: str = "random", seed=None,
         groups: list[list[int]] | None = None,
-        memory_budget: int = DEFAULT_MEMORY_BUDGET,
         engine: GradientEngine | None = None, progress=None) -> RunResult:
     """Iterate simultaneous updates until convergence or the iteration cap.
 
@@ -206,6 +205,7 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
     snapshot, and all groups update simultaneously.  Stops as soon as every
     agent's relative utility loss falls below ``tolerance`` (checked every
     ``check_interval`` iterations), returning the certified profile.
+    Without an ``engine`` the run builds one with the default memory budget.
     """
     action_grids = [tuple(g) for g in action_grids_per_agent]
     if groups is None:
@@ -213,8 +213,7 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
     groups = [list(g) for g in groups]
     _validate_groups(groups, prior, action_grids)
     if engine is None:
-        engine = GradientEngine(mech, prior, action_grids, memory_budget=memory_budget,
-                                symmetric=len(groups) == 1)
+        engine = GradientEngine(mech, prior, action_grids, symmetric=len(groups) == 1)
 
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
@@ -234,15 +233,6 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
     def profile():
         return [current[agent_group[j]] for j in range(prior.n_agents)]
 
-    def certify(cs, t_done):
-        losses, cur, br = [], [], []
-        for s, c in zip(current, cs):
-            loss, u_cur, u_br = utility_loss(s, c)
-            losses.append(loss)
-            cur.append(u_cur)
-            br.append(u_br)
-        return Certificate(losses, cur, br, t_done, tolerance)
-
     loss_history: list[tuple[int, list[float]]] = []
     distance_history: list[tuple[int, list[float]]] = []
     start = time.perf_counter()
@@ -256,7 +246,7 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
         except FloatingPointError as exc:
             raise FloatingPointError(f"gradient failure at iteration {t}: {exc}") from exc
         if t % check_interval == 0 or t == iterations:
-            cert = certify(cs, updates_done)
+            cert = certify(current, cs, iteration=updates_done, tolerance=tolerance)
             loss_history.append((updates_done, list(cert.losses)))
             if progress is not None:
                 last_dist = distance_history[-1][1] if distance_history else None
@@ -268,7 +258,7 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
         dists = []
         for gi, (learner, s) in enumerate(zip(learners, current)):
             new = s.with_matrix(learner.step(s, cs[gi], t))
-            dists.append(float(np.linalg.norm(new.matrix - s.matrix)))
+            dists.append(iterate_distance(new, s))
             current[gi] = new
         distance_history.append((t, dists))
         updates_done = t
@@ -276,7 +266,7 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
     if cert is None or cert.iteration != updates_done:
         snapshot = profile()
         cs = [engine.gradient(snapshot, g[0]) for g in groups]
-        cert = certify(cs, updates_done)
+        cert = certify(current, cs, iteration=updates_done, tolerance=tolerance)
         loss_history.append((updates_done, list(cert.losses)))
         if cert.converged:
             termination = "converged"

@@ -1,4 +1,9 @@
-"""Experiment orchestration: batches of runs, persistence, and summaries.
+"""Experiment orchestration: solves, batches of runs, persistence, and summaries.
+
+``solve(problem, seed)`` is the one way to run a problem: it calls
+``learners.run`` with the config's learner settings and the problem's own
+gradient engine.  ``run_batch`` solves a problem once per seed and writes
+the artifacts below.
 
 Layout of a batch output directory:
 
@@ -25,7 +30,6 @@ import numpy as np
 from . import __version__
 from .config import Problem, RunConfig, build_problem
 from .evaluate import emit_plot_data, estimate_revenue, evaluate, lookup_analytic
-from .gradient import GradientEngine
 from .learners import RunResult, run
 from .strategy import save_strategy
 
@@ -68,15 +72,24 @@ def _write_metrics(path: Path, result: RunResult, n_agents: int, groups, header_
                        + [repr(dists[agent_group[j]]) for j in range(n_agents)])
 
 
-def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
-              note: str, engine: GradientEngine, progress=None) -> dict:
+def solve(problem: Problem, seed, *, progress=None) -> RunResult:
+    """One learning run of ``problem`` under its config's learner settings.
+
+    ``seed`` is anything ``np.random.SeedSequence`` accepts; ``run_batch``
+    passes ``(config seed, run index)``.
+    """
     cfg = problem.config
-    result = run(problem.mech, engine.prior, problem.action_grids,
-                 rule=cfg.learner, eta0=cfg.eta0, step_beta=cfg.step_beta,
-                 iterations=cfg.iterations, tolerance=cfg.tolerance,
-                 check_interval=cfg.check_interval, init=cfg.init,
-                 seed=np.random.SeedSequence(run_seed), groups=problem.groups,
-                 engine=engine, progress=progress)
+    return run(problem.mech, problem.discretize(), problem.action_grids,
+               rule=cfg.learner, eta0=cfg.eta0, step_beta=cfg.step_beta,
+               iterations=cfg.iterations, tolerance=cfg.tolerance,
+               check_interval=cfg.check_interval, init=cfg.init, seed=seed,
+               groups=problem.groups, engine=problem.engine(), progress=progress)
+
+
+def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
+              note: str, progress=None) -> dict:
+    cfg = problem.config
+    result = solve(problem, run_seed, progress=progress)
     run_dir.mkdir(parents=True, exist_ok=True)
 
     reps = [g[0] for g in problem.groups]
@@ -187,19 +200,13 @@ def run_batch(problem: Problem, out, *, runs: int | None = None, force: bool = F
         if cfg.analytic == "auto" else None
     rows = []
     failures = []
-    engine = None  # one per problem: its caches serve every run
     for idx in range(runs):
         run_seed = (cfg.seed, idx)
         run_dir = out / f"run_{idx:03d}"
         started = time.perf_counter()
         try:
-            if engine is None:
-                engine = GradientEngine(problem.mech, problem.discretize(),
-                                        problem.action_grids,
-                                        memory_budget=problem.memory_budget,
-                                        symmetric=len(problem.groups) == 1)
             row = _run_once(problem, run_dir, run_seed, analytic, note=note,
-                            engine=engine, progress=progress)
+                            progress=progress)
         except Exception as exc:  # noqa: BLE001 - single-run failures are summarized
             row = {"run": run_dir.name, "seed": f"{cfg.seed}/{idx}", "status": "failed",
                    "termination": f"{type(exc).__name__}: {exc}",

@@ -204,9 +204,6 @@ def load_strategy(path) -> tuple[Strategy, dict]:
     marginal = np.array([float(m) for m in meta["marginal"]])
     l = int(np.prod([g.count for g in action_grids]))
     matrix = np.zeros((obs_grid.count, l))
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            matrix[int(row[0]), int(row[1])] = float(row[2])
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2), ndmin=2)
+    matrix[rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)] = rows[:, 2]
     return Strategy(matrix, obs_grid, action_grids, marginal), meta

@@ -26,10 +26,6 @@ def best_response_matrix(gradient: np.ndarray, marginal: np.ndarray) -> np.ndarr
     return out
 
 
-def best_response(gradient: np.ndarray, like: Strategy) -> Strategy:
-    return like.with_matrix(best_response_matrix(gradient, like.marginal))
-
-
 def utility_loss(strategy: Strategy, gradient: np.ndarray) -> tuple[float, float, float]:
     """(loss, current utility, best-response utility) for one agent.
 
@@ -60,6 +56,18 @@ class Certificate:
         return self.max_loss < self.tolerance
 
 
+def certify(strategies, gradients, *, iteration: int = 0,
+            tolerance: float = 1e-4) -> Certificate:
+    """Certificate of a profile from gradients already computed against it.
+
+    ``gradients[i]`` is the utility gradient of ``strategies[i]`` at the
+    profile; the learner passes its own step's gradients, so certifying a
+    run costs no extra gradient evaluation.
+    """
+    losses, cur, br = zip(*(utility_loss(s, c) for s, c in zip(strategies, gradients)))
+    return Certificate(list(losses), list(cur), list(br), iteration, tolerance)
+
+
 def relative_utility_loss(profile, prior, mech, *, engine: GradientEngine | None = None,
                           action_grids=None, iteration: int = 0,
                           tolerance: float = 1e-4) -> Certificate:
@@ -68,13 +76,8 @@ def relative_utility_loss(profile, prior, mech, *, engine: GradientEngine | None
         if action_grids is None:
             action_grids = [s.action_grids for s in profile]
         engine = GradientEngine(mech, prior, action_grids)
-    losses, cur, br = [], [], []
-    for i, s in enumerate(profile):
-        loss, u_cur, u_br = utility_loss(s, engine.gradient(profile, i))
-        losses.append(loss)
-        cur.append(u_cur)
-        br.append(u_br)
-    return Certificate(losses, cur, br, iteration, tolerance)
+    gradients = [engine.gradient(profile, i) for i in range(len(profile))]
+    return certify(profile, gradients, iteration=iteration, tolerance=tolerance)
 
 
 def vs_probe(mech, prior, equilibrium, probe, *, engine: GradientEngine | None = None) -> float:

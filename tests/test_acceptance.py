@@ -5,6 +5,7 @@ lines as they complete.  Heavy artifacts (solved runs, binned priors) are
 cached at module scope and shared between criteria.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -25,13 +26,13 @@ def report(criterion: str, ok: bool, detail: str):
 
 
 def solve(problem, *, rule=None, eta0=None, beta=None, seed=0):
+    """``b.solve`` with the learner settings overridden; the prior is shared."""
+    problem.discretize()
     cfg = problem.config
-    return b.run(problem.mech, problem.discretize(), problem.action_grids,
-                 rule=rule or cfg.learner, eta0=cfg.eta0 if eta0 is None else eta0,
-                 step_beta=cfg.step_beta if beta is None else beta,
-                 iterations=cfg.iterations, tolerance=cfg.tolerance,
-                 check_interval=cfg.check_interval, seed=seed, groups=problem.groups,
-                 memory_budget=problem.memory_budget)
+    cfg = dataclasses.replace(cfg, learner=rule or cfg.learner,
+                              eta0=cfg.eta0 if eta0 is None else eta0,
+                              step_beta=cfg.step_beta if beta is None else beta)
+    return b.solve(dataclasses.replace(problem, config=cfg), seed)
 
 
 def problem_for(preset_id, **overrides):

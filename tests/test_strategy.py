@@ -237,3 +237,34 @@ def test_save_strategy_bytes_match_reference_writer(tmp_path):
     save_strategy(s, tmp_path / "new.csv")
     reference_save(s, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def reference_load(path, shape):
+    """Row-by-row strategy reader: ``int`` indices and ``float`` masses per CSV row."""
+    matrix = np.zeros(shape)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            matrix[int(row[0]), int(row[1])] = float(row[2])
+    return matrix
+
+
+def test_load_strategy_matches_reference_reader_bitwise(tmp_path):
+    rng = np.random.default_rng(8)
+    og = make_uniform_grid(1.0, 1.4, 8)
+    ags = (make_uniform_grid(1.0, 2.5, 16), make_uniform_grid(0.3, 1.2, 8))
+    marginal = rng.dirichlet(np.ones(8))
+    kind = rng.random((8, 16 * 8))
+    m = np.where(kind >= 0.5, rng.exponential(size=kind.shape), 0.0)
+    m *= (marginal / m.sum(axis=1))[:, None]
+    subnormal = kind < 0.4        # 40% subnormal entries, 10% exact zeros
+    m[subnormal] = rng.uniform(0.0, 2.0e-308, int(subnormal.sum()))
+    m.flat[np.flatnonzero(subnormal)[0]] = 5e-324    # the smallest subnormal
+    s = Strategy(m, og, ags, marginal)
+    save_strategy(s, tmp_path / "s.csv")
+    loaded, _ = load_strategy(tmp_path / "s.csv")
+    ref = reference_load(tmp_path / "s.csv", m.shape)
+    assert np.count_nonzero((m > 0) & (m < np.finfo(float).tiny)) > 0.3 * m.size
+    assert np.array_equal(loaded.matrix.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(loaded.matrix.view(np.uint64), m.view(np.uint64))

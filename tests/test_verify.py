@@ -148,3 +148,19 @@ def test_vs_probe_shape_mismatch():
                           (make_uniform_grid(0, 1, 5),), prior.marginals[0])
     with pytest.raises(ValueError):
         vs_probe(mech, prior, [s, s], [other, other])
+
+
+def test_run_certifies_from_its_own_step_gradients():
+    mech, prior, action_grids = setting(k=8, l=8)
+    engine = GradientEngine(mech, prior, action_grids, symmetric=True)
+    calls = []
+    gradient = engine.gradient
+    engine.gradient = lambda *a: calls.append(a[1]) or gradient(*a)
+    res = run(mech, prior, action_grids, rule="soda1", iterations=20, tolerance=0.0,
+              check_interval=5, seed=3, groups=[[0, 1]], engine=engine)
+    # one gradient per iteration, plus one for the final profile: checks add none
+    assert len(calls) == 21
+    cert = relative_utility_loss(res.strategies, prior, mech)
+    assert cert.iteration == 0 and res.certificate.iteration == 20
+    assert cert.losses[0] == pytest.approx(res.certificate.losses[0], abs=1e-12)
+    assert cert.losses[0] == pytest.approx(cert.losses[1], abs=1e-12)
