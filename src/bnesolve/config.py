@@ -11,8 +11,10 @@ the problem once under the config's learner settings.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -163,30 +165,78 @@ def load_config(path) -> RunConfig:
     return config_from_mapping(parse_config_text(path.read_text(), base_dir=path.parent))
 
 
-def _per_agent(value, n: int) -> list[float]:
+def _per_entry(value, n: int, what: str) -> list[float]:
+    """``value`` as ``n`` floats: a list must have ``n`` entries, a scalar is repeated."""
     if isinstance(value, (list, tuple)):
         if len(value) != n:
-            raise ValueError(f"expected {n} per-agent entries, got {len(value)}")
+            raise ValueError(f"expected {n} per-{what} entries, got {len(value)}")
         return [float(v) for v in value]
     return [float(value)] * n
 
 
-def _per_axis(value, d: int) -> list[float]:
-    if isinstance(value, (list, tuple)):
-        if len(value) != d:
-            raise ValueError(f"expected {d} per-axis entries, got {len(value)}")
-        return [float(v) for v in value]
-    return [float(value)] * d
+# the whitelist of density expressions: operator node type -> operation
+_DENSITY_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow, ast.USub: operator.neg,
+    ast.UAdd: operator.pos, ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
+    ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge}
+# callable numpy functions and their argument counts (a further positional
+# argument would be numpy's ``out`` and write into the grid points)
+_DENSITY_CALLS = {"exp": (np.exp, 1), "log": (np.log, 1), "sqrt": (np.sqrt, 1),
+                  "abs": (np.abs, 1), "minimum": (np.minimum, 2),
+                  "maximum": (np.maximum, 2), "where": (np.where, 3)}
+
+
+def _density_node(node):
+    """The function of ``o`` that one node of a density expression computes.
+
+    Anything outside the whitelist (the name ``o``, int and float constants,
+    ``+ - * / **``, unary ``-``/``+``, one comparison, and calls of
+    ``np.<name>`` for the names in ``_DENSITY_CALLS``) raises ``ValueError``.
+    """
+    kind = type(node)
+    if kind is ast.Name and node.id == "o":
+        return lambda o: o
+    if kind is ast.Constant and type(node.value) in (int, float):
+        value = float(node.value)  # so constant powers such as 9**9**9 cannot grow unbounded
+        return lambda o: value
+    fn, operands = None, ()
+    if kind is ast.BinOp:
+        fn, operands = _DENSITY_OPERATORS.get(type(node.op)), (node.left, node.right)
+    elif kind is ast.UnaryOp:
+        fn, operands = _DENSITY_OPERATORS.get(type(node.op)), (node.operand,)
+    elif kind is ast.Compare and len(node.ops) == 1:
+        fn = _DENSITY_OPERATORS.get(type(node.ops[0]))
+        operands = (node.left, node.comparators[0])
+    elif kind is ast.Call and type(node.func) is ast.Attribute and not node.keywords \
+            and type(node.func.value) is ast.Name and node.func.value.id == "np":
+        fn, arity = _DENSITY_CALLS.get(node.func.attr, (None, 0))
+        if len(node.args) != arity:
+            fn = None
+        operands = node.args
+    if fn is None:
+        raise ValueError(f"density expression: {kind.__name__} '{ast.unparse(node)}' "
+                         "is not allowed")
+    args = [_density_node(a) for a in operands]
+    return lambda o: fn(*(a(o) for a in args))
 
 
 def _compile_density(expr: str):
+    """A density function of the grid points ``o`` from a whitelisted expression.
+
+    The expression is parsed, checked node by node and turned into nested
+    numpy calls; it is never passed to ``eval``.
+    """
     if not expr:
         raise ValueError("prior 'custom_density' needs a density expression in o")
-    code = compile(expr, "<density>", "eval")
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"density expression does not parse: {exc.msg}") from None
+    body = _density_node(tree.body)
 
     def fn(o):
-        return np.asarray(eval(code, {"__builtins__": {}}, {"np": np, "o": o}),
-                          dtype=np.float64) * np.ones_like(o)
+        return np.asarray(body(o), dtype=np.float64) * np.ones_like(o)
 
     return fn
 
@@ -194,8 +244,8 @@ def _compile_density(expr: str):
 def build_prior_model(cfg: RunConfig):
     n = cfg.agents
     if cfg.prior in ("uniform", "gaussian_trunc", "custom_density"):
-        lows = _per_agent(cfg.obs_lower, n)
-        highs = _per_agent(cfg.obs_upper, n)
+        lows = _per_entry(cfg.obs_lower, n, "agent")
+        highs = _per_entry(cfg.obs_upper, n, "agent")
         specs = []
         for lo, hi in zip(lows, highs):
             if cfg.prior == "uniform":
@@ -241,7 +291,7 @@ class Problem:
     mech: object
     prior_model: object
     obs_grids: list
-    val_grids: list
+    value_grid: object       # the one shared value's grid; None for private values
     action_grids: list       # per agent, tuple of per-axis grids
     groups: list
     prior: object = field(default=None, repr=False)
@@ -255,7 +305,7 @@ class Problem:
     def discretize(self):
         if self.prior is None:
             self.prior = self.prior_model.discretize(
-                self.obs_grids, self.val_grids, sample_count=self.config.prior_samples,
+                self.obs_grids, self.value_grid, sample_count=self.config.prior_samples,
                 seed=self.config.prior_seed)
         return self.prior
 
@@ -275,12 +325,12 @@ def _action_bounds(cfg: RunConfig):
     """
     n = cfg.agents
     if cfg.mechanism == "split_award":
-        lo = _per_axis(cfg.action_lower, 2)
-        hi = _per_axis(cfg.action_upper, 2)
+        lo = _per_entry(cfg.action_lower, 2, "axis")
+        hi = _per_entry(cfg.action_upper, 2, "axis")
         rect = tuple((lo[d], hi[d]) for d in range(2))
         return [rect] * n
-    lows = _per_agent(cfg.action_lower, n)
-    highs = _per_agent(cfg.action_upper, n)
+    lows = _per_entry(cfg.action_lower, n, "agent")
+    highs = _per_entry(cfg.action_upper, n, "agent")
     return [((lo, hi),) for lo, hi in zip(lows, highs)]
 
 
@@ -297,13 +347,11 @@ def build_problem(cfg: RunConfig) -> Problem:
     obs_grids = [make_uniform_grid(lo, hi, cfg.obs_points) for lo, hi in model.obs_bounds]
     action_grids = [tuple(make_uniform_grid(lo, hi, cfg.action_points) for lo, hi in rect)
                     for rect in bounds]
-    if model.values_equal_observations:
-        val_grids = list(obs_grids)
-    else:
-        val_grids = [make_uniform_grid(cfg.value_lower, cfg.value_upper, cfg.value_points)
-                     for _ in range(n)]
+    value_grid = None
+    if not model.values_equal_observations:
+        value_grid = make_uniform_grid(cfg.value_lower, cfg.value_upper, cfg.value_points)
     if cfg.symmetric:
         groups = _refine_groups(mech.symmetry_groups(), model.symmetry_groups(), n)
     else:
         groups = [[i] for i in range(n)]
-    return Problem(cfg, mech, model, obs_grids, val_grids, action_grids, groups)
+    return Problem(cfg, mech, model, obs_grids, value_grid, action_grids, groups)

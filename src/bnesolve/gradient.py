@@ -13,16 +13,18 @@ are provided:
   number of agents,
 * ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  For
   interdependent priors the value-weighted joint and the joint are
-  contracted together, stacked; for private values the value weighting is a
-  row scaling after one contraction.  The weights meet A and B in one GEMM
-  each, against matrices of shape (L_i, L_-i) cached per agent.  A mechanism
-  may instead supply a kernel that never forms A and B
-  (``Mechanism.affine_kernel``): the split-award auction sums the weights
-  over threshold index ranges with prefix sums, and
+  contracted together, stacked (one stack for all agents, who share the
+  value); for private values the value weighting is a row scaling after one
+  contraction.  The weights meet A and B in one GEMM each, against matrices
+  of shape (L_i, L_-i) cached per agent.  A mechanism may instead supply a
+  kernel that never forms A and B (``Mechanism.affine_kernel``): the
+  split-award auction sums the weights over threshold index ranges with
+  prefix sums, and
 * ``tensor``: the generic formulation for payoffs ``crra(v*A(b) + B(b))`` under
-  private or interdependent priors.  It walks the own-value axis in chunks of
-  ex-post utilities.  The memory budget sets the chunk size, not which path
-  runs.
+  private or interdependent priors.  It walks the value axis (the own
+  observation for private values, the prior's one shared value otherwise)
+  in chunks of ex-post utilities.  The memory budget sets the chunk size,
+  not which path runs.
 
 All paths agree to floating-point reassociation error; the engine picks the
 cheapest applicable one.
@@ -108,9 +110,12 @@ class GradientEngine:
     affine path for risk-neutral payoffs, and the tensor path for any other
     payoff and prior.  On the affine path the mechanism's own kernel, when it
     has one (split award), replaces the dense payoff matrices; its tables are
-    built here, once.  ``memory_budget`` bounds the bytes of ex-post utilities
-    the tensor path holds per agent (one own value's worth at least) and so
-    sets its chunk size along the own-value axis; it never changes which path
+    built here, once.  Interdependent priors hold one value joint over the
+    value all agents share, so the tensor path reads that joint for every
+    agent and the affine path stacks one value-weighted pair, cached once per
+    engine.  ``memory_budget`` bounds the bytes of ex-post utilities
+    the tensor path holds per agent (one value's worth at least) and so
+    sets its chunk size along the value axis; it never changes which path
     runs.  When one chunk covers the whole axis, the chunk is kept between
     calls.  ``prefer_path`` forces one of ``PATHS``.  One engine serves any
     number of runs on the same problem.
@@ -125,7 +130,7 @@ class GradientEngine:
         self.flat_actions = [flatten_action_grids(g) for g in self.action_grids]
         self.budget = memory_budget
         self._affine_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._vweighted_cache: dict[int, np.ndarray] = {}
+        self._value_pair: np.ndarray | None = None
         self._utility_cache: dict[int, np.ndarray] = {}
         self.path = self._select_path(symmetric, prefer_path)
         self._kernels = {}
@@ -164,7 +169,9 @@ class GradientEngine:
     def cache_bytes(self) -> int:
         """Bytes held by the affine, kernel, value-weighted and utility caches."""
         arrays = [x for pair in self._affine_cache.values() for x in pair]
-        arrays += list(self._vweighted_cache.values()) + list(self._utility_cache.values())
+        arrays += list(self._utility_cache.values())
+        if self._value_pair is not None:
+            arrays.append(self._value_pair)
         return sum(x.nbytes for x in arrays) + sum(k.nbytes for k in self._kernels.values())
 
     # -- cached pieces ------------------------------------------------------
@@ -180,12 +187,13 @@ class GradientEngine:
                 for x in self.mech.affine_parts(agent, comps))
         return self._affine_cache[agent]
 
-    def _value_weighted_pair(self, agent: int) -> np.ndarray:
-        """The value-weighted joint stacked on the joint (interdependent priors)."""
-        if agent not in self._vweighted_cache:
-            self._vweighted_cache[agent] = np.stack([self.prior.value_weighted_joint(agent),
-                                                 self.prior.obs_joint])
-        return self._vweighted_cache[agent]
+    def _value_weighted_pair(self) -> np.ndarray:
+        """The value-weighted joint stacked on the joint (interdependent priors);
+        all agents share the value, so one pair serves every agent."""
+        if self._value_pair is None:
+            self._value_pair = np.stack([self.prior.value_weighted_joint(0),
+                                         self.prior.obs_joint])
+        return self._value_pair
 
     def _opponent_weights(self, w, strategies, agent: int) -> np.ndarray:
         """W[(lead,) k_i, l_-i]: prior mass ``w`` times the opponents' conditional
@@ -237,8 +245,7 @@ class GradientEngine:
             cv, c1 = self._contract_affine(agent, w, w)
             cv *= prior.obs_grids[agent].points[:, None]
         else:
-            wv, w1 = self._opponent_weights(self._value_weighted_pair(agent), strategies,
-                                            agent)
+            wv, w1 = self._opponent_weights(self._value_weighted_pair(), strategies, agent)
             cv, c1 = self._contract_affine(agent, wv, w1)
         cv += c1
         return _divide_rows(cv, prior.marginals[agent])
@@ -259,12 +266,12 @@ class GradientEngine:
         marginal is zero)."""
         prior = self.prior
         interdependent = not prior.values_equal_observations
-        # W[(m,) k_i, l_-i], with the own value m as a leading axis for
+        # W[(m,) k_i, l_-i], with the shared value m as a leading axis for
         # interdependent priors
-        w = self._opponent_weights(prior.value_joints[agent] if interdependent
+        w = self._opponent_weights(prior.value_joint if interdependent
                                    else prior.obs_joint, strategies, agent)
 
-        own_vals = (prior.val_grids[agent] if interdependent
+        own_vals = (prior.value_grid if interdependent
                     else prior.obs_grids[agent]).points
         counts = [t.shape[0] for t in self.flat_actions]
         chunk = max(1, int(self.budget // (8 * np.prod(counts, dtype=np.float64))))

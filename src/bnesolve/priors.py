@@ -4,7 +4,8 @@ Independent private-value priors are discretized by evaluating the marginal
 density on the grid and normalizing.  Latent-variable priors (common value,
 affiliated values, correlated local bidders) have no closed-form density on
 the grid and are discretized by binning Monte-Carlo draws from the latent
-model to the nearest grid points.
+model to the nearest grid points.  The interdependent models (common and
+affiliated values) give all agents one shared value: one value grid, one joint.
 """
 
 from __future__ import annotations
@@ -27,19 +28,19 @@ class DiscretePrior:
 
     ``obs_joint`` holds the mass over the product of observation grids
     (``None`` only for independent priors too large to materialize, in which
-    case the factorization through ``marginals`` is exact).  For models where
-    valuations differ from observations, ``value_joints[i]`` holds the mass
-    over (own valuation of agent i) x (all observations); summing out the
-    value axis reproduces ``obs_joint`` exactly.
+    case the factorization through ``marginals`` is exact).  Interdependent
+    priors share one value among all agents: ``value_joint`` holds the mass
+    over (shared value on ``value_grid``) x (all observations), and summing
+    out the value axis reproduces ``obs_joint`` exactly.  Both are ``None``
+    for private values, where each agent's value is its observation.
     """
 
     obs_grids: tuple[Grid, ...]
-    val_grids: tuple[Grid, ...]
     marginals: tuple[np.ndarray, ...]
     obs_joint: np.ndarray | None
-    value_joints: tuple[np.ndarray, ...] | None
-    values_equal_observations: bool
     independent: bool
+    value_grid: Grid | None = None
+    value_joint: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -49,10 +50,19 @@ class DiscretePrior:
     def n_agents(self) -> int:
         return len(self.obs_grids)
 
+    @property
+    def values_equal_observations(self) -> bool:
+        return self.value_joint is None
+
+    @property
+    def value_joints(self):
+        # read by perfbench/spans.py: drop this when perfbench is next edited
+        return None if self.value_joint is None else (self.value_joint,)
+
     def validate(self):
         n = len(self.obs_grids)
-        if len(self.marginals) != n or len(self.val_grids) != n:
-            raise ValueError("per-agent fields must all have one entry per agent")
+        if len(self.marginals) != n:
+            raise ValueError("marginals must have one entry per agent")
         for g, m in zip(self.obs_grids, self.marginals):
             if m.shape != (g.count,):
                 raise ValueError("marginal length must match observation grid")
@@ -68,38 +78,37 @@ class DiscretePrior:
                 marg = self.obs_joint.sum(axis=axes)
                 if np.max(np.abs(marg - self.marginals[i])) > 1e-8:
                     raise ValueError(f"obs_joint does not marginalize to agent {i}'s marginal")
-        if self.values_equal_observations:
-            if self.value_joints is not None:
-                raise ValueError("private-value priors must not carry value joints")
-        elif self.value_joints is not None:
-            for i, vj in enumerate(self.value_joints):
-                if vj.shape[0] != self.val_grids[i].count or vj.shape[1:] != self.obs_joint.shape:
-                    raise ValueError(f"value joint of agent {i} has wrong shape")
-                if np.max(np.abs(vj.sum(axis=0) - self.obs_joint)) > 1e-10:
-                    raise ValueError(f"value joint of agent {i} does not sum back to obs_joint")
+        if self.value_joint is not None:
+            if self.value_grid is None or self.obs_joint is None or \
+                    self.value_joint.shape != (self.value_grid.count,) + self.obs_joint.shape:
+                raise ValueError("value joint needs a value grid and obs_joint of its shape")
+            if np.max(np.abs(self.value_joint.sum(axis=0) - self.obs_joint)) > 1e-10:
+                raise ValueError("value joint does not sum back to obs_joint")
 
     def value_weighted_joint(self, agent: int) -> np.ndarray:
         """Observation-space mass weighted by agent's conditional-mean value.
 
-        Returns ``sum_m v_m * J_i[m, k]`` which, for private values, is just
-        ``o_k_i * obs_joint[k]``.  Exact contraction of the own-value axis for
-        utilities affine in the value.
+        Returns ``sum_m v_m * J[m, k]`` (the same for every agent, who share
+        the value) which, for private values, is just ``o_k_i * obs_joint[k]``.
+        Exact contraction of the value axis for utilities affine in the value.
         """
         if self.obs_joint is None:
             raise ValueError("dense observation joint is not materialized for this prior")
-        if self.values_equal_observations:
+        if self.value_joint is None:
             n = self.n_agents
             o = self.obs_grids[agent].points
             shape = [1] * n
             shape[agent] = o.size
             return self.obs_joint * o.reshape(shape)
-        vals = self.val_grids[agent].points
-        return np.tensordot(vals, self.value_joints[agent], axes=(0, 0))
+        return np.tensordot(self.value_grid.points, self.value_joint, axes=(0, 0))
 
 
-def _bin_counts(latent_sampler, val_grids, obs_grids, sample_count, seed,
-                values_equal_observations, density_correction):
+def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed,
+                density_correction):
     """Accumulate bin weights of latent draws, chunked for memory.
+
+    With a ``value_grid``, the draws' shared value is binned too, into one
+    (value x observations) array; value columns that differ are refused.
 
     With ``density_correction``, draws are weighted by the inverse cell width
     on every observation axis (boundary points own half a cell on an
@@ -119,8 +128,8 @@ def _bin_counts(latent_sampler, val_grids, obs_grids, sample_count, seed,
             f[0] = f[-1] = 2.0
         boundary_factor.append(f)
     val_counts = None
-    if not values_equal_observations:
-        val_counts = [np.zeros(val_grids[i].count * obs_counts.size) for i in range(n)]
+    if value_grid is not None:
+        val_counts = np.zeros(value_grid.count * obs_counts.size)
     rng = np.random.default_rng(seed)
     done = 0
     while done < sample_count:
@@ -137,11 +146,15 @@ def _bin_counts(latent_sampler, val_grids, obs_grids, sample_count, seed,
         flat = np.ravel_multi_index(obs_idx, obs_shape)
         obs_counts += np.bincount(flat, weights=w, minlength=obs_counts.size)
         if val_counts is not None:
-            for i in range(n):
-                mi = val_grids[i].nearest_index(values[:, i])
-                val_counts[i] += np.bincount(mi * obs_counts.size + flat, weights=w,
-                                             minlength=val_counts[i].size)
+            if np.any(values[:, 1:] != values[:, :1]):
+                raise ValueError("a prior with a value grid needs one value shared by all "
+                                 "agents; the sampler's value columns differ")
+            mi = value_grid.nearest_index(values[:, 0])
+            val_counts += np.bincount(mi * obs_counts.size + flat, weights=w,
+                                      minlength=val_counts.size)
         done += m
+    if val_counts is not None:
+        val_counts = val_counts.reshape((value_grid.count,) + obs_shape)
     return obs_counts.reshape(obs_shape), val_counts
 
 
@@ -163,65 +176,55 @@ def _group_permutations(groups, n: int):
     return perms
 
 
-def _symmetrize(obs_joint, value_joints, groups):
+def _symmetrize(obs_joint, value_joint, groups):
     """Average joints over within-group agent permutations.
 
     The latent models are exchangeable within the declared groups; averaging
     the binned counts over the group action makes the discrete prior exactly
     exchangeable too (so grouped agents share identical marginals) and
-    reduces Monte-Carlo noise.
+    reduces Monte-Carlo noise.  The value joint's leading value axis stays.
     """
-    n = obs_joint.ndim
-    perms = _group_permutations(groups, n)
+    perms = _group_permutations(groups, obs_joint.ndim)
     if len(perms) == 1:
-        return obs_joint, value_joints
-    j_sym = np.zeros_like(obs_joint)
-    for sigma in perms:
-        j_sym += obs_joint.transpose(sigma)
-    j_sym /= len(perms)
-    vj_sym = None
-    if value_joints is not None:
-        vj_sym = []
-        for i in range(n):
-            acc = np.zeros_like(value_joints[i])
-            for sigma in perms:
-                acc += value_joints[sigma[i]].transpose((0,) + tuple(1 + a for a in sigma))
-            vj_sym.append(acc / len(perms))
-        vj_sym = tuple(vj_sym)
-    return j_sym, vj_sym
+        return obs_joint, value_joint
+
+    def average(joint, lead):
+        acc = np.zeros_like(joint)
+        for sigma in perms:
+            acc += joint.transpose(tuple(range(lead)) + tuple(lead + a for a in sigma))
+        acc /= len(perms)
+        return acc
+
+    return average(obs_joint, 0), None if value_joint is None else average(value_joint, 1)
 
 
-def joint_from_latent(sampler, val_grids, obs_grids, sample_count: int = DEFAULT_SAMPLE_COUNT,
-                      seed: int = 0, *, values_equal_observations: bool = False,
-                      allow_small_sample: bool = False, require_full_support: bool = True,
-                      symmetry_groups=None, density_correction: bool = True,
-                      meta: dict | None = None) -> DiscretePrior:
+def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAULT_SAMPLE_COUNT,
+                      seed: int = 0, *, allow_small_sample: bool = False,
+                      require_full_support: bool = True, symmetry_groups=None,
+                      density_correction: bool = True, meta: dict | None = None) -> DiscretePrior:
     """Empirical discrete prior from a latent-variable sampler.
 
     ``sampler(rng, size)`` must return ``(values, observations)`` arrays of
     shape ``(size, n)``; draws are clamped to the grid bounds and binned to
-    the nearest point on every axis.  Marginals are recomputed from the
-    binned joint so marginal consistency holds exactly.  Observation points
-    with zero empirical mass are an error unless ``require_full_support`` is
-    disabled.
+    the nearest point on every axis.  ``value_grid`` bins the one value all
+    agents share (the value columns must be equal); ``None`` means private values.
+    Marginals are recomputed from the binned joint so marginal consistency
+    holds exactly.  Observation points with zero empirical mass are an error
+    unless ``require_full_support`` is disabled.  ``meta`` records the sample
+    count, the seed and the number of empty ``obs_joint`` cells.
     """
     if sample_count < MIN_SAMPLE_COUNT and not allow_small_sample:
         raise ValueError(f"sample_count below {MIN_SAMPLE_COUNT}; pass allow_small_sample=True "
                          "to accept a noisier prior")
     obs_grids = tuple(obs_grids)
-    val_grids = tuple(val_grids) if not values_equal_observations else obs_grids
-    obs_counts, val_counts = _bin_counts(sampler, val_grids, obs_grids, int(sample_count),
-                                         seed, values_equal_observations,
-                                         density_correction)
+    obs_counts, val_counts = _bin_counts(sampler, value_grid, obs_grids, int(sample_count),
+                                         seed, density_correction)
     total = float(obs_counts.sum())
     obs_joint = obs_counts.astype(np.float64) / total
     n = len(obs_grids)
-    value_joints = None
-    if val_counts is not None:
-        value_joints = tuple(val_counts[i].astype(np.float64).reshape(
-            (val_grids[i].count,) + obs_joint.shape) / total for i in range(n))
+    value_joint = None if val_counts is None else val_counts / total
     if symmetry_groups:
-        obs_joint, value_joints = _symmetrize(obs_joint, value_joints, symmetry_groups)
+        obs_joint, value_joint = _symmetrize(obs_joint, value_joint, symmetry_groups)
     marginals = []
     for i in range(n):
         axes = tuple(a for a in range(n) if a != i)
@@ -237,10 +240,11 @@ def joint_from_latent(sampler, val_grids, obs_grids, sample_count: int = DEFAULT
         for g in symmetry_groups:
             for j in g[1:]:
                 marginals[j] = marginals[g[0]]
-    info = {"sample_count": int(sample_count), "seed": int(seed)}
+    info = {"sample_count": int(sample_count), "seed": int(seed),
+            "empty_cells": int(np.count_nonzero(obs_joint == 0))}
     info.update(meta or {})
-    return DiscretePrior(obs_grids, val_grids, tuple(marginals), obs_joint, value_joints,
-                         values_equal_observations, independent=False, meta=info)
+    return DiscretePrior(obs_grids, tuple(marginals), obs_joint, independent=False,
+                         value_grid=value_grid, value_joint=value_joint, meta=info)
 
 
 def independent_prior(obs_grids, densities, meta: dict | None = None,
@@ -254,8 +258,7 @@ def independent_prior(obs_grids, densities, meta: dict | None = None,
         joint = marginals[0]
         for m in marginals[1:]:
             joint = np.multiply.outer(joint, m)
-    return DiscretePrior(obs_grids, obs_grids, marginals, joint, None,
-                         values_equal_observations=True, independent=True, meta=meta or {})
+    return DiscretePrior(obs_grids, marginals, joint, independent=True, meta=meta or {})
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +331,6 @@ class IndependentPrivatePrior:
         self.marginal_specs = tuple(marginal_specs)
         self.n_agents = len(self.marginal_specs)
         self.obs_bounds = tuple((s.lower, s.upper) for s in self.marginal_specs)
-        self.val_bounds = self.obs_bounds
 
     def symmetry_groups(self):
         groups: dict = {}
@@ -340,7 +342,7 @@ class IndependentPrivatePrior:
         obs = np.column_stack([s.sample(rng, size) for s in self.marginal_specs])
         return obs, obs
 
-    def discretize(self, obs_grids, val_grids=None, *, sample_count=DEFAULT_SAMPLE_COUNT,
+    def discretize(self, obs_grids, value_grid=None, *, sample_count=DEFAULT_SAMPLE_COUNT,
                    seed=0) -> DiscretePrior:
         return independent_prior(obs_grids, [s.density for s in self.marginal_specs],
                                  meta={"kind": self.kind})
@@ -359,7 +361,6 @@ class CommonValuePrior:
     def __init__(self, n_agents: int = 3):
         self.n_agents = n_agents
         self.obs_bounds = tuple((0.0, 2.0) for _ in range(n_agents))
-        self.val_bounds = tuple((0.0, 1.0) for _ in range(n_agents))
 
     def symmetry_groups(self):
         return [list(range(self.n_agents))]
@@ -371,9 +372,9 @@ class CommonValuePrior:
         values = np.repeat(value[:, None], self.n_agents, axis=1)
         return values, obs
 
-    def discretize(self, obs_grids, val_grids, *, sample_count=DEFAULT_SAMPLE_COUNT,
+    def discretize(self, obs_grids, value_grid, *, sample_count=DEFAULT_SAMPLE_COUNT,
                    seed=0, **kwargs):
-        return joint_from_latent(self.sample, val_grids, obs_grids, sample_count, seed,
+        return joint_from_latent(self.sample, value_grid, obs_grids, sample_count, seed,
                                  symmetry_groups=self.symmetry_groups(),
                                  meta={"kind": self.kind}, **kwargs)
 
@@ -391,7 +392,6 @@ class AffiliatedValuesPrior:
     def __init__(self):
         self.n_agents = 2
         self.obs_bounds = ((0.0, 2.0), (0.0, 2.0))
-        self.val_bounds = ((0.0, 2.0), (0.0, 2.0))
 
     def symmetry_groups(self):
         return [[0, 1]]
@@ -402,8 +402,8 @@ class AffiliatedValuesPrior:
         value = 0.5 * (w[:, 0] + w[:, 1]) + w[:, 2]
         return np.repeat(value[:, None], 2, axis=1), obs
 
-    def discretize(self, obs_grids, val_grids, *, sample_count=DEFAULT_SAMPLE_COUNT, seed=0):
-        return joint_from_latent(self.sample, val_grids, obs_grids, sample_count, seed,
+    def discretize(self, obs_grids, value_grid, *, sample_count=DEFAULT_SAMPLE_COUNT, seed=0):
+        return joint_from_latent(self.sample, value_grid, obs_grids, sample_count, seed,
                                  symmetry_groups=self.symmetry_groups(),
                                  meta={"kind": self.kind})
 
@@ -425,7 +425,6 @@ class BernoulliWeightsLLGPrior:
         self.gamma = float(gamma)
         self.n_agents = 3
         self.obs_bounds = ((0.0, 1.0), (0.0, 1.0), (0.0, 2.0))
-        self.val_bounds = self.obs_bounds
 
     def symmetry_groups(self):
         return [[0, 1], [2]]
@@ -439,12 +438,11 @@ class BernoulliWeightsLLGPrior:
         values = np.column_stack([v1, v2, v3])
         return values, values
 
-    def discretize(self, obs_grids, val_grids=None, *, sample_count=DEFAULT_SAMPLE_COUNT,
+    def discretize(self, obs_grids, value_grid=None, *, sample_count=DEFAULT_SAMPLE_COUNT,
                    seed=0, **kwargs):
         # the shared-component mass lives on the diagonal (no joint density):
         # plain binning keeps the latent correlation intact
-        return joint_from_latent(self.sample, obs_grids, obs_grids, sample_count, seed,
-                                 values_equal_observations=True,
+        return joint_from_latent(self.sample, None, obs_grids, sample_count, seed,
                                  symmetry_groups=self.symmetry_groups(),
                                  density_correction=False,
                                  meta={"kind": self.kind, "gamma": self.gamma}, **kwargs)

@@ -11,7 +11,8 @@ Layout of a batch output directory:
       config.cfg            resolved configuration (hash recorded inside)
       summary.csv           one row per run plus mean/std aggregate rows
       run_000/
-        meta.json           seed, config hash, version, timings, metrics
+        meta.json           seed, config hash, version, timings, metrics, and the
+                            prior's discretization record (kind, samples, empty cells)
         metrics.csv         per-check losses and iterate distances
         strategy_agent<i>.csv (+ .meta.json sidecar)
         plotdata.csv        sampled (observation, bid) pairs per agent
@@ -152,6 +153,7 @@ def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
         "loss_history": result.loss_history[-10:],
         "gradient_path": result.gradient_path,
         "engine_cache_bytes": result.engine_cache_bytes,
+        "prior": problem.prior.meta,
         "baseline": report.baseline_id if report else None,
         "eval_samples": cfg.eval_samples, "eval_seed": eval_seed,
         "notes": {str(k): v for k, v in (report.notes.items() if report else [])},

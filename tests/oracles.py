@@ -22,8 +22,8 @@ def naive_expected_utility(mech, prior, strategies, agent):
         joint = prior.obs_joint
         own_vals = prior.obs_grids[agent].points
     else:
-        joint = prior.value_joints[agent]
-        own_vals = prior.val_grids[agent].points
+        joint = prior.value_joint
+        own_vals = prior.value_grid.points
     total = 0.0
     for k in itertools.product(*[range(g.count) for g in prior.obs_grids]):
         denom = 1.0
@@ -63,8 +63,8 @@ def naive_gradient(mech, prior, strategies, agent):
         joint = prior.obs_joint
         own_vals = prior.obs_grids[agent].points
     else:
-        joint = prior.value_joints[agent]
-        own_vals = prior.val_grids[agent].points
+        joint = prior.value_joint
+        own_vals = prior.value_grid.points
     for ki in range(k_own):
         if prior.marginals[agent][ki] == 0.0:
             continue

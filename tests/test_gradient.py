@@ -57,7 +57,7 @@ def test_tensor_spot_checks_match_expost_utility():
 def test_engine_chunks_interdependent_prior_over_budget():
     model = CommonValuePrior(3)
     og = [make_uniform_grid(0, 2, 5)] * 3
-    vg = [make_uniform_grid(0, 1, 7)] * 3
+    vg = make_uniform_grid(0, 1, 7)
     prior = model.discretize(og, vg, sample_count=4000, seed=1, allow_small_sample=True)
     mech = SingleObjectAuction("spsb", 3, risk_rho=0.5)
     action_grids = [(make_uniform_grid(0, 1.5, 4),)] * 3
@@ -97,7 +97,7 @@ def test_gradient_general_matches_naive_enumeration():
 def test_gradient_general_interdependent_matches_naive():
     model = CommonValuePrior(2)
     og = [make_uniform_grid(0, 2, 3)] * 2
-    vg = [make_uniform_grid(0, 1, 3)] * 2
+    vg = make_uniform_grid(0, 1, 3)
     prior = model.discretize(og, vg, sample_count=2000, seed=0, allow_small_sample=True)
     mech = SingleObjectAuction("spsb", 2)
     action_grids = [(make_uniform_grid(0, 1.5, 3),)] * 2
@@ -310,7 +310,7 @@ def test_split_award_kernel_matches_naive_on_interdependent_prior():
     # distinct value-weighted and plain weights take the kernel's stacked pass
     model = CommonValuePrior(2)
     og = [make_uniform_grid(0, 2, 3)] * 2
-    vg = [make_uniform_grid(0, 1, 4)] * 2
+    vg = make_uniform_grid(0, 1, 4)
     prior = model.discretize(og, vg, sample_count=2000, seed=0, allow_small_sample=True)
     _, _, action_grids, _ = split_tie_setting("scaled")
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],

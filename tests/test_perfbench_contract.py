@@ -3,7 +3,9 @@
 ``perfbench/run.py`` replaces ``bnesolve.runner.run`` to capture every
 ``RunResult``, and ``perfbench/spans.py`` wraps module globals by name
 (``runner.run``, ``runner._run_once``, ``learners.utility_loss``,
-``verify.utility_loss`` and others).  The benchmark is run as a separate
+``verify.utility_loss`` and others), calls ``priors.joint_from_latent`` with
+the value grid and the observation grids first, and reads
+``DiscretePrior.value_joints``.  The benchmark is run as a separate
 process, so this check runs in one too.
 """
 
@@ -38,10 +40,16 @@ mapping = {**bn.presets.get_preset("fpsb_2_uniform"), "obs_points": 12,
            "plot_points": 10}
 problem = bn.config.build_problem(bn.config.config_from_mapping(mapping))
 summary = bn.runner.run_batch(problem, sys.argv[2], runs=2)
+mapping = {**bn.presets.get_preset("common_value_spsb"), "obs_points": 6,
+           "action_points": 6, "value_points": 6, "prior_samples": 1 << 17}
+prior = bn.config.build_problem(bn.config.config_from_mapping(mapping)).discretize()
 print(json.dumps({
     "rows": [[r["status"], r["iterations"]] for r in summary.rows],
     "returned": [[r.iterations, r.gradient_path] for r in returned],
     "spans": sorted({s.name for s in tracer.spans}),
+    "joint_bytes": [s.attrs["joint_bytes"] for s in tracer.spans
+                    if s.name == "priors.discretize"][-1],
+    "prior_bytes": prior.obs_joint.nbytes + prior.value_joint.nbytes,
 }))
 """
 
@@ -57,5 +65,7 @@ def test_perfbench_tracer_and_capture_still_apply(tmp_path):
     assert [iters for iters, _ in out["returned"]] == [iters for _, iters in out["rows"]]
     path = out["returned"][0][1]
     for name in ("learners.run", "verify.utility_loss", f"gradient.{path}",
-                 "runner.run_once"):
+                 "runner.run_once", "priors.discretize", "priors.joint_from_latent"):
         assert name in out["spans"], name
+    # the tracer sizes a latent prior through its joints and value joints
+    assert out["joint_bytes"] == out["prior_bytes"] == (6 ** 3 + 6 ** 4) * 8

@@ -5,8 +5,8 @@ from bnesolve.grids import make_uniform_grid
 from bnesolve.priors import (AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
                              CommonValuePrior, IndependentPrivatePrior,
                              TruncatedGaussianMarginal, UniformMarginal,
-                             bernoulli_weights_prior, independent_prior,
-                             joint_from_latent)
+                             _group_permutations, bernoulli_weights_prior,
+                             independent_prior, joint_from_latent)
 
 
 def grids(n, count=16, hi=1.0):
@@ -21,9 +21,12 @@ def check_invariants(prior):
         assert abs(m.sum() - 1.0) <= 1e-12
         axes = tuple(a for a in range(n) if a != i)
         assert np.max(np.abs(prior.obs_joint.sum(axis=axes) - m)) <= 1e-8
-    if prior.value_joints is not None:
-        for i in range(n):
-            assert np.max(np.abs(prior.value_joints[i].sum(axis=0) - prior.obs_joint)) <= 1e-10
+    if prior.value_joint is not None:
+        assert np.max(np.abs(prior.value_joint.sum(axis=0) - prior.obs_joint)) <= 1e-10
+        # the interdependent models are exchangeable: swapping two agents'
+        # observation axes leaves the one value joint unchanged
+        swap = (0, 2, 1) + tuple(range(3, n + 1))
+        assert np.allclose(prior.value_joint, prior.value_joint.transpose(swap), atol=1e-15)
 
 
 def test_independent_prior_outer_product():
@@ -40,10 +43,10 @@ def test_degenerate_sampler_single_atom():
         return v, v
 
     prior = joint_from_latent(sampler, None, grids(2, 5), sample_count=1000, seed=0,
-                              values_equal_observations=True, allow_small_sample=True,
-                              require_full_support=False)
+                              allow_small_sample=True, require_full_support=False)
     assert prior.obs_joint[2, 2] == 1.0
     assert prior.obs_joint.sum() == 1.0
+    assert prior.meta == {"sample_count": 1000, "seed": 0, "empty_cells": 24}
 
 
 def test_full_support_enforced_by_default():
@@ -53,19 +56,20 @@ def test_full_support_enforced_by_default():
 
     with pytest.raises(ValueError, match="zero empirical mass"):
         joint_from_latent(sampler, None, grids(2, 5), sample_count=1000, seed=0,
-                          values_equal_observations=True, allow_small_sample=True)
+                          allow_small_sample=True)
 
 
 def test_small_sample_count_rejected():
     model = CommonValuePrior(2)
     with pytest.raises(ValueError, match="sample_count"):
-        joint_from_latent(model.sample, grids(2, 4), grids(2, 4, hi=2.0), sample_count=10)
+        joint_from_latent(model.sample, make_uniform_grid(0.0, 1.0, 4), grids(2, 4, hi=2.0),
+                          sample_count=10)
 
 
 def test_common_value_marginal_shape_and_seed_stability():
     model = CommonValuePrior(3)
     og = grids(3, 16, hi=2.0)
-    vg = grids(3, 16, hi=1.0)
+    vg = make_uniform_grid(0.0, 1.0, 16)
     p1 = model.discretize(og, vg, sample_count=400_000, seed=1)
     p2 = model.discretize(og, vg, sample_count=400_000, seed=2)
     check_invariants(p1)
@@ -78,7 +82,7 @@ def test_common_value_marginal_shape_and_seed_stability():
 def test_affiliated_marginal_matches_triangle_convolution():
     model = AffiliatedValuesPrior()
     og = grids(2, 16, hi=2.0)
-    vg = grids(2, 16, hi=2.0)
+    vg = make_uniform_grid(0.0, 2.0, 16)
     prior = model.discretize(og, vg, sample_count=500_000, seed=3)
     check_invariants(prior)
     # sum of two independent uniforms: triangle density on [0, 2] peaked at 1
@@ -100,8 +104,7 @@ def test_ipv_latent_matches_density_discretization():
     # binning a private-value latent model reproduces the density recipe
     model = IndependentPrivatePrior([UniformMarginal(0, 1), UniformMarginal(0, 1)])
     g = grids(2, 8)
-    binned = joint_from_latent(model.sample, None, g, sample_count=1_000_000, seed=4,
-                               values_equal_observations=True)
+    binned = joint_from_latent(model.sample, None, g, sample_count=1_000_000, seed=4)
     direct = model.discretize(g)
     assert 0.5 * np.sum(np.abs(binned.marginals[0] - direct.marginals[0])) < 0.005
 
@@ -136,13 +139,13 @@ def test_bernoulli_weights_prior():
 
 def test_symmetrization_makes_grouped_agents_identical():
     model = CommonValuePrior(3)
-    prior = model.discretize(grids(3, 8, hi=2.0), grids(3, 8, hi=1.0),
+    prior = model.discretize(grids(3, 8, hi=2.0), make_uniform_grid(0.0, 1.0, 8),
                              sample_count=200_000, seed=6)
     assert np.array_equal(prior.marginals[0], prior.marginals[1])
     assert np.array_equal(prior.marginals[0], prior.marginals[2])
     assert np.allclose(prior.obs_joint, prior.obs_joint.transpose(1, 0, 2), atol=1e-15)
-    assert np.allclose(prior.value_joints[0], prior.value_joints[1].transpose(0, 2, 1, 3),
-                       atol=1e-15)
+    for swap in ((0, 2, 1, 3), (0, 3, 2, 1), (0, 1, 3, 2)):
+        assert np.allclose(prior.value_joint, prior.value_joint.transpose(swap), atol=1e-15)
 
 
 def test_truncated_gaussian_sampling_within_bounds():
@@ -159,3 +162,58 @@ def test_value_weighted_joint_private_values():
     vw = prior.value_weighted_joint(0)
     expected = prior.obs_joint * g[0].points[:, None]
     assert np.allclose(vw, expected, atol=1e-15)
+
+
+def reference_value_joints(sampler, val_grids, obs_grids, sample_count, seed, groups):
+    """Per-agent value joints as they were binned before the value axis was
+    shared: one value bincount per agent, then each agent's joint averaged
+    over the group permutations (one chunk of draws, density correction on)."""
+    n = len(obs_grids)
+    shape = tuple(g.count for g in obs_grids)
+    size = int(np.prod(shape))
+    values, obs = sampler(np.random.default_rng(seed), sample_count)
+    obs_idx = [obs_grids[i].nearest_index(obs[:, i]) for i in range(n)]
+    w = np.ones(sample_count)
+    for g, idx in zip(obs_grids, obs_idx):
+        f = np.ones(g.count)
+        f[0] = f[-1] = 2.0
+        w *= f[idx]
+    flat = np.ravel_multi_index(obs_idx, shape)
+    total = float(np.bincount(flat, weights=w, minlength=size).reshape(shape).sum())
+    joints = []
+    for i in range(n):
+        m = val_grids[i].nearest_index(values[:, i])
+        counts = np.bincount(m * size + flat, weights=w, minlength=val_grids[i].count * size)
+        joints.append(counts.reshape((val_grids[i].count,) + shape) / total)
+    perms = _group_permutations(groups, n)
+    out = []
+    for i in range(n):
+        acc = np.zeros_like(joints[i])
+        for sigma in perms:
+            acc += joints[sigma[i]].transpose((0,) + tuple(1 + a for a in sigma))
+        out.append(acc / len(perms))
+    return out
+
+
+@pytest.mark.parametrize("model, obs_hi, value_hi", [(CommonValuePrior(3), 2.0, 1.0),
+                                                     (AffiliatedValuesPrior(), 2.0, 2.0)])
+def test_value_joint_matches_per_agent_reference_binning(model, obs_hi, value_hi):
+    og = grids(model.n_agents, 6, hi=obs_hi)
+    vg = make_uniform_grid(0.0, value_hi, 5)
+    prior = model.discretize(og, vg, sample_count=200_000, seed=7)
+    reference = reference_value_joints(model.sample, [vg] * model.n_agents, og, 200_000, 7,
+                                       model.symmetry_groups())
+    for joint in reference:
+        assert np.array_equal(joint, prior.value_joint)
+    assert prior.value_grid is vg and prior.value_joints == (prior.value_joint,)
+    assert not prior.values_equal_observations
+
+
+def test_unequal_value_columns_rejected():
+    def sampler(rng, size):
+        obs = rng.random((size, 2))
+        return obs, obs  # each agent's value is its own observation
+
+    with pytest.raises(ValueError, match="value columns differ"):
+        joint_from_latent(sampler, make_uniform_grid(0.0, 1.0, 4), grids(2, 4),
+                          sample_count=1000, seed=0, allow_small_sample=True)

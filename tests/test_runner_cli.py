@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from bnesolve.cli import main
-from bnesolve.config import (RunConfig, build_problem, config_from_mapping, load_config,
-                             parse_config_text)
+from bnesolve.config import (RunConfig, _compile_density, build_problem,
+                             config_from_mapping, load_config, parse_config_text)
+from bnesolve.grids import discretize_density
 from bnesolve.presets import get_preset, preset_names
 from bnesolve.runner import run_batch, run_sweep
 
@@ -89,6 +90,61 @@ def test_all_presets_build():
         assert problem.mech.n_agents == problem.config.agents
 
 
+@pytest.mark.parametrize("expr, expected", [
+    ("np.exp(-o)", lambda o: np.exp(-o)),
+    ("2 * o ** 2 - o / 3 + 1", lambda o: 2 * o ** 2 - o / 3 + 1),
+    ("-o + +1.5", lambda o: -o + 1.5),
+    ("np.where(o < 0.5, np.sqrt(o + 1), np.log(o + 2))",
+     lambda o: np.where(o < 0.5, np.sqrt(o + 1), np.log(o + 2))),
+    ("np.maximum(np.abs(o - 0.5), np.minimum(o, 0.1))",
+     lambda o: np.maximum(np.abs(o - 0.5), np.minimum(o, 0.1))),
+    ("1.0 * (o >= 0.25) + 2 * (o != 0.5) + (o == 1) * 3 - (o <= 0.1) * 1 + (o > 0.9) * 4",
+     lambda o: (1.0 * (o >= 0.25) + 2 * (o != 0.5) + (o == 1) * 3 - (o <= 0.1) * 1
+                + (o > 0.9) * 4)),
+    ("3", lambda o: np.full_like(o, 3.0)),
+])
+def test_density_expression_matches_numpy(expr, expected):
+    o = np.linspace(0.0, 1.0, 33)
+    assert np.array_equal(_compile_density(expr)(o), expected(o))
+
+
+def test_density_constants_are_floats():
+    # integer constants would let 9 ** 9 ** 9 build a 370-million-digit integer
+    with pytest.raises(OverflowError):
+        _compile_density("o * 0 + 9 ** 9 ** 9")(np.linspace(0.0, 1.0, 5))
+
+
+ESCAPE = "o*0 + ().__class__.__base__.__subclasses__().__len__()"
+
+
+@pytest.mark.parametrize("expr", [
+    ESCAPE, "o.__class__", "__import__('os').getcwd()", "np.load('x.npy')", "open('x')",
+    "o[0]", "(lambda x: x)(o)", "'abc'", "np.exp(o, o)", "np.exp(x=o)", "np", "x + 1",
+    "0 < o < 1", "True", "o if o else 1", "[o]", "o // 2", "np.exp",
+])
+def test_density_expression_outside_whitelist_rejected(expr):
+    with pytest.raises(ValueError, match="not allowed"):
+        build_problem(fast_cfg(prior="custom_density", density=expr))
+
+
+def test_custom_density_discretizes_like_the_function():
+    problem = build_problem(fast_cfg(prior="custom_density", density="np.exp(-o)"))
+    prior = problem.discretize()
+    for grid, marginal in zip(prior.obs_grids, prior.marginals):
+        assert np.array_equal(marginal, discretize_density(grid, lambda o: np.exp(-o)))
+
+
+def test_cli_solve_rejects_density_escape(tmp_path, capsys):
+    cfg_path = tmp_path / "escape.cfg"
+    cfg_path.write_text(f"include = fpsb_2_uniform\nprior = custom_density\n"
+                        f"density = {ESCAPE}\n")
+    rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+               "--quiet"])
+    assert rc == 2
+    assert "not allowed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- batch runner -------------------------------------------------------------
 
 def test_run_batch_artifacts(tmp_path):
@@ -123,6 +179,21 @@ def test_meta_records_gradient_path_and_cache_bytes(tmp_path):
     assert meta["gradient_path"] == "tensor"
     # at least one utility chunk of 12 values x 12 x 12 actions per agent
     assert meta["engine_cache_bytes"] >= 2 * 12 ** 3 * 8
+
+
+def test_meta_records_prior_discretization(tmp_path):
+    cfg = config_from_mapping({**get_preset("common_value_spsb"), **FAST, "obs_points": 6,
+                               "action_points": 6, "value_points": 5, "runs": 1,
+                               "iterations": 10, "prior_samples": 1 << 17})
+    problem = build_problem(cfg)
+    run_batch(problem, tmp_path / "cv")
+    meta = json.loads((tmp_path / "cv" / "run_000" / "meta.json").read_text())
+    prior = problem.prior
+    assert meta["prior"] == prior.meta
+    assert meta["prior"]["kind"] == "common_value"
+    assert meta["prior"]["sample_count"] == 1 << 17
+    assert meta["prior"]["seed"] == cfg.prior_seed
+    assert meta["prior"]["empty_cells"] == int(np.count_nonzero(prior.obs_joint == 0))
 
 
 def test_run_batch_builds_one_engine(tmp_path, monkeypatch):
