@@ -3,6 +3,10 @@
 All agents compute gradients from the current profile snapshot and then
 update simultaneously.  Dual-averaging and mirror-ascent rules use the step
 schedule ``eta_t = eta0 * t**(-beta)``; Frank-Wolfe uses ``2 / (1 + t)``.
+Both dual-averaging rules keep a dual variable, the initial strategy plus the
+step-weighted sum of all gradients (``soda1`` starts from its logarithm), and
+differ only in the mirror map back to the strategy polytope: ``soda1`` takes
+each row's softmax, ``soda2`` its Euclidean projection.
 Convergence is certified by the relative utility loss against the exact best
 response (``verify.certify``, fed the step's own gradients), checked every
 ``check_interval`` iterations.  ``runner.solve`` is the usual way in: it fills
@@ -24,7 +28,6 @@ from .verify import utility_loss  # noqa: F401
 
 POSITIVITY_FLOOR = 1e-300
 
-RULES = ("soda1", "soda2", "soma2", "sofw", "fictitious_play")
 RULE_ALIASES = {
     "soda1_entropic": "soda1",
     "soda2_euclidean": "soda2",
@@ -57,7 +60,26 @@ def project_rows_to_simplex(y: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return out
 
 
-class _PolynomialStep:
+def softmax_rows(y: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Entropic mirror map: each row of ``exp(y)`` scaled to sum to its mass.
+
+    Rows are shifted by their maximum before ``exp``, so every row sum is at
+    least one and finite rows never overflow.  Rows with zero mass map to zero.
+    """
+    z = y - y.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z *= (masses / z.sum(axis=1))[:, None]
+    return z
+
+
+class _Learner:
+    """An update rule; ``reset`` receives the initial strategy before the first step."""
+
+    def reset(self, strategy: Strategy):
+        pass
+
+
+class _PolynomialStep(_Learner):
     def __init__(self, eta0: float, beta: float):
         if eta0 <= 0:
             raise ValueError("eta0 must be positive")
@@ -71,27 +93,20 @@ class _PolynomialStep:
 
 
 class EntropicDualAveraging(_PolynomialStep):
-    """Multiplicative-weights update normalized to the observation marginal."""
+    """Gradients accumulate in a log-space dual; the iterate is its softmax."""
 
     rule = "soda1"
 
     def reset(self, strategy: Strategy):
-        pass
+        if np.any((strategy.marginal > 0) & (strategy.matrix.sum(axis=1) == 0)):
+            raise ArithmeticError("entropic update needs mass in every row with positive marginal")
+        # exact zeros of the initial strategy (a truthful start) get a finite
+        # dual, so that they can still gain mass
+        self.dual = np.log(np.maximum(strategy.matrix, POSITIVITY_FLOOR))
 
     def step(self, strategy: Strategy, c: np.ndarray, t: int) -> np.ndarray:
-        live = strategy.marginal > 0
-        if np.any(live & (strategy.matrix.sum(axis=1) == 0)):
-            raise ArithmeticError("entropic update hit an all-zero row with positive marginal")
-        z = self.eta(t) * c
-        z -= z.max(axis=1, keepdims=True)
-        # exact zeros cannot be revived by a multiplicative update: floor them
-        base = np.where(live[:, None], np.maximum(strategy.matrix, POSITIVITY_FLOOR), 0.0)
-        w = base * np.exp(z)
-        sums = w.sum(axis=1)
-        out = np.zeros_like(w)
-        np.divide(w * strategy.marginal[:, None], sums[:, None], out=out,
-                  where=sums[:, None] > 0)
-        return out
+        self.dual += self.eta(t) * c
+        return softmax_rows(self.dual, strategy.marginal)
 
 
 class EuclideanDualAveraging(_PolynomialStep):
@@ -112,20 +127,14 @@ class ProjectedMirrorAscent(_PolynomialStep):
 
     rule = "soma2"
 
-    def reset(self, strategy: Strategy):
-        pass
-
     def step(self, strategy: Strategy, c: np.ndarray, t: int) -> np.ndarray:
         return project_rows_to_simplex(strategy.matrix + self.eta(t) * c, strategy.marginal)
 
 
-class FrankWolfe:
+class FrankWolfe(_Learner):
     """Convex combination with the in-game best response, step 2/(1+t)."""
 
     rule = "sofw"
-
-    def reset(self, strategy: Strategy):
-        pass
 
     def step(self, strategy: Strategy, c: np.ndarray, t: int) -> np.ndarray:
         br = best_response_matrix(c, strategy.marginal)
@@ -133,32 +142,26 @@ class FrankWolfe:
         return (1.0 - eta) * strategy.matrix + eta * br
 
 
-class FictitiousPlay:
+class FictitiousPlay(_Learner):
     """Play the running average of best responses to the opponents' averages."""
 
     rule = "fictitious_play"
-
-    def reset(self, strategy: Strategy):
-        pass
 
     def step(self, strategy: Strategy, c: np.ndarray, t: int) -> np.ndarray:
         br = best_response_matrix(c, strategy.marginal)
         return ((t - 1) * strategy.matrix + br) / t
 
 
+LEARNERS = {cls.rule: cls for cls in (EntropicDualAveraging, EuclideanDualAveraging,
+                                      ProjectedMirrorAscent, FrankWolfe, FictitiousPlay)}
+RULES = tuple(LEARNERS)
+
+
 def make_learner(rule: str, eta0: float = 1.0, beta: float = 0.5):
-    rule = RULE_ALIASES.get(rule, rule)
-    if rule == "soda1":
-        return EntropicDualAveraging(eta0, beta)
-    if rule == "soda2":
-        return EuclideanDualAveraging(eta0, beta)
-    if rule == "soma2":
-        return ProjectedMirrorAscent(eta0, beta)
-    if rule == "sofw":
-        return FrankWolfe()
-    if rule == "fictitious_play":
-        return FictitiousPlay()
-    raise ValueError(f"unknown update rule '{rule}' (choose from {RULES})")
+    cls = LEARNERS.get(RULE_ALIASES.get(rule, rule))
+    if cls is None:
+        raise ValueError(f"unknown update rule '{rule}' (choose from {RULES})")
+    return cls(eta0, beta) if issubclass(cls, _PolynomialStep) else cls()
 
 
 @dataclass

@@ -75,8 +75,12 @@ class Mechanism:
         return crra(np.asarray(value, dtype=np.float64) * a + b, self.risk_rho)
 
     def payments(self, bids):
-        """Per-agent transfers to the auctioneer (negative when paid out)."""
-        raise NotImplementedError
+        """Per-agent transfers to the auctioneer (negative when paid out).
+
+        In the quasilinear payoff ``value * A + B`` the own value enters only
+        through A, so B is minus the agent's payment.
+        """
+        return [-self.affine_parts(i, bids)[1] for i in range(self.n_agents)]
 
     def symmetry_groups(self) -> list[list[int]]:
         """Agent groups interchangeable under the rules of the mechanism."""
@@ -119,19 +123,6 @@ class SingleObjectAuction(Mechanism):
             return win, -win * omax
         return win, -own * np.ones_like(win)  # all_pay: own bid is sunk
 
-    def payments(self, bids):
-        comps = self.components(bids)
-        out = []
-        for i in range(self.n_agents):
-            own, omax, win = self._win_and_price(i, comps)
-            if self.kind == "fpsb":
-                out.append(win * own)
-            elif self.kind == "spsb":
-                out.append(win * omax)
-            else:
-                out.append(own * np.ones_like(win))
-        return out
-
 
 class TullockContest(Mechanism):
     """Imperfectly discriminating contest: win odds proportional to effort**r."""
@@ -155,17 +146,13 @@ class TullockContest(Mechanism):
         # all-zero effort profile: the prize is split evenly at no cost
         zero = total == 0
         safe = np.where(zero, 1.0, total)
-        return [np.where(zero, 1.0 / self.n_agents, p / safe) for p in powered], zero
+        return [np.where(zero, 1.0 / self.n_agents, p / safe) for p in powered]
 
     def affine_parts(self, agent, bids):
         comps = self.components(bids)
-        shares, zero = self._shares(comps)
+        shares = self._shares(comps)
         own = comps[agent][0]
         return shares[agent], -own * np.ones_like(shares[agent])
-
-    def payments(self, bids):
-        comps = self.components(bids)
-        return [np.asarray(c[0], dtype=np.float64) for c in comps]
 
 
 def project_core_payments(ref1, ref2, b1, b2, b3):
@@ -237,11 +224,6 @@ class LLGAuction(Mechanism):
             return a, -a * p3
         a = locals_win.astype(np.float64)
         return a, -a * (p1 if agent == 0 else p2)
-
-    def payments(self, bids):
-        locals_win, global_win, p1, p2, p3 = self.outcome(bids)
-        lw = locals_win.astype(np.float64)
-        return [lw * p1, lw * p2, global_win.astype(np.float64) * p3]
 
 
 class SplitAwardAuction(Mechanism):
@@ -318,6 +300,8 @@ class SplitAwardAuction(Mechanism):
         return SplitAwardKernel(self, agent, action_grids)
 
     def payments(self, bids):
+        # not -B: under the constant cost model B also carries the fixed
+        # half-share cost
         comps = self.components(bids)
         sole0, sole1, split = self.allocation(bids)
         paid = [sole0 * comps[0][0] + split * comps[0][1],

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import GradientEngine
 from bnesolve.grids import make_uniform_grid
 from bnesolve.learners import make_learner, project_rows_to_simplex, run
 from bnesolve.mechanisms import SingleObjectAuction
+from bnesolve.presets import PRESETS, get_preset
 from bnesolve.priors import independent_prior
+from bnesolve.runner import solve
 from bnesolve.strategy import init_strategy
 from oracles import enumerate_row_vertex_value, qp_project_simplex
 
@@ -84,7 +87,9 @@ def test_entropic_shift_invariance():
     learner = make_learner("soda1", eta0=5.0, beta=0.5)
     rng = np.random.default_rng(0)
     c = rng.normal(0, 1, s.matrix.shape)
+    learner.reset(s)
     out1 = learner.step(s, c, 3)
+    learner.reset(s)
     out2 = learner.step(s, c + np.arange(4.0)[:, None], 3)
     assert np.max(np.abs(out1 - out2)) < 1e-12
     assert np.max(np.abs(out1.sum(axis=1) - s.marginal)) < 1e-12
@@ -99,7 +104,22 @@ def test_entropic_errors_on_dead_row():
     bad = s
     bad.matrix = m
     with pytest.raises(ArithmeticError):
-        learner.step(bad, np.zeros_like(m), 1)
+        learner.reset(bad)
+
+
+def test_entropic_steps_are_softmax_of_accumulated_gradients():
+    mech, prior, action_grids = setting(k=5, l=6)
+    s = rand_strategy(prior, action_grids, seed=11)
+    learner = make_learner("soda1", eta0=3.0, beta=0.3)
+    learner.reset(s)
+    rng = np.random.default_rng(6)
+    dual = np.log(s.matrix)
+    for t in (1, 2, 3):
+        c = rng.normal(0, 2, s.matrix.shape)
+        out = learner.step(s, c, t)
+        dual = dual + 3.0 * t ** -0.3 * c
+    expected = np.exp(dual) / np.exp(dual).sum(axis=1, keepdims=True) * s.marginal[:, None]
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_euclidean_dual_averaging():
@@ -181,6 +201,19 @@ def test_rule_aliases_and_unknown():
         make_learner("soda2", beta=1.5)
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_learner_settings_build_and_step(name):
+    cfg = PRESETS[name]
+    learner = make_learner(cfg["learner"], cfg["eta0"], cfg["step_beta"])
+    mech, prior, action_grids = setting(k=5, l=6)
+    s = rand_strategy(prior, action_grids, seed=12)
+    learner.reset(s)
+    c = np.random.default_rng(7).normal(0, 1, s.matrix.shape)
+    out = learner.step(s, c, 1)
+    assert np.all(out >= 0)
+    assert np.max(np.abs(out.sum(axis=1) - s.marginal)) < 1e-12
+
+
 def test_feasibility_preserved_under_random_steps():
     mech, prior, action_grids = setting(k=3, l=5)
     rng = np.random.default_rng(5)
@@ -215,6 +248,26 @@ def test_run_converges_and_certifies():
     assert res.converged
     assert res.certificate.max_loss < 1e-4
     assert res.strategies[0] is res.strategies[1]  # shared group strategy
+
+
+def test_entropic_truthful_start_moves_mass_off_the_diagonal():
+    # the exact zeros of a truthful start must still be able to gain mass:
+    # with a dual of log(0) = -inf they would stay zero forever
+    mech, prior, action_grids = setting(k=16, l=16)
+    res = run(mech, prior, action_grids, rule="soda1", eta0=100.0, step_beta=0.05,
+              iterations=50, tolerance=0.0, check_interval=10, init="truthful", seed=0,
+              groups=[[0, 1]])
+    m = res.strategies[0].matrix
+    assert 1.0 - np.trace(m) / m.sum() > 0.1
+
+
+def test_entropic_shipped_fpsb_certifies_without_subnormals():
+    problem = build_problem(config_from_mapping(get_preset("fpsb_2_uniform")))
+    res = solve(problem, (1, 0))
+    assert res.converged and res.iterations == 189
+    m = res.strategies[0].matrix
+    tiny = np.finfo(m.dtype).tiny
+    assert np.count_nonzero((m != 0) & (np.abs(m) < tiny)) / m.size < 0.05
 
 
 def test_run_deterministic_histories():

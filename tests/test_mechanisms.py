@@ -205,3 +205,49 @@ def test_dimension_mismatch_rejected():
     s = SplitAwardAuction()
     with pytest.raises(ValueError):
         s.affine_parts(0, [(1.5,), (1.5, 0.5)])
+
+
+def _reference_payments(mech, bids):
+    """Each mechanism's payment formula as it was written out before ``payments``
+    became minus the B part of the affine decomposition."""
+    comps = mech.components(bids)
+    if isinstance(mech, SingleObjectAuction):
+        out = []
+        for i in range(mech.n_agents):
+            own, omax, win = mech._win_and_price(i, comps)
+            if mech.kind == "fpsb":
+                out.append(win * own)
+            elif mech.kind == "spsb":
+                out.append(win * omax)
+            else:
+                out.append(own * np.ones_like(win))
+        return out
+    if isinstance(mech, TullockContest):
+        return [np.asarray(c[0], dtype=np.float64) for c in comps]
+    locals_win, global_win, p1, p2, p3 = mech.outcome(bids)
+    lw = locals_win.astype(np.float64)
+    return [lw * p1, lw * p2, global_win.astype(np.float64) * p3]
+
+
+@pytest.mark.parametrize("mech", [
+    SingleObjectAuction("fpsb", 3), SingleObjectAuction("spsb", 3),
+    SingleObjectAuction("all_pay", 3), SingleObjectAuction("fpsb", 3, risk_rho=0.5),
+    TullockContest(1.5, 3), LLGAuction("NZ"), LLGAuction("NVCG"), LLGAuction("NB"),
+    LLGAuction("first_price")], ids=lambda m: f"{m.kind}-{getattr(m, 'payment_rule', '')}"
+                                           f"-rho{m.risk_rho}")
+def test_payments_are_minus_affine_b(mech):
+    rng = np.random.default_rng(7)
+    upper = np.array([1.0, 1.0, 2.0])  # the LLG global bids up to 2
+    n = mech.n_agents
+    random = [rng.uniform(0, upper[i], 4000) for i in range(n)]
+    # a coarse grid with 0 makes ties and all-zero profiles frequent
+    grid = [0.25 * rng.integers(0, 4 * int(upper[i]) + 1, 4000) for i in range(n)]
+    for bids in (random, grid):
+        got, ref = mech.payments(bids), _reference_payments(mech, bids)
+        assert len(got) == len(ref) == n
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    # the grid profiles do reach the tie rules
+    if isinstance(mech, LLGAuction):
+        assert np.any(grid[0] + grid[1] == grid[2])
+    elif isinstance(mech, SingleObjectAuction):
+        assert np.any(grid[0] == np.maximum(grid[1], grid[2]))

@@ -64,8 +64,9 @@ def test_perfbench_tracer_and_capture_still_apply(tmp_path):
     assert [status for status, _ in out["rows"]] == ["ok", "ok"]
     assert [iters for iters, _ in out["returned"]] == [iters for _, iters in out["rows"]]
     path = out["returned"][0][1]
-    for name in ("learners.run", "verify.utility_loss", f"gradient.{path}",
-                 "runner.run_once", "priors.discretize", "priors.joint_from_latent"):
+    for name in ("learners.run", "learners.soda1.step", "verify.utility_loss",
+                 f"gradient.{path}", "runner.run_once", "priors.discretize",
+                 "priors.joint_from_latent"):
         assert name in out["spans"], name
     # the tracer sizes a latent prior through its joints and value joints
     assert out["joint_bytes"] == out["prior_bytes"] == (6 ** 3 + 6 ** 4) * 8
