@@ -12,7 +12,7 @@ from .grids import make_uniform_grid
 from .priors import independent_prior
 from .mechanisms import LLGAuction, SingleObjectAuction
 from .strategy import init_strategy
-from .gradient import GradientEngine, expected_utility, gradient_symmetric_iid
+from .gradient import GradientEngine, expected_utility
 from .learners import make_learner, run
 from .verify import best_response_matrix, collusive_profile, vs_probe
 from .evaluate import estimate_revenue, evaluate, lookup_analytic

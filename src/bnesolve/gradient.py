@@ -8,9 +8,12 @@ conditional strategies, one GEMM per opponent, into weights of shape
 (K_i, L_-i); they differ in what those weights meet.  Three evaluation paths
 are provided:
 
-* ``symmetric``: an order-statistic fast path for symmetric independent
-  private-value single-object auctions whose cost is independent of the
-  number of agents,
+* ``symmetric``: for symmetric independent private values under a mechanism
+  whose payoff depends on the opponents only through their highest bid
+  (``Mechanism.payoff_via_highest_bid``).  The opponents share one strategy,
+  so the distribution of their highest bid follows from its action marginal
+  and meets the mechanism's own payoff on an (own bid x highest opponent bid)
+  grid; the cost is independent of the number of agents,
 * ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  For
   interdependent priors the value-weighted joint and the joint are
   contracted together, stacked (one stack for all agents, who share the
@@ -40,7 +43,6 @@ from .strategy import Strategy, flatten_action_grids
 
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes of ex-post utilities held per agent at once
 
-_SYMMETRIC_KINDS = ("fpsb", "spsb", "all_pay")
 PATHS = ("symmetric", "affine", "tensor")
 
 
@@ -64,37 +66,6 @@ def _divide_rows(c: np.ndarray, marginal: np.ndarray) -> np.ndarray:
     return c
 
 
-def gradient_symmetric_iid(kind: str, own_values: np.ndarray, bid_values: np.ndarray,
-                           opponent_strategy: Strategy, n_agents: int,
-                           risk_rho: float = 1.0) -> np.ndarray:
-    """Gradient for symmetric i.i.d. private-value single-object auctions.
-
-    Uses order statistics of the opponents' shared action marginal: the agent
-    wins iff all n-1 opponent bids fall strictly below its own, so the win
-    probability is the opponent action CDF (exclusive) to the power n-1.
-    Cost is independent of the number of agents beyond the exponentiation.
-    """
-    if kind not in _SYMMETRIC_KINDS:
-        raise ValueError(f"symmetric fast path supports {_SYMMETRIC_KINDS}, not '{kind}'")
-    if n_agents < 2:
-        raise ValueError("need at least one opponent")
-    pi = opponent_strategy.matrix.sum(axis=0)
-    cdf = np.cumsum(pi)
-    below = cdf - pi  # P(opponent bid strictly below b_l)
-    p_win = below ** (n_agents - 1)
-    o = np.asarray(own_values, dtype=np.float64)[:, None]
-    b = np.asarray(bid_values, dtype=np.float64)[None, :]
-    if kind == "fpsb":
-        return crra(o - b, risk_rho) * p_win
-    if kind == "all_pay":
-        return crra(o - b, risk_rho) * p_win + crra(-b, risk_rho) * (1.0 - p_win)
-    # spsb: the winner pays the highest opponent bid
-    p_max = cdf ** (n_agents - 1) - below ** (n_agents - 1)
-    gains = crra(o - b, risk_rho) * p_max[None, :]
-    c = np.cumsum(gains, axis=1)
-    return np.concatenate([np.zeros((o.size, 1)), c[:, :-1]], axis=1)
-
-
 def expected_utility(strategy: Strategy, gradient_matrix: np.ndarray) -> float:
     """Linear expected utility <s_i, c_i>."""
     if strategy.matrix.shape != gradient_matrix.shape:
@@ -106,19 +77,20 @@ class GradientEngine:
     """Per-run gradient evaluator with cached prior/mechanism contractions.
 
     Chooses, in order of preference: the symmetric order-statistic path (only
-    in symmetric runs on i.i.d. private-value single-object auctions), the
-    affine path for risk-neutral payoffs, and the tensor path for any other
-    payoff and prior.  On the affine path the mechanism's own kernel, when it
-    has one (split award), replaces the dense payoff matrices; its tables are
-    built here, once.  Interdependent priors hold one value joint over the
-    value all agents share, so the tensor path reads that joint for every
-    agent and the affine path stacks one value-weighted pair, cached once per
-    engine.  ``memory_budget`` bounds the bytes of ex-post utilities
-    the tensor path holds per agent (one value's worth at least) and so
-    sets its chunk size along the value axis; it never changes which path
-    runs.  When one chunk covers the whole axis, the chunk is kept between
-    calls.  ``prefer_path`` forces one of ``PATHS``.  One engine serves any
-    number of runs on the same problem.
+    in symmetric runs on i.i.d. private values, under a mechanism whose
+    ``payoff_via_highest_bid``), the affine path for risk-neutral payoffs,
+    and the tensor path for any other payoff and prior.  On the affine path
+    the mechanism's own kernel, when it has one (split award), replaces the
+    dense payoff matrices; its tables are built here, once.  Interdependent
+    priors hold one value joint over the value all agents share, so the
+    tensor path reads that joint for every agent and the affine path stacks
+    one value-weighted pair, cached once per engine.  ``memory_budget``
+    bounds the bytes of ex-post utilities the tensor and symmetric paths
+    hold per agent (one value's worth at least) and so sets their chunk size
+    along the value axis; it never changes which path runs.  When one chunk
+    covers the whole axis, the chunk is kept between calls.  ``prefer_path``
+    forces one of ``PATHS``.  One engine serves any number of runs on the
+    same problem.
     """
 
     def __init__(self, mech: Mechanism, prior: DiscretePrior, action_grids_per_agent,
@@ -142,7 +114,7 @@ class GradientEngine:
 
     def _symmetric_applicable(self) -> bool:
         p, m = self.prior, self.mech
-        if m.kind not in _SYMMETRIC_KINDS or not p.independent \
+        if not m.payoff_via_highest_bid or not p.independent \
                 or not p.values_equal_observations:
             return False
         g0, a0, f0 = p.obs_grids[0], self.action_grids[0], p.marginals[0]
@@ -177,14 +149,23 @@ class GradientEngine:
     # -- cached pieces ------------------------------------------------------
 
     def _affine_parts(self, agent: int):
-        """Dense (A, B) of ``agent`` with its own actions on rows: (L_i, L_-i)."""
+        """Dense (A, B) of ``agent`` with its own actions on rows: (L_i, L_-i).
+        On the symmetric path the columns are the highest opponent bid, which
+        every opponent bids alike: (L_i, L_i)."""
         if agent not in self._affine_cache:
-            comps = _profile_components(self.flat_actions)
-            counts = tuple(t.shape[0] for t in self.flat_actions)
-            self._affine_cache[agent] = tuple(
-                np.ascontiguousarray(np.moveaxis(np.broadcast_to(x, counts), agent, 0)
-                                     .reshape(counts[agent], -1))
-                for x in self.mech.affine_parts(agent, comps))
+            if self.path == "symmetric":
+                bids = self.flat_actions[agent][:, 0]
+                profile = [(bids[:, None] if j == agent else bids[None, :],)
+                           for j in range(self.prior.n_agents)]
+                parts = [np.broadcast_to(x, (bids.size, bids.size))
+                         for x in self.mech.affine_parts(agent, profile)]
+            else:
+                comps = _profile_components(self.flat_actions)
+                counts = tuple(t.shape[0] for t in self.flat_actions)
+                parts = [np.moveaxis(np.broadcast_to(x, counts), agent, 0)
+                         .reshape(counts[agent], -1)
+                         for x in self.mech.affine_parts(agent, comps)]
+            self._affine_cache[agent] = tuple(np.ascontiguousarray(x) for x in parts)
         return self._affine_cache[agent]
 
     def _value_weighted_pair(self) -> np.ndarray:
@@ -224,10 +205,7 @@ class GradientEngine:
 
     def gradient(self, strategies, agent: int) -> np.ndarray:
         if self.path == "symmetric":
-            opp = (agent + 1) % self.prior.n_agents
-            c = gradient_symmetric_iid(self.mech.kind, self.prior.obs_grids[agent].points,
-                                       self.flat_actions[agent][:, 0], strategies[opp],
-                                       self.prior.n_agents, self.mech.risk_rho)
+            c = self._gradient_symmetric(strategies, agent)
         elif self.path == "affine":
             c = self._gradient_affine(strategies, agent)
         else:
@@ -235,6 +213,24 @@ class GradientEngine:
         if not np.all(np.isfinite(c)):
             raise FloatingPointError("non-finite gradient entries")
         return c
+
+    def _gradient_symmetric(self, strategies, agent: int) -> np.ndarray:
+        """c_i[k, l] = E[u(o_k, b_l, highest opponent bid)]: the n-1 opponents
+        share a strategy with action marginal pi, so their highest bid is b_m
+        with probability cdf_m**(n-1) - (cdf_m - pi_m)**(n-1).  All agents are
+        interchangeable on this path, so agent 0's payoff grid serves each."""
+        n = self.prior.n_agents
+        pi = strategies[(agent + 1) % n].matrix.sum(axis=0)
+        cdf = np.cumsum(pi)
+        p_max = cdf ** (n - 1) - (cdf - pi) ** (n - 1)
+        own_vals = self.prior.obs_grids[0].points
+        if self.mech.risk_rho == 1.0:
+            a, b = self._affine_parts(0)
+            c = np.multiply.outer(own_vals, a @ p_max)
+            c += b @ p_max
+            return c
+        return self._contract_utilities(
+            0, np.broadcast_to(p_max, (own_vals.size, p_max.size)), own_vals)
 
     def _gradient_affine(self, strategies, agent: int) -> np.ndarray:
         """c_i = (Wv . A + W . B) / marginal, with Wv and W the value-weighted
@@ -273,12 +269,19 @@ class GradientEngine:
 
         own_vals = (prior.value_grid if interdependent
                     else prior.obs_grids[agent]).points
-        counts = [t.shape[0] for t in self.flat_actions]
-        chunk = max(1, int(self.budget // (8 * np.prod(counts, dtype=np.float64))))
+        c = self._contract_utilities(agent, w, own_vals, interdependent)
+        return _divide_rows(c, prior.marginals[agent])
+
+    def _contract_utilities(self, agent: int, w: np.ndarray, own_vals: np.ndarray,
+                            interdependent: bool = False) -> np.ndarray:
+        """Sum of crra(v*A + B) over the columns of ``agent``'s payoff grid,
+        weighted by ``w`` (K_i, L_-i), or by ``w`` (m, K_i, L_-i) summed over the
+        value m when ``interdependent``.  The ex-post utilities are built in
+        chunks of own values that fit the memory budget."""
+        a, b = self._affine_parts(agent)
+        chunk = max(1, int(self.budget // (8 * a.size)))
         cached = self._utility_cache.get(agent)
-        if cached is None:
-            a, b = self._affine_parts(agent)
-        c = np.zeros((prior.obs_grids[agent].count, counts[agent]))
+        c = np.zeros((w.shape[-2], a.shape[0]))
         for s in range(0, own_vals.size, chunk):
             e = min(s + chunk, own_vals.size)
             u = cached
@@ -291,4 +294,4 @@ class GradientEngine:
                 c += np.matmul(w[s:e], u.transpose(0, 2, 1)).sum(axis=0)
             else:
                 c[s:e] = np.matmul(u, w[s:e, :, None])[..., 0]
-        return _divide_rows(c, prior.marginals[agent])
+        return c

@@ -240,24 +240,27 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
     distance_history: list[tuple[int, list[float]]] = []
     start = time.perf_counter()
     termination = "max_iterations"
-    cert = None
     updates_done = 0
-    for t in range(1, iterations + 1):
+    # pass iterations + 1 certifies the returned profile and takes no step
+    for t in range(1, iterations + 2):
+        final = t > iterations
         snapshot = profile()
         try:
             cs = [engine.gradient(snapshot, g[0]) for g in groups]
         except FloatingPointError as exc:
             raise FloatingPointError(f"gradient failure at iteration {t}: {exc}") from exc
-        if t % check_interval == 0 or t == iterations:
+        if final or t % check_interval == 0 or t == iterations:
             cert = certify(current, cs, iteration=updates_done, tolerance=tolerance)
             loss_history.append((updates_done, list(cert.losses)))
-            if progress is not None:
+            if progress is not None and not final:
                 last_dist = distance_history[-1][1] if distance_history else None
                 progress({"iteration": updates_done, "losses": list(cert.losses),
                           "max_loss": cert.max_loss, "distance": last_dist})
             if cert.converged:
                 termination = "converged"
                 break
+        if final:
+            break
         dists = []
         for gi, (learner, s) in enumerate(zip(learners, current)):
             new = s.with_matrix(learner.step(s, cs[gi], t))
@@ -265,14 +268,6 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
             current[gi] = new
         distance_history.append((t, dists))
         updates_done = t
-
-    if cert is None or cert.iteration != updates_done:
-        snapshot = profile()
-        cs = [engine.gradient(snapshot, g[0]) for g in groups]
-        cert = certify(current, cs, iteration=updates_done, tolerance=tolerance)
-        loss_history.append((updates_done, list(cert.losses)))
-        if cert.converged:
-            termination = "converged"
 
     wall = time.perf_counter() - start
     per_agent = profile()

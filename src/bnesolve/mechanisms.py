@@ -43,7 +43,11 @@ class Mechanism:
     kind: str = ""
     n_agents: int
     risk_rho: float = 1.0
-    reverse: bool = False
+    # The payoff depends on the opponents' bids only through the highest of
+    # them, and a tie at the top voids the win (so it does not matter how many
+    # opponents tie).  In a symmetric run the gradient is then an order
+    # statistic of one shared strategy: GradientEngine's symmetric path.
+    payoff_via_highest_bid: bool = False
 
     @property
     def action_dims(self) -> tuple[int, ...]:
@@ -95,6 +99,8 @@ class Mechanism:
 
 class SingleObjectAuction(Mechanism):
     """First-price, second-price, or first-price all-pay single-object auction."""
+
+    payoff_via_highest_bid = True
 
     def __init__(self, kind: str, n_agents: int, risk_rho: float = 1.0):
         if kind not in ("fpsb", "spsb", "all_pay"):
@@ -238,7 +244,6 @@ class SplitAwardAuction(Mechanism):
 
     kind = "split_award"
     n_agents = 2
-    reverse = True
 
     def __init__(self, split_cost_factor: float = 0.3, cost_model: str = "scaled",
                  risk_rho: float = 1.0,

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .grids import Grid, discretize_density
 
@@ -290,6 +289,8 @@ class TruncatedGaussianMarginal:
         return np.exp(-0.5 * ((x - self.mu) / self.sigma) ** 2)
 
     def sample(self, rng, size):
+        from scipy import stats  # imported here: it is most of the package's import time
+
         a = (self.lower - self.mu) / self.sigma
         b = (self.upper - self.mu) / self.sigma
         return stats.truncnorm.rvs(a, b, loc=self.mu, scale=self.sigma,

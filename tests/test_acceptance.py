@@ -291,8 +291,8 @@ def test_criterion_09_oracle_equivalences():
             p = b.independent_prior(g, [lambda x: np.ones_like(x)] * n)
             ag = [(b.make_uniform_grid(0, 1, k),)] * n
             shared = b.init_strategy("random", g[0], ag[0], p.marginals[0], seed=3)
-            c_sym = b.gradient_symmetric_iid(kind, g[0].points, ag[0][0].points,
-                                             shared, n)
+            c_sym = b.GradientEngine(m, p, ag, prefer_path="symmetric").gradient(
+                [shared] * n, 0)
             for c_gen in tensor_gradients(m, p, ag, [shared] * n):
                 d_sym = max(d_sym, float(np.max(np.abs(c_gen - c_sym))))
     # closed-form best response vs row-vertex enumeration

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from bnesolve.config import build_problem, config_from_mapping
-from bnesolve.gradient import (DEFAULT_MEMORY_BUDGET, GradientEngine, expected_utility,
-                               gradient_symmetric_iid)
+from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, expected_utility
 from bnesolve.grids import make_uniform_grid
-from bnesolve.mechanisms import LLGAuction, SingleObjectAuction, SplitAwardAuction
+from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuction,
+                                 TullockContest)
 from bnesolve.presets import get_preset
 from bnesolve.priors import (CommonValuePrior, IndependentPrivatePrior, UniformMarginal,
                              independent_prior)
@@ -30,6 +30,12 @@ def tensor_gradients(mech, prior, action_grids, strategies, agent):
     return [GradientEngine(mech, prior, action_grids, memory_budget=budget,
                            prefer_path="tensor").gradient(strategies, agent)
             for budget in (DEFAULT_MEMORY_BUDGET, 2 * 8 * cells)]
+
+
+def symmetric_gradient(mech, prior, action_grids, strategies, agent=0,
+                       memory_budget=DEFAULT_MEMORY_BUDGET):
+    return GradientEngine(mech, prior, action_grids, memory_budget=memory_budget,
+                          prefer_path="symmetric").gradient(strategies, agent)
 
 
 def affine_gradient(mech, prior, action_grids, strategies, agent):
@@ -150,11 +156,36 @@ def test_symmetric_path_matches_general():
                         kind=kind, n=n, k=k, l=l, rho=rho, seed=2)
                     shared = strategies[0]
                     profile = [shared] * n
-                    c_sym = gradient_symmetric_iid(kind, prior.obs_grids[0].points,
-                                                   action_grids[0][0].points, shared, n,
-                                                   rho)
+                    c_sym = symmetric_gradient(mech, prior, action_grids, profile)
                     for c_gen in tensor_gradients(mech, prior, action_grids, profile, 0):
                         assert np.max(np.abs(c_gen - c_sym)) < 1e-10, (kind, n, rho, k)
+
+
+def test_symmetric_path_matches_oracle_with_ties_at_the_top():
+    # the action grid is the opponents' grid, so every own bid ties some opponent
+    # bid; the last profile puts all opponent mass on one bid, which must void
+    # the win there (a tie at the top)
+    for kind in ("fpsb", "spsb", "all_pay"):
+        for n in (2, 3):
+            for rho in (1.0, 0.5):
+                mech, prior, action_grids, strategies = ipv_setting(
+                    kind=kind, n=n, k=3, l=4, rho=rho, seed=4)
+                shared = strategies[0]
+                half = 0.5 * shared.matrix
+                half[:, 2] += 0.5 * prior.marginals[0]
+                onehot = 0.0 * shared.matrix
+                onehot[:, 2] = prior.marginals[0]
+                for m in (shared.matrix, half, onehot):
+                    profile = [shared.with_matrix(m)] * n
+                    oracle = naive_gradient(mech, prior, profile, 0)
+                    # one chunk, then chunks of two own values (rho < 1)
+                    for budget in (DEFAULT_MEMORY_BUDGET, 2 * 8 * 4 * 4):
+                        c = symmetric_gradient(mech, prior, action_grids, profile,
+                                               memory_budget=budget)
+                        assert np.max(np.abs(c - oracle)) < 1e-12, (kind, n, rho)
+                b2 = action_grids[0][0].points[2]
+                lose = -(b2 ** rho) if kind == "all_pay" else 0.0
+                assert np.max(np.abs(c[:, 2] - lose)) < 1e-15, (kind, n, rho)
 
 
 def test_symmetric_path_one_hot_opponent():
@@ -162,8 +193,7 @@ def test_symmetric_path_one_hot_opponent():
     onehot = strategies[1].matrix * 0
     onehot[:, 2] = prior.marginals[1]  # opponent always bids b*=2/3
     opp = strategies[1].with_matrix(onehot)
-    c = gradient_symmetric_iid("fpsb", prior.obs_grids[0].points,
-                               action_grids[0][0].points, opp, 2)
+    c = symmetric_gradient(mech, prior, action_grids, [opp, opp])
     b = action_grids[0][0].points
     o = prior.obs_grids[0].points
     win = (b[None, :] > b[2]).astype(float)
@@ -185,16 +215,16 @@ def test_symmetric_path_win_mass_conservation():
 
 
 def test_symmetric_path_rejects_unsupported():
+    _, prior, action_grids, _ = ipv_setting()
     with pytest.raises(ValueError):
-        gradient_symmetric_iid("tullock", np.zeros(2), np.zeros(2), None, 2)
+        GradientEngine(TullockContest(1.0), prior, action_grids, prefer_path="symmetric")
 
 
 def test_symmetric_path_speed_many_agents():
     import time
-    mech, prior, action_grids, strategies = ipv_setting(k=64, l=64)
+    mech, prior, action_grids, strategies = ipv_setting(n=10, k=64, l=64)
     t0 = time.perf_counter()
-    c = gradient_symmetric_iid("fpsb", prior.obs_grids[0].points,
-                               action_grids[0][0].points, strategies[0], 10)
+    c = symmetric_gradient(mech, prior, action_grids, [strategies[0]] * 10)
     assert time.perf_counter() - t0 < 1.0
     assert c.shape == (64, 64)
 

@@ -328,6 +328,35 @@ def test_run_final_certificate_when_not_converged():
     assert res.loss_history[-1][0] == 7  # certificate refers to the returned profile
 
 
+def test_run_certifies_once_per_check_and_once_at_the_end():
+    # the certificate schedule, read from the loss history, and one gradient
+    # pass per iteration plus one for the returned profile
+    mech, prior, action_grids = setting(k=16, l=16)
+
+    class CountingEngine(GradientEngine):
+        calls = 0
+
+        def gradient(self, strategies, agent):
+            self.calls += 1
+            return super().gradient(strategies, agent)
+
+    def schedule(**kw):
+        engine = CountingEngine(mech, prior, action_grids, symmetric=True)
+        res = run(mech, prior, action_grids, rule="soda1", eta0=50.0, step_beta=0.05,
+                  seed=0, groups=[[0, 1]], engine=engine, **kw)
+        assert res.certificate.iteration == res.loss_history[-1][0] == res.iterations
+        assert [t for t, _ in res.distance_history] == list(range(1, res.iterations + 1))
+        assert engine.calls == res.iterations + 1
+        return res.termination, [t for t, _ in res.loss_history]
+
+    assert schedule(iterations=0) == ("max_iterations", [0])
+    assert schedule(iterations=7, tolerance=0.0, check_interval=3) == \
+        ("max_iterations", [2, 5, 6, 7])
+    termination, checked = schedule(iterations=1000, tolerance=1e-4, check_interval=10)
+    assert termination == "converged" and 9 < checked[-1] < 999
+    assert checked == list(range(9, checked[-1] + 1, 10))
+
+
 def test_run_aborts_on_non_finite_gradient():
     mech, prior, action_grids = setting()
 

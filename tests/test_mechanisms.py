@@ -183,12 +183,26 @@ def test_tie_bump_produces_unique_winner():
         assert a_bump == 1.0  # one grid step up from a tie wins outright
 
 
-def test_payments_reverse_flag():
+def test_single_object_payoff_via_highest_bid():
+    # the symmetric gradient path relies on it: with every opponent bid replaced
+    # by the highest one the payoff is the same, ties at the top included
+    rng = np.random.default_rng(11)
+    grid = np.linspace(0.0, 1.0, 5)
+    for kind in ("fpsb", "spsb", "all_pay"):
+        m = SingleObjectAuction(kind, 3)
+        assert m.payoff_via_highest_bid
+        bids = [rng.choice(grid, 500) for _ in range(3)]
+        top = np.maximum(bids[1], bids[2])
+        for got, want in zip(m.affine_parts(0, bids), m.affine_parts(0, [bids[0], top, top])):
+            assert np.array_equal(got, want)
+    assert not any(cls.payoff_via_highest_bid
+                   for cls in (TullockContest, LLGAuction, SplitAwardAuction))
+
+
+def test_split_award_buyer_pays_suppliers():
     m = SplitAwardAuction()
-    assert m.reverse
     pays = m.payments([(2.5, 1.0), (2.5, 1.0)])
     assert pays[0] == pytest.approx(-1.0) and pays[1] == pytest.approx(-1.0)
-    assert not SingleObjectAuction("fpsb", 2).reverse
 
 
 def test_unknown_kind_rejected():

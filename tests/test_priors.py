@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -154,6 +159,16 @@ def test_truncated_gaussian_sampling_within_bounds():
     x = spec.sample(rng, 10_000)
     assert x.min() >= 1.0 and x.max() <= 1.4
     assert abs(x.mean() - 1.2) < 0.01
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time; only truncated-Gaussian sampling needs it
+    code = ("import sys, bnesolve, bnesolve.runner, bnesolve.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_value_weighted_joint_private_values():
