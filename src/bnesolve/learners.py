@@ -6,7 +6,9 @@ schedule ``eta_t = eta0 * t**(-beta)``; Frank-Wolfe uses ``2 / (1 + t)``.
 Both dual-averaging rules keep a dual variable, the initial strategy plus the
 step-weighted sum of all gradients (``soda1`` starts from its logarithm), and
 differ only in the mirror map back to the strategy polytope: ``soda1`` takes
-each row's softmax, ``soda2`` its Euclidean projection.
+each row's softmax, ``soda2`` its Euclidean projection.  The softmax drops
+(sets to zero, without evaluating ``exp``) the entries whose scaled value
+would be below the smallest normal double, so its iterates hold no subnormals.
 Convergence is certified by the relative utility loss against the exact best
 response (``verify.certify``, fed the step's own gradients), checked every
 ``check_interval`` iterations.  ``runner.solve`` is the usual way in: it fills
@@ -27,6 +29,7 @@ from .verify import Certificate, best_response_matrix, certify
 from .verify import utility_loss  # noqa: F401
 
 POSITIVITY_FLOOR = 1e-300
+TINY = np.finfo(np.float64).tiny
 
 RULE_ALIASES = {
     "soda1_entropic": "soda1",
@@ -60,16 +63,30 @@ def project_rows_to_simplex(y: np.ndarray, masses: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax_rows(y: np.ndarray, masses: np.ndarray) -> np.ndarray:
+def softmax_rows(y: np.ndarray, masses: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Entropic mirror map: each row of ``exp(y)`` scaled to sum to its mass.
 
-    Rows are shifted by their maximum before ``exp``, so every row sum is at
-    least one and finite rows never overflow.  Rows with zero mass map to zero.
+    Rows are shifted by their maximum, ``z = y - max_row(y)``, so every row
+    sum is at least one and finite rows never overflow.  Entries whose scaled
+    value would be below the smallest normal double (``tiny``) are set to zero
+    without evaluating ``exp``: row k keeps the entries with
+    ``z >= min(0, log(tiny * L / mass_k))``.  Since a row sum is at most L,
+    every kept entry scales to a normal double, every dropped one would have
+    been below ``tiny * L``, and the row maximum is always kept, so rows with
+    zero mass map to zero.  ``work``, if given, receives ``z``.
     """
-    z = y - y.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z *= (masses / z.sum(axis=1))[:, None]
-    return z
+    z = np.subtract(y, y.max(axis=1, keepdims=True), out=work)
+    with np.errstate(divide="ignore"):
+        cut = np.minimum(0.0, np.log(TINY * y.shape[1] / masses))
+    keep = z >= cut[:, None]
+    if keep.all():
+        # nothing to drop: a plain exp skips the zero fill and the masked loop
+        out = np.exp(z)
+    else:
+        out = np.zeros_like(z)
+        np.exp(z, out=out, where=keep)
+    out *= (masses / out.sum(axis=1))[:, None]
+    return out
 
 
 class _Learner:
@@ -103,10 +120,12 @@ class EntropicDualAveraging(_PolynomialStep):
         # exact zeros of the initial strategy (a truthful start) get a finite
         # dual, so that they can still gain mass
         self.dual = np.log(np.maximum(strategy.matrix, POSITIVITY_FLOOR))
+        self._work = np.empty_like(self.dual)
 
     def step(self, strategy: Strategy, c: np.ndarray, t: int) -> np.ndarray:
-        self.dual += self.eta(t) * c
-        return softmax_rows(self.dual, strategy.marginal)
+        # the work buffer holds eta * c, then the shifted dual
+        self.dual += np.multiply(c, self.eta(t), out=self._work)
+        return softmax_rows(self.dual, strategy.marginal, self._work)
 
 
 class EuclideanDualAveraging(_PolynomialStep):

@@ -27,6 +27,11 @@ def flatten_action_grids(action_grids) -> np.ndarray:
     return np.column_stack([m.ravel() for m in meshes])
 
 
+def _lowest(m: np.ndarray) -> float:
+    """Smallest entry in one pass; NaN entries are skipped, as comparisons skip them."""
+    return np.fmin.reduce(m, axis=None)
+
+
 @dataclass
 class Strategy:
     matrix: np.ndarray
@@ -43,7 +48,7 @@ class Strategy:
             raise ValueError("matrix rows must match the observation grid and marginal")
         if l != self.action_count:
             raise ValueError("matrix columns must match the flattened action grids")
-        if np.any(self.matrix < -NEGATIVE_CLAMP):
+        if _lowest(self.matrix) < -NEGATIVE_CLAMP:
             raise ValueError("strategy entries must be nonnegative")
         if np.max(np.abs(self.matrix.sum(axis=1) - self.marginal)) > ROW_SUM_TOL:
             raise ValueError("row sums must equal the observation marginal")
@@ -66,9 +71,10 @@ class Strategy:
         row is rescaled back to its marginal.
         """
         m = np.asarray(matrix, dtype=np.float64)
-        if np.any(m < -NEGATIVE_CLAMP):
+        lowest = _lowest(m)
+        if lowest < -NEGATIVE_CLAMP:
             raise ValueError("matrix has entries below the negative-clamp tolerance")
-        if np.any(m < 0):
+        if lowest < 0:
             m = np.maximum(m, 0.0)
             sums = m.sum(axis=1)
             scale = np.divide(self.marginal, sums, out=np.zeros_like(sums), where=sums > 0)

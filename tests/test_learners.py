@@ -4,7 +4,7 @@ import pytest
 from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import GradientEngine
 from bnesolve.grids import make_uniform_grid
-from bnesolve.learners import make_learner, project_rows_to_simplex, run
+from bnesolve.learners import make_learner, project_rows_to_simplex, run, softmax_rows
 from bnesolve.mechanisms import SingleObjectAuction
 from bnesolve.presets import PRESETS, get_preset
 from bnesolve.priors import independent_prior
@@ -54,6 +54,74 @@ def test_projection_matches_qp_oracle():
         got = project_rows_to_simplex(y[None, :], np.array([mass]))[0]
         exact = qp_project_simplex(y, mass)
         assert np.max(np.abs(got - exact)) < 1e-9
+
+
+# -- entropic mirror map -------------------------------------------------------
+
+TINY = np.finfo(np.float64).tiny
+
+
+def check_mirror_map(y, masses):
+    """softmax_rows(y, masses), checked against the unshifted softmax row by row.
+
+    Rows with mass below tiny * L keep all of it on their (unique) maximum;
+    the test rows with more mass have masses far above tiny * L**2, where the
+    dropped entries cannot move the kept ones by 1e-12 relative.
+    """
+    out = softmax_rows(y, masses)
+    l = y.shape[1]
+    assert np.all(np.isfinite(out)) and np.all(out >= 0)
+    assert np.max(np.abs(out.sum(axis=1) - masses)) < 1e-12
+    e = np.exp(y - y.max(axis=1, keepdims=True))
+    ref = masses[:, None] * e / e.sum(axis=1, keepdims=True)
+    dropped = out == 0
+    assert np.all(ref[dropped] < TINY * l)
+    for k, mass in enumerate(masses):
+        kept = ~dropped[k]
+        if mass < TINY * l:
+            expected = np.zeros(l)
+            expected[np.argmax(y[k])] = mass
+            assert np.array_equal(out[k], expected)
+        else:
+            assert np.all(out[k, kept] >= TINY)  # no subnormals
+            assert np.all(np.abs(out[k, kept] - ref[k, kept]) <= 1e-12 * ref[k, kept])
+    return out
+
+
+def test_mirror_map_zero_mass_row_stays_zero():
+    y = np.random.default_rng(2).normal(0, 300, (3, 16))
+    masses = np.array([0.0, 0.4, 0.6])
+    with np.errstate(invalid="raise", divide="raise"):
+        softmax_rows(y, masses)
+    out = check_mirror_map(y, masses)
+    assert np.array_equal(out[0], np.zeros(16))
+
+
+def test_mirror_map_mass_below_tiny_sits_on_the_row_maximum():
+    y = np.array([[0.0, -0.1, 3.0, -800.0],
+                  [1.0, 2.0, -0.5, 0.0],
+                  [0.5, -2.0, 0.0, 1.0]])
+    masses = np.array([1e-310, 3 * TINY, 1.0])  # below tiny, below tiny * L
+    out = check_mirror_map(y, masses)
+    assert out[0, 2] == 1e-310 and out[1, 1] == 3 * TINY
+
+
+def test_mirror_map_dual_spread_beyond_1500():
+    # offsets of +-3000 overflow or underflow exp without the row shift
+    spread = np.array([0.0, -1600.0, -700.0, -20.0, -1501.0])
+    y = np.stack([spread - 3000.0, spread + 3000.0, spread[::-1]])
+    out = check_mirror_map(y, np.array([0.25, 0.75, 0.0]))
+    assert out[0, 1] == 0.0 and out[0, 2] > 0.0  # -1600 dropped, -700 kept
+
+
+def test_mirror_map_random_duals_hold_no_subnormals():
+    rng = np.random.default_rng(7)
+    y = rng.normal(0, 400, (40, 64)) + rng.uniform(-2000, 2000, (40, 1))
+    masses = rng.uniform(0.001, 0.05, 40)
+    masses[:2] = [0.0, 1e-310]
+    out = check_mirror_map(y, masses)
+    ordinary = out[2:]
+    assert np.any(ordinary == 0) and np.any((ordinary > 0) & (ordinary < 1e-300))
 
 
 # -- update rules -------------------------------------------------------------
@@ -267,7 +335,16 @@ def test_entropic_shipped_fpsb_certifies_without_subnormals():
     assert res.converged and res.iterations == 189
     m = res.strategies[0].matrix
     tiny = np.finfo(m.dtype).tiny
-    assert np.count_nonzero((m != 0) & (np.abs(m) < tiny)) / m.size < 0.05
+    assert np.count_nonzero((m != 0) & (np.abs(m) < tiny)) == 0
+
+
+def test_entropic_shipped_presets_iteration_counts():
+    # the mirror map must not drift: these counts hold since the dual form
+    for name, iterations in (("split_award_uniform", 89), ("tullock_r10_asym", 319)):
+        problem = build_problem(config_from_mapping(get_preset(name)))
+        assert problem.config.learner == "soda1"
+        res = solve(problem, (1, 0))
+        assert res.converged and res.iterations == iterations, name
 
 
 def test_run_deterministic_histories():
