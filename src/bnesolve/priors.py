@@ -106,8 +106,9 @@ def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed,
                 density_correction):
     """Accumulate bin weights of latent draws, chunked for memory.
 
-    With a ``value_grid``, the draws' shared value is binned too, into one
-    (value x observations) array; value columns that differ are refused.
+    Draws that are NaN or infinite are refused.  With a ``value_grid``, the
+    draws' shared value is binned too, into one (value x observations) array;
+    value columns that differ are refused.
 
     With ``density_correction``, draws are weighted by the inverse cell width
     on every observation axis (boundary points own half a cell on an
@@ -115,20 +116,15 @@ def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed,
     times a uniform cell volume and agrees with the density-evaluation
     recipe.  Disable it for latent models whose joint is singular (mass on
     lower-dimensional sets), where a volume correction over-weights boundary
-    atoms.
+    atoms.  The weight is a power of two fixed by the cell, so it scales the
+    cell's count once, after binning, with the same result as weighting
+    every draw.
     """
     n = len(obs_grids)
     obs_shape = tuple(g.count for g in obs_grids)
-    obs_counts = np.zeros(int(np.prod(obs_shape)))
-    boundary_factor = []
-    for g in obs_grids:
-        f = np.ones(g.count)
-        if density_correction:
-            f[0] = f[-1] = 2.0
-        boundary_factor.append(f)
-    val_counts = None
-    if value_grid is not None:
-        val_counts = np.zeros(value_grid.count * obs_counts.size)
+    obs_size = int(np.prod(obs_shape))
+    lead = () if value_grid is None else (value_grid.count,)
+    counts = np.zeros(int(np.prod(lead)) * obs_size)
     rng = np.random.default_rng(seed)
     done = 0
     while done < sample_count:
@@ -138,23 +134,26 @@ def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed,
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         if obs.shape != (m, n) or values.shape != (m, n):
             raise ValueError("sampler must return (values, observations) of shape (size, n)")
-        obs_idx = [obs_grids[i].nearest_index(obs[:, i]) for i in range(n)]
-        w = boundary_factor[0][obs_idx[0]].copy()
-        for i in range(1, n):
-            w *= boundary_factor[i][obs_idx[i]]
-        flat = np.ravel_multi_index(obs_idx, obs_shape)
-        obs_counts += np.bincount(flat, weights=w, minlength=obs_counts.size)
-        if val_counts is not None:
+        if not (np.isfinite(obs).all() and (values is obs or np.isfinite(values).all())):
+            raise ValueError("sampler returned a draw that is NaN or infinite")
+        flat = np.ravel_multi_index([obs_grids[i].nearest_index(obs[:, i]) for i in range(n)],
+                                    obs_shape)
+        if value_grid is not None:
             if np.any(values[:, 1:] != values[:, :1]):
                 raise ValueError("a prior with a value grid needs one value shared by all "
                                  "agents; the sampler's value columns differ")
-            mi = value_grid.nearest_index(values[:, 0])
-            val_counts += np.bincount(mi * obs_counts.size + flat, weights=w,
-                                      minlength=val_counts.size)
+            flat += value_grid.nearest_index(values[:, 0]) * obs_size
+        counts += np.bincount(flat, minlength=counts.size)
         done += m
-    if val_counts is not None:
-        val_counts = val_counts.reshape((value_grid.count,) + obs_shape)
-    return obs_counts.reshape(obs_shape), val_counts
+    counts = counts.reshape(lead + obs_shape)
+    if density_correction:
+        for axis in range(len(lead), counts.ndim):
+            edges = np.moveaxis(counts, axis, 0)
+            edges[0] *= 2.0
+            edges[-1] *= 2.0
+    if value_grid is None:
+        return counts, None
+    return counts.sum(axis=0), counts
 
 
 def _group_permutations(groups, n: int):
@@ -219,9 +218,11 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
     obs_counts, val_counts = _bin_counts(sampler, value_grid, obs_grids, int(sample_count),
                                          seed, density_correction)
     total = float(obs_counts.sum())
-    obs_joint = obs_counts.astype(np.float64) / total
+    obs_joint, value_joint = obs_counts, val_counts  # normalized in place: no second copy
+    obs_joint /= total
+    if value_joint is not None:
+        value_joint /= total
     n = len(obs_grids)
-    value_joint = None if val_counts is None else val_counts / total
     if symmetry_groups:
         obs_joint, value_joint = _symmetrize(obs_joint, value_joint, symmetry_groups)
     marginals = []

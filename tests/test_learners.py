@@ -347,6 +347,17 @@ def test_entropic_shipped_presets_iteration_counts():
         assert res.converged and res.iterations == iterations, name
 
 
+@pytest.mark.parametrize("name", ["fpsb_sweep", "risk_fpsb_r09", "risk_fpsb_r10",
+                                  "risk_allpay_r07", "risk_allpay_r10"])
+def test_slow_single_object_presets_certify_within_their_cap(name):
+    # these need more than the default 1000 iterations at seed (0, 0)
+    problem = build_problem(config_from_mapping(get_preset(name)))
+    assert problem.config.tolerance == 1e-4
+    res = solve(problem, (0, 0))
+    assert res.converged and res.certificate.max_loss < 1e-4, name
+    assert 1000 < res.iterations < problem.config.iterations, name
+
+
 def test_run_deterministic_histories():
     mech, prior, action_grids = setting(k=8, l=8)
     kw = dict(rule="soda2", eta0=1.0, step_beta=0.5, iterations=50,

@@ -232,3 +232,28 @@ def test_unequal_value_columns_rejected():
     with pytest.raises(ValueError, match="value columns differ"):
         joint_from_latent(sampler, make_uniform_grid(0.0, 1.0, 4), grids(2, 4),
                           sample_count=1000, seed=0, allow_small_sample=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["observation", "value"])
+def test_non_finite_draws_rejected(bad, column):
+    def sampler(rng, size):
+        obs = rng.random((size, 2))
+        values = np.repeat(obs[:, :1], 2, axis=1)
+        (obs if column == "observation" else values)[size // 2] = bad
+        return values, obs
+
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        joint_from_latent(sampler, make_uniform_grid(0.0, 1.0, 4), grids(2, 4),
+                          sample_count=1000, seed=0, allow_small_sample=True)
+
+
+def test_non_finite_draw_rejected_without_value_grid():
+    def sampler(rng, size):
+        obs = rng.random((size, 3))
+        obs[17, 1] = np.nan
+        return obs, obs
+
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        joint_from_latent(sampler, None, grids(3, 4), sample_count=1000, seed=0,
+                          allow_small_sample=True, density_correction=False)
