@@ -11,8 +11,12 @@ each row's softmax, ``soda2`` its Euclidean projection.  The softmax drops
 would be below the smallest normal double, so its iterates hold no subnormals.
 Convergence is certified by the relative utility loss against the exact best
 response (``verify.certify``, fed the step's own gradients), checked every
-``check_interval`` iterations.  ``runner.solve`` is the usual way in: it fills
-``run``'s settings from a problem's config and passes the problem's engine.
+``check_interval`` iterations and once more for the returned profile.  Each
+certificate goes to ``loss_history`` and, with the distance the profile moved
+in its last step, to ``progress``.  Iterate distances are computed only for
+those steps: ``distance_history`` holds the iterations of ``loss_history``
+after 0.  ``runner.solve`` is the usual way in: it fills ``run``'s settings
+from a problem's config and passes the problem's engine.
 """
 
 from __future__ import annotations
@@ -189,6 +193,8 @@ class RunResult:
     groups: list[list[int]]
     certificate: Certificate
     loss_history: list[tuple[int, list[float]]]
+    # per group, the Frobenius distance of step t's iterate from step t-1's,
+    # for the iterations t >= 1 of loss_history alone
     distance_history: list[tuple[int, list[float]]] = field(repr=False, default_factory=list)
     iterations: int = 0
     wall_time: float = 0.0
@@ -271,7 +277,7 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
         if final or t % check_interval == 0 or t == iterations:
             cert = certify(current, cs, iteration=updates_done, tolerance=tolerance)
             loss_history.append((updates_done, list(cert.losses)))
-            if progress is not None and not final:
+            if progress is not None:
                 last_dist = distance_history[-1][1] if distance_history else None
                 progress({"iteration": updates_done, "losses": list(cert.losses),
                           "max_loss": cert.max_loss, "distance": last_dist})
@@ -280,12 +286,16 @@ def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
                 break
         if final:
             break
+        # a step's distance is read only by the certificate of the next pass
+        measured = (t + 1) % check_interval == 0 or t + 1 >= iterations
         dists = []
         for gi, (learner, s) in enumerate(zip(learners, current)):
             new = s.with_matrix(learner.step(s, cs[gi], t))
-            dists.append(iterate_distance(new, s))
+            if measured:
+                dists.append(iterate_distance(new, s))
             current[gi] = new
-        distance_history.append((t, dists))
+        if measured:
+            distance_history.append((t, dists))
         updates_done = t
 
     wall = time.perf_counter() - start

@@ -13,7 +13,7 @@ Layout of a batch output directory:
       run_000/
         meta.json           seed, config hash, version, timings, metrics, and the
                             prior's discretization record (kind, samples, empty cells)
-        metrics.csv         per-check losses and iterate distances
+        metrics.csv         per-certificate losses and the distance of the step before
         strategy_agent<i>.csv (+ .meta.json sidecar)
         plotdata.csv        sampled (observation, bid) pairs per agent
 """

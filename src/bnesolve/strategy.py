@@ -8,9 +8,11 @@ flattened row-major over the per-axis grids.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,11 @@ def _lowest(m: np.ndarray) -> float:
     return np.fmin.reduce(m, axis=None)
 
 
+def _check_row_sums(m: np.ndarray, marginal: np.ndarray):
+    if np.max(np.abs(m.sum(axis=1) - marginal)) > ROW_SUM_TOL:
+        raise ValueError("row sums must equal the observation marginal")
+
+
 @dataclass
 class Strategy:
     matrix: np.ndarray
@@ -50,8 +57,7 @@ class Strategy:
             raise ValueError("matrix columns must match the flattened action grids")
         if _lowest(self.matrix) < -NEGATIVE_CLAMP:
             raise ValueError("strategy entries must be nonnegative")
-        if np.max(np.abs(self.matrix.sum(axis=1) - self.marginal)) > ROW_SUM_TOL:
-            raise ValueError("row sums must equal the observation marginal")
+        _check_row_sums(self.matrix, self.marginal)
 
     @property
     def action_count(self) -> int:
@@ -68,9 +74,14 @@ class Strategy:
         """Same grids/marginal with a new matrix; tiny negatives are repaired.
 
         Entries within the clamp tolerance below zero are set to zero and the
-        row is rescaled back to its marginal.
+        row is rescaled back to its marginal.  The matrix is checked as
+        ``Strategy(...)`` checks it, in one pass for the lowest entry and one
+        for the row sums; the grids and the marginal, this strategy's own, are
+        not checked again.
         """
         m = np.asarray(matrix, dtype=np.float64)
+        if m.shape != self.matrix.shape:
+            raise ValueError("matrix shape must match the strategy's")
         lowest = _lowest(m)
         if lowest < -NEGATIVE_CLAMP:
             raise ValueError("matrix has entries below the negative-clamp tolerance")
@@ -79,7 +90,10 @@ class Strategy:
             sums = m.sum(axis=1)
             scale = np.divide(self.marginal, sums, out=np.zeros_like(sums), where=sums > 0)
             m = m * scale[:, None]
-        return Strategy(m, self.obs_grid, self.action_grids, self.marginal)
+        _check_row_sums(m, self.marginal)
+        new = copy.copy(self)
+        new.matrix = m
+        return new
 
     def conditional(self, obs_index: int) -> np.ndarray:
         """Mixed strategy over actions conditional on observation point k."""
@@ -110,19 +124,53 @@ class Strategy:
         live = cdf[:, -1:] > 0
         np.divide(cdf, cdf[:, -1:], out=cdf, where=live)
         u = rng.random(obs.size)
-        # per observation row: the number of CDF entries below u, i.e. the
-        # first action whose cumulative probability reaches u
-        idx = np.empty(obs.size, dtype=np.int64)
-        order = np.argsort(k, kind="stable")
-        rows, starts = np.unique(k[order], return_index=True)
-        for row, sel in zip(rows, np.split(order, starts[1:])):
-            idx[sel] = np.searchsorted(cdf[row], u[sel], side="left")
-        idx = np.minimum(idx, self.action_count - 1)
-        return self.action_values()[idx]
+        return np.take(self.action_values(), _first_reaching(cdf, k, u), axis=0)
 
     def mean_bid_per_observation(self) -> np.ndarray:
         """Conditional-mean action coordinates per observation row."""
         return self.conditionals() @ self.action_values()
+
+
+def _first_reaching(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per draw, the first column of its CDF row whose value reaches the draw.
+
+    Equals ``min(np.searchsorted(cdf[rows[i]], u[i], side="left"), L - 1)``:
+    the number of entries below ``u[i]`` among the row's first ``L - 1``.
+    Rows must be nondecreasing with values in [0, 1].  Draws are not grouped
+    by row.  Entries and draws go to ``m`` buckets by one nondecreasing map,
+    ``floor(x * m)`` (draws clamped to [0, m]), so an entry in a lower bucket
+    than a draw is below it and one in a higher bucket is not.  A guide table
+    counts, per row, the entries in lower buckets than each bucket; the answer
+    for a draw in bucket j lies between its row's counts at j and j + 1, and
+    only draws whose bucket holds entries of their row are bisected further.
+    """
+    n_rows, l = cdf.shape
+    m = 1 << (l - 1).bit_length()
+    width = m + 2
+    # entries of bucket b count from column b + 1 on, so that after a running
+    # sum column j holds the count of entries in buckets below j
+    bucket = (cdf[:, :l - 1] * m).astype(np.intp)
+    bucket += np.arange(1, n_rows * width, width)[:, None]
+    guide = np.bincount(bucket.ravel(), minlength=n_rows * width).reshape(n_rows, width)
+    guide = np.cumsum(guide, axis=1).ravel()
+    j = (u * m).astype(np.intp)
+    np.clip(j, 0, m, out=j)
+    j += rows * width
+    idx = guide.take(j)
+    end = guide[1:].take(j)
+    sel = np.flatnonzero(end > idx)
+    if sel.size:
+        # bisect the entries of the draw's bucket: lo counts entries below u
+        flat = cdf.ravel()
+        base = rows[sel] * l
+        lo, hi, v = idx[sel], end[sel], u[sel]
+        while (open_ := np.flatnonzero(lo < hi)).size:
+            mid = (lo[open_] + hi[open_]) >> 1
+            below = flat[base[open_] + mid] < v[open_]
+            lo[open_] = np.where(below, mid + 1, lo[open_])
+            hi[open_] = np.where(below, hi[open_], mid)
+        idx[sel] = lo
+    return idx
 
 
 def init_strategy(mode: str, obs_grid: Grid, action_grids, marginal, seed=None) -> Strategy:
@@ -181,17 +229,19 @@ def save_strategy(strategy: Strategy, path, metadata: dict | None = None):
     path = Path(path)
     ndim = strategy.action_ndim
     # csv's default dialect: comma-separated, "\r\n"-terminated, and no field
-    # (an integer or a float repr) needs quoting.  Coordinates are formatted
-    # once per action and observation values once per row.
+    # (an integer or a float repr) needs quoting.  Action indices and
+    # coordinates are formatted once per action, observation values once per
+    # row; lines are joined from their five pieces without per-entry Python
+    # code, and written one row at a time.
     tails = [",".join(map(repr, row)) + "\r\n" for row in strategy.action_values().tolist()]
+    heads = [f"{l}," for l in range(len(tails))]
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(["obs_index", "action_index", "mass", "obs_value"]
                                 + [f"action_value_{d}" for d in range(ndim)])
         for k, (ov, masses) in enumerate(zip(strategy.obs_grid.points.tolist(),
                                              strategy.matrix.tolist())):
-            mid = f",{ov!r},"
-            fh.writelines([f"{k},{l},{m!r}{mid}{tail}"
-                           for l, (m, tail) in enumerate(zip(masses, tails))])
+            fh.write("".join(map("".join, zip(repeat(f"{k},"), heads, map(repr, masses),
+                                              repeat(f",{ov!r},"), tails))))
     meta = {
         "obs_grid": _grid_to_json(strategy.obs_grid),
         "action_grids": [_grid_to_json(g) for g in strategy.action_grids],

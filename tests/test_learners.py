@@ -9,7 +9,7 @@ from bnesolve.mechanisms import SingleObjectAuction
 from bnesolve.presets import PRESETS, get_preset
 from bnesolve.priors import independent_prior
 from bnesolve.runner import solve
-from bnesolve.strategy import init_strategy
+from bnesolve.strategy import init_strategy, iterate_distance
 from oracles import enumerate_row_vertex_value, qp_project_simplex
 
 
@@ -271,15 +271,39 @@ def test_rule_aliases_and_unknown():
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_preset_learner_settings_build_and_step(name):
+    # every step of the rule stays feasible on its own: run() checks each
+    # iterate once, and this catches a rule that drifts off the polytope
     cfg = PRESETS[name]
     learner = make_learner(cfg["learner"], cfg["eta0"], cfg["step_beta"])
     mech, prior, action_grids = setting(k=5, l=6)
     s = rand_strategy(prior, action_grids, seed=12)
     learner.reset(s)
-    c = np.random.default_rng(7).normal(0, 1, s.matrix.shape)
-    out = learner.step(s, c, 1)
-    assert np.all(out >= 0)
-    assert np.max(np.abs(out.sum(axis=1) - s.marginal)) < 1e-12
+    rng = np.random.default_rng(7)
+    for t in range(1, 21):
+        out = learner.step(s, rng.normal(0, 1, s.matrix.shape), t)
+        assert np.all(out >= 0), t
+        assert np.max(np.abs(out.sum(axis=1) - s.marginal)) < 1e-12, t
+        s = s.with_matrix(out)
+
+
+def test_with_matrix_rejects_negative_entries_and_row_sum_drift():
+    mech, prior, action_grids = setting(k=5, l=6)
+    s = rand_strategy(prior, action_grids, seed=12)
+    negative = s.matrix.copy()
+    shift = negative[2, 3] + 1e-9
+    negative[2, 3] -= shift  # -1e-9, beyond the clamp tolerance; the row sum is kept
+    negative[2, 4] += shift
+    with pytest.raises(ValueError, match="negative"):
+        s.with_matrix(negative)
+    drift = s.matrix.copy()
+    drift[4] *= 1 + 1e-6
+    with pytest.raises(ValueError, match="row sums"):
+        s.with_matrix(drift)
+    with pytest.raises(ValueError, match="shape"):
+        s.with_matrix(s.matrix[:, 1:])
+    same = s.with_matrix(s.matrix.copy())
+    assert same.obs_grid is s.obs_grid and same.marginal is s.marginal
+    assert np.array_equal(same.matrix, s.matrix) and same.matrix is not s.matrix
 
 
 def test_feasibility_preserved_under_random_steps():
@@ -433,7 +457,9 @@ def test_run_certifies_once_per_check_and_once_at_the_end():
         res = run(mech, prior, action_grids, rule="soda1", eta0=50.0, step_beta=0.05,
                   seed=0, groups=[[0, 1]], engine=engine, **kw)
         assert res.certificate.iteration == res.loss_history[-1][0] == res.iterations
-        assert [t for t, _ in res.distance_history] == list(range(1, res.iterations + 1))
+        # distances are kept for the certified iterations alone
+        assert [t for t, _ in res.distance_history] == \
+            [t for t, _ in res.loss_history if t > 0]
         assert engine.calls == res.iterations + 1
         return res.termination, [t for t, _ in res.loss_history]
 
@@ -467,6 +493,40 @@ def test_run_emits_progress_records():
     run(mech, prior, action_grids, rule="soda1", eta0=50.0, step_beta=0.05,
         iterations=40, tolerance=0.0, check_interval=10, seed=0,
         groups=[[0, 1]], progress=records.append)
-    assert len(records) == 4
+    # one record per check and one for the certificate of the returned profile
+    assert len(records) == 5
     assert all({"iteration", "losses", "max_loss", "distance"} <= set(r) for r in records)
-    assert records[0]["iteration"] == 9 and records[-1]["iteration"] == 39
+    assert [r["iteration"] for r in records] == [9, 19, 29, 39, 40]
+
+
+def test_run_progress_final_record_matches_the_result():
+    mech, prior, action_grids = setting(k=8, l=8)
+    records = []
+    res = run(mech, prior, action_grids, rule="soda1", eta0=50.0, step_beta=0.05,
+              iterations=23, tolerance=0.0, check_interval=5, seed=0,
+              groups=[[0, 1]], progress=records.append)
+    last = records[-1]
+    assert last["iteration"] == res.iterations == res.certificate.iteration == 23
+    assert last["losses"] == list(res.certificate.losses)
+    assert last["max_loss"] == res.certificate.max_loss
+    assert last["distance"] == res.distance_history[-1][1]
+    assert [(r["iteration"], r["losses"]) for r in records] == \
+        [(t, list(losses)) for t, losses in res.loss_history]
+
+
+@pytest.mark.parametrize("groups", [[[0, 1]], [[0], [1]]])
+def test_run_distance_history_is_each_certified_step(groups):
+    # iterations not a multiple of check_interval: checks at 4, 9, 14, 19, the
+    # pass before the last step (22) and the returned profile (23)
+    mech, prior, action_grids = setting(k=8, l=8)
+    kw = dict(rule="soda1", eta0=50.0, step_beta=0.05, tolerance=0.0, check_interval=5,
+              seed=3, groups=groups)
+    res = run(mech, prior, action_grids, iterations=23, **kw)
+    assert [t for t, _ in res.loss_history] == [4, 9, 14, 19, 22, 23]
+    recorded = dict(res.distance_history)
+    assert sorted(recorded) == [4, 9, 14, 19, 22, 23]
+    reps = [g[0] for g in groups]
+    for t in recorded:
+        after = run(mech, prior, action_grids, iterations=t, **kw).strategies
+        before = run(mech, prior, action_grids, iterations=t - 1, **kw).strategies
+        assert recorded[t] == [iterate_distance(after[a], before[a]) for a in reps], t

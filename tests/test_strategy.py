@@ -127,6 +127,79 @@ def test_sample_bids_matches_table_formula():
                           table_sample_bids(s, obs, FixedDraws(u)))
 
 
+def table_sample_bids_in_chunks(strategy, observations, u, chunk=256):
+    """The reference sampler on fixed draws, a few hundred at a time to bound its table."""
+    return np.concatenate([table_sample_bids(strategy, observations[i:i + chunk],
+                                             FixedDraws(u[i:i + chunk]))
+                           for i in range(0, u.size, chunk)])
+
+
+def sparse_strategy(k, action_counts, seed, zero_share):
+    """Random strategy with most actions at zero probability (flat CDF steps),
+    some masses near 1e-200, one pure row and one zero-mass row."""
+    rng = np.random.default_rng(seed)
+    og = make_uniform_grid(1.0, 1.4, k)
+    ags = tuple(make_uniform_grid(0.3, 2.5, c) for c in action_counts)
+    marginal = rng.dirichlet(np.ones(k))
+    marginal[k // 3] = 0.0
+    marginal /= marginal.sum()
+    s = init_strategy("random", og, ags, marginal, seed=seed)
+    m = s.matrix.copy()
+    m[rng.random(m.shape) < zero_share] = 0.0
+    m[:, 0] = np.maximum(m[:, 0], 1e-3)  # every row keeps some mass
+    m[rng.random(m.shape) < 0.05] = 1e-200
+    m[k // 2] = 0.0
+    m[k // 2, m.shape[1] // 2] = 1.0  # a pure row
+    m *= (marginal / m.sum(axis=1))[:, None]
+    return s.with_matrix(m)
+
+
+@pytest.mark.parametrize("k,action_counts,zero_share", [
+    (32, (64, 64), 0.9),    # the split-award shape: 4096 flat actions on a 2-D grid
+    (300, (16,), 0.5),      # more observation rows than a one-byte index holds
+    (256, (256,), 0.8),     # the symmetric single-object shape
+])
+def test_sample_bids_matches_table_formula_on_large_grids(k, action_counts, zero_share):
+    s = sparse_strategy(k, action_counts, seed=k, zero_share=zero_share)
+    og = s.obs_grid
+    live_points = og.points[s.marginal > 0]
+    obs = np.random.default_rng(1).choice(live_points, 3000) \
+        + np.random.default_rng(2).uniform(-0.4, 0.4, 3000) * (og.points[1] - og.points[0])
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    got = s.sample_bids(obs, rng)
+    assert np.array_equal(got, table_sample_bids_in_chunks(s, obs, ref_rng.random(obs.size)))
+    # the stream is where the reference leaves it
+    assert rng.random() == ref_rng.random()
+    # draws exactly on one row's CDF values and their neighbours, and outside [0, 1)
+    row = int(np.flatnonzero(s.marginal > 0)[-1])
+    cdf = np.cumsum(s.conditionals()[row])
+    cdf /= cdf[-1]
+    u = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 1),
+                        [0.0, 1 - 2 ** -53, 1.0, -0.5, 1.5]])
+    obs = np.full(u.size, og.points[row])  # every draw on one observation row
+    assert np.array_equal(s.sample_bids(obs, FixedDraws(u)),
+                          table_sample_bids_in_chunks(s, obs, u))
+
+
+def test_sample_bids_cdf_values_and_draws_on_bucket_edges():
+    # CDF values on, and one ulp-scale step below, multiples of 1/16, the
+    # width of a guide bucket for 16 actions; dyadic masses keep them exact
+    e = 2.0 ** -50
+    targets = np.array([1 / 16 - e, 1 / 16, 1 / 16, 4 / 16, 6 / 16 - e, 6 / 16, 6 / 16, 6 / 16,
+                        10 / 16, 10 / 16 + e, 11 / 16, 15 / 16 - e, 15 / 16, 1 - e, 1, 1])
+    og = make_uniform_grid(0, 1, 4)
+    ag = make_uniform_grid(0, 1, 16)
+    row = np.diff(targets, prepend=0.0)
+    s = Strategy(np.tile(row / 4, (4, 1)), og, (ag,), np.full(4, 0.25))
+    assert np.array_equal(np.cumsum(s.conditionals()[2]), targets)
+    edges = np.arange(17) / 16
+    u = np.concatenate([targets, np.nextafter(targets, 0), np.nextafter(targets, 1),
+                        edges, np.nextafter(edges, 0), np.nextafter(edges, 1)])
+    obs = np.full(u.size, og.points[2])
+    assert np.array_equal(s.sample_bids(obs, FixedDraws(u)),
+                          table_sample_bids(s, obs, FixedDraws(u)))
+
+
 def test_sample_bids_memory_is_linear_in_draws():
     og = make_uniform_grid(1.0, 1.4, 32)
     ags = (make_uniform_grid(1.0, 2.5, 64), make_uniform_grid(0.3, 1.2, 64))
