@@ -26,8 +26,10 @@ are provided:
 * ``tensor``: the generic formulation for payoffs ``crra(v*A(b) + B(b))`` under
   private or interdependent priors.  It walks the value axis (the own
   observation for private values, the prior's one shared value otherwise)
-  in chunks of ex-post utilities.  The memory budget sets the chunk size,
-  not which path runs.
+  in chunks of ex-post utilities, each filled in place one value at a time.
+  The memory budget sets the chunk size, not which path runs, and so bounds
+  the bytes of ex-post utilities the path holds, give or take one value's
+  worth of scratch.
 
 All paths agree to floating-point reassociation error; the engine picks the
 cheapest applicable one.
@@ -85,10 +87,13 @@ class GradientEngine:
     priors hold one value joint over the value all agents share, so the
     tensor path reads that joint for every agent and the affine path stacks
     one value-weighted pair, cached once per engine.  ``memory_budget``
-    bounds the bytes of ex-post utilities the tensor and symmetric paths
-    hold per agent (one value's worth at least) and so sets their chunk size
-    along the value axis; it never changes which path runs.  When one chunk
-    covers the whole axis, the chunk is kept between calls.  ``prefer_path``
+    sets the chunk size along the value axis of the tensor path and of the
+    symmetric path's risk-averse branch; it never changes which path runs.
+    One chunk-sized buffer serves every chunk of a call and is filled in
+    place, one value at a time, so the budget bounds the bytes of ex-post
+    utilities held per agent (one value's worth at least), give or take one
+    value's worth of scratch.  When one chunk covers the whole axis, the
+    chunk is kept between calls.  ``prefer_path``
     forces one of ``PATHS``.  One engine serves any number of runs on the
     same problem.
     """
@@ -277,21 +282,27 @@ class GradientEngine:
         """Sum of crra(v*A + B) over the columns of ``agent``'s payoff grid,
         weighted by ``w`` (K_i, L_-i), or by ``w`` (m, K_i, L_-i) summed over the
         value m when ``interdependent``.  The ex-post utilities are built in
-        chunks of own values that fit the memory budget."""
+        chunks of own values that fit the memory budget, one buffer for every
+        chunk of a call, filled in place one own value at a time."""
         a, b = self._affine_parts(agent)
-        chunk = max(1, int(self.budget // (8 * a.size)))
-        cached = self._utility_cache.get(agent)
+        chunk = min(own_vals.size, max(1, int(self.budget // (8 * a.size))))
+        u = self._utility_cache.get(agent)
+        fill = u is None
+        if fill:
+            u = np.empty((chunk,) + a.shape)
         c = np.zeros((w.shape[-2], a.shape[0]))
         for s in range(0, own_vals.size, chunk):
             e = min(s + chunk, own_vals.size)
-            u = cached
-            if u is None:
+            if fill:
                 # u[m, l_i, l_-i]: ex-post utilities of own values s..e-1
-                u = crra(own_vals[s:e, None, None] * a + b, self.mech.risk_rho)
-                if e - s == own_vals.size:
-                    self._utility_cache[agent] = u
+                for row, v in zip(u, own_vals[s:e]):
+                    np.multiply(v, a, out=row)
+                    row += b
+                    crra(row, self.mech.risk_rho, in_place=True)
             if interdependent:
-                c += np.matmul(w[s:e], u.transpose(0, 2, 1)).sum(axis=0)
+                c += np.matmul(w[s:e], u[:e - s].transpose(0, 2, 1)).sum(axis=0)
             else:
-                c[s:e] = np.matmul(u, w[s:e, :, None])[..., 0]
+                c[s:e] = np.matmul(u[:e - s], w[s:e, :, None])[..., 0]
+        if fill and chunk == own_vals.size:
+            self._utility_cache[agent] = u
         return c

@@ -18,12 +18,20 @@ CORE_RULES = ("NZ", "NVCG", "NB")
 PAYMENT_RULES = CORE_RULES + ("first_price",)
 
 
-def crra(u, rho: float):
-    """Constant-relative-risk-aversion transform sign(u) * |u|**rho."""
+def crra(u, rho: float, in_place: bool = False):
+    """Constant-relative-risk-aversion transform sign(u) * |u|**rho.
+
+    ``in_place`` overwrites the float array ``u`` with the result, holding one
+    array of scratch, |u|**rho; the entries are bitwise the same either way.
+    """
     if rho == 1.0:
         return u
-    u = np.asarray(u)
-    return np.sign(u) * np.abs(u) ** rho
+    u = np.asarray(u, dtype=np.float64)
+    magnitude = np.abs(u)
+    magnitude **= rho
+    signs = np.sign(u, out=u if in_place else None)
+    signs *= magnitude
+    return signs
 
 
 def _as_components(bid, dims: int):

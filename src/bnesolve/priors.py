@@ -119,12 +119,20 @@ def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed,
     atoms.  The weight is a power of two fixed by the cell, so it scales the
     cell's count once, after binning, with the same result as weighting
     every draw.
+
+    Chunks' flat cell indices are held until they number at least the table
+    size, then binned in one ``bincount``, so a table larger than a chunk is
+    not allocated once per chunk; the indices held stay below the table size
+    plus one chunk.  Counts are integers, so the result does not depend on
+    how the draws are grouped.
     """
     n = len(obs_grids)
     obs_shape = tuple(g.count for g in obs_grids)
     obs_size = int(np.prod(obs_shape))
     lead = () if value_grid is None else (value_grid.count,)
     counts = np.zeros(int(np.prod(lead)) * obs_size)
+    held = np.empty(min(sample_count, counts.size + _BIN_CHUNK), dtype=np.intp)
+    n_held = 0
     rng = np.random.default_rng(seed)
     done = 0
     while done < sample_count:
@@ -143,8 +151,12 @@ def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed,
                 raise ValueError("a prior with a value grid needs one value shared by all "
                                  "agents; the sampler's value columns differ")
             flat += value_grid.nearest_index(values[:, 0]) * obs_size
-        counts += np.bincount(flat, minlength=counts.size)
+        held[n_held:n_held + m] = flat
+        n_held += m
         done += m
+        if n_held >= counts.size or done == sample_count:
+            counts += np.bincount(held[:n_held], minlength=counts.size)
+            n_held = 0
     counts = counts.reshape(lead + obs_shape)
     if density_correction:
         for axis in range(len(lead), counts.ndim):

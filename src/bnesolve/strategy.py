@@ -35,7 +35,9 @@ def _lowest(m: np.ndarray) -> float:
 
 
 def _check_row_sums(m: np.ndarray, marginal: np.ndarray):
-    if np.max(np.abs(m.sum(axis=1) - marginal)) > ROW_SUM_TOL:
+    """Row sums within ``ROW_SUM_TOL`` of the marginal; a NaN entry makes its
+    row sum NaN, which fails the comparison, so NaN matrices are refused."""
+    if not (np.max(np.abs(m.sum(axis=1) - marginal)) <= ROW_SUM_TOL):
         raise ValueError("row sums must equal the observation marginal")
 
 

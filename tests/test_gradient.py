@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,86 @@ def test_engine_chunked_matches_on_risk_averse():
         # one chunk covers the value axis: kept between calls and reused
         assert np.array_equal(full.gradient(strategies, agent), c1)
     assert full.cache_bytes() >= 2 * 6 * 7 * 7 * 8
+
+
+class OneExpressionEngine(GradientEngine):
+    """The tensor path with each chunk's ex-post utilities built in one
+    expression, sign(u) * |u|**rho of u = own[:, None, None] * A + B, and
+    nothing kept between calls."""
+
+    def _contract_utilities(self, agent, w, own_vals, interdependent=False):
+        a, b = self._affine_parts(agent)
+        chunk = max(1, int(self.budget // (8 * a.size)))
+        c = np.zeros((w.shape[-2], a.shape[0]))
+        for s in range(0, own_vals.size, chunk):
+            e = min(s + chunk, own_vals.size)
+            u = own_vals[s:e, None, None] * a + b
+            u = np.sign(u) * np.abs(u) ** self.mech.risk_rho
+            if interdependent:
+                c += np.matmul(w[s:e], u.transpose(0, 2, 1)).sum(axis=0)
+            else:
+                c[s:e] = np.matmul(u, w[s:e, :, None])[..., 0]
+        return c
+
+
+def risk_averse_settings():
+    """(label, mech, prior, action_grids, profile, path, bytes of one own value's
+    ex-post utilities): LLG and common value on the tensor path, first price on
+    the symmetric path's risk branch; all at risk_rho = 0.5."""
+    cfg = config_from_mapping({**get_preset("llg_nz_g05"), "risk_rho": 0.5, "obs_points": 7,
+                               "action_points": 6, "prior_samples": 200_000})
+    llg = build_problem(cfg)
+    prior = llg.discretize()
+    profile = [init_strategy("random", prior.obs_grids[i], llg.action_grids[i],
+                             prior.marginals[i], seed=i) for i in range(3)]
+    yield "llg", llg.mech, prior, llg.action_grids, profile, "tensor", 8 * 6 ** 3
+    mech, prior, action_grids, strategies = ipv_setting(n=3, k=9, l=11, rho=0.5, seed=4)
+    yield "fpsb", mech, prior, action_grids, [strategies[0]] * 3, "symmetric", 8 * 11 ** 2
+    og = [make_uniform_grid(0, 2, 3)] * 3
+    prior = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 5), sample_count=20_000,
+                                           seed=3, allow_small_sample=True)
+    action_grids = [(make_uniform_grid(0, 1.5, 12),)] * 3
+    profile = [init_strategy("random", og[i], action_grids[i], prior.marginals[i], seed=i)
+               for i in range(3)]
+    mech = SingleObjectAuction("spsb", 3, risk_rho=0.5)
+    yield "common_value", mech, prior, action_grids, profile, "tensor", 8 * 12 ** 3
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2])
+def test_in_place_utilities_bitwise_equal_one_expression(rows):
+    """Utilities filled one own value at a time give the gradients of the one-
+    expression construction bit for bit, with one chunk (kept, then reused),
+    one own value per chunk, and two (odd value axes end on a part chunk)."""
+    for label, mech, prior, action_grids, profile, path, row in risk_averse_settings():
+        budget = DEFAULT_MEMORY_BUDGET if rows is None else rows * row
+        engine = GradientEngine(mech, prior, action_grids, memory_budget=budget,
+                                prefer_path=path)
+        reference = OneExpressionEngine(mech, prior, action_grids, memory_budget=budget,
+                                        prefer_path=path)
+        for agent in range(1 if path == "symmetric" else 3):
+            expected = reference.gradient(profile, agent)
+            for _ in range(2):
+                assert np.array_equal(engine.gradient(profile, agent), expected), \
+                    (label, rows, agent)
+
+
+@pytest.mark.parametrize("setting", ["llg", "common_value"])
+def test_tensor_utility_cache_peaks_at_its_own_bytes(setting):
+    """Building an agent's utility cache allocates the cache and at most two
+    rows' worth more (one row of |u|**rho scratch, the opponent weights)."""
+    label, mech, prior, action_grids, profile, path, row = next(
+        s for s in risk_averse_settings() if s[0] == setting)
+    engine = GradientEngine(mech, prior, action_grids)
+    assert engine.path == "tensor"
+    engine._affine_parts(0)  # the dense payoff matrices first: the trace sees the rest
+    tracemalloc.start()
+    try:
+        engine.gradient(profile, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert engine._utility_cache[0].nbytes == len(engine._utility_cache[0]) * row
+    assert peak <= engine.cache_bytes() + 2 * row
 
 
 def test_expected_utility_shape_mismatch():

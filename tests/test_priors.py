@@ -6,11 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bnesolve import priors
+from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.grids import make_uniform_grid
+from bnesolve.presets import get_preset
 from bnesolve.priors import (AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
                              CommonValuePrior, IndependentPrivatePrior,
                              TruncatedGaussianMarginal, UniformMarginal,
-                             _group_permutations, bernoulli_weights_prior,
+                             _bin_counts, _group_permutations, bernoulli_weights_prior,
                              independent_prior, joint_from_latent)
 
 
@@ -257,3 +260,39 @@ def test_non_finite_draw_rejected_without_value_grid():
     with pytest.raises(ValueError, match="NaN or infinite"):
         joint_from_latent(sampler, None, grids(3, 4), sample_count=1000, seed=0,
                           allow_small_sample=True, density_correction=False)
+
+
+def per_chunk_counts(sampler, value_grid, obs_grids, sample_count, seed, chunk):
+    """Raw bin counts with one ``bincount`` per chunk of draws, as drawn."""
+    shape = (() if value_grid is None else (value_grid.count,)) + tuple(
+        g.count for g in obs_grids)
+    counts = np.zeros(int(np.prod(shape)))
+    rng = np.random.default_rng(seed)
+    for start in range(0, sample_count, chunk):
+        values, obs = sampler(rng, min(chunk, sample_count - start))
+        idx = [g.nearest_index(obs[:, i]) for i, g in enumerate(obs_grids)]
+        if value_grid is not None:
+            idx.insert(0, value_grid.nearest_index(values[:, 0]))
+        counts += np.bincount(np.ravel_multi_index(idx, shape), minlength=counts.size)
+    return counts.reshape(shape)
+
+
+@pytest.mark.parametrize("preset, points, samples, chunk", [
+    ("common_value_spsb", 10, 9_000, 1_000),    # table 10^4 > draws: one bincount at the end
+    ("common_value_spsb", 10, 35_000, 3_000),   # a bincount every four chunks, then the rest
+    ("affiliated_fpsb", 12, 10_000, 1_000),     # table 12^3: every two chunks
+    ("llg_nz_g05", 8, 5_500, 1_000),            # table 8^3 < chunk: every chunk
+])
+def test_held_indices_bin_as_per_chunk_counts(monkeypatch, preset, points, samples, chunk):
+    cfg = config_from_mapping({**get_preset(preset), "obs_points": points,
+                               "value_points": points})
+    problem = build_problem(cfg)
+    sampler = problem.prior_model.sample
+    monkeypatch.setattr(priors, "_BIN_CHUNK", chunk)
+    obs_counts, value_counts = _bin_counts(sampler, problem.value_grid, problem.obs_grids,
+                                           samples, 5, density_correction=False)
+    reference = per_chunk_counts(sampler, problem.value_grid, problem.obs_grids, samples, 5,
+                                 chunk)
+    binned = obs_counts if problem.value_grid is None else value_counts
+    assert np.array_equal(binned, reference)
+    assert binned.sum() == samples

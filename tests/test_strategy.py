@@ -245,6 +245,19 @@ def test_feasibility_validated():
         Strategy(np.array([[0.3, 0.3], [0.25, 0.25]]), g, (g,), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("nan_rows", [[(0, 0)], [(1, 0), (1, 1)]])
+def test_nan_entries_rejected(nan_rows):
+    g = make_uniform_grid(0, 1, 2)
+    marginal = np.array([0.5, 0.5])
+    m = np.array([[0.25, 0.25], [0.25, 0.25]])
+    for k, l in nan_rows:
+        m[k, l] = np.nan
+    with pytest.raises(ValueError, match="row sums"):
+        Strategy(m, g, (g,), marginal)
+    with pytest.raises(ValueError, match="row sums"):
+        init_strategy("uniform", g, [g], marginal).with_matrix(m)
+
+
 def test_multidim_action_layout_row_major():
     og = make_uniform_grid(0, 1, 2)
     a1 = make_uniform_grid(1.0, 2.5, 2)
