@@ -13,7 +13,7 @@ from .priors import independent_prior
 from .mechanisms import LLGAuction, SingleObjectAuction
 from .strategy import init_strategy
 from .gradient import GradientEngine, expected_utility
-from .learners import make_learner, run
+from .learners import make_learner
 from .verify import best_response_matrix, collusive_profile, vs_probe
 from .evaluate import estimate_revenue, evaluate, lookup_analytic
 from .config import RunConfig, build_problem

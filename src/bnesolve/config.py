@@ -313,7 +313,7 @@ class Problem:
         if self._engine is None:
             self._engine = GradientEngine(self.mech, self.discretize(), self.action_grids,
                                           memory_budget=self.memory_budget,
-                                          symmetric=len(self.groups) == 1)
+                                          groups=self.groups)
         return self._engine
 
 

@@ -8,12 +8,13 @@ conditional strategies, one GEMM per opponent, into weights of shape
 (K_i, L_-i); they differ in what those weights meet.  Three evaluation paths
 are provided:
 
-* ``symmetric``: for symmetric independent private values under a mechanism
-  whose payoff depends on the opponents only through their highest bid
-  (``Mechanism.payoff_via_highest_bid``).  The opponents share one strategy,
-  so the distribution of their highest bid follows from its action marginal
-  and meets the mechanism's own payoff on an (own bid x highest opponent bid)
-  grid; the cost is independent of the number of agents,
+* ``symmetric``: for one group of interchangeable agents on independent
+  private values, under a mechanism whose payoff depends on the opponents
+  only through their highest bid (``Mechanism.payoff_via_highest_bid``).
+  The opponents share one strategy, so the distribution of their highest bid
+  follows from its action marginal and meets the mechanism's own payoff on
+  an (own bid x highest opponent bid) grid; the cost is independent of the
+  number of agents,
 * ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  For
   interdependent priors the value-weighted joint and the joint are
   contracted together, stacked (one stack for all agents, who share the
@@ -68,6 +69,22 @@ def _divide_rows(c: np.ndarray, marginal: np.ndarray) -> np.ndarray:
     return c
 
 
+def _validate_groups(groups, prior: DiscretePrior, action_grids):
+    """Groups must partition the agents, and agents grouped together must have
+    the same observation grid, marginal and action grids."""
+    seen = sorted(i for g in groups for i in g)
+    if seen != list(range(prior.n_agents)):
+        raise ValueError("groups must partition the agent set")
+    for g in groups:
+        rep = g[0]
+        for j in g[1:]:
+            if not (np.array_equal(prior.obs_grids[j].points, prior.obs_grids[rep].points)
+                    and np.array_equal(prior.marginals[j], prior.marginals[rep])
+                    and all(np.array_equal(a.points, b.points)
+                            for a, b in zip(action_grids[j], action_grids[rep]))):
+                raise ValueError(f"agents {rep} and {j} are grouped but not interchangeable")
+
+
 def expected_utility(strategy: Strategy, gradient_matrix: np.ndarray) -> float:
     """Linear expected utility <s_i, c_i>."""
     if strategy.matrix.shape != gradient_matrix.shape:
@@ -76,40 +93,51 @@ def expected_utility(strategy: Strategy, gradient_matrix: np.ndarray) -> float:
 
 
 class GradientEngine:
-    """Per-run gradient evaluator with cached prior/mechanism contractions.
+    """The discretized game and its gradients, with cached prior/mechanism
+    contractions.
 
-    Chooses, in order of preference: the symmetric order-statistic path (only
-    in symmetric runs on i.i.d. private values, under a mechanism whose
-    ``payoff_via_highest_bid``), the affine path for risk-neutral payoffs,
-    and the tensor path for any other payoff and prior.  On the affine path
-    the mechanism's own kernel, when it has one (split award), replaces the
-    dense payoff matrices; its tables are built here, once.  Interdependent
-    priors hold one value joint over the value all agents share, so the
-    tensor path reads that joint for every agent and the affine path stacks
-    one value-weighted pair, cached once per engine.  ``memory_budget``
-    sets the chunk size along the value axis of the tensor path and of the
-    symmetric path's risk-averse branch; it never changes which path runs.
-    One chunk-sized buffer serves every chunk of a call and is filled in
-    place, one value at a time, so the budget bounds the bytes of ex-post
-    utilities held per agent (one value's worth at least), give or take one
-    value's worth of scratch.  When one chunk covers the whole axis, the
-    chunk is kept between calls.  ``prefer_path``
-    forces one of ``PATHS``.  One engine serves any number of runs on the
-    same problem.
+    The engine is the one description of the game a run solves: the mechanism,
+    the discretized prior, the per-agent action grids, and ``groups``, the
+    agents that share one strategy (one group per agent when None).  Groups
+    must partition the agents, and grouped agents must have the same
+    observation grid, marginal and action grids; both are checked here, once.
+    Chooses, in order of preference: the symmetric order-statistic path (one
+    group of all agents on independent private values, under a mechanism whose
+    ``payoff_via_highest_bid``), the affine path for risk-neutral payoffs, and
+    the tensor path for any other payoff and prior.  On the affine path the
+    mechanism's own kernel, when it has one (split award), replaces the dense
+    payoff matrices; its tables are built here, once.  Interdependent priors
+    hold one value joint over the value all agents share, so the tensor path
+    reads that joint for every agent and the affine path stacks one
+    value-weighted pair, cached once per engine.  ``memory_budget`` sets the
+    chunk size along the value axis of the tensor path and of the symmetric
+    path's risk-averse branch; it never changes which path runs.  One
+    chunk-sized buffer serves every chunk of a call and is filled in place, one
+    value at a time, so the budget bounds the bytes of ex-post utilities held
+    per agent (one value's worth at least), give or take one value's worth of
+    scratch.  When one chunk covers the whole axis, the chunk is kept between
+    calls.  ``prefer_path`` forces one of ``PATHS``; the engine refuses a
+    forced path that does not apply (``symmetric`` outside the setting above,
+    ``affine`` for risk-averse payoffs, ``affine`` or ``tensor`` without a
+    dense prior joint).  One engine serves any number of runs on the same
+    problem.
     """
 
     def __init__(self, mech: Mechanism, prior: DiscretePrior, action_grids_per_agent,
-                 memory_budget: int = DEFAULT_MEMORY_BUDGET, symmetric: bool = False,
+                 memory_budget: int = DEFAULT_MEMORY_BUDGET, groups=None,
                  prefer_path: str | None = None):
         self.mech = mech
         self.prior = prior
         self.action_grids = [tuple(g) for g in action_grids_per_agent]
+        self.groups = [list(g) for g in groups] if groups is not None \
+            else [[i] for i in range(prior.n_agents)]
+        _validate_groups(self.groups, prior, self.action_grids)
         self.flat_actions = [flatten_action_grids(g) for g in self.action_grids]
         self.budget = memory_budget
         self._affine_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._value_pair: np.ndarray | None = None
         self._utility_cache: dict[int, np.ndarray] = {}
-        self.path = self._select_path(symmetric, prefer_path)
+        self.path = self._select_path(prefer_path)
         self._kernels = {}
         if self.path == "affine":
             for i in range(prior.n_agents):
@@ -118,30 +146,23 @@ class GradientEngine:
                     self._kernels[i] = kernel
 
     def _symmetric_applicable(self) -> bool:
-        p, m = self.prior, self.mech
-        if not m.payoff_via_highest_bid or not p.independent \
-                or not p.values_equal_observations:
-            return False
-        g0, a0, f0 = p.obs_grids[0], self.action_grids[0], p.marginals[0]
-        return all(np.array_equal(p.obs_grids[j].points, g0.points)
-                   and np.array_equal(self.flat_actions[j], self.flat_actions[0])
-                   and np.array_equal(p.marginals[j], f0)
-                   for j in range(1, p.n_agents))
+        p = self.prior
+        return len(self.groups) == 1 and self.mech.payoff_via_highest_bid \
+            and p.independent and p.values_equal_observations
 
-    def _select_path(self, symmetric: bool, prefer: str | None) -> str:
-        if prefer is not None:
-            if prefer not in PATHS:
-                raise ValueError(f"unknown gradient path '{prefer}' (choose from {PATHS})")
-            if prefer == "symmetric" and not self._symmetric_applicable():
-                raise ValueError("symmetric fast path not applicable to this setting")
-            return prefer
-        if symmetric and self._symmetric_applicable():
+    def _select_path(self, prefer: str | None) -> str:
+        if prefer is not None and prefer not in PATHS:
+            raise ValueError(f"unknown gradient path '{prefer}' (choose from {PATHS})")
+        if prefer in (None, "symmetric") and self._symmetric_applicable():
             return "symmetric"
+        if prefer == "symmetric":
+            raise ValueError("symmetric fast path not applicable to this setting")
         if self.prior.obs_joint is None:
-            raise ValueError("dense prior joint unavailable; run in symmetric mode")
-        if self.mech.risk_rho == 1.0:
-            return "affine"
-        return "tensor"
+            raise ValueError("dense prior joint unavailable; only the symmetric path runs "
+                             "without it")
+        if prefer == "affine" and self.mech.risk_rho != 1.0:
+            raise ValueError("affine path needs risk-neutral payoffs (risk_rho = 1)")
+        return prefer or ("affine" if self.mech.risk_rho == 1.0 else "tensor")
 
     def cache_bytes(self) -> int:
         """Bytes held by the affine, kernel, value-weighted and utility caches."""
@@ -177,7 +198,7 @@ class GradientEngine:
         """The value-weighted joint stacked on the joint (interdependent priors);
         all agents share the value, so one pair serves every agent."""
         if self._value_pair is None:
-            self._value_pair = np.stack([self.prior.value_weighted_joint(0),
+            self._value_pair = np.stack([self.prior.value_weighted_joint(),
                                          self.prior.obs_joint])
         return self._value_pair
 

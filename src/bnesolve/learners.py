@@ -15,8 +15,10 @@ response (``verify.certify``, fed the step's own gradients), checked every
 certificate goes to ``loss_history`` and, with the distance the profile moved
 in its last step, to ``progress``.  Iterate distances are computed only for
 those steps: ``distance_history`` holds the iterations of ``loss_history``
-after 0.  ``runner.solve`` is the usual way in: it fills ``run``'s settings
-from a problem's config and passes the problem's engine.
+after 0.  ``run`` takes the game as one ``GradientEngine``, which holds the
+mechanism, the discretized prior, the action grids and the groups of agents
+sharing a strategy.  ``runner.solve`` is the usual way in: it passes the
+problem's engine and fills ``run``'s settings from the problem's config.
 """
 
 from __future__ import annotations
@@ -207,41 +209,19 @@ class RunResult:
         return self.termination == "converged"
 
 
-def _validate_groups(groups, prior, action_grids):
-    seen = sorted(i for g in groups for i in g)
-    if seen != list(range(prior.n_agents)):
-        raise ValueError("groups must partition the agent set")
-    for g in groups:
-        rep = g[0]
-        for j in g[1:]:
-            if not (np.array_equal(prior.obs_grids[j].points, prior.obs_grids[rep].points)
-                    and np.array_equal(prior.marginals[j], prior.marginals[rep])
-                    and all(np.array_equal(a.points, b.points)
-                            for a, b in zip(action_grids[j], action_grids[rep]))):
-                raise ValueError(f"agents {rep} and {j} are grouped but not interchangeable")
+def run(engine: GradientEngine, *, rule: str, eta0: float = 1.0, step_beta: float = 0.5,
+        iterations: int = 1000, tolerance: float = 1e-4, check_interval: int = 10,
+        init: str = "random", seed=None, progress=None) -> RunResult:
+    """Iterate simultaneous updates in ``engine``'s game until convergence or
+    the iteration cap.
 
-
-def run(mech, prior, action_grids_per_agent, *, rule: str, eta0: float = 1.0,
-        step_beta: float = 0.5, iterations: int = 1000, tolerance: float = 1e-4,
-        check_interval: int = 10, init: str = "random", seed=None,
-        groups: list[list[int]] | None = None,
-        engine: GradientEngine | None = None, progress=None) -> RunResult:
-    """Iterate simultaneous updates until convergence or the iteration cap.
-
-    ``groups`` lists agents sharing one strategy (symmetric mode); gradients
-    are computed for each group's first member against the current profile
-    snapshot, and all groups update simultaneously.  Stops as soon as every
-    agent's relative utility loss falls below ``tolerance`` (checked every
+    Each of the engine's groups shares one strategy; gradients are computed
+    for each group's first member against the current profile snapshot, and
+    all groups update simultaneously.  Stops as soon as every agent's
+    relative utility loss falls below ``tolerance`` (checked every
     ``check_interval`` iterations), returning the certified profile.
-    Without an ``engine`` the run builds one with the default memory budget.
     """
-    action_grids = [tuple(g) for g in action_grids_per_agent]
-    if groups is None:
-        groups = [[i] for i in range(prior.n_agents)]
-    groups = [list(g) for g in groups]
-    _validate_groups(groups, prior, action_grids)
-    if engine is None:
-        engine = GradientEngine(mech, prior, action_grids, symmetric=len(groups) == 1)
+    prior, action_grids, groups = engine.prior, engine.action_grids, engine.groups
 
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)

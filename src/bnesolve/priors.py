@@ -84,21 +84,13 @@ class DiscretePrior:
             if np.max(np.abs(self.value_joint.sum(axis=0) - self.obs_joint)) > 1e-10:
                 raise ValueError("value joint does not sum back to obs_joint")
 
-    def value_weighted_joint(self, agent: int) -> np.ndarray:
-        """Observation-space mass weighted by agent's conditional-mean value.
-
-        Returns ``sum_m v_m * J[m, k]`` (the same for every agent, who share
-        the value) which, for private values, is just ``o_k_i * obs_joint[k]``.
-        Exact contraction of the value axis for utilities affine in the value.
+    def value_weighted_joint(self) -> np.ndarray:
+        """Observation-space mass weighted by the shared value (interdependent
+        priors): ``sum_m v_m * J[m, k]``, the same for every agent.  Exact
+        contraction of the value axis for utilities affine in the value.
         """
-        if self.obs_joint is None:
-            raise ValueError("dense observation joint is not materialized for this prior")
         if self.value_joint is None:
-            n = self.n_agents
-            o = self.obs_grids[agent].points
-            shape = [1] * n
-            shape[agent] = o.size
-            return self.obs_joint * o.reshape(shape)
+            raise ValueError("value-weighted joint needs an interdependent prior")
         return np.tensordot(self.value_grid.points, self.value_joint, axes=(0, 0))
 
 
@@ -460,9 +452,3 @@ class BernoulliWeightsLLGPrior:
                                  symmetry_groups=self.symmetry_groups(),
                                  density_correction=False,
                                  meta={"kind": self.kind, "gamma": self.gamma}, **kwargs)
-
-
-def bernoulli_weights_prior(gamma: float, grids, sample_count: int = DEFAULT_SAMPLE_COUNT,
-                            seed: int = 0) -> DiscretePrior:
-    """Discrete prior for the correlated-locals model at correlation ``gamma``."""
-    return BernoulliWeightsLLGPrior(gamma).discretize(grids, sample_count=sample_count, seed=seed)

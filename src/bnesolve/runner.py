@@ -1,8 +1,9 @@
 """Experiment orchestration: solves, batches of runs, persistence, and summaries.
 
 ``solve(problem, seed)`` is the one way to run a problem: it calls
-``learners.run`` with the config's learner settings and the problem's own
-gradient engine.  ``run_batch`` solves a problem once per seed and writes
+``learners.run`` on the problem's gradient engine, which holds the game
+(mechanism, discretized prior, action grids and groups), with the config's
+learner settings.  ``run_batch`` solves a problem once per seed and writes
 the artifacts below.
 
 Layout of a batch output directory:
@@ -80,11 +81,10 @@ def solve(problem: Problem, seed, *, progress=None) -> RunResult:
     passes ``(config seed, run index)``.
     """
     cfg = problem.config
-    return run(problem.mech, problem.discretize(), problem.action_grids,
-               rule=cfg.learner, eta0=cfg.eta0, step_beta=cfg.step_beta,
+    return run(problem.engine(), rule=cfg.learner, eta0=cfg.eta0, step_beta=cfg.step_beta,
                iterations=cfg.iterations, tolerance=cfg.tolerance,
                check_interval=cfg.check_interval, init=cfg.init, seed=seed,
-               groups=problem.groups, engine=problem.engine(), progress=progress)
+               progress=progress)
 
 
 def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,

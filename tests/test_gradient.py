@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,7 @@ from bnesolve.grids import make_uniform_grid
 from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuction,
                                  TullockContest)
 from bnesolve.presets import get_preset
-from bnesolve.priors import (CommonValuePrior, IndependentPrivatePrior, UniformMarginal,
-                             independent_prior)
+from bnesolve.priors import CommonValuePrior, independent_prior
 from bnesolve.strategy import init_strategy
 from oracles import naive_expected_utility, naive_gradient
 
@@ -37,6 +37,7 @@ def tensor_gradients(mech, prior, action_grids, strategies, agent):
 def symmetric_gradient(mech, prior, action_grids, strategies, agent=0,
                        memory_budget=DEFAULT_MEMORY_BUDGET):
     return GradientEngine(mech, prior, action_grids, memory_budget=memory_budget,
+                          groups=[list(range(prior.n_agents))],
                           prefer_path="symmetric").gradient(strategies, agent)
 
 
@@ -219,7 +220,8 @@ def test_symmetric_path_win_mass_conservation():
 def test_symmetric_path_rejects_unsupported():
     _, prior, action_grids, _ = ipv_setting()
     with pytest.raises(ValueError):
-        GradientEngine(TullockContest(1.0), prior, action_grids, prefer_path="symmetric")
+        GradientEngine(TullockContest(1.0), prior, action_grids, groups=[[0, 1]],
+                       prefer_path="symmetric")
 
 
 def test_symmetric_path_speed_many_agents():
@@ -241,26 +243,46 @@ def test_engine_paths_agree():
 
 def test_engine_path_selection():
     mech, prior, action_grids, _ = ipv_setting(n=2, k=4, l=4)
-    assert GradientEngine(mech, prior, action_grids, symmetric=True).path == "symmetric"
+    assert GradientEngine(mech, prior, action_grids, groups=[[0, 1]]).path == "symmetric"
     assert GradientEngine(mech, prior, action_grids).path == "affine"
     mech_ra = SingleObjectAuction("fpsb", 2, risk_rho=0.5)
     assert GradientEngine(mech_ra, prior, action_grids).path == "tensor"
     # the memory budget sets the tensor path's chunk size, not the path
     assert GradientEngine(mech_ra, prior, action_grids,
                           memory_budget=200).path == "tensor"
-    # asymmetric marginals disqualify the symmetric fast path
-    specs = [UniformMarginal(0, 1), UniformMarginal(0, 1)]
-    model = IndependentPrivatePrior(specs)
-    prior2 = model.discretize([make_uniform_grid(0, 1, 4), make_uniform_grid(0, 1, 4)])
-    eng = GradientEngine(mech, prior2, action_grids, symmetric=True)
-    assert eng.path == "symmetric"
-    from bnesolve.mechanisms import TullockContest
+    # asymmetric marginals: the agents cannot form one group, and singleton
+    # groups take the general paths
+    lopsided = independent_prior([make_uniform_grid(0, 1, 4)] * 2,
+                                 [lambda x: np.ones_like(x), lambda x: x + 0.1])
+    with pytest.raises(ValueError, match="not interchangeable"):
+        GradientEngine(mech, lopsided, action_grids, groups=[[0, 1]])
+    assert GradientEngine(mech, lopsided, action_grids, groups=[[0], [1]]).path == "affine"
+    with pytest.raises(ValueError, match="partition"):
+        GradientEngine(mech, prior, action_grids, groups=[[0], [0, 1]])
     with pytest.raises(ValueError):
         GradientEngine(TullockContest(1.0, 2), prior, action_grids,
-                       symmetric=True, prefer_path="symmetric")
-    # contests fall back to the general paths even in symmetric runs
+                       groups=[[0, 1]], prefer_path="symmetric")
+    # contests fall back to the general paths even with one group
     assert GradientEngine(TullockContest(1.0, 2), prior, action_grids,
-                          symmetric=True).path == "affine"
+                          groups=[[0, 1]]).path == "affine"
+
+
+def test_engine_rejects_risk_averse_affine_path():
+    mech, prior, action_grids, _ = ipv_setting(n=2, k=4, l=4, rho=0.5)
+    with pytest.raises(ValueError, match="risk-neutral"):
+        GradientEngine(mech, prior, action_grids, prefer_path="affine")
+
+
+def test_engine_rejects_dense_paths_without_a_joint():
+    mech, prior, action_grids, _ = ipv_setting(n=2, k=4, l=4)
+    sparse = dataclasses.replace(prior, obs_joint=None)
+    for path in ("affine", "tensor"):
+        with pytest.raises(ValueError, match="dense prior joint"):
+            GradientEngine(mech, sparse, action_grids, prefer_path=path)
+    # the symmetric path reads the marginals alone
+    engine = GradientEngine(mech, sparse, action_grids, groups=[[0, 1]],
+                            prefer_path="symmetric")
+    assert engine.path == "symmetric"
 
 
 def test_engine_rejects_unknown_path():
@@ -334,10 +356,11 @@ def test_in_place_utilities_bitwise_equal_one_expression(rows):
     one own value per chunk, and two (odd value axes end on a part chunk)."""
     for label, mech, prior, action_grids, profile, path, row in risk_averse_settings():
         budget = DEFAULT_MEMORY_BUDGET if rows is None else rows * row
+        groups = [[0, 1, 2]] if path == "symmetric" else None
         engine = GradientEngine(mech, prior, action_grids, memory_budget=budget,
-                                prefer_path=path)
+                                groups=groups, prefer_path=path)
         reference = OneExpressionEngine(mech, prior, action_grids, memory_budget=budget,
-                                        prefer_path=path)
+                                        groups=groups, prefer_path=path)
         for agent in range(1 if path == "symmetric" else 3):
             expected = reference.gradient(profile, agent)
             for _ in range(2):
@@ -427,7 +450,7 @@ def test_split_award_kernel_matches_naive_on_interdependent_prior():
     _, _, action_grids, _ = split_tie_setting("scaled")
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
                                 seed=i) for i in range(2)]
-    ratio = prior.value_weighted_joint(0) / prior.obs_joint
+    ratio = prior.value_weighted_joint() / prior.obs_joint
     assert np.ptp(ratio[prior.obs_joint > 0]) > 0.1  # not a multiple of the joint
     for cost_model in ("scaled", "constant"):
         mech = SplitAwardAuction(0.3, cost_model)

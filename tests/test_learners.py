@@ -324,8 +324,8 @@ def test_feasibility_preserved_under_random_steps():
 
 def test_run_zero_iterations_returns_initial():
     mech, prior, action_grids = setting()
-    res = run(mech, prior, action_grids, rule="soda1", iterations=0, seed=1,
-              groups=[[0, 1]])
+    res = run(GradientEngine(mech, prior, action_grids, groups=[[0, 1]]), rule="soda1",
+              iterations=0, seed=1)
     assert res.termination == "max_iterations"
     assert res.iterations == 0
     assert np.max(np.abs(res.strategies[0].matrix.sum(axis=1)
@@ -334,9 +334,9 @@ def test_run_zero_iterations_returns_initial():
 
 def test_run_converges_and_certifies():
     mech, prior, action_grids = setting(k=16, l=16)
-    res = run(mech, prior, action_grids, rule="soda1", eta0=50.0, step_beta=0.05,
-              iterations=1000, tolerance=1e-4, check_interval=10, seed=0,
-              groups=[[0, 1]])
+    res = run(GradientEngine(mech, prior, action_grids, groups=[[0, 1]]), rule="soda1",
+              eta0=50.0, step_beta=0.05, iterations=1000, tolerance=1e-4,
+              check_interval=10, seed=0)
     assert res.converged
     assert res.certificate.max_loss < 1e-4
     assert res.strategies[0] is res.strategies[1]  # shared group strategy
@@ -346,9 +346,9 @@ def test_entropic_truthful_start_moves_mass_off_the_diagonal():
     # the exact zeros of a truthful start must still be able to gain mass:
     # with a dual of log(0) = -inf they would stay zero forever
     mech, prior, action_grids = setting(k=16, l=16)
-    res = run(mech, prior, action_grids, rule="soda1", eta0=100.0, step_beta=0.05,
-              iterations=50, tolerance=0.0, check_interval=10, init="truthful", seed=0,
-              groups=[[0, 1]])
+    res = run(GradientEngine(mech, prior, action_grids, groups=[[0, 1]]), rule="soda1",
+              eta0=100.0, step_beta=0.05, iterations=50, tolerance=0.0, check_interval=10,
+              init="truthful", seed=0)
     m = res.strategies[0].matrix
     assert 1.0 - np.trace(m) / m.sum() > 0.1
 
@@ -384,13 +384,14 @@ def test_slow_single_object_presets_certify_within_their_cap(name):
 
 def test_run_deterministic_histories():
     mech, prior, action_grids = setting(k=8, l=8)
+    engine = GradientEngine(mech, prior, action_grids, groups=[[0, 1]])
     kw = dict(rule="soda2", eta0=1.0, step_beta=0.5, iterations=50,
-              tolerance=0.0, check_interval=5, seed=42, groups=[[0, 1]])
-    r1 = run(mech, prior, action_grids, **kw)
-    r2 = run(mech, prior, action_grids, **kw)
+              tolerance=0.0, check_interval=5, seed=42)
+    r1 = run(engine, **kw)
+    r2 = run(GradientEngine(mech, prior, action_grids, groups=[[0, 1]]), **kw)
     assert r1.loss_history == r2.loss_history
     assert r1.distance_history == r2.distance_history
-    r3 = run(mech, prior, action_grids, **{**kw, "seed": 43})
+    r3 = run(engine, **{**kw, "seed": 43})
     assert r1.loss_history != r3.loss_history
 
 
@@ -401,6 +402,8 @@ def test_run_gradients_precede_all_updates():
         def __init__(self):
             self.inner = GradientEngine(mech, prior, action_grids)
             self.snapshots = []
+            self.prior, self.action_grids = prior, action_grids
+            self.groups = [[0], [1]]
             self.path = self.inner.path
             self.cache_bytes = self.inner.cache_bytes
 
@@ -409,9 +412,8 @@ def test_run_gradients_precede_all_updates():
             return self.inner.gradient(strategies, agent)
 
     spy = SpyEngine()
-    run(mech, prior, action_grids, rule="soma2", eta0=1.0, step_beta=0.5,
-        iterations=5, tolerance=0.0, check_interval=10, seed=0,
-        groups=[[0], [1]], engine=spy)
+    run(spy, rule="soma2", eta0=1.0, step_beta=0.5, iterations=5, tolerance=0.0,
+        check_interval=10, seed=0)
     per_iter = [spy.snapshots[i:i + 2] for i in range(0, len(spy.snapshots), 2)]
     for pair in per_iter:
         # both agents' gradients saw the same profile snapshot
@@ -422,19 +424,22 @@ def test_run_gradients_precede_all_updates():
 
 def test_run_rejects_inconsistent_groups():
     mech, prior, action_grids = setting()
-    with pytest.raises(ValueError):
-        run(mech, prior, action_grids, rule="soda1", iterations=1, groups=[[0], [0, 1]])
+    # the engine checks its groups when it is built, before any run
+    with pytest.raises(ValueError, match="partition"):
+        run(GradientEngine(mech, prior, action_grids, groups=[[0], [0, 1]]),
+            rule="soda1", iterations=1)
     grids = [make_uniform_grid(0, 1, 4), make_uniform_grid(0, 1, 4)]
     lopsided = independent_prior(grids, [lambda x: np.ones_like(x), lambda x: x + 0.1])
     with pytest.raises(ValueError, match="not interchangeable"):
-        run(mech, lopsided, action_grids, rule="soda1", iterations=1, groups=[[0, 1]])
+        run(GradientEngine(mech, lopsided, action_grids, groups=[[0, 1]]),
+            rule="soda1", iterations=1)
 
 
 def test_run_final_certificate_when_not_converged():
     mech, prior, action_grids = setting(k=8, l=8)
-    res = run(mech, prior, action_grids, rule="soda1", eta0=0.01, step_beta=1.0,
-              iterations=7, tolerance=1e-12, check_interval=100, seed=0,
-              groups=[[0, 1]])
+    res = run(GradientEngine(mech, prior, action_grids, groups=[[0, 1]]), rule="soda1",
+              eta0=0.01, step_beta=1.0, iterations=7, tolerance=1e-12,
+              check_interval=100, seed=0)
     assert res.termination == "max_iterations"
     assert res.iterations == 7
     assert res.loss_history[-1][0] == 7  # certificate refers to the returned profile
@@ -453,9 +458,8 @@ def test_run_certifies_once_per_check_and_once_at_the_end():
             return super().gradient(strategies, agent)
 
     def schedule(**kw):
-        engine = CountingEngine(mech, prior, action_grids, symmetric=True)
-        res = run(mech, prior, action_grids, rule="soda1", eta0=50.0, step_beta=0.05,
-                  seed=0, groups=[[0, 1]], engine=engine, **kw)
+        engine = CountingEngine(mech, prior, action_grids, groups=[[0, 1]])
+        res = run(engine, rule="soda1", eta0=50.0, step_beta=0.05, seed=0, **kw)
         assert res.certificate.iteration == res.loss_history[-1][0] == res.iterations
         # distances are kept for the certified iterations alone
         assert [t for t, _ in res.distance_history] == \
@@ -476,6 +480,10 @@ def test_run_aborts_on_non_finite_gradient():
 
     class NanEngine:
         path = "affine"
+        groups = [[0], [1]]
+
+        def __init__(self):
+            self.prior, self.action_grids = prior, action_grids
 
         def gradient(self, strategies, agent):
             c = np.zeros_like(strategies[agent].matrix)
@@ -483,16 +491,15 @@ def test_run_aborts_on_non_finite_gradient():
             raise FloatingPointError("non-finite gradient entries")
 
     with pytest.raises(FloatingPointError, match="iteration 1"):
-        run(mech, prior, action_grids, rule="soda1", iterations=10, seed=0,
-            groups=[[0], [1]], engine=NanEngine())
+        run(NanEngine(), rule="soda1", iterations=10, seed=0)
 
 
 def test_run_emits_progress_records():
     mech, prior, action_grids = setting(k=8, l=8)
     records = []
-    run(mech, prior, action_grids, rule="soda1", eta0=50.0, step_beta=0.05,
-        iterations=40, tolerance=0.0, check_interval=10, seed=0,
-        groups=[[0, 1]], progress=records.append)
+    run(GradientEngine(mech, prior, action_grids, groups=[[0, 1]]), rule="soda1",
+        eta0=50.0, step_beta=0.05, iterations=40, tolerance=0.0, check_interval=10,
+        seed=0, progress=records.append)
     # one record per check and one for the certificate of the returned profile
     assert len(records) == 5
     assert all({"iteration", "losses", "max_loss", "distance"} <= set(r) for r in records)
@@ -502,9 +509,9 @@ def test_run_emits_progress_records():
 def test_run_progress_final_record_matches_the_result():
     mech, prior, action_grids = setting(k=8, l=8)
     records = []
-    res = run(mech, prior, action_grids, rule="soda1", eta0=50.0, step_beta=0.05,
-              iterations=23, tolerance=0.0, check_interval=5, seed=0,
-              groups=[[0, 1]], progress=records.append)
+    res = run(GradientEngine(mech, prior, action_grids, groups=[[0, 1]]), rule="soda1",
+              eta0=50.0, step_beta=0.05, iterations=23, tolerance=0.0, check_interval=5,
+              seed=0, progress=records.append)
     last = records[-1]
     assert last["iteration"] == res.iterations == res.certificate.iteration == 23
     assert last["losses"] == list(res.certificate.losses)
@@ -519,14 +526,15 @@ def test_run_distance_history_is_each_certified_step(groups):
     # iterations not a multiple of check_interval: checks at 4, 9, 14, 19, the
     # pass before the last step (22) and the returned profile (23)
     mech, prior, action_grids = setting(k=8, l=8)
+    engine = GradientEngine(mech, prior, action_grids, groups=groups)
     kw = dict(rule="soda1", eta0=50.0, step_beta=0.05, tolerance=0.0, check_interval=5,
-              seed=3, groups=groups)
-    res = run(mech, prior, action_grids, iterations=23, **kw)
+              seed=3)
+    res = run(engine, iterations=23, **kw)
     assert [t for t, _ in res.loss_history] == [4, 9, 14, 19, 22, 23]
     recorded = dict(res.distance_history)
     assert sorted(recorded) == [4, 9, 14, 19, 22, 23]
     reps = [g[0] for g in groups]
     for t in recorded:
-        after = run(mech, prior, action_grids, iterations=t, **kw).strategies
-        before = run(mech, prior, action_grids, iterations=t - 1, **kw).strategies
+        after = run(engine, iterations=t, **kw).strategies
+        before = run(engine, iterations=t - 1, **kw).strategies
         assert recorded[t] == [iterate_distance(after[a], before[a]) for a in reps], t

@@ -13,8 +13,8 @@ from bnesolve.presets import get_preset
 from bnesolve.priors import (AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
                              CommonValuePrior, IndependentPrivatePrior,
                              TruncatedGaussianMarginal, UniformMarginal,
-                             _bin_counts, _group_permutations, bernoulli_weights_prior,
-                             independent_prior, joint_from_latent)
+                             _bin_counts, _group_permutations, independent_prior,
+                             joint_from_latent)
 
 
 def grids(n, count=16, hi=1.0):
@@ -120,17 +120,17 @@ def test_ipv_latent_matches_density_discretization():
 def test_bernoulli_weights_prior():
     g = [make_uniform_grid(0, 1, 12), make_uniform_grid(0, 1, 12),
          make_uniform_grid(0, 2, 12)]
-    p0 = bernoulli_weights_prior(0.0, g, sample_count=400_000, seed=5)
+    p0 = BernoulliWeightsLLGPrior(0.0).discretize(g, sample_count=400_000, seed=5)
     check_invariants(p0)
     locals_joint = p0.obs_joint.sum(axis=2)
     product = np.outer(p0.marginals[0], p0.marginals[1])
     assert np.max(np.abs(locals_joint - product)) < 2e-3
 
-    p1 = bernoulli_weights_prior(1.0, g, sample_count=400_000, seed=5)
+    p1 = BernoulliWeightsLLGPrior(1.0).discretize(g, sample_count=400_000, seed=5)
     diag = np.trace(p1.obs_joint.sum(axis=2))
     assert diag > 0.999
 
-    ph = bernoulli_weights_prior(0.5, g, sample_count=400_000, seed=5)
+    ph = BernoulliWeightsLLGPrior(0.5).discretize(g, sample_count=400_000, seed=5)
     lj = ph.obs_joint.sum(axis=2)
     pts = g[0].points
     m0, m1 = lj.sum(axis=1), lj.sum(axis=0)
@@ -174,12 +174,10 @@ def test_package_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_value_weighted_joint_private_values():
-    g = grids(2, 4)
-    prior = independent_prior(g, [lambda x: np.ones_like(x)] * 2)
-    vw = prior.value_weighted_joint(0)
-    expected = prior.obs_joint * g[0].points[:, None]
-    assert np.allclose(vw, expected, atol=1e-15)
+def test_value_weighted_joint_refuses_private_values():
+    prior = independent_prior(grids(2, 4), [lambda x: np.ones_like(x)] * 2)
+    with pytest.raises(ValueError, match="interdependent"):
+        prior.value_weighted_joint()
 
 
 def reference_value_joints(sampler, val_grids, obs_grids, sample_count, seed, groups):

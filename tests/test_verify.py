@@ -128,9 +128,9 @@ def test_vs_probe_at_best_response_profile():
 
 def test_collusive_probe_shades_bids():
     mech, prior, action_grids = setting(k=8, l=8)
-    res = run(mech, prior, action_grids, rule="soda1", eta0=50.0, step_beta=0.05,
-              iterations=500, tolerance=1e-4, check_interval=10, seed=0,
-              groups=[[0, 1]])
+    res = run(GradientEngine(mech, prior, action_grids, groups=[[0, 1]]), rule="soda1",
+              eta0=50.0, step_beta=0.05, iterations=500, tolerance=1e-4,
+              check_interval=10, seed=0)
     probe = collusive_profile(res.strategies)
     mean_eq = res.strategies[0].mean_bid_per_observation()[:, 0]
     mean_probe = probe[0].mean_bid_per_observation()[:, 0]
@@ -152,12 +152,12 @@ def test_vs_probe_shape_mismatch():
 
 def test_run_certifies_from_its_own_step_gradients():
     mech, prior, action_grids = setting(k=8, l=8)
-    engine = GradientEngine(mech, prior, action_grids, symmetric=True)
+    engine = GradientEngine(mech, prior, action_grids, groups=[[0, 1]])
     calls = []
     gradient = engine.gradient
     engine.gradient = lambda *a: calls.append(a[1]) or gradient(*a)
-    res = run(mech, prior, action_grids, rule="soda1", iterations=20, tolerance=0.0,
-              check_interval=5, seed=3, groups=[[0, 1]], engine=engine)
+    res = run(engine, rule="soda1", iterations=20, tolerance=0.0, check_interval=5,
+              seed=3)
     # one gradient per iteration, plus one for the final profile: checks add none
     assert len(calls) == 21
     cert = relative_utility_loss(res.strategies, prior, mech)
