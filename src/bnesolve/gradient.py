@@ -3,10 +3,14 @@
 The expected utility of agent i is linear in its own strategy matrix,
 ``u_i = <s_i, c_i>``, where the coefficient matrix c_i aggregates the ex-post
 utility against the discrete prior and the opponents' conditional strategies.
-Both general paths first contract the prior mass with the opponents'
-conditional strategies, one GEMM per opponent, into weights of shape
-(K_i, L_-i); they differ in what those weights meet.  Three evaluation paths
-are provided:
+Both general paths weight the opponents' actions by the prior mass and the
+opponents' conditional strategies, into weights of shape (K_i, L_-i); they
+differ in what those weights meet.  The tensor path, and the affine path on
+correlated or interdependent priors, build them with one GEMM per opponent.
+On independent private values the affine path needs no such contraction: the
+weights are the own marginal times the product of the opponents' action
+marginals, one row for every observation.
+Three evaluation paths are provided:
 
 * ``symmetric``: for one group of interchangeable agents on independent
   private values, under a mechanism whose payoff depends on the opponents
@@ -19,11 +23,13 @@ are provided:
   interdependent priors the value-weighted joint and the joint are
   contracted together, stacked (one stack for all agents, who share the
   value); for private values the value weighting is a row scaling after one
-  contraction.  The weights meet A and B in one GEMM each, against matrices
-  of shape (L_i, L_-i) cached per agent.  A mechanism may instead supply a
-  kernel that never forms A and B (``Mechanism.affine_kernel``): the
-  split-award auction sums the weights over threshold index ranges with
-  prefix sums, and
+  contraction, and on independent private values it is an outer product
+  with the own observations after one row of weights meets A and B.  The
+  weights meet A and B in one GEMM each (a mat-vec each for the one row),
+  against matrices of shape (L_i, L_-i) cached per agent.  A mechanism may
+  instead supply a kernel that never forms A and B
+  (``Mechanism.affine_kernel``): the split-award auction sums the weights
+  over threshold index ranges with prefix sums, and
 * ``tensor``: the generic formulation for payoffs ``crra(v*A(b) + B(b))`` under
   private or interdependent priors.  It walks the value axis (the own
   observation for private values, the prior's one shared value otherwise)
@@ -89,7 +95,10 @@ def expected_utility(strategy: Strategy, gradient_matrix: np.ndarray) -> float:
     """Linear expected utility <s_i, c_i>."""
     if strategy.matrix.shape != gradient_matrix.shape:
         raise ValueError("strategy and gradient shapes differ")
-    return float(np.vdot(strategy.matrix, gradient_matrix))
+    # numpy's own loop, not a BLAS dot: OpenBLAS threads a dot of over 10k
+    # entries and its workers then spin for about 0.1 s, so a certificate every
+    # few iterations would keep a second core busy for the whole solve
+    return float(np.einsum("kl,kl->", strategy.matrix, gradient_matrix))
 
 
 class GradientEngine:
@@ -106,7 +115,11 @@ class GradientEngine:
     ``payoff_via_highest_bid``), the affine path for risk-neutral payoffs, and
     the tensor path for any other payoff and prior.  On the affine path the
     mechanism's own kernel, when it has one (split award), replaces the dense
-    payoff matrices; its tables are built here, once.  Interdependent priors
+    payoff matrices; its tables are built here, once.  On independent private
+    values the affine path contracts the product of the opponents' action
+    marginals, one row, with A and B; on other priors it contracts the prior
+    mass with the opponents' conditionals first, one GEMM per opponent.  Every
+    path returns a C-contiguous (K_i, L_i) gradient.  Interdependent priors
     hold one value joint over the value all agents share, so the tensor path
     reads that joint for every agent and the affine path stacks one
     value-weighted pair, cached once per engine.  ``memory_budget`` sets the
@@ -227,6 +240,16 @@ class GradientEngine:
         w = np.moveaxis(w, lead + agent, lead)
         return w.reshape(w.shape[:lead + 1] + (-1,))
 
+    def _opponent_marginals(self, strategies, agent: int) -> np.ndarray:
+        """pi_-i of shape (1, L_-i): the product of the opponents' action
+        marginals, in agent order and flattened row-major, the column order of
+        ``_opponent_weights``."""
+        pi = np.ones(1)
+        for j, s in enumerate(strategies):
+            if j != agent:
+                pi = np.multiply.outer(pi, s.matrix.sum(axis=0))
+        return pi.reshape(1, -1)
+
     # -- paths ---------------------------------------------------------------
 
     def gradient(self, strategies, agent: int) -> np.ndarray:
@@ -260,8 +283,20 @@ class GradientEngine:
 
     def _gradient_affine(self, strategies, agent: int) -> np.ndarray:
         """c_i = (Wv . A + W . B) / marginal, with Wv and W the value-weighted
-        and plain prior mass contracted with the opponents' conditionals."""
+        and plain prior mass contracted with the opponents' conditionals.
+
+        On independent private values the weights factorize,
+        W[k, l_-i] = marginal[k] * pi_-i[l_-i] with pi_-i the product of the
+        opponents' action marginals, so one row meets A and B and
+        c_i[k] = o_k * (pi_-i . A) + pi_-i . B on every row of nonzero mass."""
         prior = self.prior
+        if prior.independent and prior.values_equal_observations:
+            pi = self._opponent_marginals(strategies, agent)
+            a, b = self._contract_affine(agent, pi, pi)
+            c = np.multiply.outer(prior.obs_grids[agent].points, a[0])
+            c += b[0]
+            c[~(prior.marginals[agent] > 0)] = 0.0
+            return c
         if prior.values_equal_observations:  # the value weighting is a row scaling
             w = self._opponent_weights(prior.obs_joint, strategies, agent)
             cv, c1 = self._contract_affine(agent, w, w)

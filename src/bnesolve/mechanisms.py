@@ -76,8 +76,8 @@ class Mechanism:
 
         ``action_grids`` holds every agent's tuple of action grids.  Returns a
         callable taking weights ``wa`` and ``wb`` of shape (K_i, L_-i), which
-        may be one array, to ``(wa . A, wb . B)`` of shape (K_i, L_i), or None
-        when only the dense matrices are available.
+        may be one array, to ``(wa . A, wb . B)``, C-contiguous of shape
+        (K_i, L_i), or None when only the dense matrices are available.
         """
         return None
 
@@ -359,7 +359,7 @@ class SplitAwardKernel:
         # sole prices from split_s[h, h'] on
         split_h = (halves[None] < s_own[:, None, None]).sum(axis=2)
         split_s = self.n_s - (halves[:, :, None] < s_opp[None, None, :]).sum(axis=2)
-        # rows of the padded sum tables of __call__, flattened over their first two axes
+        # columns of the padded sum tables of __call__, flattened over their last two axes
         self.sole_at = (sole_s[:, None] * (self.n_h + 1) + sole_h).ravel()
         self.split_cols = (split_s.T * (self.n_h + 1) + np.arange(self.n_h)[:, None]).ravel()
         self.split_at = (split_h * n_hi + np.arange(n_hi)).ravel()
@@ -377,23 +377,23 @@ class SplitAwardKernel:
         w = wa[None] if wa is wb else np.stack([wa, wb])
         m, k = w.shape[:2]
         mk, n_s, n_h = m * k, self.n_s, self.n_h
-        # t[a, b, :]: the weight columns at opponent sole price a and half price
-        # b; the zero slabs at a = n_s and b = n_h stand for empty ranges
-        t = np.zeros((n_s + 1, n_h + 1, mk))
-        t[:n_s, :n_h] = w.reshape(mk, n_s, n_h).transpose(1, 2, 0)
-        for a in range(n_s - 1, -1, -1):  # now: sole prices from a on
-            t[a] += t[a + 1]
-        rows = t.reshape(-1, mk)
+        # t[r, a, b]: weight row r at opponent sole price a and half price b;
+        # the zero slabs at a = n_s and b = n_h stand for empty ranges.  Suffix
+        # sums run as cumsums over reversed views, the same additions as a loop
+        t = np.zeros((mk, n_s + 1, n_h + 1))
+        t[:, :n_s, :n_h] = w.reshape(mk, n_s, n_h)
+        suffix = t[:, ::-1]
+        np.cumsum(suffix, axis=1, out=suffix)  # now: sole prices from a on
+        flat = t.reshape(mk, -1)
         # split: t at (split_s[h, h'], h') for every (h', h), summed over h' < split_h
-        pre = np.zeros((n_h + 1, self.n_hi, mk))
-        rows.take(self.split_cols, axis=0, out=pre[1:].reshape(-1, mk), mode="clip")
-        for b in range(n_h):
-            pre[b + 1] += pre[b]
-        for b in range(n_h - 1, -1, -1):  # now: and half prices from b on
-            t[:, b] += t[:, b + 1]
-        # gathered with the weight columns first: (m, K, L_i)
-        sole = rows.T[:, self.sole_at].reshape(m, k, -1)
-        split = pre.reshape(-1, mk).T[:, self.split_at].reshape(m, k, -1)
+        pre = np.zeros((mk, n_h + 1, self.n_hi))
+        np.cumsum(flat.take(self.split_cols, axis=1).reshape(mk, n_h, self.n_hi),
+                  axis=1, out=pre[:, 1:])
+        suffix = t[:, :, ::-1]
+        np.cumsum(suffix, axis=2, out=suffix)  # now: and half prices from b on
+        # gathered along each weight row, so the (m, K, L_i) results are C-contiguous
+        sole = flat.take(self.sole_at, axis=1).reshape(m, k, -1)
+        split = pre.reshape(mk, -1).take(self.split_at, axis=1).reshape(m, k, -1)
         return (self.mech.cost_part(sole[0], split[0]),
                 self.mech.price_part(sole[-1], split[-1], self.own_s, self.own_h))
 

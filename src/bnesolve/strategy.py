@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -203,7 +204,9 @@ def iterate_distance(a: Strategy, b: Strategy) -> float:
     """Frobenius norm of the entrywise difference of two strategies."""
     if a.matrix.shape != b.matrix.shape:
         raise ValueError("strategies have different shapes")
-    return float(np.linalg.norm(a.matrix - b.matrix))
+    d = a.matrix - b.matrix
+    # not np.linalg.norm, whose BLAS dot wakes spinning threads (see expected_utility)
+    return math.sqrt(np.einsum("kl,kl->", d, d))
 
 
 # ---------------------------------------------------------------------------

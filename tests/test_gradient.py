@@ -10,7 +10,7 @@ from bnesolve.grids import make_uniform_grid
 from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuction,
                                  TullockContest)
 from bnesolve.presets import get_preset
-from bnesolve.priors import CommonValuePrior, independent_prior
+from bnesolve.priors import CommonValuePrior, DiscretePrior, independent_prior
 from bnesolve.strategy import init_strategy
 from oracles import naive_expected_utility, naive_gradient
 
@@ -461,6 +461,29 @@ def test_split_award_kernel_matches_naive_on_interdependent_prior():
             assert np.max(np.abs(c - oracle)) < 1e-12, (cost_model, agent)
 
 
+def test_split_award_kernel_matches_naive_on_correlated_private_prior():
+    # a joint that is not the product of its marginals: the kernel's one pass
+    # over all K weight rows, where independent priors hand it one row
+    _, prior, action_grids, _ = split_tie_setting("scaled")
+    rng = np.random.default_rng(5)
+    joint = rng.random((3, 4)) * (1.0 + np.eye(3, 4))
+    joint[1, 2] = 0.0
+    joint /= joint.sum()
+    correlated = DiscretePrior(prior.obs_grids, (joint.sum(axis=1), joint.sum(axis=0)),
+                               joint, independent=False)
+    strategies = [init_strategy("random", correlated.obs_grids[i], action_grids[i],
+                                correlated.marginals[i], seed=i) for i in range(2)]
+    for cost_model in ("scaled", "constant"):
+        mech = SplitAwardAuction(0.3, cost_model)
+        engine = GradientEngine(mech, correlated, action_grids)
+        assert engine.path == "affine" and engine._kernels
+        for agent in range(2):
+            c = engine.gradient(strategies, agent)
+            oracle = naive_gradient(mech, correlated, strategies, agent)
+            assert np.max(np.abs(c - oracle)) < 1e-12, (cost_model, agent)
+            assert c.flags.c_contiguous
+
+
 def test_split_award_kernel_matches_dense_on_shipped_grids():
     problem = build_problem(config_from_mapping(get_preset("split_award_uniform")))
     prior = problem.discretize()
@@ -473,3 +496,148 @@ def test_split_award_kernel_matches_dense_on_shipped_grids():
         assert np.max(np.abs(dense)) > 0.1
         assert np.max(np.abs(c - dense)) < 1e-12
     assert 0 < engine.cache_bytes() < 1 << 20
+
+
+def factorized_settings():
+    """(label, mech, prior, action_grids) on independent private values,
+    every agent with a marginal of its own, all on the affine path:
+    two-agent Tullock (dense A and B), three-agent LLG with equal action counts
+    (so a wrong order of the opponents' marginals changes values, not shapes),
+    first price with a zero-mass cell in each marginal, and the split-award
+    kernel on tie grids."""
+    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 4)]
+    prior = independent_prior(og, [lambda x: np.ones_like(x), lambda x: x + 0.5])
+    action_grids = [(make_uniform_grid(0, 1, 3),), (make_uniform_grid(0, 1, 4),)]
+    yield "tullock", TullockContest(1.0, 2), prior, action_grids
+    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 3), make_uniform_grid(0, 2, 3)]
+    prior = independent_prior(og, [lambda x: np.ones_like(x), lambda x: x + 0.2,
+                                   lambda x: 2.5 - x])
+    action_grids = [(make_uniform_grid(0, 1, 3),), (make_uniform_grid(0, 1, 3),),
+                    (make_uniform_grid(0, 2, 3),)]
+    yield "llg", LLGAuction("NZ"), prior, action_grids
+    og = [make_uniform_grid(0, 1, 4)] * 2
+    prior = independent_prior(og, [lambda x: x, lambda x: 1.0 - x])
+    yield "zero_mass", SingleObjectAuction("fpsb", 2), prior, [(make_uniform_grid(0, 1, 5),)] * 2
+    mech, prior, action_grids, _ = split_tie_setting("scaled")
+    yield "split_award", mech, prior, action_grids
+
+
+def with_strategies(settings):
+    for label, mech, prior, action_grids in settings:
+        strategies = [init_strategy("random", prior.obs_grids[i], action_grids[i],
+                                    prior.marginals[i], seed=7 + i)
+                      for i in range(prior.n_agents)]
+        yield label, mech, prior, action_grids, strategies
+
+
+def test_factorized_affine_gradient_matches_naive():
+    for label, mech, prior, action_grids, strategies in with_strategies(factorized_settings()):
+        assert prior.independent and prior.values_equal_observations
+        engine = GradientEngine(mech, prior, action_grids)
+        assert engine.path == "affine"
+        for agent in range(prior.n_agents):
+            c = engine.gradient(strategies, agent)
+            oracle = naive_gradient(mech, prior, strategies, agent)
+            assert np.max(np.abs(c - oracle)) < 1e-12, (label, agent)
+            dead = prior.marginals[agent] == 0
+            assert np.all(c[dead] == 0.0), (label, agent)
+        if label == "zero_mass":
+            assert all(np.any(m == 0) for m in prior.marginals)
+
+
+def test_factorized_branch_skips_opponent_weights(monkeypatch):
+    calls = []
+    original = GradientEngine._opponent_weights
+
+    def spy(self, w, strategies, agent):
+        calls.append(agent)
+        return original(self, w, strategies, agent)
+
+    monkeypatch.setattr(GradientEngine, "_opponent_weights", spy)
+    for _, mech, prior, action_grids, strategies in with_strategies(factorized_settings()):
+        GradientEngine(mech, prior, action_grids).gradient(strategies, 0)
+    assert calls == []
+    cfg = config_from_mapping({**get_preset("llg_nz_g05"), "obs_points": 5,
+                               "action_points": 4, "prior_samples": 200_000})
+    llg = build_problem(cfg)
+    prior = llg.discretize()
+    assert not prior.independent and prior.values_equal_observations
+    profile = [init_strategy("random", prior.obs_grids[i], llg.action_grids[i],
+                             prior.marginals[i], seed=i) for i in range(3)]
+    engine = GradientEngine(llg.mech, prior, llg.action_grids)
+    assert engine.path == "affine"
+    engine.gradient(profile, 1)
+    assert calls == [1]
+
+
+def test_split_award_kernel_one_row_matches_dense():
+    """The factorized branch hands the kernel one row, once, as both weights."""
+    for cost_model in ("scaled", "constant"):
+        mech, prior, action_grids, strategies = split_tie_setting(cost_model)
+        engine = GradientEngine(mech, prior, action_grids)
+        for agent in range(2):
+            seen = []
+            kernel = engine._kernels[agent]
+
+            def recording(wa, wb, kernel=kernel):
+                seen.append((wa.shape, wa is wb))
+                return kernel(wa, wb)
+
+            engine._kernels[agent] = recording
+            c = engine.gradient(strategies, agent)
+            opp = strategies[1 - agent]
+            assert seen == [((1, opp.matrix.shape[1]), True)]
+            assert np.max(np.abs(c - naive_gradient(mech, prior, strategies, agent))) < 1e-12
+            pi = opp.matrix.sum(axis=0)[None]
+            own, theirs = strategies[agent].action_values(), opp.action_values()
+            mine = (own[:, 0:1], own[:, 1:2])
+            theirs = (theirs[None, :, 0], theirs[None, :, 1])
+            a, b = mech.affine_parts(agent, [mine, theirs] if agent == 0 else [theirs, mine])
+            for got, dense in zip(kernel(pi, pi), (pi @ a.T, pi @ b.T)):
+                assert got.shape == (1, own.shape[0]) and got.flags.c_contiguous
+                assert np.max(np.abs(got - dense)) < 1e-12, (cost_model, agent)
+
+
+def layout_settings():
+    """(label, engine, profile) for every gradient path, the kernel's stacked
+    value-weighted pass included; the label starts with the path's name, or
+    with "kernel" for the split-award kernel on the affine path."""
+    mech, prior, action_grids, strategies = ipv_setting(n=3, k=5, l=6, seed=3)
+    yield "symmetric", GradientEngine(mech, prior, action_grids, groups=[[0, 1, 2]]), \
+        [strategies[0]] * 3
+    mech_ra = SingleObjectAuction("fpsb", 3, risk_rho=0.5)
+    yield "symmetric_risk", GradientEngine(mech_ra, prior, action_grids, groups=[[0, 1, 2]]), \
+        [strategies[0]] * 3
+    yield "affine_factorized", GradientEngine(mech, prior, action_grids), strategies
+    yield "tensor", GradientEngine(mech_ra, prior, action_grids), strategies
+    cfg = config_from_mapping({**get_preset("llg_nz_g05"), "obs_points": 5,
+                               "action_points": 4, "prior_samples": 200_000})
+    llg = build_problem(cfg)
+    llg_prior = llg.discretize()
+    profile = [init_strategy("random", llg_prior.obs_grids[i], llg.action_grids[i],
+                             llg_prior.marginals[i], seed=i) for i in range(3)]
+    yield "affine_correlated", GradientEngine(llg.mech, llg_prior, llg.action_grids), profile
+    og = [make_uniform_grid(0, 2, 3)] * 2
+    common = CommonValuePrior(2).discretize(og, make_uniform_grid(0, 1, 4), sample_count=2000,
+                                            seed=0, allow_small_sample=True)
+    spsb_grids = [(make_uniform_grid(0, 1.5, 3),)] * 2
+    profile = [init_strategy("random", og[i], spsb_grids[i], common.marginals[i], seed=i)
+               for i in range(2)]
+    yield "affine_interdependent", GradientEngine(SingleObjectAuction("spsb", 2), common,
+                                                  spsb_grids), profile
+    split, tie_prior, split_grids, strategies = split_tie_setting("scaled")
+    yield "kernel", GradientEngine(split, tie_prior, split_grids), strategies
+    profile = [init_strategy("random", og[i], split_grids[i], common.marginals[i], seed=i)
+               for i in range(2)]
+    yield "kernel_stacked", GradientEngine(split, common, split_grids), profile
+
+
+def test_gradients_are_c_contiguous():
+    for label, engine, profile in layout_settings():
+        for agent in range(engine.prior.n_agents):
+            c = engine.gradient(profile, agent)
+            assert c.shape == profile[agent].matrix.shape, label
+            assert c.flags.c_contiguous, (label, agent)
+        path = label.split("_")[0]
+        assert engine.path == ("affine" if path == "kernel" else path), label
+        assert (path == "kernel") == bool(engine._kernels), label

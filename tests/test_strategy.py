@@ -1,9 +1,12 @@
 import csv
+import resource
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bnesolve.gradient import expected_utility
 from bnesolve.grids import make_uniform_grid
 from bnesolve.strategy import (Strategy, init_strategy, iterate_distance, load_strategy,
                                save_strategy)
@@ -224,6 +227,27 @@ def test_iterate_distance():
     assert iterate_distance(uni, tru) == iterate_distance(tru, uni)
     with pytest.raises(ValueError):
         iterate_distance(uni, simple_strategy(k=3, l=3))
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread rusage")
+def test_certificate_and_distance_leave_no_thread_busy():
+    # OpenBLAS threads a dot product of over 10k entries, and its workers then
+    # spin for about 0.1 s; a certificate every few iterations kept a second
+    # core busy for a whole solve
+    a, b = simple_strategy(k=32, l=4096, seed=1), simple_strategy(k=32, l=4096, seed=2)
+
+    def other_threads_cpu_s():
+        proc = resource.getrusage(resource.RUSAGE_SELF)
+        this = resource.getrusage(resource.RUSAGE_THREAD)
+        return proc.ru_utime + proc.ru_stime - this.ru_utime - this.ru_stime
+
+    time.sleep(0.3)  # workers woken by earlier tests go idle
+    before = other_threads_cpu_s()
+    for _ in range(5):
+        expected_utility(a, b.matrix)
+        iterate_distance(a, b)
+    time.sleep(0.1)
+    assert other_threads_cpu_s() - before < 0.03
 
 
 def test_with_matrix_clamps_tiny_negatives():
