@@ -3,31 +3,32 @@
 The expected utility of agent i is linear in its own strategy matrix,
 ``u_i = <s_i, c_i>``, where the coefficient matrix c_i aggregates the ex-post
 utility against the discrete prior and the opponents' conditional strategies.
-Both general paths weight the opponents' actions by the prior mass and the
-opponents' conditional strategies, into weights of shape (K_i, L_-i); they
-differ in what those weights meet.  The tensor path, and the affine path on
-correlated or interdependent priors, build them with one GEMM per opponent.
-On independent private values the affine path needs no such contraction: the
-weights are the own marginal times the product of the opponents' action
-marginals, one row for every observation.
-Three evaluation paths are provided:
+The prior picks how the opponents' actions are weighted:
 
-* ``symmetric``: for one group of interchangeable agents on independent
-  private values, under a mechanism whose payoff depends on the opponents
-  only through their highest bid (``Mechanism.payoff_via_highest_bid``).
-  The opponents share one strategy, so the distribution of their highest bid
-  follows from its action marginal and meets the mechanism's own payoff on
-  an (own bid x highest opponent bid) grid; the cost is independent of the
-  number of agents,
-* ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  For
-  interdependent priors the value-weighted joint and the joint are
-  contracted together, stacked (one stack for all agents, who share the
-  value); for private values the value weighting is a row scaling after one
-  contraction, and on independent private values it is an outer product
-  with the own observations after one row of weights meets A and B.  The
-  weights meet A and B in one GEMM each (a mat-vec each for the one row),
-  against matrices of shape (L_i, L_-i) cached per agent.  A mechanism may
-  instead supply a kernel that never forms A and B
+* on independent priors (private values, held as marginals alone) the prior
+  mass factorizes, so the weights are the own marginal times one row, the
+  same for every own observation.  Under a mechanism whose payoff depends on
+  the opponents only through their highest bid
+  (``Mechanism.payoff_via_highest_bid``), with every opponent bidding on one
+  grid, the row is the distribution of that highest bid,
+  ``prod_j F_j - prod_j (F_j - pi_j)`` from the opponents' action marginals
+  pi_j and their cdfs F_j, and its columns are that grid; its cost grows
+  linearly with the number of agents.  Otherwise the row is the product of
+  the opponents' action marginals over their action profiles, and
+* on correlated or interdependent priors the prior mass is contracted with
+  the opponents' conditional strategies, one GEMM per opponent, into weights
+  of shape (K_i, L_-i).
+
+The payoff picks the path, one of ``PATHS``:
+
+* ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  The one row
+  meets A and B in a mat-vec each, and the own value enters as an outer
+  product.  For interdependent priors the value-weighted joint and the joint
+  are contracted together, stacked (one stack for all agents, who share the
+  value); for correlated private values the value weighting is a row scaling
+  after one contraction.  The weights meet A and B in one GEMM each, against
+  matrices of shape (L_i, columns of the weights) cached per agent.  A
+  mechanism may instead supply a kernel that never forms A and B
   (``Mechanism.affine_kernel``): the split-award auction sums the weights
   over threshold index ranges with prefix sums, and
 * ``tensor``: the generic formulation for payoffs ``crra(v*A(b) + B(b))`` under
@@ -38,8 +39,7 @@ Three evaluation paths are provided:
   the bytes of ex-post utilities the path holds, give or take one value's
   worth of scratch.
 
-All paths agree to floating-point reassociation error; the engine picks the
-cheapest applicable one.
+Both paths agree to floating-point reassociation error.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .strategy import Strategy, flatten_action_grids
 
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes of ex-post utilities held per agent at once
 
-PATHS = ("symmetric", "affine", "tensor")
+PATHS = ("affine", "tensor")
 
 
 def _profile_components(flat_actions):
@@ -110,30 +110,28 @@ class GradientEngine:
     agents that share one strategy (one group per agent when None).  Groups
     must partition the agents, and grouped agents must have the same
     observation grid, marginal and action grids; both are checked here, once.
-    Chooses, in order of preference: the symmetric order-statistic path (one
-    group of all agents on independent private values, under a mechanism whose
-    ``payoff_via_highest_bid``), the affine path for risk-neutral payoffs, and
-    the tensor path for any other payoff and prior.  On the affine path the
-    mechanism's own kernel, when it has one (split award), replaces the dense
-    payoff matrices; its tables are built here, once.  On independent private
-    values the affine path contracts the product of the opponents' action
-    marginals, one row, with A and B; on other priors it contracts the prior
-    mass with the opponents' conditionals first, one GEMM per opponent.  Every
-    path returns a C-contiguous (K_i, L_i) gradient.  Interdependent priors
-    hold one value joint over the value all agents share, so the tensor path
-    reads that joint for every agent and the affine path stacks one
-    value-weighted pair, cached once per engine.  ``memory_budget`` sets the
-    chunk size along the value axis of the tensor path and of the symmetric
-    path's risk-averse branch; it never changes which path runs.  One
-    chunk-sized buffer serves every chunk of a call and is filled in place, one
-    value at a time, so the budget bounds the bytes of ex-post utilities held
-    per agent (one value's worth at least), give or take one value's worth of
-    scratch.  When one chunk covers the whole axis, the chunk is kept between
-    calls.  ``prefer_path`` forces one of ``PATHS``; the engine refuses a
-    forced path that does not apply (``symmetric`` outside the setting above,
-    ``affine`` for risk-averse payoffs, ``affine`` or ``tensor`` without a
-    dense prior joint).  One engine serves any number of runs on the same
-    problem.
+    The payoff picks the path: ``affine`` for risk-neutral payoffs, ``tensor``
+    for any other.  The prior picks the weights, on either path: independent
+    priors give one row of opponent weights (the distribution of the
+    opponents' highest bid where the mechanism's payoff reads only that and
+    they bid on one grid, decided here per agent, else the product of their
+    action marginals); correlated and interdependent priors contract the
+    prior mass with the opponents' conditionals, one GEMM per opponent.  On
+    the affine path the mechanism's own kernel, when it has one (split
+    award), replaces the dense payoff matrices for weights over the
+    opponents' action profiles; its tables are built here, once.  Every path
+    returns a C-contiguous (K_i, L_i) gradient.  Interdependent priors hold
+    one value joint over the value all agents share, so the tensor path reads
+    that joint for every agent and the affine path stacks one value-weighted
+    pair, cached once per engine.  ``memory_budget`` sets the chunk size
+    along the value axis of the tensor path; it never changes which path
+    runs.  One chunk-sized buffer serves every chunk of a call and is filled
+    in place, one value at a time, so the budget bounds the bytes of ex-post
+    utilities held per agent (one value's worth at least), give or take one
+    value's worth of scratch.  When one chunk covers the whole axis, the
+    chunk is kept between calls.  ``prefer_path`` forces one of ``PATHS``;
+    the engine refuses an unknown path and ``affine`` for risk-averse
+    payoffs.  One engine serves any number of runs on the same problem.
     """
 
     def __init__(self, mech: Mechanism, prior: DiscretePrior, action_grids_per_agent,
@@ -151,28 +149,24 @@ class GradientEngine:
         self._value_pair: np.ndarray | None = None
         self._utility_cache: dict[int, np.ndarray] = {}
         self.path = self._select_path(prefer_path)
+        # agent -> the one bid grid of its opponents, for agents whose
+        # opponents' weights are the distribution of their highest bid
+        self._top_bids: dict[int, np.ndarray] = {}
+        if prior.independent and mech.payoff_via_highest_bid:
+            for i in range(prior.n_agents):
+                bids = [self.flat_actions[j] for j in range(prior.n_agents) if j != i]
+                if all(np.array_equal(x, bids[0]) for x in bids[1:]):
+                    self._top_bids[i] = bids[0][:, 0]
         self._kernels = {}
         if self.path == "affine":
             for i in range(prior.n_agents):
-                kernel = mech.affine_kernel(i, self.action_grids)
+                kernel = None if i in self._top_bids else mech.affine_kernel(i, self.action_grids)
                 if kernel is not None:
                     self._kernels[i] = kernel
-
-    def _symmetric_applicable(self) -> bool:
-        p = self.prior
-        return len(self.groups) == 1 and self.mech.payoff_via_highest_bid \
-            and p.independent and p.values_equal_observations
 
     def _select_path(self, prefer: str | None) -> str:
         if prefer is not None and prefer not in PATHS:
             raise ValueError(f"unknown gradient path '{prefer}' (choose from {PATHS})")
-        if prefer in (None, "symmetric") and self._symmetric_applicable():
-            return "symmetric"
-        if prefer == "symmetric":
-            raise ValueError("symmetric fast path not applicable to this setting")
-        if self.prior.obs_joint is None:
-            raise ValueError("dense prior joint unavailable; only the symmetric path runs "
-                             "without it")
         if prefer == "affine" and self.mech.risk_rho != 1.0:
             raise ValueError("affine path needs risk-neutral payoffs (risk_rho = 1)")
         return prefer or ("affine" if self.mech.risk_rho == 1.0 else "tensor")
@@ -188,15 +182,17 @@ class GradientEngine:
     # -- cached pieces ------------------------------------------------------
 
     def _affine_parts(self, agent: int):
-        """Dense (A, B) of ``agent`` with its own actions on rows: (L_i, L_-i).
-        On the symmetric path the columns are the highest opponent bid, which
-        every opponent bids alike: (L_i, L_i)."""
+        """Dense (A, B) of ``agent`` with its own actions on rows.  The columns
+        are the opponents' highest bid, on the grid every one of them bids
+        on, where ``_opponent_row`` weights that: (L_i, L_top); else the
+        opponents' action profiles: (L_i, L_-i)."""
         if agent not in self._affine_cache:
-            if self.path == "symmetric":
-                bids = self.flat_actions[agent][:, 0]
-                profile = [(bids[:, None] if j == agent else bids[None, :],)
+            top = self._top_bids.get(agent)
+            if top is not None:
+                own = self.flat_actions[agent][:, 0]
+                profile = [(own[:, None] if j == agent else top[None, :],)
                            for j in range(self.prior.n_agents)]
-                parts = [np.broadcast_to(x, (bids.size, bids.size))
+                parts = [np.broadcast_to(x, (own.size, top.size))
                          for x in self.mech.affine_parts(agent, profile)]
             else:
                 comps = _profile_components(self.flat_actions)
@@ -240,21 +236,32 @@ class GradientEngine:
         w = np.moveaxis(w, lead + agent, lead)
         return w.reshape(w.shape[:lead + 1] + (-1,))
 
-    def _opponent_marginals(self, strategies, agent: int) -> np.ndarray:
-        """pi_-i of shape (1, L_-i): the product of the opponents' action
-        marginals, in agent order and flattened row-major, the column order of
+    def _opponent_row(self, strategies, agent: int) -> np.ndarray:
+        """The opponents' weights on an independent prior, one row over the
+        columns of ``_affine_parts``.  With a highest-bid payoff and one bid
+        grid, the distribution of the highest bid, prod_j F_j - prod_j
+        (F_j - pi_j), a running product over the opponents' action marginals
+        pi_j and their cdfs F_j; else the product of the marginals, in agent
+        order and flattened row-major, the column order of
         ``_opponent_weights``."""
-        pi = np.ones(1)
-        for j, s in enumerate(strategies):
-            if j != agent:
-                pi = np.multiply.outer(pi, s.matrix.sum(axis=0))
-        return pi.reshape(1, -1)
+        marginals = [s.matrix.sum(axis=0) for j, s in enumerate(strategies) if j != agent]
+        if agent in self._top_bids:
+            top = below = 1.0
+            for pi in marginals:
+                cdf = np.cumsum(pi)
+                top = top * cdf
+                below = below * (cdf - pi)
+            return top - below
+        row = np.ones(1)
+        for pi in marginals:
+            row = np.multiply.outer(row, pi)
+        return row.ravel()
 
     # -- paths ---------------------------------------------------------------
 
     def gradient(self, strategies, agent: int) -> np.ndarray:
-        if self.path == "symmetric":
-            c = self._gradient_symmetric(strategies, agent)
+        if self.prior.independent:
+            c = self._gradient_factorized(strategies, agent)
         elif self.path == "affine":
             c = self._gradient_affine(strategies, agent)
         else:
@@ -263,40 +270,27 @@ class GradientEngine:
             raise FloatingPointError("non-finite gradient entries")
         return c
 
-    def _gradient_symmetric(self, strategies, agent: int) -> np.ndarray:
-        """c_i[k, l] = E[u(o_k, b_l, highest opponent bid)]: the n-1 opponents
-        share a strategy with action marginal pi, so their highest bid is b_m
-        with probability cdf_m**(n-1) - (cdf_m - pi_m)**(n-1).  All agents are
-        interchangeable on this path, so agent 0's payoff grid serves each."""
-        n = self.prior.n_agents
-        pi = strategies[(agent + 1) % n].matrix.sum(axis=0)
-        cdf = np.cumsum(pi)
-        p_max = cdf ** (n - 1) - (cdf - pi) ** (n - 1)
-        own_vals = self.prior.obs_grids[0].points
-        if self.mech.risk_rho == 1.0:
-            a, b = self._affine_parts(0)
-            c = np.multiply.outer(own_vals, a @ p_max)
-            c += b @ p_max
-            return c
-        return self._contract_utilities(
-            0, np.broadcast_to(p_max, (own_vals.size, p_max.size)), own_vals)
+    def _gradient_factorized(self, strategies, agent: int) -> np.ndarray:
+        """c_i on an independent prior, where the prior mass is
+        marginal[k] * row: the weights divided by the marginal are one row, so
+        c_i[k] = o_k * (row . A) + row . B on the affine path, and row .
+        crra(o_k * A + B) on the tensor path, on every row of nonzero mass."""
+        own_vals = self.prior.obs_grids[agent].points
+        w = self._opponent_row(strategies, agent)[None, :]
+        if self.path == "affine":
+            a, b = self._contract_affine(agent, w, w)
+            c = np.multiply.outer(own_vals, a[0])
+            c += b[0]
+        else:
+            c = self._contract_utilities(agent, np.broadcast_to(w, (own_vals.size, w.shape[1])),
+                                         own_vals)
+        c[~(self.prior.marginals[agent] > 0)] = 0.0
+        return c
 
     def _gradient_affine(self, strategies, agent: int) -> np.ndarray:
         """c_i = (Wv . A + W . B) / marginal, with Wv and W the value-weighted
-        and plain prior mass contracted with the opponents' conditionals.
-
-        On independent private values the weights factorize,
-        W[k, l_-i] = marginal[k] * pi_-i[l_-i] with pi_-i the product of the
-        opponents' action marginals, so one row meets A and B and
-        c_i[k] = o_k * (pi_-i . A) + pi_-i . B on every row of nonzero mass."""
+        and plain prior mass contracted with the opponents' conditionals."""
         prior = self.prior
-        if prior.independent and prior.values_equal_observations:
-            pi = self._opponent_marginals(strategies, agent)
-            a, b = self._contract_affine(agent, pi, pi)
-            c = np.multiply.outer(prior.obs_grids[agent].points, a[0])
-            c += b[0]
-            c[~(prior.marginals[agent] > 0)] = 0.0
-            return c
         if prior.values_equal_observations:  # the value weighting is a row scaling
             w = self._opponent_weights(prior.obs_joint, strategies, agent)
             cv, c1 = self._contract_affine(agent, w, w)
@@ -336,10 +330,10 @@ class GradientEngine:
     def _contract_utilities(self, agent: int, w: np.ndarray, own_vals: np.ndarray,
                             interdependent: bool = False) -> np.ndarray:
         """Sum of crra(v*A + B) over the columns of ``agent``'s payoff grid,
-        weighted by ``w`` (K_i, L_-i), or by ``w`` (m, K_i, L_-i) summed over the
-        value m when ``interdependent``.  The ex-post utilities are built in
-        chunks of own values that fit the memory budget, one buffer for every
-        chunk of a call, filled in place one own value at a time."""
+        weighted by ``w`` (K_i, columns), or by ``w`` (m, K_i, columns) summed
+        over the value m when ``interdependent``.  The ex-post utilities are
+        built in chunks of own values that fit the memory budget, one buffer
+        for every chunk of a call, filled in place one own value at a time."""
         a, b = self._affine_parts(agent)
         chunk = min(own_vals.size, max(1, int(self.budget // (8 * a.size))))
         u = self._utility_cache.get(agent)

@@ -53,8 +53,9 @@ class Mechanism:
     risk_rho: float = 1.0
     # The payoff depends on the opponents' bids only through the highest of
     # them, and a tie at the top voids the win (so it does not matter how many
-    # opponents tie).  In a symmetric run the gradient is then an order
-    # statistic of one shared strategy: GradientEngine's symmetric path.
+    # opponents tie).  On independent private values, with the opponents on
+    # one bid grid, GradientEngine then weights them by the distribution of
+    # their highest bid, an order statistic of their action marginals.
     payoff_via_highest_bid: bool = False
 
     @property

@@ -25,19 +25,19 @@ _BIN_CHUNK = 1 << 20
 class DiscretePrior:
     """Probability mass over the joint discrete valuation x observation space.
 
-    ``obs_joint`` holds the mass over the product of observation grids
-    (``None`` only for independent priors too large to materialize, in which
-    case the factorization through ``marginals`` is exact).  Interdependent
-    priors share one value among all agents: ``value_joint`` holds the mass
-    over (shared value on ``value_grid``) x (all observations), and summing
-    out the value axis reproduces ``obs_joint`` exactly.  Both are ``None``
-    for private values, where each agent's value is its observation.
+    ``obs_joint`` holds the mass over the product of observation grids.  It
+    is ``None`` for independent priors, and only for them: their mass is the
+    product of ``marginals``, so ``independent`` is ``obs_joint is None``.
+    Interdependent priors share one value among all agents: ``value_joint``
+    holds the mass over (shared value on ``value_grid``) x (all
+    observations), and summing out the value axis reproduces ``obs_joint``
+    exactly.  Both are ``None`` for private values, where each agent's value
+    is its observation.
     """
 
     obs_grids: tuple[Grid, ...]
     marginals: tuple[np.ndarray, ...]
     obs_joint: np.ndarray | None
-    independent: bool
     value_grid: Grid | None = None
     value_joint: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
@@ -48,6 +48,10 @@ class DiscretePrior:
     @property
     def n_agents(self) -> int:
         return len(self.obs_grids)
+
+    @property
+    def independent(self) -> bool:
+        return self.obs_joint is None
 
     @property
     def values_equal_observations(self) -> bool:
@@ -247,22 +251,16 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
     info = {"sample_count": int(sample_count), "seed": int(seed),
             "empty_cells": int(np.count_nonzero(obs_joint == 0))}
     info.update(meta or {})
-    return DiscretePrior(obs_grids, tuple(marginals), obs_joint, independent=False,
+    return DiscretePrior(obs_grids, tuple(marginals), obs_joint,
                          value_grid=value_grid, value_joint=value_joint, meta=info)
 
 
-def independent_prior(obs_grids, densities, meta: dict | None = None,
-                      max_dense_cells: int = 20_000_000) -> DiscretePrior:
-    """Private-value prior with independent per-agent marginal densities."""
+def independent_prior(obs_grids, densities, meta: dict | None = None) -> DiscretePrior:
+    """Private-value prior with independent per-agent marginal densities,
+    held as its marginals alone."""
     obs_grids = tuple(obs_grids)
     marginals = tuple(discretize_density(g, d) for g, d in zip(obs_grids, densities))
-    cells = np.prod([g.count for g in obs_grids], dtype=np.float64)
-    joint = None
-    if cells <= max_dense_cells:
-        joint = marginals[0]
-        for m in marginals[1:]:
-            joint = np.multiply.outer(joint, m)
-    return DiscretePrior(obs_grids, marginals, joint, independent=True, meta=meta or {})
+    return DiscretePrior(obs_grids, marginals, None, meta=meta or {})
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,11 @@ def naive_expected_utility(mech, prior, strategies, agent):
                 continue
             bids = [tuple(tables[j][l[j]]) for j in range(n)]
             if prior.values_equal_observations:
+                # an independent prior holds no joint: its mass is the
+                # product of the marginals, denom
+                mass = denom if joint is None else joint[k]
                 u = float(mech.utility(agent, bids, own_vals[k[agent]]))
-                total += u * w * joint[k] / denom
+                total += u * w * mass / denom
             else:
                 for m in range(own_vals.size):
                     mass = joint[(m,) + k]
@@ -93,8 +96,11 @@ def naive_gradient(mech, prior, strategies, agent):
                         l[j] = lj
                     bids = [tuple(tables[j][l[j]]) for j in range(n)]
                     if prior.values_equal_observations:
+                        # an independent prior holds no joint: its mass is
+                        # the product of the marginals, denom
+                        mass = denom if joint is None else joint[tuple(k)]
                         u = float(mech.utility(agent, bids, own_vals[ki]))
-                        acc += u * w * joint[tuple(k)] / denom
+                        acc += u * w * mass / denom
                     else:
                         for m in range(own_vals.size):
                             mass = joint[(m,) + tuple(k)]

@@ -14,6 +14,7 @@ import pytest
 import bnesolve as b
 from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.presets import get_preset
+from bnesolve.priors import DiscretePrior
 from oracles import (enumerate_row_vertex_value, naive_expected_utility, naive_gradient,
                      qp_project_simplex)
 
@@ -282,18 +283,26 @@ def test_criterion_09_oracle_equivalences():
     for c in tensor_gradients(mech, prior, action_grids, strategies):
         d_gradient = max(d_gradient, float(np.max(np.abs(c - oracle))))
         d_linear = max(d_linear, abs(b.expected_utility(strategies[0], c) - u_oracle))
-    # symmetric fast path vs the general formulation
+    # one shared strategy: the order statistic of the highest opponent bid vs
+    # the general formulation, the same prior held with its outer-product joint
     d_sym = 0.0
     for kind in ("fpsb", "spsb", "all_pay"):
         for n, k in ((2, 16), (3, 12)):
             m = b.SingleObjectAuction(kind, n)
             g = [b.make_uniform_grid(0, 1, k)] * n
             p = b.independent_prior(g, [lambda x: np.ones_like(x)] * n)
+            joint = p.marginals[0]
+            for marginal in p.marginals[1:]:
+                joint = np.multiply.outer(joint, marginal)
+            dense = DiscretePrior(p.obs_grids, p.marginals, joint)
             ag = [(b.make_uniform_grid(0, 1, k),)] * n
             shared = b.init_strategy("random", g[0], ag[0], p.marginals[0], seed=3)
-            c_sym = b.GradientEngine(m, p, ag, groups=[list(range(n))],
-                                     prefer_path="symmetric").gradient([shared] * n, 0)
-            for c_gen in tensor_gradients(m, p, ag, [shared] * n):
+            engine = b.GradientEngine(m, p, ag, groups=[list(range(n))])
+            assert 0 in engine._top_bids and not dense.independent
+            c_sym = engine.gradient([shared] * n, 0)
+            c_affine = b.GradientEngine(m, dense, ag, prefer_path="affine").gradient(
+                [shared] * n, 0)
+            for c_gen in tensor_gradients(m, dense, ag, [shared] * n) + [c_affine]:
                 d_sym = max(d_sym, float(np.max(np.abs(c_gen - c_sym))))
     # closed-form best response vs row-vertex enumeration
     d_br = 0.0

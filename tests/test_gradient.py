@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -27,18 +26,49 @@ def ipv_setting(kind="fpsb", n=2, k=3, l=3, rho=1.0, seed=0, density=None):
 
 
 def tensor_gradients(mech, prior, action_grids, strategies, agent):
-    """Tensor-path gradients of ``agent``: one chunk, then chunks of two own values."""
+    """Tensor-path gradients of ``agent``: one chunk, then chunks of two own
+    values; on an independent prior, from its one row of opponent weights and
+    then from the dense weights of the same prior held with its joint."""
     cells = int(np.prod([g.count for grids in action_grids for g in grids]))
-    return [GradientEngine(mech, prior, action_grids, memory_budget=budget,
+    priors = [prior, with_dense_joint(prior)] if prior.independent else [prior]
+    return [GradientEngine(mech, p, action_grids, memory_budget=budget,
                            prefer_path="tensor").gradient(strategies, agent)
-            for budget in (DEFAULT_MEMORY_BUDGET, 2 * 8 * cells)]
+            for p in priors for budget in (DEFAULT_MEMORY_BUDGET, 2 * 8 * cells)]
 
 
-def symmetric_gradient(mech, prior, action_grids, strategies, agent=0,
-                       memory_budget=DEFAULT_MEMORY_BUDGET):
-    return GradientEngine(mech, prior, action_grids, memory_budget=memory_budget,
-                          groups=[list(range(prior.n_agents))],
-                          prefer_path="symmetric").gradient(strategies, agent)
+def shared_gradient(mech, prior, action_grids, strategies,
+                    memory_budget=DEFAULT_MEMORY_BUDGET):
+    """Agent 0's gradient with all agents in one group, on an independent prior
+    whose opponents reach agent 0 through their highest bid: the order-
+    statistic row of the factorized branch, on the path the payoff picks."""
+    engine = GradientEngine(mech, prior, action_grids, memory_budget=memory_budget,
+                            groups=[list(range(prior.n_agents))])
+    assert prior.independent and 0 in engine._top_bids
+    return engine.gradient(strategies, 0)
+
+
+def with_dense_joint(prior):
+    """The independent ``prior`` as a correlated prior: a DiscretePrior carrying
+    its outer-product joint, so the engine weights the opponents with the
+    joint and their conditionals (``_opponent_weights``), not one row."""
+    joint = prior.marginals[0]
+    for m in prior.marginals[1:]:
+        joint = np.multiply.outer(joint, m)
+    dense = DiscretePrior(prior.obs_grids, prior.marginals, joint)
+    assert not dense.independent
+    return dense
+
+
+def dense_gradients(mech, prior, action_grids, strategies, agent):
+    """``agent``'s gradients from the dense weights of ``with_dense_joint(prior)``:
+    the tensor path in one chunk and in chunks of two own values, and the
+    affine path for risk-neutral payoffs."""
+    dense = with_dense_joint(prior)
+    out = tensor_gradients(mech, dense, action_grids, strategies, agent)
+    if mech.risk_rho == 1.0:
+        out.append(GradientEngine(mech, dense, action_grids,
+                                  prefer_path="affine").gradient(strategies, agent))
+    return out
 
 
 def affine_gradient(mech, prior, action_grids, strategies, agent):
@@ -132,7 +162,8 @@ def test_gradient_three_agent_llg_matches_naive():
     for agent in range(3):
         oracle = naive_gradient(mech, prior, strategies, agent)
         for c in tensor_gradients(mech, prior, action_grids, strategies, agent) + [
-                affine_gradient(mech, prior, action_grids, strategies, agent)]:
+                affine_gradient(mech, p, action_grids, strategies, agent)
+                for p in (prior, with_dense_joint(prior))]:
             assert np.max(np.abs(c - oracle)) < 1e-12
 
 
@@ -151,6 +182,8 @@ def test_linearity_of_expected_utility():
 
 
 def test_symmetric_path_matches_general():
+    # a shared strategy's order-statistic row against the dense weights of
+    # the same prior held with its outer-product joint, on both paths
     for kind in ("fpsb", "spsb", "all_pay"):
         for n in (2, 3):
             for rho in (1.0, 0.5):
@@ -159,8 +192,10 @@ def test_symmetric_path_matches_general():
                         kind=kind, n=n, k=k, l=l, rho=rho, seed=2)
                     shared = strategies[0]
                     profile = [shared] * n
-                    c_sym = symmetric_gradient(mech, prior, action_grids, profile)
-                    for c_gen in tensor_gradients(mech, prior, action_grids, profile, 0):
+                    c_sym = shared_gradient(mech, prior, action_grids, profile)
+                    gens = dense_gradients(mech, prior, action_grids, profile, 0)
+                    assert len(gens) == (3 if rho == 1.0 else 2)
+                    for c_gen in gens:
                         assert np.max(np.abs(c_gen - c_sym)) < 1e-10, (kind, n, rho, k)
 
 
@@ -183,8 +218,8 @@ def test_symmetric_path_matches_oracle_with_ties_at_the_top():
                     oracle = naive_gradient(mech, prior, profile, 0)
                     # one chunk, then chunks of two own values (rho < 1)
                     for budget in (DEFAULT_MEMORY_BUDGET, 2 * 8 * 4 * 4):
-                        c = symmetric_gradient(mech, prior, action_grids, profile,
-                                               memory_budget=budget)
+                        c = shared_gradient(mech, prior, action_grids, profile,
+                                            memory_budget=budget)
                         assert np.max(np.abs(c - oracle)) < 1e-12, (kind, n, rho)
                 b2 = action_grids[0][0].points[2]
                 lose = -(b2 ** rho) if kind == "all_pay" else 0.0
@@ -196,7 +231,7 @@ def test_symmetric_path_one_hot_opponent():
     onehot = strategies[1].matrix * 0
     onehot[:, 2] = prior.marginals[1]  # opponent always bids b*=2/3
     opp = strategies[1].with_matrix(onehot)
-    c = symmetric_gradient(mech, prior, action_grids, [opp, opp])
+    c = shared_gradient(mech, prior, action_grids, [opp, opp])
     b = action_grids[0][0].points
     o = prior.obs_grids[0].points
     win = (b[None, :] > b[2]).astype(float)
@@ -218,17 +253,18 @@ def test_symmetric_path_win_mass_conservation():
 
 
 def test_symmetric_path_rejects_unsupported():
-    _, prior, action_grids, _ = ipv_setting()
-    with pytest.raises(ValueError):
-        GradientEngine(TullockContest(1.0), prior, action_grids, groups=[[0, 1]],
-                       prefer_path="symmetric")
+    # the order statistic is a row of the factorized branch, not a path
+    mech, prior, action_grids, _ = ipv_setting()
+    for m in (mech, TullockContest(1.0)):
+        with pytest.raises(ValueError, match="unknown gradient path 'symmetric'"):
+            GradientEngine(m, prior, action_grids, groups=[[0, 1]], prefer_path="symmetric")
 
 
 def test_symmetric_path_speed_many_agents():
     import time
     mech, prior, action_grids, strategies = ipv_setting(n=10, k=64, l=64)
     t0 = time.perf_counter()
-    c = symmetric_gradient(mech, prior, action_grids, [strategies[0]] * 10)
+    c = shared_gradient(mech, prior, action_grids, [strategies[0]] * 10)
     assert time.perf_counter() - t0 < 1.0
     assert c.shape == (64, 64)
 
@@ -243,8 +279,10 @@ def test_engine_paths_agree():
 
 def test_engine_path_selection():
     mech, prior, action_grids, _ = ipv_setting(n=2, k=4, l=4)
-    assert GradientEngine(mech, prior, action_grids, groups=[[0, 1]]).path == "symmetric"
-    assert GradientEngine(mech, prior, action_grids).path == "affine"
+    # the payoff picks the path and the prior the weights, whatever the groups
+    for groups in ([[0, 1]], None):
+        engine = GradientEngine(mech, prior, action_grids, groups=groups)
+        assert engine.path == "affine" and sorted(engine._top_bids) == [0, 1]
     mech_ra = SingleObjectAuction("fpsb", 2, risk_rho=0.5)
     assert GradientEngine(mech_ra, prior, action_grids).path == "tensor"
     # the memory budget sets the tensor path's chunk size, not the path
@@ -259,12 +297,12 @@ def test_engine_path_selection():
     assert GradientEngine(mech, lopsided, action_grids, groups=[[0], [1]]).path == "affine"
     with pytest.raises(ValueError, match="partition"):
         GradientEngine(mech, prior, action_grids, groups=[[0], [0, 1]])
-    with pytest.raises(ValueError):
-        GradientEngine(TullockContest(1.0, 2), prior, action_grids,
-                       groups=[[0, 1]], prefer_path="symmetric")
-    # contests fall back to the general paths even with one group
-    assert GradientEngine(TullockContest(1.0, 2), prior, action_grids,
-                          groups=[[0, 1]]).path == "affine"
+    # contests weight the opponents by the product of their marginals, even
+    # with one group
+    contest = GradientEngine(TullockContest(1.0, 2), prior, action_grids, groups=[[0, 1]])
+    assert contest.path == "affine" and not contest._top_bids
+    # correlated priors weight them through the joint
+    assert not GradientEngine(mech, with_dense_joint(prior), action_grids)._top_bids
 
 
 def test_engine_rejects_risk_averse_affine_path():
@@ -273,22 +311,10 @@ def test_engine_rejects_risk_averse_affine_path():
         GradientEngine(mech, prior, action_grids, prefer_path="affine")
 
 
-def test_engine_rejects_dense_paths_without_a_joint():
-    mech, prior, action_grids, _ = ipv_setting(n=2, k=4, l=4)
-    sparse = dataclasses.replace(prior, obs_joint=None)
-    for path in ("affine", "tensor"):
-        with pytest.raises(ValueError, match="dense prior joint"):
-            GradientEngine(mech, sparse, action_grids, prefer_path=path)
-    # the symmetric path reads the marginals alone
-    engine = GradientEngine(mech, sparse, action_grids, groups=[[0, 1]],
-                            prefer_path="symmetric")
-    assert engine.path == "symmetric"
-
-
 def test_engine_rejects_unknown_path():
     mech, prior, action_grids, _ = ipv_setting(n=2, k=4, l=4)
-    for name in ("bogus", "streaming"):
-        with pytest.raises(ValueError, match="symmetric.*affine.*tensor"):
+    for name in ("bogus", "streaming", "symmetric"):
+        with pytest.raises(ValueError, match="affine.*tensor"):
             GradientEngine(mech, prior, action_grids, prefer_path=name)
 
 
@@ -328,8 +354,9 @@ class OneExpressionEngine(GradientEngine):
 
 def risk_averse_settings():
     """(label, mech, prior, action_grids, profile, path, bytes of one own value's
-    ex-post utilities): LLG and common value on the tensor path, first price on
-    the symmetric path's risk branch; all at risk_rho = 0.5."""
+    ex-post utilities), all on the tensor path at risk_rho = 0.5: LLG and
+    common value, and first price with one group of three sharing a strategy
+    (the order-statistic row of the factorized branch)."""
     cfg = config_from_mapping({**get_preset("llg_nz_g05"), "risk_rho": 0.5, "obs_points": 7,
                                "action_points": 6, "prior_samples": 200_000})
     llg = build_problem(cfg)
@@ -338,7 +365,7 @@ def risk_averse_settings():
                              prior.marginals[i], seed=i) for i in range(3)]
     yield "llg", llg.mech, prior, llg.action_grids, profile, "tensor", 8 * 6 ** 3
     mech, prior, action_grids, strategies = ipv_setting(n=3, k=9, l=11, rho=0.5, seed=4)
-    yield "fpsb", mech, prior, action_grids, [strategies[0]] * 3, "symmetric", 8 * 11 ** 2
+    yield "fpsb", mech, prior, action_grids, [strategies[0]] * 3, "tensor", 8 * 11 ** 2
     og = [make_uniform_grid(0, 2, 3)] * 3
     prior = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 5), sample_count=20_000,
                                            seed=3, allow_small_sample=True)
@@ -356,12 +383,13 @@ def test_in_place_utilities_bitwise_equal_one_expression(rows):
     one own value per chunk, and two (odd value axes end on a part chunk)."""
     for label, mech, prior, action_grids, profile, path, row in risk_averse_settings():
         budget = DEFAULT_MEMORY_BUDGET if rows is None else rows * row
-        groups = [[0, 1, 2]] if path == "symmetric" else None
+        groups = [[0, 1, 2]] if label == "fpsb" else None
         engine = GradientEngine(mech, prior, action_grids, memory_budget=budget,
                                 groups=groups, prefer_path=path)
         reference = OneExpressionEngine(mech, prior, action_grids, memory_budget=budget,
                                         groups=groups, prefer_path=path)
-        for agent in range(1 if path == "symmetric" else 3):
+        assert engine.path == path and (label == "fpsb") == bool(engine._top_bids)
+        for agent in range(1 if groups else 3):
             expected = reference.gradient(profile, agent)
             for _ in range(2):
                 assert np.array_equal(engine.gradient(profile, agent), expected), \
@@ -398,7 +426,9 @@ def dense_split_gradient(mech, prior, strategies, agent, rows=512):
     built in blocks of ``rows`` own actions."""
     own = strategies[agent].action_values()
     opp = strategies[1 - agent].action_values()
-    joint = prior.obs_joint if agent == 0 else prior.obs_joint.T
+    joint = np.outer(*prior.marginals) if prior.independent else prior.obs_joint
+    if agent == 1:
+        joint = joint.T
     w1 = joint @ strategies[1 - agent].conditionals()
     wv = prior.obs_grids[agent].points[:, None] * w1
     c = np.empty((w1.shape[0], own.shape[0]))
@@ -470,7 +500,7 @@ def test_split_award_kernel_matches_naive_on_correlated_private_prior():
     joint[1, 2] = 0.0
     joint /= joint.sum()
     correlated = DiscretePrior(prior.obs_grids, (joint.sum(axis=1), joint.sum(axis=0)),
-                               joint, independent=False)
+                               joint)
     strategies = [init_strategy("random", correlated.obs_grids[i], action_grids[i],
                                 correlated.marginals[i], seed=i) for i in range(2)]
     for cost_model in ("scaled", "constant"):
@@ -545,6 +575,41 @@ def test_factorized_affine_gradient_matches_naive():
             assert all(np.any(m == 0) for m in prior.marginals)
 
 
+def asymmetric_highest_bid_settings():
+    """(label, mech, prior, action_grids) for three agents on independent
+    private values, each with a marginal and an observation grid of its own
+    (agent 2's marginal has a zero-mass cell), in singleton groups: first
+    price, second price and all-pay at risk_rho 1 and 0.5, every agent on one
+    action grid, and first price with agent 2 on a grid of its own, so only
+    agent 2's opponents bid on one grid."""
+    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 4), make_uniform_grid(0, 1.2, 3)]
+    prior = independent_prior(og, [lambda x: np.ones_like(x), lambda x: x + 0.3,
+                                   lambda x: np.maximum(1.0 - x, 0.0)])
+    one_grid = [(make_uniform_grid(0, 1, 4),)] * 3
+    for kind in ("fpsb", "spsb", "all_pay"):
+        for rho in (1.0, 0.5):
+            yield f"{kind}_{rho}", SingleObjectAuction(kind, 3, risk_rho=rho), prior, one_grid
+    mixed = [(make_uniform_grid(0, 1, 4),), (make_uniform_grid(0, 1, 4),),
+             (make_uniform_grid(0, 1.2, 5),)]
+    for rho in (1.0, 0.5):
+        yield f"mixed_{rho}", SingleObjectAuction("fpsb", 3, risk_rho=rho), prior, mixed
+
+
+def test_highest_bid_row_matches_naive_on_asymmetric_agents():
+    for label, mech, prior, action_grids, strategies in with_strategies(
+            asymmetric_highest_bid_settings()):
+        assert np.any(prior.marginals[2] == 0)
+        engine = GradientEngine(mech, prior, action_grids)
+        assert engine.path == ("affine" if mech.risk_rho == 1.0 else "tensor")
+        # the opponents' highest bid where they share a grid, else the product row
+        assert sorted(engine._top_bids) == ([2] if label.startswith("mixed") else [0, 1, 2])
+        for agent in range(3):
+            c = engine.gradient(strategies, agent)
+            oracle = naive_gradient(mech, prior, strategies, agent)
+            assert np.max(np.abs(c - oracle)) < 1e-12, (label, agent)
+            assert np.all(c[prior.marginals[agent] == 0] == 0.0), (label, agent)
+
+
 def test_factorized_branch_skips_opponent_weights(monkeypatch):
     calls = []
     original = GradientEngine._opponent_weights
@@ -554,8 +619,14 @@ def test_factorized_branch_skips_opponent_weights(monkeypatch):
         return original(self, w, strategies, agent)
 
     monkeypatch.setattr(GradientEngine, "_opponent_weights", spy)
-    for _, mech, prior, action_grids, strategies in with_strategies(factorized_settings()):
-        GradientEngine(mech, prior, action_grids).gradient(strategies, 0)
+    settings = list(with_strategies(factorized_settings()))
+    settings += with_strategies(asymmetric_highest_bid_settings())
+    for _, mech, prior, action_grids, strategies in settings:
+        paths = ("affine", "tensor") if mech.risk_rho == 1.0 else ("tensor",)
+        for path in paths:
+            engine = GradientEngine(mech, prior, action_grids, prefer_path=path)
+            for agent in range(prior.n_agents):
+                engine.gradient(strategies, agent)
     assert calls == []
     cfg = config_from_mapping({**get_preset("llg_nz_g05"), "obs_points": 5,
                                "action_points": 4, "prior_samples": 200_000})
@@ -603,13 +674,13 @@ def layout_settings():
     value-weighted pass included; the label starts with the path's name, or
     with "kernel" for the split-award kernel on the affine path."""
     mech, prior, action_grids, strategies = ipv_setting(n=3, k=5, l=6, seed=3)
-    yield "symmetric", GradientEngine(mech, prior, action_grids, groups=[[0, 1, 2]]), \
+    yield "affine_shared", GradientEngine(mech, prior, action_grids, groups=[[0, 1, 2]]), \
         [strategies[0]] * 3
     mech_ra = SingleObjectAuction("fpsb", 3, risk_rho=0.5)
-    yield "symmetric_risk", GradientEngine(mech_ra, prior, action_grids, groups=[[0, 1, 2]]), \
+    yield "tensor_shared", GradientEngine(mech_ra, prior, action_grids, groups=[[0, 1, 2]]), \
         [strategies[0]] * 3
     yield "affine_factorized", GradientEngine(mech, prior, action_grids), strategies
-    yield "tensor", GradientEngine(mech_ra, prior, action_grids), strategies
+    yield "tensor_factorized", GradientEngine(mech_ra, prior, action_grids), strategies
     cfg = config_from_mapping({**get_preset("llg_nz_g05"), "obs_points": 5,
                                "action_points": 4, "prior_samples": 200_000})
     llg = build_problem(cfg)
@@ -617,6 +688,8 @@ def layout_settings():
     profile = [init_strategy("random", llg_prior.obs_grids[i], llg.action_grids[i],
                              llg_prior.marginals[i], seed=i) for i in range(3)]
     yield "affine_correlated", GradientEngine(llg.mech, llg_prior, llg.action_grids), profile
+    yield "tensor_correlated", GradientEngine(llg.mech, llg_prior, llg.action_grids,
+                                              prefer_path="tensor"), profile
     og = [make_uniform_grid(0, 2, 3)] * 2
     common = CommonValuePrior(2).discretize(og, make_uniform_grid(0, 1, 4), sample_count=2000,
                                             seed=0, allow_small_sample=True)

@@ -184,8 +184,8 @@ def test_tie_bump_produces_unique_winner():
 
 
 def test_single_object_payoff_via_highest_bid():
-    # the symmetric gradient path relies on it: with every opponent bid replaced
-    # by the highest one the payoff is the same, ties at the top included
+    # the gradient's order-statistic row relies on it: with every opponent bid
+    # replaced by the highest one the payoff is the same, ties at the top included
     rng = np.random.default_rng(11)
     grid = np.linspace(0.0, 1.0, 5)
     for kind in ("fpsb", "spsb", "all_pay"):

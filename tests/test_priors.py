@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.grids import make_uniform_grid
 from bnesolve.presets import get_preset
 from bnesolve.priors import (AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
-                             CommonValuePrior, IndependentPrivatePrior,
+                             CommonValuePrior, DiscretePrior, IndependentPrivatePrior,
                              TruncatedGaussianMarginal, UniformMarginal,
                              _bin_counts, _group_permutations, independent_prior,
                              joint_from_latent)
@@ -38,11 +39,35 @@ def check_invariants(prior):
 
 
 def test_independent_prior_outer_product():
+    # the mass is the outer product of the marginals, held as the marginals alone
     g = grids(2, 8)
     prior = independent_prior(g, [lambda x: np.ones_like(x), lambda x: x + 0.5])
-    check_invariants(prior)
     assert prior.independent and prior.values_equal_observations
-    assert np.allclose(prior.obs_joint, np.outer(prior.marginals[0], prior.marginals[1]))
+    assert prior.obs_joint is None and prior.value_joint is None
+    assert np.all(np.diff(prior.marginals[1][1:-1]) > 0)
+    check_invariants(DiscretePrior(prior.obs_grids, prior.marginals,
+                                   np.outer(prior.marginals[0], prior.marginals[1])))
+
+
+def test_independent_is_derived_from_the_joint():
+    """A prior is independent exactly when it holds no joint: neither an
+    independent prior with a joint nor a correlated one without can be built."""
+    prior = independent_prior(grids(2, 4), [lambda x: np.ones_like(x), lambda x: x + 0.5])
+    assert prior.independent
+    joint = np.outer(prior.marginals[0], prior.marginals[1])
+    correlated = DiscretePrior(prior.obs_grids, prior.marginals, joint)
+    assert not correlated.independent
+    assert dataclasses.replace(correlated, obs_joint=None).independent
+    assert "independent" not in {f.name for f in dataclasses.fields(DiscretePrior)}
+    with pytest.raises(TypeError):
+        DiscretePrior(prior.obs_grids, prior.marginals, joint, independent=True)
+    with pytest.raises(AttributeError):
+        correlated.independent = True
+    # a shared value needs the joint it sums back to
+    vg = make_uniform_grid(0.0, 1.0, 3)
+    with pytest.raises(ValueError, match="value joint"):
+        DiscretePrior(prior.obs_grids, prior.marginals, None, value_grid=vg,
+                      value_joint=np.stack([joint / 3] * 3))
 
 
 def test_degenerate_sampler_single_atom():

@@ -171,8 +171,9 @@ def test_run_batch_artifacts(tmp_path):
 def test_meta_records_gradient_path_and_cache_bytes(tmp_path):
     run_batch(build_problem(fast_cfg(runs=1, iterations=20)), tmp_path / "sym")
     meta = json.loads((tmp_path / "sym" / "run_000" / "meta.json").read_text())
-    assert meta["gradient_path"] == "symmetric"
-    # A and B on the 12 x 12 (own bid x highest opponent bid) grid, once for all agents
+    assert meta["gradient_path"] == "affine"
+    # A and B on the 12 x 12 (own bid x highest opponent bid) grid, of the one
+    # agent whose gradient a run of one group takes
     assert meta["engine_cache_bytes"] == 2 * 12 * 12 * 8
     cfg = fast_cfg(runs=1, iterations=20, risk_rho=0.5, symmetric=False)
     run_batch(build_problem(cfg), tmp_path / "ra")
