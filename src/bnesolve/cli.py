@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import RunConfig, build_problem, config_from_mapping, load_config
 from .evaluate import evaluate, lookup_analytic
+from .gradient import agent_groups
 from .presets import get_preset, preset_names
 from .runner import prepare_out_dir, run_batch, run_sweep, solve
 from .strategy import load_strategy
@@ -100,10 +101,7 @@ def _cmd_evaluate(args) -> int:
         strategies[agent] = strategy
     if not strategies:
         raise FileNotFoundError(f"no strategy_agent*.csv files under {run_dir}")
-    ordered = [None] * problem.mech.n_agents
-    for g in problem.groups:
-        for j in g:
-            ordered[j] = strategies[g[0]]
+    ordered = [strategies[problem.groups[gi][0]] for gi in agent_groups(problem.groups)]
     report = evaluate(ordered, analytic, problem.prior_model, problem.mech,
                       n_samples=cfg.eval_samples, seed=args.seed or 0,
                       agents=sorted(strategies))
@@ -147,7 +145,8 @@ def _cmd_probe_vs(args) -> int:
         print(f"warning: run did not converge (max loss {result.certificate.max_loss:.2e})",
               file=sys.stderr)
     probe = collusive_profile(result.strategies, scale=args.scale)
-    value = vs_probe(problem.mech, problem.prior, result.strategies, probe)
+    value = vs_probe(problem.mech, problem.prior, result.strategies, probe,
+                     engine=problem.engine())
     print(f"probe value: {value:.6e} "
           f"({'variational stability violated' if value > 0 else 'no violation found'})")
     if args.out:

@@ -22,10 +22,12 @@ import numpy as np
 
 from .gradient import GradientEngine
 from .grids import make_uniform_grid
+from .learners import make_learner
 from .mechanisms import make_mechanism
 from .priors import (CommonValuePrior, AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
                      CustomDensityMarginal, IndependentPrivatePrior,
                      TruncatedGaussianMarginal, UniformMarginal)
+from .strategy import INIT_MODES
 
 
 @dataclass
@@ -85,6 +87,17 @@ class RunConfig:
             raise ValueError("runs must be >= 1")
         if self.analytic not in ("auto", "none"):
             raise ValueError("analytic must be 'auto' or 'none'")
+        make_learner(self.learner, self.eta0, self.step_beta)  # refuses the name or step
+        if self.init not in INIT_MODES:
+            raise ValueError(f"unknown init mode '{self.init}' (choose from {INIT_MODES})")
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
+        if self.check_interval < 1:
+            raise ValueError("check_interval must be >= 1")
+        if self.plot_points < 1:
+            raise ValueError("plot_points must be >= 1")
+        if self.eval_samples < 0:
+            raise ValueError("eval_samples must be >= 0 (0 skips evaluation)")
         return self
 
     def to_text(self) -> str:
@@ -298,10 +311,6 @@ class Problem:
     _engine: GradientEngine | None = field(default=None, init=False, repr=False,
                                            compare=False)
 
-    @property
-    def memory_budget(self) -> int:
-        return int(self.config.memory_budget_gib * (1 << 30))
-
     def discretize(self):
         if self.prior is None:
             self.prior = self.prior_model.discretize(
@@ -311,9 +320,9 @@ class Problem:
 
     def engine(self) -> GradientEngine:
         if self._engine is None:
+            budget = int(self.config.memory_budget_gib * (1 << 30))
             self._engine = GradientEngine(self.mech, self.discretize(), self.action_grids,
-                                          memory_budget=self.memory_budget,
-                                          groups=self.groups)
+                                          memory_budget=budget, groups=self.groups)
         return self._engine
 
 

@@ -105,6 +105,7 @@ def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechan
     if analytic is None:
         report.notes["baseline"] = "no analytic baseline"
         return report
+    covers_all = analytic.covers(range(n))
     rng = np.random.default_rng(seed)
     num = {i: 0.0 for i in agents}
     den = {i: 0.0 for i in agents}
@@ -113,17 +114,16 @@ def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechan
     while done < n_samples:
         m = min(_CHUNK, n_samples - done)
         values, obs = prior_model.sample(rng, m)
+        beta = {j: np.asarray(fn(obs[:, j]), dtype=np.float64)
+                for j, fn in analytic.bid_fns.items()}
         for i in agents:
-            can_l = analytic.covers(range(n))
-            if i in analytic.bid_fns:
+            if i in beta:
                 b_learned = strategies[i].sample_bids(obs[:, i], rng)
-                beta_i = np.asarray(analytic.bid_fns[i](obs[:, i]), dtype=np.float64)
                 if sq[i] is None:
                     sq[i] = np.zeros(b_learned.shape[1])
-                sq[i] += ((b_learned - beta_i[:, None]) ** 2).sum(axis=0)
-                if can_l:
-                    bids = [(np.asarray(analytic.bid_fns[j](obs[:, j]), dtype=np.float64),)
-                            for j in range(n)]
+                sq[i] += ((b_learned - beta[i][:, None]) ** 2).sum(axis=0)
+                if covers_all:
+                    bids = [(beta[j],) for j in range(n)]
                     den[i] += float(mech.utility(i, bids, values[:, i]).sum())
                     bids[i] = tuple(b_learned[:, d] for d in range(b_learned.shape[1]))
                     num[i] += float(mech.utility(i, bids, values[:, i]).sum())
@@ -135,7 +135,7 @@ def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechan
             report.notes[i] = "no analytic baseline for this agent"
             continue
         report.l2[i] = list(np.sqrt(sq[i] / n_samples))
-        if not analytic.covers(range(n)):
+        if not covers_all:
             report.losses[i] = None
             report.notes[i] = "baseline misses some opponents; L unavailable"
             continue

@@ -91,6 +91,15 @@ def _validate_groups(groups, prior: DiscretePrior, action_grids):
                 raise ValueError(f"agents {rep} and {j} are grouped but not interchangeable")
 
 
+def agent_groups(groups) -> list[int]:
+    """For each agent, in order, the index of its group in ``groups``."""
+    owner = [0] * sum(len(g) for g in groups)
+    for gi, g in enumerate(groups):
+        for j in g:
+            owner[j] = gi
+    return owner
+
+
 def expected_utility(strategy: Strategy, gradient_matrix: np.ndarray) -> float:
     """Linear expected utility <s_i, c_i>."""
     if strategy.matrix.shape != gradient_matrix.shape:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradient import GradientEngine
+from .gradient import GradientEngine, agent_groups
 from .strategy import Strategy, init_strategy, iterate_distance
 from .verify import Certificate, best_response_matrix, certify
 # perfbench/spans.py wraps learners.utility_loss: drop this when perfbench is next edited
@@ -233,13 +233,10 @@ def run(engine: GradientEngine, *, rule: str, eta0: float = 1.0, step_beta: floa
     for learner, s in zip(learners, current):
         learner.reset(s)
 
-    agent_group = {}
-    for gi, g in enumerate(groups):
-        for j in g:
-            agent_group[j] = gi
+    owner = agent_groups(groups)
 
     def profile():
-        return [current[agent_group[j]] for j in range(prior.n_agents)]
+        return [current[gi] for gi in owner]
 
     loss_history: list[tuple[int, list[float]]] = []
     distance_history: list[tuple[int, list[float]]] = []

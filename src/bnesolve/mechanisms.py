@@ -62,6 +62,12 @@ class Mechanism:
     def action_dims(self) -> tuple[int, ...]:
         return (1,) * self.n_agents
 
+    def _set_risk_rho(self, risk_rho: float):
+        """Set the CRRA exponent, which must lie in (0, 1]; 1 is risk-neutral."""
+        if not 0.0 < risk_rho <= 1.0:
+            raise ValueError("risk_rho must lie in (0, 1]")
+        self.risk_rho = risk_rho
+
     def components(self, bids):
         if len(bids) != self.n_agents:
             raise ValueError(f"{self.kind} expects bids for {self.n_agents} agents, "
@@ -114,11 +120,9 @@ class SingleObjectAuction(Mechanism):
     def __init__(self, kind: str, n_agents: int, risk_rho: float = 1.0):
         if kind not in ("fpsb", "spsb", "all_pay"):
             raise ValueError(f"unknown single-object auction kind '{kind}'")
-        if not 0.0 < risk_rho <= 1.0:
-            raise ValueError("risk_rho must lie in (0, 1]")
         self.kind = kind
         self.n_agents = n_agents
-        self.risk_rho = risk_rho
+        self._set_risk_rho(risk_rho)
 
     def _win_and_price(self, agent, comps):
         own = comps[agent][0]
@@ -147,11 +151,9 @@ class TullockContest(Mechanism):
     def __init__(self, r: float, n_agents: int = 2, risk_rho: float = 1.0):
         if r <= 0:
             raise ValueError("Tullock exponent r must be positive")
-        if not 0.0 < risk_rho <= 1.0:
-            raise ValueError("risk_rho must lie in (0, 1]")
         self.r = float(r)
         self.n_agents = n_agents
-        self.risk_rho = risk_rho
+        self._set_risk_rho(risk_rho)
 
     def _shares(self, comps):
         powered = [c[0] ** self.r for c in comps]
@@ -204,10 +206,8 @@ class LLGAuction(Mechanism):
     def __init__(self, payment_rule: str, risk_rho: float = 1.0):
         if payment_rule not in PAYMENT_RULES:
             raise ValueError(f"payment rule must be one of {PAYMENT_RULES}")
-        if not 0.0 < risk_rho <= 1.0:
-            raise ValueError("risk_rho must lie in (0, 1]")
         self.payment_rule = payment_rule
-        self.risk_rho = risk_rho
+        self._set_risk_rho(risk_rho)
 
     def symmetry_groups(self):
         return [[0, 1], [2]]
@@ -261,11 +261,9 @@ class SplitAwardAuction(Mechanism):
             raise ValueError("split_cost_factor must lie in (0, 0.5)")
         if cost_model not in ("scaled", "constant"):
             raise ValueError("cost_model must be 'scaled' or 'constant'")
-        if not 0.0 < risk_rho <= 1.0:
-            raise ValueError("risk_rho must lie in (0, 1]")
         self.split_cost_factor = float(split_cost_factor)
         self.cost_model = cost_model
-        self.risk_rho = risk_rho
+        self._set_risk_rho(risk_rho)
         self.action_rect = tuple((float(lo), float(hi)) for lo, hi in action_rect)
 
     @property

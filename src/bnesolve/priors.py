@@ -19,6 +19,7 @@ from .grids import Grid, discretize_density
 DEFAULT_SAMPLE_COUNT = 1_000_000
 MIN_SAMPLE_COUNT = 100_000
 _BIN_CHUNK = 1 << 20
+CDF_TABLE_SIZE = 8193  # points of the tabulated cdf a custom density samples from
 
 
 @dataclass
@@ -205,8 +206,7 @@ def _symmetrize(obs_joint, value_joint, groups):
 
 
 def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAULT_SAMPLE_COUNT,
-                      seed: int = 0, *, allow_small_sample: bool = False,
-                      require_full_support: bool = True, symmetry_groups=None,
+                      seed: int = 0, *, symmetry_groups=None,
                       density_correction: bool = True, meta: dict | None = None) -> DiscretePrior:
     """Empirical discrete prior from a latent-variable sampler.
 
@@ -215,13 +215,15 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
     the nearest point on every axis.  ``value_grid`` bins the one value all
     agents share (the value columns must be equal); ``None`` means private values.
     Marginals are recomputed from the binned joint so marginal consistency
-    holds exactly.  Observation points with zero empirical mass are an error
-    unless ``require_full_support`` is disabled.  ``meta`` records the sample
-    count, the seed and the number of empty ``obs_joint`` cells.
+    holds exactly.  A ``sample_count`` below ``MIN_SAMPLE_COUNT`` and an
+    observation point with zero empirical mass are errors.  ``meta`` records
+    the sample count, the seed and the number of empty ``obs_joint`` cells
+    (cells off the support of a singular joint may be empty; the marginals
+    may not).
     """
-    if sample_count < MIN_SAMPLE_COUNT and not allow_small_sample:
-        raise ValueError(f"sample_count below {MIN_SAMPLE_COUNT}; pass allow_small_sample=True "
-                         "to accept a noisier prior")
+    if sample_count < MIN_SAMPLE_COUNT:
+        raise ValueError(f"sample_count below {MIN_SAMPLE_COUNT}: the binned prior would be "
+                         "too noisy")
     obs_grids = tuple(obs_grids)
     obs_counts, val_counts = _bin_counts(sampler, value_grid, obs_grids, int(sample_count),
                                          seed, density_correction)
@@ -238,7 +240,7 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
         axes = tuple(a for a in range(n) if a != i)
         m = obs_joint.sum(axis=axes)
         m /= m.sum()
-        if require_full_support and np.any(m == 0):
+        if np.any(m == 0):
             raise ValueError(f"agent {i} has observation grid points with zero empirical mass; "
                              "use a coarser grid or more samples")
         marginals.append(m)
@@ -307,13 +309,12 @@ class CustomDensityMarginal:
     fn: object
     lower: float
     upper: float
-    table_size: int = 8193
 
     def density(self, x):
         return np.asarray(self.fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
 
     def _cdf_table(self):
-        x = np.linspace(self.lower, self.upper, self.table_size)
+        x = np.linspace(self.lower, self.upper, CDF_TABLE_SIZE)
         pdf = np.clip(self.density(x), 0.0, None)
         cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * np.diff(x))])
         if cdf[-1] <= 0:
@@ -376,11 +377,10 @@ class CommonValuePrior:
         values = np.repeat(value[:, None], self.n_agents, axis=1)
         return values, obs
 
-    def discretize(self, obs_grids, value_grid, *, sample_count=DEFAULT_SAMPLE_COUNT,
-                   seed=0, **kwargs):
+    def discretize(self, obs_grids, value_grid, *, sample_count=DEFAULT_SAMPLE_COUNT, seed=0):
         return joint_from_latent(self.sample, value_grid, obs_grids, sample_count, seed,
                                  symmetry_groups=self.symmetry_groups(),
-                                 meta={"kind": self.kind}, **kwargs)
+                                 meta={"kind": self.kind})
 
 
 class AffiliatedValuesPrior:
@@ -443,10 +443,10 @@ class BernoulliWeightsLLGPrior:
         return values, values
 
     def discretize(self, obs_grids, value_grid=None, *, sample_count=DEFAULT_SAMPLE_COUNT,
-                   seed=0, **kwargs):
+                   seed=0):
         # the shared-component mass lives on the diagonal (no joint density):
         # plain binning keeps the latent correlation intact
         return joint_from_latent(self.sample, None, obs_grids, sample_count, seed,
                                  symmetry_groups=self.symmetry_groups(),
                                  density_correction=False,
-                                 meta={"kind": self.kind, "gamma": self.gamma}, **kwargs)
+                                 meta={"kind": self.kind, "gamma": self.gamma})

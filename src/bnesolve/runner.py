@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .config import Problem, RunConfig, build_problem
 from .evaluate import emit_plot_data, estimate_revenue, evaluate, lookup_analytic
+from .gradient import agent_groups
 from .learners import RunResult, run
 from .strategy import save_strategy
 
@@ -60,18 +61,19 @@ def prepare_out_dir(out, force: bool = False) -> Path:
     return out
 
 
-def _write_metrics(path: Path, result: RunResult, n_agents: int, groups, header_note: str):
+def _write_metrics(path: Path, result: RunResult, header_note: str):
     dist_by_iter = dict(result.distance_history)
-    agent_group = {j: gi for gi, g in enumerate(groups) for j in g}
+    owner = agent_groups(result.groups)
+    n_agents = len(owner)
     with path.open("w", newline="") as fh:
         fh.write(header_note)
         w = csv.writer(fh)
         w.writerow(["iteration"] + [f"l_agent{j}" for j in range(n_agents)]
                    + [f"dist_agent{j}" for j in range(n_agents)])
         for t, losses in result.loss_history:
-            dists = dist_by_iter.get(t, [0.0] * len(groups))
-            w.writerow([t] + [repr(losses[agent_group[j]]) for j in range(n_agents)]
-                       + [repr(dists[agent_group[j]]) for j in range(n_agents)])
+            dists = dist_by_iter.get(t, [0.0] * len(result.groups))
+            w.writerow([t] + [repr(losses[gi]) for gi in owner]
+                       + [repr(dists[gi]) for gi in owner])
 
 
 def solve(problem: Problem, seed, *, progress=None) -> RunResult:
@@ -129,8 +131,7 @@ def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
             "config_hash": cfg.hash(), "seed": list(run_seed), "version": __version__,
             "iteration": result.iterations,
         })
-    _write_metrics(run_dir / "metrics.csv", result, problem.mech.n_agents, problem.groups,
-                   note)
+    _write_metrics(run_dir / "metrics.csv", result, note)
 
     plot_rows = []
     fns = analytic.bid_fns if analytic is not None else {}

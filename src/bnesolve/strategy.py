@@ -176,8 +176,12 @@ def _first_reaching(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndar
     return idx
 
 
+INIT_MODES = ("random", "uniform", "truthful")
+
+
 def init_strategy(mode: str, obs_grid: Grid, action_grids, marginal, seed=None) -> Strategy:
-    """Initial strategy: 'random' (per-row flat Dirichlet), 'uniform', or 'truthful'."""
+    """Initial strategy, one of ``INIT_MODES``: 'random' (per-row flat
+    Dirichlet), 'uniform', or 'truthful'."""
     action_grids = tuple(action_grids)
     marginal = np.asarray(marginal, dtype=np.float64)
     k = obs_grid.count
@@ -196,7 +200,7 @@ def init_strategy(mode: str, obs_grid: Grid, action_grids, marginal, seed=None) 
         matrix = np.zeros((k, l))
         matrix[np.arange(k), idx] = marginal
     else:
-        raise ValueError(f"unknown init mode '{mode}'")
+        raise ValueError(f"unknown init mode '{mode}' (choose from {INIT_MODES})")
     return Strategy(matrix, obs_grid, action_grids, marginal)
 
 

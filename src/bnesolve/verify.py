@@ -68,23 +68,28 @@ def certify(strategies, gradients, *, iteration: int = 0,
     return Certificate(list(losses), list(cur), list(br), iteration, tolerance)
 
 
-def relative_utility_loss(profile, prior, mech, *, engine: GradientEngine | None = None,
-                          action_grids=None, iteration: int = 0,
+def relative_utility_loss(profile, prior, mech, *, action_grids=None,
                           tolerance: float = 1e-4) -> Certificate:
-    """Certificate for a full strategy profile (one gradient per agent)."""
-    if engine is None:
-        if action_grids is None:
-            action_grids = [s.action_grids for s in profile]
-        engine = GradientEngine(mech, prior, action_grids)
+    """Certificate for a full strategy profile, one strategy per agent.
+
+    Builds a fresh ``GradientEngine`` on ``action_grids`` (by default each
+    strategy's own) and takes one gradient per agent, so it checks a profile
+    independently of the run that produced it; a run certifies itself from
+    its own step's gradients with ``certify``.
+    """
+    if action_grids is None:
+        action_grids = [s.action_grids for s in profile]
+    engine = GradientEngine(mech, prior, action_grids)
     gradients = [engine.gradient(profile, i) for i in range(len(profile))]
-    return certify(profile, gradients, iteration=iteration, tolerance=tolerance)
+    return certify(profile, gradients, tolerance=tolerance)
 
 
 def vs_probe(mech, prior, equilibrium, probe, *, engine: GradientEngine | None = None) -> float:
     """Sum over agents of <grad_i u_i(probe), probe_i - equilibrium_i>.
 
     A strictly positive value at some feasible probe certifies that the
-    equilibrium profile is not globally variationally stable.
+    equilibrium profile is not globally variationally stable.  ``engine``
+    is the game's engine, when the caller holds one; else one is built.
     """
     if engine is None:
         engine = GradientEngine(mech, prior, [s.action_grids for s in probe])
@@ -93,7 +98,8 @@ def vs_probe(mech, prior, equilibrium, probe, *, engine: GradientEngine | None =
         if s_star.matrix.shape != s_probe.matrix.shape:
             raise ValueError("probe and equilibrium strategies have different shapes")
         c = engine.gradient(probe, i)
-        total += float(np.vdot(c, s_probe.matrix - s_star.matrix))
+        # einsum, not a BLAS dot, as in expected_utility: no OpenBLAS worker left spinning
+        total += float(np.einsum("kl,kl->", c, s_probe.matrix - s_star.matrix))
     return total
 
 

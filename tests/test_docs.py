@@ -1,4 +1,4 @@
-"""The README's library sketch runs as written."""
+"""The README matches the code: its sketch runs, its key list and commands are current."""
 
 import re
 from pathlib import Path
@@ -30,3 +30,32 @@ def test_exports_are_used():
     unused = [name for name in exported
               if not re.search(rf"\b(?:b|bnesolve)\.{name}\b", text)]
     assert unused == []
+
+
+def _section(heading: str) -> str:
+    return README.read_text().split(heading, 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_names_every_config_key():
+    from dataclasses import fields
+
+    from bnesolve.config import RunConfig
+
+    text = _section("## Command line")
+    paragraph = text[text.index("The config keys:"):].split("\n\n", 1)[0]
+    missing = [f.name for f in fields(RunConfig) if f"`{f.name}`" not in paragraph]
+    assert missing == []
+
+
+def test_readme_commands_parse():
+    import shlex
+
+    from bnesolve.cli import build_parser
+
+    block = re.search(r"```\n(.*?)```", _section("## Command line"), re.S).group(1)
+    commands = [line for line in block.splitlines() if line.startswith("bnesolve ")]
+    assert len(commands) >= 6
+    parser = build_parser()
+    for line in commands:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.fn), line

@@ -97,7 +97,7 @@ def test_engine_chunks_interdependent_prior_over_budget():
     model = CommonValuePrior(3)
     og = [make_uniform_grid(0, 2, 5)] * 3
     vg = make_uniform_grid(0, 1, 7)
-    prior = model.discretize(og, vg, sample_count=4000, seed=1, allow_small_sample=True)
+    prior = model.discretize(og, vg, sample_count=100_000, seed=1)
     mech = SingleObjectAuction("spsb", 3, risk_rho=0.5)
     action_grids = [(make_uniform_grid(0, 1.5, 4),)] * 3
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
@@ -137,7 +137,7 @@ def test_gradient_general_interdependent_matches_naive():
     model = CommonValuePrior(2)
     og = [make_uniform_grid(0, 2, 3)] * 2
     vg = make_uniform_grid(0, 1, 3)
-    prior = model.discretize(og, vg, sample_count=2000, seed=0, allow_small_sample=True)
+    prior = model.discretize(og, vg, sample_count=100_000, seed=0)
     mech = SingleObjectAuction("spsb", 2)
     action_grids = [(make_uniform_grid(0, 1.5, 3),)] * 2
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
@@ -367,8 +367,8 @@ def risk_averse_settings():
     mech, prior, action_grids, strategies = ipv_setting(n=3, k=9, l=11, rho=0.5, seed=4)
     yield "fpsb", mech, prior, action_grids, [strategies[0]] * 3, "tensor", 8 * 11 ** 2
     og = [make_uniform_grid(0, 2, 3)] * 3
-    prior = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 5), sample_count=20_000,
-                                           seed=3, allow_small_sample=True)
+    prior = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 5), sample_count=100_000,
+                                           seed=3)
     action_grids = [(make_uniform_grid(0, 1.5, 12),)] * 3
     profile = [init_strategy("random", og[i], action_grids[i], prior.marginals[i], seed=i)
                for i in range(3)]
@@ -476,7 +476,7 @@ def test_split_award_kernel_matches_naive_on_interdependent_prior():
     model = CommonValuePrior(2)
     og = [make_uniform_grid(0, 2, 3)] * 2
     vg = make_uniform_grid(0, 1, 4)
-    prior = model.discretize(og, vg, sample_count=2000, seed=0, allow_small_sample=True)
+    prior = model.discretize(og, vg, sample_count=100_000, seed=0)
     _, _, action_grids, _ = split_tie_setting("scaled")
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
                                 seed=i) for i in range(2)]
@@ -691,8 +691,8 @@ def layout_settings():
     yield "tensor_correlated", GradientEngine(llg.mech, llg_prior, llg.action_grids,
                                               prefer_path="tensor"), profile
     og = [make_uniform_grid(0, 2, 3)] * 2
-    common = CommonValuePrior(2).discretize(og, make_uniform_grid(0, 1, 4), sample_count=2000,
-                                            seed=0, allow_small_sample=True)
+    common = CommonValuePrior(2).discretize(og, make_uniform_grid(0, 1, 4), sample_count=100_000,
+                                            seed=0)
     spsb_grids = [(make_uniform_grid(0, 1.5, 3),)] * 2
     profile = [init_strategy("random", og[i], spsb_grids[i], common.marginals[i], seed=i)
                for i in range(2)]

@@ -212,6 +212,15 @@ def test_unknown_kind_rejected():
         SingleObjectAuction("third_price", 2)
 
 
+@pytest.mark.parametrize("kind, n", [("fpsb", 2), ("tullock", 2), ("llg", 3),
+                                     ("split_award", 2)])
+def test_risk_rho_outside_unit_interval_rejected(kind, n):
+    for rho in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match=r"risk_rho must lie in \(0, 1\]"):
+            make_mechanism(kind, n, risk_rho=rho)
+    assert make_mechanism(kind, n, risk_rho=0.5).risk_rho == 0.5
+
+
 def test_dimension_mismatch_rejected():
     m = SingleObjectAuction("fpsb", 3)
     with pytest.raises(ValueError):

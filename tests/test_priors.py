@@ -71,15 +71,19 @@ def test_independent_is_derived_from_the_joint():
 
 
 def test_degenerate_sampler_single_atom():
+    # both agents observe one draw: each draw is a single atom of the diagonal,
+    # so the joint is singular, with empty cells, while every marginal has full support
     def sampler(rng, size):
-        v = np.full((size, 2), 0.5)
+        v = np.repeat(rng.random((size, 1)), 2, axis=1)
         return v, v
 
-    prior = joint_from_latent(sampler, None, grids(2, 5), sample_count=1000, seed=0,
-                              allow_small_sample=True, require_full_support=False)
-    assert prior.obs_joint[2, 2] == 1.0
-    assert prior.obs_joint.sum() == 1.0
-    assert prior.meta == {"sample_count": 1000, "seed": 0, "empty_cells": 24}
+    prior = joint_from_latent(sampler, None, grids(2, 5), sample_count=100_000, seed=0,
+                              density_correction=False)
+    off_diagonal = ~np.eye(5, dtype=bool)
+    assert np.all(prior.obs_joint[off_diagonal] == 0.0)
+    assert np.all(np.diag(prior.obs_joint) > 0.0)
+    assert np.allclose(prior.marginals[0], np.diag(prior.obs_joint), rtol=1e-12, atol=0.0)
+    assert prior.meta == {"sample_count": 100_000, "seed": 0, "empty_cells": 20}
 
 
 def test_full_support_enforced_by_default():
@@ -88,8 +92,7 @@ def test_full_support_enforced_by_default():
         return v, v
 
     with pytest.raises(ValueError, match="zero empirical mass"):
-        joint_from_latent(sampler, None, grids(2, 5), sample_count=1000, seed=0,
-                          allow_small_sample=True)
+        joint_from_latent(sampler, None, grids(2, 5), sample_count=100_000, seed=0)
 
 
 def test_small_sample_count_rejected():
@@ -257,7 +260,7 @@ def test_unequal_value_columns_rejected():
 
     with pytest.raises(ValueError, match="value columns differ"):
         joint_from_latent(sampler, make_uniform_grid(0.0, 1.0, 4), grids(2, 4),
-                          sample_count=1000, seed=0, allow_small_sample=True)
+                          sample_count=100_000, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -271,7 +274,7 @@ def test_non_finite_draws_rejected(bad, column):
 
     with pytest.raises(ValueError, match="NaN or infinite"):
         joint_from_latent(sampler, make_uniform_grid(0.0, 1.0, 4), grids(2, 4),
-                          sample_count=1000, seed=0, allow_small_sample=True)
+                          sample_count=100_000, seed=0)
 
 
 def test_non_finite_draw_rejected_without_value_grid():
@@ -281,8 +284,8 @@ def test_non_finite_draw_rejected_without_value_grid():
         return obs, obs
 
     with pytest.raises(ValueError, match="NaN or infinite"):
-        joint_from_latent(sampler, None, grids(3, 4), sample_count=1000, seed=0,
-                          allow_small_sample=True, density_correction=False)
+        joint_from_latent(sampler, None, grids(3, 4), sample_count=100_000, seed=0,
+                          density_correction=False)
 
 
 def per_chunk_counts(sampler, value_grid, obs_grids, sample_count, seed, chunk):

@@ -67,6 +67,18 @@ def test_unknown_config_key_rejected():
         config_from_mapping({"mechanismo": "fpsb"})
 
 
+BAD_RUN_SETTINGS = [
+    ({"iterations": -1}, "iterations"),
+    ({"check_interval": 0}, "check_interval"),
+    ({"plot_points": 0}, "plot_points"),
+    ({"learner": "sgd"}, "unknown update rule"),
+    ({"eta0": 0.0}, "eta0"),
+    ({"step_beta": 1.5}, "beta"),
+    ({"init": "zeros"}, "unknown init mode"),
+    ({"eval_samples": -5}, "eval_samples"),
+]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(agents=1).validate()
@@ -74,6 +86,13 @@ def test_config_validation():
         RunConfig(runs=0).validate()
     with pytest.raises(ValueError):
         RunConfig(analytic="maybe").validate()
+    # each of these used to be accepted and then fail, or skip evaluation, in every run
+    for bad, message in BAD_RUN_SETTINGS:
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**bad).validate()
+    # the edges that work stay accepted: no steps, no evaluation, an alias
+    RunConfig(iterations=0, eval_samples=0, learner="sofw_frank_wolfe",
+              init="truthful").validate()
 
 
 def test_config_roundtrip_and_hash():
@@ -292,6 +311,18 @@ def test_cli_evaluate_refuses_grid_mismatch(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, message", BAD_RUN_SETTINGS)
+def test_cli_refuses_bad_run_settings_at_load(tmp_path, capsys, bad, message):
+    key, value = next(iter(bad.items()))
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"include = fpsb_2_uniform\n{key} = {json.dumps(value)}\n")
+    rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+               "--quiet"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_config(tmp_path, capsys):
     rc = main(["solve", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 2
@@ -338,6 +369,25 @@ def test_cli_probe_vs(tmp_path, capsys):
     assert "probe value" in out
     data = json.loads((tmp_path / "probe" / "probe.json").read_text())
     assert data["probe_value"] > 0
+
+
+def test_cli_probe_vs_builds_one_engine(tmp_path, capsys, monkeypatch):
+    # the probe's gradients come from the engine the solve ran on
+    import bnesolve.config as config_mod
+    import bnesolve.verify as verify_mod
+    built = []
+
+    class CountingEngine(config_mod.GradientEngine):
+        def __init__(self, *a, **kw):
+            built.append(1)
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(config_mod, "GradientEngine", CountingEngine)
+    monkeypatch.setattr(verify_mod, "GradientEngine", CountingEngine)
+    rc = main(["probe-vs", "--preset", "fpsb_2_uniform", "--seed", "3", "--quiet",
+               "--out", str(tmp_path / "probe")])
+    assert rc == 0
+    assert len(built) == 1
 
 
 def test_run_batch_tolerates_single_failure(tmp_path, monkeypatch):
