@@ -5,34 +5,48 @@ The expected utility of agent i is linear in its own strategy matrix,
 utility against the discrete prior and the opponents' conditional strategies.
 The prior picks how the opponents' actions are weighted:
 
-* on independent priors (private values, held as marginals alone) the prior
-  mass factorizes, so the weights are the own marginal times one row, the
-  same for every own observation.  Under a mechanism whose payoff depends on
-  the opponents only through their highest bid
-  (``Mechanism.payoff_via_highest_bid``), with every opponent bidding on one
-  grid, the row is the distribution of that highest bid,
-  ``prod_j F_j - prod_j (F_j - pi_j)`` from the opponents' action marginals
-  pi_j and their cdfs F_j, and its columns are that grid; its cost grows
-  linearly with the number of agents.  Otherwise the row is the product of
-  the opponents' action marginals over their action profiles, and
-* on correlated or interdependent priors the prior mass is contracted with
-  the opponents' conditional strategies, one GEMM per opponent, into weights
-  of shape (K_i, L_-i).
+* on component priors (private values held as ``DiscretePrior.components``,
+  weighted products of blocks over the agents) the weights factor along the
+  blocks, component by component.  An opponent alone in its block with its
+  marginal as mass contributes its action marginal pi_j; a block of
+  opponents contributes their joint action distribution, the block's mass
+  contracted with their conditionals (``q_a^T M q_b``); and where agent i
+  shares its block, the block's mass divided by i's marginal and contracted
+  with the block-mates' conditionals (``M @ q_j``, one small GEMM) gives
+  weights over the mates' actions for each own observation.  The last
+  opponents in agent order that are alone with their marginal in every
+  component make one factor R, the product of their action marginals; the
+  rest, summed over the components, make G, so the weights
+  are G[k_i, l_lead] * R[l_trail].  G is one row, the same for every own
+  observation, where agent i has no block-mate: on independent priors (one
+  component of single agents) R is the product of the opponents' action
+  marginals and G is [[1]].  Under a mechanism whose payoff depends on the
+  opponents only through their highest bid
+  (``Mechanism.payoff_via_highest_bid``), on an independent prior with every
+  opponent bidding on one grid, R is instead the distribution of that
+  highest bid, ``prod_j F_j - prod_j (F_j - pi_j)`` from the pi_j and their
+  cdfs F_j, and its columns are that grid; its cost grows linearly with the
+  number of agents.  No dense joint is formed, and
+* on binned priors (a dense ``obs_joint``: the interdependent models) the
+  prior mass is contracted with the opponents' conditional strategies, one
+  GEMM per opponent, into weights of shape (K_i, L_-i).
 
 The payoff picks the path, one of ``PATHS``:
 
-* ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  The one row
-  meets A and B in a mat-vec each, and the own value enters as an outer
-  product.  For interdependent priors the value-weighted joint and the joint
-  are contracted together, stacked (one stack for all agents, who share the
-  value); for correlated private values the value weighting is a row scaling
-  after one contraction.  The weights meet A and B in one GEMM each, against
-  matrices of shape (L_i, columns of the weights) cached per agent.  A
-  mechanism may instead supply a kernel that never forms A and B
-  (``Mechanism.affine_kernel``): the split-award auction sums the weights
-  over threshold index ranges with prefix sums, and
+* ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  On component
+  priors R meets A and B first, in a mat-vec each over the trailing axes,
+  and the result meets G in one product each; the own value enters as a row
+  scaling (an outer product where G is one row).  On binned priors the
+  value-weighted joint and the joint are contracted together, stacked (one
+  stack for all agents, who share the value), and the weights meet A and B
+  in one GEMM each.  A and B are dense matrices of shape (L_i, columns of
+  the weights), cached per agent.  A mechanism may instead supply a kernel
+  that never forms A and B (``Mechanism.affine_kernel``): the split-award
+  auction sums the weights over threshold index ranges with prefix sums,
+  and
 * ``tensor``: the generic formulation for payoffs ``crra(v*A(b) + B(b))`` under
-  private or interdependent priors.  It walks the value axis (the own
+  private or interdependent priors.  It takes the weights as (K_i, L_-i)
+  rows (G x R on component priors) and walks the value axis (the own
   observation for private values, the prior's one shared value otherwise)
   in chunks of ex-post utilities, each filled in place one value at a time.
   The memory budget sets the chunk size, not which path runs, and so bounds
@@ -73,6 +87,28 @@ def _divide_rows(c: np.ndarray, marginal: np.ndarray) -> np.ndarray:
     np.divide(c, marginal[:, None], out=c, where=live[:, None])
     c[~live] = 0.0
     return c
+
+
+def _block_actions(strategies, agents, mass) -> np.ndarray:
+    """The joint action distribution of one block of opponents: its mass with
+    each agent's observation axis contracted with that agent's conditionals
+    (``q_a^T M q_b`` for two agents); ``mass`` None stands for an agent alone
+    with its marginal, whose distribution is its action marginal."""
+    if mass is None:
+        return strategies[agents[0]].matrix.sum(axis=0)
+    for j in agents:
+        mass = np.tensordot(mass, strategies[j].conditionals(), axes=(0, 0))
+    return mass
+
+
+def _outer_in_agent_order(factors) -> np.ndarray:
+    """Outer product of (agents, array) factors, each array with one axis per
+    agent, its axes put in ascending agent order."""
+    out, order = np.ones(()), []
+    for agents, x in factors:
+        out = np.multiply.outer(out, x)
+        order += agents
+    return out.transpose(np.argsort(order))
 
 
 def _validate_groups(groups, prior: DiscretePrior, action_grids):
@@ -120,12 +156,18 @@ class GradientEngine:
     must partition the agents, and grouped agents must have the same
     observation grid, marginal and action grids; both are checked here, once.
     The payoff picks the path: ``affine`` for risk-neutral payoffs, ``tensor``
-    for any other.  The prior picks the weights, on either path: independent
-    priors give one row of opponent weights (the distribution of the
-    opponents' highest bid where the mechanism's payoff reads only that and
-    they bid on one grid, decided here per agent, else the product of their
-    action marginals); correlated and interdependent priors contract the
-    prior mass with the opponents' conditionals, one GEMM per opponent.  On
+    for any other.  The prior picks the weights, on either path.  A component
+    prior (independent private values, the exact LLG prior) factors them
+    along its blocks into G x R: R over the actions of the last opponents
+    that are alone with their marginal in every component, G over the rest,
+    one row where the agent has no block-mate (R is the distribution of the
+    opponents' highest bid where the prior is independent, the mechanism's
+    payoff reads only that and they bid on one grid, decided here per
+    agent).  Each agent's view of the
+    components, with its block's mass scaled by its marginal, is built here,
+    once; a kernel is built only where R covers every opponent.  Binned
+    priors contract the prior mass with the opponents' conditionals, one GEMM
+    per opponent.  On
     the affine path the mechanism's own kernel, when it has one (split
     award), replaces the dense payoff matrices for weights over the
     opponents' action profiles; its tables are built here, once.  Every path
@@ -138,9 +180,10 @@ class GradientEngine:
     in place, one value at a time, so the budget bounds the bytes of ex-post
     utilities held per agent (one value's worth at least), give or take one
     value's worth of scratch.  When one chunk covers the whole axis, the
-    chunk is kept between calls.  ``prefer_path`` forces one of ``PATHS``;
-    the engine refuses an unknown path and ``affine`` for risk-averse
-    payoffs.  One engine serves any number of runs on the same problem.
+    chunk is kept between calls.  ``cache_bytes`` counts every cached array.
+    ``prefer_path`` forces one of ``PATHS``; the engine refuses an unknown
+    path and ``affine`` for risk-averse payoffs.  One engine serves any
+    number of runs on the same problem.
     """
 
     def __init__(self, mech: Mechanism, prior: DiscretePrior, action_grids_per_agent,
@@ -166,10 +209,17 @@ class GradientEngine:
                 bids = [self.flat_actions[j] for j in range(prior.n_agents) if j != i]
                 if all(np.array_equal(x, bids[0]) for x in bids[1:]):
                     self._top_bids[i] = bids[0][:, 0]
+        # agent -> its view of each component (component priors only)
+        self._views = {} if prior.components is None else \
+            {i: self._component_views(i) for i in range(prior.n_agents)}
         self._kernels = {}
         if self.path == "affine":
             for i in range(prior.n_agents):
-                kernel = None if i in self._top_bids else mech.affine_kernel(i, self.action_grids)
+                # a kernel takes rows over every opponent's actions: on a
+                # component prior, only where R covers them all
+                partial = i in self._views and not self._trailing_covers_opponents(i)
+                kernel = None if i in self._top_bids or partial \
+                    else mech.affine_kernel(i, self.action_grids)
                 if kernel is not None:
                     self._kernels[i] = kernel
 
@@ -181,9 +231,12 @@ class GradientEngine:
         return prefer or ("affine" if self.mech.risk_rho == 1.0 else "tensor")
 
     def cache_bytes(self) -> int:
-        """Bytes held by the affine, kernel, value-weighted and utility caches."""
+        """Bytes held by the affine, kernel, value-weighted, utility and
+        scaled block-mass caches."""
         arrays = [x for pair in self._affine_cache.values() for x in pair]
         arrays += list(self._utility_cache.values())
+        arrays += [own for _, terms in self._views.values() for _, own, _, _ in terms
+                   if own is not None]
         if self._value_pair is not None:
             arrays.append(self._value_pair)
         return sum(x.nbytes for x in arrays) + sum(k.nbytes for k in self._kernels.values())
@@ -193,7 +246,7 @@ class GradientEngine:
     def _affine_parts(self, agent: int):
         """Dense (A, B) of ``agent`` with its own actions on rows.  The columns
         are the opponents' highest bid, on the grid every one of them bids
-        on, where ``_opponent_row`` weights that: (L_i, L_top); else the
+        on, where ``_opponent_factors`` weights that: (L_i, L_top); else the
         opponents' action profiles: (L_i, L_-i)."""
         if agent not in self._affine_cache:
             top = self._top_bids.get(agent)
@@ -245,31 +298,89 @@ class GradientEngine:
         w = np.moveaxis(w, lead + agent, lead)
         return w.reshape(w.shape[:lead + 1] + (-1,))
 
-    def _opponent_row(self, strategies, agent: int) -> np.ndarray:
-        """The opponents' weights on an independent prior, one row over the
-        columns of ``_affine_parts``.  With a highest-bid payoff and one bid
-        grid, the distribution of the highest bid, prod_j F_j - prod_j
-        (F_j - pi_j), a running product over the opponents' action marginals
-        pi_j and their cdfs F_j; else the product of the marginals, in agent
-        order and flattened row-major, the column order of
-        ``_opponent_weights``."""
-        marginals = [s.matrix.sum(axis=0) for j, s in enumerate(strategies) if j != agent]
+    def _component_views(self, agent: int):
+        """``agent``'s view of a component prior, as (trailing, terms).
+
+        ``terms`` hold one (weight, own, mates, others) per component.  ``own``
+        is None where the agent is alone in its block with its marginal as
+        mass; else it is the block's mass with the agent's axis first, times
+        the weight, divided by the agent's marginal (zero rows where that is
+        zero), and ``mates`` are the block's other agents.  ``others`` are the
+        component's other blocks, as (agents, mass), with mass None for an
+        agent alone with its marginal as mass.  ``trailing`` are the last
+        opponents in agent order that are alone with their marginal in every
+        component, the longest such run; they leave ``others``."""
+        marginals = self.prior.marginals
+        terms = []
+        for c in self.prior.components:
+            own, mates, others = None, (), []
+            for agents, mass in c.blocks:
+                alone = len(agents) == 1 and np.array_equal(mass, marginals[agents[0]])
+                if agent not in agents:
+                    others.append((agents, None if alone else mass))
+                elif not alone:
+                    mates = tuple(j for j in agents if j != agent)
+                    own = np.ascontiguousarray(np.moveaxis(mass, agents.index(agent), 0)
+                                               * c.weight)
+                    _divide_rows(own.reshape(own.shape[0], -1), marginals[agent])
+            terms.append((c.weight, own, mates, others))
+        opps = [j for j in range(self.prior.n_agents) if j != agent]
+        t = len(opps)
+        while t and all(any(a == (opps[t - 1],) and m is None for a, m in others)
+                        for *_, others in terms):
+            t -= 1
+        trailing = opps[t:]
+        # a trailing opponent is alone in every component: a block's first agent decides
+        return trailing, [(w, own, mates, [b for b in others if b[0][0] not in trailing])
+                          for w, own, mates, others in terms]
+
+    def _trailing_covers_opponents(self, agent: int) -> bool:
+        """Whether the trailing opponents of ``agent``'s view are all its opponents."""
+        return len(self._views[agent][0]) == self.prior.n_agents - 1
+
+    def _opponent_factors(self, strategies, agent: int):
+        """The opponents' weights on a component prior as two factors, (G, R):
+        W[k, l_lead, l_trail] = G[k, l_lead] * R[l_trail], over the opponents
+        in agent order.  R is the outer product of the trailing opponents'
+        action marginals, flattened.  G sums, over the components, the weight
+        (where the agent is alone with its marginal) or the scaled own block
+        mass contracted with the block-mates' conditionals (one small GEMM per
+        mate), times the outer product of the component's other blocks' action
+        distributions; it is one row where no component has a block-mate,
+        else one row per own observation.  With a highest-bid payoff on an
+        independent prior, R is instead the distribution of the opponents'
+        highest bid, prod_j F_j - prod_j (F_j - pi_j), a running product over
+        their action marginals pi_j and their cdfs F_j, over the columns of
+        ``_affine_parts``, and G is [[1]]."""
         if agent in self._top_bids:
             top = below = 1.0
-            for pi in marginals:
-                cdf = np.cumsum(pi)
-                top = top * cdf
-                below = below * (cdf - pi)
-            return top - below
-        row = np.ones(1)
-        for pi in marginals:
-            row = np.multiply.outer(row, pi)
-        return row.ravel()
+            for j, s in enumerate(strategies):
+                if j != agent:
+                    pi = s.matrix.sum(axis=0)
+                    cdf = np.cumsum(pi)
+                    top = top * cdf
+                    below = below * (cdf - pi)
+            return np.ones((1, 1)), top - below
+        trailing, terms = self._views[agent]
+        g = None
+        for weight, own, mates, others in terms:
+            f = np.full(1, weight) if own is None else own
+            for j in mates:
+                f = np.tensordot(f, strategies[j].conditionals(), axes=(1, 0))
+            if others:
+                f = _outer_in_agent_order([((-1,) + mates, f)] + [
+                    (agents, _block_actions(strategies, agents, mass)) for agents, mass in others])
+            f = f.reshape(f.shape[0], -1)
+            g = f if g is None else g + f
+        r = np.ones(())
+        for j in trailing:
+            r = np.multiply.outer(r, strategies[j].matrix.sum(axis=0))
+        return g, r.ravel()
 
     # -- paths ---------------------------------------------------------------
 
     def gradient(self, strategies, agent: int) -> np.ndarray:
-        if self.prior.independent:
+        if self.prior.components is not None:
             c = self._gradient_factorized(strategies, agent)
         elif self.path == "affine":
             c = self._gradient_affine(strategies, agent)
@@ -280,21 +391,52 @@ class GradientEngine:
         return c
 
     def _gradient_factorized(self, strategies, agent: int) -> np.ndarray:
-        """c_i on an independent prior, where the prior mass is
-        marginal[k] * row: the weights divided by the marginal are one row, so
-        c_i[k] = o_k * (row . A) + row . B on the affine path, and row .
-        crra(o_k * A + B) on the tensor path, on every row of nonzero mass."""
+        """c_i on a component prior, from the factors (G, R) of
+        ``_opponent_factors``, on every row of nonzero mass.
+
+        On the affine path R first meets A and B over the trailing opponents'
+        axes (``_reduced_parts``), and the result meets G in one product
+        each: c_i = o * (G . A_R) + G . B_R.  Where G is one row this is
+        c_i[k] = o_k * (r . A) + r . B, the same row for every own
+        observation.  The tensor path takes the weights G x R as rows."""
         own_vals = self.prior.obs_grids[agent].points
-        w = self._opponent_row(strategies, agent)[None, :]
-        if self.path == "affine":
-            a, b = self._contract_affine(agent, w, w)
-            c = np.multiply.outer(own_vals, a[0])
-            c += b[0]
+        if self.path == "tensor":
+            c = self._contract_utilities(agent, self._weight_rows(strategies, agent), own_vals)
         else:
-            c = self._contract_utilities(agent, np.broadcast_to(w, (own_vals.size, w.shape[1])),
-                                         own_vals)
+            g, r = self._opponent_factors(strategies, agent)
+            ra, rb = self._reduced_parts(agent, r)
+            # one column of G: R covers every opponent, and A_R, B_R are rows
+            ca, cb = (g * ra, g * rb) if g.shape[1] == 1 else (g @ ra, g @ rb)
+            if g.shape[0] == 1:
+                c = np.multiply.outer(own_vals, ca[0])
+                c += cb[0]
+            else:
+                c = ca
+                c *= own_vals[:, None]
+                c += cb
         c[~(self.prior.marginals[agent] > 0)] = 0.0
         return c
+
+    def _weight_rows(self, strategies, agent: int) -> np.ndarray:
+        """The weights G x R of ``_opponent_factors`` as (K_i, L_-i) rows, the
+        opponents' actions in agent order; one row, broadcast, where G is one."""
+        g, r = self._opponent_factors(strategies, agent)
+        w = np.multiply.outer(g, r).reshape(g.shape[0], -1)
+        return np.broadcast_to(w, (self.prior.obs_grids[agent].count, w.shape[1]))
+
+    def _reduced_parts(self, agent: int, r: np.ndarray):
+        """``agent``'s A and B contracted with ``r`` over the trailing
+        opponents' action axes, each as (columns of G, L_i): one mat-vec over
+        the trailing axes.  Where the trailing opponents are all of them,
+        that is the one row r . A, from the mechanism's kernel or the dense A;
+        where they hold none, A and B themselves."""
+        if self._trailing_covers_opponents(agent):
+            w = r[None, :]
+            return self._contract_affine(agent, w, w)
+        a, b = self._affine_parts(agent)
+        if not self._views[agent][0]:
+            return a.T, b.T
+        return tuple((x.reshape(-1, r.size) @ r).reshape(x.shape[0], -1).T for x in (a, b))
 
     def _gradient_affine(self, strategies, agent: int) -> np.ndarray:
         """c_i = (Wv . A + W . B) / marginal, with Wv and W the value-weighted

@@ -4,9 +4,11 @@ Preset values are plain config mappings; they can be run directly
 (``preset run <id>``) or pulled into a config file via ``include = <id>``.
 Step parameters were calibrated to certify within the iteration cap;
 comments mark where this build's calibration departs from the usual
-settings for the family.  Three presets still stop at the cap above their
-tolerance at seed (0, 0): ``llg_first_price_g01``/``g05``/``g09`` (exact
-ties under the void-on-ties rule).
+settings for the family.  Two presets still stop at the cap above their
+tolerance at seed (0, 0): ``llg_first_price_g05``/``g09`` (exact ties under
+the void-on-ties rule).  The LLG presets' prior is exact, so they set no
+``prior_samples``; the binned common-value and affiliated presets bin 4M
+draws.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ for _rule, _tag in [("NZ", "nz"), ("NVCG", "nvcg"), ("NB", "nb"),
              mechanism="llg", agents=3, payment_rule=_rule,
              prior="bernoulli_llg", gamma=_gamma,
              action_lower=[0.0, 0.0, 0.0], action_upper=[1.0, 1.0, 2.0],
-             learner=_learner, eta0=_eta0, step_beta=_beta,
-             prior_samples=1 << 22)
+             learner=_learner, eta0=_eta0, step_beta=_beta)
 
 for _prior, _ptag, _soma_eta in [("uniform", "uniform", 0.01), ("gaussian_trunc", "gaussian", 0.05)]:
     _add(f"split_award_{_ptag}",

@@ -1,11 +1,13 @@
 """Discrete prior distributions over joint valuation/observation grids.
 
 Independent private-value priors are discretized by evaluating the marginal
-density on the grid and normalizing.  Latent-variable priors (common value,
-affiliated values, correlated local bidders) have no closed-form density on
-the grid and are discretized by binning Monte-Carlo draws from the latent
-model to the nearest grid points.  The interdependent models (common and
-affiliated values) give all agents one shared value: one value grid, one joint.
+density on the grid and normalizing.  The correlated local bidders of the LLG
+model are a mixture of two products of uniforms, so their discretized joint is
+exact in closed form: two weighted product components of cell masses.  The
+interdependent latent-variable priors (common and affiliated values) have no
+closed-form mass on the grid and are discretized by binning Monte-Carlo draws
+from the latent model to the nearest grid points; they give all agents one
+shared value: one value grid, one joint.
 """
 
 from __future__ import annotations
@@ -22,18 +24,36 @@ _BIN_CHUNK = 1 << 20
 CDF_TABLE_SIZE = 8193  # points of the tabulated cdf a custom density samples from
 
 
+@dataclass(frozen=True)
+class Component:
+    """One weighted product term of a prior's mass over the observation grids.
+
+    ``blocks`` partition the agents: each is an ``(agents, mass)`` pair, with
+    ``agents`` ascending and ``mass`` a probability array with one axis per
+    agent of the block, in that order.  The term's mass at a cell is
+    ``weight`` times the product of its blocks' masses there.
+    """
+
+    weight: float
+    blocks: tuple
+
+
 @dataclass
 class DiscretePrior:
     """Probability mass over the joint discrete valuation x observation space.
 
-    ``obs_joint`` holds the mass over the product of observation grids.  It
-    is ``None`` for independent priors, and only for them: their mass is the
-    product of ``marginals``, so ``independent`` is ``obs_joint is None``.
-    Interdependent priors share one value among all agents: ``value_joint``
-    holds the mass over (shared value on ``value_grid``) x (all
-    observations), and summing out the value axis reproduces ``obs_joint``
-    exactly.  Both are ``None`` for private values, where each agent's value
-    is its observation.
+    The mass over the product of observation grids is held one of two ways.
+    ``components`` hold it as a weighted sum of products of blocks
+    (``Component``); ``obs_joint`` holds it as one dense array.  Exactly one
+    of the two is set.  Independent private values are the one-component
+    case with every block a single agent, whose mass is then its marginal
+    (``independent``); a prior built with neither gets that component, the
+    marginals themselves as its blocks.  The correlated
+    LLG locals are two components.  Interdependent priors share one value
+    among all agents and are dense: ``value_joint`` holds the mass over
+    (shared value on ``value_grid``) x (all observations), and summing out the
+    value axis reproduces ``obs_joint`` exactly.  ``value_joint`` is ``None``
+    for private values, where each agent's value is its observation.
     """
 
     obs_grids: tuple[Grid, ...]
@@ -42,8 +62,12 @@ class DiscretePrior:
     value_grid: Grid | None = None
     value_joint: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    components: tuple[Component, ...] | None = None
 
     def __post_init__(self):
+        if self.obs_joint is None and self.components is None:
+            self.components = (Component(1.0, tuple(((i,), m)
+                                                    for i, m in enumerate(self.marginals))),)
         self.validate()
 
     @property
@@ -52,7 +76,8 @@ class DiscretePrior:
 
     @property
     def independent(self) -> bool:
-        return self.obs_joint is None
+        return self.components is not None and len(self.components) == 1 and \
+            all(len(agents) == 1 for agents, _ in self.components[0].blocks)
 
     @property
     def values_equal_observations(self) -> bool:
@@ -72,6 +97,8 @@ class DiscretePrior:
                 raise ValueError("marginal length must match observation grid")
             if np.any(m < 0) or abs(m.sum() - 1.0) > 1e-12:
                 raise ValueError("marginals must be probability vectors (sum 1 within 1e-12)")
+        if (self.obs_joint is None) == (self.components is None):
+            raise ValueError("a prior holds either obs_joint or components, not both")
         if self.obs_joint is not None:
             if self.obs_joint.shape != tuple(g.count for g in self.obs_grids):
                 raise ValueError("obs_joint shape must match observation grids")
@@ -82,12 +109,41 @@ class DiscretePrior:
                 marg = self.obs_joint.sum(axis=axes)
                 if np.max(np.abs(marg - self.marginals[i])) > 1e-8:
                     raise ValueError(f"obs_joint does not marginalize to agent {i}'s marginal")
+        else:
+            self._validate_components()
         if self.value_joint is not None:
             if self.value_grid is None or self.obs_joint is None or \
                     self.value_joint.shape != (self.value_grid.count,) + self.obs_joint.shape:
                 raise ValueError("value joint needs a value grid and obs_joint of its shape")
             if np.max(np.abs(self.value_joint.sum(axis=0) - self.obs_joint)) > 1e-10:
                 raise ValueError("value joint does not sum back to obs_joint")
+
+    def _validate_components(self):
+        """Positive weights summing to one; blocks that partition the agents,
+        each a probability mass over its agents' grids; and the weighted
+        block marginals summing to each agent's marginal."""
+        n = len(self.obs_grids)
+        if any(not c.weight > 0 for c in self.components) or \
+                abs(sum(c.weight for c in self.components) - 1.0) > 1e-12:
+            raise ValueError("component weights must be positive and sum to 1 within 1e-12")
+        marginals = [np.zeros_like(m) for m in self.marginals]
+        for c in self.components:
+            if sorted(a for agents, _ in c.blocks for a in agents) != list(range(n)):
+                raise ValueError("a component's blocks must partition the agents")
+            for agents, mass in c.blocks:
+                if list(agents) != sorted(agents) or \
+                        mass.shape != tuple(self.obs_grids[a].count for a in agents):
+                    raise ValueError("block mass shape must match its agents' grids, "
+                                     "in ascending agent order")
+                if np.any(mass < 0) or abs(mass.sum() - 1.0) > 1e-12:
+                    raise ValueError("block masses must be probability masses "
+                                     "(sum 1 within 1e-12)")
+                for pos, a in enumerate(agents):
+                    rest = tuple(x for x in range(len(agents)) if x != pos)
+                    marginals[a] += c.weight * mass.sum(axis=rest)
+        for i in range(n):
+            if np.max(np.abs(marginals[i] - self.marginals[i])) > 1e-8:
+                raise ValueError(f"components do not marginalize to agent {i}'s marginal")
 
     def value_weighted_joint(self) -> np.ndarray:
         """Observation-space mass weighted by the shared value (interdependent
@@ -99,23 +155,12 @@ class DiscretePrior:
         return np.tensordot(self.value_grid.points, self.value_joint, axes=(0, 0))
 
 
-def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed,
-                density_correction):
-    """Accumulate bin weights of latent draws, chunked for memory.
+def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed):
+    """Count latent draws per grid cell, chunked for memory.
 
     Draws that are NaN or infinite are refused.  With a ``value_grid``, the
     draws' shared value is binned too, into one (value x observations) array;
     value columns that differ are refused.
-
-    With ``density_correction``, draws are weighted by the inverse cell width
-    on every observation axis (boundary points own half a cell on an
-    equidistant grid), so the binned mass estimates density-at-the-point
-    times a uniform cell volume and agrees with the density-evaluation
-    recipe.  Disable it for latent models whose joint is singular (mass on
-    lower-dimensional sets), where a volume correction over-weights boundary
-    atoms.  The weight is a power of two fixed by the cell, so it scales the
-    cell's count once, after binning, with the same result as weighting
-    every draw.
 
     Chunks' flat cell indices are held until they number at least the table
     size, then binned in one ``bincount``, so a table larger than a chunk is
@@ -155,11 +200,6 @@ def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed,
             counts += np.bincount(held[:n_held], minlength=counts.size)
             n_held = 0
     counts = counts.reshape(lead + obs_shape)
-    if density_correction:
-        for axis in range(len(lead), counts.ndim):
-            edges = np.moveaxis(counts, axis, 0)
-            edges[0] *= 2.0
-            edges[-1] *= 2.0
     if value_grid is None:
         return counts, None
     return counts.sum(axis=0), counts
@@ -207,13 +247,18 @@ def _symmetrize(obs_joint, value_joint, groups):
 
 def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAULT_SAMPLE_COUNT,
                       seed: int = 0, *, symmetry_groups=None,
-                      density_correction: bool = True, meta: dict | None = None) -> DiscretePrior:
+                      meta: dict | None = None) -> DiscretePrior:
     """Empirical discrete prior from a latent-variable sampler.
 
     ``sampler(rng, size)`` must return ``(values, observations)`` arrays of
     shape ``(size, n)``; draws are clamped to the grid bounds and binned to
     the nearest point on every axis.  ``value_grid`` bins the one value all
     agents share (the value columns must be equal); ``None`` means private values.
+    Each cell's count is weighted by the inverse cell width on every
+    observation axis (boundary points own half a cell on an equidistant
+    grid), so the binned mass estimates density-at-the-point times a uniform
+    cell volume and agrees with the density-evaluation recipe; the weight is
+    a power of two fixed by the cell, so it scales the cell's count exactly.
     Marginals are recomputed from the binned joint so marginal consistency
     holds exactly.  A ``sample_count`` below ``MIN_SAMPLE_COUNT`` and an
     observation point with zero empirical mass are errors.  ``meta`` records
@@ -225,14 +270,19 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
         raise ValueError(f"sample_count below {MIN_SAMPLE_COUNT}: the binned prior would be "
                          "too noisy")
     obs_grids = tuple(obs_grids)
-    obs_counts, val_counts = _bin_counts(sampler, value_grid, obs_grids, int(sample_count),
-                                         seed, density_correction)
-    total = float(obs_counts.sum())
-    obs_joint, value_joint = obs_counts, val_counts  # normalized in place: no second copy
+    # the counts are weighted and normalized in place: no second copy
+    obs_joint, value_joint = _bin_counts(sampler, value_grid, obs_grids, int(sample_count),
+                                         seed)
+    n = len(obs_grids)
+    for joint in (obs_joint,) if value_joint is None else (obs_joint, value_joint):
+        for axis in range(joint.ndim - n, joint.ndim):
+            edges = np.moveaxis(joint, axis, 0)
+            edges[0] *= 2.0
+            edges[-1] *= 2.0
+    total = float(obs_joint.sum())
     obs_joint /= total
     if value_joint is not None:
         value_joint /= total
-    n = len(obs_grids)
     if symmetry_groups:
         obs_joint, value_joint = _symmetrize(obs_joint, value_joint, symmetry_groups)
     marginals = []
@@ -412,12 +462,30 @@ class AffiliatedValuesPrior:
                                  meta={"kind": self.kind})
 
 
+def _cell_edges(grid: Grid, lower: float, upper: float):
+    """Lower and upper edges of the grid points' nearest-point cells within
+    [lower, upper]: the cells meet at the midpoints, and the end cells reach
+    to the interval's ends (values beyond the grid's ends bin to its ends)."""
+    mid = (grid.points[:-1] + grid.points[1:]) / 2.0
+    edges = np.concatenate(([lower], np.clip(mid, lower, upper), [upper]))
+    return edges[:-1], edges[1:]
+
+
 class BernoulliWeightsLLGPrior:
     """Correlated local-bidder values for the two-local/one-global model.
 
     With probability ``gamma`` both locals share the common component (their
     values coincide), otherwise they draw independent uniforms; the global
     bidder's value is an independent uniform on [0, 2].  Private values.
+
+    The discretized prior is exact: nearest-point binning of a uniform gives
+    each grid point the length of its cell (half cells at the ends of a grid
+    spanning the interval), so the joint is
+    ``(1-gamma) * m1 x m2 x m3 + gamma * M12 x m3``, where ``m`` are the cell
+    masses and ``M12[k1, k2]`` is the length of the intersection of the two
+    locals' cells (``diag(m)`` when they share one grid).  It is held as these
+    two components; no draws are read, so ``sample_count`` and ``seed`` do not
+    affect it.
     """
 
     kind = "bernoulli_llg"
@@ -443,10 +511,26 @@ class BernoulliWeightsLLGPrior:
         return values, values
 
     def discretize(self, obs_grids, value_grid=None, *, sample_count=DEFAULT_SAMPLE_COUNT,
-                   seed=0):
-        # the shared-component mass lives on the diagonal (no joint density):
-        # plain binning keeps the latent correlation intact
-        return joint_from_latent(self.sample, None, obs_grids, sample_count, seed,
-                                 symmetry_groups=self.symmetry_groups(),
-                                 density_correction=False,
-                                 meta={"kind": self.kind, "gamma": self.gamma})
+                   seed=0) -> DiscretePrior:
+        obs_grids = tuple(obs_grids)
+        edges = [_cell_edges(g, lo, hi) for g, (lo, hi) in zip(obs_grids, self.obs_bounds)]
+        widths = [hi - lo for lo, hi in self.obs_bounds]
+        marginals = tuple((e[1] - e[0]) / w for e, w in zip(edges, widths))
+        for i, m in enumerate(marginals):
+            if np.any(m == 0):
+                raise ValueError(f"agent {i} has observation grid points whose cells miss "
+                                 "the support of its value")
+        (lo1, hi1), (lo2, hi2) = edges[:2]
+        shared = np.clip(np.minimum.outer(hi1, hi2) - np.maximum.outer(lo1, lo2), 0.0, None)
+        shared /= widths[0]
+        components = []
+        if self.gamma < 1.0:
+            components.append(Component(1.0 - self.gamma, tuple(((i,), m) for i, m in
+                                                                enumerate(marginals))))
+        if self.gamma > 0.0:
+            components.append(Component(self.gamma, (((0, 1), shared), ((2,), marginals[2]))))
+        empty = 0 if self.gamma < 1.0 else np.count_nonzero(shared == 0) * obs_grids[2].count
+        meta = {"kind": self.kind, "gamma": self.gamma, "construction": "exact",
+                "empty_cells": int(empty)}
+        return DiscretePrior(obs_grids, marginals, None, meta=meta,
+                             components=tuple(components))

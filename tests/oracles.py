@@ -12,6 +12,26 @@ import itertools
 import numpy as np
 
 
+def component_mass(prior, k):
+    """Mass of observation cell ``k`` of a prior held as components: over the
+    components, the weight times the product of the blocks' masses at k."""
+    total = 0.0
+    for c in prior.components:
+        term = c.weight
+        for agents, mass in c.blocks:
+            term *= mass[tuple(k[a] for a in agents)]
+        total += term
+    return total
+
+
+def dense_joint(prior):
+    """The observation joint of a prior held as components, cell by cell."""
+    joint = np.zeros(tuple(g.count for g in prior.obs_grids))
+    for k in itertools.product(*[range(g.count) for g in prior.obs_grids]):
+        joint[k] = component_mass(prior, k)
+    return joint
+
+
 def naive_expected_utility(mech, prior, strategies, agent):
     """Direct summation of the discretized expected-utility integral."""
     n = prior.n_agents
@@ -39,9 +59,7 @@ def naive_expected_utility(mech, prior, strategies, agent):
                 continue
             bids = [tuple(tables[j][l[j]]) for j in range(n)]
             if prior.values_equal_observations:
-                # an independent prior holds no joint: its mass is the
-                # product of the marginals, denom
-                mass = denom if joint is None else joint[k]
+                mass = component_mass(prior, k) if joint is None else joint[k]
                 u = float(mech.utility(agent, bids, own_vals[k[agent]]))
                 total += u * w * mass / denom
             else:
@@ -96,9 +114,8 @@ def naive_gradient(mech, prior, strategies, agent):
                         l[j] = lj
                     bids = [tuple(tables[j][l[j]]) for j in range(n)]
                     if prior.values_equal_observations:
-                        # an independent prior holds no joint: its mass is
-                        # the product of the marginals, denom
-                        mass = denom if joint is None else joint[tuple(k)]
+                        mass = component_mass(prior, k) if joint is None \
+                            else joint[tuple(k)]
                         u = float(mech.utility(agent, bids, own_vals[ki]))
                         acc += u * w * mass / denom
                     else:

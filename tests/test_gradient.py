@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from bnesolve.config import build_problem, config_from_mapping
-from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, expected_utility
+from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, PATHS, GradientEngine, expected_utility
 from bnesolve.grids import make_uniform_grid
 from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuction,
                                  TullockContest)
 from bnesolve.presets import get_preset
-from bnesolve.priors import CommonValuePrior, DiscretePrior, independent_prior
+from bnesolve.priors import (BernoulliWeightsLLGPrior, CommonValuePrior, Component,
+                             DiscretePrior, independent_prior)
 from bnesolve.strategy import init_strategy
-from oracles import naive_expected_utility, naive_gradient
+from oracles import dense_joint, naive_expected_utility, naive_gradient
 
 
 def ipv_setting(kind="fpsb", n=2, k=3, l=3, rho=1.0, seed=0, density=None):
@@ -48,14 +49,12 @@ def shared_gradient(mech, prior, action_grids, strategies,
 
 
 def with_dense_joint(prior):
-    """The independent ``prior`` as a correlated prior: a DiscretePrior carrying
-    its outer-product joint, so the engine weights the opponents with the
-    joint and their conditionals (``_opponent_weights``), not one row."""
-    joint = prior.marginals[0]
-    for m in prior.marginals[1:]:
-        joint = np.multiply.outer(joint, m)
-    dense = DiscretePrior(prior.obs_grids, prior.marginals, joint)
-    assert not dense.independent
+    """The component ``prior`` (an independent one included) as a binned prior
+    would hold it: a DiscretePrior carrying its joint, built cell by cell, so
+    the engine weights the opponents with the joint and their conditionals
+    (``_opponent_weights``), not by the components."""
+    dense = DiscretePrior(prior.obs_grids, prior.marginals, dense_joint(prior))
+    assert not dense.independent and dense.components is None
     return dense
 
 
@@ -358,7 +357,7 @@ def risk_averse_settings():
     common value, and first price with one group of three sharing a strategy
     (the order-statistic row of the factorized branch)."""
     cfg = config_from_mapping({**get_preset("llg_nz_g05"), "risk_rho": 0.5, "obs_points": 7,
-                               "action_points": 6, "prior_samples": 200_000})
+                               "action_points": 6})
     llg = build_problem(cfg)
     prior = llg.discretize()
     profile = [init_strategy("random", prior.obs_grids[i], llg.action_grids[i],
@@ -621,6 +620,7 @@ def test_factorized_branch_skips_opponent_weights(monkeypatch):
     monkeypatch.setattr(GradientEngine, "_opponent_weights", spy)
     settings = list(with_strategies(factorized_settings()))
     settings += with_strategies(asymmetric_highest_bid_settings())
+    settings += [s[1:] for s in (*llg_component_settings(), *interleaved_component_settings())]
     for _, mech, prior, action_grids, strategies in settings:
         paths = ("affine", "tensor") if mech.risk_rho == 1.0 else ("tensor",)
         for path in paths:
@@ -628,17 +628,90 @@ def test_factorized_branch_skips_opponent_weights(monkeypatch):
             for agent in range(prior.n_agents):
                 engine.gradient(strategies, agent)
     assert calls == []
-    cfg = config_from_mapping({**get_preset("llg_nz_g05"), "obs_points": 5,
-                               "action_points": 4, "prior_samples": 200_000})
-    llg = build_problem(cfg)
-    prior = llg.discretize()
-    assert not prior.independent and prior.values_equal_observations
-    profile = [init_strategy("random", prior.obs_grids[i], llg.action_grids[i],
-                             prior.marginals[i], seed=i) for i in range(3)]
-    engine = GradientEngine(llg.mech, prior, llg.action_grids)
-    assert engine.path == "affine"
-    engine.gradient(profile, 1)
-    assert calls == [1]
+    # a binned prior holds a dense joint, which still takes the GEMMs
+    og = [make_uniform_grid(0, 2, 3)] * 2
+    common = CommonValuePrior(2).discretize(og, make_uniform_grid(0, 1, 4),
+                                            sample_count=100_000, seed=0)
+    assert common.components is None
+    grids = [(make_uniform_grid(0, 1.5, 3),)] * 2
+    profile = [init_strategy("random", og[i], grids[i], common.marginals[i], seed=i)
+               for i in range(2)]
+    for path in PATHS:
+        GradientEngine(SingleObjectAuction("spsb", 2), common, grids,
+                       prefer_path=path).gradient(profile, 1)
+    assert calls == [1, 1]
+
+
+def llg_component_settings():
+    """(label, groups, mech, prior, action_grids, profile) on the exact LLG
+    prior: the four payment rules at gamma 0, 0.5 and 1 and risk_rho 1 and
+    0.5, with the locals grouped (one grid, one shared strategy) and as
+    singletons (unequal grids and strategies, so the shared block is the
+    intersection of their cells, not a diagonal)."""
+    for rule in ("NZ", "NVCG", "NB", "first_price"):
+        for gamma in (0.0, 0.5, 1.0):
+            for rho in (1.0, 0.5):
+                for grouped in (True, False):
+                    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 3 if grouped else 4),
+                          make_uniform_grid(0, 2, 3)]
+                    prior = BernoulliWeightsLLGPrior(gamma).discretize(og)
+                    action_grids = [(make_uniform_grid(0, 1, 3),)] * 2 + \
+                        [(make_uniform_grid(0, 2, 3),)]
+                    profile = [init_strategy("random", og[i], action_grids[i],
+                                             prior.marginals[i], seed=5 + i) for i in range(3)]
+                    if grouped:
+                        profile[1] = profile[0]
+                    groups = [[0, 1], [2]] if grouped else None
+                    yield (f"{rule}_{gamma}_{rho}_{'grouped' if grouped else 'singleton'}",
+                           groups, LLGAuction(rule, risk_rho=rho), prior, action_grids, profile)
+
+
+def interleaved_component_settings():
+    """(label, groups, mech, prior, action_grids, profile) on a hand-built
+    three-agent prior of two components: agents 0 and 2 share a block (so a
+    block-mate's axes and the other blocks' interleave in agent order), agent
+    1's block mass in that component is not its marginal, and in the other
+    component no single-agent block is its agent's marginal; first and second
+    price at risk_rho 1 and 0.5, agent 2 on an action grid of its own."""
+    rng = np.random.default_rng(3)
+    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 4), make_uniform_grid(0, 1, 2)]
+
+    def mass(*shape):
+        x = rng.random(shape) + 0.1
+        return x / x.sum()
+
+    m02, m1a, m0, m1b, m2 = mass(3, 2), mass(4), mass(3), mass(4), mass(2)
+    components = (Component(0.3, (((0, 2), m02), ((1,), m1a))),
+                  Component(0.7, (((0,), m0), ((1,), m1b), ((2,), m2))))
+    marginals = (0.3 * m02.sum(axis=1) + 0.7 * m0, 0.3 * m1a + 0.7 * m1b,
+                 0.3 * m02.sum(axis=0) + 0.7 * m2)
+    prior = DiscretePrior(og, marginals, None, components=components)
+    # agent 2 bids on a grid of its own: the payoff is not symmetric in the
+    # opponents, so their actions must meet A in agent order
+    action_grids = [(make_uniform_grid(0, 1, 3),)] * 2 + [(make_uniform_grid(0, 1.2, 4),)]
+    profile = [init_strategy("random", og[i], action_grids[i], marginals[i], seed=2 + i)
+               for i in range(3)]
+    for kind in ("fpsb", "spsb"):
+        for rho in (1.0, 0.5):
+            yield (f"interleaved_{kind}_{rho}", None, SingleObjectAuction(kind, 3, risk_rho=rho),
+                   prior, action_grids, profile)
+
+
+def test_component_prior_gradients_match_naive():
+    """Both paths on component priors agree with the brute-force oracle, which
+    weights each cell by the components' mass, summed with loops."""
+    for label, groups, mech, prior, action_grids, profile in [
+            *llg_component_settings(), *interleaved_component_settings()]:
+        assert prior.components is not None
+        agents = [0, 2] if groups else [0, 1, 2]
+        oracles = {a: naive_gradient(mech, prior, profile, a) for a in agents}
+        paths = PATHS if mech.risk_rho == 1.0 else ("tensor",)
+        for path in paths:
+            engine = GradientEngine(mech, prior, action_grids, groups=groups, prefer_path=path)
+            for a in agents:
+                c = engine.gradient(profile, a)
+                assert c.flags.c_contiguous, (label, path, a)
+                assert np.max(np.abs(c - oracles[a])) < 1e-12, (label, path, a)
 
 
 def test_split_award_kernel_one_row_matches_dense():
@@ -682,13 +755,17 @@ def layout_settings():
     yield "affine_factorized", GradientEngine(mech, prior, action_grids), strategies
     yield "tensor_factorized", GradientEngine(mech_ra, prior, action_grids), strategies
     cfg = config_from_mapping({**get_preset("llg_nz_g05"), "obs_points": 5,
-                               "action_points": 4, "prior_samples": 200_000})
+                               "action_points": 4})
     llg = build_problem(cfg)
     llg_prior = llg.discretize()
     profile = [init_strategy("random", llg_prior.obs_grids[i], llg.action_grids[i],
                              llg_prior.marginals[i], seed=i) for i in range(3)]
-    yield "affine_correlated", GradientEngine(llg.mech, llg_prior, llg.action_grids), profile
-    yield "tensor_correlated", GradientEngine(llg.mech, llg_prior, llg.action_grids,
+    yield "affine_components", GradientEngine(llg.mech, llg_prior, llg.action_grids), profile
+    yield "tensor_components", GradientEngine(llg.mech, llg_prior, llg.action_grids,
+                                              prefer_path="tensor"), profile
+    dense = with_dense_joint(llg_prior)
+    yield "affine_correlated", GradientEngine(llg.mech, dense, llg.action_grids), profile
+    yield "tensor_correlated", GradientEngine(llg.mech, dense, llg.action_grids,
                                               prefer_path="tensor"), profile
     og = [make_uniform_grid(0, 2, 3)] * 2
     common = CommonValuePrior(2).discretize(og, make_uniform_grid(0, 1, 4), sample_count=100_000,

@@ -16,6 +16,7 @@ from bnesolve.priors import (AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
                              TruncatedGaussianMarginal, UniformMarginal,
                              _bin_counts, _group_permutations, independent_prior,
                              joint_from_latent)
+from oracles import dense_joint
 
 
 def grids(n, count=16, hi=1.0):
@@ -23,13 +24,14 @@ def grids(n, count=16, hi=1.0):
 
 
 def check_invariants(prior):
-    assert abs(prior.obs_joint.sum() - 1.0) <= 1e-10
+    joint = dense_joint(prior) if prior.obs_joint is None else prior.obs_joint
+    assert abs(joint.sum() - 1.0) <= 1e-10
     n = prior.n_agents
     for i in range(n):
         m = prior.marginals[i]
         assert abs(m.sum() - 1.0) <= 1e-12
         axes = tuple(a for a in range(n) if a != i)
-        assert np.max(np.abs(prior.obs_joint.sum(axis=axes) - m)) <= 1e-8
+        assert np.max(np.abs(joint.sum(axis=axes) - m)) <= 1e-8
     if prior.value_joint is not None:
         assert np.max(np.abs(prior.value_joint.sum(axis=0) - prior.obs_joint)) <= 1e-10
         # the interdependent models are exchangeable: swapping two agents'
@@ -77,8 +79,7 @@ def test_degenerate_sampler_single_atom():
         v = np.repeat(rng.random((size, 1)), 2, axis=1)
         return v, v
 
-    prior = joint_from_latent(sampler, None, grids(2, 5), sample_count=100_000, seed=0,
-                              density_correction=False)
+    prior = joint_from_latent(sampler, None, grids(2, 5), sample_count=100_000, seed=0)
     off_diagonal = ~np.eye(5, dtype=bool)
     assert np.all(prior.obs_joint[off_diagonal] == 0.0)
     assert np.all(np.diag(prior.obs_joint) > 0.0)
@@ -150,16 +151,16 @@ def test_bernoulli_weights_prior():
          make_uniform_grid(0, 2, 12)]
     p0 = BernoulliWeightsLLGPrior(0.0).discretize(g, sample_count=400_000, seed=5)
     check_invariants(p0)
-    locals_joint = p0.obs_joint.sum(axis=2)
+    locals_joint = dense_joint(p0).sum(axis=2)
     product = np.outer(p0.marginals[0], p0.marginals[1])
     assert np.max(np.abs(locals_joint - product)) < 2e-3
 
     p1 = BernoulliWeightsLLGPrior(1.0).discretize(g, sample_count=400_000, seed=5)
-    diag = np.trace(p1.obs_joint.sum(axis=2))
+    diag = np.trace(dense_joint(p1).sum(axis=2))
     assert diag > 0.999
 
     ph = BernoulliWeightsLLGPrior(0.5).discretize(g, sample_count=400_000, seed=5)
-    lj = ph.obs_joint.sum(axis=2)
+    lj = dense_joint(ph).sum(axis=2)
     pts = g[0].points
     m0, m1 = lj.sum(axis=1), lj.sum(axis=0)
     mu0, mu1 = pts @ m0, pts @ m1
@@ -171,6 +172,59 @@ def test_bernoulli_weights_prior():
 
     with pytest.raises(ValueError):
         BernoulliWeightsLLGPrior(1.5)
+
+
+def brute_force_llg_counts(model, obs_grids, draws, seed, chunk=1 << 19):
+    """Cell counts of ``draws`` draws of the LLG model, each binned to its
+    nearest grid point on every axis by a search of the grid's midpoints."""
+    counts = np.zeros(tuple(g.count for g in obs_grids))
+    rng = np.random.default_rng(seed)
+    for start in range(0, draws, chunk):
+        _, obs = model.sample(rng, min(chunk, draws - start))
+        idx = [np.searchsorted((g.points[1:] + g.points[:-1]) / 2, obs[:, i])
+               for i, g in enumerate(obs_grids)]
+        np.add.at(counts, tuple(idx), 1.0)
+    return counts
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("local_points", [(6, 6), (7, 5)])
+def test_llg_prior_matches_brute_force_binning(gamma, local_points):
+    """The closed-form joint against a binned sample of 2M draws, cell by cell,
+    within five standard deviations of each cell's binomial count; cells of
+    zero mass (locals whose cells do not meet, at gamma = 1) get no draws.
+    Unequal local grids exercise the cell intersections of the shared block."""
+    g = [make_uniform_grid(0, 1, local_points[0]), make_uniform_grid(0, 1, local_points[1]),
+         make_uniform_grid(0, 2, 4)]
+    model = BernoulliWeightsLLGPrior(gamma)
+    prior = model.discretize(g)
+    check_invariants(prior)
+    assert prior.obs_joint is None and prior.independent == (gamma == 0)
+    assert [c.weight for c in prior.components] == [w for w in (1 - gamma, gamma) if w > 0]
+    joint = dense_joint(prior)
+    draws = 2_000_000
+    counts = brute_force_llg_counts(model, g, draws, seed=11)
+    sd = np.sqrt(draws * joint * (1 - joint))
+    assert np.all(np.abs(counts - draws * joint) <= 5 * sd + 1e-9)
+    assert np.all(counts[joint == 0] == 0)
+    assert prior.meta["empty_cells"] == np.count_nonzero(joint == 0)
+    if local_points[0] == local_points[1] and gamma > 0:
+        (_, shared), _ = prior.components[-1].blocks
+        assert np.array_equal(shared, np.diag(prior.marginals[0]))
+
+
+def test_llg_prior_reads_no_draws():
+    g = [make_uniform_grid(0, 1, 9), make_uniform_grid(0, 1, 9), make_uniform_grid(0, 2, 9)]
+    model = BernoulliWeightsLLGPrior(0.5)
+    a = model.discretize(g, sample_count=100_000, seed=1)
+    b = model.discretize(g, sample_count=1 << 22, seed=987654321)
+    assert a.meta == b.meta == {"kind": "bernoulli_llg", "gamma": 0.5,
+                                "construction": "exact", "empty_cells": 0}
+    assert all(np.array_equal(x, y) for x, y in zip(a.marginals, b.marginals))
+    for ca, cb in zip(a.components, b.components, strict=True):
+        assert ca.weight == cb.weight
+        for (agents_a, mass_a), (agents_b, mass_b) in zip(ca.blocks, cb.blocks, strict=True):
+            assert agents_a == agents_b and np.array_equal(mass_a, mass_b)
 
 
 def test_symmetrization_makes_grouped_agents_identical():
@@ -284,8 +338,7 @@ def test_non_finite_draw_rejected_without_value_grid():
         return obs, obs
 
     with pytest.raises(ValueError, match="NaN or infinite"):
-        joint_from_latent(sampler, None, grids(3, 4), sample_count=100_000, seed=0,
-                          density_correction=False)
+        joint_from_latent(sampler, None, grids(3, 4), sample_count=100_000, seed=0)
 
 
 def per_chunk_counts(sampler, value_grid, obs_grids, sample_count, seed, chunk):
@@ -316,7 +369,7 @@ def test_held_indices_bin_as_per_chunk_counts(monkeypatch, preset, points, sampl
     sampler = problem.prior_model.sample
     monkeypatch.setattr(priors, "_BIN_CHUNK", chunk)
     obs_counts, value_counts = _bin_counts(sampler, problem.value_grid, problem.obs_grids,
-                                           samples, 5, density_correction=False)
+                                           samples, 5)
     reference = per_chunk_counts(sampler, problem.value_grid, problem.obs_grids, samples, 5,
                                  chunk)
     binned = obs_counts if problem.value_grid is None else value_counts

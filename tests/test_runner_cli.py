@@ -217,6 +217,60 @@ def test_meta_records_prior_discretization(tmp_path):
     assert meta["prior"]["empty_cells"] == int(np.count_nonzero(prior.obs_joint == 0))
 
 
+def held_array_bytes(engine):
+    """Bytes of every array the engine holds beyond its inputs: each array
+    reachable from its attributes other than the mechanism, the prior, the
+    action grids and their flattened tables, and that shares no memory with
+    the prior; objects with ``nbytes`` (kernels) count theirs."""
+    inputs = {"mech", "prior", "action_grids", "flat_actions", "_top_bids"}
+    prior_arrays = [a for a in [*engine.prior.marginals, engine.prior.obs_joint,
+                                engine.prior.value_joint] if a is not None]
+    prior_arrays += [m for c in engine.prior.components or () for _, m in c.blocks]
+    seen, total = set(), 0
+
+    def walk(x):
+        nonlocal total
+        if id(x) in seen:
+            return
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            if not any(np.shares_memory(x, p) for p in prior_arrays):
+                total += x.nbytes
+        elif isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, (list, tuple)):
+            for v in x:
+                walk(v)
+        elif hasattr(x, "nbytes"):
+            total += x.nbytes
+
+    for name, value in vars(engine).items():
+        if name not in inputs:
+            walk(value)
+    return total
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5])
+def test_meta_records_exact_llg_prior_and_cache_bytes(tmp_path, rho):
+    cfg = config_from_mapping({**get_preset("llg_nb_g05"), **FAST, "obs_points": 6,
+                               "action_points": 5, "runs": 1, "iterations": 10,
+                               "risk_rho": rho})
+    problem = build_problem(cfg)
+    run_batch(problem, tmp_path / "llg")
+    meta = json.loads((tmp_path / "llg" / "run_000" / "meta.json").read_text())
+    assert meta["prior"] == {"kind": "bernoulli_llg", "gamma": 0.5, "construction": "exact",
+                             "empty_cells": 0}
+    engine = problem.engine()
+    assert engine.prior.components is not None
+    assert meta["gradient_path"] == ("affine" if rho == 1.0 else "tensor")
+    # every cached array is counted: the dense A and B or the utilities, and
+    # the block masses scaled for the locals, whose block-mate is the other local
+    assert meta["engine_cache_bytes"] == engine.cache_bytes() == held_array_bytes(engine)
+    scaled = [own for _, own, _, _ in engine._views[0][1] if own is not None]
+    assert len(scaled) == 1 and scaled[0].shape == (6, 6)
+
+
 def test_run_batch_builds_one_engine(tmp_path, monkeypatch):
     import bnesolve.config as config_mod
     built = []
