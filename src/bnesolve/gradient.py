@@ -5,38 +5,40 @@ The expected utility of agent i is linear in its own strategy matrix,
 utility against the discrete prior and the opponents' conditional strategies.
 The prior picks how the opponents' actions are weighted:
 
-* on component priors (private values held as ``DiscretePrior.components``,
-  weighted products of blocks over the agents) the weights factor along the
-  blocks, component by component.  An opponent alone in its block with its
-  marginal as mass contributes its action marginal pi_j; a block of
-  opponents contributes their joint action distribution, the block's mass
-  contracted with their conditionals (``q_a^T M q_b``); and where agent i
-  shares its block, the block's mass divided by i's marginal and contracted
-  with the block-mates' conditionals (``M @ q_j``, one small GEMM) gives
-  weights over the mates' actions for each own observation.  The last
+* on component priors (private values, always held as
+  ``DiscretePrior.components``, weighted products of blocks over the agents)
+  the weights factor along the blocks, component by component.  An opponent
+  alone in its block with its marginal as mass contributes its action marginal
+  pi_j; a block of opponents contributes their joint action distribution, the
+  block's mass contracted with their conditionals (``q_a^T M q_b``); and where
+  agent i shares its block, the block's mass divided by i's marginal and
+  contracted with the block-mates' conditionals (``M @ q_j``, one small GEMM)
+  gives weights over the mates' actions for each own observation.  The last
   opponents in agent order that are alone with their marginal in every
   component make one factor R, the product of their action marginals; the
-  rest, summed over the components, make G, so the weights
-  are G[k_i, l_lead] * R[l_trail].  G is one row, the same for every own
+  rest, summed over the components, make G, so the weights are
+  G[k_i, l_lead] * R[l_trail].  G is one row, the same for every own
   observation, where agent i has no block-mate: on independent priors (one
   component of single agents) R is the product of the opponents' action
   marginals and G is [[1]].  Under a mechanism whose payoff depends on the
   opponents only through their highest bid
-  (``Mechanism.payoff_via_highest_bid``), on an independent prior with every
-  opponent bidding on one grid, R is instead the distribution of that
+  (``Mechanism.payoff_via_highest_bid``), on an independent prior with
+  every opponent bidding on one grid, R is instead the distribution of that
   highest bid, ``prod_j F_j - prod_j (F_j - pi_j)`` from the pi_j and their
   cdfs F_j, and its columns are that grid; its cost grows linearly with the
   number of agents.  No dense joint is formed, and
-* on binned priors (a dense ``obs_joint``: the interdependent models) the
-  prior mass is contracted with the opponents' conditional strategies, one
-  GEMM per opponent, into weights of shape (K_i, L_-i).
+* on dense priors (always interdependent: the binned common-value and
+  affiliated models, whose agents share one value) the prior mass, with the
+  shared value as its leading axis, is contracted with the opponents'
+  conditional strategies, one GEMM per opponent, into weights of shape
+  (values, K_i, L_-i).
 
 The payoff picks the path, one of ``PATHS``:
 
 * ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  On component
   priors R meets A and B first, in a mat-vec each over the trailing axes,
   and the result meets G in one product each; the own value enters as a row
-  scaling (an outer product where G is one row).  On binned priors the
+  scaling (an outer product where G is one row).  On dense priors the
   value-weighted joint and the joint are contracted together, stacked (one
   stack for all agents, who share the value), and the weights meet A and B
   in one GEMM each.  A and B are dense matrices of shape (L_i, columns of
@@ -46,9 +48,10 @@ The payoff picks the path, one of ``PATHS``:
   and
 * ``tensor``: the generic formulation for payoffs ``crra(v*A(b) + B(b))`` under
   private or interdependent priors.  It takes the weights as (K_i, L_-i)
-  rows (G x R on component priors) and walks the value axis (the own
-  observation for private values, the prior's one shared value otherwise)
-  in chunks of ex-post utilities, each filled in place one value at a time.
+  rows (G x R on component priors, one stack of rows per shared value on
+  dense ones) and walks the value axis (the own observation on component
+  priors, the one shared value on dense ones) in chunks of ex-post
+  utilities, each filled in place one value at a time.
   The memory budget sets the chunk size, not which path runs, and so bounds
   the bytes of ex-post utilities the path holds, give or take one value's
   worth of scratch.
@@ -165,14 +168,14 @@ class GradientEngine:
     payoff reads only that and they bid on one grid, decided here per
     agent).  Each agent's view of the
     components, with its block's mass scaled by its marginal, is built here,
-    once; a kernel is built only where R covers every opponent.  Binned
-    priors contract the prior mass with the opponents' conditionals, one GEMM
-    per opponent.  On
-    the affine path the mechanism's own kernel, when it has one (split
+    once; a kernel is built only where R covers every opponent.  Dense priors
+    are always interdependent; they contract the prior mass, led by the
+    shared value, with the opponents' conditionals, one GEMM per opponent.
+    On the affine path the mechanism's own kernel, when it has one (split
     award), replaces the dense payoff matrices for weights over the
     opponents' action profiles; its tables are built here, once.  Every path
-    returns a C-contiguous (K_i, L_i) gradient.  Interdependent priors hold
-    one value joint over the value all agents share, so the tensor path reads
+    returns a C-contiguous (K_i, L_i) gradient.  A dense prior holds one
+    value joint over the value all agents share, so the tensor path reads
     that joint for every agent and the affine path stacks one value-weighted
     pair, cached once per engine.  ``memory_budget`` sets the chunk size
     along the value axis of the tensor path; it never changes which path
@@ -266,37 +269,37 @@ class GradientEngine:
         return self._affine_cache[agent]
 
     def _value_weighted_pair(self) -> np.ndarray:
-        """The value-weighted joint stacked on the joint (interdependent priors);
-        all agents share the value, so one pair serves every agent."""
+        """The value-weighted joint stacked on the joint (dense priors); all
+        agents share the value, so one pair serves every agent."""
         if self._value_pair is None:
             self._value_pair = np.stack([self.prior.value_weighted_joint(),
                                          self.prior.obs_joint])
         return self._value_pair
 
     def _opponent_weights(self, w, strategies, agent: int) -> np.ndarray:
-        """W[(lead,) k_i, l_-i]: prior mass ``w`` times the opponents' conditional
-        strategies, summed over the opponents' observations.
+        """W[m, k_i, l_-i]: dense prior mass ``w`` times the opponents'
+        conditional strategies, summed over the opponents' observations.
 
-        ``w`` has ``lead`` leading axes, then one observation axis per agent.
-        Each opponent's observation axis gives way, at its position, to its
-        action axis, one (batched) GEMM per opponent, so the prior is never
-        transposed and the opponents' actions stay in agent order; only the
-        result is transposed, to bring k_i first.
+        ``w`` has one leading axis m (the shared value, or the value-weighted
+        pair), then one observation axis per agent.  Each opponent's
+        observation axis gives way, at its position, to its action axis, one
+        (batched) GEMM per opponent, so the prior is never transposed and the
+        opponents' actions stay in agent order; only the result is
+        transposed, to bring k_i after m.
         """
-        lead = w.ndim - self.prior.n_agents
         for j in range(self.prior.n_agents):
             if j == agent:
                 continue
             q = strategies[j].conditionals()
-            shape, pos = w.shape, lead + j
+            shape, pos = w.shape, 1 + j
             after = int(np.prod(shape[pos + 1:]))
             if after == 1:
                 w = w.reshape(-1, shape[pos]) @ q
             else:
                 w = np.matmul(q.T, w.reshape(-1, shape[pos], after))
             w = w.reshape(shape[:pos] + (q.shape[1],) + shape[pos + 1:])
-        w = np.moveaxis(w, lead + agent, lead)
-        return w.reshape(w.shape[:lead + 1] + (-1,))
+        w = np.moveaxis(w, 1 + agent, 1)
+        return w.reshape(w.shape[:2] + (-1,))
 
     def _component_views(self, agent: int):
         """``agent``'s view of a component prior, as (trailing, terms).
@@ -439,18 +442,13 @@ class GradientEngine:
         return tuple((x.reshape(-1, r.size) @ r).reshape(x.shape[0], -1).T for x in (a, b))
 
     def _gradient_affine(self, strategies, agent: int) -> np.ndarray:
-        """c_i = (Wv . A + W . B) / marginal, with Wv and W the value-weighted
-        and plain prior mass contracted with the opponents' conditionals."""
-        prior = self.prior
-        if prior.values_equal_observations:  # the value weighting is a row scaling
-            w = self._opponent_weights(prior.obs_joint, strategies, agent)
-            cv, c1 = self._contract_affine(agent, w, w)
-            cv *= prior.obs_grids[agent].points[:, None]
-        else:
-            wv, w1 = self._opponent_weights(self._value_weighted_pair(), strategies, agent)
-            cv, c1 = self._contract_affine(agent, wv, w1)
+        """c_i = (Wv . A + W . B) / marginal on a dense prior, with Wv and W the
+        value-weighted and plain prior mass contracted with the opponents'
+        conditionals."""
+        wv, w1 = self._opponent_weights(self._value_weighted_pair(), strategies, agent)
+        cv, c1 = self._contract_affine(agent, wv, w1)
         cv += c1
-        return _divide_rows(cv, prior.marginals[agent])
+        return _divide_rows(cv, self.prior.marginals[agent])
 
     def _contract_affine(self, agent: int, wa: np.ndarray, wb: np.ndarray):
         """(wa . A, wb . B): the mechanism's kernel, or one GEMM each against
@@ -462,29 +460,23 @@ class GradientEngine:
         return wa @ a.T, wb @ b.T
 
     def _gradient_tensor(self, strategies, agent: int) -> np.ndarray:
-        """c_i[k, l] sums u_i over the opponents' observations and actions and the
-        own-value axis, weighted by the prior mass and the opponents' conditional
-        strategies, divided by the own observation marginal (zero rows where that
-        marginal is zero)."""
+        """c_i[k, l] on a dense prior sums u_i over the opponents' observations
+        and actions and the shared value, weighted by the value joint and the
+        opponents' conditional strategies, divided by the own observation
+        marginal (zero rows where that marginal is zero)."""
         prior = self.prior
-        interdependent = not prior.values_equal_observations
-        # W[(m,) k_i, l_-i], with the shared value m as a leading axis for
-        # interdependent priors
-        w = self._opponent_weights(prior.value_joint if interdependent
-                                   else prior.obs_joint, strategies, agent)
-
-        own_vals = (prior.value_grid if interdependent
-                    else prior.obs_grids[agent]).points
-        c = self._contract_utilities(agent, w, own_vals, interdependent)
+        # W[m, k_i, l_-i], with the shared value m as the leading axis
+        w = self._opponent_weights(prior.value_joint, strategies, agent)
+        c = self._contract_utilities(agent, w, prior.value_grid.points)
         return _divide_rows(c, prior.marginals[agent])
 
-    def _contract_utilities(self, agent: int, w: np.ndarray, own_vals: np.ndarray,
-                            interdependent: bool = False) -> np.ndarray:
+    def _contract_utilities(self, agent: int, w: np.ndarray, own_vals: np.ndarray) -> np.ndarray:
         """Sum of crra(v*A + B) over the columns of ``agent``'s payoff grid,
-        weighted by ``w`` (K_i, columns), or by ``w`` (m, K_i, columns) summed
-        over the value m when ``interdependent``.  The ex-post utilities are
-        built in chunks of own values that fit the memory budget, one buffer
-        for every chunk of a call, filled in place one own value at a time."""
+        weighted by ``w``: (K_i, columns) rows, one per own value, or
+        (m, K_i, columns) summed over the shared value m.  The ex-post
+        utilities are built in chunks of own values that fit the memory
+        budget, one buffer for every chunk of a call, filled in place one own
+        value at a time."""
         a, b = self._affine_parts(agent)
         chunk = min(own_vals.size, max(1, int(self.budget // (8 * a.size))))
         u = self._utility_cache.get(agent)
@@ -500,7 +492,7 @@ class GradientEngine:
                     np.multiply(v, a, out=row)
                     row += b
                     crra(row, self.mech.risk_rho, in_place=True)
-            if interdependent:
+            if w.ndim == 3:
                 c += np.matmul(w[s:e], u[:e - s].transpose(0, 2, 1)).sum(axis=0)
             else:
                 c[s:e] = np.matmul(u[:e - s], w[s:e, :, None])[..., 0]

@@ -1,13 +1,15 @@
 """Discrete prior distributions over joint valuation/observation grids.
 
-Independent private-value priors are discretized by evaluating the marginal
-density on the grid and normalizing.  The correlated local bidders of the LLG
-model are a mixture of two products of uniforms, so their discretized joint is
-exact in closed form: two weighted product components of cell masses.  The
-interdependent latent-variable priors (common and affiliated values) have no
-closed-form mass on the grid and are discretized by binning Monte-Carlo draws
-from the latent model to the nearest grid points; they give all agents one
-shared value: one value grid, one joint.
+Private values are always weighted product components and a dense joint is
+always interdependent.  ``meta["construction"]`` names each prior's grid-mass
+rule.  ``"density"``: independent private values take the marginal density
+at the grid points, normalized, so end points get full mass.  ``"exact"``:
+the correlated LLG locals are a mixture of two products of uniforms, held
+exactly as two weighted components of cell lengths, so end points get half
+mass.  ``"binned"``: the common- and affiliated-value latent models, which
+give all agents one shared value (one value grid, one value joint), bin
+Monte-Carlo draws to the nearest grid points and double the end cells'
+counts to match the density rule.
 """
 
 from __future__ import annotations
@@ -45,15 +47,15 @@ class DiscretePrior:
     The mass over the product of observation grids is held one of two ways.
     ``components`` hold it as a weighted sum of products of blocks
     (``Component``); ``obs_joint`` holds it as one dense array.  Exactly one
-    of the two is set.  Independent private values are the one-component
-    case with every block a single agent, whose mass is then its marginal
+    of the two is set.  Private values (each agent's value is its
+    observation) are always components: independent ones are one component
+    with every block a single agent, whose mass is then its marginal
     (``independent``); a prior built with neither gets that component, the
-    marginals themselves as its blocks.  The correlated
-    LLG locals are two components.  Interdependent priors share one value
-    among all agents and are dense: ``value_joint`` holds the mass over
-    (shared value on ``value_grid``) x (all observations), and summing out the
-    value axis reproduces ``obs_joint`` exactly.  ``value_joint`` is ``None``
-    for private values, where each agent's value is its observation.
+    marginals themselves as its blocks.  The correlated LLG locals are two
+    components.  A dense prior is always interdependent, and an ``obs_joint``
+    without a ``value_joint`` is refused: all agents share one value, and
+    ``value_joint`` holds the mass over (shared value on ``value_grid``) x
+    (all observations), summing back to ``obs_joint`` exactly.
     """
 
     obs_grids: tuple[Grid, ...]
@@ -100,6 +102,9 @@ class DiscretePrior:
         if (self.obs_joint is None) == (self.components is None):
             raise ValueError("a prior holds either obs_joint or components, not both")
         if self.obs_joint is not None:
+            if self.value_joint is None:
+                raise ValueError("a dense obs_joint needs a value joint: private values "
+                                 "are held as components")
             if self.obs_joint.shape != tuple(g.count for g in self.obs_grids):
                 raise ValueError("obs_joint shape must match observation grids")
             if abs(self.obs_joint.sum() - 1.0) > 1e-10 or np.any(self.obs_joint < 0):
@@ -156,11 +161,10 @@ class DiscretePrior:
 
 
 def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed):
-    """Count latent draws per grid cell, chunked for memory.
+    """Count latent draws per (value x observations) grid cell, chunked for memory.
 
-    Draws that are NaN or infinite are refused.  With a ``value_grid``, the
-    draws' shared value is binned too, into one (value x observations) array;
-    value columns that differ are refused.
+    Draws that are NaN or infinite are refused, and so are value columns that
+    differ: the value is binned once, on ``value_grid``.
 
     Chunks' flat cell indices are held until they number at least the table
     size, then binned in one ``bincount``, so a table larger than a chunk is
@@ -171,8 +175,7 @@ def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed):
     n = len(obs_grids)
     obs_shape = tuple(g.count for g in obs_grids)
     obs_size = int(np.prod(obs_shape))
-    lead = () if value_grid is None else (value_grid.count,)
-    counts = np.zeros(int(np.prod(lead)) * obs_size)
+    counts = np.zeros(value_grid.count * obs_size)
     held = np.empty(min(sample_count, counts.size + _BIN_CHUNK), dtype=np.intp)
     n_held = 0
     rng = np.random.default_rng(seed)
@@ -184,25 +187,21 @@ def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed):
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         if obs.shape != (m, n) or values.shape != (m, n):
             raise ValueError("sampler must return (values, observations) of shape (size, n)")
-        if not (np.isfinite(obs).all() and (values is obs or np.isfinite(values).all())):
+        if not (np.isfinite(obs).all() and np.isfinite(values).all()):
             raise ValueError("sampler returned a draw that is NaN or infinite")
+        if np.any(values[:, 1:] != values[:, :1]):
+            raise ValueError("a prior with a value grid needs one value shared by all "
+                             "agents; the sampler's value columns differ")
         flat = np.ravel_multi_index([obs_grids[i].nearest_index(obs[:, i]) for i in range(n)],
                                     obs_shape)
-        if value_grid is not None:
-            if np.any(values[:, 1:] != values[:, :1]):
-                raise ValueError("a prior with a value grid needs one value shared by all "
-                                 "agents; the sampler's value columns differ")
-            flat += value_grid.nearest_index(values[:, 0]) * obs_size
+        flat += value_grid.nearest_index(values[:, 0]) * obs_size
         held[n_held:n_held + m] = flat
         n_held += m
         done += m
         if n_held >= counts.size or done == sample_count:
             counts += np.bincount(held[:n_held], minlength=counts.size)
             n_held = 0
-    counts = counts.reshape(lead + obs_shape)
-    if value_grid is None:
-        return counts, None
-    return counts.sum(axis=0), counts
+    return counts.reshape((value_grid.count,) + obs_shape)
 
 
 def _group_permutations(groups, n: int):
@@ -242,7 +241,7 @@ def _symmetrize(obs_joint, value_joint, groups):
         acc /= len(perms)
         return acc
 
-    return average(obs_joint, 0), None if value_joint is None else average(value_joint, 1)
+    return average(obs_joint, 0), average(value_joint, 1)
 
 
 def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAULT_SAMPLE_COUNT,
@@ -253,36 +252,35 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
     ``sampler(rng, size)`` must return ``(values, observations)`` arrays of
     shape ``(size, n)``; draws are clamped to the grid bounds and binned to
     the nearest point on every axis.  ``value_grid`` bins the one value all
-    agents share (the value columns must be equal); ``None`` means private values.
-    Each cell's count is weighted by the inverse cell width on every
-    observation axis (boundary points own half a cell on an equidistant
-    grid), so the binned mass estimates density-at-the-point times a uniform
+    agents share (the value columns must be equal): a binned prior is always
+    interdependent.  Each cell's count is weighted by the inverse cell width
+    on every observation axis (boundary points own half a cell on an
+    equidistant grid), so the binned mass estimates density-at-the-point times a uniform
     cell volume and agrees with the density-evaluation recipe; the weight is
     a power of two fixed by the cell, so it scales the cell's count exactly.
     Marginals are recomputed from the binned joint so marginal consistency
     holds exactly.  A ``sample_count`` below ``MIN_SAMPLE_COUNT`` and an
     observation point with zero empirical mass are errors.  ``meta`` records
-    the sample count, the seed and the number of empty ``obs_joint`` cells
-    (cells off the support of a singular joint may be empty; the marginals
-    may not).
+    the construction (``"binned"``), the sample count, the seed and the number
+    of empty ``obs_joint`` cells (cells off the support of a singular joint
+    may be empty; the marginals may not).
     """
     if sample_count < MIN_SAMPLE_COUNT:
         raise ValueError(f"sample_count below {MIN_SAMPLE_COUNT}: the binned prior would be "
                          "too noisy")
     obs_grids = tuple(obs_grids)
-    # the counts are weighted and normalized in place: no second copy
-    obs_joint, value_joint = _bin_counts(sampler, value_grid, obs_grids, int(sample_count),
-                                         seed)
+    # weighted and normalized in place, no second copy; the weights are powers
+    # of two, so weighting before summing out the value axis is exact
+    value_joint = _bin_counts(sampler, value_grid, obs_grids, int(sample_count), seed)
     n = len(obs_grids)
-    for joint in (obs_joint,) if value_joint is None else (obs_joint, value_joint):
-        for axis in range(joint.ndim - n, joint.ndim):
-            edges = np.moveaxis(joint, axis, 0)
-            edges[0] *= 2.0
-            edges[-1] *= 2.0
+    for axis in range(1, n + 1):
+        edges = np.moveaxis(value_joint, axis, 0)
+        edges[0] *= 2.0
+        edges[-1] *= 2.0
+    obs_joint = value_joint.sum(axis=0)
     total = float(obs_joint.sum())
     obs_joint /= total
-    if value_joint is not None:
-        value_joint /= total
+    value_joint /= total
     if symmetry_groups:
         obs_joint, value_joint = _symmetrize(obs_joint, value_joint, symmetry_groups)
     marginals = []
@@ -300,7 +298,7 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
         for g in symmetry_groups:
             for j in g[1:]:
                 marginals[j] = marginals[g[0]]
-    info = {"sample_count": int(sample_count), "seed": int(seed),
+    info = {"construction": "binned", "sample_count": int(sample_count), "seed": int(seed),
             "empty_cells": int(np.count_nonzero(obs_joint == 0))}
     info.update(meta or {})
     return DiscretePrior(obs_grids, tuple(marginals), obs_joint,
@@ -309,10 +307,11 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
 
 def independent_prior(obs_grids, densities, meta: dict | None = None) -> DiscretePrior:
     """Private-value prior with independent per-agent marginal densities,
-    held as its marginals alone."""
+    held as its marginals alone, each point's mass the density there, normalized."""
     obs_grids = tuple(obs_grids)
     marginals = tuple(discretize_density(g, d) for g, d in zip(obs_grids, densities))
-    return DiscretePrior(obs_grids, marginals, None, meta=meta or {})
+    return DiscretePrior(obs_grids, marginals, None,
+                         meta={**(meta or {}), "construction": "density"})
 
 
 # ---------------------------------------------------------------------------

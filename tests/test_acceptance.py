@@ -14,7 +14,7 @@ import pytest
 import bnesolve as b
 from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.presets import get_preset
-from bnesolve.priors import DiscretePrior
+from bnesolve.priors import Component, DiscretePrior
 from oracles import (enumerate_row_vertex_value, naive_expected_utility, naive_gradient,
                      qp_project_simplex)
 
@@ -284,7 +284,8 @@ def test_criterion_09_oracle_equivalences():
         d_gradient = max(d_gradient, float(np.max(np.abs(c - oracle))))
         d_linear = max(d_linear, abs(b.expected_utility(strategies[0], c) - u_oracle))
     # one shared strategy: the order statistic of the highest opponent bid vs
-    # the general formulation, the same prior held with its outer-product joint
+    # the block-mate weights of the same prior held as one block, its
+    # outer-product joint, on both paths
     d_sym = 0.0
     for kind in ("fpsb", "spsb", "all_pay"):
         for n, k in ((2, 16), (3, 12)):
@@ -294,15 +295,16 @@ def test_criterion_09_oracle_equivalences():
             joint = p.marginals[0]
             for marginal in p.marginals[1:]:
                 joint = np.multiply.outer(joint, marginal)
-            dense = DiscretePrior(p.obs_grids, p.marginals, joint)
+            held = DiscretePrior(p.obs_grids, p.marginals, None,
+                                 components=(Component(1.0, ((tuple(range(n)), joint),)),))
             ag = [(b.make_uniform_grid(0, 1, k),)] * n
             shared = b.init_strategy("random", g[0], ag[0], p.marginals[0], seed=3)
             engine = b.GradientEngine(m, p, ag, groups=[list(range(n))])
-            assert 0 in engine._top_bids and not dense.independent
+            assert 0 in engine._top_bids and not held.independent
             c_sym = engine.gradient([shared] * n, 0)
-            c_affine = b.GradientEngine(m, dense, ag, prefer_path="affine").gradient(
+            c_affine = b.GradientEngine(m, held, ag, prefer_path="affine").gradient(
                 [shared] * n, 0)
-            for c_gen in tensor_gradients(m, dense, ag, [shared] * n) + [c_affine]:
+            for c_gen in tensor_gradients(m, held, ag, [shared] * n) + [c_affine]:
                 d_sym = max(d_sym, float(np.max(np.abs(c_gen - c_sym))))
     # closed-form best response vs row-vertex enumeration
     d_br = 0.0

@@ -9,8 +9,8 @@ from bnesolve.grids import make_uniform_grid
 from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuction,
                                  TullockContest)
 from bnesolve.presets import get_preset
-from bnesolve.priors import (BernoulliWeightsLLGPrior, CommonValuePrior, Component,
-                             DiscretePrior, independent_prior)
+from bnesolve.priors import (AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
+                             CommonValuePrior, Component, DiscretePrior, independent_prior)
 from bnesolve.strategy import init_strategy
 from oracles import dense_joint, naive_expected_utility, naive_gradient
 
@@ -29,9 +29,9 @@ def ipv_setting(kind="fpsb", n=2, k=3, l=3, rho=1.0, seed=0, density=None):
 def tensor_gradients(mech, prior, action_grids, strategies, agent):
     """Tensor-path gradients of ``agent``: one chunk, then chunks of two own
     values; on an independent prior, from its one row of opponent weights and
-    then from the dense weights of the same prior held with its joint."""
+    then from the block-mate weights of the same prior held as one block."""
     cells = int(np.prod([g.count for grids in action_grids for g in grids]))
-    priors = [prior, with_dense_joint(prior)] if prior.independent else [prior]
+    priors = [prior, one_block(prior)] if prior.independent else [prior]
     return [GradientEngine(mech, p, action_grids, memory_budget=budget,
                            prefer_path="tensor").gradient(strategies, agent)
             for p in priors for budget in (DEFAULT_MEMORY_BUDGET, 2 * 8 * cells)]
@@ -48,24 +48,26 @@ def shared_gradient(mech, prior, action_grids, strategies,
     return engine.gradient(strategies, 0)
 
 
-def with_dense_joint(prior):
-    """The component ``prior`` (an independent one included) as a binned prior
-    would hold it: a DiscretePrior carrying its joint, built cell by cell, so
-    the engine weights the opponents with the joint and their conditionals
-    (``_opponent_weights``), not by the components."""
-    dense = DiscretePrior(prior.obs_grids, prior.marginals, dense_joint(prior))
-    assert not dense.independent and dense.components is None
-    return dense
+def one_block(prior):
+    """The component ``prior`` (an independent one included) held as one
+    component of one block over all agents, its joint built cell by cell: no
+    agent is alone with its marginal, so the engine weights every opponent as
+    a block-mate (``M @ q_j``), not by the prior's own blocks."""
+    block = (tuple(range(prior.n_agents)), dense_joint(prior))
+    held = DiscretePrior(prior.obs_grids, prior.marginals, None,
+                         components=(Component(1.0, (block,)),))
+    assert not held.independent
+    return held
 
 
-def dense_gradients(mech, prior, action_grids, strategies, agent):
-    """``agent``'s gradients from the dense weights of ``with_dense_joint(prior)``:
-    the tensor path in one chunk and in chunks of two own values, and the
-    affine path for risk-neutral payoffs."""
-    dense = with_dense_joint(prior)
-    out = tensor_gradients(mech, dense, action_grids, strategies, agent)
+def one_block_gradients(mech, prior, action_grids, strategies, agent):
+    """``agent``'s gradients on ``one_block(prior)``: the tensor path in one
+    chunk and in chunks of two own values, and the affine path for
+    risk-neutral payoffs."""
+    held = one_block(prior)
+    out = tensor_gradients(mech, held, action_grids, strategies, agent)
     if mech.risk_rho == 1.0:
-        out.append(GradientEngine(mech, dense, action_grids,
+        out.append(GradientEngine(mech, held, action_grids,
                                   prefer_path="affine").gradient(strategies, agent))
     return out
 
@@ -149,6 +151,38 @@ def test_gradient_general_interdependent_matches_naive():
             naive_expected_utility(mech, prior, strategies, 0), abs=1e-12)
 
 
+def test_dense_interdependent_gradients_match_naive():
+    """Dense priors are the interdependent ones: on the three-agent common
+    value and the affiliated prior, every agent's gradient (so each opponent
+    axis before and after the own one) on both paths at risk_rho 1 and on the
+    tensor path at 0.5 agrees with the brute-force oracle; agent 2 of the
+    common value bids on a grid of its own, so the opponents' actions must
+    meet the payoff in agent order."""
+    og = [make_uniform_grid(0, 2, 4)] * 3
+    common = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 3),
+                                            sample_count=100_000, seed=2)
+    common_grids = [(make_uniform_grid(0, 1.5, 3),)] * 2 + [(make_uniform_grid(0, 1.2, 4),)]
+    affiliated = AffiliatedValuesPrior().discretize([make_uniform_grid(0, 2, 4)] * 2,
+                                                    make_uniform_grid(0, 2, 3),
+                                                    sample_count=100_000, seed=2)
+    for prior, action_grids in ((common, common_grids),
+                                (affiliated, [(make_uniform_grid(0, 1.5, 4),)] * 2)):
+        n = prior.n_agents
+        assert prior.components is None and prior.value_joint is not None
+        profile = [init_strategy("random", prior.obs_grids[i], action_grids[i],
+                                 prior.marginals[i], seed=4 + i) for i in range(n)]
+        for kind, rho in (("fpsb", 1.0), ("spsb", 1.0), ("fpsb", 0.5)):
+            mech = SingleObjectAuction(kind, n, risk_rho=rho)
+            paths = PATHS if rho == 1.0 else ("tensor",)
+            engines = [GradientEngine(mech, prior, action_grids, prefer_path=path)
+                       for path in paths]
+            for agent in range(n):
+                oracle = naive_gradient(mech, prior, profile, agent)
+                for engine in engines:
+                    c = engine.gradient(profile, agent)
+                    assert np.max(np.abs(c - oracle)) < 1e-12, (n, kind, rho, engine.path, agent)
+
+
 def test_gradient_three_agent_llg_matches_naive():
     mech = LLGAuction("NZ")
     og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 3),
@@ -162,7 +196,7 @@ def test_gradient_three_agent_llg_matches_naive():
         oracle = naive_gradient(mech, prior, strategies, agent)
         for c in tensor_gradients(mech, prior, action_grids, strategies, agent) + [
                 affine_gradient(mech, p, action_grids, strategies, agent)
-                for p in (prior, with_dense_joint(prior))]:
+                for p in (prior, one_block(prior))]:
             assert np.max(np.abs(c - oracle)) < 1e-12
 
 
@@ -181,8 +215,8 @@ def test_linearity_of_expected_utility():
 
 
 def test_symmetric_path_matches_general():
-    # a shared strategy's order-statistic row against the dense weights of
-    # the same prior held with its outer-product joint, on both paths
+    # a shared strategy's order-statistic row against the block-mate weights
+    # of the same prior held as one block, its outer-product joint, on both paths
     for kind in ("fpsb", "spsb", "all_pay"):
         for n in (2, 3):
             for rho in (1.0, 0.5):
@@ -192,7 +226,7 @@ def test_symmetric_path_matches_general():
                     shared = strategies[0]
                     profile = [shared] * n
                     c_sym = shared_gradient(mech, prior, action_grids, profile)
-                    gens = dense_gradients(mech, prior, action_grids, profile, 0)
+                    gens = one_block_gradients(mech, prior, action_grids, profile, 0)
                     assert len(gens) == (3 if rho == 1.0 else 2)
                     for c_gen in gens:
                         assert np.max(np.abs(c_gen - c_sym)) < 1e-10, (kind, n, rho, k)
@@ -300,8 +334,8 @@ def test_engine_path_selection():
     # with one group
     contest = GradientEngine(TullockContest(1.0, 2), prior, action_grids, groups=[[0, 1]])
     assert contest.path == "affine" and not contest._top_bids
-    # correlated priors weight them through the joint
-    assert not GradientEngine(mech, with_dense_joint(prior), action_grids)._top_bids
+    # a prior whose one block holds every agent weights them as block-mates
+    assert not GradientEngine(mech, one_block(prior), action_grids)._top_bids
 
 
 def test_engine_rejects_risk_averse_affine_path():
@@ -336,7 +370,7 @@ class OneExpressionEngine(GradientEngine):
     expression, sign(u) * |u|**rho of u = own[:, None, None] * A + B, and
     nothing kept between calls."""
 
-    def _contract_utilities(self, agent, w, own_vals, interdependent=False):
+    def _contract_utilities(self, agent, w, own_vals):
         a, b = self._affine_parts(agent)
         chunk = max(1, int(self.budget // (8 * a.size)))
         c = np.zeros((w.shape[-2], a.shape[0]))
@@ -344,7 +378,7 @@ class OneExpressionEngine(GradientEngine):
             e = min(s + chunk, own_vals.size)
             u = own_vals[s:e, None, None] * a + b
             u = np.sign(u) * np.abs(u) ** self.mech.risk_rho
-            if interdependent:
+            if w.ndim == 3:
                 c += np.matmul(w[s:e], u.transpose(0, 2, 1)).sum(axis=0)
             else:
                 c[s:e] = np.matmul(u, w[s:e, :, None])[..., 0]
@@ -425,7 +459,7 @@ def dense_split_gradient(mech, prior, strategies, agent, rows=512):
     built in blocks of ``rows`` own actions."""
     own = strategies[agent].action_values()
     opp = strategies[1 - agent].action_values()
-    joint = np.outer(*prior.marginals) if prior.independent else prior.obs_joint
+    joint = np.outer(*prior.marginals)
     if agent == 1:
         joint = joint.T
     w1 = joint @ strategies[1 - agent].conditionals()
@@ -490,22 +524,23 @@ def test_split_award_kernel_matches_naive_on_interdependent_prior():
             assert np.max(np.abs(c - oracle)) < 1e-12, (cost_model, agent)
 
 
-def test_split_award_kernel_matches_naive_on_correlated_private_prior():
-    # a joint that is not the product of its marginals: the kernel's one pass
-    # over all K weight rows, where independent priors hand it one row
+def test_split_award_matches_naive_on_correlated_private_prior():
+    # a block mass that is not the product of its marginals: the opponent is a
+    # block-mate, weighted per own observation, so the weights do not reduce
+    # to one row and the dense A and B serve in place of the kernel
     _, prior, action_grids, _ = split_tie_setting("scaled")
     rng = np.random.default_rng(5)
     joint = rng.random((3, 4)) * (1.0 + np.eye(3, 4))
     joint[1, 2] = 0.0
     joint /= joint.sum()
-    correlated = DiscretePrior(prior.obs_grids, (joint.sum(axis=1), joint.sum(axis=0)),
-                               joint)
+    correlated = DiscretePrior(prior.obs_grids, (joint.sum(axis=1), joint.sum(axis=0)), None,
+                               components=(Component(1.0, (((0, 1), joint),)),))
     strategies = [init_strategy("random", correlated.obs_grids[i], action_grids[i],
                                 correlated.marginals[i], seed=i) for i in range(2)]
     for cost_model in ("scaled", "constant"):
         mech = SplitAwardAuction(0.3, cost_model)
         engine = GradientEngine(mech, correlated, action_grids)
-        assert engine.path == "affine" and engine._kernels
+        assert engine.path == "affine" and not engine._kernels
         for agent in range(2):
             c = engine.gradient(strategies, agent)
             oracle = naive_gradient(mech, correlated, strategies, agent)
@@ -763,10 +798,10 @@ def layout_settings():
     yield "affine_components", GradientEngine(llg.mech, llg_prior, llg.action_grids), profile
     yield "tensor_components", GradientEngine(llg.mech, llg_prior, llg.action_grids,
                                               prefer_path="tensor"), profile
-    dense = with_dense_joint(llg_prior)
-    yield "affine_correlated", GradientEngine(llg.mech, dense, llg.action_grids), profile
-    yield "tensor_correlated", GradientEngine(llg.mech, dense, llg.action_grids,
-                                              prefer_path="tensor"), profile
+    held = one_block(llg_prior)
+    yield "affine_one_block", GradientEngine(llg.mech, held, llg.action_grids), profile
+    yield "tensor_one_block", GradientEngine(llg.mech, held, llg.action_grids,
+                                             prefer_path="tensor"), profile
     og = [make_uniform_grid(0, 2, 3)] * 2
     common = CommonValuePrior(2).discretize(og, make_uniform_grid(0, 1, 4), sample_count=100_000,
                                             seed=0)

@@ -12,10 +12,10 @@ from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.grids import make_uniform_grid
 from bnesolve.presets import get_preset
 from bnesolve.priors import (AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
-                             CommonValuePrior, DiscretePrior, IndependentPrivatePrior,
-                             TruncatedGaussianMarginal, UniformMarginal,
-                             _bin_counts, _group_permutations, independent_prior,
-                             joint_from_latent)
+                             CommonValuePrior, Component, DiscretePrior,
+                             IndependentPrivatePrior, TruncatedGaussianMarginal,
+                             UniformMarginal, _bin_counts, _group_permutations,
+                             independent_prior, joint_from_latent)
 from oracles import dense_joint
 
 
@@ -41,28 +41,41 @@ def check_invariants(prior):
 
 
 def test_independent_prior_outer_product():
-    # the mass is the outer product of the marginals, held as the marginals alone
+    # the mass is the outer product of the marginals, held as the marginals
+    # alone: one component of single-agent blocks, each point's mass the
+    # density there
     g = grids(2, 8)
     prior = independent_prior(g, [lambda x: np.ones_like(x), lambda x: x + 0.5])
     assert prior.independent and prior.values_equal_observations
     assert prior.obs_joint is None and prior.value_joint is None
-    assert np.all(np.diff(prior.marginals[1][1:-1]) > 0)
-    check_invariants(DiscretePrior(prior.obs_grids, prior.marginals,
-                                   np.outer(prior.marginals[0], prior.marginals[1])))
+    assert prior.meta == {"construction": "density"}
+    (component,) = prior.components
+    assert component.weight == 1.0
+    assert [(agents, mass is prior.marginals[agents[0]]) for agents, mass in component.blocks] \
+        == [((0,), True), ((1,), True)]
+    density = g[1].points + 0.5
+    assert np.array_equal(prior.marginals[1], density / density.sum())
+    check_invariants(prior)
+    assert np.array_equal(dense_joint(prior), np.outer(prior.marginals[0], prior.marginals[1]))
 
 
 def test_independent_is_derived_from_the_joint():
-    """A prior is independent exactly when it holds no joint: neither an
-    independent prior with a joint nor a correlated one without can be built."""
+    """A prior is independent exactly when it holds one component of
+    single-agent blocks: neither an independent prior with a joint nor a
+    correlated one without can be built, and a dense joint is refused without
+    the shared value it belongs to, since private values are components."""
     prior = independent_prior(grids(2, 4), [lambda x: np.ones_like(x), lambda x: x + 0.5])
     assert prior.independent
     joint = np.outer(prior.marginals[0], prior.marginals[1])
-    correlated = DiscretePrior(prior.obs_grids, prior.marginals, joint)
+    with pytest.raises(ValueError, match="value joint"):
+        DiscretePrior(prior.obs_grids, prior.marginals, joint)
+    correlated = DiscretePrior(prior.obs_grids, prior.marginals, None,
+                               components=(Component(1.0, (((0, 1), joint),)),))
     assert not correlated.independent
-    assert dataclasses.replace(correlated, obs_joint=None).independent
+    assert dataclasses.replace(correlated, components=None).independent
     assert "independent" not in {f.name for f in dataclasses.fields(DiscretePrior)}
     with pytest.raises(TypeError):
-        DiscretePrior(prior.obs_grids, prior.marginals, joint, independent=True)
+        DiscretePrior(prior.obs_grids, prior.marginals, None, independent=True)
     with pytest.raises(AttributeError):
         correlated.independent = True
     # a shared value needs the joint it sums back to
@@ -73,18 +86,25 @@ def test_independent_is_derived_from_the_joint():
 
 
 def test_degenerate_sampler_single_atom():
-    # both agents observe one draw: each draw is a single atom of the diagonal,
-    # so the joint is singular, with empty cells, while every marginal has full support
+    # both agents observe one draw, which is also their shared value: each draw
+    # is a single atom of the diagonal, so the joint is singular, with empty
+    # cells, while every marginal has full support
     def sampler(rng, size):
         v = np.repeat(rng.random((size, 1)), 2, axis=1)
         return v, v
 
-    prior = joint_from_latent(sampler, None, grids(2, 5), sample_count=100_000, seed=0)
+    prior = joint_from_latent(sampler, make_uniform_grid(0.0, 1.0, 5), grids(2, 5),
+                              sample_count=100_000, seed=0)
     off_diagonal = ~np.eye(5, dtype=bool)
     assert np.all(prior.obs_joint[off_diagonal] == 0.0)
     assert np.all(np.diag(prior.obs_joint) > 0.0)
     assert np.allclose(prior.marginals[0], np.diag(prior.obs_joint), rtol=1e-12, atol=0.0)
-    assert prior.meta == {"sample_count": 100_000, "seed": 0, "empty_cells": 20}
+    # the value bins to the observations' point: mass only where m = k0 = k1
+    atoms = np.arange(5)
+    assert np.array_equal(prior.value_joint[atoms, atoms, atoms], np.diag(prior.obs_joint))
+    assert np.count_nonzero(prior.value_joint) == 5
+    assert prior.meta == {"construction": "binned", "sample_count": 100_000, "seed": 0,
+                          "empty_cells": 20}
 
 
 def test_full_support_enforced_by_default():
@@ -93,7 +113,33 @@ def test_full_support_enforced_by_default():
         return v, v
 
     with pytest.raises(ValueError, match="zero empirical mass"):
-        joint_from_latent(sampler, None, grids(2, 5), sample_count=100_000, seed=0)
+        joint_from_latent(sampler, make_uniform_grid(0.0, 1.0, 5), grids(2, 5),
+                          sample_count=100_000, seed=0)
+
+
+def test_meta_names_each_prior_grid_mass_rule():
+    """On uniform values the density rule gives every point equal mass, the
+    exact rule half mass at the ends (each point its cell's length), and
+    binning doubles the end cells' counts to match the density rule."""
+    g = grids(2, 5)
+    density = IndependentPrivatePrior([UniformMarginal(0, 1)] * 2).discretize(g)
+    assert density.meta == {"kind": "independent", "construction": "density"}
+    assert np.array_equal(density.marginals[0], np.full(5, 0.2))
+    exact = BernoulliWeightsLLGPrior(0.5).discretize([*g, make_uniform_grid(0, 2, 5)])
+    assert exact.meta["construction"] == "exact"
+    assert np.array_equal(exact.marginals[0], [0.125, 0.25, 0.25, 0.25, 0.125])
+
+    def sampler(rng, size):
+        w = rng.random((size, 3))
+        return np.repeat(w[:, 2:], 2, axis=1), w[:, :2]
+
+    binned = joint_from_latent(sampler, make_uniform_grid(0, 1, 5), g, sample_count=400_000,
+                               seed=1)
+    assert binned.meta["construction"] == "binned"
+    assert np.max(np.abs(binned.marginals[0] - 0.2)) < 0.005
+    common = CommonValuePrior(2).discretize(grids(2, 4, hi=2.0), make_uniform_grid(0, 1, 4),
+                                            sample_count=100_000, seed=0)
+    assert common.meta["construction"] == "binned" and common.meta["kind"] == "common_value"
 
 
 def test_small_sample_count_rejected():
@@ -135,15 +181,6 @@ def test_affiliated_marginal_matches_triangle_convolution():
     cell_mass = cdf(edges[1:]) - cdf(edges[:-1])
     assert 0.5 * np.sum(np.abs(prior.marginals[0] - cell_mass)) < 0.01
     assert np.argmax(prior.marginals[0]) == np.argmax(tri)
-
-
-def test_ipv_latent_matches_density_discretization():
-    # binning a private-value latent model reproduces the density recipe
-    model = IndependentPrivatePrior([UniformMarginal(0, 1), UniformMarginal(0, 1)])
-    g = grids(2, 8)
-    binned = joint_from_latent(model.sample, None, g, sample_count=1_000_000, seed=4)
-    direct = model.discretize(g)
-    assert 0.5 * np.sum(np.abs(binned.marginals[0] - direct.marginals[0])) < 0.005
 
 
 def test_bernoulli_weights_prior():
@@ -331,27 +368,15 @@ def test_non_finite_draws_rejected(bad, column):
                           sample_count=100_000, seed=0)
 
 
-def test_non_finite_draw_rejected_without_value_grid():
-    def sampler(rng, size):
-        obs = rng.random((size, 3))
-        obs[17, 1] = np.nan
-        return obs, obs
-
-    with pytest.raises(ValueError, match="NaN or infinite"):
-        joint_from_latent(sampler, None, grids(3, 4), sample_count=100_000, seed=0)
-
-
 def per_chunk_counts(sampler, value_grid, obs_grids, sample_count, seed, chunk):
     """Raw bin counts with one ``bincount`` per chunk of draws, as drawn."""
-    shape = (() if value_grid is None else (value_grid.count,)) + tuple(
-        g.count for g in obs_grids)
+    shape = (value_grid.count,) + tuple(g.count for g in obs_grids)
     counts = np.zeros(int(np.prod(shape)))
     rng = np.random.default_rng(seed)
     for start in range(0, sample_count, chunk):
         values, obs = sampler(rng, min(chunk, sample_count - start))
-        idx = [g.nearest_index(obs[:, i]) for i, g in enumerate(obs_grids)]
-        if value_grid is not None:
-            idx.insert(0, value_grid.nearest_index(values[:, 0]))
+        idx = [value_grid.nearest_index(values[:, 0])] + [
+            g.nearest_index(obs[:, i]) for i, g in enumerate(obs_grids)]
         counts += np.bincount(np.ravel_multi_index(idx, shape), minlength=counts.size)
     return counts.reshape(shape)
 
@@ -360,7 +385,7 @@ def per_chunk_counts(sampler, value_grid, obs_grids, sample_count, seed, chunk):
     ("common_value_spsb", 10, 9_000, 1_000),    # table 10^4 > draws: one bincount at the end
     ("common_value_spsb", 10, 35_000, 3_000),   # a bincount every four chunks, then the rest
     ("affiliated_fpsb", 12, 10_000, 1_000),     # table 12^3: every two chunks
-    ("llg_nz_g05", 8, 5_500, 1_000),            # table 8^3 < chunk: every chunk
+    ("affiliated_fpsb", 8, 5_500, 1_000),       # table 8^3 < chunk: every chunk
 ])
 def test_held_indices_bin_as_per_chunk_counts(monkeypatch, preset, points, samples, chunk):
     cfg = config_from_mapping({**get_preset(preset), "obs_points": points,
@@ -368,10 +393,8 @@ def test_held_indices_bin_as_per_chunk_counts(monkeypatch, preset, points, sampl
     problem = build_problem(cfg)
     sampler = problem.prior_model.sample
     monkeypatch.setattr(priors, "_BIN_CHUNK", chunk)
-    obs_counts, value_counts = _bin_counts(sampler, problem.value_grid, problem.obs_grids,
-                                           samples, 5)
+    counts = _bin_counts(sampler, problem.value_grid, problem.obs_grids, samples, 5)
     reference = per_chunk_counts(sampler, problem.value_grid, problem.obs_grids, samples, 5,
                                  chunk)
-    binned = obs_counts if problem.value_grid is None else value_counts
-    assert np.array_equal(binned, reference)
-    assert binned.sum() == samples
+    assert np.array_equal(counts, reference)
+    assert counts.sum() == samples
