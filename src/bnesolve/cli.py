@@ -2,7 +2,7 @@
 
 Subcommands: ``solve`` (run a config or preset), ``evaluate`` (stored
 strategies against the analytic baseline), ``sweep`` (discretization sweep),
-``preset list|run``, and ``probe-vs`` (variational-stability probe of a
+``preset list``, and ``probe-vs`` (variational-stability probe of a
 converged profile against its shaded collusive deviation).
 """
 
@@ -126,15 +126,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    if args.action == "list":
-        for name in preset_names():
-            p = get_preset(name)
-            print(f"{name}: {p['mechanism']} n={p.get('agents', 2)} "
-                  f"prior={p.get('prior', 'uniform')} learner={p.get('learner')}")
-        return 0
-    args.preset = args.id
-    args.config = None
-    return _cmd_solve(args)
+    for name in preset_names():
+        p = get_preset(name)
+        print(f"{name}: {p['mechanism']} n={p.get('agents', 2)} "
+              f"prior={p.get('prior', 'uniform')} learner={p.get('learner')}")
+    return 0
 
 
 def _cmd_probe_vs(args) -> int:
@@ -194,15 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, with_grid=True)
     sp.set_defaults(fn=_cmd_sweep)
 
-    sp = sub.add_parser("preset", help="list or run shipped presets")
-    sp.add_argument("action", choices=["list", "run"])
-    sp.add_argument("id", nargs="?", default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--runs", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--n-samples", type=int, default=None)
-    sp.add_argument("--force", action="store_true")
-    sp.add_argument("--quiet", action="store_true")
+    sp = sub.add_parser("preset", help="list shipped presets")
+    sp.add_argument("action", choices=["list"])
     sp.set_defaults(fn=_cmd_preset)
 
     sp = sub.add_parser("probe-vs", help="variational-stability probe at the "
@@ -217,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "preset" and args.action == "run" and not args.id:
-        parser.error("preset run needs an id")
     try:
         return args.fn(args)
     except (FileNotFoundError, FileExistsError, KeyError, ValueError) as exc:

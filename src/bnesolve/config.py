@@ -1,9 +1,10 @@
 """Run configuration: flat key = value text files with includable presets.
 
-A config file holds one ``key = value`` pair per line (``#`` comments);
-values are parsed as JSON where possible and kept as strings otherwise.  An
-``include`` line merges a shipped preset id or another file first, so every
-experiment is reproducible from a single small file of overrides.
+A config file holds one ``key = value`` pair per line; ``#`` starts a
+comment outside a JSON string.  Values are parsed as JSON where possible and
+kept as strings otherwise.  An ``include`` line merges a shipped preset id or
+another file first, so every experiment is reproducible from a single small
+file of overrides.
 
 ``build_problem`` turns a config into a ``Problem``; ``runner.solve`` runs
 the problem once under the config's learner settings.
@@ -116,7 +117,11 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _coerce(key: str, value):
     t = _FIELD_TYPES[key]
+    if t != "object" and isinstance(value, (list, dict)):  # object: scalar or list
+        raise ValueError(f"config key '{key}' takes one value, got {json.dumps(value)}")
     if t == "int":
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"config key '{key}' takes an integer, got {value}")
         return int(value)
     if t == "float":
         return float(value)
@@ -129,11 +134,26 @@ def _coerce(key: str, value):
     return value
 
 
+def _strip_comment(line: str) -> str:
+    """``line`` up to its first ``#`` outside a double-quoted JSON string."""
+    quoted = escaped = False
+    for i, c in enumerate(line):
+        if escaped:
+            escaped = False
+        elif c == "\\":
+            escaped = quoted
+        elif c == '"':
+            quoted = not quoted
+        elif c == "#" and not quoted:
+            return line[:i]
+    return line
+
+
 def parse_config_text(text: str, *, base_dir: Path | None = None) -> dict:
     """Flat key/value parsing with recursive ``include`` merging."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if "=" not in line:
@@ -350,8 +370,7 @@ def build_problem(cfg: RunConfig) -> Problem:
     mech = make_mechanism(cfg.mechanism, n, risk_rho=cfg.risk_rho,
                           payment_rule=cfg.payment_rule, tullock_r=cfg.tullock_r,
                           split_cost_factor=cfg.split_cost_factor,
-                          split_cost_model=cfg.split_cost_model,
-                          split_action_rect=bounds[0])
+                          split_cost_model=cfg.split_cost_model)
     model = build_prior_model(cfg)
     obs_grids = [make_uniform_grid(lo, hi, cfg.obs_points) for lo, hi in model.obs_bounds]
     action_grids = [tuple(make_uniform_grid(lo, hi, cfg.action_points) for lo, hi in rect)

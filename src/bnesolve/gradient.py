@@ -451,11 +451,15 @@ class GradientEngine:
         return _divide_rows(cv, self.prior.marginals[agent])
 
     def _contract_affine(self, agent: int, wa: np.ndarray, wb: np.ndarray):
-        """(wa . A, wb . B): the mechanism's kernel, or one GEMM each against
-        the cached dense A and B."""
+        """(wa . A, wb . B): the mechanism's kernel, a second time for the B
+        part only where ``wb is not wa``, or one GEMM each against the cached
+        dense A and B."""
         kernel = self._kernels.get(agent)
         if kernel is not None:
-            return kernel(wa, wb)
+            ca, cb = kernel(wa)
+            if wb is not wa:
+                cb = kernel(wb)[1]
+            return ca, cb
         a, b = self._affine_parts(agent)
         return wa @ a.T, wb @ b.T
 

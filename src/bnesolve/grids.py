@@ -18,9 +18,7 @@ class Grid:
     """An ascending axis of discrete points spanning a closed interval.
 
     ``points`` must be strictly increasing with ``points[0] == lower`` and
-    ``points[-1] == upper``.  The coarseness is the largest half-gap between
-    adjacent points: any value in the interval is at most ``coarseness`` away
-    from its nearest grid point.
+    ``points[-1] == upper``.
 
     On an equidistant axis (every point within ``EQUIDISTANT_SLACK`` steps of
     its equidistant position, as ``make_uniform_grid`` and files written from
@@ -57,10 +55,6 @@ class Grid:
     def count(self) -> int:
         return self.points.size
 
-    @property
-    def coarseness(self) -> float:
-        return float(np.max(np.diff(self.points)) / 2.0)
-
     def nearest_index(self, x):
         """Index of the grid point closest to ``x`` (scalar or array).
 
@@ -92,15 +86,6 @@ class Grid:
         k += up
         k -= down
         return k
-
-    def nearest_point(self, x: float) -> tuple[int, float]:
-        """Closest grid (index, value) pair for a scalar ``x``."""
-        idx = int(self.nearest_index(x))
-        return idx, float(self.points[idx])
-
-    def snap(self, x):
-        """Map values to their nearest grid points."""
-        return self.points[self.nearest_index(x)]
 
 
 def make_uniform_grid(lower: float, upper: float, count: int) -> Grid:

@@ -37,14 +37,6 @@ from .verify import utility_loss  # noqa: F401
 POSITIVITY_FLOOR = 1e-300
 TINY = np.finfo(np.float64).tiny
 
-RULE_ALIASES = {
-    "soda1_entropic": "soda1",
-    "soda2_euclidean": "soda2",
-    "soma2_projected": "soma2",
-    "sofw_frank_wolfe": "sofw",
-    "fp": "fictitious_play",
-}
-
 
 def project_rows_to_simplex(y: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row onto {x >= 0, sum x = mass}.
@@ -183,7 +175,7 @@ RULES = tuple(LEARNERS)
 
 
 def make_learner(rule: str, eta0: float = 1.0, beta: float = 0.5):
-    cls = LEARNERS.get(RULE_ALIASES.get(rule, rule))
+    cls = LEARNERS.get(rule)
     if cls is None:
         raise ValueError(f"unknown update rule '{rule}' (choose from {RULES})")
     return cls(eta0, beta) if issubclass(cls, _PolynomialStep) else cls()

@@ -82,9 +82,9 @@ class Mechanism:
         """Contraction of opponent weights against (A, B) that never forms them.
 
         ``action_grids`` holds every agent's tuple of action grids.  Returns a
-        callable taking weights ``wa`` and ``wb`` of shape (K_i, L_-i), which
-        may be one array, to ``(wa . A, wb . B)``, C-contiguous of shape
-        (K_i, L_i), or None when only the dense matrices are available.
+        callable taking weights ``w`` of shape (K_i, L_-i) to ``(w . A, w . B)``,
+        C-contiguous of shape (K_i, L_i), or None when only the dense matrices
+        are available.
         """
         return None
 
@@ -104,12 +104,6 @@ class Mechanism:
     def symmetry_groups(self) -> list[list[int]]:
         """Agent groups interchangeable under the rules of the mechanism."""
         return [list(range(self.n_agents))]
-
-    def validate_profile(self, bids):
-        for comps in self.components(bids):
-            for c in comps:
-                if np.any(np.asarray(c) < 0):
-                    raise ValueError("bids must be nonnegative")
 
 
 class SingleObjectAuction(Mechanism):
@@ -255,8 +249,7 @@ class SplitAwardAuction(Mechanism):
     n_agents = 2
 
     def __init__(self, split_cost_factor: float = 0.3, cost_model: str = "scaled",
-                 risk_rho: float = 1.0,
-                 action_rect=((1.0, 2.5), (0.3, 1.2))):
+                 risk_rho: float = 1.0):
         if not 0.0 < split_cost_factor < 0.5:
             raise ValueError("split_cost_factor must lie in (0, 0.5)")
         if cost_model not in ("scaled", "constant"):
@@ -264,7 +257,6 @@ class SplitAwardAuction(Mechanism):
         self.split_cost_factor = float(split_cost_factor)
         self.cost_model = cost_model
         self._set_risk_rho(risk_rho)
-        self.action_rect = tuple((float(lo), float(hi)) for lo, hi in action_rect)
 
     @property
     def action_dims(self):
@@ -280,12 +272,6 @@ class SplitAwardAuction(Mechanism):
         is_best = prices == best
         unique = is_best.sum(axis=0) == 1
         return tuple((is_best[i] & unique).astype(np.float64) for i in range(3))
-
-    def outcome(self, bids, observations):
-        """Allocation indicators (sole_0, sole_1, split) and both utilities."""
-        alloc = self.allocation(bids)
-        obs = [np.asarray(o, dtype=np.float64) for o in observations]
-        return alloc, [self.utility(i, bids, obs[i]) for i in range(2)]
 
     # A and B are linear in the own sole-source and split award indicators, so
     # weighted win probabilities in their place give the weighted sums of A and B.
@@ -319,14 +305,6 @@ class SplitAwardAuction(Mechanism):
         paid = [sole0 * comps[0][0] + split * comps[0][1],
                 sole1 * comps[1][0] + split * comps[1][1]]
         return [-p for p in paid]  # the buyer pays the suppliers
-
-    def validate_profile(self, bids):
-        comps = self.components(bids)
-        for agent_comps in comps:
-            for d, c in enumerate(agent_comps):
-                lo, hi = self.action_rect[d]
-                if np.any(c < lo) or np.any(c > hi):
-                    raise ValueError(f"bid component {d} outside [{lo}, {hi}]")
 
 
 class SplitAwardKernel:
@@ -371,44 +349,34 @@ class SplitAwardKernel:
         return sum(x.nbytes for x in (self.sole_at, self.split_cols, self.split_at,
                                       self.own_s, self.own_h))
 
-    def __call__(self, wa, wb):
-        """(wa . A, wb . B) for weights of shape (K, L_-i); one pass if ``wa is wb``."""
-        w = wa[None] if wa is wb else np.stack([wa, wb])
-        m, k = w.shape[:2]
-        mk, n_s, n_h = m * k, self.n_s, self.n_h
+    def __call__(self, w):
+        """(w . A, w . B) for weights of shape (K, L_-i)."""
+        k, n_s, n_h = w.shape[0], self.n_s, self.n_h
         # t[r, a, b]: weight row r at opponent sole price a and half price b;
         # the zero slabs at a = n_s and b = n_h stand for empty ranges.  Suffix
         # sums run as cumsums over reversed views, the same additions as a loop
-        t = np.zeros((mk, n_s + 1, n_h + 1))
-        t[:, :n_s, :n_h] = w.reshape(mk, n_s, n_h)
+        t = np.zeros((k, n_s + 1, n_h + 1))
+        t[:, :n_s, :n_h] = w.reshape(k, n_s, n_h)
         suffix = t[:, ::-1]
         np.cumsum(suffix, axis=1, out=suffix)  # now: sole prices from a on
-        flat = t.reshape(mk, -1)
+        flat = t.reshape(k, -1)
         # split: t at (split_s[h, h'], h') for every (h', h), summed over h' < split_h
-        pre = np.zeros((mk, n_h + 1, self.n_hi))
-        np.cumsum(flat.take(self.split_cols, axis=1).reshape(mk, n_h, self.n_hi),
+        pre = np.zeros((k, n_h + 1, self.n_hi))
+        np.cumsum(flat.take(self.split_cols, axis=1).reshape(k, n_h, self.n_hi),
                   axis=1, out=pre[:, 1:])
         suffix = t[:, :, ::-1]
         np.cumsum(suffix, axis=2, out=suffix)  # now: and half prices from b on
-        # gathered along each weight row, so the (m, K, L_i) results are C-contiguous
-        sole = flat.take(self.sole_at, axis=1).reshape(m, k, -1)
-        split = pre.reshape(mk, -1).take(self.split_at, axis=1).reshape(m, k, -1)
-        return (self.mech.cost_part(sole[0], split[0]),
-                self.mech.price_part(sole[-1], split[-1], self.own_s, self.own_h))
-
-
-def expost_utility(mech: Mechanism, agent: int, bids, value) -> float:
-    """Scalar ex-post utility with input validation (convenience wrapper)."""
-    if not 0 <= agent < mech.n_agents:
-        raise ValueError(f"agent index {agent} out of range")
-    mech.validate_profile(bids)
-    return float(mech.utility(agent, bids, value))
+        # gathered along each weight row, so the (K, L_i) results are C-contiguous
+        sole = flat.take(self.sole_at, axis=1)
+        split = pre.reshape(k, -1).take(self.split_at, axis=1)
+        return (self.mech.cost_part(sole, split),
+                self.mech.price_part(sole, split, self.own_s, self.own_h))
 
 
 def make_mechanism(kind: str, n_agents: int, *, risk_rho: float = 1.0,
                    payment_rule: str = "NZ", tullock_r: float = 1.0,
-                   split_cost_factor: float = 0.3, split_cost_model: str = "scaled",
-                   split_action_rect=((1.0, 2.5), (0.3, 1.2))) -> Mechanism:
+                   split_cost_factor: float = 0.3,
+                   split_cost_model: str = "scaled") -> Mechanism:
     if kind in ("fpsb", "spsb", "all_pay"):
         return SingleObjectAuction(kind, n_agents, risk_rho)
     if kind == "tullock":
@@ -420,6 +388,5 @@ def make_mechanism(kind: str, n_agents: int, *, risk_rho: float = 1.0,
     if kind == "split_award":
         if n_agents != 2:
             raise ValueError("the split-award auction has exactly 2 agents")
-        return SplitAwardAuction(split_cost_factor, split_cost_model, risk_rho,
-                                 split_action_rect)
+        return SplitAwardAuction(split_cost_factor, split_cost_model, risk_rho)
     raise ValueError(f"unknown mechanism kind '{kind}'")

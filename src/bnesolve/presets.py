@@ -1,7 +1,7 @@
 """Shipped experiment presets, one per supported benchmark setting.
 
 Preset values are plain config mappings; they can be run directly
-(``preset run <id>``) or pulled into a config file via ``include = <id>``.
+(``solve --preset <id>``) or pulled into a config file via ``include = <id>``.
 Step parameters were calibrated to certify within the iteration cap;
 comments mark where this build's calibration departs from the usual
 settings for the family.  Two presets still stop at the cap above their

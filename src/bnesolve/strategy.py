@@ -98,13 +98,6 @@ class Strategy:
         new.matrix = m
         return new
 
-    def conditional(self, obs_index: int) -> np.ndarray:
-        """Mixed strategy over actions conditional on observation point k."""
-        mk = self.marginal[obs_index]
-        if mk <= 0:
-            raise ValueError(f"observation index {obs_index} has zero prior mass")
-        return self.matrix[obs_index] / mk
-
     def conditionals(self) -> np.ndarray:
         """All conditional rows at once; zero-mass rows stay zero."""
         out = np.zeros_like(self.matrix)

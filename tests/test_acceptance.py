@@ -196,7 +196,7 @@ def test_criterion_06_split_award_pooling():
         # whole contract at just below twice the pooled half-share price must
         # not profit, so the payoff-dominant price is 0.7 * minimal cost
         cap = 0.7 * problem.prior_model.obs_bounds[0][0]
-        lo = problem.mech.action_rect[1][0]
+        lo = problem.action_grids[0][1].lower
         weighted = float(s.marginal @ mean_half_bids)
         upper_part = weighted >= (lo + cap) / 2
         concentrated = abs(weighted - cap) <= 0.05

@@ -135,8 +135,9 @@ def test_emit_plot_data():
     rows = emit_plot_data(s, model, 0, count=150, seed=5, analytic_fn=lambda o: o / 2)
     assert len(rows) == 150
     for r in rows[:10]:
-        snapped = s.obs_grid.snap(r["observation"])
-        assert r["bid_0"] == pytest.approx(s.action_grids[0].snap(snapped))
+        snapped = s.obs_grid.points[s.obs_grid.nearest_index(r["observation"])]
+        ag = s.action_grids[0]
+        assert r["bid_0"] == pytest.approx(ag.points[ag.nearest_index(snapped)])
         assert r["analytic_bid"] == pytest.approx(r["observation"] / 2)
     again = emit_plot_data(s, model, 0, count=150, seed=5, analytic_fn=lambda o: o / 2)
     assert rows == again

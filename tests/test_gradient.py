@@ -214,7 +214,7 @@ def test_linearity_of_expected_utility():
             0.5 * expected_utility(strategies[0], c), abs=1e-15)
 
 
-def test_symmetric_path_matches_general():
+def test_highest_bid_row_matches_general():
     # a shared strategy's order-statistic row against the block-mate weights
     # of the same prior held as one block, its outer-product joint, on both paths
     for kind in ("fpsb", "spsb", "all_pay"):
@@ -232,7 +232,7 @@ def test_symmetric_path_matches_general():
                         assert np.max(np.abs(c_gen - c_sym)) < 1e-10, (kind, n, rho, k)
 
 
-def test_symmetric_path_matches_oracle_with_ties_at_the_top():
+def test_highest_bid_row_matches_oracle_with_ties_at_the_top():
     # the action grid is the opponents' grid, so every own bid ties some opponent
     # bid; the last profile puts all opponent mass on one bid, which must void
     # the win there (a tie at the top)
@@ -259,7 +259,7 @@ def test_symmetric_path_matches_oracle_with_ties_at_the_top():
                 assert np.max(np.abs(c[:, 2] - lose)) < 1e-15, (kind, n, rho)
 
 
-def test_symmetric_path_one_hot_opponent():
+def test_highest_bid_row_one_hot_opponent():
     mech, prior, action_grids, strategies = ipv_setting(k=4, l=4)
     onehot = strategies[1].matrix * 0
     onehot[:, 2] = prior.marginals[1]  # opponent always bids b*=2/3
@@ -271,7 +271,7 @@ def test_symmetric_path_one_hot_opponent():
     assert np.allclose(c, (o[:, None] - b[None, :]) * win, atol=1e-15)
 
 
-def test_symmetric_path_win_mass_conservation():
+def test_highest_bid_row_win_mass_conservation():
     rng = np.random.default_rng(3)
     for n in (2, 3, 5):
         pi = rng.dirichlet(np.ones(12))
@@ -293,7 +293,7 @@ def test_symmetric_path_rejects_unsupported():
             GradientEngine(m, prior, action_grids, groups=[[0, 1]], prefer_path="symmetric")
 
 
-def test_symmetric_path_speed_many_agents():
+def test_highest_bid_row_speed_many_agents():
     import time
     mech, prior, action_grids, strategies = ipv_setting(n=10, k=64, l=64)
     t0 = time.perf_counter()
@@ -505,7 +505,8 @@ def test_split_award_kernel_matches_naive_on_tie_grids():
 
 
 def test_split_award_kernel_matches_naive_on_interdependent_prior():
-    # distinct value-weighted and plain weights take the kernel's stacked pass
+    # distinct value-weighted and plain weights take the kernel twice, the
+    # second time for the B part only
     model = CommonValuePrior(2)
     og = [make_uniform_grid(0, 2, 3)] * 2
     vg = make_uniform_grid(0, 1, 4)
@@ -750,7 +751,7 @@ def test_component_prior_gradients_match_naive():
 
 
 def test_split_award_kernel_one_row_matches_dense():
-    """The factorized branch hands the kernel one row, once, as both weights."""
+    """The factorized branch hands the kernel one row, once."""
     for cost_model in ("scaled", "constant"):
         mech, prior, action_grids, strategies = split_tie_setting(cost_model)
         engine = GradientEngine(mech, prior, action_grids)
@@ -758,28 +759,28 @@ def test_split_award_kernel_one_row_matches_dense():
             seen = []
             kernel = engine._kernels[agent]
 
-            def recording(wa, wb, kernel=kernel):
-                seen.append((wa.shape, wa is wb))
-                return kernel(wa, wb)
+            def recording(w, kernel=kernel):
+                seen.append(w.shape)
+                return kernel(w)
 
             engine._kernels[agent] = recording
             c = engine.gradient(strategies, agent)
             opp = strategies[1 - agent]
-            assert seen == [((1, opp.matrix.shape[1]), True)]
+            assert seen == [(1, opp.matrix.shape[1])]
             assert np.max(np.abs(c - naive_gradient(mech, prior, strategies, agent))) < 1e-12
             pi = opp.matrix.sum(axis=0)[None]
             own, theirs = strategies[agent].action_values(), opp.action_values()
             mine = (own[:, 0:1], own[:, 1:2])
             theirs = (theirs[None, :, 0], theirs[None, :, 1])
             a, b = mech.affine_parts(agent, [mine, theirs] if agent == 0 else [theirs, mine])
-            for got, dense in zip(kernel(pi, pi), (pi @ a.T, pi @ b.T)):
+            for got, dense in zip(kernel(pi), (pi @ a.T, pi @ b.T)):
                 assert got.shape == (1, own.shape[0]) and got.flags.c_contiguous
                 assert np.max(np.abs(got - dense)) < 1e-12, (cost_model, agent)
 
 
 def layout_settings():
-    """(label, engine, profile) for every gradient path, the kernel's stacked
-    value-weighted pass included; the label starts with the path's name, or
+    """(label, engine, profile) for every gradient path, the kernel on an
+    interdependent prior included; the label starts with the path's name, or
     with "kernel" for the split-award kernel on the affine path."""
     mech, prior, action_grids, strategies = ipv_setting(n=3, k=5, l=6, seed=3)
     yield "affine_shared", GradientEngine(mech, prior, action_grids, groups=[[0, 1, 2]]), \
@@ -814,7 +815,7 @@ def layout_settings():
     yield "kernel", GradientEngine(split, tie_prior, split_grids), strategies
     profile = [init_strategy("random", og[i], split_grids[i], common.marginals[i], seed=i)
                for i in range(2)]
-    yield "kernel_stacked", GradientEngine(split, common, split_grids), profile
+    yield "kernel_interdependent", GradientEngine(split, common, split_grids), profile
 
 
 def test_gradients_are_c_contiguous():

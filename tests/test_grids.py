@@ -9,7 +9,6 @@ def test_uniform_grid_three_points():
     g = make_uniform_grid(0, 1, 3)
     assert np.array_equal(g.points, [0.0, 0.5, 1.0])
     assert g.count == 3
-    assert g.coarseness == 0.25
 
 
 def test_uniform_grid_spacing():
@@ -37,26 +36,26 @@ def test_grid_validation():
 
 def test_nearest_point_and_ties():
     g = make_uniform_grid(0, 1, 3)
-    assert g.nearest_point(0.24) == (0, 0.0)
+    assert g.nearest_index(0.24) == 0
     # exact midpoint resolves to the lower index
-    assert g.nearest_point(0.25) == (0, 0.0)
-    assert g.nearest_point(0.26) == (1, 0.5)
-    assert g.nearest_point(1.3) == (2, 1.0)
-    assert g.nearest_point(-0.7) == (0, 0.0)
+    assert g.nearest_index(0.25) == 0
+    assert g.nearest_index(0.26) == 1
+    assert g.nearest_index(1.3) == 2
+    assert g.nearest_index(-0.7) == 0
 
 
 def test_nearest_point_idempotent():
     g = make_uniform_grid(-1.5, 2.0, 17)
     for x in np.linspace(-2, 3, 101):
-        idx, val = g.nearest_point(x)
-        assert g.nearest_point(val) == (idx, val)
+        idx = g.nearest_index(x)
+        assert g.nearest_index(g.points[idx]) == idx
 
 
 def test_nearest_index_vectorized_matches_scalar():
     g = make_uniform_grid(0, 2, 9)
     xs = np.linspace(-0.5, 2.5, 57)
     idx = g.nearest_index(xs)
-    assert [g.nearest_point(x)[0] for x in xs] == idx.tolist()
+    assert [int(g.nearest_index(x)) for x in xs] == idx.tolist()
 
 
 def midpoint_search(g, x):
@@ -129,7 +128,7 @@ def test_discretize_density_truncated_gaussian():
     expected /= expected.sum()
     assert np.allclose(v, expected, atol=1e-12)
     peak = np.argmax(v)
-    assert abs(g.points[peak] - 1.2) <= g.coarseness
+    assert abs(g.points[peak] - 1.2) <= np.max(np.diff(g.points)) / 2
     assert np.all(np.diff(v[:peak + 1]) > 0) and np.all(np.diff(v[peak:]) < 0)
 
 

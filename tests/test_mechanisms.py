@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 
 from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuction,
-                                 TullockContest, crra, expost_utility, make_mechanism)
+                                 TullockContest, crra, make_mechanism)
 from oracles import qp_project_llg_core
 
 
 def test_fpsb_examples():
     m = SingleObjectAuction("fpsb", 2)
-    assert expost_utility(m, 0, [0.4, 0.3], 0.7) == pytest.approx(0.3)
-    assert expost_utility(m, 1, [0.4, 0.3], 0.5) == 0.0
+    assert float(m.utility(0, [0.4, 0.3], 0.7)) == pytest.approx(0.3)
+    assert float(m.utility(1, [0.4, 0.3], 0.5)) == 0.0
     # tied maximal bids: nothing is allocated
-    assert expost_utility(m, 0, [0.4, 0.4], 0.7) == 0.0
-    assert expost_utility(m, 1, [0.4, 0.4], 0.7) == 0.0
+    assert float(m.utility(0, [0.4, 0.4], 0.7)) == 0.0
+    assert float(m.utility(1, [0.4, 0.4], 0.7)) == 0.0
 
 
 def test_fpsb_crra():
     m = SingleObjectAuction("fpsb", 2, risk_rho=0.5)
-    assert expost_utility(m, 0, [0.4, 0.3], 0.7) == pytest.approx(0.3 ** 0.5)
+    assert float(m.utility(0, [0.4, 0.3], 0.7)) == pytest.approx(0.3 ** 0.5)
 
 
 def test_crra_identity_and_sign_extension():
@@ -29,27 +29,27 @@ def test_crra_identity_and_sign_extension():
 
 def test_spsb_pays_second_price():
     m = SingleObjectAuction("spsb", 3)
-    assert expost_utility(m, 0, [0.9, 0.6, 0.2], 1.0) == pytest.approx(0.4)
-    assert expost_utility(m, 1, [0.9, 0.6, 0.2], 1.0) == 0.0
-    assert expost_utility(m, 0, [0.9, 0.9, 0.2], 1.0) == 0.0
+    assert float(m.utility(0, [0.9, 0.6, 0.2], 1.0)) == pytest.approx(0.4)
+    assert float(m.utility(1, [0.9, 0.6, 0.2], 1.0)) == 0.0
+    assert float(m.utility(0, [0.9, 0.9, 0.2], 1.0)) == 0.0
 
 
 def test_all_pay_loser_pays_bid():
     m = SingleObjectAuction("all_pay", 2)
-    assert expost_utility(m, 0, [0.3, 0.5], 0.9) == pytest.approx(-0.3)
-    assert expost_utility(m, 1, [0.3, 0.5], 0.9) == pytest.approx(0.4)
+    assert float(m.utility(0, [0.3, 0.5], 0.9)) == pytest.approx(-0.3)
+    assert float(m.utility(1, [0.3, 0.5], 0.9)) == pytest.approx(0.4)
     # ties: the prize is withheld but bids stay sunk
-    assert expost_utility(m, 0, [0.3, 0.3], 0.9) == pytest.approx(-0.3)
+    assert float(m.utility(0, [0.3, 0.3], 0.9)) == pytest.approx(-0.3)
 
 
 def test_tullock_examples():
     m = TullockContest(1.0, 2)
-    assert expost_utility(m, 0, [0.2, 0.2], 1.0) == pytest.approx(0.3)
-    assert expost_utility(m, 0, [0.0, 0.0], 0.6) == pytest.approx(0.3)
-    assert expost_utility(m, 0, [0.0, 0.2], 0.6) == 0.0
+    assert float(m.utility(0, [0.2, 0.2], 1.0)) == pytest.approx(0.3)
+    assert float(m.utility(0, [0.0, 0.0], 0.6)) == pytest.approx(0.3)
+    assert float(m.utility(0, [0.0, 0.2], 0.6)) == 0.0
     m15 = TullockContest(1.5, 2)
     share = 0.1 ** 1.5 / (0.1 ** 1.5 + 0.3 ** 1.5)
-    assert expost_utility(m15, 0, [0.1, 0.3], 1.0) == pytest.approx(share - 0.1)
+    assert float(m15.utility(0, [0.1, 0.3], 1.0)) == pytest.approx(share - 0.1)
     with pytest.raises(ValueError):
         TullockContest(0.0, 2)
 
@@ -78,25 +78,22 @@ def test_llg_core_rule_examples():
     # global wins and pays the locals' total bid under core rules
     lw, gw, _, _, p3 = nz.outcome([0.3, 0.3, 1.0])
     assert gw and not lw and p3 == pytest.approx(0.6)
-    assert expost_utility(nz, 2, [0.3, 0.3, 1.0], 1.5) == pytest.approx(0.9)
+    assert float(nz.utility(2, [0.3, 0.3, 1.0], 1.5)) == pytest.approx(0.9)
     # exact tie: no winner
     lw, gw, _, _, _ = nz.outcome([0.5, 0.5, 1.0])
     assert not lw and not gw
-    assert expost_utility(nz, 2, [0.5, 0.5, 1.0], 2.0) == 0.0
+    assert float(nz.utility(2, [0.5, 0.5, 1.0], 2.0)) == 0.0
 
 
 def test_llg_first_price():
     m = LLGAuction("first_price")
-    assert expost_utility(m, 0, [0.6, 0.6, 1.0], 0.9) == pytest.approx(0.3)
-    assert expost_utility(m, 2, [0.2, 0.2, 1.0], 1.5) == pytest.approx(0.5)
+    assert float(m.utility(0, [0.6, 0.6, 1.0], 0.9)) == pytest.approx(0.3)
+    assert float(m.utility(2, [0.2, 0.2, 1.0], 1.5)) == pytest.approx(0.5)
 
 
 def test_llg_rejects_bad_inputs():
     with pytest.raises(ValueError):
         LLGAuction("nearest_moon")
-    m = LLGAuction("NZ")
-    with pytest.raises(ValueError):
-        expost_utility(m, 0, [-0.1, 0.5, 0.5], 0.5)
 
 
 def test_llg_core_payments_match_qp_oracle():
@@ -128,41 +125,41 @@ def test_llg_core_payments_match_qp_oracle():
 def test_split_award_examples():
     m = SplitAwardAuction()
     # split price 2.4 beats nothing: agent 0 sole-sources at 2.0
-    u0 = expost_utility(m, 0, [(2.0, 1.2), (2.1, 1.2)], 1.0)
-    u1 = expost_utility(m, 1, [(2.0, 1.2), (2.1, 1.2)], 1.0)
+    u0 = float(m.utility(0, [(2.0, 1.2), (2.1, 1.2)], 1.0))
+    u1 = float(m.utility(1, [(2.0, 1.2), (2.1, 1.2)], 1.0))
     assert u0 == pytest.approx(1.0) and u1 == 0.0
     # split price 2.0 beats both sole bids of 2.5
-    u0 = expost_utility(m, 0, [(2.5, 1.0), (2.5, 1.0)], 1.2)
-    u1 = expost_utility(m, 1, [(2.5, 1.0), (2.5, 1.0)], 1.3)
+    u0 = float(m.utility(0, [(2.5, 1.0), (2.5, 1.0)], 1.2))
+    u1 = float(m.utility(1, [(2.5, 1.0), (2.5, 1.0)], 1.3))
     assert u0 == pytest.approx(1.0 - 0.36) and u1 == pytest.approx(1.0 - 0.39)
     # exact sole/split price tie: no award
-    assert expost_utility(m, 0, [(2.0, 1.0), (2.5, 1.0)], 1.0) == 0.0
+    assert float(m.utility(0, [(2.0, 1.0), (2.5, 1.0)], 1.0)) == 0.0
     # sole/sole tie with the split more expensive: no award either
-    assert expost_utility(m, 0, [(2.0, 1.2), (2.0, 1.2)], 1.0) == 0.0
+    assert float(m.utility(0, [(2.0, 1.2), (2.0, 1.2)], 1.0)) == 0.0
 
 
 def test_split_award_outcome():
     m = SplitAwardAuction()
-    alloc, utils = m.outcome([(2.0, 1.2), (2.1, 1.2)], (1.0, 1.0))
-    assert [a.tolist() for a in alloc] == [1.0, 0.0, 0.0]
-    assert utils[0] == pytest.approx(1.0) and utils[1] == 0.0
-    alloc, utils = m.outcome([(2.5, 1.0), (2.5, 1.0)], (1.2, 1.3))
-    assert [a.tolist() for a in alloc] == [0.0, 0.0, 1.0]
-    assert utils[0] == pytest.approx(0.64) and utils[1] == pytest.approx(0.61)
+    bids = [(2.0, 1.2), (2.1, 1.2)]
+    assert [a.tolist() for a in m.allocation(bids)] == [1.0, 0.0, 0.0]
+    assert m.utility(0, bids, 1.0) == pytest.approx(1.0) and m.utility(1, bids, 1.0) == 0.0
+    bids = [(2.5, 1.0), (2.5, 1.0)]
+    assert [a.tolist() for a in m.allocation(bids)] == [0.0, 0.0, 1.0]
+    assert m.utility(0, bids, 1.2) == pytest.approx(0.64)
+    assert m.utility(1, bids, 1.3) == pytest.approx(0.61)
 
 
 def test_split_award_constant_cost_model():
     m = SplitAwardAuction(cost_model="constant")
-    u0 = expost_utility(m, 0, [(2.5, 1.0), (2.5, 1.0)], 1.2)
+    u0 = float(m.utility(0, [(2.5, 1.0), (2.5, 1.0)], 1.2))
     assert u0 == pytest.approx(1.0 - 0.3)
 
 
-def test_split_award_validates_rectangle():
-    m = SplitAwardAuction()
-    with pytest.raises(ValueError):
-        expost_utility(m, 0, [(0.5, 1.0), (2.0, 1.0)], 1.2)
+def test_split_award_rejects_bad_inputs():
     with pytest.raises(ValueError):
         SplitAwardAuction(split_cost_factor=0.6)
+    with pytest.raises(ValueError):
+        SplitAwardAuction(cost_model="flat")
 
 
 def test_split_award_split_allocation_is_efficient():
@@ -178,7 +175,7 @@ def test_tie_bump_produces_unique_winner():
     for k in range(10):
         tie = [grid[k], grid[k]]
         a_tie, _ = m.affine_parts(0, tie)
-        assert a_tie == 0.0 and expost_utility(m, 0, tie, 1.0) == 0.0
+        assert a_tie == 0.0 and float(m.utility(0, tie, 1.0)) == 0.0
         a_bump, _ = m.affine_parts(0, [grid[k + 1], grid[k]])
         assert a_bump == 1.0  # one grid step up from a tie wins outright
 

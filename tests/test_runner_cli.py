@@ -38,11 +38,13 @@ def test_parse_config_text_basics():
     eta0 = 12.5            # trailing comment
     symmetric = true
     obs_lower = [0.0, 1.0]
+    name = "a#b"  # a "quoted" comment
     """
     m = parse_config_text(text)
     assert m["mechanism"] == "fpsb" and m["agents"] == 2
     assert m["eta0"] == 12.5 and m["symmetric"] is True
     assert m["obs_lower"] == [0.0, 1.0]
+    assert m["name"] == "a#b"
 
 
 def test_parse_config_include_preset_and_override(tmp_path):
@@ -76,6 +78,9 @@ BAD_RUN_SETTINGS = [
     ({"step_beta": 1.5}, "beta"),
     ({"init": "zeros"}, "unknown init mode"),
     ({"eval_samples": -5}, "eval_samples"),
+    ({"obs_points": 64.9}, "obs_points"),
+    ({"runs": 2.5}, "runs"),
+    ({"risk_rho": [0.5]}, "risk_rho"),
 ]
 
 
@@ -89,17 +94,22 @@ def test_config_validation():
     # each of these used to be accepted and then fail, or skip evaluation, in every run
     for bad, message in BAD_RUN_SETTINGS:
         with pytest.raises(ValueError, match=message):
-            RunConfig(**bad).validate()
-    # the edges that work stay accepted: no steps, no evaluation, an alias
-    RunConfig(iterations=0, eval_samples=0, learner="sofw_frank_wolfe",
+            config_from_mapping(bad)
+    # the edges that work stay accepted: no steps, no evaluation, a rule
+    # without step parameters, an integral float for an integer key
+    RunConfig(iterations=0, eval_samples=0, learner="sofw",
               init="truthful").validate()
+    assert config_from_mapping({"eval_samples": 1e3}).eval_samples == 1000
 
 
 def test_config_roundtrip_and_hash():
+    # a '#' inside a JSON string is text, not a comment
+    for cfg in (fast_cfg(), RunConfig(notes='run #2, "#3" next', name="a#b",
+                                      density="2 * o  # linear")):
+        again = config_from_mapping(parse_config_text(cfg.to_text()))
+        assert again == cfg
+        assert again.hash() == cfg.hash()
     cfg = fast_cfg()
-    again = config_from_mapping(parse_config_text(cfg.to_text()))
-    assert again == cfg
-    assert again.hash() == cfg.hash()
     assert config_from_mapping({**cfg.__dict__, "seed": 10}).hash() != cfg.hash()
 
 
@@ -396,6 +406,9 @@ def test_cli_preset_list(capsys):
     assert main(["preset", "list"]) == 0
     out = capsys.readouterr().out
     assert "fpsb_2_uniform" in out and "llg_nb_g05" in out and "split_award_uniform" in out
+    with pytest.raises(SystemExit) as exc:  # a preset runs as solve --preset
+        main(["preset", "run", "fpsb_2_uniform"])
+    assert exc.value.code == 2
 
 
 def test_cli_unknown_preset(capsys):

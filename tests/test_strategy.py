@@ -49,16 +49,15 @@ def test_unknown_init_mode():
 def test_conditional():
     g = make_uniform_grid(0, 1, 2)
     s = Strategy(np.array([[0.1, 0.4], [0.2, 0.3]]), g, (g,), np.array([0.5, 0.5]))
-    assert np.allclose(s.conditional(0), [0.2, 0.8])
+    assert np.allclose(s.conditionals()[0], [0.2, 0.8])
     uni = init_strategy("uniform", g, [g], np.array([0.5, 0.5]))
-    assert np.allclose(uni.conditional(1), [0.5, 0.5])
+    assert np.allclose(uni.conditionals()[1], [0.5, 0.5])
 
 
 def test_conditional_zero_marginal_errors():
     g = make_uniform_grid(0, 1, 2)
     s = Strategy(np.array([[0.0, 0.0], [0.5, 0.5]]), g, (g,), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        s.conditional(0)
+    assert s.conditionals().tolist() == [[0.0, 0.0], [0.5, 0.5]]
     with pytest.raises(ValueError):
         s.sample_bids([0.1], np.random.default_rng(0))
 
@@ -85,7 +84,7 @@ def test_sample_bids_empirical_matches_conditional():
     obs = np.full(100_000, 0.34)  # snaps to row 1
     b = s.sample_bids(obs, rng)[:, 0]
     freq = np.array([(b == v).mean() for v in s.action_grids[0].points])
-    assert 0.5 * np.abs(freq - s.conditional(1)).sum() < 0.01
+    assert 0.5 * np.abs(freq - s.conditionals()[1]).sum() < 0.01
 
 
 def table_sample_bids(strategy, observations, rng):

@@ -135,7 +135,7 @@ def test_collusive_probe_shades_bids():
     mean_eq = res.strategies[0].mean_bid_per_observation()[:, 0]
     mean_probe = probe[0].mean_bid_per_observation()[:, 0]
     assert np.all(mean_probe <= mean_eq + 1e-12)
-    step = action_grids[0][0].coarseness * 2
+    step = np.max(np.diff(action_grids[0][0].points))
     assert np.max(np.abs(mean_probe - 0.5 * mean_eq)) <= step
     assert np.max(np.abs(probe[0].matrix.sum(axis=1) - prior.marginals[0])) < 1e-12
 
