@@ -113,21 +113,27 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _coerce(key: str, value):
     t = _FIELD_TYPES[key]
     if t != "object" and isinstance(value, (list, dict)):  # object: scalar or list
         raise ValueError(f"config key '{key}' takes one value, got {json.dumps(value)}")
-    if t == "int":
-        if isinstance(value, float) and not value.is_integer():
+    if t in ("int", "float"):
+        if t == "int" and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"config key '{key}' takes an integer, got {value}")
-        return int(value)
-    if t == "float":
-        return float(value)
+        try:
+            return int(value) if t == "int" else float(value)
+        except (TypeError, ValueError):
+            kind = "an integer" if t == "int" else "a number"
+            raise ValueError(f"config key '{key}' takes {kind}, got {value!r}") from None
     if t == "bool":
         if isinstance(value, str):
-            return value.lower() in ("1", "true", "yes")
+            if value.lower() not in _BOOL_WORDS:
+                raise ValueError(f"config key '{key}' takes a boolean (1/0, true/false or "
+                                 f"yes/no), got {value!r}")
+            return _BOOL_WORDS[value.lower()]
         return bool(value)
     if t == "str":
         return str(value)

@@ -43,8 +43,15 @@ The payoff picks the path, one of ``PATHS``:
   stack for all agents, who share the value), and the weights meet A and B
   in one GEMM each.  A and B are dense matrices of shape (L_i, columns of
   the weights), cached per agent.  A mechanism may instead supply a kernel
-  that never forms A and B (``Mechanism.affine_kernel``): the split-award
-  auction sums the weights over threshold index ranges with prefix sums,
+  that never forms A and B (``Mechanism.affine_kernel``); where it has one
+  for an agent, the kernel serves every affine gradient of that agent.  It
+  receives the weights as the factors (G, R), with the opponents R covers,
+  on component priors, and each dense prior's weight rows as G with R =
+  [1], and returns the weighted sums of A and B.  The split-award auction
+  sums full weight rows over threshold index ranges with prefix sums; it
+  serves dense priors and R that covers the opponent.  First-price LLG
+  reads R's strict cdf at the locals' bid sums, or sums G in the bid sums'
+  ascending order for the global (``LLGFirstPriceKernel``), on every prior;
   and
 * ``tensor``: the generic formulation for payoffs ``crra(v*A(b) + B(b))`` under
   private or interdependent priors.  It takes the weights as (K_i, L_-i)
@@ -168,12 +175,15 @@ class GradientEngine:
     payoff reads only that and they bid on one grid, decided here per
     agent).  Each agent's view of the
     components, with its block's mass scaled by its marginal, is built here,
-    once; a kernel is built only where R covers every opponent.  Dense priors
+    once.  Dense priors
     are always interdependent; they contract the prior mass, led by the
     shared value, with the opponents' conditionals, one GEMM per opponent.
-    On the affine path the mechanism's own kernel, when it has one (split
-    award), replaces the dense payoff matrices for weights over the
-    opponents' action profiles; its tables are built here, once.  Every path
+    On the affine path the mechanism's own kernel, when it has one for an
+    agent (split award where R covers the opponent or the prior is dense;
+    first-price LLG always), replaces the dense payoff matrices for every
+    gradient of that agent: it receives the factors (G, R) and the opponents
+    R covers, or a dense prior's weight rows with R = [1], and its tables
+    are built here, once.  Every path
     returns a C-contiguous (K_i, L_i) gradient.  A dense prior holds one
     value joint over the value all agents share, so the tensor path reads
     that joint for every agent and the affine path stacks one value-weighted
@@ -218,11 +228,10 @@ class GradientEngine:
         self._kernels = {}
         if self.path == "affine":
             for i in range(prior.n_agents):
-                # a kernel takes rows over every opponent's actions: on a
-                # component prior, only where R covers them all
-                partial = i in self._views and not self._trailing_covers_opponents(i)
-                kernel = None if i in self._top_bids or partial \
-                    else mech.affine_kernel(i, self.action_grids)
+                # the opponents R covers on a component prior; None on a dense one
+                trailing = tuple(self._views[i][0]) if i in self._views else None
+                kernel = None if i in self._top_bids \
+                    else mech.affine_kernel(i, self.action_grids, trailing)
                 if kernel is not None:
                     self._kernels[i] = kernel
 
@@ -397,19 +406,24 @@ class GradientEngine:
         """c_i on a component prior, from the factors (G, R) of
         ``_opponent_factors``, on every row of nonzero mass.
 
-        On the affine path R first meets A and B over the trailing opponents'
-        axes (``_reduced_parts``), and the result meets G in one product
-        each: c_i = o * (G . A_R) + G . B_R.  Where G is one row this is
-        c_i[k] = o_k * (r . A) + r . B, the same row for every own
-        observation.  The tensor path takes the weights G x R as rows."""
+        On the affine path the mechanism's kernel, where it has one, takes G
+        and R to G . A_R and G . B_R; else R first meets the dense A and B
+        over the trailing opponents' axes (``_reduced_parts``), and the
+        result meets G in one product each.  Then c_i = o * (G . A_R) +
+        G . B_R; where G is one row this is c_i[k] = o_k * (r . A) + r . B,
+        the same row for every own observation.  The tensor path takes the weights G x R as rows."""
         own_vals = self.prior.obs_grids[agent].points
         if self.path == "tensor":
             c = self._contract_utilities(agent, self._weight_rows(strategies, agent), own_vals)
         else:
             g, r = self._opponent_factors(strategies, agent)
-            ra, rb = self._reduced_parts(agent, r)
-            # one column of G: R covers every opponent, and A_R, B_R are rows
-            ca, cb = (g * ra, g * rb) if g.shape[1] == 1 else (g @ ra, g @ rb)
+            kernel = self._kernels.get(agent)
+            if kernel is not None:
+                ca, cb = kernel(g, r)
+            else:
+                ra, rb = self._reduced_parts(agent, r)
+                # one column of G: R covers every opponent, and A_R, B_R are rows
+                ca, cb = (g * ra, g * rb) if g.shape[1] == 1 else (g @ ra, g @ rb)
             if g.shape[0] == 1:
                 c = np.multiply.outer(own_vals, ca[0])
                 c += cb[0]
@@ -428,15 +442,14 @@ class GradientEngine:
         return np.broadcast_to(w, (self.prior.obs_grids[agent].count, w.shape[1]))
 
     def _reduced_parts(self, agent: int, r: np.ndarray):
-        """``agent``'s A and B contracted with ``r`` over the trailing
+        """``agent``'s dense A and B contracted with ``r`` over the trailing
         opponents' action axes, each as (columns of G, L_i): one mat-vec over
         the trailing axes.  Where the trailing opponents are all of them,
-        that is the one row r . A, from the mechanism's kernel or the dense A;
-        where they hold none, A and B themselves."""
+        that is the one row r . A; where they hold none, A and B themselves."""
+        a, b = self._affine_parts(agent)
         if self._trailing_covers_opponents(agent):
             w = r[None, :]
-            return self._contract_affine(agent, w, w)
-        a, b = self._affine_parts(agent)
+            return w @ a.T, w @ b.T
         if not self._views[agent][0]:
             return a.T, b.T
         return tuple((x.reshape(-1, r.size) @ r).reshape(x.shape[0], -1).T for x in (a, b))
@@ -451,15 +464,13 @@ class GradientEngine:
         return _divide_rows(cv, self.prior.marginals[agent])
 
     def _contract_affine(self, agent: int, wa: np.ndarray, wb: np.ndarray):
-        """(wa . A, wb . B): the mechanism's kernel, a second time for the B
-        part only where ``wb is not wa``, or one GEMM each against the cached
-        dense A and B."""
+        """(wa . A, wb . B) for full rows over the opponents' actions: the
+        mechanism's kernel, once for each weight, or one GEMM each against the
+        cached dense A and B."""
         kernel = self._kernels.get(agent)
         if kernel is not None:
-            ca, cb = kernel(wa)
-            if wb is not wa:
-                cb = kernel(wb)[1]
-            return ca, cb
+            one = np.ones(1)
+            return kernel(wa, one)[0], kernel(wb, one)[1]
         a, b = self._affine_parts(agent)
         return wa @ a.T, wb @ b.T
 

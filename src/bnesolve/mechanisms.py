@@ -78,13 +78,18 @@ class Mechanism:
         """(A, B) with quasilinear payoff value * A + B for ``agent``."""
         raise NotImplementedError
 
-    def affine_kernel(self, agent: int, action_grids):
+    def affine_kernel(self, agent: int, action_grids, trailing):
         """Contraction of opponent weights against (A, B) that never forms them.
 
-        ``action_grids`` holds every agent's tuple of action grids.  Returns a
-        callable taking weights ``w`` of shape (K_i, L_-i) to ``(w . A, w . B)``,
-        C-contiguous of shape (K_i, L_i), or None when only the dense matrices
-        are available.
+        ``action_grids`` holds every agent's tuple of action grids.  The
+        weights come in two factors, ``W[k, l_lead, l_trail] = g[k, l_lead] *
+        r[l_trail]`` over the opponents in agent order: ``trailing`` names the
+        last opponents, those ``r`` covers, on a component prior (empty when
+        it covers none); it is None on a dense prior, whose weights come as
+        full rows ``g`` over every opponent's actions, with ``r`` = [1.0].
+        Returns a callable taking ``(g, r)`` to ``(W . A, W . B)``, fresh and
+        C-contiguous of shape (K, L_i), or None where only the dense matrices
+        serve.
         """
         return None
 
@@ -234,6 +239,83 @@ class LLGAuction(Mechanism):
         a = locals_win.astype(np.float64)
         return a, -a * (p1 if agent == 0 else p2)
 
+    def payments(self, bids):
+        # one outcome for all three agents, with affine_parts' -(-a * p)
+        locals_win, global_win, p1, p2, p3 = self.outcome(bids)
+        wins = (locals_win, locals_win, global_win)
+        return [-(-win.astype(np.float64) * p) for win, p in zip(wins, (p1, p2, p3))]
+
+    def affine_kernel(self, agent, action_grids, trailing):
+        if self.payment_rule != "first_price":
+            return None  # core payments are projections, not separable in the bids
+        return LLGFirstPriceKernel(agent, action_grids, trailing)
+
+
+class LLGFirstPriceKernel:
+    """First-price LLG contraction of opponent weights through bid-sum cdfs.
+
+    Under first price the payoff reads the locals only through their bid sum
+    ``b_0 + b_1`` against the global bid ``b_2`` (``LLGAuction.outcome``:
+    the locals win iff the sum is strictly above it, the global iff strictly
+    below), and each winner pays its own bid, so ``B = -b_i * A``.
+
+    * A local's A, contracted with the global's weights, is their strict cdf
+      read at ``own + mate``: the count of global bids strictly below each
+      sum, ``searchsorted(side="left")``, indexes it.  Where ``r`` is the
+      global's action marginal alone this gives ``A_R[l_mate, l_i]`` in
+      O(L^2), and ``g @ A_R`` the weighted sums; else the cdf runs along the
+      global's axis of each full weight row.
+    * The global's A, contracted with weights over both locals' actions, is
+      their sum over the bid sums strictly below its bid: the weights are
+      summed in the sums' ascending order and read at
+      ``searchsorted(sums, b_2, side="left")``.
+
+    The sums are the same float additions, and the comparisons the same
+    strict inequalities, as in ``outcome``, so ties void the win exactly as
+    there; the (L_i, L_-i) payoff matrices are never formed.
+    """
+
+    def __init__(self, agent: int, action_grids, trailing):
+        bids = [g[0].points for g in action_grids]
+        own = bids[agent]
+        self.minus_own = -own
+        # r is the global's action marginal alone: a local's mate is in g
+        self.factored = agent != 2 and trailing == (2,)
+        if agent == 2:
+            sums = (bids[0][:, None] + bids[1][None, :]).ravel()
+            self.order = np.argsort(sums, kind="stable")
+            self.at = np.searchsorted(sums[self.order], own, side="left")
+        else:
+            mate = bids[1 - agent]
+            # fl(b_0 + b_1) in outcome's order, the mate's bid on rows
+            sums = own[None, :] + mate[:, None] if agent == 0 else mate[:, None] + own[None, :]
+            self.order = None
+            self.at = np.searchsorted(bids[2], sums, side="left")
+
+    @property
+    def nbytes(self) -> int:
+        return sum(x.nbytes for x in (self.minus_own, self.at, self.order) if x is not None)
+
+    def __call__(self, g, r):
+        """(W . A, W . B) for the weights ``W = g x r`` of ``affine_kernel``."""
+        if self.factored:
+            cdf = np.zeros(r.size + 1)
+            np.cumsum(r, out=cdf[1:])
+            a = g @ cdf[self.at]
+        else:
+            # full rows over the opponents' actions, in agent order
+            w = (g[:, :, None] * r).reshape(g.shape[0], -1)
+            if self.order is None:  # the mate's axis, then the global's
+                w = w.reshape(w.shape[0], self.at.shape[0], -1)
+                cdf = np.zeros(w.shape[:2] + (w.shape[2] + 1,))
+                np.cumsum(w, axis=2, out=cdf[:, :, 1:])
+                a = cdf[:, np.arange(self.at.shape[0])[:, None], self.at].sum(axis=1)
+            else:
+                cdf = np.zeros((w.shape[0], w.shape[1] + 1))
+                np.cumsum(w[:, self.order], axis=1, out=cdf[:, 1:])
+                a = cdf[:, self.at]
+        return a, a * self.minus_own
+
 
 class SplitAwardAuction(Mechanism):
     """Procurement auction for a 100% share or two 50% shares.
@@ -294,7 +376,11 @@ class SplitAwardAuction(Mechanism):
         sole_own = sole0 if agent == 0 else sole1
         return self.cost_part(sole_own, split), self.price_part(sole_own, split, *comps[agent])
 
-    def affine_kernel(self, agent, action_grids):
+    def affine_kernel(self, agent, action_grids, trailing):
+        # the kernel reads full rows over the opponent's actions: a dense
+        # prior's, or r where it covers the opponent
+        if trailing == ():
+            return None
         return SplitAwardKernel(self, agent, action_grids)
 
     def payments(self, bids):
@@ -349,14 +435,20 @@ class SplitAwardKernel:
         return sum(x.nbytes for x in (self.sole_at, self.split_cols, self.split_at,
                                       self.own_s, self.own_h))
 
-    def __call__(self, w):
-        """(w . A, w . B) for weights of shape (K, L_-i)."""
-        k, n_s, n_h = w.shape[0], self.n_s, self.n_h
-        # t[r, a, b]: weight row r at opponent sole price a and half price b;
+    def __call__(self, g, r):
+        """(W . A, W . B) for the weights ``W = g x r`` of ``affine_kernel``:
+        a dense prior's full rows g with r = [1], or r over the opponent's
+        actions with g one column."""
+        k, n_s, n_h = g.shape[0], self.n_s, self.n_h
+        # t[k, a, b]: weight row k at opponent sole price a and half price b;
         # the zero slabs at a = n_s and b = n_h stand for empty ranges.  Suffix
         # sums run as cumsums over reversed views, the same additions as a loop
         t = np.zeros((k, n_s + 1, n_h + 1))
-        t[:, :n_s, :n_h] = w.reshape(k, n_s, n_h)
+        if r.size == 1:
+            rows, cols = g.reshape(k, n_s, n_h), r
+        else:
+            rows, cols = g[:, :, None], r.reshape(n_s, n_h)
+        np.multiply(rows, cols, out=t[:, :n_s, :n_h])
         suffix = t[:, ::-1]
         np.cumsum(suffix, axis=1, out=suffix)  # now: sole prices from a on
         flat = t.reshape(k, -1)

@@ -4,9 +4,9 @@ Preset values are plain config mappings; they can be run directly
 (``solve --preset <id>``) or pulled into a config file via ``include = <id>``.
 Step parameters were calibrated to certify within the iteration cap;
 comments mark where this build's calibration departs from the usual
-settings for the family.  Two presets still stop at the cap above their
-tolerance at seed (0, 0): ``llg_first_price_g05``/``g09`` (exact ties under
-the void-on-ties rule).  The LLG presets' prior is exact, so they set no
+settings for the family.  Three presets still stop at the cap above their
+tolerance at seed (0, 0): ``llg_first_price_g01``/``g05``/``g09`` (exact
+ties under the void-on-ties rule).  The LLG presets' prior is exact, so they set no
 ``prior_samples``; the binned common-value and affiliated presets bin 4M
 draws.
 """

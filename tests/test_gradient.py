@@ -751,7 +751,8 @@ def test_component_prior_gradients_match_naive():
 
 
 def test_split_award_kernel_one_row_matches_dense():
-    """The factorized branch hands the kernel one row, once."""
+    """The factorized branch hands the kernel one row, once: G = [[1]] and R
+    the opponent's action marginal."""
     for cost_model in ("scaled", "constant"):
         mech, prior, action_grids, strategies = split_tie_setting(cost_model)
         engine = GradientEngine(mech, prior, action_grids)
@@ -759,21 +760,21 @@ def test_split_award_kernel_one_row_matches_dense():
             seen = []
             kernel = engine._kernels[agent]
 
-            def recording(w, kernel=kernel):
-                seen.append(w.shape)
-                return kernel(w)
+            def recording(g, r, kernel=kernel):
+                seen.append((g.tolist(), r.shape))
+                return kernel(g, r)
 
             engine._kernels[agent] = recording
             c = engine.gradient(strategies, agent)
             opp = strategies[1 - agent]
-            assert seen == [(1, opp.matrix.shape[1])]
+            assert seen == [([[1.0]], (opp.matrix.shape[1],))]
             assert np.max(np.abs(c - naive_gradient(mech, prior, strategies, agent))) < 1e-12
             pi = opp.matrix.sum(axis=0)[None]
             own, theirs = strategies[agent].action_values(), opp.action_values()
             mine = (own[:, 0:1], own[:, 1:2])
             theirs = (theirs[None, :, 0], theirs[None, :, 1])
             a, b = mech.affine_parts(agent, [mine, theirs] if agent == 0 else [theirs, mine])
-            for got, dense in zip(kernel(pi), (pi @ a.T, pi @ b.T)):
+            for got, dense in zip(kernel(np.ones((1, 1)), pi[0]), (pi @ a.T, pi @ b.T)):
                 assert got.shape == (1, own.shape[0]) and got.flags.c_contiguous
                 assert np.max(np.abs(got - dense)) < 1e-12, (cost_model, agent)
 
@@ -827,3 +828,111 @@ def test_gradients_are_c_contiguous():
         path = label.split("_")[0]
         assert engine.path == ("affine" if path == "kernel" else path), label
         assert (path == "kernel") == bool(engine._kernels), label
+
+
+def assert_kernel_matches_dense(engine, strategies, agent, label):
+    """The kernel's own (W . A, W . B) and the gradient it serves agree to
+    1e-12 with the dense ``_affine_parts`` of the engine, contracted with its
+    weight rows G x R; returns the gradient."""
+    c = engine.gradient(strategies, agent)
+    a, b = engine._affine_parts(agent)
+    w = engine._weight_rows(strategies, agent)
+    wa, wb = w @ a.T, w @ b.T
+    dense = engine.prior.obs_grids[agent].points[:, None] * wa + wb
+    dense[~(engine.prior.marginals[agent] > 0)] = 0.0
+    assert np.max(np.abs(c - dense)) < 1e-12, (label, agent)
+    g, r = engine._opponent_factors(strategies, agent)
+    ka, kb = engine._kernels[agent](g, r)
+    # one kernel row per row of G: all own observations, or the one they share
+    for got, want in ((ka, wa[:g.shape[0]]), (kb, wb[:g.shape[0]])):
+        assert got.shape == (g.shape[0], wa.shape[1]) and got.flags.c_contiguous, (label, agent)
+        assert np.max(np.abs(got - want)) < 1e-12, (label, agent)
+    return c
+
+
+def llg_tie_settings():
+    """(label, groups, prior, action_grids, profile) for first-price LLG on
+    dyadic action grids, where local bid sums land exactly on global grid
+    points: the exact LLG prior at gamma 0.1, 0.5 and 0.9 with the locals
+    grouped and as singletons on grids of one size but unequal points (so
+    swapping the own and the mate's axis changes values, not shapes), and the
+    three-agent common-value prior, whose weights come as full rows, with the
+    locals on grids of unequal size."""
+    locals_ = [make_uniform_grid(0, 1, 5), make_uniform_grid(0, 0.5, 5)]
+    glob = make_uniform_grid(0, 2, 5)
+    for gamma in (0.1, 0.5, 0.9):
+        for grouped in (True, False):
+            og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 3 if grouped else 4),
+                  make_uniform_grid(0, 2, 3)]
+            prior = BernoulliWeightsLLGPrior(gamma).discretize(og)
+            action_grids = [(locals_[0],), (locals_[0] if grouped else locals_[1],), (glob,)]
+            profile = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
+                                     seed=11 + i) for i in range(3)]
+            if grouped:
+                profile[1] = profile[0]
+            yield (f"{gamma}_{'grouped' if grouped else 'singleton'}",
+                   [[0, 1], [2]] if grouped else None, prior, action_grids, profile)
+    og = [make_uniform_grid(0, 2, 3)] * 3
+    common = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 3),
+                                            sample_count=100_000, seed=1)
+    action_grids = [(locals_[0],), (make_uniform_grid(0, 1, 3),), (glob,)]
+    profile = [init_strategy("random", og[i], action_grids[i], common.marginals[i],
+                             seed=3 + i) for i in range(3)]
+    yield "common_value", None, common, action_grids, profile
+
+
+def test_llg_first_price_kernel_matches_dense_and_naive_on_tie_grids():
+    mech = LLGAuction("first_price")
+    for label, groups, prior, action_grids, profile in llg_tie_settings():
+        bids = [g[0].points for g in action_grids]
+        # exact ties between the locals' bid sum and the global bid
+        assert np.any(np.isin(np.add.outer(bids[0], bids[1]), bids[2])), label
+        engine = GradientEngine(mech, prior, action_grids, groups=groups)
+        assert engine.path == "affine" and sorted(engine._kernels) == [0, 1, 2], label
+        for agent in range(3):
+            oracle = naive_gradient(mech, prior, profile, agent)
+            if prior.components is None:  # dense rows meet the kernel in _contract_affine
+                c = engine.gradient(profile, agent)
+            else:
+                c = assert_kernel_matches_dense(engine, profile, agent, label)
+            assert np.max(np.abs(c - oracle)) < 1e-12, (label, agent)
+
+
+@pytest.mark.parametrize("name", ["llg_first_price_g01", "llg_first_price_g05",
+                                  "llg_first_price_g09"])
+def test_llg_first_price_kernel_matches_dense_on_shipped_grids(name):
+    problem = build_problem(config_from_mapping(get_preset(name)))
+    prior = problem.discretize()
+    bids = [g[0].points for g in problem.action_grids]
+    assert all(b.size == 64 for b in bids)
+    assert np.any(np.isin(np.add.outer(bids[0], bids[1]), bids[2]))  # ties on these grids too
+    profile = [init_strategy("random", prior.obs_grids[i], problem.action_grids[i],
+                             prior.marginals[i], seed=i) for i in range(3)]
+    engine = GradientEngine(problem.mech, prior, problem.action_grids, groups=problem.groups)
+    for agent in range(3):
+        assert np.max(np.abs(assert_kernel_matches_dense(engine, profile, agent, name))) > 0.1
+
+
+def test_llg_first_price_engine_holds_no_dense_parts():
+    problem = build_problem(config_from_mapping(get_preset("llg_first_price_g05")))
+    prior = problem.discretize()
+    profile = [init_strategy("random", prior.obs_grids[i], problem.action_grids[i],
+                             prior.marginals[i], seed=i) for i in range(3)]
+    engine = GradientEngine(problem.mech, prior, problem.action_grids, groups=problem.groups)
+    for agent in range(3):
+        engine.gradient(profile, agent)
+    assert not engine._affine_cache
+    kernels = engine._kernels
+    # the locals' tables are one 64 x 64 index table each, the global's the
+    # sort order of the 64^2 bid sums and one index per own bid; with each
+    # agent's minus own bids
+    assert [k.nbytes for k in kernels.values()] == [(64 * 64 + 64) * 8] * 2 + \
+        [(64 * 64 + 2 * 64) * 8]
+    views = sum(own.nbytes for _, terms in engine._views.values()
+                for _, own, _, _ in terms if own is not None)
+    assert engine.cache_bytes() == views + sum(k.nbytes for k in kernels.values())
+    # core rules and the tensor path have no kernel
+    for rule in ("NZ", "NVCG", "NB"):
+        assert not GradientEngine(LLGAuction(rule), prior, problem.action_grids)._kernels
+    risk_averse = LLGAuction("first_price", risk_rho=0.5)
+    assert not GradientEngine(risk_averse, prior, problem.action_grids)._kernels

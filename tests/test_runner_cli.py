@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from bnesolve.config import (RunConfig, _compile_density, build_problem,
 from bnesolve.grids import discretize_density
 from bnesolve.presets import get_preset, preset_names
 from bnesolve.runner import run_batch, run_sweep
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FAST = {
     "obs_points": 12, "action_points": 12, "iterations": 300, "runs": 2,
@@ -81,6 +87,9 @@ BAD_RUN_SETTINGS = [
     ({"obs_points": 64.9}, "obs_points"),
     ({"runs": 2.5}, "runs"),
     ({"risk_rho": [0.5]}, "risk_rho"),
+    ({"symmetric": "ture"}, "symmetric"),
+    ({"runs": "ten"}, "runs"),
+    ({"eta0": "fast"}, "eta0"),
 ]
 
 
@@ -100,6 +109,14 @@ def test_config_validation():
     RunConfig(iterations=0, eval_samples=0, learner="sofw",
               init="truthful").validate()
     assert config_from_mapping({"eval_samples": 1e3}).eval_samples == 1000
+
+
+def test_config_reads_boolean_words():
+    # any case of 1/0, true/false and yes/no; JSON booleans and numbers as
+    # before (BAD_RUN_SETTINGS holds a word outside these)
+    for word, expected in [("1", True), ("TRUE", True), ("Yes", True), ("0", False),
+                           ("false", False), ("NO", False), (True, True), (0, False)]:
+        assert config_from_mapping({"symmetric": word}).symmetric is expected, word
 
 
 def test_config_roundtrip_and_hash():
@@ -409,6 +426,20 @@ def test_cli_preset_list(capsys):
     with pytest.raises(SystemExit) as exc:  # a preset runs as solve --preset
         main(["preset", "run", "fpsb_2_uniform"])
     assert exc.value.code == 2
+
+
+def test_cli_preset_list_into_closed_pipe():
+    # the reader closes the pipe before the listing is written, as ``| head``
+    # does once it has its lines: the command stops without a traceback
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen([sys.executable, "-m", "bnesolve.cli", "preset", "list"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_cli_unknown_preset(capsys):
