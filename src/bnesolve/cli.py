@@ -67,7 +67,8 @@ def _cmd_solve(args) -> int:
     summary = run_batch(problem, out, runs=args.runs, force=args.force,
                         progress=_progress_printer(args.quiet))
     ok = [r for r in summary.rows if r["status"] == "ok"]
-    print(f"{len(ok)}/{len(summary.rows)} runs ok; "
+    certified = [r for r in ok if r["termination"] == "converged"]
+    print(f"{len(ok)}/{len(summary.rows)} runs ok, {len(certified)} certified; "
           f"mean max_loss={summary.mean('max_loss'):.3e}; artifacts in {summary.out_dir}")
     for key in sorted(summary.aggregates["mean"]):
         if key.startswith(("L_", "L2_", "revenue")):
@@ -137,6 +138,8 @@ def _cmd_preset(args) -> int:
 def _cmd_probe_vs(args) -> int:
     cfg = _load_cfg(args)
     problem = build_problem(cfg)
+    # refuse a non-empty --out before the solve, not after it
+    out = prepare_out_dir(args.out, args.force) if args.out else None
     result = solve(problem, (cfg.seed, 0), progress=_progress_printer(args.quiet))
     if not result.converged:
         print(f"warning: run did not converge (max loss {result.certificate.max_loss:.2e})",
@@ -146,8 +149,7 @@ def _cmd_probe_vs(args) -> int:
                      engine=problem.engine())
     print(f"probe value: {value:.6e} "
           f"({'variational stability violated' if value > 0 else 'no violation found'})")
-    if args.out:
-        out = prepare_out_dir(args.out, args.force)
+    if out is not None:
         (out / "probe.json").write_text(json.dumps(
             {"probe_value": value, "scale": args.scale, "config_hash": cfg.hash(),
              "version": __version__,

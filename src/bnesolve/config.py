@@ -99,6 +99,8 @@ class RunConfig:
             raise ValueError("plot_points must be >= 1")
         if self.eval_samples < 0:
             raise ValueError("eval_samples must be >= 0 (0 skips evaluation)")
+        if not self.memory_budget_gib > 0:
+            raise ValueError("memory_budget_gib must be > 0")
         return self
 
     def to_text(self) -> str:
@@ -124,10 +126,13 @@ def _coerce(key: str, value):
         if t == "int" and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"config key '{key}' takes an integer, got {value}")
         try:
-            return int(value) if t == "int" else float(value)
+            number = int(value) if t == "int" else float(value)
         except (TypeError, ValueError):
             kind = "an integer" if t == "int" else "a number"
             raise ValueError(f"config key '{key}' takes {kind}, got {value!r}") from None
+        if t == "float" and not np.isfinite(number):  # NaN, or JSON's Infinity and 1e999
+            raise ValueError(f"config key '{key}' takes a finite number, got {value!r}")
+        return number
     if t == "bool":
         if isinstance(value, str):
             if value.lower() not in _BOOL_WORDS:

@@ -33,35 +33,35 @@ The prior picks how the opponents' actions are weighted:
   conditional strategies, one GEMM per opponent, into weights of shape
   (values, K_i, L_-i).
 
-The payoff picks the path, one of ``PATHS``:
+The payoff picks the path, one of ``PATHS``, and the path picks the method;
+the prior picks only the weights, which both methods take on either kind of
+prior:
 
-* ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  On component
-  priors R meets A and B first, in a mat-vec each over the trailing axes,
-  and the result meets G in one product each; the own value enters as a row
-  scaling (an outer product where G is one row).  On dense priors the
-  value-weighted joint and the joint are contracted together, stacked (one
-  stack for all agents, who share the value), and the weights meet A and B
-  in one GEMM each.  A and B are dense matrices of shape (L_i, columns of
-  the weights), cached per agent.  A mechanism may instead supply a kernel
-  that never forms A and B (``Mechanism.affine_kernel``); where it has one
-  for an agent, the kernel serves every affine gradient of that agent.  It
-  receives the weights as the factors (G, R), with the opponents R covers,
-  on component priors, and each dense prior's weight rows as G with R =
-  [1], and returns the weighted sums of A and B.  The split-award auction
-  sums full weight rows over threshold index ranges with prefix sums; it
-  serves dense priors and R that covers the opponent.  First-price LLG
-  reads R's strict cdf at the locals' bid sums, or sums G in the bid sums'
-  ascending order for the global (``LLGFirstPriceKernel``), on every prior;
-  and
-* ``tensor``: the generic formulation for payoffs ``crra(v*A(b) + B(b))`` under
-  private or interdependent priors.  It takes the weights as (K_i, L_-i)
-  rows (G x R on component priors, one stack of rows per shared value on
-  dense ones) and walks the value axis (the own observation on component
-  priors, the one shared value on dense ones) in chunks of ex-post
-  utilities, each filled in place one value at a time.
-  The memory budget sets the chunk size, not which path runs, and so bounds
-  the bytes of ex-post utilities the path holds, give or take one value's
-  worth of scratch.
+* ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  The weights
+  come as rows and a factor R over the trailing opponents: G and R on
+  component priors; on dense priors the value-weighted joint and the joint,
+  contracted together (one stack for all agents, who share the value), as
+  rows Wv and W, with R = [1] covering no opponent.  One contraction takes
+  them to the weighted sums of A and B.  Where the mechanism has a kernel
+  for the agent (``Mechanism.affine_kernel``), it serves, on either prior,
+  under one contract: it gets the rows, R and the opponents R covers, and
+  never forms A and B.  The split-award kernel sums the weights over
+  threshold index ranges with prefix sums; first-price LLG reads R's strict
+  cdf at the locals' bid sums, or sums G in the bid sums' ascending order
+  for the global (``LLGFirstPriceKernel``).  Else R meets the dense A and B,
+  cached per agent with shape (L_i, columns of the weights), in a mat-vec
+  each over the trailing axes, and the rows one product each.  The own
+  value then enters as a row scaling on component priors, c_i = o * (G .
+  A_R) + G . B_R (an outer product where G is one row), and on dense priors
+  c_i = (Wv . A + W . B) / marginal; and
+* ``tensor``: the generic formulation for payoffs ``crra(v*A(b) + B(b))``.
+  It takes the weights as (K_i, L_-i) rows (G x R on component priors, one
+  stack of rows per shared value on dense ones) and walks the value axis
+  (the own observation on component priors, the one shared value on dense
+  ones) in chunks of ex-post utilities, each filled in place one value at a
+  time.  The memory budget sets the chunk size, not which path runs, and so
+  bounds the bytes of ex-post utilities the path holds, give or take one
+  value's worth of scratch.
 
 Both paths agree to floating-point reassociation error.
 """
@@ -158,42 +158,26 @@ def expected_utility(strategy: Strategy, gradient_matrix: np.ndarray) -> float:
 
 class GradientEngine:
     """The discretized game and its gradients, with cached prior/mechanism
-    contractions.
+    contractions; the module docstring states how the paths and the weights
+    meet.
 
     The engine is the one description of the game a run solves: the mechanism,
     the discretized prior, the per-agent action grids, and ``groups``, the
     agents that share one strategy (one group per agent when None).  Groups
     must partition the agents, and grouped agents must have the same
     observation grid, marginal and action grids; both are checked here, once.
-    The payoff picks the path: ``affine`` for risk-neutral payoffs, ``tensor``
-    for any other.  The prior picks the weights, on either path.  A component
-    prior (independent private values, the exact LLG prior) factors them
-    along its blocks into G x R: R over the actions of the last opponents
-    that are alone with their marginal in every component, G over the rest,
-    one row where the agent has no block-mate (R is the distribution of the
-    opponents' highest bid where the prior is independent, the mechanism's
-    payoff reads only that and they bid on one grid, decided here per
-    agent).  Each agent's view of the
-    components, with its block's mass scaled by its marginal, is built here,
-    once.  Dense priors
-    are always interdependent; they contract the prior mass, led by the
-    shared value, with the opponents' conditionals, one GEMM per opponent.
-    On the affine path the mechanism's own kernel, when it has one for an
-    agent (split award where R covers the opponent or the prior is dense;
-    first-price LLG always), replaces the dense payoff matrices for every
-    gradient of that agent: it receives the factors (G, R) and the opponents
-    R covers, or a dense prior's weight rows with R = [1], and its tables
-    are built here, once.  Every path
-    returns a C-contiguous (K_i, L_i) gradient.  A dense prior holds one
-    value joint over the value all agents share, so the tensor path reads
-    that joint for every agent and the affine path stacks one value-weighted
-    pair, cached once per engine.  ``memory_budget`` sets the chunk size
-    along the value axis of the tensor path; it never changes which path
-    runs.  One chunk-sized buffer serves every chunk of a call and is filled
-    in place, one value at a time, so the budget bounds the bytes of ex-post
-    utilities held per agent (one value's worth at least), give or take one
-    value's worth of scratch.  When one chunk covers the whole axis, the
-    chunk is kept between calls.  ``cache_bytes`` counts every cached array.
+    Also built here, once: which agents' opponents are weighted by their
+    highest bid, each agent's view of a component prior (its block's mass
+    scaled by its marginal), and, on the affine path, the mechanism's
+    kernels.  Every path returns a C-contiguous (K_i, L_i) gradient.  A dense
+    prior's value-weighted pair is stacked once per engine, since all agents
+    share the value.  ``memory_budget`` sets the chunk size along the value
+    axis of the tensor path; it never changes which path runs.  One
+    chunk-sized buffer serves every chunk of a call and is filled in place,
+    one value at a time, so the budget bounds the bytes of ex-post utilities
+    held per agent (one value's worth at least), give or take one value's
+    worth of scratch.  When one chunk covers the whole axis, the chunk is
+    kept between calls.  ``cache_bytes`` counts every cached array.
     ``prefer_path`` forces one of ``PATHS``; the engine refuses an unknown
     path and ``affine`` for risk-averse payoffs.  One engine serves any
     number of runs on the same problem.
@@ -228,10 +212,7 @@ class GradientEngine:
         self._kernels = {}
         if self.path == "affine":
             for i in range(prior.n_agents):
-                # the opponents R covers on a component prior; None on a dense one
-                trailing = tuple(self._views[i][0]) if i in self._views else None
-                kernel = None if i in self._top_bids \
-                    else mech.affine_kernel(i, self.action_grids, trailing)
+                kernel = mech.affine_kernel(i, self.action_grids, self._trailing(i))
                 if kernel is not None:
                     self._kernels[i] = kernel
 
@@ -346,9 +327,10 @@ class GradientEngine:
         return trailing, [(w, own, mates, [b for b in others if b[0][0] not in trailing])
                           for w, own, mates, others in terms]
 
-    def _trailing_covers_opponents(self, agent: int) -> bool:
-        """Whether the trailing opponents of ``agent``'s view are all its opponents."""
-        return len(self._views[agent][0]) == self.prior.n_agents - 1
+    def _trailing(self, agent: int) -> tuple:
+        """The opponents R covers: the trailing opponents of ``agent``'s view
+        on a component prior, none on a dense one."""
+        return tuple(self._views[agent][0]) if agent in self._views else ()
 
     def _opponent_factors(self, strategies, agent: int):
         """The opponents' weights on a component prior as two factors, (G, R):
@@ -392,9 +374,7 @@ class GradientEngine:
     # -- paths ---------------------------------------------------------------
 
     def gradient(self, strategies, agent: int) -> np.ndarray:
-        if self.prior.components is not None:
-            c = self._gradient_factorized(strategies, agent)
-        elif self.path == "affine":
+        if self.path == "affine":
             c = self._gradient_affine(strategies, agent)
         else:
             c = self._gradient_tensor(strategies, agent)
@@ -402,36 +382,74 @@ class GradientEngine:
             raise FloatingPointError("non-finite gradient entries")
         return c
 
-    def _gradient_factorized(self, strategies, agent: int) -> np.ndarray:
-        """c_i on a component prior, from the factors (G, R) of
-        ``_opponent_factors``, on every row of nonzero mass.
+    def _gradient_affine(self, strategies, agent: int) -> np.ndarray:
+        """c_i from the weighted sums of A and B (``_affine_sums``).
 
-        On the affine path the mechanism's kernel, where it has one, takes G
-        and R to G . A_R and G . B_R; else R first meets the dense A and B
-        over the trailing opponents' axes (``_reduced_parts``), and the
-        result meets G in one product each.  Then c_i = o * (G . A_R) +
-        G . B_R; where G is one row this is c_i[k] = o_k * (r . A) + r . B,
-        the same row for every own observation.  The tensor path takes the weights G x R as rows."""
-        own_vals = self.prior.obs_grids[agent].points
-        if self.path == "tensor":
-            c = self._contract_utilities(agent, self._weight_rows(strategies, agent), own_vals)
-        else:
+        On a component prior G and R come from ``_opponent_factors``, and
+        c_i = o * (G . A_R) + G . B_R; where G is one row this is c_i[k] =
+        o_k * (r . A) + r . B, the same row for every own observation.  On a
+        dense prior the value-weighted and plain prior mass, contracted with
+        the opponents' conditionals, give Wv and W as rows with R = [1], and
+        c_i = (Wv . A + W . B) / marginal."""
+        if self.prior.components is not None:
             g, r = self._opponent_factors(strategies, agent)
-            kernel = self._kernels.get(agent)
-            if kernel is not None:
-                ca, cb = kernel(g, r)
-            else:
-                ra, rb = self._reduced_parts(agent, r)
-                # one column of G: R covers every opponent, and A_R, B_R are rows
-                ca, cb = (g * ra, g * rb) if g.shape[1] == 1 else (g @ ra, g @ rb)
-            if g.shape[0] == 1:
-                c = np.multiply.outer(own_vals, ca[0])
-                c += cb[0]
-            else:
-                c = ca
-                c *= own_vals[:, None]
-                c += cb
-        c[~(self.prior.marginals[agent] > 0)] = 0.0
+            ca, cb = self._affine_sums(agent, g, g, r)
+            c = self.prior.obs_grids[agent].points[:, None] * ca
+        else:
+            wv, w = self._opponent_weights(self._value_weighted_pair(), strategies, agent)
+            c, cb = self._affine_sums(agent, wv, w, np.ones(1))
+        c += cb
+        return self._per_own_mass(c, agent)
+
+    def _affine_sums(self, agent: int, ga: np.ndarray, gb: np.ndarray, r: np.ndarray):
+        """(ga . A_R, gb . B_R): the mechanism's kernel where it has one for
+        ``agent``, once, or twice where ``gb`` is not ``ga``; else R meets the
+        dense A and B first (``_reduced_parts``), then ga and gb one product
+        each."""
+        kernel = self._kernels.get(agent)
+        if kernel is not None:
+            ca, cb = kernel(ga, r)
+            return ca, cb if gb is ga else kernel(gb, r)[1]
+        ra, rb = self._reduced_parts(agent, r)
+        return ga @ ra, gb @ rb
+
+    def _reduced_parts(self, agent: int, r: np.ndarray):
+        """``agent``'s dense A and B contracted with ``r`` over the trailing
+        opponents' action axes, each as (columns of G, L_i): one mat-vec over
+        the trailing axes.  Where the trailing opponents are all of them,
+        that is the one row r . A; where they hold none (always so on a dense
+        prior), A and B themselves."""
+        a, b = self._affine_parts(agent)
+        trailing = self._trailing(agent)
+        if len(trailing) == self.prior.n_agents - 1:
+            w = r[None, :]
+            return w @ a.T, w @ b.T
+        if not trailing:
+            return a.T, b.T
+        return tuple((x.reshape(-1, r.size) @ r).reshape(x.shape[0], -1).T for x in (a, b))
+
+    def _gradient_tensor(self, strategies, agent: int) -> np.ndarray:
+        """c_i[k, l] sums crra(v*A + B) over the opponents' actions, weighted
+        by the opponents' weights (``_contract_utilities``): on a component
+        prior the rows G x R of ``_weight_rows``, with v the own observation;
+        on a dense prior the value joint contracted with the opponents'
+        conditionals, with v the shared value."""
+        if self.prior.components is not None:
+            w, vals = self._weight_rows(strategies, agent), self.prior.obs_grids[agent].points
+        else:
+            # W[m, k_i, l_-i], with the shared value m as the leading axis
+            w = self._opponent_weights(self.prior.value_joint, strategies, agent)
+            vals = self.prior.value_grid.points
+        return self._per_own_mass(self._contract_utilities(agent, w, vals), agent)
+
+    def _per_own_mass(self, c: np.ndarray, agent: int) -> np.ndarray:
+        """``c`` with its rows of zero own mass set to zero; on a dense prior,
+        whose weights are prior mass rather than conditional on the own
+        observation, its other rows divided by the own marginal."""
+        marginal = self.prior.marginals[agent]
+        if self.prior.components is None:
+            return _divide_rows(c, marginal)
+        c[~(marginal > 0)] = 0.0
         return c
 
     def _weight_rows(self, strategies, agent: int) -> np.ndarray:
@@ -440,50 +458,6 @@ class GradientEngine:
         g, r = self._opponent_factors(strategies, agent)
         w = np.multiply.outer(g, r).reshape(g.shape[0], -1)
         return np.broadcast_to(w, (self.prior.obs_grids[agent].count, w.shape[1]))
-
-    def _reduced_parts(self, agent: int, r: np.ndarray):
-        """``agent``'s dense A and B contracted with ``r`` over the trailing
-        opponents' action axes, each as (columns of G, L_i): one mat-vec over
-        the trailing axes.  Where the trailing opponents are all of them,
-        that is the one row r . A; where they hold none, A and B themselves."""
-        a, b = self._affine_parts(agent)
-        if self._trailing_covers_opponents(agent):
-            w = r[None, :]
-            return w @ a.T, w @ b.T
-        if not self._views[agent][0]:
-            return a.T, b.T
-        return tuple((x.reshape(-1, r.size) @ r).reshape(x.shape[0], -1).T for x in (a, b))
-
-    def _gradient_affine(self, strategies, agent: int) -> np.ndarray:
-        """c_i = (Wv . A + W . B) / marginal on a dense prior, with Wv and W the
-        value-weighted and plain prior mass contracted with the opponents'
-        conditionals."""
-        wv, w1 = self._opponent_weights(self._value_weighted_pair(), strategies, agent)
-        cv, c1 = self._contract_affine(agent, wv, w1)
-        cv += c1
-        return _divide_rows(cv, self.prior.marginals[agent])
-
-    def _contract_affine(self, agent: int, wa: np.ndarray, wb: np.ndarray):
-        """(wa . A, wb . B) for full rows over the opponents' actions: the
-        mechanism's kernel, once for each weight, or one GEMM each against the
-        cached dense A and B."""
-        kernel = self._kernels.get(agent)
-        if kernel is not None:
-            one = np.ones(1)
-            return kernel(wa, one)[0], kernel(wb, one)[1]
-        a, b = self._affine_parts(agent)
-        return wa @ a.T, wb @ b.T
-
-    def _gradient_tensor(self, strategies, agent: int) -> np.ndarray:
-        """c_i[k, l] on a dense prior sums u_i over the opponents' observations
-        and actions and the shared value, weighted by the value joint and the
-        opponents' conditional strategies, divided by the own observation
-        marginal (zero rows where that marginal is zero)."""
-        prior = self.prior
-        # W[m, k_i, l_-i], with the shared value m as the leading axis
-        w = self._opponent_weights(prior.value_joint, strategies, agent)
-        c = self._contract_utilities(agent, w, prior.value_grid.points)
-        return _divide_rows(c, prior.marginals[agent])
 
     def _contract_utilities(self, agent: int, w: np.ndarray, own_vals: np.ndarray) -> np.ndarray:
         """Sum of crra(v*A + B) over the columns of ``agent``'s payoff grid,

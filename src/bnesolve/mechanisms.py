@@ -84,12 +84,11 @@ class Mechanism:
         ``action_grids`` holds every agent's tuple of action grids.  The
         weights come in two factors, ``W[k, l_lead, l_trail] = g[k, l_lead] *
         r[l_trail]`` over the opponents in agent order: ``trailing`` names the
-        last opponents, those ``r`` covers, on a component prior (empty when
-        it covers none); it is None on a dense prior, whose weights come as
-        full rows ``g`` over every opponent's actions, with ``r`` = [1.0].
-        Returns a callable taking ``(g, r)`` to ``(W . A, W . B)``, fresh and
-        C-contiguous of shape (K, L_i), or None where only the dense matrices
-        serve.
+        last opponents, those ``r`` covers.  It is empty when ``r`` covers
+        none, as on a dense prior; then ``g`` holds full rows over every
+        opponent's actions and ``r`` = [1.0].  Returns a callable taking
+        ``(g, r)`` to ``(W . A, W . B)``, fresh and C-contiguous of shape
+        (K, L_i), or None where only the dense matrices serve.
         """
         return None
 
@@ -377,10 +376,6 @@ class SplitAwardAuction(Mechanism):
         return self.cost_part(sole_own, split), self.price_part(sole_own, split, *comps[agent])
 
     def affine_kernel(self, agent, action_grids, trailing):
-        # the kernel reads full rows over the opponent's actions: a dense
-        # prior's, or r where it covers the opponent
-        if trailing == ():
-            return None
         return SplitAwardKernel(self, agent, action_grids)
 
     def payments(self, bids):
@@ -437,8 +432,8 @@ class SplitAwardKernel:
 
     def __call__(self, g, r):
         """(W . A, W . B) for the weights ``W = g x r`` of ``affine_kernel``:
-        a dense prior's full rows g with r = [1], or r over the opponent's
-        actions with g one column."""
+        full rows g over the opponent's actions with r = [1], or r over them
+        with g one column."""
         k, n_s, n_h = g.shape[0], self.n_s, self.n_h
         # t[k, a, b]: weight row k at opponent sole price a and half price b;
         # the zero slabs at a = n_s and b = n_h stand for empty ranges.  Suffix

@@ -263,5 +263,9 @@ def load_strategy(path) -> tuple[Strategy, dict]:
     l = int(np.prod([g.count for g in action_grids]))
     matrix = np.zeros((obs_grid.count, l))
     rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2), ndmin=2)
-    matrix[rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)] = rows[:, 2]
+    index = rows[:, :2].astype(np.int64)
+    if np.any((index < 0) | (index >= matrix.shape) | (index != rows[:, :2])):
+        raise ValueError(f"{path.name}: an obs_index or action_index is not an index of "
+                         f"the sidecar's {matrix.shape[0]} x {matrix.shape[1]} grids")
+    matrix[index[:, 0], index[:, 1]] = rows[:, 2]
     return Strategy(matrix, obs_grid, action_grids, marginal), meta

@@ -528,7 +528,8 @@ def test_split_award_kernel_matches_naive_on_interdependent_prior():
 def test_split_award_matches_naive_on_correlated_private_prior():
     # a block mass that is not the product of its marginals: the opponent is a
     # block-mate, weighted per own observation, so the weights do not reduce
-    # to one row and the dense A and B serve in place of the kernel
+    # to one row; the kernel takes them as full rows over the opponent's
+    # actions, with r = [1], as on a dense prior
     _, prior, action_grids, _ = split_tie_setting("scaled")
     rng = np.random.default_rng(5)
     joint = rng.random((3, 4)) * (1.0 + np.eye(3, 4))
@@ -541,9 +542,18 @@ def test_split_award_matches_naive_on_correlated_private_prior():
     for cost_model in ("scaled", "constant"):
         mech = SplitAwardAuction(0.3, cost_model)
         engine = GradientEngine(mech, correlated, action_grids)
-        assert engine.path == "affine" and not engine._kernels
+        assert engine.path == "affine" and sorted(engine._kernels) == [0, 1]
         for agent in range(2):
+            seen, kernel = [], engine._kernels[agent]
+
+            def recording(g, r, kernel=kernel):
+                seen.append((g.shape, r.tolist()))
+                return kernel(g, r)
+
+            engine._kernels[agent] = recording
             c = engine.gradient(strategies, agent)
+            shape = strategies[1 - agent].matrix.shape
+            assert seen == [((correlated.obs_grids[agent].count, shape[1]), [1.0])]
             oracle = naive_gradient(mech, correlated, strategies, agent)
             assert np.max(np.abs(c - oracle)) < 1e-12, (cost_model, agent)
             assert c.flags.c_contiguous
@@ -751,7 +761,7 @@ def test_component_prior_gradients_match_naive():
 
 
 def test_split_award_kernel_one_row_matches_dense():
-    """The factorized branch hands the kernel one row, once: G = [[1]] and R
+    """A component prior hands the kernel one row, once: G = [[1]] and R
     the opponent's action marginal."""
     for cost_model in ("scaled", "constant"):
         mech, prior, action_grids, strategies = split_tie_setting(cost_model)
@@ -891,7 +901,7 @@ def test_llg_first_price_kernel_matches_dense_and_naive_on_tie_grids():
         assert engine.path == "affine" and sorted(engine._kernels) == [0, 1, 2], label
         for agent in range(3):
             oracle = naive_gradient(mech, prior, profile, agent)
-            if prior.components is None:  # dense rows meet the kernel in _contract_affine
+            if prior.components is None:  # dense rows meet the kernel in _affine_sums
                 c = engine.gradient(profile, agent)
             else:
                 c = assert_kernel_matches_dense(engine, profile, agent, label)

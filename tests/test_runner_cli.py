@@ -90,6 +90,11 @@ BAD_RUN_SETTINGS = [
     ({"symmetric": "ture"}, "symmetric"),
     ({"runs": "ten"}, "runs"),
     ({"eta0": "fast"}, "eta0"),
+    ({"eta0": float("nan")}, "eta0"),
+    ({"eta0": float("inf")}, "eta0"),
+    ({"tolerance": float("nan")}, "tolerance"),
+    ({"tullock_r": float("inf")}, "tullock_r"),
+    ({"memory_budget_gib": -1}, "memory_budget_gib"),
 ]
 
 
@@ -467,6 +472,37 @@ def test_cli_probe_vs(tmp_path, capsys):
     assert "probe value" in out
     data = json.loads((tmp_path / "probe" / "probe.json").read_text())
     assert data["probe_value"] > 0
+
+
+def test_cli_probe_vs_refuses_a_non_empty_out_before_solving(tmp_path, capsys, monkeypatch):
+    import bnesolve.cli as cli_mod
+
+    def never(*a, **kw):
+        raise AssertionError("solve ran before --out was checked")
+
+    monkeypatch.setattr(cli_mod, "solve", never)
+    out = tmp_path / "probe"
+    out.mkdir()
+    (out / "kept.txt").write_text("x")
+    rc = main(["probe-vs", "--preset", "fpsb_2_uniform", "--quiet", "--out", str(out)])
+    assert rc == 2
+    assert "not empty" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["kept.txt"]
+
+
+def test_cli_solve_counts_certified_runs(tmp_path, capsys):
+    # a run that stops at its cap is "ok" in summary.csv, but not certified
+    for iterations, certified in ((3, 0), (300, 1)):
+        cfg_path = tmp_path / f"it{iterations}.cfg"
+        lines = ["include = fpsb_2_uniform"] + [
+            f"{k} = {json.dumps(v)}" for k, v in {**FAST, "iterations": iterations}.items()]
+        cfg_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / f"out{iterations}"
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out),
+                     "--runs", "1", "--quiet"]) == 0
+        assert f"1/1 runs ok, {certified} certified;" in capsys.readouterr().out
+        termination = read_summary(out / "summary.csv")[0]["termination"]
+        assert termination == ("converged" if certified else "max_iterations")
 
 
 def test_cli_probe_vs_builds_one_engine(tmp_path, capsys, monkeypatch):

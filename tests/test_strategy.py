@@ -304,6 +304,22 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert meta["mechanism"] == "fpsb" and meta["iteration"] == 123
 
 
+def test_load_strategy_refuses_indices_outside_the_grids(tmp_path):
+    s = simple_strategy(k=3, l=4, seed=2)
+    path = tmp_path / "strategy_agent0.csv"
+    save_strategy(s, path)
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    for column, bad in ((0, "9"), (0, "-1"), (1, "4"), (1, "1.5")):
+        fields = lines[2].split(",")
+        fields[column] = bad
+        path.write_text("".join(lines[:2] + [",".join(fields)] + lines[3:]))
+        with pytest.raises(ValueError, match="strategy_agent0.csv"):
+            load_strategy(path)
+    path.write_text(text)
+    assert np.array_equal(load_strategy(path)[0].matrix, s.matrix)
+
+
 def test_csv_round_trip_two_dimensional(tmp_path):
     og = make_uniform_grid(1.0, 1.4, 3)
     ags = (make_uniform_grid(1.0, 2.5, 3), make_uniform_grid(0.3, 1.2, 2))
