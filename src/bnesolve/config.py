@@ -21,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .gradient import GradientEngine
+from .gradient import GradientEngine, agent_groups
 from .grids import make_uniform_grid
 from .learners import make_learner
 from .mechanisms import make_mechanism
 from .priors import (CommonValuePrior, AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
-                     CustomDensityMarginal, IndependentPrivatePrior,
+                     CustomDensityMarginal, IndependentPrivatePrior, MIN_SAMPLE_COUNT,
                      TruncatedGaussianMarginal, UniformMarginal)
 from .strategy import INIT_MODES
 
@@ -91,6 +91,8 @@ class RunConfig:
         make_learner(self.learner, self.eta0, self.step_beta)  # refuses the name or step
         if self.init not in INIT_MODES:
             raise ValueError(f"unknown init mode '{self.init}' (choose from {INIT_MODES})")
+        if not self.tolerance > 0:
+            raise ValueError("tolerance must be > 0")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.check_interval < 1:
@@ -101,6 +103,10 @@ class RunConfig:
             raise ValueError("eval_samples must be >= 0 (0 skips evaluation)")
         if not self.memory_budget_gib > 0:
             raise ValueError("memory_budget_gib must be > 0")
+        if self.prior == "gaussian_trunc" and not self.sigma > 0:
+            raise ValueError("sigma must be > 0 for the gaussian_trunc prior")
+        if self.prior in ("common_value", "affiliated") and self.prior_samples < MIN_SAMPLE_COUNT:
+            raise ValueError(f"prior_samples must be >= {MIN_SAMPLE_COUNT} for a binned prior")
         return self
 
     def to_text(self) -> str:
@@ -312,16 +318,6 @@ def build_prior_model(cfg: RunConfig):
     raise ValueError(f"unknown prior kind '{cfg.prior}'")
 
 
-def _refine_groups(a: list[list[int]], b: list[list[int]], n: int) -> list[list[int]]:
-    """Common refinement: agents grouped only if grouped in both partitions."""
-    label_a = {i: gi for gi, g in enumerate(a) for i in g}
-    label_b = {i: gi for gi, g in enumerate(b) for i in g}
-    buckets: dict = {}
-    for i in range(n):
-        buckets.setdefault((label_a[i], label_b[i]), []).append(i)
-    return sorted(buckets.values())
-
-
 @dataclass
 class Problem:
     """A fully materialized game: mechanism, grids, discretized prior and engine.
@@ -389,8 +385,9 @@ def build_problem(cfg: RunConfig) -> Problem:
     value_grid = None
     if not model.values_equal_observations:
         value_grid = make_uniform_grid(cfg.value_lower, cfg.value_upper, cfg.value_points)
-    if cfg.symmetric:
-        groups = _refine_groups(mech.symmetry_groups(), model.symmetry_groups(), n)
-    else:
-        groups = [[i] for i in range(n)]
+    # with ``symmetric``, agents share a strategy when the mechanism, the prior
+    # and the action rectangle treat them alike; groups are ordered by first agent
+    keys = list(zip(agent_groups(mech.symmetry_groups()), agent_groups(model.symmetry_groups()),
+                    bounds)) if cfg.symmetric else list(range(n))
+    groups = [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
     return Problem(cfg, mech, model, obs_grids, value_grid, action_grids, groups)

@@ -1,9 +1,10 @@
 """Discrete distributional strategies.
 
-A strategy is a nonnegative K x L matrix whose row k sums to the prior mass
-of the k-th observation point; entry (k, l) is the joint probability of
-observing point k and playing action l.  Multi-dimensional actions are
-flattened row-major over the per-axis grids.
+A strategy is a K x L matrix whose entries are nonnegative, exactly, and
+whose row k sums to the prior mass of the k-th observation point; entry
+(k, l) is the joint probability of observing point k and playing action l.
+Multi-dimensional actions are flattened row-major over the per-axis grids.
+A pure strategy puts each row's whole mass on one action.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .grids import Grid
 
 ROW_SUM_TOL = 1e-10
-NEGATIVE_CLAMP = 1e-14
 
 
 def flatten_action_grids(action_grids) -> np.ndarray:
@@ -30,14 +30,27 @@ def flatten_action_grids(action_grids) -> np.ndarray:
     return np.column_stack([m.ravel() for m in meshes])
 
 
-def _lowest(m: np.ndarray) -> float:
-    """Smallest entry in one pass; NaN entries are skipped, as comparisons skip them."""
-    return np.fmin.reduce(m, axis=None)
+def nearest_actions(action_values: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per row of ``targets`` (shape (K, ndim)), the index of the nearest row of
+    ``action_values`` in squared distance; ties go to the lowest index."""
+    return np.argmin(((action_values[None, :, :] - targets[:, None, :]) ** 2).sum(axis=2),
+                     axis=1)
 
 
-def _check_row_sums(m: np.ndarray, marginal: np.ndarray):
-    """Row sums within ``ROW_SUM_TOL`` of the marginal; a NaN entry makes its
-    row sum NaN, which fails the comparison, so NaN matrices are refused."""
+def pure_matrix(actions: np.ndarray, marginal: np.ndarray, action_count: int) -> np.ndarray:
+    """The K x ``action_count`` matrix with row k's mass ``marginal[k]`` on action
+    ``actions[k]`` and zeros elsewhere."""
+    out = np.zeros((len(actions), action_count))
+    out[np.arange(len(actions)), actions] = marginal
+    return out
+
+
+def _check_matrix(m: np.ndarray, marginal: np.ndarray):
+    """Entries nonnegative, exactly, and row sums within ``ROW_SUM_TOL`` of the
+    marginal.  The lowest entry is found in one pass that skips NaN entries; a
+    NaN makes its row sum NaN, which fails the comparison, so it is refused."""
+    if np.fmin.reduce(m, axis=None) < 0:
+        raise ValueError("strategy entries must be nonnegative")
     if not (np.max(np.abs(m.sum(axis=1) - marginal)) <= ROW_SUM_TOL):
         raise ValueError("row sums must equal the observation marginal")
 
@@ -58,9 +71,7 @@ class Strategy:
             raise ValueError("matrix rows must match the observation grid and marginal")
         if l != self.action_count:
             raise ValueError("matrix columns must match the flattened action grids")
-        if _lowest(self.matrix) < -NEGATIVE_CLAMP:
-            raise ValueError("strategy entries must be nonnegative")
-        _check_row_sums(self.matrix, self.marginal)
+        _check_matrix(self.matrix, self.marginal)
 
     @property
     def action_count(self) -> int:
@@ -74,26 +85,13 @@ class Strategy:
         return flatten_action_grids(self.action_grids)
 
     def with_matrix(self, matrix: np.ndarray) -> "Strategy":
-        """Same grids/marginal with a new matrix; tiny negatives are repaired.
-
-        Entries within the clamp tolerance below zero are set to zero and the
-        row is rescaled back to its marginal.  The matrix is checked as
-        ``Strategy(...)`` checks it, in one pass for the lowest entry and one
-        for the row sums; the grids and the marginal, this strategy's own, are
-        not checked again.
-        """
+        """Same grids/marginal with a new matrix, checked as ``Strategy(...)``
+        checks it; the grids and the marginal, this strategy's own, are not
+        checked again."""
         m = np.asarray(matrix, dtype=np.float64)
         if m.shape != self.matrix.shape:
             raise ValueError("matrix shape must match the strategy's")
-        lowest = _lowest(m)
-        if lowest < -NEGATIVE_CLAMP:
-            raise ValueError("matrix has entries below the negative-clamp tolerance")
-        if lowest < 0:
-            m = np.maximum(m, 0.0)
-            sums = m.sum(axis=1)
-            scale = np.divide(self.marginal, sums, out=np.zeros_like(sums), where=sums > 0)
-            m = m * scale[:, None]
-        _check_row_sums(m, self.marginal)
+        _check_matrix(m, self.marginal)
         new = copy.copy(self)
         new.matrix = m
         return new
@@ -187,11 +185,9 @@ def init_strategy(mode: str, obs_grid: Grid, action_grids, marginal, seed=None) 
         rows /= rows.sum(axis=1, keepdims=True)
         matrix = rows * marginal[:, None]
     elif mode == "truthful":
-        coords = flatten_action_grids(action_grids)
         targets = np.repeat(obs_grid.points[:, None], len(action_grids), axis=1)
-        idx = np.argmin(((coords[None, :, :] - targets[:, None, :]) ** 2).sum(axis=2), axis=1)
-        matrix = np.zeros((k, l))
-        matrix[np.arange(k), idx] = marginal
+        matrix = pure_matrix(nearest_actions(flatten_action_grids(action_grids), targets),
+                             marginal, l)
     else:
         raise ValueError(f"unknown init mode '{mode}' (choose from {INIT_MODES})")
     return Strategy(matrix, obs_grid, action_grids, marginal)

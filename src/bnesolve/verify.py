@@ -13,17 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradient import GradientEngine, expected_utility
-from .strategy import Strategy
+from .strategy import Strategy, nearest_actions, pure_matrix
 
 ABS_FALLBACK_THRESHOLD = 1e-12
 
 
 def best_response_matrix(gradient: np.ndarray, marginal: np.ndarray) -> np.ndarray:
     """Row-vertex maximizer of <s, c>; argmax ties go to the lowest index."""
-    k, _ = gradient.shape
-    out = np.zeros_like(gradient)
-    out[np.arange(k), np.argmax(gradient, axis=1)] = marginal
-    return out
+    return pure_matrix(np.argmax(gradient, axis=1), marginal, gradient.shape[1])
 
 
 def utility_loss(strategy: Strategy, gradient: np.ndarray) -> tuple[float, float, float]:
@@ -112,12 +109,6 @@ def collusive_profile(strategies, scale: float = 0.5):
     """
     out = []
     for s in strategies:
-        target = s.mean_bid_per_observation() * scale
-        idx = np.zeros(s.obs_grid.count, dtype=np.int64)
-        coords = s.action_values()
-        for k in range(s.obs_grid.count):
-            idx[k] = np.argmin(((coords - target[k]) ** 2).sum(axis=1))
-        matrix = np.zeros_like(s.matrix)
-        matrix[np.arange(s.obs_grid.count), idx] = s.marginal
-        out.append(s.with_matrix(matrix))
+        idx = nearest_actions(s.action_values(), s.mean_bid_per_observation() * scale)
+        out.append(s.with_matrix(pure_matrix(idx, s.marginal, s.action_count)))
     return out

@@ -291,7 +291,7 @@ def test_with_matrix_rejects_negative_entries_and_row_sum_drift():
     s = rand_strategy(prior, action_grids, seed=12)
     negative = s.matrix.copy()
     shift = negative[2, 3] + 1e-9
-    negative[2, 3] -= shift  # -1e-9, beyond the clamp tolerance; the row sum is kept
+    negative[2, 3] -= shift  # -1e-9; the row sum is kept
     negative[2, 4] += shift
     with pytest.raises(ValueError, match="negative"):
         s.with_matrix(negative)

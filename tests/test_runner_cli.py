@@ -13,7 +13,7 @@ from bnesolve.config import (RunConfig, _compile_density, build_problem,
                              config_from_mapping, load_config, parse_config_text)
 from bnesolve.grids import discretize_density
 from bnesolve.presets import get_preset, preset_names
-from bnesolve.runner import run_batch, run_sweep
+from bnesolve.runner import run_batch, run_sweep, solve
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -95,6 +95,12 @@ BAD_RUN_SETTINGS = [
     ({"tolerance": float("nan")}, "tolerance"),
     ({"tullock_r": float("inf")}, "tullock_r"),
     ({"memory_budget_gib": -1}, "memory_budget_gib"),
+    ({"tolerance": 0}, "tolerance"),
+    ({"tolerance": -1}, "tolerance"),
+    ({"prior": "gaussian_trunc", "sigma": -0.1}, "sigma"),
+    ({"prior": "gaussian_trunc", "sigma": 0}, "sigma"),
+    ({"prior": "common_value", "prior_samples": 1000}, "prior_samples"),
+    ({"prior": "affiliated", "prior_samples": 99_999}, "prior_samples"),
 ]
 
 
@@ -110,9 +116,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match=message):
             config_from_mapping(bad)
     # the edges that work stay accepted: no steps, no evaluation, a rule
-    # without step parameters, an integral float for an integer key
+    # without step parameters, an integral float for an integer key, and a
+    # sigma or sample count that the prior does not read
     RunConfig(iterations=0, eval_samples=0, learner="sofw",
               init="truthful").validate()
+    RunConfig(sigma=0.0, prior_samples=1000).validate()
+    RunConfig(prior="common_value", prior_samples=100_000).validate()
     assert config_from_mapping({"eval_samples": 1e3}).eval_samples == 1000
 
 
@@ -139,6 +148,24 @@ def test_all_presets_build():
     for name in preset_names():
         problem = build_problem(config_from_mapping(get_preset(name)))
         assert problem.mech.n_agents == problem.config.agents
+
+
+def test_agents_with_different_action_bounds_learn_apart(tmp_path, capsys):
+    problem = build_problem(fast_cfg(action_upper=[1.0, 0.8]))
+    assert problem.groups == [[0], [1]]
+    result = solve(problem, (0, 0))
+    assert [s.action_grids[0].upper for s in result.strategies] == [1.0, 0.8]
+    three = build_problem(fast_cfg(agents=3, action_upper=[1.0, 1.0, 0.8]))
+    assert three.groups == [[0, 1], [2]]
+    assert build_problem(fast_cfg(agents=3, action_upper=[1.0, 1.0, 0.8],
+                                  symmetric=False)).groups == [[0], [1], [2]]
+    cfg_path = tmp_path / "bounds.cfg"
+    cfg_path.write_text("include = fpsb_2_uniform\n"
+                        + "".join(f"{k} = {json.dumps(v)}\n" for k, v in FAST.items())
+                        + "action_upper = [1.0, 0.8]\nruns = 1\n")
+    rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--quiet"])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "out" / "run_000" / "strategy_agent1.csv").exists()
 
 
 @pytest.mark.parametrize("expr, expected", [
@@ -399,9 +426,9 @@ def test_cli_evaluate_refuses_grid_mismatch(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad, message", BAD_RUN_SETTINGS)
 def test_cli_refuses_bad_run_settings_at_load(tmp_path, capsys, bad, message):
-    key, value = next(iter(bad.items()))
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(f"include = fpsb_2_uniform\n{key} = {json.dumps(value)}\n")
+    cfg_path.write_text("include = fpsb_2_uniform\n"
+                        + "".join(f"{k} = {json.dumps(v)}\n" for k, v in bad.items()))
     rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
                "--quiet"])
     assert rc == 2

@@ -6,9 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import expected_utility
 from bnesolve.grids import make_uniform_grid
-from bnesolve.strategy import (Strategy, init_strategy, iterate_distance, load_strategy,
+from bnesolve.presets import get_preset
+from bnesolve.strategy import (Strategy, flatten_action_grids, init_strategy,
+                               iterate_distance, load_strategy, nearest_actions,
                                save_strategy)
 
 
@@ -249,17 +252,47 @@ def test_certificate_and_distance_leave_no_thread_busy():
     assert other_threads_cpu_s() - before < 0.03
 
 
-def test_with_matrix_clamps_tiny_negatives():
+# a NaN entry is refused by both as well: test_nan_entries_rejected
+@pytest.mark.parametrize("entry, value, message", [
+    ((0, 0), -1e-300, "nonnegative"),    # negative however tiny; the row sum is kept
+    ((1, 0), 0.25 + 1e-9, "row sums"),   # a row-sum drift of 1e-9
+])
+def test_constructor_and_with_matrix_refuse_the_same_matrices(entry, value, message):
     g = make_uniform_grid(0, 1, 2)
-    s = init_strategy("uniform", g, [g], np.array([0.5, 0.5]))
-    wobble = s.matrix.copy()
-    wobble[0, 0] = -5e-15
-    wobble[0, 1] = 0.5 + 5e-15
-    fixed = s.with_matrix(wobble)
-    assert np.all(fixed.matrix >= 0)
-    assert np.max(np.abs(fixed.matrix.sum(axis=1) - s.marginal)) < 1e-12
-    with pytest.raises(ValueError):
-        s.with_matrix(np.array([[-0.1, 0.6], [0.25, 0.25]]))
+    marginal = np.array([0.5, 0.5])
+    m = np.full((2, 2), 0.25)
+    m[entry] = value
+    with pytest.raises(ValueError, match=message):
+        Strategy(m, g, (g,), marginal)
+    with pytest.raises(ValueError, match=message):
+        init_strategy("uniform", g, [g], marginal).with_matrix(m)
+
+
+def test_nearest_actions_on_split_award_grid_ties_to_lowest():
+    problem = build_problem(config_from_mapping(get_preset("split_award_uniform")))
+    axes = problem.action_grids[0]
+    coords = flatten_action_grids(axes)
+    rng = np.random.default_rng(3)
+    targets = [rng.uniform([g.lower - 0.1 for g in axes], [g.upper + 0.1 for g in axes])
+               for _ in range(200)]
+    # midpoints of adjacent points along either axis that are equally far
+    # from both in floating point; the other coordinate sits on a grid point
+    ties = []
+    for axis, other in ((0, 1), (1, 0)):
+        p = axes[axis].points
+        mid = (p[:-1] + p[1:]) / 2
+        for j in np.flatnonzero((p[:-1] - mid) ** 2 == (p[1:] - mid) ** 2)[:5]:
+            t = np.empty(2)
+            t[axis], t[other] = mid[j], axes[other].points[7]
+            ties.append(t)
+    assert len(ties) == 10
+    targets = np.array(targets + ties)
+    idx = nearest_actions(coords, targets)
+    loop = [np.argmin(((coords - t) ** 2).sum(axis=1)) for t in targets]
+    assert np.array_equal(idx, loop)
+    for t, l in zip(ties, idx[-len(ties):]):
+        d = ((coords - t) ** 2).sum(axis=1)
+        assert np.count_nonzero(d == d.min()) == 2 and l == np.flatnonzero(d == d.min())[0]
 
 
 def test_feasibility_validated():
