@@ -296,6 +296,9 @@ def build_prior_model(cfg: RunConfig):
     if cfg.prior in ("uniform", "gaussian_trunc", "custom_density"):
         lows = _per_entry(cfg.obs_lower, n, "agent")
         highs = _per_entry(cfg.obs_upper, n, "agent")
+        # one compiled density per config: CustomDensityMarginal compares its
+        # fn by identity, and agents with equal marginals form one group
+        density = _compile_density(cfg.density) if cfg.prior == "custom_density" else None
         specs = []
         for lo, hi in zip(lows, highs):
             if cfg.prior == "uniform":
@@ -303,7 +306,7 @@ def build_prior_model(cfg: RunConfig):
             elif cfg.prior == "gaussian_trunc":
                 specs.append(TruncatedGaussianMarginal(cfg.mu, cfg.sigma, lo, hi))
             else:
-                specs.append(CustomDensityMarginal(_compile_density(cfg.density), lo, hi))
+                specs.append(CustomDensityMarginal(density, lo, hi))
         return IndependentPrivatePrior(specs)
     if cfg.prior == "common_value":
         return CommonValuePrior(n)

@@ -203,9 +203,13 @@ def iterate_distance(a: Strategy, b: Strategy) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: CSV of (obs_index, action_index, mass, coordinates) plus a
-# JSON sidecar with grids, marginal, and run provenance.  Floats are written
-# with repr so the round trip is bit-exact.
+# Persistence: CSV of (obs_index, action_index, mass_hex, coordinates) plus a
+# JSON sidecar with grids, marginal, and run provenance.  Masses are written
+# with float.hex, coordinates and sidecar floats with repr; both round-trip
+# bit-exactly.  Hex is for speed: a learned strategy's masses are mostly tiny
+# doubles, whose shortest repr costs several times a float.hex.  The header
+# names the encoding, and the loader refuses any other header, because
+# float.fromhex reads a decimal such as "0.25" silently as another number.
 # ---------------------------------------------------------------------------
 
 def _grid_to_json(g: Grid) -> dict:
@@ -222,23 +226,26 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+def _csv_header(action_ndim: int) -> list[str]:
+    return (["obs_index", "action_index", "mass_hex", "obs_value"]
+            + [f"action_value_{d}" for d in range(action_ndim)])
+
+
 def save_strategy(strategy: Strategy, path, metadata: dict | None = None):
     """Write the strategy matrix as CSV plus a metadata sidecar record."""
     path = Path(path)
-    ndim = strategy.action_ndim
     # csv's default dialect: comma-separated, "\r\n"-terminated, and no field
-    # (an integer or a float repr) needs quoting.  Action indices and
-    # coordinates are formatted once per action, observation values once per
-    # row; lines are joined from their five pieces without per-entry Python
-    # code, and written one row at a time.
+    # (an integer, a float repr or a float.hex) needs quoting.  Action indices
+    # and coordinates are formatted once per action, observation values once
+    # per row; lines are joined from their five pieces without per-entry
+    # Python code, and written one row at a time.
     tails = [",".join(map(repr, row)) + "\r\n" for row in strategy.action_values().tolist()]
     heads = [f"{l}," for l in range(len(tails))]
     with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(["obs_index", "action_index", "mass", "obs_value"]
-                                + [f"action_value_{d}" for d in range(ndim)])
+        csv.writer(fh).writerow(_csv_header(strategy.action_ndim))
         for k, (ov, masses) in enumerate(zip(strategy.obs_grid.points.tolist(),
                                              strategy.matrix.tolist())):
-            fh.write("".join(map("".join, zip(repeat(f"{k},"), heads, map(repr, masses),
+            fh.write("".join(map("".join, zip(repeat(f"{k},"), heads, map(float.hex, masses),
                                               repeat(f",{ov!r},"), tails))))
     meta = {
         "obs_grid": _grid_to_json(strategy.obs_grid),
@@ -250,7 +257,12 @@ def save_strategy(strategy: Strategy, path, metadata: dict | None = None):
 
 
 def load_strategy(path) -> tuple[Strategy, dict]:
-    """Read back a strategy CSV and its sidecar; bit-exact round trip."""
+    """Read back a strategy CSV and its sidecar; bit-exact round trip.
+
+    The CSV's header must be the one ``save_strategy`` writes for the
+    sidecar's action grids; any other header (such as an older ``mass``
+    column of decimal masses) is refused.
+    """
     path = Path(path)
     meta = json.loads(sidecar_path(path).read_text())
     obs_grid = _grid_from_json(meta["obs_grid"])
@@ -258,7 +270,14 @@ def load_strategy(path) -> tuple[Strategy, dict]:
     marginal = np.array([float(m) for m in meta["marginal"]])
     l = int(np.prod([g.count for g in action_grids]))
     matrix = np.zeros((obs_grid.count, l))
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2), ndmin=2)
+    with path.open(newline="") as fh:
+        header = next(csv.reader(fh), [])
+        expected = _csv_header(len(action_grids))
+        if header != expected:
+            raise ValueError(f"{path.name}: header {','.join(header)!r} is not "
+                             f"{','.join(expected)!r} (masses as hex floats)")
+        rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2), ndmin=2,
+                          converters={2: float.fromhex})
     index = rows[:, :2].astype(np.int64)
     if np.any((index < 0) | (index >= matrix.shape) | (index != rows[:, :2])):
         raise ValueError(f"{path.name}: an obs_index or action_index is not an index of "

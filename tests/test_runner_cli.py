@@ -212,6 +212,11 @@ def test_custom_density_discretizes_like_the_function():
         assert np.array_equal(marginal, discretize_density(grid, lambda o: np.exp(-o)))
 
 
+def test_custom_density_agents_share_one_strategy():
+    # one compiled density per config, so the agents' marginals compare equal
+    assert build_problem(RunConfig(prior="custom_density", density="2*o")).groups == [[0, 1]]
+
+
 def test_cli_solve_rejects_density_escape(tmp_path, capsys):
     cfg_path = tmp_path / "escape.cfg"
     cfg_path.write_text(f"include = fpsb_2_uniform\nprior = custom_density\n"

@@ -10,6 +10,7 @@ from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import expected_utility
 from bnesolve.grids import make_uniform_grid
 from bnesolve.presets import get_preset
+from bnesolve.runner import solve
 from bnesolve.strategy import (Strategy, flatten_action_grids, init_strategy,
                                iterate_distance, load_strategy, nearest_actions,
                                save_strategy)
@@ -365,21 +366,21 @@ def test_csv_round_trip_two_dimensional(tmp_path):
     assert len(loaded.action_grids) == 2
     assert np.array_equal(loaded.action_grids[1].points, ags[1].points)
     header = path.read_text().splitlines()[0]
-    assert header == "obs_index,action_index,mass,obs_value,action_value_0,action_value_1"
+    assert header == "obs_index,action_index,mass_hex,obs_value,action_value_0,action_value_1"
 
 
 def reference_save(strategy, path):
-    """Row-by-row strategy writer that formats every cell with repr."""
+    """Row-by-row strategy writer: masses with float.hex, every other cell with repr."""
     coords = strategy.action_values()
     ndim = strategy.action_ndim
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["obs_index", "action_index", "mass", "obs_value"]
+        writer.writerow(["obs_index", "action_index", "mass_hex", "obs_value"]
                         + [f"action_value_{d}" for d in range(ndim)])
         for k in range(strategy.obs_grid.count):
             ov = repr(float(strategy.obs_grid.points[k]))
             for l in range(strategy.action_count):
-                writer.writerow([k, l, repr(float(strategy.matrix[k, l])), ov]
+                writer.writerow([k, l, float.hex(float(strategy.matrix[k, l])), ov]
                                 + [repr(float(coords[l, d])) for d in range(ndim)])
 
 
@@ -398,13 +399,13 @@ def test_save_strategy_bytes_match_reference_writer(tmp_path):
 
 
 def reference_load(path, shape):
-    """Row-by-row strategy reader: ``int`` indices and ``float`` masses per CSV row."""
+    """Row-by-row strategy reader: ``int`` indices and ``float.fromhex`` masses per CSV row."""
     matrix = np.zeros(shape)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            matrix[int(row[0]), int(row[1])] = float(row[2])
+            matrix[int(row[0]), int(row[1])] = float.fromhex(row[2])
     return matrix
 
 
@@ -426,3 +427,48 @@ def test_load_strategy_matches_reference_reader_bitwise(tmp_path):
     assert np.count_nonzero((m > 0) & (m < np.finfo(float).tiny)) > 0.3 * m.size
     assert np.array_equal(loaded.matrix.view(np.uint64), ref.view(np.uint64))
     assert np.array_equal(loaded.matrix.view(np.uint64), m.view(np.uint64))
+
+
+def test_load_strategy_refuses_decimal_mass_column(tmp_path):
+    """A file in the decimal format (header ``mass``, ``repr`` masses) is refused
+    by name: read as hex, "0.25" would silently be 0.14453125."""
+    og = make_uniform_grid(0, 1, 2)
+    s = init_strategy("uniform", og, [make_uniform_grid(0, 1, 2)], np.array([0.5, 0.5]))
+    path = tmp_path / "strategy_agent0.csv"
+    save_strategy(s, path)    # the sidecar is the same in both formats
+    coords = s.action_values()
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["obs_index", "action_index", "mass", "obs_value", "action_value_0"])
+        for k in range(s.obs_grid.count):
+            for l in range(s.action_count):
+                writer.writerow([k, l, repr(float(s.matrix[k, l])), repr(float(og.points[k])),
+                                 repr(float(coords[l, 0]))])
+    assert "0,0,0.25," in path.read_text()
+    with pytest.raises(ValueError, match="strategy_agent0.csv"):
+        load_strategy(path)
+
+
+def edge_value_strategy():
+    tiny = np.finfo(float).tiny
+    edges = [0.0, -0.0, 5e-324, np.nextafter(tiny, 0.0), tiny, 1e-120,
+             np.nextafter(1e-120, 0.0), 7.3e-121, 0.1, 1 / 3, 0.25, 2.0 ** -60]
+    ordinary = np.random.default_rng(4).dirichlet(np.ones(len(edges)))
+    m = np.array([edges, ordinary])
+    ags = (make_uniform_grid(0, 1, 4), make_uniform_grid(0, 1, 3))
+    return Strategy(m, make_uniform_grid(0, 1, 2), ags, m.sum(axis=1))
+
+
+def learned_split_award_strategy():
+    problem = build_problem(config_from_mapping(get_preset("split_award_uniform")))
+    return solve(problem, (0, 0)).strategies[0]
+
+
+@pytest.mark.parametrize("make", [edge_value_strategy, learned_split_award_strategy])
+def test_hex_masses_round_trip_bitwise(tmp_path, make):
+    s = make()
+    assert np.count_nonzero(s.matrix < 1e-100) >= 5    # tiny masses are the point
+    save_strategy(s, tmp_path / "s.csv")
+    loaded, _ = load_strategy(tmp_path / "s.csv")
+    assert np.array_equal(loaded.matrix.view(np.uint64), s.matrix.view(np.uint64))
+    assert np.array_equal(loaded.marginal.view(np.uint64), s.marginal.view(np.uint64))
