@@ -81,7 +81,9 @@ def _cmd_evaluate(args) -> int:
     cfg_path = run_dir.parent / "config.cfg" if not (run_dir / "config.cfg").exists() \
         else run_dir / "config.cfg"
     cfg = load_config(args.config) if args.config else load_config(cfg_path)
-    if args.n_samples:
+    if args.n_samples is not None:
+        if args.n_samples < 1:
+            raise ValueError(f"--n-samples must be >= 1, got {args.n_samples}")
         cfg.eval_samples = args.n_samples
     problem = build_problem(cfg)
     analytic = lookup_analytic(problem.mech, problem.prior_model)
@@ -218,7 +220,8 @@ def main(argv=None) -> int:
         # and send the interpreter's own flush at exit to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return RUNTIME_ERROR
-    except (FileNotFoundError, FileExistsError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, FileExistsError, NotADirectoryError, KeyError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (ArithmeticError, RuntimeError, MemoryError) as exc:

@@ -72,7 +72,6 @@ class RunConfig:
     seed: int = 1
 
     eval_samples: int = 1 << 18
-    analytic: str = "auto"
     plot_points: int = 150
     memory_budget_gib: float = 2.0
 
@@ -86,8 +85,10 @@ class RunConfig:
             raise ValueError("grids need at least 2 points per axis")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.analytic not in ("auto", "none"):
-            raise ValueError("analytic must be 'auto' or 'none'")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.prior_seed < 0:
+            raise ValueError("prior_seed must be >= 0")
         make_learner(self.learner, self.eta0, self.step_beta)  # refuses the name or step
         if self.init not in INIT_MODES:
             raise ValueError(f"unknown init mode '{self.init}' (choose from {INIT_MODES})")

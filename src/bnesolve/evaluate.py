@@ -97,6 +97,8 @@ def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechan
     observations, one value per action dimension.  Metrics needing a missing
     baseline entry are reported as None.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     n = mech.n_agents
     if agents is None:
         agents = list(range(n))
@@ -153,6 +155,8 @@ def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechan
 def estimate_revenue(strategies, prior_model, mech: Mechanism,
                      n_samples: int = DEFAULT_EVAL_SAMPLES, seed: int = 0) -> float:
     """Mean total payment collected when all agents play their learned strategies."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     total = 0.0
     done = 0

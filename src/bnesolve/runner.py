@@ -54,6 +54,8 @@ class BatchSummary:
 
 def prepare_out_dir(out, force: bool = False) -> Path:
     out = Path(out)
+    if out.exists() and not out.is_dir():
+        raise FileExistsError(f"output path {out} exists and is not a directory")
     if out.exists() and any(out.iterdir()):
         if not force:
             raise FileExistsError(f"output directory {out} is not empty (use --force)")
@@ -199,8 +201,7 @@ def run_batch(problem: Problem, out, *, runs: int | None = None, force: bool = F
     note = f"# config_hash={cfg.hash()} seed={cfg.seed} version={__version__}\n"
     (out / "config.cfg").write_text(f"# hash={cfg.hash()} version={__version__}\n"
                                     + cfg.to_text())
-    analytic = lookup_analytic(problem.mech, problem.prior_model) \
-        if cfg.analytic == "auto" else None
+    analytic = lookup_analytic(problem.mech, problem.prior_model)
     rows = []
     failures = []
     for idx in range(runs):

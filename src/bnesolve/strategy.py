@@ -10,11 +10,9 @@ A pure strategy puts each row's whole mass on one action.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -203,14 +201,19 @@ def iterate_distance(a: Strategy, b: Strategy) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: CSV of (obs_index, action_index, mass_hex, coordinates) plus a
-# JSON sidecar with grids, marginal, and run provenance.  Masses are written
-# with float.hex, coordinates and sidecar floats with repr; both round-trip
+# Persistence: the matrix itself, after one fixed header line, plus a JSON
+# sidecar with grids, marginal, and run provenance.  After the header, line k
+# holds row k's masses, comma-separated in ``flatten_action_grids`` order,
+# written with float.hex; the sidecar's floats are written with repr.  Both round-trip
 # bit-exactly.  Hex is for speed: a learned strategy's masses are mostly tiny
 # doubles, whose shortest repr costs several times a float.hex.  The header
-# names the encoding, and the loader refuses any other header, because
-# float.fromhex reads a decimal such as "0.25" silently as another number.
+# names the layout and the encoding, and the loader refuses any other header,
+# because float.fromhex reads a decimal such as "0.25" silently as another
+# number.
 # ---------------------------------------------------------------------------
+
+MATRIX_HEADER = "# strategy matrix: one line per observation, one float.hex mass per action"
+
 
 def _grid_to_json(g: Grid) -> dict:
     return {"points": [repr(float(p)) for p in g.points], "lower": repr(float(g.lower)),
@@ -226,27 +229,12 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
-def _csv_header(action_ndim: int) -> list[str]:
-    return (["obs_index", "action_index", "mass_hex", "obs_value"]
-            + [f"action_value_{d}" for d in range(action_ndim)])
-
-
 def save_strategy(strategy: Strategy, path, metadata: dict | None = None):
-    """Write the strategy matrix as CSV plus a metadata sidecar record."""
+    """Write the strategy matrix as hex-float lines plus a metadata sidecar record."""
     path = Path(path)
-    # csv's default dialect: comma-separated, "\r\n"-terminated, and no field
-    # (an integer, a float repr or a float.hex) needs quoting.  Action indices
-    # and coordinates are formatted once per action, observation values once
-    # per row; lines are joined from their five pieces without per-entry
-    # Python code, and written one row at a time.
-    tails = [",".join(map(repr, row)) + "\r\n" for row in strategy.action_values().tolist()]
-    heads = [f"{l}," for l in range(len(tails))]
     with path.open("w", newline="") as fh:
-        csv.writer(fh).writerow(_csv_header(strategy.action_ndim))
-        for k, (ov, masses) in enumerate(zip(strategy.obs_grid.points.tolist(),
-                                             strategy.matrix.tolist())):
-            fh.write("".join(map("".join, zip(repeat(f"{k},"), heads, map(float.hex, masses),
-                                              repeat(f",{ov!r},"), tails))))
+        fh.write(MATRIX_HEADER + "\n")
+        fh.writelines(",".join(map(float.hex, row)) + "\n" for row in strategy.matrix.tolist())
     meta = {
         "obs_grid": _grid_to_json(strategy.obs_grid),
         "action_grids": [_grid_to_json(g) for g in strategy.action_grids],
@@ -257,30 +245,28 @@ def save_strategy(strategy: Strategy, path, metadata: dict | None = None):
 
 
 def load_strategy(path) -> tuple[Strategy, dict]:
-    """Read back a strategy CSV and its sidecar; bit-exact round trip.
+    """Read back a strategy file and its sidecar; bit-exact round trip.
 
-    The CSV's header must be the one ``save_strategy`` writes for the
-    sidecar's action grids; any other header (such as an older ``mass``
-    column of decimal masses) is refused.
+    The file's first line must be ``MATRIX_HEADER``, and its body one line of
+    masses per observation point and one mass per flattened action of the
+    sidecar's grids; any other header (such as the earlier layout of one line
+    per entry) or shape, ragged lines included, is refused.
     """
     path = Path(path)
     meta = json.loads(sidecar_path(path).read_text())
     obs_grid = _grid_from_json(meta["obs_grid"])
     action_grids = tuple(_grid_from_json(g) for g in meta["action_grids"])
     marginal = np.array([float(m) for m in meta["marginal"]])
-    l = int(np.prod([g.count for g in action_grids]))
-    matrix = np.zeros((obs_grid.count, l))
-    with path.open(newline="") as fh:
-        header = next(csv.reader(fh), [])
-        expected = _csv_header(len(action_grids))
-        if header != expected:
-            raise ValueError(f"{path.name}: header {','.join(header)!r} is not "
-                             f"{','.join(expected)!r} (masses as hex floats)")
-        rows = np.loadtxt(fh, delimiter=",", usecols=(0, 1, 2), ndmin=2,
-                          converters={2: float.fromhex})
-    index = rows[:, :2].astype(np.int64)
-    if np.any((index < 0) | (index >= matrix.shape) | (index != rows[:, :2])):
-        raise ValueError(f"{path.name}: an obs_index or action_index is not an index of "
-                         f"the sidecar's {matrix.shape[0]} x {matrix.shape[1]} grids")
-    matrix[index[:, 0], index[:, 1]] = rows[:, 2]
+    shape = (obs_grid.count, int(np.prod([g.count for g in action_grids])))
+    with path.open() as fh:
+        header = fh.readline().rstrip("\n")
+        if header != MATRIX_HEADER:
+            raise ValueError(f"{path.name}: header {header!r} is not {MATRIX_HEADER!r}")
+        try:
+            matrix = np.loadtxt(fh, delimiter=",", converters=float.fromhex, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path.name}: {exc}") from None
+    if matrix.shape != shape:
+        raise ValueError(f"{path.name}: {matrix.shape[0]} x {matrix.shape[1]} masses, "
+                         f"not the sidecar's {shape[0]} x {shape[1]}")
     return Strategy(matrix, obs_grid, action_grids, marginal), meta

@@ -145,6 +145,18 @@ def test_emit_plot_data():
         emit_plot_data(s, model, 0, count=0)
 
 
+def test_evaluation_refuses_fewer_than_one_sample():
+    model = uniform_model()
+    mech = SingleObjectAuction("fpsb", 2)
+    s = gridded_analytic_strategy(lambda o: o / 2, 8, 8)
+    bne = AnalyticBNE("half", {0: lambda o: o / 2, 1: lambda o: o / 2})
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            evaluate([s, s], bne, model, mech, n_samples=n)
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            estimate_revenue([s, s], model, mech, n_samples=n)
+
+
 def test_evaluate_no_baseline():
     model = uniform_model()
     mech = SingleObjectAuction("fpsb", 2)

@@ -101,6 +101,8 @@ BAD_RUN_SETTINGS = [
     ({"prior": "gaussian_trunc", "sigma": 0}, "sigma"),
     ({"prior": "common_value", "prior_samples": 1000}, "prior_samples"),
     ({"prior": "affiliated", "prior_samples": 99_999}, "prior_samples"),
+    ({"seed": -1}, "seed must be"),
+    ({"prior_seed": -1}, "prior_seed must be"),
 ]
 
 
@@ -109,8 +111,9 @@ def test_config_validation():
         RunConfig(agents=1).validate()
     with pytest.raises(ValueError):
         RunConfig(runs=0).validate()
-    with pytest.raises(ValueError):
-        RunConfig(analytic="maybe").validate()
+    # a baseline is always looked up: there is no key to switch it off
+    with pytest.raises(ValueError, match="unknown config keys"):
+        config_from_mapping({"analytic": "none"})
     # each of these used to be accepted and then fail, or skip evaluation, in every run
     for bad, message in BAD_RUN_SETTINGS:
         with pytest.raises(ValueError, match=message):
@@ -439,6 +442,48 @@ def test_cli_refuses_bad_run_settings_at_load(tmp_path, capsys, bad, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_refuses_a_negative_seed_before_making_out(tmp_path, capsys):
+    rc = main(["solve", "--preset", "fpsb_2_uniform", "--seed", "-1", "--quiet",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_evaluate_refuses_zero_samples(tmp_path, capsys):
+    cfg_path = tmp_path / "fast.cfg"
+    lines = ["include = fpsb_2_uniform"] + [f"{k} = {json.dumps(v)}"
+                                            for k, v in {**FAST, "eval_samples": 0}.items()]
+    cfg_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out),
+                 "--runs", "1", "--quiet"]) == 0
+    capsys.readouterr()
+    run_dir = str(out / "run_000")
+    # the run's own eval_samples = 0, then an explicit --n-samples 0
+    assert main(["evaluate", "--run-dir", run_dir]) == 2
+    assert "error: n_samples must be >= 1, got 0" in capsys.readouterr().err
+    assert main(["evaluate", "--run-dir", run_dir, "--n-samples", "0"]) == 2
+    assert "error: --n-samples must be >= 1, got 0" in capsys.readouterr().err
+    assert main(["evaluate", "--run-dir", run_dir, "--n-samples", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_samples"] == 1000
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--grid", "8"], ["probe-vs"]])
+def test_cli_refuses_out_naming_a_file(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("a file")
+    rc = main(command + ["--preset", "fpsb_2_uniform", "--quiet", "--out", str(out)])
+    assert rc == 2
+    assert f"error: output path {out} exists and is not a directory" in capsys.readouterr().err
+    # a directory to be made under the file
+    rc = main(command + ["--preset", "fpsb_2_uniform", "--quiet", "--out", str(out / "sub")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
+    assert out.read_text() == "a file"
 
 
 def test_cli_missing_config(tmp_path, capsys):

@@ -338,16 +338,24 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert meta["mechanism"] == "fpsb" and meta["iteration"] == 123
 
 
-def test_load_strategy_refuses_indices_outside_the_grids(tmp_path):
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+def test_load_strategy_refuses_a_body_of_another_shape(tmp_path):
     s = simple_strategy(k=3, l=4, seed=2)
     path = tmp_path / "strategy_agent0.csv"
     save_strategy(s, path)
     text = path.read_text()
     lines = text.splitlines(keepends=True)
-    for column, bad in ((0, "9"), (0, "-1"), (1, "4"), (1, "1.5")):
-        fields = lines[2].split(",")
-        fields[column] = bad
-        path.write_text("".join(lines[:2] + [",".join(fields)] + lines[3:]))
+    extra = [line.replace("\n", ",0x0.0p+0\n") for line in lines[1:]]
+    bodies = {
+        "a missing line": lines[1:3],
+        "an extra line": lines[1:] + lines[-1:],
+        "a short line": [lines[1], lines[2].rsplit(",", 1)[0] + "\n", lines[3]],
+        "an extra column": [lines[1], extra[1], lines[3]],
+        "an extra column on every line": extra,
+        "no lines": [],
+    }
+    for body in bodies.values():
+        path.write_text(lines[0] + "".join(body))
         with pytest.raises(ValueError, match="strategy_agent0.csv"):
             load_strategy(path)
     path.write_text(text)
@@ -365,23 +373,21 @@ def test_csv_round_trip_two_dimensional(tmp_path):
     assert np.array_equal(loaded.matrix, s.matrix)
     assert len(loaded.action_grids) == 2
     assert np.array_equal(loaded.action_grids[1].points, ags[1].points)
-    header = path.read_text().splitlines()[0]
-    assert header == "obs_index,action_index,mass_hex,obs_value,action_value_0,action_value_1"
+    lines = path.read_text().splitlines()
+    assert lines[0] == ("# strategy matrix: one line per observation, "
+                        "one float.hex mass per action")
+    assert len(lines) == 1 + 3 and all(line.count(",") == 3 * 2 - 1 for line in lines[1:])
 
 
 def reference_save(strategy, path):
-    """Row-by-row strategy writer: masses with float.hex, every other cell with repr."""
-    coords = strategy.action_values()
-    ndim = strategy.action_ndim
+    """Entry-by-entry strategy writer: the header, then one line of float.hex masses
+    per observation point."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["obs_index", "action_index", "mass_hex", "obs_value"]
-                        + [f"action_value_{d}" for d in range(ndim)])
+        fh.write("# strategy matrix: one line per observation, one float.hex mass per action\n")
+        writer = csv.writer(fh, lineterminator="\n")
         for k in range(strategy.obs_grid.count):
-            ov = repr(float(strategy.obs_grid.points[k]))
-            for l in range(strategy.action_count):
-                writer.writerow([k, l, float.hex(float(strategy.matrix[k, l])), ov]
-                                + [repr(float(coords[l, d])) for d in range(ndim)])
+            writer.writerow([float.hex(float(strategy.matrix[k, l]))
+                             for l in range(strategy.action_count)])
 
 
 def test_save_strategy_bytes_match_reference_writer(tmp_path):
@@ -398,15 +404,13 @@ def test_save_strategy_bytes_match_reference_writer(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def reference_load(path, shape):
-    """Row-by-row strategy reader: ``int`` indices and ``float.fromhex`` masses per CSV row."""
-    matrix = np.zeros(shape)
+def reference_load(path):
+    """Entry-by-entry strategy reader: ``float.fromhex`` per field of each line
+    after the header."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in reader:
-            matrix[int(row[0]), int(row[1])] = float.fromhex(row[2])
-    return matrix
+        return np.array([[float.fromhex(field) for field in row] for row in reader])
 
 
 def test_load_strategy_matches_reference_reader_bitwise(tmp_path):
@@ -423,30 +427,53 @@ def test_load_strategy_matches_reference_reader_bitwise(tmp_path):
     s = Strategy(m, og, ags, marginal)
     save_strategy(s, tmp_path / "s.csv")
     loaded, _ = load_strategy(tmp_path / "s.csv")
-    ref = reference_load(tmp_path / "s.csv", m.shape)
+    ref = reference_load(tmp_path / "s.csv")
     assert np.count_nonzero((m > 0) & (m < np.finfo(float).tiny)) > 0.3 * m.size
     assert np.array_equal(loaded.matrix.view(np.uint64), ref.view(np.uint64))
     assert np.array_equal(loaded.matrix.view(np.uint64), m.view(np.uint64))
 
 
-def test_load_strategy_refuses_decimal_mass_column(tmp_path):
-    """A file in the decimal format (header ``mass``, ``repr`` masses) is refused
-    by name: read as hex, "0.25" would silently be 0.14453125."""
+def write_long_layout(strategy, path, mass_column, mass_text):
+    """The earlier layout: one line per entry, (obs_index, action_index, mass,
+    obs_value, action_value_0, ...)."""
+    coords = strategy.action_values()
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["obs_index", "action_index", mass_column, "obs_value"]
+                        + [f"action_value_{d}" for d in range(strategy.action_ndim)])
+        for k in range(strategy.obs_grid.count):
+            for l in range(strategy.action_count):
+                writer.writerow([k, l, mass_text(float(strategy.matrix[k, l])),
+                                 repr(float(strategy.obs_grid.points[k]))]
+                                + [repr(float(c)) for c in coords[l]])
+
+
+@pytest.mark.parametrize("mass_column, mass_text", [("mass_hex", float.hex), ("mass", repr)])
+def test_load_strategy_refuses_the_long_layout(tmp_path, mass_column, mass_text):
     og = make_uniform_grid(0, 1, 2)
     s = init_strategy("uniform", og, [make_uniform_grid(0, 1, 2)], np.array([0.5, 0.5]))
     path = tmp_path / "strategy_agent0.csv"
-    save_strategy(s, path)    # the sidecar is the same in both formats
-    coords = s.action_values()
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["obs_index", "action_index", "mass", "obs_value", "action_value_0"])
-        for k in range(s.obs_grid.count):
-            for l in range(s.action_count):
-                writer.writerow([k, l, repr(float(s.matrix[k, l])), repr(float(og.points[k])),
-                                 repr(float(coords[l, 0]))])
-    assert "0,0,0.25," in path.read_text()
-    with pytest.raises(ValueError, match="strategy_agent0.csv"):
+    save_strategy(s, path)    # the sidecar is the same in both layouts
+    write_long_layout(s, path, mass_column, mass_text)
+    assert path.read_text().startswith(f"obs_index,action_index,{mass_column},")
+    with pytest.raises(ValueError, match="strategy_agent0.csv: header"):
         load_strategy(path)
+
+
+def test_load_strategy_refuses_decimal_masses_under_another_header(tmp_path):
+    """A matrix of decimal masses is refused by its header, though its shape is
+    right: read as hex, "0.25" would silently be 0.14453125."""
+    og = make_uniform_grid(0, 1, 2)
+    s = init_strategy("uniform", og, [make_uniform_grid(0, 1, 2)], np.array([0.5, 0.5]))
+    path = tmp_path / "strategy_agent0.csv"
+    save_strategy(s, path)
+    body = "".join(",".join(map(repr, row)) + "\n" for row in s.matrix.tolist())
+    assert body == "0.25,0.25\n0.25,0.25\n"
+    for header in ("# strategy matrix: one line per observation, one decimal mass per action",
+                   "mass_0,mass_1"):
+        path.write_text(header + "\n" + body)
+        with pytest.raises(ValueError, match="strategy_agent0.csv: header"):
+            load_strategy(path)
 
 
 def edge_value_strategy():
