@@ -105,6 +105,10 @@ def _cmd_evaluate(args) -> int:
         strategies[agent] = strategy
     if not strategies:
         raise FileNotFoundError(f"no strategy_agent*.csv files under {run_dir}")
+    for group in problem.groups:
+        if group[0] not in strategies:
+            raise FileNotFoundError(f"{run_dir / f'strategy_agent{group[0]}.csv'} is missing: "
+                                    f"it holds agent {group[0]}'s strategy")
     ordered = [strategies[problem.groups[gi][0]] for gi in agent_groups(problem.groups)]
     report = evaluate(ordered, analytic, problem.prior_model, problem.mech,
                       n_samples=cfg.eval_samples, seed=args.seed or 0,
@@ -165,20 +169,20 @@ def build_parser() -> argparse.ArgumentParser:
                                             "auction and contest games")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_grid=False):
+    def common(sp, batch=True):
+        """The flags of ``solve`` and ``sweep``; ``probe-vs`` solves one run
+        and evaluates nothing, so it takes no ``--runs`` or ``--n-samples``."""
         sp.add_argument("--config", help="path to a key=value config file")
         sp.add_argument("--preset", help="shipped preset id")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--runs", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--n-samples", type=int, default=None,
-                        help="evaluation sample count")
         sp.add_argument("--force", action="store_true",
                         help="overwrite a non-empty output directory")
         sp.add_argument("--quiet", action="store_true")
-        if with_grid:
-            sp.add_argument("--grid", required=True,
-                            help="comma-separated points per axis, e.g. 16,32,64,128")
+        if batch:
+            sp.add_argument("--runs", type=int, default=None)
+            sp.add_argument("--n-samples", type=int, default=None,
+                            help="evaluation sample count")
 
     sp = sub.add_parser("solve", help="run one configuration (possibly many seeds)")
     common(sp)
@@ -192,7 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_evaluate)
 
     sp = sub.add_parser("sweep", help="discretization sweep over grid sizes")
-    common(sp, with_grid=True)
+    common(sp)
+    sp.add_argument("--grid", required=True,
+                    help="comma-separated points per axis, e.g. 16,32,64,128")
     sp.set_defaults(fn=_cmd_sweep)
 
     sp = sub.add_parser("preset", help="list shipped presets")
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("probe-vs", help="variational-stability probe at the "
                                          "collusive deviation")
-    common(sp)
+    common(sp, batch=False)
     sp.add_argument("--scale", type=float, default=0.5,
                     help="bid shading factor for the collusive probe")
     sp.set_defaults(fn=_cmd_probe_vs)

@@ -44,8 +44,6 @@ class RunConfig:
     prior: str = "uniform"
     obs_lower: object = 0.0           # scalar or per-agent list
     obs_upper: object = 1.0
-    value_lower: float = 0.0
-    value_upper: float = 1.0
     gamma: float = 0.5
     mu: float = 1.2
     sigma: float = 0.1
@@ -167,8 +165,13 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-def parse_config_text(text: str, *, base_dir: Path | None = None) -> dict:
-    """Flat key/value parsing with recursive ``include`` merging."""
+def parse_config_text(text: str, *, base_dir: Path | None = None,
+                      chain: tuple[Path, ...] = ()) -> dict:
+    """Flat key/value parsing with recursive ``include`` merging.
+
+    ``chain`` holds the resolved paths of the files being read, outermost
+    first; a file that includes one of them is a cycle and is refused.
+    """
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip_comment(raw).strip()
@@ -182,13 +185,13 @@ def parse_config_text(text: str, *, base_dir: Path | None = None) -> dict:
         except json.JSONDecodeError:
             pass  # bare strings stay strings
         if key == "include":
-            out.update(_resolve_include(str(value), base_dir))
+            out.update(_resolve_include(str(value), base_dir, chain))
         else:
             out[key] = value
     return out
 
 
-def _resolve_include(ref: str, base_dir: Path | None) -> dict:
+def _resolve_include(ref: str, base_dir: Path | None, chain: tuple[Path, ...]) -> dict:
     from .presets import get_preset, has_preset
 
     if has_preset(ref):
@@ -198,7 +201,10 @@ def _resolve_include(ref: str, base_dir: Path | None) -> dict:
         path = base_dir / path
     if not path.exists():
         raise FileNotFoundError(f"include '{ref}' is neither a preset nor a readable file")
-    return parse_config_text(path.read_text(), base_dir=path.parent)
+    chain += (path.resolve(),)
+    if chain[-1] in chain[:-1]:
+        raise ValueError("config include cycle: " + " -> ".join(map(str, chain)))
+    return parse_config_text(path.read_text(), base_dir=path.parent, chain=chain)
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
@@ -213,7 +219,8 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config not found: {path}")
-    return config_from_mapping(parse_config_text(path.read_text(), base_dir=path.parent))
+    return config_from_mapping(parse_config_text(path.read_text(), base_dir=path.parent,
+                                                 chain=(path.resolve(),)))
 
 
 def _per_entry(value, n: int, what: str) -> list[float]:
@@ -310,11 +317,11 @@ def build_prior_model(cfg: RunConfig):
                 specs.append(CustomDensityMarginal(density, lo, hi))
         return IndependentPrivatePrior(specs)
     if cfg.prior == "common_value":
-        return CommonValuePrior(n)
+        return CommonValuePrior(n, sample_count=cfg.prior_samples, seed=cfg.prior_seed)
     if cfg.prior == "affiliated":
         if n != 2:
             raise ValueError("the affiliated-values model is defined for 2 agents")
-        return AffiliatedValuesPrior()
+        return AffiliatedValuesPrior(sample_count=cfg.prior_samples, seed=cfg.prior_seed)
     if cfg.prior == "bernoulli_llg":
         if n != 3:
             raise ValueError("the correlated-locals model is defined for 3 agents")
@@ -344,9 +351,7 @@ class Problem:
 
     def discretize(self):
         if self.prior is None:
-            self.prior = self.prior_model.discretize(
-                self.obs_grids, self.value_grid, sample_count=self.config.prior_samples,
-                seed=self.config.prior_seed)
+            self.prior = self.prior_model.discretize(self.obs_grids, self.value_grid)
         return self.prior
 
     def engine(self) -> GradientEngine:
@@ -387,8 +392,8 @@ def build_problem(cfg: RunConfig) -> Problem:
     action_grids = [tuple(make_uniform_grid(lo, hi, cfg.action_points) for lo, hi in rect)
                     for rect in bounds]
     value_grid = None
-    if not model.values_equal_observations:
-        value_grid = make_uniform_grid(cfg.value_lower, cfg.value_upper, cfg.value_points)
+    if model.value_bounds is not None:
+        value_grid = make_uniform_grid(*model.value_bounds, cfg.value_points)
     # with ``symmetric``, agents share a strategy when the mechanism, the prior
     # and the action rectangle treat them alike; groups are ordered by first agent
     keys = list(zip(agent_groups(mech.symmetry_groups()), agent_groups(model.symmetry_groups()),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mechanisms import Mechanism
-from .priors import IndependentPrivatePrior, UniformMarginal
+from .priors import IndependentPrivatePrior, UniformMarginal, draw_chunks
 from .strategy import Strategy
 
 DEFAULT_EVAL_SAMPLES = 1 << 18
@@ -112,10 +112,7 @@ def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechan
     num = {i: 0.0 for i in agents}
     den = {i: 0.0 for i in agents}
     sq = {i: None for i in agents}
-    done = 0
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        values, obs = prior_model.sample(rng, m)
+    for _, values, obs in draw_chunks(prior_model.sample, rng, n_samples, _CHUNK):
         beta = {j: np.asarray(fn(obs[:, j]), dtype=np.float64)
                 for j, fn in analytic.bid_fns.items()}
         for i in agents:
@@ -129,7 +126,6 @@ def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechan
                     den[i] += float(mech.utility(i, bids, values[:, i]).sum())
                     bids[i] = tuple(b_learned[:, d] for d in range(b_learned.shape[1]))
                     num[i] += float(mech.utility(i, bids, values[:, i]).sum())
-        done += m
     for i in agents:
         if i not in analytic.bid_fns:
             report.losses[i] = None
@@ -159,18 +155,14 @@ def estimate_revenue(strategies, prior_model, mech: Mechanism,
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     total = 0.0
-    done = 0
     n = mech.n_agents
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        _, obs = prior_model.sample(rng, m)
+    for _, _, obs in draw_chunks(prior_model.sample, rng, n_samples, _CHUNK):
         bids = []
         for j in range(n):
             b = strategies[j].sample_bids(obs[:, j], rng)
             bids.append(tuple(b[:, d] for d in range(b.shape[1])))
         for p in mech.payments(bids):
             total += float(np.sum(p))
-        done += m
     return total / n_samples
 
 

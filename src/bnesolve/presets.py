@@ -8,7 +8,9 @@ settings for the family.  Three presets still stop at the cap above their
 tolerance at seed (0, 0): ``llg_first_price_g01``/``g05``/``g09`` (exact
 ties under the void-on-ties rule).  The LLG presets' prior is exact, so they set no
 ``prior_samples``; the binned common-value and affiliated presets bin 4M
-draws.
+draws.  No preset sets the shared value's range: the common-value and
+affiliated prior models state it (``value_bounds``), and ``value_points``
+sets only how many points its grid has.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ _add("fpsb_sweep",
 
 _add("common_value_spsb",
      mechanism="spsb", agents=3, prior="common_value",
-     value_lower=0.0, value_upper=1.0,
      action_lower=0.0, action_upper=1.5,
      learner="soma2", eta0=50.0, step_beta=0.5,
      prior_samples=1 << 22)
@@ -44,7 +45,6 @@ _add("common_value_spsb",
 # certifies below 1e-4 here within the iteration cap
 _add("affiliated_fpsb",
      mechanism="fpsb", agents=2, prior="affiliated",
-     value_lower=0.0, value_upper=2.0,
      action_lower=0.0, action_upper=1.5,
      learner="soda1", eta0=100.0, step_beta=0.05,
      prior_samples=1 << 22)

@@ -10,6 +10,12 @@ mass.  ``"binned"``: the common- and affiliated-value latent models, which
 give all agents one shared value (one value grid, one value joint), bin
 Monte-Carlo draws to the nearest grid points and double the end cells'
 counts to match the density rule.
+
+Each continuous prior model owns what its discretization reads: its
+observation supports (``obs_bounds``), the support of the shared value
+(``value_bounds``, ``None`` for private values) and, for the two binned
+models, the draw count and seed given to its constructor.  So every model's
+``discretize`` takes the grids alone.
 """
 
 from __future__ import annotations
@@ -160,6 +166,21 @@ class DiscretePrior:
         return np.tensordot(self.value_grid.points, self.value_joint, axes=(0, 0))
 
 
+def draw_chunks(sample, rng, count: int, chunk: int):
+    """``count`` draws of ``sample(rng, m)`` in chunks of at most ``chunk``.
+
+    Yields ``(m, values, observations)`` per chunk.  A chunk is drawn when it
+    is asked for, so a caller that draws from ``rng`` itself between chunks
+    interleaves its draws with the chunks' in that order.
+    """
+    done = 0
+    while done < count:
+        m = min(chunk, count - done)
+        values, obs = sample(rng, m)
+        yield m, values, obs
+        done += m
+
+
 def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed):
     """Count latent draws per (value x observations) grid cell, chunked for memory.
 
@@ -179,10 +200,7 @@ def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed):
     held = np.empty(min(sample_count, counts.size + _BIN_CHUNK), dtype=np.intp)
     n_held = 0
     rng = np.random.default_rng(seed)
-    done = 0
-    while done < sample_count:
-        m = min(_BIN_CHUNK, sample_count - done)
-        values, obs = latent_sampler(rng, m)
+    for m, values, obs in draw_chunks(latent_sampler, rng, sample_count, _BIN_CHUNK):
         values = np.atleast_2d(np.asarray(values, dtype=np.float64))
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         if obs.shape != (m, n) or values.shape != (m, n):
@@ -197,10 +215,11 @@ def _bin_counts(latent_sampler, value_grid, obs_grids, sample_count, seed):
         flat += value_grid.nearest_index(values[:, 0]) * obs_size
         held[n_held:n_held + m] = flat
         n_held += m
-        done += m
-        if n_held >= counts.size or done == sample_count:
+        if n_held >= counts.size:
             counts += np.bincount(held[:n_held], minlength=counts.size)
             n_held = 0
+    if n_held:
+        counts += np.bincount(held[:n_held], minlength=counts.size)
     return counts.reshape((value_grid.count,) + obs_shape)
 
 
@@ -265,6 +284,8 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
     of empty ``obs_joint`` cells (cells off the support of a singular joint
     may be empty; the marginals may not).
     """
+    if value_grid is None:
+        raise ValueError("a binned prior needs a value grid for the shared value")
     if sample_count < MIN_SAMPLE_COUNT:
         raise ValueError(f"sample_count below {MIN_SAMPLE_COUNT}: the binned prior would be "
                          "too noisy")
@@ -379,7 +400,7 @@ class IndependentPrivatePrior:
     """Independent private values: each agent observes its own valuation."""
 
     kind = "independent"
-    values_equal_observations = True
+    value_bounds = None
 
     def __init__(self, marginal_specs):
         self.marginal_specs = tuple(marginal_specs)
@@ -396,8 +417,7 @@ class IndependentPrivatePrior:
         obs = np.column_stack([s.sample(rng, size) for s in self.marginal_specs])
         return obs, obs
 
-    def discretize(self, obs_grids, value_grid=None, *, sample_count=DEFAULT_SAMPLE_COUNT,
-                   seed=0) -> DiscretePrior:
+    def discretize(self, obs_grids, value_grid=None) -> DiscretePrior:
         return independent_prior(obs_grids, [s.density for s in self.marginal_specs],
                                  meta={"kind": self.kind})
 
@@ -406,15 +426,19 @@ class CommonValuePrior:
     """One hidden value shared by all agents, observed through noisy signals.
 
     With latent uniform draws ``w`` on the unit cube, the shared value is the
-    last coordinate and agent i observes ``2 * w_i * value``.
+    last coordinate and agent i observes ``2 * w_i * value``.  It is binned
+    from ``sample_count`` draws seeded with ``seed``.
     """
 
     kind = "common_value"
-    values_equal_observations = False
+    value_bounds = (0.0, 1.0)
 
-    def __init__(self, n_agents: int = 3):
+    def __init__(self, n_agents: int = 3, *, sample_count: int = DEFAULT_SAMPLE_COUNT,
+                 seed: int = 0):
         self.n_agents = n_agents
         self.obs_bounds = tuple((0.0, 2.0) for _ in range(n_agents))
+        self.sample_count = sample_count
+        self.seed = seed
 
     def symmetry_groups(self):
         return [list(range(self.n_agents))]
@@ -426,9 +450,9 @@ class CommonValuePrior:
         values = np.repeat(value[:, None], self.n_agents, axis=1)
         return values, obs
 
-    def discretize(self, obs_grids, value_grid, *, sample_count=DEFAULT_SAMPLE_COUNT, seed=0):
-        return joint_from_latent(self.sample, value_grid, obs_grids, sample_count, seed,
-                                 symmetry_groups=self.symmetry_groups(),
+    def discretize(self, obs_grids, value_grid=None) -> DiscretePrior:
+        return joint_from_latent(self.sample, value_grid, obs_grids, self.sample_count,
+                                 self.seed, symmetry_groups=self.symmetry_groups(),
                                  meta={"kind": self.kind})
 
 
@@ -437,14 +461,17 @@ class AffiliatedValuesPrior:
 
     Observations are ``w_i + w_3`` for independent uniform ``w``; the common
     value is the average of the individual components plus the shared one.
+    It is binned from ``sample_count`` draws seeded with ``seed``.
     """
 
     kind = "affiliated"
-    values_equal_observations = False
+    value_bounds = (0.0, 2.0)
 
-    def __init__(self):
+    def __init__(self, *, sample_count: int = DEFAULT_SAMPLE_COUNT, seed: int = 0):
         self.n_agents = 2
         self.obs_bounds = ((0.0, 2.0), (0.0, 2.0))
+        self.sample_count = sample_count
+        self.seed = seed
 
     def symmetry_groups(self):
         return [[0, 1]]
@@ -455,9 +482,9 @@ class AffiliatedValuesPrior:
         value = 0.5 * (w[:, 0] + w[:, 1]) + w[:, 2]
         return np.repeat(value[:, None], 2, axis=1), obs
 
-    def discretize(self, obs_grids, value_grid, *, sample_count=DEFAULT_SAMPLE_COUNT, seed=0):
-        return joint_from_latent(self.sample, value_grid, obs_grids, sample_count, seed,
-                                 symmetry_groups=self.symmetry_groups(),
+    def discretize(self, obs_grids, value_grid=None) -> DiscretePrior:
+        return joint_from_latent(self.sample, value_grid, obs_grids, self.sample_count,
+                                 self.seed, symmetry_groups=self.symmetry_groups(),
                                  meta={"kind": self.kind})
 
 
@@ -483,12 +510,11 @@ class BernoulliWeightsLLGPrior:
     ``(1-gamma) * m1 x m2 x m3 + gamma * M12 x m3``, where ``m`` are the cell
     masses and ``M12[k1, k2]`` is the length of the intersection of the two
     locals' cells (``diag(m)`` when they share one grid).  It is held as these
-    two components; no draws are read, so ``sample_count`` and ``seed`` do not
-    affect it.
+    two components.
     """
 
     kind = "bernoulli_llg"
-    values_equal_observations = True
+    value_bounds = None
 
     def __init__(self, gamma: float):
         if not 0.0 <= gamma <= 1.0:
@@ -509,8 +535,7 @@ class BernoulliWeightsLLGPrior:
         values = np.column_stack([v1, v2, v3])
         return values, values
 
-    def discretize(self, obs_grids, value_grid=None, *, sample_count=DEFAULT_SAMPLE_COUNT,
-                   seed=0) -> DiscretePrior:
+    def discretize(self, obs_grids, value_grid=None) -> DiscretePrior:
         obs_grids = tuple(obs_grids)
         edges = [_cell_edges(g, lo, hi) for g, (lo, hi) in zip(obs_grids, self.obs_bounds)]
         widths = [hi - lo for lo, hi in self.obs_bounds]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -232,17 +232,22 @@ def run_sweep(cfg: RunConfig, grid_values, out, *, runs: int | None = None,
     """Re-run one configuration across discretization levels.
 
     Observation and action axes (and the value axis, for interdependent
-    priors) all use the same number of points per sweep entry.
+    priors) all use the same number of points per sweep entry.  Every entry's
+    config is checked, and a repeated entry refused, before ``out`` is made.
     """
+    points_list = [int(points) for points in grid_values]
+    if len(set(points_list)) != len(points_list):
+        raise ValueError(f"grid sizes {points_list} repeat an entry: each is written "
+                         "to its own k<points> directory")
+    subs = [replace(cfg, obs_points=points, action_points=points,
+                    value_points=points).validate() for points in points_list]
     out = prepare_out_dir(out, force)
     results = []
-    for points in grid_values:
-        sub = RunConfig(**{**cfg.__dict__, "obs_points": int(points),
-                           "action_points": int(points), "value_points": int(points)})
+    for points, sub in zip(points_list, subs):
         problem = build_problem(sub)
         summary = run_batch(problem, out / f"k{points}", runs=runs, force=force,
                             progress=progress)
-        entry = {"points": int(points)}
+        entry = {"points": points}
         for key, val in summary.aggregates["mean"].items():
             entry[f"mean_{key}"] = val
             entry[f"std_{key}"] = summary.aggregates["std"][key]

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -137,8 +138,8 @@ def test_meta_names_each_prior_grid_mass_rule():
                                seed=1)
     assert binned.meta["construction"] == "binned"
     assert np.max(np.abs(binned.marginals[0] - 0.2)) < 0.005
-    common = CommonValuePrior(2).discretize(grids(2, 4, hi=2.0), make_uniform_grid(0, 1, 4),
-                                            sample_count=100_000, seed=0)
+    common = CommonValuePrior(2, sample_count=100_000, seed=0).discretize(
+        grids(2, 4, hi=2.0), make_uniform_grid(0, 1, 4))
     assert common.meta["construction"] == "binned" and common.meta["kind"] == "common_value"
 
 
@@ -150,11 +151,10 @@ def test_small_sample_count_rejected():
 
 
 def test_common_value_marginal_shape_and_seed_stability():
-    model = CommonValuePrior(3)
     og = grids(3, 16, hi=2.0)
     vg = make_uniform_grid(0.0, 1.0, 16)
-    p1 = model.discretize(og, vg, sample_count=400_000, seed=1)
-    p2 = model.discretize(og, vg, sample_count=400_000, seed=2)
+    p1 = CommonValuePrior(3, sample_count=400_000, seed=1).discretize(og, vg)
+    p2 = CommonValuePrior(3, sample_count=400_000, seed=2).discretize(og, vg)
     check_invariants(p1)
     # signal density decreases away from zero; two independent seeds agree
     m = p1.marginals[0]
@@ -163,10 +163,10 @@ def test_common_value_marginal_shape_and_seed_stability():
 
 
 def test_affiliated_marginal_matches_triangle_convolution():
-    model = AffiliatedValuesPrior()
+    model = AffiliatedValuesPrior(sample_count=500_000, seed=3)
     og = grids(2, 16, hi=2.0)
     vg = make_uniform_grid(0.0, 2.0, 16)
-    prior = model.discretize(og, vg, sample_count=500_000, seed=3)
+    prior = model.discretize(og, vg)
     check_invariants(prior)
     # sum of two independent uniforms: triangle density on [0, 2] peaked at 1
     pts = og[0].points
@@ -186,17 +186,17 @@ def test_affiliated_marginal_matches_triangle_convolution():
 def test_bernoulli_weights_prior():
     g = [make_uniform_grid(0, 1, 12), make_uniform_grid(0, 1, 12),
          make_uniform_grid(0, 2, 12)]
-    p0 = BernoulliWeightsLLGPrior(0.0).discretize(g, sample_count=400_000, seed=5)
+    p0 = BernoulliWeightsLLGPrior(0.0).discretize(g)
     check_invariants(p0)
     locals_joint = dense_joint(p0).sum(axis=2)
     product = np.outer(p0.marginals[0], p0.marginals[1])
     assert np.max(np.abs(locals_joint - product)) < 2e-3
 
-    p1 = BernoulliWeightsLLGPrior(1.0).discretize(g, sample_count=400_000, seed=5)
+    p1 = BernoulliWeightsLLGPrior(1.0).discretize(g)
     diag = np.trace(dense_joint(p1).sum(axis=2))
     assert diag > 0.999
 
-    ph = BernoulliWeightsLLGPrior(0.5).discretize(g, sample_count=400_000, seed=5)
+    ph = BernoulliWeightsLLGPrior(0.5).discretize(g)
     lj = dense_joint(ph).sum(axis=2)
     pts = g[0].points
     m0, m1 = lj.sum(axis=1), lj.sum(axis=0)
@@ -251,10 +251,12 @@ def test_llg_prior_matches_brute_force_binning(gamma, local_points):
 
 
 def test_llg_prior_reads_no_draws():
-    g = [make_uniform_grid(0, 1, 9), make_uniform_grid(0, 1, 9), make_uniform_grid(0, 2, 9)]
-    model = BernoulliWeightsLLGPrior(0.5)
-    a = model.discretize(g, sample_count=100_000, seed=1)
-    b = model.discretize(g, sample_count=1 << 22, seed=987654321)
+    # the binning settings reach only the binned models: an LLG config's
+    # prior_samples and prior_seed leave its exact prior as it is
+    a, b = (build_problem(config_from_mapping({**get_preset("llg_nz_g05"), "obs_points": 9,
+                                               "prior_samples": samples,
+                                               "prior_seed": seed})).discretize()
+            for samples, seed in [(100_000, 1), (1 << 22, 987654321)])
     assert a.meta == b.meta == {"kind": "bernoulli_llg", "gamma": 0.5,
                                 "construction": "exact", "empty_cells": 0}
     assert all(np.array_equal(x, y) for x, y in zip(a.marginals, b.marginals))
@@ -264,10 +266,40 @@ def test_llg_prior_reads_no_draws():
             assert agents_a == agents_b and np.array_equal(mass_a, mass_b)
 
 
+MODELS = [IndependentPrivatePrior([UniformMarginal(0.0, 1.0), UniformMarginal(0.0, 2.0)]),
+          CommonValuePrior(3, sample_count=100_000, seed=1),
+          AffiliatedValuesPrior(sample_count=100_000, seed=2),
+          BernoulliWeightsLLGPrior(0.5)]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda model: model.kind)
+def test_models_own_their_value_range_and_binning_settings(model):
+    """Every model discretizes from the grids alone, with its binning settings
+    given to its constructor; it states the support of the shared value, and
+    no value range for private values."""
+    assert list(inspect.signature(model.discretize).parameters) == ["obs_grids", "value_grid"]
+    obs_grids = [make_uniform_grid(lo, hi, 6) for lo, hi in model.obs_bounds]
+    value_grid = None if model.value_bounds is None else \
+        make_uniform_grid(*model.value_bounds, 5)
+    prior = model.discretize(obs_grids, value_grid)
+    check_invariants(prior)
+    private = model.kind in ("independent", "bernoulli_llg")
+    assert (model.value_bounds is None) == private == prior.values_equal_observations
+    if not private:
+        assert prior.meta["sample_count"] == model.sample_count == 100_000
+        assert prior.meta["seed"] == model.seed
+    values, obs = model.sample(np.random.default_rng(0), 100_000)
+    if private:
+        assert np.array_equal(values, obs)
+    else:
+        # the bounds are the support: the draws stay inside and come near both ends
+        lo, hi = model.value_bounds
+        assert lo <= values.min() < lo + 0.1 and hi - 0.1 < values.max() <= hi
+
+
 def test_symmetrization_makes_grouped_agents_identical():
-    model = CommonValuePrior(3)
-    prior = model.discretize(grids(3, 8, hi=2.0), make_uniform_grid(0.0, 1.0, 8),
-                             sample_count=200_000, seed=6)
+    model = CommonValuePrior(3, sample_count=200_000, seed=6)
+    prior = model.discretize(grids(3, 8, hi=2.0), make_uniform_grid(0.0, 1.0, 8))
     assert np.array_equal(prior.marginals[0], prior.marginals[1])
     assert np.array_equal(prior.marginals[0], prior.marginals[2])
     assert np.allclose(prior.obs_joint, prior.obs_joint.transpose(1, 0, 2), atol=1e-15)
@@ -330,12 +362,13 @@ def reference_value_joints(sampler, val_grids, obs_grids, sample_count, seed, gr
     return out
 
 
-@pytest.mark.parametrize("model, obs_hi, value_hi", [(CommonValuePrior(3), 2.0, 1.0),
-                                                     (AffiliatedValuesPrior(), 2.0, 2.0)])
+@pytest.mark.parametrize("model, obs_hi, value_hi", [
+    (CommonValuePrior(3, sample_count=200_000, seed=7), 2.0, 1.0),
+    (AffiliatedValuesPrior(sample_count=200_000, seed=7), 2.0, 2.0)])
 def test_value_joint_matches_per_agent_reference_binning(model, obs_hi, value_hi):
     og = grids(model.n_agents, 6, hi=obs_hi)
     vg = make_uniform_grid(0.0, value_hi, 5)
-    prior = model.discretize(og, vg, sample_count=200_000, seed=7)
+    prior = model.discretize(og, vg)
     reference = reference_value_joints(model.sample, [vg] * model.n_agents, og, 200_000, 7,
                                        model.symmetry_groups())
     for joint in reference:

@@ -71,8 +71,32 @@ def test_parse_config_include_file(tmp_path):
 
 
 def test_unknown_config_key_rejected():
-    with pytest.raises(ValueError, match="unknown config keys"):
-        config_from_mapping({"mechanismo": "fpsb"})
+    # the shared value's range is the prior model's own (``value_bounds``), not a key
+    for key in ["mechanismo"] + [f"value_{end}" for end in ("lower", "upper")]:
+        with pytest.raises(ValueError, match="unknown config keys"):
+            config_from_mapping({key: 0.0})
+
+
+def test_config_include_cycles_refused(tmp_path, capsys):
+    a, b, itself = tmp_path / "a.cfg", tmp_path / "b.cfg", tmp_path / "itself.cfg"
+    a.write_text("include = b.cfg\nruns = 1\n")
+    b.write_text("include = a.cfg\n")
+    itself.write_text("include = fpsb_2_uniform\ninclude = itself.cfg\n")
+    with pytest.raises(ValueError) as exc:
+        load_config(a)
+    assert str(exc.value) == f"config include cycle: {a} -> {b} -> {a}"
+    with pytest.raises(ValueError) as exc:
+        load_config(itself)
+    assert str(exc.value) == f"config include cycle: {itself} -> {itself}"
+    rc = main(["solve", "--config", str(b), "--quiet", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"error: config include cycle: {b} -> {a} -> {b}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # one file included twice, side by side, is no cycle
+    twice = tmp_path / "twice.cfg"
+    (tmp_path / "base.cfg").write_text("include = fpsb_2_uniform\n")
+    twice.write_text("include = base.cfg\ninclude = base.cfg\nruns = 3\n")
+    assert load_config(twice).runs == 3
 
 
 BAD_RUN_SETTINGS = [
@@ -432,6 +456,20 @@ def test_cli_evaluate_refuses_grid_mismatch(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_cli_evaluate_names_a_missing_strategy_file(tmp_path, capsys):
+    # llg_nz_g05 stores agents 0 (both locals) and 2 (the global bidder)
+    cfg = config_from_mapping({**get_preset("llg_nz_g05"), "obs_points": 6,
+                               "action_points": 6, "iterations": 10, "runs": 1,
+                               "eval_samples": 1 << 10, "plot_points": 5})
+    run_batch(build_problem(cfg), tmp_path / "out")
+    run_dir = tmp_path / "out" / "run_000"
+    (run_dir / "strategy_agent0.csv").unlink()
+    rc = main(["evaluate", "--run-dir", str(run_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(run_dir / "strategy_agent0.csv") in err and "agent 0" in err
+
+
 @pytest.mark.parametrize("bad, message", BAD_RUN_SETTINGS)
 def test_cli_refuses_bad_run_settings_at_load(tmp_path, capsys, bad, message):
     cfg_path = tmp_path / "bad.cfg"
@@ -540,15 +578,40 @@ def test_cli_sweep(tmp_path, capsys):
     assert "points=8" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("grid, message", [("1", "grids need at least 2 points"),
+                                           ("4,4", "repeat an entry")])
+def test_cli_sweep_checks_every_entry_before_making_out(tmp_path, capsys, monkeypatch,
+                                                         grid, message):
+    import bnesolve.runner as runner_mod
+
+    def never(*a, **kw):
+        raise AssertionError("a run started before every sweep entry was checked")
+
+    monkeypatch.setattr(runner_mod, "run_batch", never)
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--preset", "fpsb_sweep", "--grid", grid, "--quiet", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_probe_vs(tmp_path, capsys):
     rc = main(["probe-vs", "--preset", "fpsb_2_uniform", "--seed", "3", "--quiet",
-               "--out", str(tmp_path / "probe")]
-              + ["--runs", "1"])
+               "--out", str(tmp_path / "probe")])
     assert rc == 0
     out = capsys.readouterr().out
     assert "probe value" in out
     data = json.loads((tmp_path / "probe" / "probe.json").read_text())
     assert data["probe_value"] > 0
+
+
+@pytest.mark.parametrize("flag", [["--runs", "7"], ["--runs", "0"], ["--n-samples", "5"]])
+def test_cli_probe_vs_refuses_flags_it_does_not_read(capsys, flag):
+    # probe-vs solves one run and evaluates nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["probe-vs", "--preset", "fpsb_2_uniform", "--quiet"] + flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_cli_probe_vs_refuses_a_non_empty_out_before_solving(tmp_path, capsys, monkeypatch):
