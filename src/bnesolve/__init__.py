@@ -9,7 +9,6 @@ discretized game.
 __version__ = "0.1.0"
 
 from .grids import make_uniform_grid
-from .priors import independent_prior
 from .mechanisms import LLGAuction, SingleObjectAuction
 from .strategy import init_strategy
 from .gradient import GradientEngine, expected_utility

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -50,14 +51,10 @@ def _load_cfg(args) -> RunConfig:
             overrides[key] = v
     if getattr(args, "n_samples", None) is not None:
         overrides["eval_samples"] = args.n_samples
-    if getattr(args, "preset", None):
-        cfg = config_from_mapping({**get_preset(args.preset), **overrides})
-    elif getattr(args, "config", None):
-        base = load_config(args.config)
-        cfg = config_from_mapping({**base.__dict__, **overrides}) if overrides else base
-    else:
-        raise FileNotFoundError("provide --config PATH or --preset ID")
-    return cfg
+    if args.preset is not None:
+        return config_from_mapping({**get_preset(args.preset), **overrides})
+    base = load_config(args.config)
+    return config_from_mapping({**base.__dict__, **overrides}) if overrides else base
 
 
 def _cmd_solve(args) -> int:
@@ -163,6 +160,13 @@ def _cmd_probe_vs(args) -> int:
     return 0
 
 
+def _shading_factor(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bnesolve",
                                 description="equilibrium solver for discretized "
@@ -171,9 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, batch=True):
         """The flags of ``solve`` and ``sweep``; ``probe-vs`` solves one run
-        and evaluates nothing, so it takes no ``--runs`` or ``--n-samples``."""
-        sp.add_argument("--config", help="path to a key=value config file")
-        sp.add_argument("--preset", help="shipped preset id")
+        and evaluates nothing, so it takes no ``--runs`` or ``--n-samples``.
+        Exactly one of ``--config`` and ``--preset`` names the game."""
+        source = sp.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config", help="path to a key=value config file")
+        source.add_argument("--preset", help="shipped preset id")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--force", action="store_true",
@@ -208,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("probe-vs", help="variational-stability probe at the "
                                          "collusive deviation")
     common(sp, batch=False)
-    sp.add_argument("--scale", type=float, default=0.5,
-                    help="bid shading factor for the collusive probe")
+    sp.add_argument("--scale", type=_shading_factor, default=0.5,
+                    help="bid shading factor for the collusive probe (finite, >= 0)")
     sp.set_defaults(fn=_cmd_probe_vs)
     return p
 

@@ -199,8 +199,8 @@ def _resolve_include(ref: str, base_dir: Path | None, chain: tuple[Path, ...]) -
     path = Path(ref)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
-    if not path.exists():
-        raise FileNotFoundError(f"include '{ref}' is neither a preset nor a readable file")
+    if not path.is_file():
+        raise FileNotFoundError(f"include '{ref}' is neither a preset nor a file: {path}")
     chain += (path.resolve(),)
     if chain[-1] in chain[:-1]:
         raise ValueError("config include cycle: " + " -> ".join(map(str, chain)))
@@ -217,8 +217,8 @@ def config_from_mapping(mapping: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config not found: {path}")
+    if not path.is_file():
+        raise FileNotFoundError(f"config not found: {path} is not a file")
     return config_from_mapping(parse_config_text(path.read_text(), base_dir=path.parent,
                                                  chain=(path.resolve(),)))
 

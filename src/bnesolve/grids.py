@@ -97,17 +97,3 @@ def make_uniform_grid(lower: float, upper: float, count: int) -> Grid:
     pts = np.linspace(lower, upper, count)
     return Grid(pts, float(lower), float(upper))
 
-
-def discretize_density(grid: Grid, density) -> np.ndarray:
-    """Probability vector proportional to ``density`` evaluated on the grid.
-
-    The density is evaluated at the grid points and normalized to sum to one.
-    """
-    vals = np.asarray(density(grid.points), dtype=np.float64)
-    vals = np.broadcast_to(vals, grid.points.shape).copy()
-    if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-        raise ValueError("density must be finite and nonnegative on the grid")
-    total = vals.sum()
-    if total <= 0:
-        raise ValueError("density vanishes on every grid point (degenerate prior)")
-    return vals / total

@@ -29,7 +29,7 @@ _add("fpsb_2_uniform",
      learner="soda1", eta0=100.0, step_beta=0.05)
 
 # same game with the gentler step size used for the discretization sweep;
-# it certifies at iteration 1569 at seed (0, 0), past the default cap
+# it certifies at iteration 1769 at seed (0, 0), past the default cap
 _add("fpsb_sweep",
      mechanism="fpsb", agents=2, prior="uniform",
      obs_lower=0.0, obs_upper=1.0, action_lower=0.0, action_upper=1.0,
@@ -76,8 +76,9 @@ for _prior, _ptag, _soma_eta in [("uniform", "uniform", 0.01), ("gaussian_trunc"
          split_cost_factor=0.3, split_cost_model="scaled",
          learner="soda1", eta0=20.0, step_beta=0.05)
 
-# first price at rho 0.9 and 1.0 and all-pay at rho 0.7 and 1.0 certify at
-# iterations 1169, 1579, 1309 and 1159 at seed (0, 0), past the default cap
+# first price at rho 0.5, 0.7, 0.9 and 1.0 certifies at iterations 1529, 1539,
+# 1429 and 1709 at seed (0, 0), and all-pay at rho 0.9 and 1.0 at 1049 and
+# 1129, past the default cap
 for _rho, _rtag in [(0.5, "r05"), (0.7, "r07"), (0.9, "r09"), (1.0, "r10")]:
     _add(f"risk_fpsb_{_rtag}",
          mechanism="fpsb", agents=2, prior="uniform", risk_rho=_rho,

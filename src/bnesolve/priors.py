@@ -1,15 +1,16 @@
 """Discrete prior distributions over joint valuation/observation grids.
 
 Private values are always weighted product components and a dense joint is
-always interdependent.  ``meta["construction"]`` names each prior's grid-mass
-rule.  ``"density"``: independent private values take the marginal density
-at the grid points, normalized, so end points get full mass.  ``"exact"``:
-the correlated LLG locals are a mixture of two products of uniforms, held
-exactly as two weighted components of cell lengths, so end points get half
-mass.  ``"binned"``: the common- and affiliated-value latent models, which
-give all agents one shared value (one value grid, one value joint), bin
-Monte-Carlo draws to the nearest grid points and double the end cells'
-counts to match the density rule.
+always interdependent.  Every prior gives a grid point the probability of its
+nearest-point cell: the cells meet at the midpoints between grid points, and
+the end cells reach to the ends of the support.  That is the game evaluation
+assumes, since ``Strategy.sample_bids`` sends each continuous draw to its
+nearest grid point.  ``meta["construction"]`` names how the cell
+probabilities are found.  ``"exact"``: private values, the independent
+marginals and the correlated LLG locals, take cdf differences over the cells.
+``"binned"``: the common- and affiliated-value latent models, which give all
+agents one shared value (one value grid, one value joint), estimate them by
+counting Monte-Carlo draws at their nearest grid points.
 
 Each continuous prior model owns what its discretization reads: its
 observation supports (``obs_bounds``), the support of the shared value
@@ -20,16 +21,17 @@ models, the draw count and seed given to its constructor.  So every model's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid, discretize_density
+from .grids import Grid
 
 DEFAULT_SAMPLE_COUNT = 1_000_000
 MIN_SAMPLE_COUNT = 100_000
 _BIN_CHUNK = 1 << 20
-CDF_TABLE_SIZE = 8193  # points of the tabulated cdf a custom density samples from
+CDF_TABLE_SIZE = 8193  # points of the tabulated cdf of a custom density
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class DiscretePrior:
         for g, m in zip(self.obs_grids, self.marginals):
             if m.shape != (g.count,):
                 raise ValueError("marginal length must match observation grid")
-            if np.any(m < 0) or abs(m.sum() - 1.0) > 1e-12:
+            if not (np.all(m >= 0) and abs(m.sum() - 1.0) <= 1e-12):
                 raise ValueError("marginals must be probability vectors (sum 1 within 1e-12)")
         if (self.obs_joint is None) == (self.components is None):
             raise ValueError("a prior holds either obs_joint or components, not both")
@@ -272,11 +274,8 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
     shape ``(size, n)``; draws are clamped to the grid bounds and binned to
     the nearest point on every axis.  ``value_grid`` bins the one value all
     agents share (the value columns must be equal): a binned prior is always
-    interdependent.  Each cell's count is weighted by the inverse cell width
-    on every observation axis (boundary points own half a cell on an
-    equidistant grid), so the binned mass estimates density-at-the-point times a uniform
-    cell volume and agrees with the density-evaluation recipe; the weight is
-    a power of two fixed by the cell, so it scales the cell's count exactly.
+    interdependent.  Each cell's share of the draws estimates the probability
+    of its nearest-point cell, the mass the exact priors give a grid point.
     Marginals are recomputed from the binned joint so marginal consistency
     holds exactly.  A ``sample_count`` below ``MIN_SAMPLE_COUNT`` and an
     observation point with zero empirical mass are errors.  ``meta`` records
@@ -290,14 +289,9 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
         raise ValueError(f"sample_count below {MIN_SAMPLE_COUNT}: the binned prior would be "
                          "too noisy")
     obs_grids = tuple(obs_grids)
-    # weighted and normalized in place, no second copy; the weights are powers
-    # of two, so weighting before summing out the value axis is exact
+    # normalized in place, no second copy
     value_joint = _bin_counts(sampler, value_grid, obs_grids, int(sample_count), seed)
     n = len(obs_grids)
-    for axis in range(1, n + 1):
-        edges = np.moveaxis(value_joint, axis, 0)
-        edges[0] *= 2.0
-        edges[-1] *= 2.0
     obs_joint = value_joint.sum(axis=0)
     total = float(obs_joint.sum())
     obs_joint /= total
@@ -326,27 +320,22 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
                          value_grid=value_grid, value_joint=value_joint, meta=info)
 
 
-def independent_prior(obs_grids, densities, meta: dict | None = None) -> DiscretePrior:
-    """Private-value prior with independent per-agent marginal densities,
-    held as its marginals alone, each point's mass the density there, normalized."""
-    obs_grids = tuple(obs_grids)
-    marginals = tuple(discretize_density(g, d) for g, d in zip(obs_grids, densities))
-    return DiscretePrior(obs_grids, marginals, None,
-                         meta={**(meta or {}), "construction": "density"})
-
-
 # ---------------------------------------------------------------------------
 # Continuous prior models: each couples a latent/continuous sampler (used for
 # evaluation in the continuous game) with its discretization recipe.
 # ---------------------------------------------------------------------------
+
+# the probability that a standard normal exceeds t, elementwise, from
+# math.erfc: discretizing does not import scipy
+_upper_tail = np.vectorize(lambda t: 0.5 * math.erfc(t / math.sqrt(2.0)), otypes=[float])
 
 @dataclass(frozen=True)
 class UniformMarginal:
     lower: float
     upper: float
 
-    def density(self, x):
-        return np.ones_like(np.asarray(x, dtype=np.float64))
+    def cdf(self, x):
+        return (np.asarray(x, dtype=np.float64) - self.lower) / (self.upper - self.lower)
 
     def sample(self, rng, size):
         return rng.uniform(self.lower, self.upper, size)
@@ -359,9 +348,19 @@ class TruncatedGaussianMarginal:
     lower: float
     upper: float
 
-    def density(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.exp(-0.5 * ((x - self.mu) / self.sigma) ** 2)
+    def cdf(self, x):
+        """Phi normalized over [lower, upper].  It is read from the tail on the
+        interval's side of the mean (``s`` mirrors the axis when that is the
+        lower tail), so an interval far out in a tail keeps its digits; one
+        with no mass in double precision is refused."""
+        z, a, b = ((np.asarray(v, dtype=np.float64) - self.mu) / self.sigma
+                   for v in (x, self.lower, self.upper))
+        s = 1.0 if a + b > 0 else -1.0
+        top = _upper_tail(s * a)
+        mass = s * (top - _upper_tail(s * b))
+        if not mass > 0:
+            raise ValueError(f"truncated Gaussian has no mass on [{self.lower}, {self.upper}]")
+        return s * (top - _upper_tail(s * z)) / mass
 
     def sample(self, rng, size):
         from scipy import stats  # imported here: it is most of the package's import time
@@ -374,26 +373,51 @@ class TruncatedGaussianMarginal:
 
 @dataclass(frozen=True)
 class CustomDensityMarginal:
-    """Marginal given by an arbitrary nonnegative density on a bounded interval."""
+    """Marginal given by an arbitrary nonnegative density on a bounded interval.
+
+    Its cdf is the trapezoid rule over ``CDF_TABLE_SIZE`` equidistant points,
+    tabulated once: ``cdf`` interpolates the table and ``sample`` inverts it.
+    A density that is negative or not finite at a table point, or that
+    integrates to zero, is refused.
+    """
 
     fn: object
     lower: float
     upper: float
+    _table: tuple = field(init=False, repr=False, compare=False)
 
-    def density(self, x):
-        return np.asarray(self.fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-
-    def _cdf_table(self):
+    def __post_init__(self):
         x = np.linspace(self.lower, self.upper, CDF_TABLE_SIZE)
-        pdf = np.clip(self.density(x), 0.0, None)
+        pdf = np.broadcast_to(np.asarray(self.fn(x), dtype=np.float64), x.shape)
+        if not np.all(np.isfinite(pdf)) or np.any(pdf < 0):
+            raise ValueError("custom density must be finite and nonnegative on its interval")
         cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * np.diff(x))])
-        if cdf[-1] <= 0:
-            raise ValueError("custom density integrates to zero")
-        return x, cdf / cdf[-1]
+        if not 0 < cdf[-1] < np.inf:
+            raise ValueError("custom density must integrate to a finite positive mass")
+        object.__setattr__(self, "_table", (x, cdf / cdf[-1]))
+
+    def cdf(self, x):
+        return np.interp(x, *self._table)
 
     def sample(self, rng, size):
-        x, cdf = self._cdf_table()
+        x, cdf = self._table
         return np.interp(rng.random(size), cdf, x)
+
+
+def _cell_edges(grid: Grid, lower: float, upper: float):
+    """Lower and upper edges of the grid points' nearest-point cells within
+    [lower, upper]: the cells meet at the midpoints, and the end cells reach
+    to the interval's ends (values beyond the grid's ends bin to its ends)."""
+    mid = (grid.points[:-1] + grid.points[1:]) / 2.0
+    edges = np.concatenate(([lower], np.clip(mid, lower, upper), [upper]))
+    return edges[:-1], edges[1:]
+
+
+def _cell_masses(grid: Grid, marginal) -> np.ndarray:
+    """Each grid point's probability under ``marginal``: the increase of its
+    cdf over the point's nearest-point cell.  The masses telescope to one."""
+    lo, hi = _cell_edges(grid, marginal.lower, marginal.upper)
+    return marginal.cdf(hi) - marginal.cdf(lo)
 
 
 class IndependentPrivatePrior:
@@ -418,8 +442,9 @@ class IndependentPrivatePrior:
         return obs, obs
 
     def discretize(self, obs_grids, value_grid=None) -> DiscretePrior:
-        return independent_prior(obs_grids, [s.density for s in self.marginal_specs],
-                                 meta={"kind": self.kind})
+        marginals = tuple(_cell_masses(g, s) for g, s in zip(obs_grids, self.marginal_specs))
+        return DiscretePrior(tuple(obs_grids), marginals, None,
+                             meta={"kind": self.kind, "construction": "exact"})
 
 
 class CommonValuePrior:
@@ -488,15 +513,6 @@ class AffiliatedValuesPrior:
                                  meta={"kind": self.kind})
 
 
-def _cell_edges(grid: Grid, lower: float, upper: float):
-    """Lower and upper edges of the grid points' nearest-point cells within
-    [lower, upper]: the cells meet at the midpoints, and the end cells reach
-    to the interval's ends (values beyond the grid's ends bin to its ends)."""
-    mid = (grid.points[:-1] + grid.points[1:]) / 2.0
-    edges = np.concatenate(([lower], np.clip(mid, lower, upper), [upper]))
-    return edges[:-1], edges[1:]
-
-
 class BernoulliWeightsLLGPrior:
     """Correlated local-bidder values for the two-local/one-global model.
 
@@ -504,13 +520,12 @@ class BernoulliWeightsLLGPrior:
     values coincide), otherwise they draw independent uniforms; the global
     bidder's value is an independent uniform on [0, 2].  Private values.
 
-    The discretized prior is exact: nearest-point binning of a uniform gives
-    each grid point the length of its cell (half cells at the ends of a grid
-    spanning the interval), so the joint is
+    The discretized prior is exact: each grid point gets the probability of
+    its nearest-point cell under its uniform marginal, so the joint is
     ``(1-gamma) * m1 x m2 x m3 + gamma * M12 x m3``, where ``m`` are the cell
-    masses and ``M12[k1, k2]`` is the length of the intersection of the two
-    locals' cells (``diag(m)`` when they share one grid).  It is held as these
-    two components.
+    masses and ``M12[k1, k2]`` is the probability of the intersection of the
+    two locals' cells (``diag(m)`` when they share one grid).  It is held as
+    these two components.
     """
 
     kind = "bernoulli_llg"
@@ -537,16 +552,16 @@ class BernoulliWeightsLLGPrior:
 
     def discretize(self, obs_grids, value_grid=None) -> DiscretePrior:
         obs_grids = tuple(obs_grids)
-        edges = [_cell_edges(g, lo, hi) for g, (lo, hi) in zip(obs_grids, self.obs_bounds)]
-        widths = [hi - lo for lo, hi in self.obs_bounds]
-        marginals = tuple((e[1] - e[0]) / w for e, w in zip(edges, widths))
+        specs = [UniformMarginal(lo, hi) for lo, hi in self.obs_bounds]
+        marginals = tuple(_cell_masses(g, s) for g, s in zip(obs_grids, specs))
         for i, m in enumerate(marginals):
             if np.any(m == 0):
                 raise ValueError(f"agent {i} has observation grid points whose cells miss "
                                  "the support of its value")
-        (lo1, hi1), (lo2, hi2) = edges[:2]
-        shared = np.clip(np.minimum.outer(hi1, hi2) - np.maximum.outer(lo1, lo2), 0.0, None)
-        shared /= widths[0]
+        (lo1, hi1), (lo2, hi2) = (_cell_edges(g, s.lower, s.upper)
+                                  for g, s in zip(obs_grids, specs[:2]))
+        shared = np.clip(specs[0].cdf(np.minimum.outer(hi1, hi2))
+                         - specs[0].cdf(np.maximum.outer(lo1, lo2)), 0.0, None)
         components = []
         if self.gamma < 1.0:
             components.append(Component(1.0 - self.gamma, tuple(((i,), m) for i, m in

@@ -12,6 +12,19 @@ import itertools
 import numpy as np
 
 
+def prior_from_weights(grids, weights):
+    """Independent private-value prior whose marginal on each grid is its
+    weight function at the grid points, normalized: a hand-made test input,
+    not a prior model's discretization."""
+    from bnesolve.priors import DiscretePrior
+
+    marginals = []
+    for g, weight in zip(grids, weights):
+        w = np.broadcast_to(np.asarray(weight(g.points), dtype=np.float64), g.points.shape)
+        marginals.append(w / w.sum())
+    return DiscretePrior(tuple(grids), tuple(marginals), None)
+
+
 def component_mass(prior, k):
     """Mass of observation cell ``k`` of a prior held as components: over the
     components, the weight times the product of the blocks' masses at k."""

@@ -16,7 +16,7 @@ from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.presets import get_preset
 from bnesolve.priors import Component, DiscretePrior
 from oracles import (enumerate_row_vertex_value, naive_expected_utility, naive_gradient,
-                     qp_project_simplex)
+                     prior_from_weights, qp_project_simplex)
 
 EVAL_SAMPLES = 1 << 18
 
@@ -273,7 +273,7 @@ def test_criterion_09_oracle_equivalences():
     # general gradient vs direct enumeration of the expected-utility sum
     mech = b.SingleObjectAuction("fpsb", 2)
     grids = [b.make_uniform_grid(0, 1, 3)] * 2
-    prior = b.independent_prior(grids, [lambda x: np.ones_like(x)] * 2)
+    prior = prior_from_weights(grids, [lambda x: np.ones_like(x)] * 2)
     action_grids = [(b.make_uniform_grid(0, 1, 3),)] * 2
     strategies = [b.init_strategy("random", grids[i], action_grids[i],
                                   prior.marginals[i], seed=i) for i in range(2)]
@@ -291,7 +291,7 @@ def test_criterion_09_oracle_equivalences():
         for n, k in ((2, 16), (3, 12)):
             m = b.SingleObjectAuction(kind, n)
             g = [b.make_uniform_grid(0, 1, k)] * n
-            p = b.independent_prior(g, [lambda x: np.ones_like(x)] * n)
+            p = prior_from_weights(g, [lambda x: np.ones_like(x)] * n)
             joint = p.marginals[0]
             for marginal in p.marginals[1:]:
                 joint = np.multiply.outer(joint, marginal)

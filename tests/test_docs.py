@@ -59,3 +59,28 @@ def test_readme_commands_parse():
     for line in commands:
         args = parser.parse_args(shlex.split(line)[1:])
         assert callable(args.fn), line
+
+
+def test_readme_grid_mass_table_has_one_row_per_construction():
+    # one config per prior kind: a shipped preset for each kind a preset uses,
+    # and a custom density on the baseline game
+    from bnesolve.config import build_problem, config_from_mapping
+    from bnesolve.presets import get_preset, preset_names
+
+    by_kind = {get_preset(name)["prior"]: get_preset(name) for name in preset_names()}
+    by_kind["custom_density"] = {**get_preset("fpsb_2_uniform"), "prior": "custom_density",
+                                 "density": "2*o"}
+    constructions = {}
+    for kind, mapping in by_kind.items():
+        small = {**mapping, "obs_points": 6, "value_points": 6, "prior_samples": 100_000}
+        prior = build_problem(config_from_mapping(small)).discretize()
+        constructions.setdefault(prior.meta["construction"], []).append(kind)
+    assert set(by_kind) == {"uniform", "gaussian_trunc", "custom_density", "common_value",
+                            "affiliated", "bernoulli_llg"}
+    text = README.read_text().split("`prior.construction`:", 1)[1]
+    table = [line for line in text.split("\n\n", 2)[1].splitlines() if line.startswith("|")]
+    rows = [line.split("|")[2].strip() for line in table[2:]]
+    assert sorted(rows) == sorted(f"`{c}`" for c in constructions)
+    for row in table[2:]:
+        construction = row.split("|")[2].strip().strip("`")
+        assert all(f"`{kind}`" in row.split("|")[1] for kind in constructions[construction])

@@ -10,16 +10,16 @@ from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuct
                                  TullockContest)
 from bnesolve.presets import get_preset
 from bnesolve.priors import (AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
-                             CommonValuePrior, Component, DiscretePrior, independent_prior)
+                             CommonValuePrior, Component, DiscretePrior)
 from bnesolve.strategy import init_strategy
-from oracles import dense_joint, naive_expected_utility, naive_gradient
+from oracles import dense_joint, naive_expected_utility, naive_gradient, prior_from_weights
 
 
 def ipv_setting(kind="fpsb", n=2, k=3, l=3, rho=1.0, seed=0, density=None):
     mech = SingleObjectAuction(kind, n, risk_rho=rho)
     grids = [make_uniform_grid(0, 1, k) for _ in range(n)]
     densities = [density or (lambda x: np.ones_like(x))] * n
-    prior = independent_prior(grids, densities)
+    prior = prior_from_weights(grids, densities)
     action_grids = [(make_uniform_grid(0, 1, l),)] * n
     strategies = [init_strategy("random", grids[i], action_grids[i], prior.marginals[i],
                                 seed=seed + i) for i in range(n)]
@@ -186,7 +186,7 @@ def test_gradient_three_agent_llg_matches_naive():
     mech = LLGAuction("NZ")
     og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 3),
           make_uniform_grid(0, 2, 3)]
-    prior = independent_prior(og, [lambda x: np.ones_like(x)] * 3)
+    prior = prior_from_weights(og, [lambda x: np.ones_like(x)] * 3)
     action_grids = [(make_uniform_grid(0, 1, 2),), (make_uniform_grid(0, 1, 2),),
                     (make_uniform_grid(0, 2, 3),)]
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
@@ -322,8 +322,8 @@ def test_engine_path_selection():
                           memory_budget=200).path == "tensor"
     # asymmetric marginals: the agents cannot form one group, and singleton
     # groups take the general paths
-    lopsided = independent_prior([make_uniform_grid(0, 1, 4)] * 2,
-                                 [lambda x: np.ones_like(x), lambda x: x + 0.1])
+    lopsided = prior_from_weights([make_uniform_grid(0, 1, 4)] * 2,
+                                  [lambda x: np.ones_like(x), lambda x: x + 0.1])
     with pytest.raises(ValueError, match="not interchangeable"):
         GradientEngine(mech, lopsided, action_grids, groups=[[0, 1]])
     assert GradientEngine(mech, lopsided, action_grids, groups=[[0], [1]]).path == "affine"
@@ -476,7 +476,7 @@ def split_tie_setting(cost_model):
     """Half-price sums land exactly on sole-price points, so strict minima tie."""
     mech = SplitAwardAuction(0.3, cost_model)
     og = [make_uniform_grid(1.0, 1.4, 3), make_uniform_grid(1.0, 1.4, 4)]
-    prior = independent_prior(og, [lambda x: x, lambda x: 3.0 - x])
+    prior = prior_from_weights(og, [lambda x: x, lambda x: 3.0 - x])
     action_grids = [(make_uniform_grid(1.0, 2.0, 5), make_uniform_grid(0.5, 1.0, 3)),
                     (make_uniform_grid(1.0, 2.0, 5), make_uniform_grid(0.25, 1.0, 4))]
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
@@ -580,17 +580,17 @@ def factorized_settings():
     first price with a zero-mass cell in each marginal, and the split-award
     kernel on tie grids."""
     og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 4)]
-    prior = independent_prior(og, [lambda x: np.ones_like(x), lambda x: x + 0.5])
+    prior = prior_from_weights(og, [lambda x: np.ones_like(x), lambda x: x + 0.5])
     action_grids = [(make_uniform_grid(0, 1, 3),), (make_uniform_grid(0, 1, 4),)]
     yield "tullock", TullockContest(1.0, 2), prior, action_grids
     og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 3), make_uniform_grid(0, 2, 3)]
-    prior = independent_prior(og, [lambda x: np.ones_like(x), lambda x: x + 0.2,
-                                   lambda x: 2.5 - x])
+    prior = prior_from_weights(og, [lambda x: np.ones_like(x), lambda x: x + 0.2,
+                                    lambda x: 2.5 - x])
     action_grids = [(make_uniform_grid(0, 1, 3),), (make_uniform_grid(0, 1, 3),),
                     (make_uniform_grid(0, 2, 3),)]
     yield "llg", LLGAuction("NZ"), prior, action_grids
     og = [make_uniform_grid(0, 1, 4)] * 2
-    prior = independent_prior(og, [lambda x: x, lambda x: 1.0 - x])
+    prior = prior_from_weights(og, [lambda x: x, lambda x: 1.0 - x])
     yield "zero_mass", SingleObjectAuction("fpsb", 2), prior, [(make_uniform_grid(0, 1, 5),)] * 2
     mech, prior, action_grids, _ = split_tie_setting("scaled")
     yield "split_award", mech, prior, action_grids
@@ -627,8 +627,8 @@ def asymmetric_highest_bid_settings():
     action grid, and first price with agent 2 on a grid of its own, so only
     agent 2's opponents bid on one grid."""
     og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 4), make_uniform_grid(0, 1.2, 3)]
-    prior = independent_prior(og, [lambda x: np.ones_like(x), lambda x: x + 0.3,
-                                   lambda x: np.maximum(1.0 - x, 0.0)])
+    prior = prior_from_weights(og, [lambda x: np.ones_like(x), lambda x: x + 0.3,
+                                    lambda x: np.maximum(1.0 - x, 0.0)])
     one_grid = [(make_uniform_grid(0, 1, 4),)] * 3
     for kind in ("fpsb", "spsb", "all_pay"):
         for rho in (1.0, 0.5):

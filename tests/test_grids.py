@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy import stats
 
-from bnesolve.grids import Grid, discretize_density, make_uniform_grid
+from bnesolve.grids import Grid, make_uniform_grid
 
 
 def test_uniform_grid_three_points():
@@ -108,33 +107,3 @@ def test_nearest_index_on_jittered_equidistant_grids(jitter):
     x = nearest_index_probes(h, np.random.default_rng(6))
     assert np.array_equal(h.nearest_index(x), midpoint_search(h, x))
 
-
-def test_discretize_density_constant_is_exactly_uniform():
-    g = make_uniform_grid(0, 1, 4)
-    v = discretize_density(g, lambda x: np.ones_like(x))
-    assert np.array_equal(v, np.full(4, 0.25))
-
-
-def test_discretize_density_linear():
-    g = make_uniform_grid(0, 1, 3)
-    v = discretize_density(g, lambda x: x)
-    assert np.allclose(v, [0.0, 1 / 3, 2 / 3], atol=1e-15)
-
-
-def test_discretize_density_truncated_gaussian():
-    g = make_uniform_grid(1.0, 1.4, 32)
-    v = discretize_density(g, lambda x: np.exp(-0.5 * ((x - 1.2) / 0.1) ** 2))
-    expected = stats.norm.pdf(g.points, loc=1.2, scale=0.1)
-    expected /= expected.sum()
-    assert np.allclose(v, expected, atol=1e-12)
-    peak = np.argmax(v)
-    assert abs(g.points[peak] - 1.2) <= np.max(np.diff(g.points)) / 2
-    assert np.all(np.diff(v[:peak + 1]) > 0) and np.all(np.diff(v[peak:]) < 0)
-
-
-def test_discretize_density_rejects_degenerate():
-    g = make_uniform_grid(0, 1, 4)
-    with pytest.raises(ValueError):
-        discretize_density(g, lambda x: np.zeros_like(x))
-    with pytest.raises(ValueError):
-        discretize_density(g, lambda x: -np.ones_like(x))

@@ -7,17 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from bnesolve import priors
 from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.grids import make_uniform_grid
 from bnesolve.presets import get_preset
-from bnesolve.priors import (AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
-                             CommonValuePrior, Component, DiscretePrior,
-                             IndependentPrivatePrior, TruncatedGaussianMarginal,
-                             UniformMarginal, _bin_counts, _group_permutations,
-                             independent_prior, joint_from_latent)
-from oracles import dense_joint
+from bnesolve.priors import (CDF_TABLE_SIZE, AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
+                             CommonValuePrior, Component, CustomDensityMarginal,
+                             DiscretePrior, IndependentPrivatePrior,
+                             TruncatedGaussianMarginal, UniformMarginal, _bin_counts,
+                             _group_permutations, joint_from_latent)
+from oracles import dense_joint, prior_from_weights
 
 
 def grids(n, count=16, hi=1.0):
@@ -44,18 +45,18 @@ def check_invariants(prior):
 def test_independent_prior_outer_product():
     # the mass is the outer product of the marginals, held as the marginals
     # alone: one component of single-agent blocks, each point's mass the
-    # density there
+    # probability of its cell
     g = grids(2, 8)
-    prior = independent_prior(g, [lambda x: np.ones_like(x), lambda x: x + 0.5])
+    prior = IndependentPrivatePrior([UniformMarginal(0.0, 1.0),
+                                     CustomDensityMarginal(lambda x: x + 0.5, 0.0, 1.0)]
+                                    ).discretize(g)
     assert prior.independent and prior.values_equal_observations
     assert prior.obs_joint is None and prior.value_joint is None
-    assert prior.meta == {"construction": "density"}
+    assert prior.meta == {"kind": "independent", "construction": "exact"}
     (component,) = prior.components
     assert component.weight == 1.0
     assert [(agents, mass is prior.marginals[agents[0]]) for agents, mass in component.blocks] \
         == [((0,), True), ((1,), True)]
-    density = g[1].points + 0.5
-    assert np.array_equal(prior.marginals[1], density / density.sum())
     check_invariants(prior)
     assert np.array_equal(dense_joint(prior), np.outer(prior.marginals[0], prior.marginals[1]))
 
@@ -65,7 +66,7 @@ def test_independent_is_derived_from_the_joint():
     single-agent blocks: neither an independent prior with a joint nor a
     correlated one without can be built, and a dense joint is refused without
     the shared value it belongs to, since private values are components."""
-    prior = independent_prior(grids(2, 4), [lambda x: np.ones_like(x), lambda x: x + 0.5])
+    prior = prior_from_weights(grids(2, 4), [lambda x: np.ones_like(x), lambda x: x + 0.5])
     assert prior.independent
     joint = np.outer(prior.marginals[0], prior.marginals[1])
     with pytest.raises(ValueError, match="value joint"):
@@ -119,16 +120,17 @@ def test_full_support_enforced_by_default():
 
 
 def test_meta_names_each_prior_grid_mass_rule():
-    """On uniform values the density rule gives every point equal mass, the
-    exact rule half mass at the ends (each point its cell's length), and
-    binning doubles the end cells' counts to match the density rule."""
+    """One rule, two constructions: on uniform values every point gets the
+    length of its nearest-point cell, half at the ends, exactly from the cdf
+    for private values and estimated by nearest-point counts when binned."""
     g = grids(2, 5)
-    density = IndependentPrivatePrior([UniformMarginal(0, 1)] * 2).discretize(g)
-    assert density.meta == {"kind": "independent", "construction": "density"}
-    assert np.array_equal(density.marginals[0], np.full(5, 0.2))
+    cells = [0.125, 0.25, 0.25, 0.25, 0.125]
+    independent = IndependentPrivatePrior([UniformMarginal(0, 1)] * 2).discretize(g)
+    assert independent.meta == {"kind": "independent", "construction": "exact"}
+    assert np.array_equal(independent.marginals[0], cells)
     exact = BernoulliWeightsLLGPrior(0.5).discretize([*g, make_uniform_grid(0, 2, 5)])
     assert exact.meta["construction"] == "exact"
-    assert np.array_equal(exact.marginals[0], [0.125, 0.25, 0.25, 0.25, 0.125])
+    assert np.array_equal(exact.marginals[0], cells)
 
     def sampler(rng, size):
         w = rng.random((size, 3))
@@ -137,7 +139,7 @@ def test_meta_names_each_prior_grid_mass_rule():
     binned = joint_from_latent(sampler, make_uniform_grid(0, 1, 5), g, sample_count=400_000,
                                seed=1)
     assert binned.meta["construction"] == "binned"
-    assert np.max(np.abs(binned.marginals[0] - 0.2)) < 0.005
+    assert np.max(np.abs(binned.marginals[0] - cells)) < 0.005
     common = CommonValuePrior(2, sample_count=100_000, seed=0).discretize(
         grids(2, 4, hi=2.0), make_uniform_grid(0, 1, 4))
     assert common.meta["construction"] == "binned" and common.meta["kind"] == "common_value"
@@ -156,9 +158,10 @@ def test_common_value_marginal_shape_and_seed_stability():
     p1 = CommonValuePrior(3, sample_count=400_000, seed=1).discretize(og, vg)
     p2 = CommonValuePrior(3, sample_count=400_000, seed=2).discretize(og, vg)
     check_invariants(p1)
-    # signal density decreases away from zero; two independent seeds agree
+    # signal density decreases away from zero, so the interior cells' masses
+    # do; the end cell at zero is half a cell; two independent seeds agree
     m = p1.marginals[0]
-    assert np.all(np.diff(m[:10]) < 0)
+    assert np.all(np.diff(m[1:10]) < 0) and m[0] < m[1]
     assert 0.5 * np.sum(np.abs(m - p2.marginals[0])) < 0.005
 
 
@@ -307,6 +310,89 @@ def test_symmetrization_makes_grouped_agents_identical():
         assert np.allclose(prior.value_joint, prior.value_joint.transpose(swap), atol=1e-15)
 
 
+def cell_edges(grid, lower, upper):
+    """Both ends of every nearest-point cell: the support's ends and the midpoints."""
+    return np.concatenate(([lower], (grid.points[1:] + grid.points[:-1]) / 2, [upper]))
+
+
+def masses_of(marginal, grid):
+    return IndependentPrivatePrior([marginal]).discretize([grid]).marginals[0]
+
+
+def test_uniform_masses_are_cell_lengths():
+    g = make_uniform_grid(0.0, 1.0, 9)
+    assert np.array_equal(masses_of(UniformMarginal(0.0, 1.0), g), np.diff(cell_edges(g, 0, 1)))
+    # elsewhere the lengths over the interval's width, up to rounding
+    h = make_uniform_grid(1.0, 2.5, 7)
+    assert np.allclose(masses_of(UniformMarginal(1.0, 2.5), h),
+                       np.diff(cell_edges(h, 1.0, 2.5)) / 1.5, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mu, sigma, lower, upper", [
+    (1.2, 0.1, 1.0, 1.4),    # split_award_gaussian
+    (0.5, 1.0, 0.0, 1.0),
+    (0.0, 0.1, 1.0, 2.0),    # far out in the upper tail
+    (3.0, 0.2, 0.0, 1.0),    # far out in the lower tail
+])
+def test_truncated_gaussian_masses_are_cdf_differences(mu, sigma, lower, upper):
+    g = make_uniform_grid(lower, upper, 32)
+    masses = masses_of(TruncatedGaussianMarginal(mu, sigma, lower, upper), g)
+    a, b = (lower - mu) / sigma, (upper - mu) / sigma
+    cdf = stats.truncnorm.cdf(cell_edges(g, lower, upper), a, b, loc=mu, scale=sigma)
+    assert np.max(np.abs(masses - np.diff(cdf))) <= 1e-12
+
+
+def test_truncated_gaussian_without_mass_in_double_precision_is_refused():
+    # 100 to 200 standard deviations above the mean: both tails underflow
+    g = make_uniform_grid(1.0, 2.0, 8)
+    with pytest.raises(ValueError, match="no mass on"):
+        masses_of(TruncatedGaussianMarginal(0.0, 0.01, 1.0, 2.0), g)
+
+
+def test_custom_density_masses_are_differences_of_its_table():
+    fn = lambda x: np.exp(-3.0 * x) + np.sin(9.0 * x) ** 2  # noqa: E731
+    marginal = CustomDensityMarginal(fn, 0.2, 1.7)
+    x = np.linspace(0.2, 1.7, CDF_TABLE_SIZE)
+    table = integrate.cumulative_trapezoid(fn(x), x, initial=0.0)
+    g = make_uniform_grid(0.2, 1.7, 13)
+    cdf = np.interp(cell_edges(g, 0.2, 1.7), x, table / table[-1])
+    assert np.max(np.abs(masses_of(marginal, g) - np.diff(cdf))) <= 1e-12
+
+
+@pytest.mark.parametrize("marginal", [
+    UniformMarginal(0.0, 1.0), TruncatedGaussianMarginal(1.2, 0.1, 1.0, 1.4),
+    CustomDensityMarginal(lambda x: 2.0 * x, 0.0, 1.0)], ids=["uniform", "gaussian", "custom"])
+def test_masses_match_nearest_point_binning_of_draws(marginal):
+    """Evaluation sends each continuous draw to its nearest grid point, so the
+    prior must give every point the probability of its cell: 2^20 draws
+    binned that way match every mass within five binomial standard
+    deviations, the end points' half cells included."""
+    g = make_uniform_grid(marginal.lower, marginal.upper, 16)
+    masses = masses_of(marginal, g)
+    draws = 1 << 20
+    counts = np.bincount(g.nearest_index(marginal.sample(np.random.default_rng(3), draws)),
+                         minlength=g.count)
+    sd = np.sqrt(draws * masses * (1 - masses))
+    assert np.all(np.abs(counts - draws * masses) <= 5 * sd)
+
+
+def test_custom_density_rejects_degenerate():
+    # zero, negative and partly infinite densities
+    for fn in (np.zeros_like, lambda x: -np.ones_like(x),
+               lambda x: np.where(x < 0.5, np.inf, 1.0)):
+        with pytest.raises(ValueError, match="custom density"):
+            CustomDensityMarginal(fn, 0.0, 1.0)
+
+
+def test_custom_density_refuses_a_negative_table_point():
+    # negative only near 0.5, where no point of a 16-point grid lies: the
+    # density is refused, not clipped to zero where its table reads it
+    fn = lambda x: np.abs(x - 0.5) - 1e-3  # noqa: E731
+    assert np.all(fn(make_uniform_grid(0.0, 1.0, 16).points) > 0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        CustomDensityMarginal(fn, 0.0, 1.0)
+
+
 def test_truncated_gaussian_sampling_within_bounds():
     spec = TruncatedGaussianMarginal(1.2, 0.1, 1.0, 1.4)
     rng = np.random.default_rng(0)
@@ -326,7 +412,7 @@ def test_package_import_leaves_scipy_stats_unloaded():
 
 
 def test_value_weighted_joint_refuses_private_values():
-    prior = independent_prior(grids(2, 4), [lambda x: np.ones_like(x)] * 2)
+    prior = prior_from_weights(grids(2, 4), [lambda x: np.ones_like(x)] * 2)
     with pytest.raises(ValueError, match="interdependent"):
         prior.value_weighted_joint()
 
@@ -334,24 +420,19 @@ def test_value_weighted_joint_refuses_private_values():
 def reference_value_joints(sampler, val_grids, obs_grids, sample_count, seed, groups):
     """Per-agent value joints as they were binned before the value axis was
     shared: one value bincount per agent, then each agent's joint averaged
-    over the group permutations (one chunk of draws, density correction on)."""
+    over the group permutations (one chunk of draws, each draw's weight the
+    same)."""
     n = len(obs_grids)
     shape = tuple(g.count for g in obs_grids)
     size = int(np.prod(shape))
     values, obs = sampler(np.random.default_rng(seed), sample_count)
     obs_idx = [obs_grids[i].nearest_index(obs[:, i]) for i in range(n)]
-    w = np.ones(sample_count)
-    for g, idx in zip(obs_grids, obs_idx):
-        f = np.ones(g.count)
-        f[0] = f[-1] = 2.0
-        w *= f[idx]
     flat = np.ravel_multi_index(obs_idx, shape)
-    total = float(np.bincount(flat, weights=w, minlength=size).reshape(shape).sum())
     joints = []
     for i in range(n):
         m = val_grids[i].nearest_index(values[:, i])
-        counts = np.bincount(m * size + flat, weights=w, minlength=val_grids[i].count * size)
-        joints.append(counts.reshape((val_grids[i].count,) + shape) / total)
+        counts = np.bincount(m * size + flat, minlength=val_grids[i].count * size)
+        joints.append(counts.reshape((val_grids[i].count,) + shape) / float(sample_count))
     perms = _group_permutations(groups, n)
     out = []
     for i in range(n):

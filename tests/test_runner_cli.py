@@ -11,7 +11,6 @@ import pytest
 from bnesolve.cli import main
 from bnesolve.config import (RunConfig, _compile_density, build_problem,
                              config_from_mapping, load_config, parse_config_text)
-from bnesolve.grids import discretize_density
 from bnesolve.presets import get_preset, preset_names
 from bnesolve.runner import run_batch, run_sweep, solve
 
@@ -233,10 +232,26 @@ def test_density_expression_outside_whitelist_rejected(expr):
 
 
 def test_custom_density_discretizes_like_the_function():
+    # each point gets its cell's probability under the density, here
+    # exp(-o) on [0, 1], whose cdf is (1 - exp(-o)) / (1 - exp(-1)), up to
+    # the trapezoid rule's error
     problem = build_problem(fast_cfg(prior="custom_density", density="np.exp(-o)"))
     prior = problem.discretize()
+    assert prior.meta == {"kind": "independent", "construction": "exact"}
     for grid, marginal in zip(prior.obs_grids, prior.marginals):
-        assert np.array_equal(marginal, discretize_density(grid, lambda o: np.exp(-o)))
+        mid = (grid.points[1:] + grid.points[:-1]) / 2
+        cdf = -np.expm1(-np.concatenate(([0.0], mid, [1.0]))) / -np.expm1(-1.0)
+        assert np.max(np.abs(marginal - np.diff(cdf))) < 1e-8
+
+
+def test_density_vanishing_at_an_end_point_evaluates(tmp_path):
+    # 2*o vanishes at 0, but draws in the half cell of the point at 0 still
+    # reach it; that point's mass is its cell's probability, so no draw maps
+    # to a point of zero mass
+    problem = build_problem(RunConfig(prior="custom_density", density="2*o", obs_points=16,
+                                      action_points=16, eval_samples=1 << 14))
+    summary = run_batch(problem, tmp_path / "out")
+    assert [row["status"] for row in summary.rows] == ["ok"] * problem.config.runs
 
 
 def test_custom_density_agents_share_one_strategy():
@@ -530,6 +545,41 @@ def test_cli_missing_config(tmp_path, capsys):
     assert "config not found" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_config_path_naming_a_directory(tmp_path, capsys):
+    # as --config, and as an include line of a config file
+    with pytest.raises(FileNotFoundError, match="is not a file"):
+        load_config(tmp_path)
+    rc = main(["solve", "--config", str(tmp_path), "--quiet", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"error: config not found: {tmp_path} is not a file" in capsys.readouterr().err
+    cfg_path = tmp_path / "dir.cfg"
+    cfg_path.write_text("include = .\n")
+    with pytest.raises(FileNotFoundError, match="neither a preset nor a file"):
+        load_config(cfg_path)
+    rc = main(["solve", "--config", str(cfg_path), "--quiet", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"error: include '.' is neither a preset nor a file: {tmp_path}" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--grid", "4"], ["probe-vs"]],
+                         ids=["solve", "sweep", "probe-vs"])
+def test_cli_takes_exactly_one_of_config_and_preset(tmp_path, capsys, command):
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text("include = fpsb_2_uniform\nobs_points = 8\n")
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", str(cfg_path), "--preset", "tullock_r10", "--quiet",
+                        "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --preset: not allowed with argument --config" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--quiet", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "one of the arguments --config --preset is required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_refuses_dirty_out_dir(tmp_path, capsys):
     out = tmp_path / "busy"
     out.mkdir()
@@ -612,6 +662,21 @@ def test_cli_probe_vs_refuses_flags_it_does_not_read(capsys, flag):
         main(["probe-vs", "--preset", "fpsb_2_uniform", "--quiet"] + flag)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-3", "-0.5"])
+def test_cli_probe_vs_refuses_a_bad_scale_before_solving(capsys, monkeypatch, scale):
+    import bnesolve.cli as cli_mod
+
+    def never(*a, **kw):
+        raise AssertionError("solve ran before --scale was checked")
+
+    monkeypatch.setattr(cli_mod, "solve", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["probe-vs", "--preset", "fpsb_2_uniform", "--quiet", "--scale", scale])
+    assert exc.value.code == 2
+    assert f"argument --scale: must be a finite number >= 0, got {scale}" \
+        in capsys.readouterr().err
 
 
 def test_cli_probe_vs_refuses_a_non_empty_out_before_solving(tmp_path, capsys, monkeypatch):

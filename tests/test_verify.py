@@ -5,16 +5,15 @@ from bnesolve.gradient import GradientEngine, expected_utility
 from bnesolve.grids import make_uniform_grid
 from bnesolve.learners import run
 from bnesolve.mechanisms import SingleObjectAuction
-from bnesolve.priors import independent_prior
 from bnesolve.strategy import Strategy, init_strategy
 from bnesolve.verify import (best_response_matrix, collusive_profile,
                              relative_utility_loss, utility_loss, vs_probe)
-from oracles import enumerate_row_vertex_value
+from oracles import enumerate_row_vertex_value, prior_from_weights
 
 
 def setting(k=4, l=4):
     grids = [make_uniform_grid(0, 1, k)] * 2
-    prior = independent_prior(grids, [lambda x: np.ones_like(x)] * 2)
+    prior = prior_from_weights(grids, [lambda x: np.ones_like(x)] * 2)
     action_grids = [(make_uniform_grid(0, 1, l),)] * 2
     return SingleObjectAuction("fpsb", 2), prior, action_grids
 
@@ -84,7 +83,7 @@ def test_hand_built_two_action_game_certificate():
     # loses the good, matching ties pay nothing
     g = make_uniform_grid(0, 1, 2)
     ag = make_uniform_grid(0, 0.5, 2)
-    prior = independent_prior([g, g], [lambda x: np.array([0.0, 1.0])] * 2)
+    prior = prior_from_weights([g, g], [lambda x: np.array([0.0, 1.0])] * 2)
     mech = SingleObjectAuction("fpsb", 2)
     marginal = np.array([0.0, 1.0])
     high = Strategy(np.array([[0.0, 0.0], [0.0, 1.0]]), g, (ag,), marginal)
