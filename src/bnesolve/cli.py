@@ -16,9 +16,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-
-import numpy as np
-
 from .config import RunConfig, build_problem, config_from_mapping, load_config
 from .evaluate import evaluate, lookup_analytic
 from .gradient import agent_groups
@@ -87,16 +84,21 @@ def _cmd_evaluate(args) -> int:
     if analytic is None:
         print("no analytic baseline for this setting; in-game losses are in metrics.csv")
         return 0
+    n_agents = problem.mech.n_agents
+    agent_of = {f"strategy_agent{i}.csv": i for i in range(n_agents)}
     strategies = {}
     for path in sorted(run_dir.glob("strategy_agent*.csv")):
-        agent = int(path.stem.replace("strategy_agent", ""))
+        agent = agent_of.get(path.name)
+        if agent is None:
+            raise ValueError(f"{path.name}: not a strategy file of this game, whose "
+                             f"{n_agents} agents are strategy_agent0.csv to "
+                             f"strategy_agent{n_agents - 1}.csv")
         strategy, meta = load_strategy(path)
         if meta.get("mechanism") != cfg.mechanism or meta.get("prior") != cfg.prior:
             raise ValueError(f"{path.name}: stored for mechanism/prior "
                              f"{meta.get('mechanism')}/{meta.get('prior')}, requested "
                              f"{cfg.mechanism}/{cfg.prior}")
-        if not np.array_equal(strategy.obs_grid.points,
-                              problem.obs_grids[agent].points):
+        if strategy.obs_grid != problem.obs_grids[agent]:
             raise ValueError(f"{path.name}: observation grid mismatch with the "
                              "requested configuration")
         strategies[agent] = strategy
@@ -183,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--force", action="store_true",
-                        help="overwrite a non-empty output directory")
+                        help="write into a non-empty output directory, first removing "
+                             "what bnesolve wrote there")
         sp.add_argument("--quiet", action="store_true")
         if batch:
             sp.add_argument("--runs", type=int, default=None)

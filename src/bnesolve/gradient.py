@@ -33,9 +33,9 @@ The prior picks how the opponents' actions are weighted:
   conditional strategies, one GEMM per opponent, into weights of shape
   (values, K_i, L_-i).
 
-The payoff picks the path, one of ``PATHS``, and the path picks the method;
-the prior picks only the weights, which both methods take on either kind of
-prior:
+The payoff picks the path, ``affine`` where ``risk_rho == 1`` and ``tensor``
+otherwise, and the path picks the method; the prior picks only the weights,
+which both methods take on either kind of prior:
 
 * ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  The weights
   come as rows and a factor R over the trailing opponents: G and R on
@@ -75,8 +75,6 @@ from .priors import DiscretePrior
 from .strategy import Strategy, flatten_action_grids
 
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes of ex-post utilities held per agent at once
-
-PATHS = ("affine", "tensor")
 
 
 def _profile_components(flat_actions):
@@ -130,10 +128,9 @@ def _validate_groups(groups, prior: DiscretePrior, action_grids):
     for g in groups:
         rep = g[0]
         for j in g[1:]:
-            if not (np.array_equal(prior.obs_grids[j].points, prior.obs_grids[rep].points)
+            if not (prior.obs_grids[j] == prior.obs_grids[rep]
                     and np.array_equal(prior.marginals[j], prior.marginals[rep])
-                    and all(np.array_equal(a.points, b.points)
-                            for a, b in zip(action_grids[j], action_grids[rep]))):
+                    and action_grids[j] == action_grids[rep]):
                 raise ValueError(f"agents {rep} and {j} are grouped but not interchangeable")
 
 
@@ -177,15 +174,13 @@ class GradientEngine:
     one value at a time, so the budget bounds the bytes of ex-post utilities
     held per agent (one value's worth at least), give or take one value's
     worth of scratch.  When one chunk covers the whole axis, the chunk is
-    kept between calls.  ``cache_bytes`` counts every cached array.
-    ``prefer_path`` forces one of ``PATHS``; the engine refuses an unknown
-    path and ``affine`` for risk-averse payoffs.  One engine serves any
-    number of runs on the same problem.
+    kept between calls.  ``cache_bytes`` counts every cached array.  The
+    payoff picks ``path``: ``affine`` where ``risk_rho == 1``, else
+    ``tensor``.  One engine serves any number of runs on the same problem.
     """
 
     def __init__(self, mech: Mechanism, prior: DiscretePrior, action_grids_per_agent,
-                 memory_budget: int = DEFAULT_MEMORY_BUDGET, groups=None,
-                 prefer_path: str | None = None):
+                 memory_budget: int = DEFAULT_MEMORY_BUDGET, groups=None):
         self.mech = mech
         self.prior = prior
         self.action_grids = [tuple(g) for g in action_grids_per_agent]
@@ -197,7 +192,7 @@ class GradientEngine:
         self._affine_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._value_pair: np.ndarray | None = None
         self._utility_cache: dict[int, np.ndarray] = {}
-        self.path = self._select_path(prefer_path)
+        self.path = "affine" if mech.risk_rho == 1.0 else "tensor"
         # agent -> the one bid grid of its opponents, for agents whose
         # opponents' weights are the distribution of their highest bid
         self._top_bids: dict[int, np.ndarray] = {}
@@ -215,13 +210,6 @@ class GradientEngine:
                 kernel = mech.affine_kernel(i, self.action_grids, self._trailing(i))
                 if kernel is not None:
                     self._kernels[i] = kernel
-
-    def _select_path(self, prefer: str | None) -> str:
-        if prefer is not None and prefer not in PATHS:
-            raise ValueError(f"unknown gradient path '{prefer}' (choose from {PATHS})")
-        if prefer == "affine" and self.mech.risk_rho != 1.0:
-            raise ValueError("affine path needs risk-neutral payoffs (risk_rho = 1)")
-        return prefer or ("affine" if self.mech.risk_rho == 1.0 else "tensor")
 
     def cache_bytes(self) -> int:
         """Bytes held by the affine, kernel, value-weighted, utility and

@@ -1,75 +1,66 @@
-"""Discrete axes for observation, valuation, and action spaces."""
+"""Discrete axes for observation, valuation, and action spaces.
+
+Every axis is equidistant: a grid is the value ``(lower, upper, count)``.
+"""
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# Largest distance, in steps, of a point from its equidistant position for the
-# arithmetic nearest index.  Its one-step correction is exact while every
-# point is less than half a step away; this admits only equidistant axes,
-# up to the rounding of their points.
-EQUIDISTANT_SLACK = 1e-6
-
 
 @dataclass(frozen=True)
 class Grid:
-    """An ascending axis of discrete points spanning a closed interval.
+    """``count`` equidistant points spanning the closed interval [lower, upper].
 
-    ``points`` must be strictly increasing with ``points[0] == lower`` and
-    ``points[-1] == upper``.
-
-    On an equidistant axis (every point within ``EQUIDISTANT_SLACK`` steps of
-    its equidistant position, as ``make_uniform_grid`` and files written from
-    it give) ``nearest_index`` rounds arithmetically; on any other axis it
-    searches the midpoints.  Both give the same index.
+    Grids with the same three fields are equal and hash alike.  ``points``
+    (``np.linspace(lower, upper, count)``) and ``midpoints``, where
+    neighbouring points' nearest-point cells meet, are computed once and are
+    read-only.  The bounds must be finite with ``lower < upper``, and
+    ``count`` an integer of at least 2 (a float count is a ``TypeError``).
     """
 
-    points: np.ndarray
     lower: float
     upper: float
-    _midpoints: np.ndarray = field(init=False, repr=False, compare=False)
-    # midpoints padded with NaN at both ends on an equidistant axis, else None
-    _cells: np.ndarray | None = field(init=False, repr=False, compare=False)
+    count: int
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    midpoints: np.ndarray = field(init=False, repr=False, compare=False)
+    # the midpoints padded with NaN at both ends, for nearest_index's correction
+    _cells: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("grid needs at least 2 points on one axis")
-        if not np.all(np.diff(pts) > 0):
-            raise ValueError("grid points must be strictly increasing")
-        if pts[0] != self.lower or pts[-1] != self.upper:
-            raise ValueError("grid points must span [lower, upper] exactly")
-        mid = (pts[:-1] + pts[1:]) / 2.0
-        step = (self.upper - self.lower) / (pts.size - 1)
-        ideal = self.lower + step * np.arange(pts.size)
-        cells = None
-        if np.max(np.abs(pts - ideal)) <= EQUIDISTANT_SLACK * step:
-            cells = np.concatenate(([np.nan], mid, [np.nan]))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_midpoints", mid)
-        object.__setattr__(self, "_cells", cells)
-
-    @property
-    def count(self) -> int:
-        return self.points.size
+        lower, upper = float(self.lower), float(self.upper)
+        if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
+            raise ValueError(f"grid bounds must be finite with lower < upper, "
+                             f"got [{lower}, {upper}]")
+        count = operator.index(self.count)
+        if count < 2:
+            raise ValueError(f"a grid needs a count >= 2, got {count}")
+        points = np.linspace(lower, upper, count)
+        midpoints = (points[:-1] + points[1:]) / 2.0
+        cells = np.concatenate(([np.nan], midpoints, [np.nan]))
+        for name, value in (("lower", lower), ("upper", upper), ("count", count),
+                            ("points", points), ("midpoints", midpoints), ("_cells", cells)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def nearest_index(self, x):
         """Index of the grid point closest to ``x`` (scalar or array).
 
-        Values outside the interval are clamped to the bounds.  Exact
-        midpoints between two grid points resolve to the lower index.
+        Values outside the interval are clamped to the bounds, and NaN goes
+        to the top point.  Exact midpoints between two grid points resolve to
+        the lower index.
         """
-        if self._cells is None:
-            return np.searchsorted(self._midpoints, np.clip(x, self.lower, self.upper),
-                                   side="left")
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 0:
             return self.nearest_index(x[None])[0]
         # round to the nearest equidistant position, clamped to the axis (fmin
-        # first sends NaN to the top point, where searching the midpoints puts it)
-        last = self.points.size - 1
+        # first sends NaN to the top point)
+        last = self.count - 1
         t = np.subtract(x, self.lower)
         t *= last / (self.upper - self.lower)
         t += 0.5
@@ -90,10 +81,4 @@ class Grid:
 
 def make_uniform_grid(lower: float, upper: float, count: int) -> Grid:
     """Equidistant grid of ``count`` points spanning ``[lower, upper]``."""
-    if count < 2:
-        raise ValueError(f"count must be >= 2, got {count}")
-    if not lower < upper:
-        raise ValueError(f"need lower < upper, got [{lower}, {upper}]")
-    pts = np.linspace(lower, upper, count)
-    return Grid(pts, float(lower), float(upper))
-
+    return Grid(lower, upper, count)

@@ -408,8 +408,7 @@ def _cell_edges(grid: Grid, lower: float, upper: float):
     """Lower and upper edges of the grid points' nearest-point cells within
     [lower, upper]: the cells meet at the midpoints, and the end cells reach
     to the interval's ends (values beyond the grid's ends bin to its ends)."""
-    mid = (grid.points[:-1] + grid.points[1:]) / 2.0
-    edges = np.concatenate(([lower], np.clip(mid, lower, upper), [upper]))
+    edges = np.concatenate(([lower], np.clip(grid.midpoints, lower, upper), [upper]))
     return edges[:-1], edges[1:]
 
 

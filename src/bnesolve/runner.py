@@ -6,7 +6,9 @@
 learner settings.  ``run_batch`` solves a problem once per seed and writes
 the artifacts below.
 
-Layout of a batch output directory:
+Layout of a batch output directory (a sweep's holds ``sweep.csv`` and one
+batch directory ``k<points>/`` per grid size; ``probe-vs`` writes
+``probe.json``):
 
     out/
       config.cfg            resolved configuration (hash recorded inside)
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+import shutil
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -52,13 +56,26 @@ class BatchSummary:
         return self.aggregates.get("std", {}).get(key)
 
 
+# what batches, sweeps and probes write into an output directory; --force
+# removes these and leaves everything else there
+_WRITTEN_FILES = ("config.cfg", "summary.csv", "sweep.csv", "probe.json")
+_WRITTEN_DIRS = re.compile(r"run_\d{3,}|k\d+")
+
+
 def prepare_out_dir(out, force: bool = False) -> Path:
+    """Make ``out``, refusing a non-empty one unless ``force``; with ``force``,
+    what an earlier batch, sweep or probe wrote there is removed first."""
     out = Path(out)
     if out.exists() and not out.is_dir():
         raise FileExistsError(f"output path {out} exists and is not a directory")
     if out.exists() and any(out.iterdir()):
         if not force:
             raise FileExistsError(f"output directory {out} is not empty (use --force)")
+        for entry in out.iterdir():
+            if entry.is_dir() and _WRITTEN_DIRS.fullmatch(entry.name):
+                shutil.rmtree(entry)
+            elif entry.is_file() and entry.name in _WRITTEN_FILES:
+                entry.unlink()
     out.mkdir(parents=True, exist_ok=True)
     return out
 

@@ -220,9 +220,18 @@ def _grid_to_json(g: Grid) -> dict:
             "upper": repr(float(g.upper))}
 
 
-def _grid_from_json(d: dict) -> Grid:
+def _grid_from_json(d: dict, source: Path) -> Grid:
+    """The sidecar's grid, refused, naming ``source``, unless its points are
+    the equidistant points of its bounds and count bit for bit."""
     pts = np.array([float(p) for p in d["points"]])
-    return Grid(pts, float(d["lower"]), float(d["upper"]))
+    try:
+        grid = Grid(float(d["lower"]), float(d["upper"]), len(pts))
+    except ValueError as exc:
+        raise ValueError(f"{source.name}: {exc}") from None
+    if not np.array_equal(pts, grid.points):
+        raise ValueError(f"{source.name}: grid points are not the {grid.count} equidistant "
+                         f"points of [{grid.lower!r}, {grid.upper!r}]")
+    return grid
 
 
 def sidecar_path(path) -> Path:
@@ -250,12 +259,15 @@ def load_strategy(path) -> tuple[Strategy, dict]:
     The file's first line must be ``MATRIX_HEADER``, and its body one line of
     masses per observation point and one mass per flattened action of the
     sidecar's grids; any other header (such as the earlier layout of one line
-    per entry) or shape, ragged lines included, is refused.
+    per entry) or shape, ragged lines included, is refused.  Each sidecar
+    grid is rebuilt from its bounds and point count, and refused unless its
+    stored points are the rebuilt grid's bit for bit.
     """
     path = Path(path)
-    meta = json.loads(sidecar_path(path).read_text())
-    obs_grid = _grid_from_json(meta["obs_grid"])
-    action_grids = tuple(_grid_from_json(g) for g in meta["action_grids"])
+    source = sidecar_path(path)
+    meta = json.loads(source.read_text())
+    obs_grid = _grid_from_json(meta["obs_grid"], source)
+    action_grids = tuple(_grid_from_json(g, source) for g in meta["action_grids"])
     marginal = np.array([float(m) for m in meta["marginal"]])
     shape = (obs_grid.count, int(np.prod([g.count for g in action_grids])))
     with path.open() as fh:

@@ -11,8 +11,11 @@ output before and after it:
 
     PYTHONPATH=src python tests/fingerprint_presets.py > fingerprints.txt
 
-Names given as arguments restrict the run to those presets.  pytest does not
-collect this file.
+Over every preset the output ends with one more line, ``all <sha256>``: the
+SHA-256 of the lines above it (what ``sha256sum`` prints for them), so two
+trees can be compared by that line alone.  Names given as arguments restrict
+the run to those presets and leave that line out.  pytest does not collect
+this file.
 """
 
 import hashlib
@@ -45,8 +48,13 @@ def fingerprint(name: str) -> str:
 
 
 def main(names) -> None:
+    digest = hashlib.sha256()
     for name in names or preset_names():
-        print(fingerprint(name), flush=True)
+        line = fingerprint(name)
+        digest.update(f"{line}\n".encode())
+        print(line, flush=True)
+    if not names:
+        print(f"all {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

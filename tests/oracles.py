@@ -25,6 +25,17 @@ def prior_from_weights(grids, weights):
     return DiscretePrior(tuple(grids), tuple(marginals), None)
 
 
+def tensor_engine(*args, **kwargs):
+    """A ``GradientEngine`` set onto the tensor path, which its payoff picks
+    only where ``risk_rho != 1``, so that both paths can be compared on one
+    risk-neutral game."""
+    from bnesolve.gradient import GradientEngine
+
+    engine = GradientEngine(*args, **kwargs)
+    engine.path = "tensor"
+    return engine
+
+
 def component_mass(prior, k):
     """Mass of observation cell ``k`` of a prior held as components: over the
     components, the weight times the product of the blocks' masses at k."""

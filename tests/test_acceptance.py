@@ -16,7 +16,7 @@ from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.presets import get_preset
 from bnesolve.priors import Component, DiscretePrior
 from oracles import (enumerate_row_vertex_value, naive_expected_utility, naive_gradient,
-                     prior_from_weights, qp_project_simplex)
+                     prior_from_weights, qp_project_simplex, tensor_engine)
 
 EVAL_SAMPLES = 1 << 18
 
@@ -262,8 +262,7 @@ def test_criterion_08_tullock_contests():
 def tensor_gradients(mech, prior, action_grids, strategies):
     """Agent 0's tensor-path gradients: one chunk, then one own value per chunk."""
     cells = int(np.prod([g.count for grids in action_grids for g in grids]))
-    return [b.GradientEngine(mech, prior, action_grids, memory_budget=budget,
-                             prefer_path="tensor").gradient(strategies, 0)
+    return [tensor_engine(mech, prior, action_grids, memory_budget=budget).gradient(strategies, 0)
             for budget in (b.gradient.DEFAULT_MEMORY_BUDGET, 8 * cells)]
 
 
@@ -302,8 +301,7 @@ def test_criterion_09_oracle_equivalences():
             engine = b.GradientEngine(m, p, ag, groups=[list(range(n))])
             assert 0 in engine._top_bids and not held.independent
             c_sym = engine.gradient([shared] * n, 0)
-            c_affine = b.GradientEngine(m, held, ag, prefer_path="affine").gradient(
-                [shared] * n, 0)
+            c_affine = b.GradientEngine(m, held, ag).gradient([shared] * n, 0)
             for c_gen in tensor_gradients(m, held, ag, [shared] * n) + [c_affine]:
                 d_sym = max(d_sym, float(np.max(np.abs(c_gen - c_sym))))
     # closed-form best response vs row-vertex enumeration

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bnesolve.config import build_problem, config_from_mapping
-from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, PATHS, GradientEngine, expected_utility
+from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, expected_utility
 from bnesolve.grids import make_uniform_grid
 from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuction,
                                  TullockContest)
@@ -12,7 +12,8 @@ from bnesolve.presets import get_preset
 from bnesolve.priors import (AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
                              CommonValuePrior, Component, DiscretePrior)
 from bnesolve.strategy import init_strategy
-from oracles import dense_joint, naive_expected_utility, naive_gradient, prior_from_weights
+from oracles import (dense_joint, naive_expected_utility, naive_gradient, prior_from_weights,
+                     tensor_engine)
 
 
 def ipv_setting(kind="fpsb", n=2, k=3, l=3, rho=1.0, seed=0, density=None):
@@ -32,8 +33,7 @@ def tensor_gradients(mech, prior, action_grids, strategies, agent):
     then from the block-mate weights of the same prior held as one block."""
     cells = int(np.prod([g.count for grids in action_grids for g in grids]))
     priors = [prior, one_block(prior)] if prior.independent else [prior]
-    return [GradientEngine(mech, p, action_grids, memory_budget=budget,
-                           prefer_path="tensor").gradient(strategies, agent)
+    return [tensor_engine(mech, p, action_grids, memory_budget=budget).gradient(strategies, agent)
             for p in priors for budget in (DEFAULT_MEMORY_BUDGET, 2 * 8 * cells)]
 
 
@@ -67,8 +67,7 @@ def one_block_gradients(mech, prior, action_grids, strategies, agent):
     held = one_block(prior)
     out = tensor_gradients(mech, held, action_grids, strategies, agent)
     if mech.risk_rho == 1.0:
-        out.append(GradientEngine(mech, held, action_grids,
-                                  prefer_path="affine").gradient(strategies, agent))
+        out.append(GradientEngine(mech, held, action_grids).gradient(strategies, agent))
     return out
 
 
@@ -172,9 +171,9 @@ def test_dense_interdependent_gradients_match_naive():
                                  prior.marginals[i], seed=4 + i) for i in range(n)]
         for kind, rho in (("fpsb", 1.0), ("spsb", 1.0), ("fpsb", 0.5)):
             mech = SingleObjectAuction(kind, n, risk_rho=rho)
-            paths = PATHS if rho == 1.0 else ("tensor",)
-            engines = [GradientEngine(mech, prior, action_grids, prefer_path=path)
-                       for path in paths]
+            engines = [GradientEngine(mech, prior, action_grids)]
+            if rho == 1.0:
+                engines.append(tensor_engine(mech, prior, action_grids))
             for agent in range(n):
                 oracle = naive_gradient(mech, prior, profile, agent)
                 for engine in engines:
@@ -284,14 +283,6 @@ def test_highest_bid_row_win_mass_conservation():
         assert abs(total - 1.0) < 1e-10
 
 
-def test_symmetric_path_rejects_unsupported():
-    # the order statistic is a row of the factorized branch, not a path
-    mech, prior, action_grids, _ = ipv_setting()
-    for m in (mech, TullockContest(1.0)):
-        with pytest.raises(ValueError, match="unknown gradient path 'symmetric'"):
-            GradientEngine(m, prior, action_grids, groups=[[0, 1]], prefer_path="symmetric")
-
-
 def test_highest_bid_row_speed_many_agents():
     import time
     mech, prior, action_grids, strategies = ipv_setting(n=10, k=64, l=64)
@@ -303,8 +294,7 @@ def test_highest_bid_row_speed_many_agents():
 
 def test_engine_paths_agree():
     mech, prior, action_grids, strategies = ipv_setting(kind="spsb", n=2, k=5, l=6, seed=9)
-    c_affine = GradientEngine(mech, prior, action_grids,
-                              prefer_path="affine").gradient(strategies, 0)
+    c_affine = GradientEngine(mech, prior, action_grids).gradient(strategies, 0)
     for c in tensor_gradients(mech, prior, action_grids, strategies, 0):
         assert np.max(np.abs(c_affine - c)) < 1e-12
 
@@ -337,24 +327,11 @@ def test_engine_path_selection():
     assert not GradientEngine(mech, one_block(prior), action_grids)._top_bids
 
 
-def test_engine_rejects_risk_averse_affine_path():
-    mech, prior, action_grids, _ = ipv_setting(n=2, k=4, l=4, rho=0.5)
-    with pytest.raises(ValueError, match="risk-neutral"):
-        GradientEngine(mech, prior, action_grids, prefer_path="affine")
-
-
-def test_engine_rejects_unknown_path():
-    mech, prior, action_grids, _ = ipv_setting(n=2, k=4, l=4)
-    for name in ("bogus", "streaming", "symmetric"):
-        with pytest.raises(ValueError, match="affine.*tensor"):
-            GradientEngine(mech, prior, action_grids, prefer_path=name)
-
-
 def test_engine_chunked_matches_on_risk_averse():
     mech, prior, action_grids, strategies = ipv_setting(kind="all_pay", k=6, l=7, rho=0.5)
-    full = GradientEngine(mech, prior, action_grids, prefer_path="tensor")
-    tiny = GradientEngine(mech, prior, action_grids, prefer_path="tensor",
-                          memory_budget=1000)
+    full = GradientEngine(mech, prior, action_grids)
+    tiny = GradientEngine(mech, prior, action_grids, memory_budget=1000)
+    assert full.path == tiny.path == "tensor"
     for agent in range(2):
         c1 = full.gradient(strategies, agent)
         c2 = tiny.gradient(strategies, agent)
@@ -417,9 +394,9 @@ def test_in_place_utilities_bitwise_equal_one_expression(rows):
         budget = DEFAULT_MEMORY_BUDGET if rows is None else rows * row
         groups = [[0, 1, 2]] if label == "fpsb" else None
         engine = GradientEngine(mech, prior, action_grids, memory_budget=budget,
-                                groups=groups, prefer_path=path)
+                                groups=groups)
         reference = OneExpressionEngine(mech, prior, action_grids, memory_budget=budget,
-                                        groups=groups, prefer_path=path)
+                                        groups=groups)
         assert engine.path == path and (label == "fpsb") == bool(engine._top_bids)
         for agent in range(1 if groups else 3):
             expected = reference.gradient(profile, agent)
@@ -667,9 +644,10 @@ def test_factorized_branch_skips_opponent_weights(monkeypatch):
     settings += with_strategies(asymmetric_highest_bid_settings())
     settings += [s[1:] for s in (*llg_component_settings(), *interleaved_component_settings())]
     for _, mech, prior, action_grids, strategies in settings:
-        paths = ("affine", "tensor") if mech.risk_rho == 1.0 else ("tensor",)
-        for path in paths:
-            engine = GradientEngine(mech, prior, action_grids, prefer_path=path)
+        engines = [GradientEngine(mech, prior, action_grids)]
+        if mech.risk_rho == 1.0:
+            engines.append(tensor_engine(mech, prior, action_grids))
+        for engine in engines:
             for agent in range(prior.n_agents):
                 engine.gradient(strategies, agent)
     assert calls == []
@@ -681,9 +659,8 @@ def test_factorized_branch_skips_opponent_weights(monkeypatch):
     grids = [(make_uniform_grid(0, 1.5, 3),)] * 2
     profile = [init_strategy("random", og[i], grids[i], common.marginals[i], seed=i)
                for i in range(2)]
-    for path in PATHS:
-        GradientEngine(SingleObjectAuction("spsb", 2), common, grids,
-                       prefer_path=path).gradient(profile, 1)
+    for make in (GradientEngine, tensor_engine):
+        make(SingleObjectAuction("spsb", 2), common, grids).gradient(profile, 1)
     assert calls == [1, 1]
 
 
@@ -750,13 +727,14 @@ def test_component_prior_gradients_match_naive():
         assert prior.components is not None
         agents = [0, 2] if groups else [0, 1, 2]
         oracles = {a: naive_gradient(mech, prior, profile, a) for a in agents}
-        paths = PATHS if mech.risk_rho == 1.0 else ("tensor",)
-        for path in paths:
-            engine = GradientEngine(mech, prior, action_grids, groups=groups, prefer_path=path)
+        engines = [GradientEngine(mech, prior, action_grids, groups=groups)]
+        if mech.risk_rho == 1.0:
+            engines.append(tensor_engine(mech, prior, action_grids, groups=groups))
+        for engine in engines:
             for a in agents:
                 c = engine.gradient(profile, a)
-                assert c.flags.c_contiguous, (label, path, a)
-                assert np.max(np.abs(c - oracles[a])) < 1e-12, (label, path, a)
+                assert c.flags.c_contiguous, (label, engine.path, a)
+                assert np.max(np.abs(c - oracles[a])) < 1e-12, (label, engine.path, a)
 
 
 def test_split_award_kernel_one_row_matches_dense():
@@ -807,12 +785,10 @@ def layout_settings():
     profile = [init_strategy("random", llg_prior.obs_grids[i], llg.action_grids[i],
                              llg_prior.marginals[i], seed=i) for i in range(3)]
     yield "affine_components", GradientEngine(llg.mech, llg_prior, llg.action_grids), profile
-    yield "tensor_components", GradientEngine(llg.mech, llg_prior, llg.action_grids,
-                                              prefer_path="tensor"), profile
+    yield "tensor_components", tensor_engine(llg.mech, llg_prior, llg.action_grids), profile
     held = one_block(llg_prior)
     yield "affine_one_block", GradientEngine(llg.mech, held, llg.action_grids), profile
-    yield "tensor_one_block", GradientEngine(llg.mech, held, llg.action_grids,
-                                             prefer_path="tensor"), profile
+    yield "tensor_one_block", tensor_engine(llg.mech, held, llg.action_grids), profile
     og = [make_uniform_grid(0, 2, 3)] * 2
     common = CommonValuePrior(2, sample_count=100_000, seed=0).discretize(
         og, make_uniform_grid(0, 1, 4))

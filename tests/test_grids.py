@@ -27,10 +27,27 @@ def test_uniform_grid_rejects_bad_inputs():
 
 
 def test_grid_validation():
+    for lower, upper, count in [(0.0, 1.0, 1), (0.0, 1.0, 0), (1.0, 1.0, 3),
+                                (1.0, 0.0, 3), (0.0, np.inf, 3), (-np.inf, 1.0, 3),
+                                (np.nan, 1.0, 3), (0.0, np.nan, 3)]:
+        with pytest.raises(ValueError, match="count >= 2|finite with lower < upper"):
+            Grid(lower, upper, count)
+    with pytest.raises(TypeError):
+        Grid(0.0, 1.0, 2.0)
+
+
+def test_grid_is_the_value_of_its_bounds_and_count():
+    g = Grid(0.0, 1.0, 5)
+    assert g == make_uniform_grid(0, 1, 5) and hash(g) == hash(make_uniform_grid(0, 1, 5))
+    assert len({g, Grid(0, 1, 5), Grid(0.0, 1.0, np.int64(5))}) == 1
+    assert g != Grid(0.0, 1.0, 6) and g != Grid(0.0, 2.0, 5) and g != Grid(-1.0, 1.0, 5)
+    assert np.array_equal(g.points, np.linspace(0.0, 1.0, 5))
+    assert (g.lower, g.upper, g.count) == (0.0, 1.0, 5) and type(g.count) is int
+    assert np.array_equal(g.midpoints, [0.125, 0.375, 0.625, 0.875])
+    # computed once and read-only, so equal grids cannot come to differ
+    assert g.points is g.points and not g.points.flags.writeable
     with pytest.raises(ValueError):
-        Grid(np.array([0.0, 0.0, 1.0]), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        Grid(np.array([0.1, 0.5, 1.0]), 0.0, 1.0)
+        g.midpoints[0] = 0.0
 
 
 def test_nearest_point_and_ties():
@@ -59,7 +76,7 @@ def test_nearest_index_vectorized_matches_scalar():
 
 def midpoint_search(g, x):
     """The nearest index by searching the grid's midpoints, ties to the lower point."""
-    return np.searchsorted(g._midpoints, np.clip(x, g.lower, g.upper), side="left")
+    return np.searchsorted(g.midpoints, np.clip(x, g.lower, g.upper), side="left")
 
 
 def nearest_index_probes(g, rng):
@@ -67,7 +84,7 @@ def nearest_index_probes(g, rng):
     neighbouring doubles, the grid points, the bounds, both infinities and NaN
     (which searching the midpoints puts on the top point)."""
     pad = 0.05 * (g.upper - g.lower)
-    mid = g._midpoints
+    mid = g.midpoints
     return np.concatenate([rng.uniform(g.lower - pad, g.upper + pad, 100_000), mid,
                            np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf), g.points,
                            [g.lower, g.upper, np.nextafter(g.lower, -np.inf),
@@ -82,28 +99,6 @@ def test_nearest_index_matches_midpoint_search_on_shipped_grids(lower, upper, co
     expected = midpoint_search(g, x)
     assert np.array_equal(g.nearest_index(x), expected)
     # exact midpoints resolve to the lower point
-    assert np.array_equal(g.nearest_index(g._midpoints), np.arange(count - 1))
-    for v in (g.lower, g.upper, np.inf, -np.inf, np.nan, float(g._midpoints[count // 2])):
+    assert np.array_equal(g.nearest_index(g.midpoints), np.arange(count - 1))
+    for v in (g.lower, g.upper, np.inf, -np.inf, np.nan, float(g.midpoints[count // 2])):
         assert g.nearest_index(v) == midpoint_search(g, v)
-
-
-def test_nearest_index_on_a_non_equidistant_grid():
-    pts = np.geomspace(1.0, 9.0, 40) - 1.0
-    g = Grid(pts, 0.0, float(pts[-1]))
-    x = nearest_index_probes(g, np.random.default_rng(3))
-    assert np.array_equal(g.nearest_index(x), midpoint_search(g, x))
-    assert np.array_equal(g.nearest_index(g._midpoints), np.arange(39))
-
-
-@pytest.mark.parametrize("jitter", [1e-12, 1e-7, 1e-3, 0.2])
-def test_nearest_index_on_jittered_equidistant_grids(jitter):
-    # interior points moved by up to ``jitter`` steps, on either side of the
-    # slack that decides between rounding and searching
-    g = make_uniform_grid(0.3, 1.2, 64)
-    step = 0.9 / 63
-    shift = np.random.default_rng(5).uniform(-jitter, jitter, 64) * step
-    shift[0] = shift[-1] = 0.0
-    h = Grid(g.points + shift, g.lower, g.upper)
-    x = nearest_index_probes(h, np.random.default_rng(6))
-    assert np.array_equal(h.nearest_index(x), midpoint_search(h, x))
-

@@ -371,9 +371,8 @@ def test_entropic_shipped_presets_iteration_counts():
         assert res.converged and res.iterations == iterations, name
 
 
-@pytest.mark.parametrize("name", ["fpsb_sweep", "risk_fpsb_r05", "risk_fpsb_r07",
-                                  "risk_fpsb_r09", "risk_fpsb_r10", "risk_allpay_r09",
-                                  "risk_allpay_r10"])
+@pytest.mark.parametrize("name", ["risk_fpsb_r05", "risk_fpsb_r07", "risk_fpsb_r09",
+                                  "risk_fpsb_r10", "risk_allpay_r09", "risk_allpay_r10"])
 def test_slow_single_object_presets_certify_within_their_cap(name):
     # these need more than the default 1000 iterations at seed (0, 0)
     problem = build_problem(config_from_mapping(get_preset(name)))

@@ -417,6 +417,49 @@ def test_value_weighted_joint_refuses_private_values():
         prior.value_weighted_joint()
 
 
+def malformed_priors():
+    """(arguments of ``DiscretePrior``, the refusal they meet): one malformed
+    prior per refusal, each built from a valid two-agent prior on three-point
+    grids that breaks one rule."""
+    g3, g2 = make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 2)
+    m3, m2, flat = np.array([0.25, 0.5, 0.25]), np.array([0.5, 0.5]), np.full(3, 1 / 3)
+    joint = np.multiply.outer(m3, m3)
+    values = np.stack([joint / 2, joint / 2])
+    dense = dict(obs_grids=(g3, g3), marginals=(m3, m3), obs_joint=joint, value_grid=g2,
+                 value_joint=values)
+    blocks = (((0,), m3), ((1,), m3))
+    held = dict(obs_grids=(g3, g3), marginals=(m3, m3), obs_joint=None)
+
+    def parts(*pairs):
+        return dict(held, components=tuple(Component(w, b) for w, b in pairs))
+
+    return [
+        (dict(held, marginals=(m3,)), "one entry per agent"),
+        (dict(held, marginals=(m3, m2)), "marginal length must match"),
+        (dict(held, marginals=(m3, np.array([0.5, 0.5, 0.5]))), "probability vectors"),
+        (dict(dense, components=(Component(1.0, blocks),)), "either obs_joint or components"),
+        (dict(dense, value_grid=None, value_joint=None), "needs a value joint"),
+        (dict(dense, obs_joint=np.multiply.outer(m3, m2)), "obs_joint shape must match"),
+        (dict(dense, obs_joint=2 * joint), "obs_joint must be a probability mass"),
+        (dict(dense, obs_joint=np.multiply.outer(m3, flat)),
+         "obs_joint does not marginalize to agent 1"),
+        (dict(dense, value_grid=None), "value joint needs a value grid"),
+        (dict(dense, value_joint=np.stack([joint, joint])), "does not sum back to obs_joint"),
+        (parts((0.5, blocks)), "weights must be positive and sum to 1"),
+        (parts((1.0, blocks[:1])), "blocks must partition the agents"),
+        (parts((1.0, (((1, 0), joint),))), "block mass shape must match"),
+        (parts((1.0, (((0,), 2 * m3), blocks[1]))), "block masses must be probability masses"),
+        (parts((1.0, (((0,), flat), blocks[1]))), "components do not marginalize to agent 0"),
+    ]
+
+
+@pytest.mark.parametrize("arguments, message", malformed_priors(),
+                         ids=[message for _, message in malformed_priors()])
+def test_discrete_prior_refuses_malformed_input(arguments, message):
+    with pytest.raises(ValueError, match=message):
+        DiscretePrior(**arguments)
+
+
 def reference_value_joints(sampler, val_grids, obs_grids, sample_count, seed, groups):
     """Per-agent value joints as they were binned before the value axis was
     shared: one value bincount per agent, then each agent's joint averaged

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,14 @@ def read_summary(path):
     with path.open() as fh:
         rows = [r for r in csv.DictReader(line for line in fh if not line.startswith("#"))]
     return rows
+
+
+def write_fast_cfg(path, include="fpsb_2_uniform", **overrides):
+    """A config file: ``include`` with the FAST settings and ``overrides``."""
+    lines = [f"include = {include}"] + [f"{k} = {json.dumps(v)}"
+                                        for k, v in {**FAST, **overrides}.items()]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 # -- config parsing -----------------------------------------------------------
@@ -485,6 +494,68 @@ def test_cli_evaluate_names_a_missing_strategy_file(tmp_path, capsys):
     assert str(run_dir / "strategy_agent0.csv") in err and "agent 0" in err
 
 
+@pytest.mark.parametrize("stray", ["strategy_agent7.csv", "strategy_agent_x.csv",
+                                   "strategy_agent01.csv"])
+def test_cli_evaluate_refuses_a_stray_strategy_file(tmp_path, capsys, stray):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(write_fast_cfg(tmp_path / "fast.cfg")),
+                 "--out", str(out), "--runs", "1", "--quiet"]) == 0
+    run_dir = out / "run_000"
+    for suffix in ("", ".meta.json"):
+        shutil.copy(run_dir / f"strategy_agent0.csv{suffix}", run_dir / f"{stray}{suffix}")
+    capsys.readouterr()
+    assert main(["evaluate", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert stray in err and "2 agents" in err and "Traceback" not in err
+
+
+def test_cli_evaluate_refuses_strategies_of_another_game(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(write_fast_cfg(tmp_path / "fast.cfg")),
+                 "--out", str(out), "--runs", "1", "--quiet"]) == 0
+    capsys.readouterr()
+    # the same grids and a baseline, under another prior
+    other = write_fast_cfg(tmp_path / "affiliated.cfg", include="affiliated_fpsb",
+                           obs_points=12, prior_samples=100_000)
+    rc = main(["evaluate", "--run-dir", str(out / "run_000"), "--config", str(other)])
+    assert rc == 2
+    assert ("strategy_agent0.csv: stored for mechanism/prior fpsb/uniform, requested "
+            "fpsb/affiliated") in capsys.readouterr().err
+
+
+def test_cli_evaluate_without_an_analytic_baseline(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = write_fast_cfg(tmp_path / "spsb.cfg", mechanism="spsb")
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out), "--runs", "1",
+                 "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--run-dir", str(out / "run_000")]) == 0
+    assert capsys.readouterr().out.startswith("no analytic baseline for this setting")
+
+
+def test_cli_solve_n_samples_sets_eval_samples(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(write_fast_cfg(tmp_path / "fast.cfg")),
+                 "--out", str(out), "--runs", "1", "--n-samples", "1000", "--quiet"]) == 0
+    assert json.loads((out / "run_000" / "meta.json").read_text())["eval_samples"] == 1000
+    assert load_config(out / "config.cfg").eval_samples == 1000
+
+
+def test_cli_solve_prints_progress_unless_quiet(tmp_path, capsys):
+    cfg_path = write_fast_cfg(tmp_path / "fast.cfg")
+    for quiet, out in (([], tmp_path / "loud"), (["--quiet"], tmp_path / "quiet")):
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out),
+                     "--runs", "1"] + quiet) == 0
+        lines = capsys.readouterr().err.splitlines()
+        if quiet:
+            assert lines == []
+            continue
+        # one record per certificate, then one for the run
+        assert lines[0].startswith("iteration=9 losses=[") and "max_loss=" in lines[0]
+        assert all(line.startswith("iteration=") for line in lines[:-1])
+        assert lines[-1].startswith("run=run_000 status=ok max_loss=")
+
+
 @pytest.mark.parametrize("bad, message", BAD_RUN_SETTINGS)
 def test_cli_refuses_bad_run_settings_at_load(tmp_path, capsys, bad, message):
     cfg_path = tmp_path / "bad.cfg"
@@ -587,6 +658,30 @@ def test_cli_refuses_dirty_out_dir(tmp_path, capsys):
     rc = main(["solve", "--preset", "fpsb_2_uniform", "--out", str(out)])
     assert rc == 2
     assert "--force" in capsys.readouterr().err
+
+
+def test_cli_force_replaces_only_what_bnesolve_wrote(tmp_path, capsys):
+    out = tmp_path / "d"
+    first = write_fast_cfg(tmp_path / "first.cfg")
+    second = write_fast_cfg(tmp_path / "second.cfg", obs_points=10)
+    assert main(["solve", "--config", str(first), "--runs", "3", "--out", str(out),
+                 "--quiet"]) == 0
+    # what a sweep and a probe write, and what the user put there
+    (out / "k8").mkdir()
+    (out / "sweep.csv").write_text("points\n")
+    (out / "probe.json").write_text("{}")
+    (out / "notes.txt").write_text("mine")
+    (out / "run_1").mkdir()
+    assert main(["solve", "--config", str(second), "--runs", "1", "--out", str(out),
+                 "--force", "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["config.cfg", "notes.txt", "run_000",
+                                                     "run_1", "summary.csv"]
+    assert (out / "notes.txt").read_text() == "mine"
+    assert load_config(out / "config.cfg").obs_points == 10
+    capsys.readouterr()
+    # the first game's run_002 is gone, so it cannot be scored under the second config
+    assert main(["evaluate", "--run-dir", str(out / "run_002")]) == 2
+    assert "no strategy_agent*.csv files" in capsys.readouterr().err
 
 
 def test_cli_preset_list(capsys):

@@ -1,4 +1,5 @@
 import csv
+import json
 import resource
 import time
 import tracemalloc
@@ -13,7 +14,7 @@ from bnesolve.presets import get_preset
 from bnesolve.runner import solve
 from bnesolve.strategy import (Strategy, flatten_action_grids, init_strategy,
                                iterate_distance, load_strategy, nearest_actions,
-                               save_strategy)
+                               save_strategy, sidecar_path)
 
 
 def simple_strategy(k=3, l=3, seed=0, marginal=None, ndim=1):
@@ -377,6 +378,38 @@ def test_csv_round_trip_two_dimensional(tmp_path):
     assert lines[0] == ("# strategy matrix: one line per observation, "
                         "one float.hex mass per action")
     assert len(lines) == 1 + 3 and all(line.count(",") == 3 * 2 - 1 for line in lines[1:])
+
+
+def test_load_strategy_rebuilds_uniform_grids_and_refuses_others(tmp_path):
+    og = make_uniform_grid(1.0, 1.4, 3)
+    ags = (make_uniform_grid(1.0, 2.5, 3), make_uniform_grid(0.3, 1.2, 2))
+    s = init_strategy("random", og, ags, np.array([0.25, 0.5, 0.25]), seed=5)
+    path = tmp_path / "strategy_agent0.csv"
+    save_strategy(s, path)
+    loaded, _ = load_strategy(path)
+    assert loaded.obs_grid == og and loaded.action_grids == ags
+    sidecar = sidecar_path(path)
+    saved = json.loads(sidecar.read_text())
+    off = repr(float(np.nextafter(og.points[1], np.inf)))
+
+    def edited(grid, key, value, agent_grid=None):
+        meta = json.loads(json.dumps(saved))
+        target = meta[grid] if agent_grid is None else meta[grid][agent_grid]
+        target[key] = value
+        return meta
+
+    refused = [
+        (edited("obs_grid", "points", [repr(1.0), off, repr(1.4)]), "equidistant points"),
+        (edited("action_grids", "points", [repr(0.3), repr(1.1)], 1), "equidistant points"),
+        (edited("obs_grid", "upper", repr(1.5)), "equidistant points"),
+        (edited("obs_grid", "lower", "nan"), "finite"),
+        (edited("action_grids", "points", [repr(1.0)], 0), "count >= 2"),
+    ]
+    for meta, message in refused:
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=message) as caught:
+            load_strategy(path)
+        assert str(caught.value).startswith(f"{sidecar.name}: ")
 
 
 def reference_save(strategy, path):
