@@ -72,6 +72,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     run_dir = Path(args.run_dir)
+    if not run_dir.is_dir():
+        raise FileNotFoundError(f"run directory {run_dir} does not exist or is not "
+                                "a directory")
     cfg_path = run_dir.parent / "config.cfg" if not (run_dir / "config.cfg").exists() \
         else run_dir / "config.cfg"
     cfg = load_config(args.config) if args.config else load_config(cfg_path)

@@ -1,10 +1,15 @@
 """Monte-Carlo evaluation of learned strategies in the continuous game.
 
 Draws observation/valuation profiles from the continuous prior model (not
-the discretized prior), lets the learned agent bid through its induced
-strategy and the opponents bid their analytic equilibrium, and reports the
-relative ex-ante utility loss L and the probability-weighted bid RMSE L2.
-Paired sampling: the same draws feed the numerator and denominator of L.
+the discretized prior) and scores the learned strategies on them.  One set
+of draws gives every figure of a run: the relative ex-ante utility loss L
+and the probability-weighted bid RMSE L2 of each agent with an analytic
+baseline (the learned agent bids through its induced strategy, its
+opponents bid their analytic equilibrium; the same draws feed the
+numerator and denominator of L), and the revenue, the mean total payment
+when every agent plays its learned strategy.  Run directories written
+before revenue shared these draws hold revenue figures from draws of their
+own, which differ from today's by Monte-Carlo noise.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ class EvalReport:
     losses: dict = field(default_factory=dict)        # agent -> L (may be None)
     l2: dict = field(default_factory=dict)            # agent -> per-dimension RMSE
     utilities: dict = field(default_factory=dict)     # agent -> (learned, equilibrium)
+    revenue: float | None = None                      # mean total payment, learned play
     n_samples: int = 0
     seed: int | None = None
     baseline_id: str | None = None
@@ -90,12 +96,21 @@ class EvalReport:
 def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechanism,
              n_samples: int = DEFAULT_EVAL_SAMPLES, seed: int = 0,
              agents=None) -> EvalReport:
-    """L and L2 for each requested agent against the analytic baseline.
+    """L and L2 for each requested agent against the analytic baseline, and
+    the revenue of the learned profile, all from one set of draws.
 
     L(s_i) = 1 - u_i(s_i, beta_-i) / u_i(beta), estimated on shared draws;
     L2 is the RMSE between the sampled bids and beta_i at the same
     observations, one value per action dimension.  Metrics needing a missing
-    baseline entry are reported as None.
+    baseline entry are reported as None.  The revenue is the mean total
+    payment when every agent bids its learned bids at the same draws.
+
+    Per chunk the prior is drawn once; then the learned bids of the
+    requested agents that have a baseline are sampled, in ``agents`` order,
+    and then those of every other agent, in agent order.  Within a chunk L
+    and L2 read only the draws before the other agents' bids, so they equal
+    those of a pass without revenue whenever ``n_samples`` fits in one chunk;
+    ``agents=()`` without a baseline draws as ``estimate_revenue`` always has.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -104,20 +119,21 @@ def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechan
         agents = list(range(n))
     report = EvalReport(n_samples=int(n_samples), seed=seed,
                         baseline_id=analytic.id if analytic else None)
-    if analytic is None:
-        report.notes["baseline"] = "no analytic baseline"
-        return report
-    covers_all = analytic.covers(range(n))
+    bid_fns = analytic.bid_fns if analytic is not None else {}
+    scored = [i for i in agents if i in bid_fns]
+    covers_all = analytic is not None and analytic.covers(range(n))
     rng = np.random.default_rng(seed)
-    num = {i: 0.0 for i in agents}
-    den = {i: 0.0 for i in agents}
-    sq = {i: None for i in agents}
+    num = {i: 0.0 for i in scored}
+    den = {i: 0.0 for i in scored}
+    sq = {i: None for i in scored}
+    total = 0.0
     for _, values, obs in draw_chunks(prior_model.sample, rng, n_samples, _CHUNK):
-        beta = {j: np.asarray(fn(obs[:, j]), dtype=np.float64)
-                for j, fn in analytic.bid_fns.items()}
-        for i in agents:
-            if i in beta:
-                b_learned = strategies[i].sample_bids(obs[:, i], rng)
+        learned = {}
+        if scored:
+            beta = {j: np.asarray(fn(obs[:, j]), dtype=np.float64)
+                    for j, fn in bid_fns.items()}
+            for i in scored:
+                b_learned = learned[i] = strategies[i].sample_bids(obs[:, i], rng)
                 if sq[i] is None:
                     sq[i] = np.zeros(b_learned.shape[1])
                 sq[i] += ((b_learned - beta[i][:, None]) ** 2).sum(axis=0)
@@ -126,8 +142,20 @@ def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechan
                     den[i] += float(mech.utility(i, bids, values[:, i]).sum())
                     bids[i] = tuple(b_learned[:, d] for d in range(b_learned.shape[1]))
                     num[i] += float(mech.utility(i, bids, values[:, i]).sum())
+            beta = bids = None  # release the baseline bids before the payments
+        for j in range(n):
+            if j not in learned:
+                learned[j] = strategies[j].sample_bids(obs[:, j], rng)
+        profile = [tuple(learned[j][:, d] for d in range(learned[j].shape[1]))
+                   for j in range(n)]
+        for p in mech.payments(profile):
+            total += float(np.sum(p))
+    report.revenue = total / n_samples
+    if analytic is None:
+        report.notes["baseline"] = "no analytic baseline"
+        return report
     for i in agents:
-        if i not in analytic.bid_fns:
+        if i not in bid_fns:
             report.losses[i] = None
             report.l2[i] = None
             report.notes[i] = "no analytic baseline for this agent"
@@ -151,19 +179,7 @@ def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechan
 def estimate_revenue(strategies, prior_model, mech: Mechanism,
                      n_samples: int = DEFAULT_EVAL_SAMPLES, seed: int = 0) -> float:
     """Mean total payment collected when all agents play their learned strategies."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    n = mech.n_agents
-    for _, _, obs in draw_chunks(prior_model.sample, rng, n_samples, _CHUNK):
-        bids = []
-        for j in range(n):
-            b = strategies[j].sample_bids(obs[:, j], rng)
-            bids.append(tuple(b[:, d] for d in range(b.shape[1])))
-        for p in mech.payments(bids):
-            total += float(np.sum(p))
-    return total / n_samples
+    return evaluate(strategies, None, prior_model, mech, n_samples, seed, agents=()).revenue
 
 
 def emit_plot_data(strategy: Strategy, prior_model, agent: int, count: int = 150,

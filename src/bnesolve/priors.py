@@ -90,10 +90,6 @@ class DiscretePrior:
             all(len(agents) == 1 for agents, _ in self.components[0].blocks)
 
     @property
-    def values_equal_observations(self) -> bool:
-        return self.value_joint is None
-
-    @property
     def value_joints(self):
         # read by perfbench/spans.py: drop this when perfbench is next edited
         return None if self.value_joint is None else (self.value_joint,)

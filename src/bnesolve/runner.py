@@ -15,7 +15,11 @@ batch directory ``k<points>/`` per grid size; ``probe-vs`` writes
       summary.csv           one row per run plus mean/std aggregate rows
       run_000/
         meta.json           seed, config hash, version, timings, metrics, and the
-                            prior's discretization record (kind, samples, empty cells)
+                            prior's discretization record (kind, samples, empty cells);
+                            L, L2 and revenue come from one set of eval_samples
+                            draws at eval_seed (revenue in older run directories
+                            came from draws of its own, so it differs by
+                            Monte-Carlo noise)
         metrics.csv         per-certificate losses and the distance of the step before
         strategy_agent<i>.csv (+ .meta.json sidecar)
         plotdata.csv        sampled (observation, bid) pairs per agent
@@ -35,7 +39,9 @@ import numpy as np
 
 from . import __version__
 from .config import Problem, RunConfig, build_problem
-from .evaluate import emit_plot_data, estimate_revenue, evaluate, lookup_analytic
+from .evaluate import emit_plot_data, evaluate, lookup_analytic
+# perfbench/spans.py wraps runner.estimate_revenue: drop this when perfbench is next edited
+from .evaluate import estimate_revenue  # noqa: F401
 from .gradient import agent_groups
 from .learners import RunResult, run
 from .strategy import save_strategy
@@ -117,13 +123,9 @@ def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
     reps = [g[0] for g in problem.groups]
     eval_seed = int(np.random.SeedSequence([run_seed[0], run_seed[1], 7]).generate_state(1)[0])
     report = None
-    if analytic is not None and cfg.eval_samples > 0:
+    if cfg.eval_samples > 0:
         report = evaluate(result.strategies, analytic, problem.prior_model, problem.mech,
                           n_samples=cfg.eval_samples, seed=eval_seed, agents=reps)
-    revenue = None
-    if cfg.eval_samples > 0:
-        revenue = estimate_revenue(result.strategies, problem.prior_model, problem.mech,
-                                   n_samples=cfg.eval_samples, seed=eval_seed + 1)
 
     row: dict = {
         "run": run_dir.name,
@@ -134,9 +136,8 @@ def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
         "max_loss": result.certificate.max_loss,
         "wall_time": result.wall_time,
     }
-    if revenue is not None:
-        row["revenue"] = revenue
     if report is not None:
+        row["revenue"] = report.revenue
         for a in reps:
             if report.losses.get(a) is not None:
                 row[f"L_agent{a}"] = report.losses[a]
@@ -176,7 +177,8 @@ def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
         "prior": problem.prior.meta,
         "baseline": report.baseline_id if report else None,
         "eval_samples": cfg.eval_samples, "eval_seed": eval_seed,
-        "notes": {str(k): v for k, v in (report.notes.items() if report else [])},
+        "notes": ({str(k): v for k, v in report.notes.items()}
+                  if report and analytic is not None else {}),
     })
     (run_dir / "meta.json").write_text(json.dumps(meta, indent=1, default=float))
     return row

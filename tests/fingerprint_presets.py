@@ -11,6 +11,10 @@ output before and after it:
 
     PYTHONPATH=src python tests/fingerprint_presets.py > fingerprints.txt
 
+``tests/fingerprints.txt`` holds its output for this tree, and
+``tests/test_fingerprints.py`` checks it at 1 and at 2 BLAS threads; a
+change that means to alter results writes that file anew with this script.
+
 Over every preset the output ends with one more line, ``all <sha256>``: the
 SHA-256 of the lines above it (what ``sha256sum`` prints for them), so two
 trees can be compared by that line alone.  Names given as arguments restrict

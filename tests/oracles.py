@@ -62,7 +62,7 @@ def naive_expected_utility(mech, prior, strategies, agent):
     tables = [s.action_values() for s in strategies]
     counts = [t.shape[0] for t in tables]
     marginals = prior.marginals
-    if prior.values_equal_observations:
+    if prior.value_joint is None:
         joint = prior.obs_joint
         own_vals = prior.obs_grids[agent].points
     else:
@@ -82,7 +82,7 @@ def naive_expected_utility(mech, prior, strategies, agent):
             if w == 0.0:
                 continue
             bids = [tuple(tables[j][l[j]]) for j in range(n)]
-            if prior.values_equal_observations:
+            if prior.value_joint is None:
                 mass = component_mass(prior, k) if joint is None else joint[k]
                 u = float(mech.utility(agent, bids, own_vals[k[agent]]))
                 total += u * w * mass / denom
@@ -104,7 +104,7 @@ def naive_gradient(mech, prior, strategies, agent):
     k_own = prior.obs_grids[agent].count
     c = np.zeros((k_own, counts[agent]))
     others = [j for j in range(n) if j != agent]
-    if prior.values_equal_observations:
+    if prior.value_joint is None:
         joint = prior.obs_joint
         own_vals = prior.obs_grids[agent].points
     else:
@@ -137,7 +137,7 @@ def naive_gradient(mech, prior, strategies, agent):
                     for j, lj in zip(others, l_other):
                         l[j] = lj
                     bids = [tuple(tables[j][l[j]]) for j in range(n)]
-                    if prior.values_equal_observations:
+                    if prior.value_joint is None:
                         mass = component_mass(prior, k) if joint is None \
                             else joint[tuple(k)]
                         u = float(mech.utility(agent, bids, own_vals[ki]))

@@ -129,6 +129,45 @@ def test_estimate_revenue_zero_bids():
     assert estimate_revenue([zero, zero], model, mech, n_samples=10_000, seed=4) == 0.0
 
 
+@pytest.mark.parametrize("mech", [SingleObjectAuction("fpsb", 2), LLGAuction("NZ")],
+                         ids=["fpsb", "llg"])
+def test_estimate_revenue_is_evaluate_without_agents(mech):
+    n = mech.n_agents
+    model = uniform_model(n)
+    strategies = [gridded_analytic_strategy(lambda o, f=f: f * o, 16, 16)
+                  for f in (0.5, 0.7, 0.9)[:n]]
+    rev = estimate_revenue(strategies, model, mech, n_samples=5_000, seed=11)
+    report = evaluate(strategies, None, model, mech, n_samples=5_000, seed=11, agents=())
+    assert rev == report.revenue and rev > 0.0
+    assert report.losses == {} and report.l2 == {}
+
+
+def test_evaluate_draw_order():
+    # one chunk: the prior, then the scored agent's learned bids, then the
+    # other agent's; L and L2 read the first two, the revenue all three
+    model = uniform_model()
+    mech = SingleObjectAuction("fpsb", 2)
+    bne = lookup_analytic(mech, model)
+    s0 = gridded_analytic_strategy(lambda o: 0.4 * o, 32, 32)
+    s1 = gridded_analytic_strategy(lambda o: 0.6 * o, 32, 32)
+    m = 20_000
+    report = evaluate([s0, s1], bne, model, mech, n_samples=m, seed=5, agents=[0])
+    rng = np.random.default_rng(5)
+    values, obs = model.sample(rng, m)
+    b0 = s0.sample_bids(obs[:, 0], rng)
+    b1 = s1.sample_bids(obs[:, 1], rng)
+    beta = [obs[:, j] / 2 for j in range(2)]
+    u_eq = float(mech.utility(0, [(beta[0],), (beta[1],)], values[:, 0]).sum()) / m
+    u_learned = float(mech.utility(0, [(b0[:, 0],), (beta[1],)], values[:, 0]).sum()) / m
+    assert report.utilities[0] == (u_learned, u_eq)
+    assert report.losses[0] == 1.0 - u_learned / u_eq
+    assert report.l2[0] == [np.sqrt(((b0[:, 0] - beta[0]) ** 2).sum() / m)]
+    revenue = 0.0
+    for p in mech.payments([(b0[:, 0],), (b1[:, 0],)]):
+        revenue += float(np.sum(p))
+    assert report.revenue == revenue / m
+
+
 def test_emit_plot_data():
     model = uniform_model()
     s = gridded_analytic_strategy(lambda o: o, 16, 16)

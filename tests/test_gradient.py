@@ -583,7 +583,7 @@ def with_strategies(settings):
 
 def test_factorized_affine_gradient_matches_naive():
     for label, mech, prior, action_grids, strategies in with_strategies(factorized_settings()):
-        assert prior.independent and prior.values_equal_observations
+        assert prior.independent and prior.value_joint is None
         engine = GradientEngine(mech, prior, action_grids)
         assert engine.path == "affine"
         for agent in range(prior.n_agents):

@@ -50,7 +50,7 @@ def test_independent_prior_outer_product():
     prior = IndependentPrivatePrior([UniformMarginal(0.0, 1.0),
                                      CustomDensityMarginal(lambda x: x + 0.5, 0.0, 1.0)]
                                     ).discretize(g)
-    assert prior.independent and prior.values_equal_observations
+    assert prior.independent
     assert prior.obs_joint is None and prior.value_joint is None
     assert prior.meta == {"kind": "independent", "construction": "exact"}
     (component,) = prior.components
@@ -287,7 +287,7 @@ def test_models_own_their_value_range_and_binning_settings(model):
     prior = model.discretize(obs_grids, value_grid)
     check_invariants(prior)
     private = model.kind in ("independent", "bernoulli_llg")
-    assert (model.value_bounds is None) == private == prior.values_equal_observations
+    assert (model.value_bounds is None) == private == (prior.value_joint is None)
     if not private:
         assert prior.meta["sample_count"] == model.sample_count == 100_000
         assert prior.meta["seed"] == model.seed
@@ -498,7 +498,7 @@ def test_value_joint_matches_per_agent_reference_binning(model, obs_hi, value_hi
     for joint in reference:
         assert np.array_equal(joint, prior.value_joint)
     assert prior.value_grid is vg and prior.value_joints == (prior.value_joint,)
-    assert not prior.values_equal_observations
+    assert prior.value_joint is not None
 
 
 def test_unequal_value_columns_rejected():

@@ -9,11 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bnesolve.runner as runner
 from bnesolve.cli import main
 from bnesolve.config import (RunConfig, _compile_density, build_problem,
                              config_from_mapping, load_config, parse_config_text)
+from bnesolve.evaluate import evaluate, lookup_analytic
+from bnesolve.gradient import agent_groups
 from bnesolve.presets import get_preset, preset_names
 from bnesolve.runner import run_batch, run_sweep, solve
+from bnesolve.strategy import load_strategy
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -332,6 +336,93 @@ def test_meta_records_prior_discretization(tmp_path):
     assert meta["prior"]["empty_cells"] == int(np.count_nonzero(prior.obs_joint == 0))
 
 
+
+# a game with a full baseline, one whose baseline covers the global bidder
+# alone, and one without a baseline
+ONE_PASS_GAMES = {
+    "fpsb": {},
+    "llg": {**get_preset("llg_nz_g05"), "obs_points": 6, "action_points": 6},
+    "spsb": {"mechanism": "spsb"},
+}
+
+
+def one_pass_cfg(game, **overrides):
+    return config_from_mapping({**get_preset("fpsb_2_uniform"), **FAST, "runs": 1,
+                                "iterations": 20, **ONE_PASS_GAMES[game], **overrides})
+
+
+class CountingStrategy:
+    """A learned strategy that records each ``sample_bids`` call as (agent, size)."""
+
+    def __init__(self, strategy, agent, calls):
+        self.strategy, self.agent, self.calls = strategy, agent, calls
+
+    def sample_bids(self, observations, rng):
+        self.calls.append((self.agent, np.size(observations)))
+        return self.strategy.sample_bids(observations, rng)
+
+    def __getattr__(self, name):
+        return getattr(self.strategy, name)
+
+
+@pytest.mark.parametrize("game", sorted(ONE_PASS_GAMES))
+def test_run_evaluates_in_one_pass(tmp_path, monkeypatch, game):
+    # 2500 draws in chunks of 1000: three chunks, then one plot draw of 7 per
+    # stored agent
+    monkeypatch.setattr(sys.modules[evaluate.__module__], "_CHUNK", 1000)
+    problem = build_problem(one_pass_cfg(game, eval_samples=2500, plot_points=7))
+    problem.engine()  # discretize before the prior model's draws are counted
+    draws, calls = [], []
+    model_sample = type(problem.prior_model).sample
+
+    def counting_sample(model, rng, size):
+        draws.append(size)
+        return model_sample(model, rng, size)
+
+    monkeypatch.setattr(type(problem.prior_model), "sample", counting_sample)
+    real_solve = runner.solve
+
+    def counting_solve(*args, **kwargs):
+        result = real_solve(*args, **kwargs)
+        result.strategies = [CountingStrategy(s, j, calls)
+                             for j, s in enumerate(result.strategies)]
+        return result
+
+    monkeypatch.setattr(runner, "solve", counting_solve)
+    run_batch(problem, tmp_path / "out")
+    reps = [g[0] for g in problem.groups]
+    assert draws == [1000, 1000, 500] + [7] * len(reps)
+    for agent in range(problem.mech.n_agents):
+        sizes = [size for j, size in calls if j == agent]
+        assert sizes == [1000, 1000, 500] + ([7] if agent in reps else [])
+
+
+@pytest.mark.parametrize("game", sorted(ONE_PASS_GAMES))
+def test_meta_metrics_are_one_evaluate_at_the_eval_seed(tmp_path, game):
+    problem = build_problem(one_pass_cfg(game))
+    run_batch(problem, tmp_path / "out")
+    run_dir = tmp_path / "out" / "run_000"
+    meta = json.loads((run_dir / "meta.json").read_text())
+    stored = {g[0]: load_strategy(run_dir / f"strategy_agent{g[0]}.csv")[0]
+              for g in problem.groups}
+    strategies = [stored[problem.groups[gi][0]] for gi in agent_groups(problem.groups)]
+    reps = sorted(stored)
+    analytic = lookup_analytic(problem.mech, problem.prior_model)
+    report = evaluate(strategies, analytic, problem.prior_model, problem.mech,
+                      n_samples=meta["eval_samples"], seed=meta["eval_seed"], agents=reps)
+    expected = {"revenue": report.revenue}
+    for a in reps:
+        if report.losses.get(a) is not None:
+            expected[f"L_agent{a}"] = report.losses[a]
+        for d, v in enumerate(report.l2.get(a) or ()):
+            expected[f"L2_agent{a}_{d}"] = v
+    assert {k: v for k, v in meta.items() if k.startswith(("L_", "L2_", "revenue"))} \
+        == expected
+    assert any(k.startswith("L2_") for k in expected) == (analytic is not None)
+    assert meta["baseline"] == (analytic.id if analytic else None)
+    if analytic is None:
+        assert meta["notes"] == {}
+
 def held_array_bytes(engine):
     """Bytes of every array the engine holds beyond its inputs: each array
     reachable from its attributes other than the mechanism, the prior, the
@@ -533,6 +624,22 @@ def test_cli_evaluate_without_an_analytic_baseline(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("no analytic baseline for this setting")
 
 
+@pytest.mark.parametrize("game", ["fpsb_2_uniform", "spsb"])
+def test_cli_evaluate_refuses_a_missing_run_directory(tmp_path, capsys, game):
+    # a run directory holds no config.cfg of its own, so a mistyped one must
+    # not be read as a run of the batch whose config.cfg sits beside it
+    out = tmp_path / "out"
+    overrides = {"mechanism": "spsb"} if game == "spsb" else {}
+    assert main(["solve", "--config", str(write_fast_cfg(tmp_path / "g.cfg", **overrides)),
+                 "--out", str(out), "--runs", "1", "--quiet"]) == 0
+    capsys.readouterr()
+    for missing in (out / "run_999", out / "summary.csv"):
+        assert main(["evaluate", "--run-dir", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: run directory {missing} does not exist" in captured.err
+
+
 def test_cli_solve_n_samples_sets_eval_samples(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["solve", "--config", str(write_fast_cfg(tmp_path / "fast.cfg")),
@@ -681,7 +788,7 @@ def test_cli_force_replaces_only_what_bnesolve_wrote(tmp_path, capsys):
     capsys.readouterr()
     # the first game's run_002 is gone, so it cannot be scored under the second config
     assert main(["evaluate", "--run-dir", str(out / "run_002")]) == 2
-    assert "no strategy_agent*.csv files" in capsys.readouterr().err
+    assert f"run directory {out / 'run_002'} does not exist" in capsys.readouterr().err
 
 
 def test_cli_preset_list(capsys):
