@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: ``solve`` (run a config or preset), ``evaluate`` (stored
-strategies against the analytic baseline), ``sweep`` (discretization sweep),
-``preset list``, and ``probe-vs`` (variational-stability probe of a
-converged profile against its shaded collusive deviation).
+Subcommands: ``solve`` (run a config or preset), ``evaluate`` (replay a
+stored run: score and certify it again with ``runner.replay`` and compare
+with its record), ``sweep`` (discretization sweep), ``preset list``, and
+``probe-vs`` (variational-stability probe of a converged profile against its
+shaded collusive deviation).  This module parses flags and prints; reading
+and writing run directories is ``runner``'s.
 """
 
 from __future__ import annotations
@@ -13,15 +15,11 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, build_problem, config_from_mapping, load_config
-from .evaluate import evaluate, lookup_analytic
-from .gradient import agent_groups
 from .presets import get_preset, preset_names
-from .runner import prepare_out_dir, run_batch, run_sweep, solve
-from .strategy import load_strategy
+from .runner import prepare_out_dir, replay, run_batch, run_sweep, solve
 from .verify import collusive_profile, vs_probe
 
 USAGE_ERROR = 2
@@ -71,55 +69,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    run_dir = Path(args.run_dir)
-    if not run_dir.is_dir():
-        raise FileNotFoundError(f"run directory {run_dir} does not exist or is not "
-                                "a directory")
-    cfg_path = run_dir.parent / "config.cfg" if not (run_dir / "config.cfg").exists() \
-        else run_dir / "config.cfg"
-    cfg = load_config(args.config) if args.config else load_config(cfg_path)
-    if args.n_samples is not None:
-        if args.n_samples < 1:
-            raise ValueError(f"--n-samples must be >= 1, got {args.n_samples}")
-        cfg.eval_samples = args.n_samples
-    problem = build_problem(cfg)
-    analytic = lookup_analytic(problem.mech, problem.prior_model)
-    if analytic is None:
-        print("no analytic baseline for this setting; in-game losses are in metrics.csv")
-        return 0
-    n_agents = problem.mech.n_agents
-    agent_of = {f"strategy_agent{i}.csv": i for i in range(n_agents)}
-    strategies = {}
-    for path in sorted(run_dir.glob("strategy_agent*.csv")):
-        agent = agent_of.get(path.name)
-        if agent is None:
-            raise ValueError(f"{path.name}: not a strategy file of this game, whose "
-                             f"{n_agents} agents are strategy_agent0.csv to "
-                             f"strategy_agent{n_agents - 1}.csv")
-        strategy, meta = load_strategy(path)
-        if meta.get("mechanism") != cfg.mechanism or meta.get("prior") != cfg.prior:
-            raise ValueError(f"{path.name}: stored for mechanism/prior "
-                             f"{meta.get('mechanism')}/{meta.get('prior')}, requested "
-                             f"{cfg.mechanism}/{cfg.prior}")
-        if strategy.obs_grid != problem.obs_grids[agent]:
-            raise ValueError(f"{path.name}: observation grid mismatch with the "
-                             "requested configuration")
-        strategies[agent] = strategy
-    if not strategies:
-        raise FileNotFoundError(f"no strategy_agent*.csv files under {run_dir}")
-    for group in problem.groups:
-        if group[0] not in strategies:
-            raise FileNotFoundError(f"{run_dir / f'strategy_agent{group[0]}.csv'} is missing: "
-                                    f"it holds agent {group[0]}'s strategy")
-    ordered = [strategies[problem.groups[gi][0]] for gi in agent_groups(problem.groups)]
-    report = evaluate(ordered, analytic, problem.prior_model, problem.mech,
-                      n_samples=cfg.eval_samples, seed=args.seed or 0,
-                      agents=sorted(strategies))
-    print(json.dumps({"baseline": report.baseline_id,
-                      "L": {str(k): v for k, v in report.losses.items()},
-                      "L2": {str(k): v for k, v in report.l2.items()},
-                      "n_samples": report.n_samples}, indent=1))
-    return 0
+    if args.n_samples is not None and args.n_samples < 1:
+        raise ValueError(f"--n-samples must be >= 1, got {args.n_samples}")
+    result = replay(args.run_dir, config=args.config, seed=args.seed,
+                    n_samples=args.n_samples)
+    print(json.dumps(result, indent=1))
+    return RUNTIME_ERROR if result["differ"] else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -200,11 +155,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(fn=_cmd_solve)
 
-    sp = sub.add_parser("evaluate", help="evaluate stored strategies")
+    sp = sub.add_parser("evaluate", help="score and certify a stored run again and "
+                                         "compare with its record")
     sp.add_argument("--run-dir", required=True)
-    sp.add_argument("--config", default=None, help="override the stored config")
-    sp.add_argument("--n-samples", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--config", default=None,
+                    help="replay under this config file, not the batch's own; "
+                         "compares nothing")
+    sp.add_argument("--n-samples", type=int, default=None,
+                    help="evaluation sample count (default: the run's); "
+                         "compares only max_loss")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="evaluation seed (default: the run's); compares only max_loss")
     sp.set_defaults(fn=_cmd_evaluate)
 
     sp = sub.add_parser("sweep", help="discretization sweep over grid sizes")

@@ -32,7 +32,6 @@ class AnalyticBNE:
 
     id: str
     bid_fns: dict  # agent index -> vectorized observation -> bid
-    note: str = ""
 
     def covers(self, agents) -> bool:
         return all(a in self.bid_fns for a in agents)
@@ -56,12 +55,12 @@ def lookup_analytic(mech: Mechanism, prior_model) -> AnalyticBNE | None:
             return AnalyticBNE("fpsb_uniform_symmetric",
                                {i: (lambda o, f=frac: f * np.asarray(o)) for i in range(n)})
         if n == 2:
+            # externally derived formula; gated on low evaluation losses before
+            # acceptance use
             rho = mech.risk_rho
             return AnalyticBNE("fpsb_uniform_risk_averse",
                                {i: (lambda o, r=rho: np.asarray(o) / (1.0 + r))
-                                for i in range(n)},
-                               note="externally derived formula; gated on low "
-                                    "evaluation losses before acceptance use")
+                                for i in range(n)})
     if mech.kind == "spsb" and kind == "common_value" and n == 3 and mech.risk_rho == 1.0:
         return AnalyticBNE("common_value_spsb",
                            {i: (lambda o: 2.0 * np.asarray(o) / (2.0 + np.asarray(o)))
@@ -76,8 +75,7 @@ def lookup_analytic(mech: Mechanism, prior_model) -> AnalyticBNE | None:
     if mech.kind == "llg" and mech.payment_rule in ("NZ", "NVCG", "NB"):
         # truthful bidding is dominant for the global bidder under core rules;
         # no closed form is shipped for the locals
-        return AnalyticBNE("llg_global_truthful", {2: lambda o: np.asarray(o)},
-                           note="global bidder only")
+        return AnalyticBNE("llg_global_truthful", {2: lambda o: np.asarray(o)})
     return None
 
 
@@ -87,8 +85,6 @@ class EvalReport:
     l2: dict = field(default_factory=dict)            # agent -> per-dimension RMSE
     utilities: dict = field(default_factory=dict)     # agent -> (learned, equilibrium)
     revenue: float | None = None                      # mean total payment, learned play
-    n_samples: int = 0
-    seed: int | None = None
     baseline_id: str | None = None
     notes: dict = field(default_factory=dict)
 
@@ -117,8 +113,7 @@ def evaluate(strategies, analytic: AnalyticBNE | None, prior_model, mech: Mechan
     n = mech.n_agents
     if agents is None:
         agents = list(range(n))
-    report = EvalReport(n_samples=int(n_samples), seed=seed,
-                        baseline_id=analytic.id if analytic else None)
+    report = EvalReport(baseline_id=analytic.id if analytic else None)
     bid_fns = analytic.bid_fns if analytic is not None else {}
     scored = [i for i in agents if i in bid_fns]
     covers_all = analytic is not None and analytic.covers(range(n))

@@ -3,25 +3,30 @@
 ``solve(problem, seed)`` is the one way to run a problem: it calls
 ``learners.run`` on the problem's gradient engine, which holds the game
 (mechanism, discretized prior, action grids and groups), with the config's
-learner settings.  ``run_batch`` solves a problem once per seed and writes
-the artifacts below.
+learner settings.  ``run_batch`` solves a problem once per seed, scores each
+run with ``score`` and writes the artifacts below.  ``replay`` is the one
+reader of a run directory: it scores and certifies the stored run again and
+compares the figures with its ``meta.json``.
 
 Layout of a batch output directory (a sweep's holds ``sweep.csv`` and one
 batch directory ``k<points>/`` per grid size; ``probe-vs`` writes
 ``probe.json``):
 
     out/
-      config.cfg            resolved configuration (hash recorded inside)
+      config.cfg            resolved configuration (hash recorded inside); the
+                            game of every run below
       summary.csv           one row per run plus mean/std aggregate rows
       run_000/
         meta.json           seed, config hash, version, timings, metrics, and the
                             prior's discretization record (kind, samples, empty cells);
-                            L, L2 and revenue come from one set of eval_samples
-                            draws at eval_seed (revenue in older run directories
-                            came from draws of its own, so it differs by
-                            Monte-Carlo noise)
+                            max_loss is the run's certificate, and L, L2 and revenue
+                            come from one ``score`` of eval_samples draws at
+                            eval_seed (revenue in older run directories came from
+                            draws of its own, so it differs by Monte-Carlo noise);
+                            written last, so a run without it did not finish
         metrics.csv         per-certificate losses and the distance of the step before
-        strategy_agent<i>.csv (+ .meta.json sidecar)
+        strategy_agent<i>.csv (+ .meta.json sidecar with the config hash), one per
+                            group, for the group's first agent i
         plotdata.csv        sampled (observation, bid) pairs per agent
 """
 
@@ -38,13 +43,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import Problem, RunConfig, build_problem
-from .evaluate import emit_plot_data, evaluate, lookup_analytic
+from .config import Problem, RunConfig, build_problem, load_config
+from .evaluate import EvalReport, emit_plot_data, evaluate, lookup_analytic
 # perfbench/spans.py wraps runner.estimate_revenue: drop this when perfbench is next edited
 from .evaluate import estimate_revenue  # noqa: F401
 from .gradient import agent_groups
 from .learners import RunResult, run
-from .strategy import save_strategy
+from .strategy import Strategy, load_strategy, save_strategy
+from .verify import relative_utility_loss
 
 _AGG_SKIP = ("run", "seed", "status", "termination")
 
@@ -114,6 +120,115 @@ def solve(problem: Problem, seed, *, progress=None) -> RunResult:
                progress=progress)
 
 
+def score(problem: Problem, profile, seed: int, n_samples: int) -> tuple[dict, EvalReport]:
+    """A run's Monte-Carlo scores of ``profile``, one strategy per agent: one
+    ``evaluate`` of ``n_samples`` draws at ``seed``, against the game's shipped
+    analytic baseline if it has one, for the first agent of each group.
+
+    Returns the summary fields, ``revenue`` and, where the baseline gives
+    them, ``L_agent<a>`` and ``L2_agent<a>_<d>``, together with the report.
+    """
+    reps = [g[0] for g in problem.groups]
+    report = evaluate(profile, lookup_analytic(problem.mech, problem.prior_model),
+                      problem.prior_model, problem.mech, n_samples=n_samples, seed=seed,
+                      agents=reps)
+    fields = {"revenue": report.revenue}
+    for a in reps:
+        if report.losses.get(a) is not None:
+            fields[f"L_agent{a}"] = report.losses[a]
+        for d, v in enumerate(report.l2.get(a) or ()):
+            fields[f"L2_agent{a}_{d}"] = v
+    return fields, report
+
+
+def _load_profile(problem: Problem, run_dir: Path, cfg_source) -> list[Strategy]:
+    """The stored run's profile, one strategy per agent, from the strategy file
+    of each group's first agent.  Refuses a ``strategy_agent<i>.csv`` whose
+    ``<i>`` is not an agent of the game, a missing one, strategies stored for
+    another mechanism, prior or observation grid, and, unless ``cfg_source``
+    is None, strategies stored under another config hash than the config
+    read from ``cfg_source``."""
+    cfg = problem.config
+    n_agents = problem.mech.n_agents
+    agent_of = {f"strategy_agent{i}.csv": i for i in range(n_agents)}
+    stored = {}
+    for path in sorted(run_dir.glob("strategy_agent*.csv")):
+        agent = agent_of.get(path.name)
+        if agent is None:
+            raise ValueError(f"{path.name}: not a strategy file of this game, whose "
+                             f"{n_agents} agents are strategy_agent0.csv to "
+                             f"strategy_agent{n_agents - 1}.csv")
+        strategy, meta = load_strategy(path)
+        if meta.get("mechanism") != cfg.mechanism or meta.get("prior") != cfg.prior:
+            raise ValueError(f"{path.name}: stored for mechanism/prior "
+                             f"{meta.get('mechanism')}/{meta.get('prior')}, requested "
+                             f"{cfg.mechanism}/{cfg.prior}")
+        if cfg_source is not None and meta.get("config_hash") != cfg.hash():
+            raise ValueError(f"{path.name}: stored under config hash "
+                             f"{meta.get('config_hash')}, but {cfg_source} has hash "
+                             f"{cfg.hash()}")
+        if strategy.obs_grid != problem.obs_grids[agent]:
+            raise ValueError(f"{path.name}: observation grid mismatch with the "
+                             "requested configuration")
+        stored[agent] = strategy
+    for group in problem.groups:
+        if group[0] not in stored:
+            raise FileNotFoundError(f"{run_dir / f'strategy_agent{group[0]}.csv'} is missing: "
+                                    f"it holds agent {group[0]}'s strategy")
+    return [stored[problem.groups[gi][0]] for gi in agent_groups(problem.groups)]
+
+
+_SCORE_FIELDS = ("revenue", "L_agent", "L2_agent")
+
+
+def replay(run_dir, config=None, seed: int | None = None,
+           n_samples: int | None = None) -> dict:
+    """Score and certify a stored run again and compare with its ``meta.json``.
+
+    The game is the batch's ``config.cfg``, in the run directory's parent,
+    or the config file ``config``; without ``config``, every strategy's
+    sidecar must hold that config's hash.  The run's strategies are scored
+    by ``score`` at ``meta.json``'s ``eval_seed`` and ``eval_samples``, or at
+    ``seed`` and ``n_samples``, and certified by ``relative_utility_loss`` on
+    the config's action grids and tolerance, in an engine of their own.
+
+    Returns the stored and replayed ``max_loss``, ``revenue``, ``L_agent*``
+    and ``L2_agent*``, the fields compared and those that differ.
+    ``max_loss`` is compared unless ``config`` is given, and the scores only
+    when none of ``config``, ``seed`` and ``n_samples`` is.  Equal means
+    equal to the bit.
+    """
+    run_dir = Path(run_dir)
+    if not run_dir.is_dir():
+        raise FileNotFoundError(f"run directory {run_dir} does not exist or is not "
+                                "a directory")
+    meta_path = run_dir / "meta.json"
+    if not meta_path.is_file():
+        raise FileNotFoundError(f"{meta_path} is missing: a run writes it last, so "
+                                f"{run_dir} holds no finished run")
+    meta = json.loads(meta_path.read_text())
+    cfg_path = run_dir.parent / "config.cfg" if config is None else config
+    problem = build_problem(load_config(cfg_path))
+    profile = _load_profile(problem, run_dir, cfg_path if config is None else None)
+    as_run = config is None and seed is None and n_samples is None
+    seed = meta["eval_seed"] if seed is None else seed
+    n_samples = meta["eval_samples"] if n_samples is None else n_samples
+    scores, report = score(problem, profile, seed, n_samples)
+    cert = relative_utility_loss(profile, problem.discretize(), problem.mech,
+                                 action_grids=problem.action_grids,
+                                 tolerance=problem.config.tolerance)
+    stored = {k: v for k, v in meta.items()
+              if k == "max_loss" or k.startswith(_SCORE_FIELDS)}
+    replayed = {"max_loss": cert.max_loss, **scores}
+    compared = [] if config is not None else ["max_loss"]
+    if as_run:
+        compared += sorted((stored.keys() | replayed.keys()) - {"max_loss"})
+    return {"baseline": report.baseline_id, "seed": seed,
+            "n_samples": n_samples, "certified": cert.converged, "stored": stored,
+            "replayed": replayed, "compared": compared,
+            "differ": [k for k in compared if stored.get(k) != replayed.get(k)]}
+
+
 def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
               note: str, progress=None) -> dict:
     cfg = problem.config
@@ -122,11 +237,6 @@ def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
 
     reps = [g[0] for g in problem.groups]
     eval_seed = int(np.random.SeedSequence([run_seed[0], run_seed[1], 7]).generate_state(1)[0])
-    report = None
-    if cfg.eval_samples > 0:
-        report = evaluate(result.strategies, analytic, problem.prior_model, problem.mech,
-                          n_samples=cfg.eval_samples, seed=eval_seed, agents=reps)
-
     row: dict = {
         "run": run_dir.name,
         "seed": f"{run_seed[0]}/{run_seed[1]}",
@@ -136,14 +246,10 @@ def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
         "max_loss": result.certificate.max_loss,
         "wall_time": result.wall_time,
     }
-    if report is not None:
-        row["revenue"] = report.revenue
-        for a in reps:
-            if report.losses.get(a) is not None:
-                row[f"L_agent{a}"] = report.losses[a]
-            if report.l2.get(a) is not None:
-                for d, v in enumerate(report.l2[a]):
-                    row[f"L2_agent{a}_{d}"] = v
+    report = None
+    if cfg.eval_samples > 0:
+        scores, report = score(problem, result.strategies, eval_seed, cfg.eval_samples)
+        row.update(scores)
 
     for a in reps:
         save_strategy(result.strategies[a], run_dir / f"strategy_agent{a}.csv", metadata={

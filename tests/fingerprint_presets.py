@@ -4,10 +4,16 @@ One line per preset: its name, the iterations, the termination, ``repr`` of
 the final certificate's max loss, the first 16 hex digits of the SHA-256 of
 the agents' strategy matrices, in agent order, and, for the collusive probe
 at scale 0.5 of those strategies, ``repr`` of its ``vs_probe`` value and the
-first 16 hex digits of the SHA-256 of its matrices.  Two trees that print
-the same lines solve and probe every preset to the same bits, so a refactor
-that should not change results can be checked by diffing this script's
-output before and after it:
+first 16 hex digits of the SHA-256 of its matrices.  These seven fields are
+the solve.  The rest of the line scores the solve: one ``evaluate`` of
+``EVAL_SAMPLES`` draws at seed 0, against the preset's analytic baseline if
+it has one, for the first agent of each group, as a run scores itself; it
+gives ``repr`` of the revenue and then, for each agent with a baseline, in
+agent order, ``repr`` of its L (``None`` where the baseline misses an
+opponent) and of each of its L2 values.  Two trees that print the same lines
+solve, probe and score every preset to the same bits, so a refactor that
+should not change results can be checked by diffing this script's output
+before and after it:
 
     PYTHONPATH=src python tests/fingerprint_presets.py > fingerprints.txt
 
@@ -28,9 +34,12 @@ import sys
 import numpy as np
 
 from bnesolve.config import build_problem, config_from_mapping
+from bnesolve.evaluate import evaluate, lookup_analytic
 from bnesolve.presets import get_preset, preset_names
 from bnesolve.runner import solve
 from bnesolve.verify import collusive_profile, vs_probe
+
+EVAL_SAMPLES = 1 << 14
 
 
 def matrix_digest(strategies) -> str:
@@ -46,9 +55,19 @@ def fingerprint(name: str) -> str:
     probe = collusive_profile(result.strategies, scale=0.5)
     value = vs_probe(problem.mech, problem.prior, result.strategies, probe,
                      engine=problem.engine())
+    reps = [g[0] for g in problem.groups]
+    report = evaluate(result.strategies, lookup_analytic(problem.mech, problem.prior_model),
+                      problem.prior_model, problem.mech, n_samples=EVAL_SAMPLES, seed=0,
+                      agents=reps)
+    scores = [report.revenue]
+    for a in reps:
+        if report.l2.get(a) is not None:
+            scores += [report.losses[a], *report.l2[a]]
+    # float(): numpy 2 writes np.float64(...) as repr of its own scalars
     return (f"{name} {result.iterations} {result.termination} "
             f"{result.certificate.max_loss!r} {matrix_digest(result.strategies)} "
-            f"{value!r} {matrix_digest(probe)}")
+            f"{value!r} {matrix_digest(probe)} "
+            + " ".join(repr(v if v is None else float(v)) for v in scores))
 
 
 def main(names) -> None:

@@ -1,4 +1,4 @@
-"""Every shipped preset solves to the bits recorded in ``fingerprints.txt``.
+"""Every shipped preset solves and scores to the bits recorded in ``fingerprints.txt``.
 
 ``fingerprint_presets.py`` runs in a subprocess, so that its BLAS thread
 count is set before numpy loads: every preset at 2 OpenBLAS threads, and the

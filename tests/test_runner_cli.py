@@ -554,7 +554,7 @@ def test_cli_solve_and_evaluate(tmp_path, capsys):
     assert main(["evaluate", "--run-dir", str(out / "run_000")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["baseline"] == "fpsb_uniform_symmetric"
-    assert "0" in report["L"]
+    assert "L_agent0" in report["replayed"] and report["differ"] == []
 
 
 def test_cli_evaluate_refuses_grid_mismatch(tmp_path, capsys):
@@ -621,7 +621,11 @@ def test_cli_evaluate_without_an_analytic_baseline(tmp_path, capsys):
                  "--quiet"]) == 0
     capsys.readouterr()
     assert main(["evaluate", "--run-dir", str(out / "run_000")]) == 0
-    assert capsys.readouterr().out.startswith("no analytic baseline for this setting")
+    report = json.loads(capsys.readouterr().out)
+    assert report["baseline"] is None
+    # the revenue and the certificate, and no L or L2
+    assert sorted(report["replayed"]) == ["max_loss", "revenue"]
+    assert report["compared"] == ["max_loss", "revenue"] and report["differ"] == []
 
 
 @pytest.mark.parametrize("game", ["fpsb_2_uniform", "spsb"])
@@ -638,6 +642,93 @@ def test_cli_evaluate_refuses_a_missing_run_directory(tmp_path, capsys, game):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: run directory {missing} does not exist" in captured.err
+
+
+# one small stored run per kind of game; every one certifies its own way
+REPLAY_GAMES = {
+    "ipv_first_price": ("fpsb_2_uniform", {}),
+    "binned_common_value": ("common_value_spsb", {"value_points": 5,
+                                                  "prior_samples": 1 << 17}),
+    "llg_core_rule": ("llg_nz_g05", {}),
+    "llg_first_price": ("llg_first_price_g05", {}),
+    "split_award": ("split_award_uniform", {}),
+    "tullock_asymmetric": ("tullock_r10_asym", {}),
+    "risk_averse_all_pay": ("risk_allpay_r05", {}),
+}
+
+
+def replay_cfg(game, **overrides):
+    preset, settings = REPLAY_GAMES[game]
+    return config_from_mapping({**get_preset(preset), "obs_points": 6, "action_points": 6,
+                                "iterations": 20, "runs": 1, "eval_samples": 1 << 12,
+                                "plot_points": 5, **settings, **overrides})
+
+
+@pytest.mark.parametrize("game", sorted(REPLAY_GAMES))
+def test_cli_evaluate_replays_a_stored_run_to_the_bit(tmp_path, capsys, game):
+    run_batch(build_problem(replay_cfg(game)), tmp_path / "out")
+    run_dir = tmp_path / "out" / "run_000"
+    meta = json.loads((run_dir / "meta.json").read_text())
+    if game == "risk_averse_all_pay":
+        assert meta["gradient_path"] == "tensor"
+    assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["seed"], report["n_samples"]) == (meta["eval_seed"], meta["eval_samples"])
+    assert report["replayed"] == report["stored"]
+    assert report["compared"] == ["max_loss"] + sorted(set(report["stored"]) - {"max_loss"})
+    assert "revenue" in report["compared"] and report["differ"] == []
+    assert report["certified"] == (meta["termination"] == "converged")
+
+
+def test_cli_evaluate_replays_a_sweep_run(tmp_path, capsys):
+    run_sweep(replay_cfg("ipv_first_price"), [6, 8], tmp_path / "sweep", runs=1)
+    run_dir = tmp_path / "sweep" / "k8" / "run_000"
+    assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["replayed"] == report["stored"] and len(report["compared"]) == 4
+
+
+def test_cli_evaluate_sees_mass_moved_within_a_row(tmp_path, capsys):
+    run_batch(build_problem(replay_cfg("ipv_first_price")), tmp_path / "out")
+    path = tmp_path / "out" / "run_000" / "strategy_agent0.csv"
+    strategy, sidecar = load_strategy(path)
+    matrix = strategy.matrix.copy()
+    k = int(np.argmax(strategy.marginal))
+    top = int(np.argmax(matrix[k]))
+    moved = matrix[k, top] / 2
+    matrix[k, top] -= moved
+    matrix[k, (top + 1) % matrix.shape[1]] += moved
+    assert abs(matrix[k].sum() - strategy.marginal[k]) < 1e-15
+    runner.save_strategy(strategy.with_matrix(matrix), path, metadata=sidecar)
+    assert main(["evaluate", "--run-dir", str(path.parent)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert "max_loss" in report["differ"]
+    assert report["replayed"]["max_loss"] != report["stored"]["max_loss"]
+
+
+def test_cli_evaluate_refuses_a_run_without_meta_json(tmp_path, capsys):
+    run_batch(build_problem(replay_cfg("ipv_first_price")), tmp_path / "out")
+    meta = tmp_path / "out" / "run_000" / "meta.json"
+    meta.unlink()
+    assert main(["evaluate", "--run-dir", str(meta.parent)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {meta} is missing" in captured.err
+
+
+def test_cli_evaluate_refuses_strategies_of_an_edited_config(tmp_path, capsys):
+    run_batch(build_problem(replay_cfg("ipv_first_price")), tmp_path / "out")
+    cfg_path = tmp_path / "out" / "config.cfg"
+    text = cfg_path.read_text()
+    assert "eta0 = 100.0\n" in text
+    cfg_path.write_text(text.replace("eta0 = 100.0\n", "eta0 = 90.0\n"))
+    run_dir = tmp_path / "out" / "run_000"
+    assert main(["evaluate", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "strategy_agent0.csv: stored under config hash" in err and str(cfg_path) in err
+    # named explicitly, the edited config is replayed without the hash check
+    assert main(["evaluate", "--run-dir", str(run_dir), "--config", str(cfg_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["compared"] == [] and report["differ"] == []
 
 
 def test_cli_solve_n_samples_sets_eval_samples(tmp_path, capsys):
@@ -699,7 +790,8 @@ def test_cli_evaluate_refuses_zero_samples(tmp_path, capsys):
     assert main(["evaluate", "--run-dir", run_dir, "--n-samples", "0"]) == 2
     assert "error: --n-samples must be >= 1, got 0" in capsys.readouterr().err
     assert main(["evaluate", "--run-dir", run_dir, "--n-samples", "1000"]) == 0
-    assert json.loads(capsys.readouterr().out)["n_samples"] == 1000
+    report = json.loads(capsys.readouterr().out)
+    assert report["n_samples"] == 1000 and report["compared"] == ["max_loss"]
 
 
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--grid", "8"], ["probe-vs"]])
