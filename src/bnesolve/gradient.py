@@ -164,11 +164,11 @@ class GradientEngine:
     must partition the agents, and grouped agents must have the same
     observation grid, marginal and action grids; both are checked here, once.
     Also built here, once: which agents' opponents are weighted by their
-    highest bid, each agent's view of a component prior (its block's mass
-    scaled by its marginal), and, on the affine path, the mechanism's
-    kernels.  Every path returns a C-contiguous (K_i, L_i) gradient.  A dense
-    prior's value-weighted pair is stacked once per engine, since all agents
-    share the value.  ``memory_budget`` sets the chunk size along the value
+    highest bid, each agent's observation points of zero mass, each agent's
+    view of a component prior (its block's mass scaled by its marginal), and,
+    on the affine path, the mechanism's kernels.  Every path returns a
+    C-contiguous (K_i, L_i) gradient.  A dense prior's value-weighted pair is
+    stacked once per engine, since all agents share the value.  ``memory_budget`` sets the chunk size along the value
     axis of the tensor path; it never changes which path runs.  One
     chunk-sized buffer serves every chunk of a call and is filled in place,
     one value at a time, so the budget bounds the bytes of ex-post utilities
@@ -201,6 +201,8 @@ class GradientEngine:
                 bids = [self.flat_actions[j] for j in range(prior.n_agents) if j != i]
                 if all(np.array_equal(x, bids[0]) for x in bids[1:]):
                     self._top_bids[i] = bids[0][:, 0]
+        # agent -> the indices of its observation points of zero mass
+        self._dead_rows = [np.flatnonzero(~(m > 0)) for m in prior.marginals]
         # agent -> its view of each component (component priors only)
         self._views = {} if prior.components is None else \
             {i: self._component_views(i) for i in range(prior.n_agents)}
@@ -434,10 +436,11 @@ class GradientEngine:
         """``c`` with its rows of zero own mass set to zero; on a dense prior,
         whose weights are prior mass rather than conditional on the own
         observation, its other rows divided by the own marginal."""
-        marginal = self.prior.marginals[agent]
         if self.prior.components is None:
-            return _divide_rows(c, marginal)
-        c[~(marginal > 0)] = 0.0
+            return _divide_rows(c, self.prior.marginals[agent])
+        dead = self._dead_rows[agent]
+        if dead.size:
+            c[dead] = 0.0
         return c
 
     def _weight_rows(self, strategies, agent: int) -> np.ndarray:

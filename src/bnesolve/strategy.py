@@ -10,6 +10,7 @@ A pure strategy puts each row's whole mass on one action.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -204,15 +205,78 @@ def iterate_distance(a: Strategy, b: Strategy) -> float:
 # Persistence: the matrix itself, after one fixed header line, plus a JSON
 # sidecar with grids, marginal, and run provenance.  After the header, line k
 # holds row k's masses, comma-separated in ``flatten_action_grids`` order,
-# written with float.hex; the sidecar's floats are written with repr.  Both round-trip
-# bit-exactly.  Hex is for speed: a learned strategy's masses are mostly tiny
-# doubles, whose shortest repr costs several times a float.hex.  The header
-# names the layout and the encoding, and the loader refuses any other header,
-# because float.fromhex reads a decimal such as "0.25" silently as another
-# number.
+# written as float.hex writes them; the sidecar's floats are written with
+# repr.  Both round-trip bit-exactly.  Hex is for speed: a learned strategy's
+# masses are mostly tiny doubles, whose shortest repr costs several times
+# their hex.  A hex mass is fixed-width fields (sign and leading digit, 13
+# fraction digits, exponent), so ``_hex_blocks`` builds the text by table
+# lookup on the bits, byte-identical to float.hex, without a Python call per
+# mass.  Loading is unchanged: float.fromhex per field.  The header names the
+# layout and the encoding, and the loader refuses any other header, because
+# float.fromhex reads a decimal such as "0.25" silently as another number.
 # ---------------------------------------------------------------------------
 
 MATRIX_HEADER = "# strategy matrix: one line per observation, one float.hex mass per action"
+
+# entries formatted at a time by ``_hex_blocks``; bounds its scratch arrays
+_HEX_BLOCK = 32768
+
+
+@functools.cache
+def _hex_tables():
+    """The record layout of ``_hex_blocks`` and the tables its fields are
+    gathered from, NUL-padded: the head per sign and leading bit (``2 * sign
+    + normal``), the hex digit of each nibble, the two hex digits of each
+    byte, ``p±e`` per biased exponent below 2047 (0, the subnormals', is
+    ``p-1022`` as for 1), and the records of +0.0 and -0.0 (their separator
+    set later).  Built on first use, not at import."""
+    def table(texts, width):
+        return np.array(texts, dtype=f"S{width}").view(f"V{width}")
+
+    digits = "0123456789abcdef"
+    record = np.dtype([("head", "V5"), ("lead", "u1"), ("frac", "V12"), ("exp", "V6"),
+                       ("sep", "u1")])
+    return (record,
+            table(["0x0.", "0x1.", "-0x0.", "-0x1."], 5),
+            np.frombuffer(digits.encode(), dtype=np.uint8),
+            table([a + b for a in digits for b in digits], 2).view(np.uint16),
+            table([f"p{max(e - 1023, -1022):+d}" for e in range(2047)], 6),
+            table(["0x0.0p+0", "-0x0.0p+0"], 25).view(record))
+
+
+def _hex_blocks(matrix: np.ndarray) -> list[bytes]:
+    """The rows of ``matrix``, one line each, masses comma-separated and
+    written byte for byte as ``float.hex`` writes them, in blocks of at most
+    ``_HEX_BLOCK`` masses.  Every mass gets a 25-byte record gathered from
+    ``_hex_tables`` by its sign, biased exponent and fraction bytes; the NUL
+    padding is then squeezed out.  A non-finite mass raises ``ValueError``
+    naming its row and column."""
+    record, heads, digits, pairs, exps, zeros = _hex_tables()
+    m = np.ascontiguousarray(matrix, dtype="<f8")
+    cols = m.shape[1]
+    bits = m.reshape(-1).view("<u8")
+    blocks = []
+    for start in range(0, bits.size, _HEX_BLOCK):
+        b = bits[start:start + _HEX_BLOCK]
+        exp = (b >> 52).astype(np.intp)
+        sign = exp >> 11
+        exp &= 0x7FF
+        if (bad := np.flatnonzero(exp == 0x7FF)).size:
+            k, l = divmod(start + int(bad[0]), cols)
+            raise ValueError(f"mass ({k}, {l}) is not finite: {float(m[k, l])!r}")
+        rec = np.empty(b.size, dtype=record)
+        rec["head"] = heads.take(2 * sign + (exp > 0))
+        # little-endian bytes 6..0: the fraction's leading nibble, then 12 digits
+        frac = b.view(np.uint8).reshape(-1, 8)
+        rec["lead"] = digits.take(frac[:, 6] & 15)
+        rec["frac"] = pairs.take(frac[:, 5::-1].astype(np.intp)).view("V12")[:, 0]
+        rec["exp"] = exps.take(exp)
+        zero = np.flatnonzero((b << 1) == 0)
+        rec[zero] = zeros.take(sign[zero])
+        rec["sep"] = ord(",")
+        rec["sep"][(cols - 1 - start) % cols::cols] = ord("\n")
+        blocks.append(rec.tobytes().translate(None, b"\0"))
+    return blocks
 
 
 def _grid_to_json(g: Grid) -> dict:
@@ -239,18 +303,27 @@ def sidecar_path(path) -> Path:
 
 
 def save_strategy(strategy: Strategy, path, metadata: dict | None = None):
-    """Write the strategy matrix as hex-float lines plus a metadata sidecar record."""
+    """Write the strategy matrix as hex-float lines plus a metadata sidecar record.
+
+    Both files' contents are formatted before either is opened: a non-finite
+    mass, or metadata that JSON cannot hold, raises and leaves any existing
+    files at ``path`` as they were."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(MATRIX_HEADER + "\n")
-        fh.writelines(",".join(map(float.hex, row)) + "\n" for row in strategy.matrix.tolist())
+    try:
+        body = _hex_blocks(strategy.matrix)
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
     meta = {
         "obs_grid": _grid_to_json(strategy.obs_grid),
         "action_grids": [_grid_to_json(g) for g in strategy.action_grids],
         "marginal": [repr(float(m)) for m in strategy.marginal],
     }
     meta.update(metadata or {})
-    sidecar_path(path).write_text(json.dumps(meta, indent=1))
+    sidecar = json.dumps(meta, indent=1)
+    with path.open("wb") as fh:
+        fh.write(MATRIX_HEADER.encode() + b"\n")
+        fh.writelines(body)
+    sidecar_path(path).write_text(sidecar)
 
 
 def load_strategy(path) -> tuple[Strategy, dict]:

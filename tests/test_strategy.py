@@ -12,9 +12,9 @@ from bnesolve.gradient import expected_utility
 from bnesolve.grids import make_uniform_grid
 from bnesolve.presets import get_preset
 from bnesolve.runner import solve
-from bnesolve.strategy import (Strategy, flatten_action_grids, init_strategy,
-                               iterate_distance, load_strategy, nearest_actions,
-                               save_strategy, sidecar_path)
+from bnesolve.strategy import (_HEX_BLOCK, Strategy, _hex_blocks, flatten_action_grids,
+                               init_strategy, iterate_distance, load_strategy,
+                               nearest_actions, save_strategy, sidecar_path)
 
 
 def simple_strategy(k=3, l=3, seed=0, marginal=None, ndim=1):
@@ -435,6 +435,97 @@ def test_save_strategy_bytes_match_reference_writer(tmp_path):
     save_strategy(s, tmp_path / "new.csv")
     reference_save(s, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def hex_lines(matrix):
+    """Entry-by-entry ``float.hex`` text of a matrix: one line per row, masses
+    comma-separated."""
+    return "".join(",".join(float.hex(float(x)) for x in row) + "\n" for row in matrix).encode()
+
+
+def finite_bit_patterns(shape, rng):
+    """Uniform random 64-bit patterns; those of inf and NaN are made finite by
+    clearing the exponent's top bit."""
+    bits = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64)
+    bits[(bits >> np.uint64(52)) & np.uint64(0x7FF) == 0x7FF] &= ~np.uint64(1 << 62)
+    return bits.view(np.float64)
+
+
+def every_biased_exponent(rng):
+    """Each biased exponent 0..2046 with a random fraction, then the same with
+    the sign bit set: 4094 doubles, subnormals first."""
+    exp = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+    bits = exp | rng.integers(0, 2 ** 52, size=2047, dtype=np.uint64)
+    return np.concatenate([bits, bits | np.uint64(1 << 63)]).view(np.float64)
+
+
+def subnormals_and_zeros(rng):
+    tiny = np.finfo(float).tiny
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, np.nextafter(tiny, 0.0), tiny, -tiny,
+                      np.nextafter(0.0, -1.0), 2.0 ** -1074 * 3, 1.0, -1.0, np.finfo(float).max,
+                      -np.finfo(float).max, 2.0 ** -1022 * 1.5])
+    return np.concatenate([edges, rng.uniform(-tiny, tiny, 510), np.zeros(20), -np.zeros(20)])
+
+
+HEX_CASES = {
+    "random bit patterns, 40 x 997": lambda rng: finite_bit_patterns((40, 997), rng),
+    "every exponent, both signs, 2 x 2047": lambda rng: every_biased_exponent(rng).reshape(2, -1),
+    "every exponent, one column": lambda rng: every_biased_exponent(rng)[:, None],
+    "every exponent, one row": lambda rng: every_biased_exponent(rng)[None, :],
+    "subnormals and zeros, 4 x 141": lambda rng: subnormals_and_zeros(rng).reshape(4, -1),
+    "+0.0, 1 x 1": lambda rng: np.zeros((1, 1)),
+    "-0.0, 1 x 1": lambda rng: -np.zeros((1, 1)),
+    "5e-324, 1 x 1": lambda rng: np.full((1, 1), 5e-324),
+    "more than two blocks, 3 x 25013": lambda rng: finite_bit_patterns((3, 25013), rng),
+}
+
+
+@pytest.mark.parametrize("case", HEX_CASES)
+def test_hex_blocks_match_float_hex_over_the_double_range(case):
+    m = HEX_CASES[case](np.random.default_rng(len(case)))
+    assert np.all(np.isfinite(m))
+    blocks = _hex_blocks(m)
+    assert len(blocks) == -(-m.size // _HEX_BLOCK)
+    assert b"".join(blocks) == hex_lines(m)
+
+
+def test_save_strategy_bytes_match_reference_writer_beyond_one_block(tmp_path):
+    """A strategy of more masses than one block, with subnormal and zero
+    masses on and across block edges, saves to the reference writer's bytes."""
+    rng = np.random.default_rng(5)
+    og = make_uniform_grid(0.0, 1.0, 5)
+    ags = (make_uniform_grid(0.0, 1.0, 10007),)
+    marginal = rng.dirichlet(np.ones(5))
+    m = rng.exponential(size=(5, 10007))
+    m[:, ::3] = 0.0
+    m[:, 1::3] *= 1e-300
+    m *= (marginal / m.sum(axis=1))[:, None]
+    m.flat[_HEX_BLOCK - 2:_HEX_BLOCK + 2] = [5e-324, 0.0, 2.0 ** -1022, 0.0]
+    s = Strategy(m, og, ags, m.sum(axis=1))
+    assert s.matrix.size > _HEX_BLOCK
+    save_strategy(s, tmp_path / "new.csv")
+    reference_save(s, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_failed_save_leaves_the_files_as_they_were(tmp_path, bad):
+    """A non-finite mass or metadata JSON cannot hold is refused before
+    anything is written: an existing strategy file and sidecar keep their
+    bytes, and a new path gets no file."""
+    path = tmp_path / "strategy_agent0.csv"
+    save_strategy(simple_strategy(k=3, l=4, seed=1), path, metadata={"iteration": 7})
+    before = path.read_bytes(), sidecar_path(path).read_bytes()
+    s = simple_strategy(k=3, l=4, seed=2)
+    s.matrix[2, 1] = bad    # past the constructor's check, as a caller's mutation would be
+    with pytest.raises(ValueError, match=r"^strategy_agent0.csv: mass \(2, 1\) is not finite"):
+        save_strategy(s, path)
+    with pytest.raises(TypeError):
+        save_strategy(simple_strategy(k=3, l=4, seed=2), path, metadata={"seed": object()})
+    assert (path.read_bytes(), sidecar_path(path).read_bytes()) == before
+    with pytest.raises(ValueError, match="not finite"):
+        save_strategy(s, tmp_path / "new.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, sidecar_path(path).name]
 
 
 def reference_load(path):
