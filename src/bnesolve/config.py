@@ -104,8 +104,9 @@ class RunConfig:
             raise ValueError("memory_budget_gib must be > 0")
         if self.prior == "gaussian_trunc" and not self.sigma > 0:
             raise ValueError("sigma must be > 0 for the gaussian_trunc prior")
-        if self.prior in ("common_value", "affiliated") and self.prior_samples < MIN_SAMPLE_COUNT:
-            raise ValueError(f"prior_samples must be >= {MIN_SAMPLE_COUNT} for a binned prior")
+        if self.prior == "affiliated" and self.prior_samples < MIN_SAMPLE_COUNT:
+            raise ValueError(f"prior_samples must be >= {MIN_SAMPLE_COUNT} for the binned "
+                             "affiliated prior")
         return self
 
     def to_text(self) -> str:
@@ -317,7 +318,7 @@ def build_prior_model(cfg: RunConfig):
                 specs.append(CustomDensityMarginal(density, lo, hi))
         return IndependentPrivatePrior(specs)
     if cfg.prior == "common_value":
-        return CommonValuePrior(n, sample_count=cfg.prior_samples, seed=cfg.prior_seed)
+        return CommonValuePrior(n)
     if cfg.prior == "affiliated":
         if n != 2:
             raise ValueError("the affiliated-values model is defined for 2 agents")

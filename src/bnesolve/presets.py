@@ -6,9 +6,9 @@ Step parameters were calibrated to certify within the iteration cap;
 comments mark where this build's calibration departs from the usual
 settings for the family.  Three presets still stop at the cap above their
 tolerance at seed (0, 0): ``llg_first_price_g01``/``g05``/``g09`` (exact
-ties under the void-on-ties rule).  The LLG presets' prior is exact, so they set no
-``prior_samples``; the binned common-value and affiliated presets bin 4M
-draws.  No preset sets the shared value's range: the common-value and
+ties under the void-on-ties rule).  The LLG and common-value presets' priors
+are exact, so they set no ``prior_samples``; the binned affiliated preset bins
+4M draws.  No preset sets the shared value's range: the common-value and
 affiliated prior models state it (``value_bounds``), and ``value_points``
 sets only how many points its grid has.
 """
@@ -39,8 +39,7 @@ _add("fpsb_sweep",
 _add("common_value_spsb",
      mechanism="spsb", agents=3, prior="common_value",
      action_lower=0.0, action_upper=1.5,
-     learner="soma2", eta0=50.0, step_beta=0.5,
-     prior_samples=1 << 22)
+     learner="soma2", eta0=50.0, step_beta=0.5)
 
 # entropic updates with a near-constant step are the only family that
 # certifies below 1e-4 here within the iteration cap

@@ -7,16 +7,17 @@ the end cells reach to the ends of the support.  That is the game evaluation
 assumes, since ``Strategy.sample_bids`` sends each continuous draw to its
 nearest grid point.  ``meta["construction"]`` names how the cell
 probabilities are found.  ``"exact"``: private values, the independent
-marginals and the correlated LLG locals, take cdf differences over the cells.
-``"binned"``: the common- and affiliated-value latent models, which give all
-agents one shared value (one value grid, one value joint), estimate them by
-counting Monte-Carlo draws at their nearest grid points.
+marginals and the correlated LLG locals, take cdf differences over the cells,
+and the common-value model integrates each cell over the shared value.
+``"binned"``: the affiliated-values latent model estimates them by counting
+Monte-Carlo draws at their nearest grid points.  The two interdependent
+models give all agents one shared value (one value grid, one value joint).
 
 Each continuous prior model owns what its discretization reads: its
 observation supports (``obs_bounds``), the support of the shared value
-(``value_bounds``, ``None`` for private values) and, for the two binned
-models, the draw count and seed given to its constructor.  So every model's
-``discretize`` takes the grids alone.
+(``value_bounds``, ``None`` for private values) and, for the binned
+affiliated model, the draw count and seed given to its constructor.  So every
+model's ``discretize`` takes the grids alone.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ DEFAULT_SAMPLE_COUNT = 1_000_000
 MIN_SAMPLE_COUNT = 100_000
 _BIN_CHUNK = 1 << 20
 CDF_TABLE_SIZE = 8193  # points of the tabulated cdf of a custom density
+GAUSS_NODES = 16  # Gauss-Legendre nodes per smooth piece of the common-value integral
 
 
 @dataclass(frozen=True)
@@ -446,19 +448,28 @@ class CommonValuePrior:
     """One hidden value shared by all agents, observed through noisy signals.
 
     With latent uniform draws ``w`` on the unit cube, the shared value is the
-    last coordinate and agent i observes ``2 * w_i * value``.  It is binned
-    from ``sample_count`` draws seeded with ``seed``.
+    last coordinate and agent i observes ``2 * w_i * value``: given the value
+    v, the signals are independent and uniform on [0, 2v].
+
+    The discretized prior is exact.  A signal falls in the nearest-point cell
+    [a, b] with probability ``f(v) = (min(b, 2v) - min(a, 2v)) / (2v)``, so
+    the cell (value cell m, signal cells k_1..k_n) gets ``int_m prod_i
+    f_{k_i}(v) dv``.  Split at the value cells' edges and at half the signal
+    cells' edges, the value axis falls into pieces on which each ``f`` is
+    smooth and the integrand's one pole, v = 0, lies outside the piece;
+    ``GAUSS_NODES``-point Gauss-Legendre on every piece then integrates each
+    cell to rounding.  A value cell's mass is one matrix product of its
+    nodes' weighted rank-one terms; each cell then takes the mass computed
+    for its signal cells in ascending order, so the joint is exchangeable to
+    the bit, as a stored run's certificate needs to replay on every agent.
     """
 
     kind = "common_value"
     value_bounds = (0.0, 1.0)
 
-    def __init__(self, n_agents: int = 3, *, sample_count: int = DEFAULT_SAMPLE_COUNT,
-                 seed: int = 0):
+    def __init__(self, n_agents: int = 3):
         self.n_agents = n_agents
         self.obs_bounds = tuple((0.0, 2.0) for _ in range(n_agents))
-        self.sample_count = sample_count
-        self.seed = seed
 
     def symmetry_groups(self):
         return [list(range(self.n_agents))]
@@ -471,9 +482,51 @@ class CommonValuePrior:
         return values, obs
 
     def discretize(self, obs_grids, value_grid=None) -> DiscretePrior:
-        return joint_from_latent(self.sample, value_grid, obs_grids, self.sample_count,
-                                 self.seed, symmetry_groups=self.symmetry_groups(),
-                                 meta={"kind": self.kind})
+        # imported here: numpy.polynomial is not loaded with numpy itself
+        from numpy.polynomial.legendre import leggauss
+
+        if value_grid is None:
+            raise ValueError("the common-value prior needs a value grid for the shared value")
+        obs_grids = tuple(obs_grids)
+        grid, n = obs_grids[0], len(obs_grids)
+        if any(g != grid for g in obs_grids):
+            raise ValueError("the common-value prior's agents are exchangeable: they need "
+                             "one observation grid")
+        a, b = _cell_edges(grid, *self.obs_bounds[0])
+        value_lo, value_hi = _cell_edges(value_grid, *self.value_bounds)
+        breaks = np.sort(np.concatenate([value_lo, value_hi[-1:], a / 2, b[-1:] / 2]))
+        lo, hi = breaks[:-1], breaks[1:]
+        lo, hi = lo[hi > lo], hi[hi > lo]
+        x, w = leggauss(GAUSS_NODES)
+        half = (hi - lo)[:, None] / 2
+        two_v = ((lo + hi)[:, None] + 2 * half * x).ravel()[:, None]
+        weights = (half * w).ravel()
+        cell_prob = (np.minimum(b, two_v) - np.minimum(a, two_v)) / two_v
+        marginal = weights @ cell_prob
+        if np.any(marginal == 0):
+            raise ValueError("the common-value prior has observation grid points whose "
+                             "cells miss the support of the signals")
+        # each value cell's nodes are one run of rows: its pieces lie within it
+        cell_of_piece = np.searchsorted(value_hi[:-1], (lo + hi) / 2)
+        rows = np.searchsorted(cell_of_piece, np.arange(value_grid.count + 1)) * GAUSS_NODES
+        obs_shape = (grid.count,) * n
+        canonical = np.ravel_multi_index(np.sort(np.indices(obs_shape).reshape(n, -1), axis=0),
+                                         obs_shape)
+        value_joint = np.empty((value_grid.count,) + obs_shape)
+        obs_joint = np.zeros(obs_shape)
+        computed = np.empty((grid.count, grid.count ** (n - 1)))
+        for m in range(value_grid.count):
+            f = cell_prob[rows[m]:rows[m + 1]]
+            others = f
+            for _ in range(n - 2):
+                others = (others[:, :, None] * f[:, None, :]).reshape(len(f), -1)
+            np.matmul((weights[rows[m]:rows[m + 1], None] * f).T, others, out=computed)
+            np.take(computed.ravel(), canonical, out=value_joint[m].ravel())
+            obs_joint += value_joint[m]
+        meta = {"kind": self.kind, "construction": "exact",
+                "empty_cells": int(np.count_nonzero(obs_joint == 0))}
+        return DiscretePrior(obs_grids, (marginal,) * n, obs_joint, value_grid=value_grid,
+                             value_joint=value_joint, meta=meta)
 
 
 class AffiliatedValuesPrior:

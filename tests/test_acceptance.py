@@ -1,7 +1,7 @@
 """Acceptance suite: one test and one printed PASS/FAIL line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines as they complete.  Heavy artifacts (solved runs, binned priors) are
+lines as they complete.  Heavy artifacts (solved runs, discretized priors) are
 cached at module scope and shared between criteria.
 """
 

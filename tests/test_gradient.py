@@ -94,7 +94,7 @@ def test_tensor_spot_checks_match_expost_utility():
 
 
 def test_engine_chunks_interdependent_prior_over_budget():
-    model = CommonValuePrior(3, sample_count=100_000, seed=1)
+    model = CommonValuePrior(3)
     og = [make_uniform_grid(0, 2, 5)] * 3
     vg = make_uniform_grid(0, 1, 7)
     prior = model.discretize(og, vg)
@@ -134,7 +134,7 @@ def test_gradient_general_matches_naive_enumeration():
 
 
 def test_gradient_general_interdependent_matches_naive():
-    model = CommonValuePrior(2, sample_count=100_000, seed=0)
+    model = CommonValuePrior(2)
     og = [make_uniform_grid(0, 2, 3)] * 2
     vg = make_uniform_grid(0, 1, 3)
     prior = model.discretize(og, vg)
@@ -158,8 +158,7 @@ def test_dense_interdependent_gradients_match_naive():
     common value bids on a grid of its own, so the opponents' actions must
     meet the payoff in agent order."""
     og = [make_uniform_grid(0, 2, 4)] * 3
-    common = CommonValuePrior(3, sample_count=100_000, seed=2).discretize(
-        og, make_uniform_grid(0, 1, 3))
+    common = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 3))
     common_grids = [(make_uniform_grid(0, 1.5, 3),)] * 2 + [(make_uniform_grid(0, 1.2, 4),)]
     affiliated = AffiliatedValuesPrior(sample_count=100_000, seed=2).discretize(
         [make_uniform_grid(0, 2, 4)] * 2, make_uniform_grid(0, 2, 3))
@@ -376,8 +375,7 @@ def risk_averse_settings():
     mech, prior, action_grids, strategies = ipv_setting(n=3, k=9, l=11, rho=0.5, seed=4)
     yield "fpsb", mech, prior, action_grids, [strategies[0]] * 3, "tensor", 8 * 11 ** 2
     og = [make_uniform_grid(0, 2, 3)] * 3
-    prior = CommonValuePrior(3, sample_count=100_000, seed=3).discretize(
-        og, make_uniform_grid(0, 1, 5))
+    prior = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 5))
     action_grids = [(make_uniform_grid(0, 1.5, 12),)] * 3
     profile = [init_strategy("random", og[i], action_grids[i], prior.marginals[i], seed=i)
                for i in range(3)]
@@ -483,7 +481,7 @@ def test_split_award_kernel_matches_naive_on_tie_grids():
 def test_split_award_kernel_matches_naive_on_interdependent_prior():
     # distinct value-weighted and plain weights take the kernel twice, the
     # second time for the B part only
-    model = CommonValuePrior(2, sample_count=100_000, seed=0)
+    model = CommonValuePrior(2)
     og = [make_uniform_grid(0, 2, 3)] * 2
     vg = make_uniform_grid(0, 1, 4)
     prior = model.discretize(og, vg)
@@ -651,10 +649,9 @@ def test_factorized_branch_skips_opponent_weights(monkeypatch):
             for agent in range(prior.n_agents):
                 engine.gradient(strategies, agent)
     assert calls == []
-    # a binned prior holds a dense joint, which still takes the GEMMs
+    # an interdependent prior holds a dense joint, which still takes the GEMMs
     og = [make_uniform_grid(0, 2, 3)] * 2
-    common = CommonValuePrior(2, sample_count=100_000, seed=0).discretize(
-        og, make_uniform_grid(0, 1, 4))
+    common = CommonValuePrior(2).discretize(og, make_uniform_grid(0, 1, 4))
     assert common.components is None
     grids = [(make_uniform_grid(0, 1.5, 3),)] * 2
     profile = [init_strategy("random", og[i], grids[i], common.marginals[i], seed=i)
@@ -790,8 +787,7 @@ def layout_settings():
     yield "affine_one_block", GradientEngine(llg.mech, held, llg.action_grids), profile
     yield "tensor_one_block", tensor_engine(llg.mech, held, llg.action_grids), profile
     og = [make_uniform_grid(0, 2, 3)] * 2
-    common = CommonValuePrior(2, sample_count=100_000, seed=0).discretize(
-        og, make_uniform_grid(0, 1, 4))
+    common = CommonValuePrior(2).discretize(og, make_uniform_grid(0, 1, 4))
     spsb_grids = [(make_uniform_grid(0, 1.5, 3),)] * 2
     profile = [init_strategy("random", og[i], spsb_grids[i], common.marginals[i], seed=i)
                for i in range(2)]
@@ -858,8 +854,7 @@ def llg_tie_settings():
             yield (f"{gamma}_{'grouped' if grouped else 'singleton'}",
                    [[0, 1], [2]] if grouped else None, prior, action_grids, profile)
     og = [make_uniform_grid(0, 2, 3)] * 3
-    common = CommonValuePrior(3, sample_count=100_000, seed=1).discretize(
-        og, make_uniform_grid(0, 1, 3))
+    common = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 3))
     action_grids = [(locals_[0],), (make_uniform_grid(0, 1, 3),), (glob,)]
     profile = [init_strategy("random", og[i], action_grids[i], common.marginals[i],
                              seed=3 + i) for i in range(3)]

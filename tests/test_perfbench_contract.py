@@ -40,7 +40,7 @@ mapping = {**bn.presets.get_preset("fpsb_2_uniform"), "obs_points": 12,
            "plot_points": 10}
 problem = bn.config.build_problem(bn.config.config_from_mapping(mapping))
 summary = bn.runner.run_batch(problem, sys.argv[2], runs=2)
-mapping = {**bn.presets.get_preset("common_value_spsb"), "obs_points": 6,
+mapping = {**bn.presets.get_preset("affiliated_fpsb"), "obs_points": 6,
            "action_points": 6, "value_points": 6, "prior_samples": 1 << 17}
 prior = bn.config.build_problem(bn.config.config_from_mapping(mapping)).discretize()
 print(json.dumps({
@@ -69,4 +69,4 @@ def test_perfbench_tracer_and_capture_still_apply(tmp_path):
                  "priors.joint_from_latent"):
         assert name in out["spans"], name
     # the tracer sizes a latent prior through its joints and value joints
-    assert out["joint_bytes"] == out["prior_bytes"] == (6 ** 3 + 6 ** 4) * 8
+    assert out["joint_bytes"] == out["prior_bytes"] == (6 ** 2 + 6 ** 3) * 8

@@ -122,7 +122,8 @@ def test_full_support_enforced_by_default():
 def test_meta_names_each_prior_grid_mass_rule():
     """One rule, two constructions: on uniform values every point gets the
     length of its nearest-point cell, half at the ends, exactly from the cdf
-    for private values and estimated by nearest-point counts when binned."""
+    for private values and estimated by nearest-point counts when binned.
+    The common value is exact too; the affiliated prior is binned."""
     g = grids(2, 5)
     cells = [0.125, 0.25, 0.25, 0.25, 0.125]
     independent = IndependentPrivatePrior([UniformMarginal(0, 1)] * 2).discretize(g)
@@ -140,29 +141,99 @@ def test_meta_names_each_prior_grid_mass_rule():
                                seed=1)
     assert binned.meta["construction"] == "binned"
     assert np.max(np.abs(binned.marginals[0] - cells)) < 0.005
-    common = CommonValuePrior(2, sample_count=100_000, seed=0).discretize(
-        grids(2, 4, hi=2.0), make_uniform_grid(0, 1, 4))
-    assert common.meta["construction"] == "binned" and common.meta["kind"] == "common_value"
+    affiliated = AffiliatedValuesPrior(sample_count=100_000, seed=0).discretize(
+        grids(2, 4, hi=2.0), make_uniform_grid(0, 2, 4))
+    assert affiliated.meta["construction"] == "binned"
+    assert affiliated.meta["kind"] == "affiliated"
+    common = CommonValuePrior(2).discretize(grids(2, 4, hi=2.0), make_uniform_grid(0, 1, 4))
+    assert common.meta == {"kind": "common_value", "construction": "exact", "empty_cells": 0}
 
 
 def test_small_sample_count_rejected():
-    model = CommonValuePrior(2)
+    model = AffiliatedValuesPrior()
     with pytest.raises(ValueError, match="sample_count"):
-        joint_from_latent(model.sample, make_uniform_grid(0.0, 1.0, 4), grids(2, 4, hi=2.0),
+        joint_from_latent(model.sample, make_uniform_grid(0.0, 2.0, 4), grids(2, 4, hi=2.0),
                           sample_count=10)
 
 
-def test_common_value_marginal_shape_and_seed_stability():
-    og = grids(3, 16, hi=2.0)
-    vg = make_uniform_grid(0.0, 1.0, 16)
-    p1 = CommonValuePrior(3, sample_count=400_000, seed=1).discretize(og, vg)
-    p2 = CommonValuePrior(3, sample_count=400_000, seed=2).discretize(og, vg)
-    check_invariants(p1)
+def test_common_value_marginal_shape():
+    prior = CommonValuePrior(3).discretize(grids(3, 16, hi=2.0), make_uniform_grid(0.0, 1.0, 16))
+    check_invariants(prior)
     # signal density decreases away from zero, so the interior cells' masses
-    # do; the end cell at zero is half a cell; two independent seeds agree
-    m = p1.marginals[0]
+    # do; the end cell at zero is half a cell
+    m = prior.marginals[0]
     assert np.all(np.diff(m[1:10]) < 0) and m[0] < m[1]
-    assert 0.5 * np.sum(np.abs(m - p2.marginals[0])) < 0.005
+
+
+@pytest.mark.parametrize("value_points", [16, 11])
+def test_common_value_cells_match_adaptive_quadrature(value_points):
+    """Every cell of a three-agent prior on 16 signal points is its integral
+    over its value cell, to 1e-12 relative against adaptive Gauss-Kronrod
+    quadrature told where 2v crosses a signal cell's edge.  On 16 value
+    points 2v sweeps signal cell m across value cell m, so the cells
+    (m, m, m, m) are those it crosses; on 11 the crossings fall inside the
+    value cells."""
+    og, vg = make_uniform_grid(0.0, 2.0, 16), make_uniform_grid(0.0, 1.0, value_points)
+    prior = CommonValuePrior(3).discretize([og] * 3, vg)
+    signal, value = cell_edges(og, 0.0, 2.0), cell_edges(vg, 0.0, 1.0)
+
+    def integrand(v):
+        # the probability that a signal uniform on [0, 2v] falls in each cell
+        f = (np.clip(2 * v, signal[:-1], signal[1:]) - signal[:-1]) / (2 * v)
+        return np.multiply.outer(np.multiply.outer(f, f), f)
+
+    for m in range(vg.count):
+        lo, hi = value[m], value[m + 1]
+        kinks = [x for x in signal / 2 if lo < x < hi]
+        reference, _ = integrate.quad_vec(integrand, lo, hi, epsabs=1e-22, epsrel=1e-15,
+                                          norm="max", points=kinks or None)
+        cells = prior.value_joint[m]
+        assert np.all(cells[reference == 0] == 0)
+        assert np.all(np.abs(cells - reference) <= 1e-12 * reference), m
+        if value_points == 16:
+            assert cells[m, m, m] > 0
+        else:
+            assert kinks
+
+
+def test_common_value_prior_matches_brute_force_binning():
+    """The exact value joint against 2M draws binned at their nearest points,
+    cell by cell, within five standard deviations of each cell's binomial
+    count; cells of zero mass (signals above twice the value) get no draws."""
+    model = CommonValuePrior(3)
+    og, vg = [make_uniform_grid(0.0, 2.0, 6)] * 3, make_uniform_grid(0.0, 1.0, 5)
+    prior = model.discretize(og, vg)
+    check_invariants(prior)
+    joint = prior.value_joint
+    draws = 2_000_000
+    counts = brute_force_counts(model, og, draws, seed=12, value_grid=vg)
+    sd = np.sqrt(draws * joint * (1 - joint))
+    assert np.all(np.abs(counts - draws * joint) <= 5 * sd + 1e-9)
+    assert np.all(counts[joint == 0] == 0) and np.count_nonzero(joint == 0) > 0
+
+
+def test_common_value_prior_sums_to_one_and_is_exchangeable():
+    """The masses sum to one to rounding, the marginals are the cdf
+    differences of the signal's closed form, and swapping any two agents
+    leaves every cell as it is, to the bit: grouped agents share one marginal
+    array, and agents on different grids are refused."""
+    og = make_uniform_grid(0.0, 2.0, 16)
+    prior = CommonValuePrior(3).discretize([og] * 3, make_uniform_grid(0.0, 1.0, 11))
+    assert abs(prior.value_joint.sum() - 1.0) <= 1e-15
+    assert abs(prior.obs_joint.sum() - 1.0) <= 1e-15
+    assert prior.marginals[1] is prior.marginals[0] and prior.marginals[2] is prior.marginals[0]
+    assert abs(prior.marginals[0].sum() - 1.0) <= 1e-15
+    # a signal 2wv has density log(2/o)/2 on (0, 2]
+    edges = cell_edges(og, 0.0, 2.0)
+    cdf = np.concatenate(([0.0], edges[1:] * (np.log(2.0 / edges[1:]) + 1.0) / 2))
+    assert np.max(np.abs(prior.marginals[0] - np.diff(cdf))) <= 1e-15
+    for swap in ((0, 2, 1, 3), (0, 3, 2, 1), (0, 1, 3, 2), (0, 2, 3, 1)):
+        assert np.array_equal(prior.value_joint, prior.value_joint.transpose(swap))
+        obs_swap = tuple(a - 1 for a in swap[1:])
+        assert np.array_equal(prior.obs_joint, prior.obs_joint.transpose(obs_swap))
+    with pytest.raises(ValueError, match="one observation grid"):
+        CommonValuePrior(2).discretize([og, make_uniform_grid(0.0, 2.0, 15)],
+                                       make_uniform_grid(0.0, 1.0, 11))
 
 
 def test_affiliated_marginal_matches_triangle_convolution():
@@ -214,15 +285,20 @@ def test_bernoulli_weights_prior():
         BernoulliWeightsLLGPrior(1.5)
 
 
-def brute_force_llg_counts(model, obs_grids, draws, seed, chunk=1 << 19):
-    """Cell counts of ``draws`` draws of the LLG model, each binned to its
-    nearest grid point on every axis by a search of the grid's midpoints."""
-    counts = np.zeros(tuple(g.count for g in obs_grids))
+def brute_force_counts(model, obs_grids, draws, seed, value_grid=None, chunk=1 << 19):
+    """Cell counts of ``draws`` draws of ``model``, each binned to its nearest
+    grid point on every axis by a search of the grid's midpoints; given a
+    value grid, the shared value is the first axis."""
+    axes = [] if value_grid is None else [value_grid]
+    axes += list(obs_grids)
+    counts = np.zeros(tuple(g.count for g in axes))
     rng = np.random.default_rng(seed)
     for start in range(0, draws, chunk):
-        _, obs = model.sample(rng, min(chunk, draws - start))
-        idx = [np.searchsorted((g.points[1:] + g.points[:-1]) / 2, obs[:, i])
-               for i, g in enumerate(obs_grids)]
+        values, obs = model.sample(rng, min(chunk, draws - start))
+        columns = [] if value_grid is None else [values[:, 0]]
+        columns += [obs[:, i] for i in range(len(obs_grids))]
+        idx = [np.searchsorted((g.points[1:] + g.points[:-1]) / 2, x)
+               for g, x in zip(axes, columns)]
         np.add.at(counts, tuple(idx), 1.0)
     return counts
 
@@ -243,7 +319,7 @@ def test_llg_prior_matches_brute_force_binning(gamma, local_points):
     assert [c.weight for c in prior.components] == [w for w in (1 - gamma, gamma) if w > 0]
     joint = dense_joint(prior)
     draws = 2_000_000
-    counts = brute_force_llg_counts(model, g, draws, seed=11)
+    counts = brute_force_counts(model, g, draws, seed=11)
     sd = np.sqrt(draws * joint * (1 - joint))
     assert np.all(np.abs(counts - draws * joint) <= 5 * sd + 1e-9)
     assert np.all(counts[joint == 0] == 0)
@@ -254,7 +330,7 @@ def test_llg_prior_matches_brute_force_binning(gamma, local_points):
 
 
 def test_llg_prior_reads_no_draws():
-    # the binning settings reach only the binned models: an LLG config's
+    # the binning settings reach only the binned affiliated model: an LLG config's
     # prior_samples and prior_seed leave its exact prior as it is
     a, b = (build_problem(config_from_mapping({**get_preset("llg_nz_g05"), "obs_points": 9,
                                                "prior_samples": samples,
@@ -269,17 +345,28 @@ def test_llg_prior_reads_no_draws():
             assert agents_a == agents_b and np.array_equal(mass_a, mass_b)
 
 
+def test_common_value_prior_reads_no_draws():
+    a, b = (build_problem(config_from_mapping({**get_preset("common_value_spsb"),
+                                               "obs_points": 6, "value_points": 5,
+                                               "prior_samples": samples,
+                                               "prior_seed": seed})).discretize()
+            for samples, seed in [(1000, 1), (1 << 22, 987654321)])
+    assert a.meta == b.meta == {"kind": "common_value", "construction": "exact",
+                                "empty_cells": 0}
+    assert np.array_equal(a.value_joint, b.value_joint)
+
+
 MODELS = [IndependentPrivatePrior([UniformMarginal(0.0, 1.0), UniformMarginal(0.0, 2.0)]),
-          CommonValuePrior(3, sample_count=100_000, seed=1),
+          CommonValuePrior(3),
           AffiliatedValuesPrior(sample_count=100_000, seed=2),
           BernoulliWeightsLLGPrior(0.5)]
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda model: model.kind)
 def test_models_own_their_value_range_and_binning_settings(model):
-    """Every model discretizes from the grids alone, with its binning settings
-    given to its constructor; it states the support of the shared value, and
-    no value range for private values."""
+    """Every model discretizes from the grids alone, the binned affiliated
+    model with its binning settings given to its constructor; it states the
+    support of the shared value, and no value range for private values."""
     assert list(inspect.signature(model.discretize).parameters) == ["obs_grids", "value_grid"]
     obs_grids = [make_uniform_grid(lo, hi, 6) for lo, hi in model.obs_bounds]
     value_grid = None if model.value_bounds is None else \
@@ -288,7 +375,8 @@ def test_models_own_their_value_range_and_binning_settings(model):
     check_invariants(prior)
     private = model.kind in ("independent", "bernoulli_llg")
     assert (model.value_bounds is None) == private == (prior.value_joint is None)
-    if not private:
+    assert (prior.meta["construction"] == "binned") == (model.kind == "affiliated")
+    if model.kind == "affiliated":
         assert prior.meta["sample_count"] == model.sample_count == 100_000
         assert prior.meta["seed"] == model.seed
     values, obs = model.sample(np.random.default_rng(0), 100_000)
@@ -301,13 +389,12 @@ def test_models_own_their_value_range_and_binning_settings(model):
 
 
 def test_symmetrization_makes_grouped_agents_identical():
-    model = CommonValuePrior(3, sample_count=200_000, seed=6)
-    prior = model.discretize(grids(3, 8, hi=2.0), make_uniform_grid(0.0, 1.0, 8))
-    assert np.array_equal(prior.marginals[0], prior.marginals[1])
-    assert np.array_equal(prior.marginals[0], prior.marginals[2])
-    assert np.allclose(prior.obs_joint, prior.obs_joint.transpose(1, 0, 2), atol=1e-15)
-    for swap in ((0, 2, 1, 3), (0, 3, 2, 1), (0, 1, 3, 2)):
-        assert np.allclose(prior.value_joint, prior.value_joint.transpose(swap), atol=1e-15)
+    # two agents: the average of a joint and its transpose is symmetric to the bit
+    model = AffiliatedValuesPrior(sample_count=200_000, seed=6)
+    prior = model.discretize(grids(2, 8, hi=2.0), make_uniform_grid(0.0, 2.0, 8))
+    assert prior.marginals[1] is prior.marginals[0]
+    assert np.array_equal(prior.obs_joint, prior.obs_joint.T)
+    assert np.array_equal(prior.value_joint, prior.value_joint.transpose(0, 2, 1))
 
 
 def cell_edges(grid, lower, upper):
@@ -487,7 +574,8 @@ def reference_value_joints(sampler, val_grids, obs_grids, sample_count, seed, gr
 
 
 @pytest.mark.parametrize("model, obs_hi, value_hi", [
-    (CommonValuePrior(3, sample_count=200_000, seed=7), 2.0, 1.0),
+    # a value grid over half the value's support: values above it bin to its top
+    (AffiliatedValuesPrior(sample_count=200_000, seed=7), 2.0, 1.0),
     (AffiliatedValuesPrior(sample_count=200_000, seed=7), 2.0, 2.0)])
 def test_value_joint_matches_per_agent_reference_binning(model, obs_hi, value_hi):
     og = grids(model.n_agents, 6, hi=obs_hi)
@@ -539,8 +627,8 @@ def per_chunk_counts(sampler, value_grid, obs_grids, sample_count, seed, chunk):
 
 
 @pytest.mark.parametrize("preset, points, samples, chunk", [
-    ("common_value_spsb", 10, 9_000, 1_000),    # table 10^4 > draws: one bincount at the end
-    ("common_value_spsb", 10, 35_000, 3_000),   # a bincount every four chunks, then the rest
+    ("affiliated_fpsb", 22, 9_000, 1_000),      # table 22^3 > draws: one bincount at the end
+    ("affiliated_fpsb", 22, 35_000, 3_000),     # a bincount every four chunks, then the rest
     ("affiliated_fpsb", 12, 10_000, 1_000),     # table 12^3: every two chunks
     ("affiliated_fpsb", 8, 5_500, 1_000),       # table 8^3 < chunk: every chunk
 ])

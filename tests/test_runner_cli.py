@@ -135,7 +135,7 @@ BAD_RUN_SETTINGS = [
     ({"tolerance": -1}, "tolerance"),
     ({"prior": "gaussian_trunc", "sigma": -0.1}, "sigma"),
     ({"prior": "gaussian_trunc", "sigma": 0}, "sigma"),
-    ({"prior": "common_value", "prior_samples": 1000}, "prior_samples"),
+    ({"prior": "affiliated", "prior_samples": 1000}, "prior_samples"),
     ({"prior": "affiliated", "prior_samples": 99_999}, "prior_samples"),
     ({"seed": -1}, "seed must be"),
     ({"prior_seed": -1}, "prior_seed must be"),
@@ -160,7 +160,8 @@ def test_config_validation():
     RunConfig(iterations=0, eval_samples=0, learner="sofw",
               init="truthful").validate()
     RunConfig(sigma=0.0, prior_samples=1000).validate()
-    RunConfig(prior="common_value", prior_samples=100_000).validate()
+    RunConfig(prior="common_value", prior_samples=1000).validate()
+    RunConfig(prior="affiliated", prior_samples=100_000).validate()
     assert config_from_mapping({"eval_samples": 1e3}).eval_samples == 1000
 
 
@@ -322,15 +323,15 @@ def test_meta_records_gradient_path_and_cache_bytes(tmp_path):
 
 
 def test_meta_records_prior_discretization(tmp_path):
-    cfg = config_from_mapping({**get_preset("common_value_spsb"), **FAST, "obs_points": 6,
+    cfg = config_from_mapping({**get_preset("affiliated_fpsb"), **FAST, "obs_points": 6,
                                "action_points": 6, "value_points": 5, "runs": 1,
                                "iterations": 10, "prior_samples": 1 << 17})
     problem = build_problem(cfg)
-    run_batch(problem, tmp_path / "cv")
-    meta = json.loads((tmp_path / "cv" / "run_000" / "meta.json").read_text())
+    run_batch(problem, tmp_path / "af")
+    meta = json.loads((tmp_path / "af" / "run_000" / "meta.json").read_text())
     prior = problem.prior
     assert meta["prior"] == prior.meta
-    assert meta["prior"]["kind"] == "common_value"
+    assert meta["prior"]["kind"] == "affiliated"
     assert meta["prior"]["sample_count"] == 1 << 17
     assert meta["prior"]["seed"] == cfg.prior_seed
     assert meta["prior"]["empty_cells"] == int(np.count_nonzero(prior.obs_joint == 0))
@@ -647,8 +648,7 @@ def test_cli_evaluate_refuses_a_missing_run_directory(tmp_path, capsys, game):
 # one small stored run per kind of game; every one certifies its own way
 REPLAY_GAMES = {
     "ipv_first_price": ("fpsb_2_uniform", {}),
-    "binned_common_value": ("common_value_spsb", {"value_points": 5,
-                                                  "prior_samples": 1 << 17}),
+    "common_value": ("common_value_spsb", {"value_points": 5}),
     "llg_core_rule": ("llg_nz_g05", {}),
     "llg_first_price": ("llg_first_price_g05", {}),
     "split_award": ("split_award_uniform", {}),
