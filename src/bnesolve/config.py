@@ -335,8 +335,13 @@ class Problem:
     """A fully materialized game: mechanism, grids, discretized prior and engine.
 
     The discretized prior and the gradient engine are built on first use and
-    kept, so every run of the problem shares them.  ``dataclasses.replace``
-    carries the prior over but not the engine.
+    kept, so every run of the problem shares them.  The engine's caches live
+    as long as the problem: ``run_batch`` does not release them between runs,
+    since every run would refill them, and a caller that is done with a
+    problem drops it.  The one-shot checks (``relative_utility_loss``,
+    ``vs_probe`` without an engine, ``replay``) do not use this engine; they
+    hold one agent's caches at a time.  ``dataclasses.replace`` carries the
+    prior over but not the engine.
     """
 
     config: RunConfig
@@ -355,11 +360,15 @@ class Problem:
             self.prior = self.prior_model.discretize(self.obs_grids, self.value_grid)
         return self.prior
 
+    @property
+    def memory_budget(self) -> int:
+        """``memory_budget_gib`` in bytes: the budget of every engine of this game."""
+        return int(self.config.memory_budget_gib * (1 << 30))
+
     def engine(self) -> GradientEngine:
         if self._engine is None:
-            budget = int(self.config.memory_budget_gib * (1 << 30))
             self._engine = GradientEngine(self.mech, self.discretize(), self.action_grids,
-                                          memory_budget=budget, groups=self.groups)
+                                          memory_budget=self.memory_budget, groups=self.groups)
         return self._engine
 
 

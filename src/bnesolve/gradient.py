@@ -176,7 +176,11 @@ class GradientEngine:
     worth of scratch.  When one chunk covers the whole axis, the chunk is
     kept between calls.  ``cache_bytes`` counts every cached array.  The
     payoff picks ``path``: ``affine`` where ``risk_rho == 1``, else
-    ``tensor``.  One engine serves any number of runs on the same problem.
+    ``tensor``.  One engine serves any number of runs on the same problem,
+    and its caches live as long as it does: the problem's engine keeps them
+    for every run, while the one-shot checks (``verify.relative_utility_loss``,
+    ``verify.vs_probe`` without an engine) take each agent's gradient on an
+    engine of its own and drop it, so they hold one agent's caches at a time.
     """
 
     def __init__(self, mech: Mechanism, prior: DiscretePrior, action_grids_per_agent,

@@ -190,7 +190,9 @@ def replay(run_dir, config=None, seed: int | None = None,
     sidecar must hold that config's hash.  The run's strategies are scored
     by ``score`` at ``meta.json``'s ``eval_seed`` and ``eval_samples``, or at
     ``seed`` and ``n_samples``, and certified by ``relative_utility_loss`` on
-    the config's action grids and tolerance, in an engine of their own.
+    the config's action grids, tolerance and memory budget, one engine per
+    agent and never the problem's, so the check holds one agent's caches at
+    a time.
 
     Returns the stored and replayed ``max_loss``, ``revenue``, ``L_agent*``
     and ``L2_agent*``, the fields compared and those that differ.
@@ -216,7 +218,8 @@ def replay(run_dir, config=None, seed: int | None = None,
     scores, report = score(problem, profile, seed, n_samples)
     cert = relative_utility_loss(profile, problem.discretize(), problem.mech,
                                  action_grids=problem.action_grids,
-                                 tolerance=problem.config.tolerance)
+                                 tolerance=problem.config.tolerance,
+                                 memory_budget=problem.memory_budget)
     stored = {k: v for k, v in meta.items()
               if k == "max_loss" or k.startswith(_SCORE_FIELDS)}
     replayed = {"max_loss": cert.max_loss, **scores}

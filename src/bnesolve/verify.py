@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradient import GradientEngine, expected_utility
+from .gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, expected_utility
 from .strategy import Strategy, nearest_actions, pure_matrix
 
 ABS_FALLBACK_THRESHOLD = 1e-12
@@ -66,18 +66,21 @@ def certify(strategies, gradients, *, iteration: int = 0,
 
 
 def relative_utility_loss(profile, prior, mech, *, action_grids=None,
-                          tolerance: float = 1e-4) -> Certificate:
+                          tolerance: float = 1e-4,
+                          memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Certificate:
     """Certificate for a full strategy profile, one strategy per agent.
 
-    Builds a fresh ``GradientEngine`` on ``action_grids`` (by default each
-    strategy's own) and takes one gradient per agent, so it checks a profile
-    independently of the run that produced it; a run certifies itself from
-    its own step's gradients with ``certify``.
+    Takes each agent's gradient on a fresh ``GradientEngine`` of its own, on
+    ``action_grids`` (by default each strategy's own) and ``memory_budget``
+    (a run's engine takes its config's), so it checks a profile independently
+    of the run that produced it; a run certifies itself from its own step's
+    gradients with ``certify``.  Each engine is dropped before the next agent's
+    is built, so the check never holds more than one agent's caches.
     """
     if action_grids is None:
         action_grids = [s.action_grids for s in profile]
-    engine = GradientEngine(mech, prior, action_grids)
-    gradients = [engine.gradient(profile, i) for i in range(len(profile))]
+    gradients = [GradientEngine(mech, prior, action_grids, memory_budget).gradient(profile, i)
+                 for i in range(len(profile))]
     return certify(profile, gradients, tolerance=tolerance)
 
 
@@ -86,15 +89,19 @@ def vs_probe(mech, prior, equilibrium, probe, *, engine: GradientEngine | None =
 
     A strictly positive value at some feasible probe certifies that the
     equilibrium profile is not globally variationally stable.  ``engine``
-    is the game's engine, when the caller holds one; else one is built.
+    is the game's engine, when the caller holds one, and keeps its caches;
+    else each agent's gradient is taken on an engine of its own, dropped
+    before the next is built, as in ``relative_utility_loss``.
     """
-    if engine is None:
-        engine = GradientEngine(mech, prior, [s.action_grids for s in probe])
+    action_grids = [s.action_grids for s in probe]
     total = 0.0
     for i, (s_star, s_probe) in enumerate(zip(equilibrium, probe)):
         if s_star.matrix.shape != s_probe.matrix.shape:
             raise ValueError("probe and equilibrium strategies have different shapes")
-        c = engine.gradient(probe, i)
+        if engine is None:  # this agent's own engine, gone when its gradient returns
+            c = GradientEngine(mech, prior, action_grids).gradient(probe, i)
+        else:
+            c = engine.gradient(probe, i)
         # einsum, not a BLAS dot, as in expected_utility: no OpenBLAS worker left spinning
         total += float(np.einsum("kl,kl->", c, s_probe.matrix - s_star.matrix))
     return total

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import bnesolve.runner as runner
+import bnesolve.verify as verify
 from bnesolve.cli import main
 from bnesolve.config import (RunConfig, _compile_density, build_problem,
                              config_from_mapping, load_config, parse_config_text)
 from bnesolve.evaluate import evaluate, lookup_analytic
-from bnesolve.gradient import agent_groups
+from bnesolve.gradient import GradientEngine, agent_groups
 from bnesolve.presets import get_preset, preset_names
 from bnesolve.runner import run_batch, run_sweep, solve
 from bnesolve.strategy import load_strategy
@@ -686,6 +687,35 @@ def test_cli_evaluate_replays_a_sweep_run(tmp_path, capsys):
     assert main(["evaluate", "--run-dir", str(run_dir)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["replayed"] == report["stored"] and len(report["compared"]) == 4
+
+
+def test_replay_certifies_within_the_runs_memory_budget(tmp_path, monkeypatch):
+    # one shared value per chunk of the common-value tensor path
+    problem = build_problem(replay_cfg("common_value", risk_rho=0.5, memory_budget_gib=1e-6))
+    run_batch(problem, tmp_path / "out")
+    budgets = []
+    monkeypatch.setattr(verify, "GradientEngine", lambda *a: budgets.append(a[3]) or
+                        GradientEngine(*a))
+    report = runner.replay(tmp_path / "out" / "run_000")
+    assert budgets == [problem.memory_budget] * 3 and problem.memory_budget < 8 * 6 ** 3
+    assert report["differ"] == []
+
+
+def test_replay_of_a_grouped_llg_local_differs_in_its_last_bits(tmp_path):
+    # Known red.  A run certifies one agent per group; the replay certifies
+    # every agent.  Under the nearest-zero rule, where the projection lands on
+    # a bound, local 1 pays the global bid minus local 0's price, which equals
+    # its own bound only to rounding, so its utilities are local 0's only to
+    # rounding, and at risk_rho = 0.5 the square root near zero carries that
+    # into its loss.  Asserted until the payment rule treats both locals alike.
+    cfg = config_from_mapping({**get_preset("llg_nz_g05"), "obs_points": 24,
+                               "action_points": 24, "risk_rho": 0.5, "iterations": 30,
+                               "runs": 1, "eval_samples": 1024, "memory_budget_gib": 1e-4})
+    run_batch(build_problem(cfg), tmp_path / "out")
+    report = runner.replay(tmp_path / "out" / "run_000")
+    assert report["differ"] == ["max_loss"]
+    stored, replayed = report["stored"]["max_loss"], report["replayed"]["max_loss"]
+    assert stored != replayed and abs(replayed - stored) < 1e-9 * stored
 
 
 def test_cli_evaluate_sees_mass_moved_within_a_row(tmp_path, capsys):

@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import GradientEngine, expected_utility
 from bnesolve.grids import make_uniform_grid
 from bnesolve.learners import run
 from bnesolve.mechanisms import SingleObjectAuction
+from bnesolve.presets import get_preset
 from bnesolve.strategy import Strategy, init_strategy
-from bnesolve.verify import (best_response_matrix, collusive_profile,
+from bnesolve.verify import (best_response_matrix, certify, collusive_profile,
                              relative_utility_loss, utility_loss, vs_probe)
 from oracles import enumerate_row_vertex_value, prior_from_weights
+from test_gradient import risk_averse_settings
 
 
 def setting(k=4, l=4):
@@ -163,3 +168,80 @@ def test_run_certifies_from_its_own_step_gradients():
     assert cert.iteration == 0 and res.certificate.iteration == 20
     assert cert.losses[0] == pytest.approx(res.certificate.losses[0], abs=1e-12)
     assert cert.losses[0] == pytest.approx(cert.losses[1], abs=1e-12)
+
+
+def one_shot_settings():
+    """(label, mech, prior, action_grids, profile) of three-agent games: the
+    LLG and common-value tensor settings, and LLG on the affine path."""
+    for label, mech, prior, action_grids, profile, *_ in risk_averse_settings():
+        if label in ("llg", "common_value"):
+            yield label, mech, prior, action_grids, profile
+    llg = build_problem(config_from_mapping({**get_preset("llg_nz_g05"), "obs_points": 7,
+                                             "action_points": 6}))
+    prior = llg.discretize()
+    profile = [init_strategy("random", prior.obs_grids[i], llg.action_grids[i],
+                             prior.marginals[i], seed=5 + i) for i in range(3)]
+    yield "llg_affine", llg.mech, prior, llg.action_grids, profile
+
+
+@pytest.mark.parametrize("label", ["llg", "common_value", "llg_affine"])
+def test_one_engine_per_agent_certifies_as_one_shared_engine(label):
+    _, mech, prior, action_grids, profile = next(
+        s for s in one_shot_settings() if s[0] == label)
+    shared = GradientEngine(mech, prior, action_grids)
+    assert shared.path == ("affine" if label == "llg_affine" else "tensor")
+    expected = certify(profile, [shared.gradient(profile, i) for i in range(3)])
+    cert = relative_utility_loss(profile, prior, mech, action_grids=action_grids)
+    assert cert.losses == expected.losses
+    assert cert.current_utilities == expected.current_utilities
+    assert cert.best_response_utilities == expected.best_response_utilities
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes that ``fn(*args, **kwargs)`` allocates."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("routine", ["relative_utility_loss", "vs_probe"])
+def test_one_shot_routines_hold_one_agent_engine_at_a_time(routine):
+    """The certificate, and the probe without an engine, allocate no more than
+    one agent's gradient on an engine built for it alone, give or take two
+    rows of ex-post utilities (the gradients already taken, and allocator
+    noise); one engine shared by all agents would hold every agent's
+    utilities at once.  LLG at risk_rho = 0.5 on 12 x 10 points, where a row
+    (8 KB) dwarfs the engine's own objects."""
+    llg = build_problem(config_from_mapping({**get_preset("llg_nz_g05"), "risk_rho": 0.5,
+                                             "obs_points": 12, "action_points": 10}))
+    mech, prior, action_grids = llg.mech, llg.discretize(), llg.action_grids
+    profile = [init_strategy("random", prior.obs_grids[i], action_grids[i],
+                             prior.marginals[i], seed=i) for i in range(3)]
+    row = 8 * 10 ** 3
+    alone, utilities = [], 0
+    for i in range(3):
+        engine = GradientEngine(mech, prior, action_grids)
+        alone.append(traced_peak(engine.gradient, profile, i))
+        assert engine.path == "tensor" and engine._utility_cache[i].nbytes == 12 * row
+        utilities += engine._utility_cache[i].nbytes
+    if routine == "vs_probe":
+        peak = traced_peak(vs_probe, mech, prior, profile, profile)
+    else:
+        peak = traced_peak(relative_utility_loss, profile, prior, mech,
+                           action_grids=action_grids)
+    assert peak <= max(alone) + 2 * row
+    assert peak < utilities
+
+
+def test_vs_probe_without_an_engine_equals_the_problems_engine():
+    problem = build_problem(config_from_mapping({**get_preset("llg_nz_g05"), "risk_rho": 0.5,
+                                                 "obs_points": 7, "action_points": 6}))
+    prior = problem.discretize()
+    star = [init_strategy("random", prior.obs_grids[i], problem.action_grids[i],
+                          prior.marginals[i], seed=i) for i in range(3)]
+    probe = collusive_profile(star)
+    value = vs_probe(problem.mech, prior, star, probe)
+    assert value == vs_probe(problem.mech, prior, star, probe, engine=problem.engine())
