@@ -163,6 +163,7 @@ class GradientEngine:
     agents that share one strategy (one group per agent when None).  Groups
     must partition the agents, and grouped agents must have the same
     observation grid, marginal and action grids; both are checked here, once.
+    By the own-first rule of ``mechanisms`` their gradients match to the bit.
     Also built here, once: which agents' opponents are weighted by their
     highest bid, each agent's observation points of zero mass, each agent's
     view of a component prior (its block's mass scaled by its marginal), and,
@@ -265,24 +266,22 @@ class GradientEngine:
         conditional strategies, summed over the opponents' observations.
 
         ``w`` has one leading axis m (the shared value, or the value-weighted
-        pair), then one observation axis per agent.  Each opponent's
-        observation axis gives way, at its position, to its action axis, one
-        (batched) GEMM per opponent, so the prior is never transposed and the
-        opponents' actions stay in agent order; only the result is
-        transposed, to bring k_i after m.
+        pair), then one observation axis per agent.  The own axis is moved
+        first (a copy for all but agent 0), then each opponent's axis gives
+        way, in agent order, to its action axis, one (batched) GEMM per
+        opponent: the own-first rule of ``mechanisms``.
         """
-        for j in range(self.prior.n_agents):
-            if j == agent:
-                continue
+        w = np.ascontiguousarray(np.moveaxis(w, 1 + agent, 1))
+        opponents = [j for j in range(self.prior.n_agents) if j != agent]
+        for pos, j in enumerate(opponents, start=2):
             q = strategies[j].conditionals()
-            shape, pos = w.shape, 1 + j
+            shape = w.shape
             after = int(np.prod(shape[pos + 1:]))
             if after == 1:
                 w = w.reshape(-1, shape[pos]) @ q
             else:
                 w = np.matmul(q.T, w.reshape(-1, shape[pos], after))
             w = w.reshape(shape[:pos] + (q.shape[1],) + shape[pos + 1:])
-        w = np.moveaxis(w, 1 + agent, 1)
         return w.reshape(w.shape[:2] + (-1,))
 
     def _component_views(self, agent: int):

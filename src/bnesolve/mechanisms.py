@@ -8,6 +8,10 @@ and risk attitudes enter through the CRRA transform of that payoff.
 Tie rule: whenever the winning bid (or winning allocation value) is not
 unique, nothing is allocated and all win-contingent payoffs are zero.
 All-pay payments are sunk and still paid on ties.
+
+Own-first rule: one code path computes every agent's numbers, its own
+coordinates first and the others' in agent order, so interchangeable agents
+take the same float operations and grouped agents' gradients match to the bit.
 """
 
 from __future__ import annotations
@@ -153,21 +157,16 @@ class TullockContest(Mechanism):
         self.n_agents = n_agents
         self._set_risk_rho(risk_rho)
 
-    def _shares(self, comps):
-        powered = [c[0] ** self.r for c in comps]
-        total = powered[0].copy() if isinstance(powered[0], np.ndarray) else np.asarray(powered[0])
-        for p in powered[1:]:
-            total = total + p
-        # all-zero effort profile: the prize is split evenly at no cost
-        zero = total == 0
-        safe = np.where(zero, 1.0, total)
-        return [np.where(zero, 1.0 / self.n_agents, p / safe) for p in powered]
-
     def affine_parts(self, agent, bids):
         comps = self.components(bids)
-        shares = self._shares(comps)
         own = comps[agent][0]
-        return shares[agent], -own * np.ones_like(shares[agent])
+        powered = own ** self.r
+        # own-first: the others' powered efforts are added in agent order
+        total = sum((c[0] ** self.r for j, c in enumerate(comps) if j != agent), powered)
+        # all-zero effort profile: the prize is split evenly at no cost
+        zero = total == 0
+        share = np.where(zero, 1.0 / self.n_agents, powered / np.where(zero, 1.0, total))
+        return share, -own * np.ones_like(share)
 
 
 def project_core_payments(ref1, ref2, b1, b2, b3):
@@ -176,16 +175,14 @@ def project_core_payments(ref1, ref2, b1, b2, b3):
     The core polytope for winning locals is ``{0 <= p_i <= b_i,
     p_1 + p_2 >= b_3}``.  If the box-clipped reference already covers the
     global bid the clipped point is the projection; otherwise the projection
-    lies on the face ``p_1 + p_2 = b_3``, a segment in the box.
+    lies on the face ``p_1 + p_2 = b_3``, a segment in the box, where each
+    local's price is one clipped formula, own terms first (own-first rule).
     """
-    q1 = np.clip(ref1, 0.0, b1)
-    q2 = np.clip(ref2, 0.0, b2)
+    q1, q2 = np.clip(ref1, 0.0, b1), np.clip(ref2, 0.0, b2)
     short = q1 + q2 < b3
-    t = (ref1 - ref2 + b3) / 2.0
-    t = np.clip(t, np.maximum(0.0, b3 - b2), np.minimum(b1, b3))
-    p1 = np.where(short, t, q1)
-    p2 = np.where(short, b3 - t, q2)
-    return p1, p2
+    t1 = np.clip((ref1 - ref2 + b3) / 2.0, np.maximum(0.0, b3 - b2), np.minimum(b1, b3))
+    t2 = np.clip((ref2 - ref1 + b3) / 2.0, np.maximum(0.0, b3 - b1), np.minimum(b2, b3))
+    return np.where(short, t1, q1), np.where(short, t2, q2)
 
 
 class LLGAuction(Mechanism):
@@ -285,9 +282,8 @@ class LLGFirstPriceKernel:
             self.order = np.argsort(sums, kind="stable")
             self.at = np.searchsorted(sums[self.order], own, side="left")
         else:
-            mate = bids[1 - agent]
-            # fl(b_0 + b_1) in outcome's order, the mate's bid on rows
-            sums = own[None, :] + mate[:, None] if agent == 0 else mate[:, None] + own[None, :]
+            # fl(b_0 + b_1) as in outcome (an IEEE addition commutes), the mate's bid on rows
+            sums = own[None, :] + bids[1 - agent][:, None]
             self.order = None
             self.at = np.searchsorted(bids[2], sums, side="left")
 
@@ -407,9 +403,8 @@ class SplitAwardKernel:
         s_own, h_own = (g.points for g in action_grids[agent])
         s_opp, h_opp = (g.points for g in action_grids[1 - agent])
         self.n_s, self.n_h, n_hi = s_opp.size, h_opp.size, h_own.size
-        # fl(h_0 + h_1) with the own half price on rows, added in allocation's order
-        halves = (h_own[:, None] + h_opp[None, :] if agent == 0
-                  else h_opp[None, :] + h_own[:, None])
+        # fl(h_0 + h_1) as in allocation (an IEEE addition commutes), the own half price on rows
+        halves = h_own[:, None] + h_opp[None, :]
         # sole: opponent sole prices from sole_s[s] on, half prices from sole_h[s, h] on
         sole_s = self.n_s - (s_own[:, None] < s_opp[None, :]).sum(axis=1)
         sole_h = self.n_h - (s_own[:, None, None] < halves[None]).sum(axis=2)

@@ -192,7 +192,8 @@ def replay(run_dir, config=None, seed: int | None = None,
     ``seed`` and ``n_samples``, and certified by ``relative_utility_loss`` on
     the config's action grids, tolerance and memory budget, one engine per
     agent and never the problem's, so the check holds one agent's caches at
-    a time.
+    a time.  It certifies every agent where the run certified one per group;
+    the two agree to the bit by the own-first rule of ``mechanisms``.
 
     Returns the stored and replayed ``max_loss``, ``revenue``, ``L_agent*``
     and ``L2_agent*``, the fields compared and those that differ.

@@ -8,9 +8,10 @@ from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, expected_ut
 from bnesolve.grids import make_uniform_grid
 from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuction,
                                  TullockContest)
-from bnesolve.presets import get_preset
-from bnesolve.priors import (AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
-                             CommonValuePrior, Component, DiscretePrior)
+from bnesolve.presets import get_preset, preset_names
+from bnesolve.priors import (MIN_SAMPLE_COUNT, AffiliatedValuesPrior,
+                             BernoulliWeightsLLGPrior, CommonValuePrior, Component,
+                             DiscretePrior)
 from bnesolve.strategy import init_strategy
 from oracles import (dense_joint, naive_expected_utility, naive_gradient, prior_from_weights,
                      tensor_engine)
@@ -420,6 +421,45 @@ def test_tensor_utility_cache_peaks_at_its_own_bytes(setting):
         tracemalloc.stop()
     assert engine._utility_cache[0].nbytes == len(engine._utility_cache[0]) * row
     assert peak <= engine.cache_bytes() + 2 * row
+
+
+def small_grouped_problem(name, **settings):
+    """``name`` on small grids with ``settings``; the binned prior from the
+    fewest draws it takes."""
+    return build_problem(config_from_mapping({
+        **get_preset(name), "obs_points": 20, "action_points": 16, "value_points": 12,
+        "prior_samples": MIN_SAMPLE_COUNT, **settings}))
+
+
+# every shipped preset with a group of two or more, and groups of three and four
+GROUPED_GAMES = [(name, {}) for name in preset_names()
+                 if max(map(len, small_grouped_problem(name).groups)) > 1] + [
+    ("tullock_r10", {"agents": 3}), ("tullock_r10", {"agents": 4}),
+    ("fpsb_2_uniform", {"agents": 3})]
+
+
+@pytest.mark.parametrize("name, settings", GROUPED_GAMES,
+                         ids=[name + "".join(f"-{k}{v}" for k, v in settings.items())
+                              for name, settings in GROUPED_GAMES])
+def test_grouped_agents_take_their_representatives_gradient_to_the_bit(name, settings):
+    """The own-first rule (``mechanisms``): at a random profile shared within
+    each group, every member's gradient equals its representative's to the
+    bit, on the preset's path and on the tensor path at risk_rho = 0.5.  This
+    is what entitles a run to certify one agent per group."""
+    for risk in ({}, {"risk_rho": 0.5}):
+        problem = small_grouped_problem(name, **settings, **risk)
+        prior, engine = problem.discretize(), problem.engine()
+        profile = [None] * prior.n_agents
+        for gi, group in enumerate(problem.groups):
+            rep = group[0]
+            shared = init_strategy("random", prior.obs_grids[rep], problem.action_grids[rep],
+                                   prior.marginals[rep], seed=gi)
+            for j in group:
+                profile[j] = shared
+        for group in problem.groups:
+            expected = engine.gradient(profile, group[0])
+            for j in group[1:]:
+                assert np.array_equal(engine.gradient(profile, j), expected), (risk, j)
 
 
 def test_expected_utility_shape_mismatch():
