@@ -16,12 +16,12 @@ import ast
 import hashlib
 import json
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .gradient import GradientEngine, agent_groups
+from .gradient import GradientEngine, agent_groups, gradient_path
 from .grids import make_uniform_grid
 from .learners import make_learner
 from .mechanisms import make_mechanism
@@ -335,13 +335,19 @@ class Problem:
     """A fully materialized game: mechanism, grids, discretized prior and engine.
 
     The discretized prior and the gradient engine are built on first use and
-    kept, so every run of the problem shares them.  The engine's caches live
+    kept, so every run of the problem shares them.  The prior keeps what the
+    mechanism's gradient path reads: a dense prior keeps its value joint only
+    where that path is ``tensor`` (``risk_rho < 1``), and the ``affine`` path
+    reads its value-weighted joint alone; ``value_grid`` is always kept.  A
+    caller that needs the full prior on an affine game (a brute-force oracle)
+    discretizes ``prior_model`` itself.  The engine's caches live
     as long as the problem: ``run_batch`` does not release them between runs,
     since every run would refill them, and a caller that is done with a
     problem drops it.  The one-shot checks (``relative_utility_loss``,
     ``vs_probe`` without an engine, ``replay``) do not use this engine; they
     hold one agent's caches at a time.  ``dataclasses.replace`` carries the
-    prior over but not the engine.
+    prior over but not the engine, so a copy on another mechanism whose path
+    is ``tensor`` needs its prior discretized anew.
     """
 
     config: RunConfig
@@ -357,7 +363,10 @@ class Problem:
 
     def discretize(self):
         if self.prior is None:
-            self.prior = self.prior_model.discretize(self.obs_grids, self.value_grid)
+            prior = self.prior_model.discretize(self.obs_grids, self.value_grid)
+            if prior.value_joint is not None and gradient_path(self.mech) == "affine":
+                prior = replace(prior, value_joint=None)
+            self.prior = prior
         return self.prior
 
     @property

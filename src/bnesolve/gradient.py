@@ -27,25 +27,28 @@ The prior picks how the opponents' actions are weighted:
   highest bid, ``prod_j F_j - prod_j (F_j - pi_j)`` from the pi_j and their
   cdfs F_j, and its columns are that grid; its cost grows linearly with the
   number of agents.  No dense joint is formed, and
-* on dense priors (always interdependent: the binned common-value and
-  affiliated models, whose agents share one value) the prior mass, with the
-  shared value as its leading axis, is contracted with the opponents'
-  conditional strategies, one GEMM per opponent, into weights of shape
-  (values, K_i, L_-i).
+* on dense priors (always interdependent: the exact common-value and the
+  binned affiliated models, whose agents share one value) the prior mass,
+  with a leading axis (the shared value, or the value-weighted joint and
+  the joint), is contracted with the opponents' conditional strategies,
+  one GEMM per opponent, into weights of shape (leading, K_i, L_-i).
 
-The payoff picks the path, ``affine`` where ``risk_rho == 1`` and ``tensor``
-otherwise, and the path picks the method; the prior picks only the weights,
-which both methods take on either kind of prior:
+The payoff picks the path (``gradient_path``), ``affine`` where
+``risk_rho == 1`` and ``tensor`` otherwise, and the path picks the method;
+the prior picks only the weights, which both methods take on either kind of
+prior:
 
 * ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  The weights
   come as rows and a factor R over the trailing opponents: G and R on
-  component priors; on dense priors the value-weighted joint and the joint,
-  contracted together (one stack for all agents, who share the value), as
-  rows Wv and W, with R = [1] covering no opponent.  One contraction takes
-  them to the weighted sums of A and B.  Where the mechanism has a kernel
-  for the agent (``Mechanism.affine_kernel``), it serves, on either prior,
-  under one contract: it gets the rows, R and the opponents R covers, and
-  never forms A and B.  The split-award kernel sums the weights over
+  component priors; on dense priors the prior's value-weighted joint and
+  the joint, contracted together (one stack for all agents, who share the
+  value), as rows Wv and W, with R = [1] covering no opponent.  The value
+  joint itself is not read, so a dense prior may hold the value-weighted
+  joint alone.  One contraction takes them to the weighted sums of A and B.
+  Where the mechanism has a kernel for the agent
+  (``Mechanism.affine_kernel``), it serves, on either prior, under one
+  contract: it gets the rows, R and the opponents R covers, and never forms
+  A and B.  The split-award kernel sums the weights over
   threshold index ranges with prefix sums; first-price LLG reads R's strict
   cdf at the locals' bid sums, or sums G in the bid sums' ascending order
   for the global (``LLGFirstPriceKernel``).  Else R meets the dense A and B,
@@ -61,7 +64,8 @@ which both methods take on either kind of prior:
   ones) in chunks of ex-post utilities, each filled in place one value at a
   time.  The memory budget sets the chunk size, not which path runs, and so
   bounds the bytes of ex-post utilities the path holds, give or take one
-  value's worth of scratch.
+  value's worth of scratch.  On dense priors it reads the value joint, so
+  the prior must hold it.
 
 Both paths agree to floating-point reassociation error.
 """
@@ -134,6 +138,12 @@ def _validate_groups(groups, prior: DiscretePrior, action_grids):
                 raise ValueError(f"agents {rep} and {j} are grouped but not interchangeable")
 
 
+def gradient_path(mech: Mechanism) -> str:
+    """The path that computes ``mech``'s gradients: ``affine`` where its payoff
+    is risk-neutral (``risk_rho == 1``), else ``tensor``."""
+    return "affine" if mech.risk_rho == 1.0 else "tensor"
+
+
 def agent_groups(groups) -> list[int]:
     """For each agent, in order, the index of its group in ``groups``."""
     owner = [0] * sum(len(g) for g in groups)
@@ -169,19 +179,21 @@ class GradientEngine:
     view of a component prior (its block's mass scaled by its marginal), and,
     on the affine path, the mechanism's kernels.  Every path returns a
     C-contiguous (K_i, L_i) gradient.  A dense prior's value-weighted pair is
-    stacked once per engine, since all agents share the value.  ``memory_budget`` sets the chunk size along the value
-    axis of the tensor path; it never changes which path runs.  One
+    stacked once per engine, since all agents share the value.  The tensor
+    path on a dense prior needs its value joint, and an engine for it is
+    refused without one.  ``memory_budget`` sets the chunk size along the
+    value axis of the tensor path; it never changes which path runs.  One
     chunk-sized buffer serves every chunk of a call and is filled in place,
     one value at a time, so the budget bounds the bytes of ex-post utilities
     held per agent (one value's worth at least), give or take one value's
     worth of scratch.  When one chunk covers the whole axis, the chunk is
     kept between calls.  ``cache_bytes`` counts every cached array.  The
-    payoff picks ``path``: ``affine`` where ``risk_rho == 1``, else
-    ``tensor``.  One engine serves any number of runs on the same problem,
-    and its caches live as long as it does: the problem's engine keeps them
-    for every run, while the one-shot checks (``verify.relative_utility_loss``,
-    ``verify.vs_probe`` without an engine) take each agent's gradient on an
-    engine of its own and drop it, so they hold one agent's caches at a time.
+    payoff picks ``path`` (``gradient_path``).  One engine serves any number
+    of runs on the same problem, and its caches live as long as it does: the
+    problem's engine keeps them for every run, while the one-shot checks
+    (``verify.relative_utility_loss``, ``verify.vs_probe`` without an engine)
+    take each agent's gradient on an engine of its own and drop it, so they
+    hold one agent's caches at a time.
     """
 
     def __init__(self, mech: Mechanism, prior: DiscretePrior, action_grids_per_agent,
@@ -197,7 +209,11 @@ class GradientEngine:
         self._affine_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._value_pair: np.ndarray | None = None
         self._utility_cache: dict[int, np.ndarray] = {}
-        self.path = "affine" if mech.risk_rho == 1.0 else "tensor"
+        self.path = gradient_path(mech)
+        if self.path == "tensor" and prior.obs_joint is not None and prior.value_joint is None:
+            raise ValueError("the tensor path needs the dense prior's value joint, and this "
+                             "prior holds only its value-weighted joint (Problem.discretize "
+                             "keeps the value joint only where risk_rho < 1)")
         # agent -> the one bid grid of its opponents, for agents whose
         # opponents' weights are the distribution of their highest bid
         self._top_bids: dict[int, np.ndarray] = {}
@@ -257,8 +273,7 @@ class GradientEngine:
         """The value-weighted joint stacked on the joint (dense priors); all
         agents share the value, so one pair serves every agent."""
         if self._value_pair is None:
-            self._value_pair = np.stack([self.prior.value_weighted_joint(),
-                                         self.prior.obs_joint])
+            self._value_pair = np.stack([self.prior.value_weighted, self.prior.obs_joint])
         return self._value_pair
 
     def _opponent_weights(self, w, strategies, agent: int) -> np.ndarray:

@@ -11,7 +11,9 @@ marginals and the correlated LLG locals, take cdf differences over the cells,
 and the common-value model integrates each cell over the shared value.
 ``"binned"``: the affiliated-values latent model estimates them by counting
 Monte-Carlo draws at their nearest grid points.  The two interdependent
-models give all agents one shared value (one value grid, one value joint).
+models give all agents one shared value on one value grid; their dense
+priors hold the mass weighted by that value (``value_weighted``) and, until
+dropped, the full value joint it is contracted from.
 
 Each continuous prior model owns what its discretization reads: its
 observation supports (``obs_bounds``), the support of the shared value
@@ -62,10 +64,17 @@ class DiscretePrior:
     with every block a single agent, whose mass is then its marginal
     (``independent``); a prior built with neither gets that component, the
     marginals themselves as its blocks.  The correlated LLG locals are two
-    components.  A dense prior is always interdependent, and an ``obs_joint``
-    without a ``value_joint`` is refused: all agents share one value, and
-    ``value_joint`` holds the mass over (shared value on ``value_grid``) x
-    (all observations), summing back to ``obs_joint`` exactly.
+    components.
+
+    A dense prior is always interdependent: all agents share one value on
+    ``value_grid``.  It always holds ``value_weighted``, the observation-space
+    mass weighted by the shared value, ``sum_m v_m * value_joint[m]``, which
+    is all the affine gradient path reads of the value.  ``value_joint``, the
+    mass over (shared value) x (all observations), is held where the tensor
+    path needs it: ``Problem.discretize`` drops it from a risk-neutral game's
+    prior.  Where it is held it sums back to ``obs_joint`` and weights back to
+    ``value_weighted``, which that contraction fills when it is not given.  A
+    dense prior with neither is refused.
     """
 
     obs_grids: tuple[Grid, ...]
@@ -75,12 +84,23 @@ class DiscretePrior:
     value_joint: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
     components: tuple[Component, ...] | None = None
+    value_weighted: np.ndarray | None = None
 
     def __post_init__(self):
         if self.obs_joint is None and self.components is None:
             self.components = (Component(1.0, tuple(((i,), m)
                                                     for i, m in enumerate(self.marginals))),)
+        if self.value_weighted is None and self.value_joint is not None and \
+                self._value_joint_fits():
+            self.value_weighted = np.tensordot(self.value_grid.points, self.value_joint,
+                                               axes=(0, 0))
         self.validate()
+
+    def _value_joint_fits(self) -> bool:
+        """Whether the value joint has a value grid and an obs_joint to match
+        its shape, so that contracting its value axis can be tried."""
+        return self.value_grid is not None and self.obs_joint is not None and \
+            self.value_joint.shape == (self.value_grid.count,) + self.obs_joint.shape
 
     @property
     def n_agents(self) -> int:
@@ -108,9 +128,9 @@ class DiscretePrior:
         if (self.obs_joint is None) == (self.components is None):
             raise ValueError("a prior holds either obs_joint or components, not both")
         if self.obs_joint is not None:
-            if self.value_joint is None:
-                raise ValueError("a dense obs_joint needs a value joint: private values "
-                                 "are held as components")
+            if self.value_weighted is None and self.value_joint is None:
+                raise ValueError("a dense obs_joint needs a value joint or its value-weighted "
+                                 "joint: private values are held as components")
             if self.obs_joint.shape != tuple(g.count for g in self.obs_grids):
                 raise ValueError("obs_joint shape must match observation grids")
             if abs(self.obs_joint.sum() - 1.0) > 1e-10 or np.any(self.obs_joint < 0):
@@ -122,12 +142,20 @@ class DiscretePrior:
                     raise ValueError(f"obs_joint does not marginalize to agent {i}'s marginal")
         else:
             self._validate_components()
+        if self.value_joint is not None and not self._value_joint_fits():
+            raise ValueError("value joint needs a value grid and obs_joint of its shape")
+        if self.value_weighted is not None and (
+                self.obs_joint is None or self.value_weighted.shape != self.obs_joint.shape):
+            raise ValueError("value-weighted joint needs an obs_joint of its shape")
         if self.value_joint is not None:
-            if self.value_grid is None or self.obs_joint is None or \
-                    self.value_joint.shape != (self.value_grid.count,) + self.obs_joint.shape:
-                raise ValueError("value joint needs a value grid and obs_joint of its shape")
-            if np.max(np.abs(self.value_joint.sum(axis=0) - self.obs_joint)) > 1e-10:
+            # the plain and the value-weighted sums in one pass over the value joint
+            ones_and_values = np.stack([np.ones(self.value_grid.count), self.value_grid.points])
+            total, weighted = np.tensordot(ones_and_values, self.value_joint, axes=(1, 0))
+            if np.max(np.abs(total - self.obs_joint)) > 1e-10:
                 raise ValueError("value joint does not sum back to obs_joint")
+            if self.value_weighted is None or \
+                    np.max(np.abs(weighted - self.value_weighted)) > 1e-10:
+                raise ValueError("value joint does not weight back to the value-weighted joint")
 
     def _validate_components(self):
         """Positive weights summing to one; blocks that partition the agents,
@@ -161,9 +189,9 @@ class DiscretePrior:
         priors): ``sum_m v_m * J[m, k]``, the same for every agent.  Exact
         contraction of the value axis for utilities affine in the value.
         """
-        if self.value_joint is None:
+        if self.value_weighted is None:
             raise ValueError("value-weighted joint needs an interdependent prior")
-        return np.tensordot(self.value_grid.points, self.value_joint, axes=(0, 0))
+        return self.value_weighted
 
 
 def draw_chunks(sample, rng, count: int, chunk: int):

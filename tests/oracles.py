@@ -56,18 +56,26 @@ def dense_joint(prior):
     return joint
 
 
+def value_axis(prior, agent):
+    """(mass, values) the oracles sum over: a dense prior's value joint and
+    the shared value's points, or the observation mass (None on components)
+    and ``agent``'s own observation points.  A dense prior without its value
+    joint is refused: the oracles do not read the value-weighted joint."""
+    if prior.obs_joint is not None and prior.value_joint is None:
+        raise ValueError("the oracles need a dense prior's value joint: discretize the "
+                         "prior model itself")
+    if prior.value_joint is None:
+        return prior.obs_joint, prior.obs_grids[agent].points
+    return prior.value_joint, prior.value_grid.points
+
+
 def naive_expected_utility(mech, prior, strategies, agent):
     """Direct summation of the discretized expected-utility integral."""
     n = prior.n_agents
     tables = [s.action_values() for s in strategies]
     counts = [t.shape[0] for t in tables]
     marginals = prior.marginals
-    if prior.value_joint is None:
-        joint = prior.obs_joint
-        own_vals = prior.obs_grids[agent].points
-    else:
-        joint = prior.value_joint
-        own_vals = prior.value_grid.points
+    joint, own_vals = value_axis(prior, agent)
     total = 0.0
     for k in itertools.product(*[range(g.count) for g in prior.obs_grids]):
         denom = 1.0
@@ -104,12 +112,7 @@ def naive_gradient(mech, prior, strategies, agent):
     k_own = prior.obs_grids[agent].count
     c = np.zeros((k_own, counts[agent]))
     others = [j for j in range(n) if j != agent]
-    if prior.value_joint is None:
-        joint = prior.obs_joint
-        own_vals = prior.obs_grids[agent].points
-    else:
-        joint = prior.value_joint
-        own_vals = prior.value_grid.points
+    joint, own_vals = value_axis(prior, agent)
     for ki in range(k_own):
         if prior.marginals[agent][ki] == 0.0:
             continue

@@ -462,6 +462,54 @@ def test_grouped_agents_take_their_representatives_gradient_to_the_bit(name, set
                 assert np.array_equal(engine.gradient(profile, j), expected), (risk, j)
 
 
+def value_axis_problem(name, **settings):
+    """``name`` on 16-point grids; the binned prior from the fewest draws it takes."""
+    return build_problem(config_from_mapping({
+        **get_preset(name), "obs_points": 16, "action_points": 16, "value_points": 16,
+        "prior_samples": MIN_SAMPLE_COUNT, **settings}))
+
+
+@pytest.mark.parametrize("name", ["common_value_spsb", "affiliated_fpsb"])
+def test_affine_problem_drops_the_value_joint_to_the_bit(name):
+    """A risk-neutral problem's prior holds no value joint, since its affine
+    path reads the value-weighted joint alone, and every agent's gradient on
+    it equals, to the bit, the gradient on the model's full prior, the one
+    the brute-force oracles read.  At risk_rho = 0.5 the tensor path runs,
+    and the problem keeps the value joint."""
+    problem = value_axis_problem(name)
+    prior = problem.discretize()
+    full = problem.prior_model.discretize(problem.obs_grids, problem.value_grid)
+    assert prior.value_joint is None and full.value_joint is not None
+    assert prior.value_grid is problem.value_grid
+    assert np.array_equal(prior.value_weighted_joint(), full.value_weighted_joint())
+    engine = problem.engine()
+    full_engine = GradientEngine(problem.mech, full, problem.action_grids, groups=problem.groups)
+    assert engine.path == full_engine.path == "affine"
+    profile = [init_strategy("random", prior.obs_grids[i], problem.action_grids[i],
+                             prior.marginals[i], seed=i) for i in range(prior.n_agents)]
+    for agent in range(prior.n_agents):
+        assert np.array_equal(engine.gradient(profile, agent),
+                              full_engine.gradient(profile, agent)), agent
+    risk_averse = value_axis_problem(name, risk_rho=0.5)
+    assert risk_averse.discretize().value_joint is not None
+    assert risk_averse.engine().path == "tensor"
+
+
+def test_tensor_path_refuses_a_dense_prior_without_its_value_joint():
+    """The tensor path sums over the shared value, so an engine that pairs an
+    affine problem's prior with a risk-averse mechanism is refused up front,
+    naming what is missing."""
+    dropped = value_axis_problem("common_value_spsb").discretize()
+    risk_averse = value_axis_problem("common_value_spsb", risk_rho=0.5)
+    with pytest.raises(ValueError, match="tensor path needs the dense prior's value joint"):
+        GradientEngine(risk_averse.mech, dropped, risk_averse.action_grids)
+    # and so are the oracles, which sum over it too
+    profile = [init_strategy("uniform", dropped.obs_grids[i], risk_averse.action_grids[i],
+                             dropped.marginals[i]) for i in range(3)]
+    with pytest.raises(ValueError, match="oracles need a dense prior's value joint"):
+        naive_gradient(risk_averse.mech, dropped, profile, 0)
+
+
 def test_expected_utility_shape_mismatch():
     mech, prior, action_grids, strategies = ipv_setting()
     with pytest.raises(ValueError):

@@ -42,7 +42,8 @@ problem = bn.config.build_problem(bn.config.config_from_mapping(mapping))
 summary = bn.runner.run_batch(problem, sys.argv[2], runs=2)
 mapping = {**bn.presets.get_preset("affiliated_fpsb"), "obs_points": 6,
            "action_points": 6, "value_points": 6, "prior_samples": 1 << 17}
-prior = bn.config.build_problem(bn.config.config_from_mapping(mapping)).discretize()
+problem = bn.config.build_problem(bn.config.config_from_mapping(mapping))
+prior = problem.prior_model.discretize(problem.obs_grids, problem.value_grid)
 print(json.dumps({
     "rows": [[r["status"], r["iterations"]] for r in summary.rows],
     "returned": [[r.iterations, r.gradient_path] for r in returned],
@@ -68,5 +69,6 @@ def test_perfbench_tracer_and_capture_still_apply(tmp_path):
                  f"gradient.{path}", "runner.run_once", "priors.discretize",
                  "priors.joint_from_latent"):
         assert name in out["spans"], name
-    # the tracer sizes a latent prior through its joints and value joints
+    # the tracer sizes a latent prior through its joints and value joints, as the
+    # model's discretize returns it (the problem's affine game then drops the latter)
     assert out["joint_bytes"] == out["prior_bytes"] == (6 ** 2 + 6 ** 3) * 8

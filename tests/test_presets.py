@@ -20,7 +20,8 @@ def test_preset_certifies_at_its_shipped_settings(name):
     problem = build_problem(config_from_mapping(get_preset(name)))
     result = solve(problem, (0, 0))
     # private values are components; a dense prior carries its shared value
-    assert problem.prior.components is not None or problem.prior.value_joint is not None
+    assert problem.prior.components is not None or \
+        problem.prior.value_weighted_joint().shape == problem.prior.obs_joint.shape
     tolerance = problem.config.tolerance
     if name in KNOWN_REDS:
         assert result.termination == "max_iterations"

@@ -36,6 +36,9 @@ def check_invariants(prior):
         assert np.max(np.abs(joint.sum(axis=axes) - m)) <= 1e-8
     if prior.value_joint is not None:
         assert np.max(np.abs(prior.value_joint.sum(axis=0) - prior.obs_joint)) <= 1e-10
+        # the value-weighted joint is the value axis contracted, to the bit
+        assert np.array_equal(prior.value_weighted_joint(), np.tensordot(
+            prior.value_grid.points, prior.value_joint, axes=(0, 0)))
         # the interdependent models are exchangeable: swapping two agents'
         # observation axes leaves the one value joint unchanged
         swap = (0, 2, 1) + tuple(range(3, n + 1))
@@ -526,12 +529,15 @@ def malformed_priors():
         (dict(held, marginals=(m3, np.array([0.5, 0.5, 0.5]))), "probability vectors"),
         (dict(dense, components=(Component(1.0, blocks),)), "either obs_joint or components"),
         (dict(dense, value_grid=None, value_joint=None), "needs a value joint"),
+        (dict(dense, value_joint=None), "or its value-weighted joint"),
+        (dict(dense, value_joint=None, value_weighted=m3), "value-weighted joint needs an obs"),
         (dict(dense, obs_joint=np.multiply.outer(m3, m2)), "obs_joint shape must match"),
         (dict(dense, obs_joint=2 * joint), "obs_joint must be a probability mass"),
         (dict(dense, obs_joint=np.multiply.outer(m3, flat)),
          "obs_joint does not marginalize to agent 1"),
         (dict(dense, value_grid=None), "value joint needs a value grid"),
         (dict(dense, value_joint=np.stack([joint, joint])), "does not sum back to obs_joint"),
+        (dict(dense, value_weighted=joint), "does not weight back to the value-weighted"),
         (parts((0.5, blocks)), "weights must be positive and sum to 1"),
         (parts((1.0, blocks[:1])), "blocks must partition the agents"),
         (parts((1.0, (((1, 0), joint),))), "block mass shape must match"),
@@ -545,6 +551,16 @@ def malformed_priors():
 def test_discrete_prior_refuses_malformed_input(arguments, message):
     with pytest.raises(ValueError, match=message):
         DiscretePrior(**arguments)
+
+
+def test_dense_prior_holds_its_value_weighted_joint_without_the_value_joint():
+    """Dropped with ``dataclasses.replace``, the value joint leaves a valid
+    prior that keeps the value-weighted joint and the value grid."""
+    og, vg = grids(2, 4, hi=2.0), make_uniform_grid(0.0, 1.0, 5)
+    full = CommonValuePrior(2).discretize(og, vg)
+    dropped = dataclasses.replace(full, value_joint=None)
+    assert dropped.value_joint is None and dropped.value_joints is None
+    assert dropped.value_grid is vg and dropped.value_weighted is full.value_weighted
 
 
 def reference_value_joints(sampler, val_grids, obs_grids, sample_count, seed, groups):
