@@ -140,12 +140,16 @@ def _coerce(key: str, value):
             raise ValueError(f"config key '{key}' takes a finite number, got {value!r}")
         return number
     if t == "bool":
+        # one of the words in any case, or JSON true/false or 1/0; any other
+        # number and null are refused, not read as their truth value
         if isinstance(value, str):
-            if value.lower() not in _BOOL_WORDS:
-                raise ValueError(f"config key '{key}' takes a boolean (1/0, true/false or "
-                                 f"yes/no), got {value!r}")
-            return _BOOL_WORDS[value.lower()]
-        return bool(value)
+            word = value.lower()
+        else:
+            word = str(int(value)) if isinstance(value, int) else None
+        if word not in _BOOL_WORDS:
+            raise ValueError(f"config key '{key}' takes a boolean (1/0, true/false or "
+                             f"yes/no), got {value!r}")
+        return _BOOL_WORDS[word]
     if t == "str":
         return str(value)
     return value

@@ -29,9 +29,10 @@ The prior picks how the opponents' actions are weighted:
   number of agents.  No dense joint is formed, and
 * on dense priors (always interdependent: the exact common-value and the
   binned affiliated models, whose agents share one value) the prior mass,
-  with a leading axis (the shared value, or the value-weighted joint and
-  the joint), is contracted with the opponents' conditional strategies,
-  one GEMM per opponent, into weights of shape (leading, K_i, L_-i).
+  with a leading axis (the shared value of the value joint, or one entry
+  for the value-weighted joint or the joint), is contracted as the prior
+  holds it with the opponents' conditional strategies, one GEMM per
+  opponent, into weights of shape (leading, K_i, L_-i).
 
 The payoff picks the path (``gradient_path``), ``affine`` where
 ``risk_rho == 1`` and ``tensor`` otherwise, and the path picks the method;
@@ -41,19 +42,20 @@ prior:
 * ``affine``: for risk-neutral payoffs ``u = v*A(b) + B(b)``.  The weights
   come as rows and a factor R over the trailing opponents: G and R on
   component priors; on dense priors the prior's value-weighted joint and
-  the joint, contracted together (one stack for all agents, who share the
-  value), as rows Wv and W, with R = [1] covering no opponent.  The value
-  joint itself is not read, so a dense prior may hold the value-weighted
-  joint alone.  One contraction takes them to the weighted sums of A and B.
+  its joint, each contracted on its own, as rows Wv and W, with R = [1]
+  covering no opponent.  The value joint itself is not read, so a dense
+  prior may hold the value-weighted joint alone.  One contraction takes
+  them to the weighted sums of A and B.
   Where the mechanism has a kernel for the agent
   (``Mechanism.affine_kernel``), it serves, on either prior, under one
   contract: it gets the rows, R and the opponents R covers, and never forms
   A and B.  The split-award kernel sums the weights over
   threshold index ranges with prefix sums; first-price LLG reads R's strict
   cdf at the locals' bid sums, or sums G in the bid sums' ascending order
-  for the global (``LLGFirstPriceKernel``).  Else R meets the dense A and B,
-  cached per agent with shape (L_i, columns of the weights), in a mat-vec
-  each over the trailing axes, and the rows one product each.  The own
+  for the global (``LLGFirstPriceKernel``).  Else the dense A and B, built
+  from one profile of own actions by columns and cached per agent with
+  shape (L_i, columns), meet R in a mat-vec each over the trailing axes
+  where R covers an opponent, and the rows one product each.  The own
   value then enters as a row scaling on component priors, c_i = o * (G .
   A_R) + G . B_R (an outer product where G is one row), and on dense priors
   c_i = (Wv . A + W . B) / marginal; and
@@ -79,18 +81,6 @@ from .priors import DiscretePrior
 from .strategy import Strategy, flatten_action_grids
 
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes of ex-post utilities held per agent at once
-
-
-def _profile_components(flat_actions):
-    """Per-agent bid components broadcastable over the action-profile box."""
-    n = len(flat_actions)
-    comps = []
-    for j, table in enumerate(flat_actions):
-        shape = [1] * n
-        shape[j] = table.shape[0]
-        comps.append(tuple(np.ascontiguousarray(table[:, d]).reshape(shape)
-                           for d in range(table.shape[1])))
-    return comps
 
 
 def _divide_rows(c: np.ndarray, marginal: np.ndarray) -> np.ndarray:
@@ -178,16 +168,16 @@ class GradientEngine:
     highest bid, each agent's observation points of zero mass, each agent's
     view of a component prior (its block's mass scaled by its marginal), and,
     on the affine path, the mechanism's kernels.  Every path returns a
-    C-contiguous (K_i, L_i) gradient.  A dense prior's value-weighted pair is
-    stacked once per engine, since all agents share the value.  The tensor
-    path on a dense prior needs its value joint, and an engine for it is
-    refused without one.  ``memory_budget`` sets the chunk size along the
-    value axis of the tensor path; it never changes which path runs.  One
-    chunk-sized buffer serves every chunk of a call and is filled in place,
-    one value at a time, so the budget bounds the bytes of ex-post utilities
-    held per agent (one value's worth at least), give or take one value's
-    worth of scratch.  When one chunk covers the whole axis, the chunk is
-    kept between calls.  ``cache_bytes`` counts every cached array.  The
+    C-contiguous (K_i, L_i) gradient.  A dense prior's arrays are read where
+    the prior holds them; no cache copies them.  The tensor path on a dense
+    prior needs its value joint, and an engine for it is refused without
+    one.  ``memory_budget`` sets the chunk size along the value axis of the
+    tensor path; it never changes which path runs.  One chunk-sized buffer
+    serves every chunk of a call and is filled in place, one value at a
+    time, so the budget bounds the bytes of ex-post utilities held per agent
+    (one value's worth at least), give or take one value's worth of
+    scratch.  When one chunk covers the whole axis, the chunk is kept
+    between calls.  ``cache_bytes`` counts every cached array.  The
     payoff picks ``path`` (``gradient_path``).  One engine serves any number
     of runs on the same problem, and its caches live as long as it does: the
     problem's engine keeps them for every run, while the one-shot checks
@@ -207,7 +197,6 @@ class GradientEngine:
         self.flat_actions = [flatten_action_grids(g) for g in self.action_grids]
         self.budget = memory_budget
         self._affine_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._value_pair: np.ndarray | None = None
         self._utility_cache: dict[int, np.ndarray] = {}
         self.path = gradient_path(mech)
         if self.path == "tensor" and prior.obs_joint is not None and prior.value_joint is None:
@@ -235,56 +224,49 @@ class GradientEngine:
                     self._kernels[i] = kernel
 
     def cache_bytes(self) -> int:
-        """Bytes held by the affine, kernel, value-weighted, utility and
-        scaled block-mass caches."""
+        """Bytes held by the affine, kernel, utility and scaled block-mass
+        caches."""
         arrays = [x for pair in self._affine_cache.values() for x in pair]
         arrays += list(self._utility_cache.values())
         arrays += [own for _, terms in self._views.values() for _, own, _, _ in terms
                    if own is not None]
-        if self._value_pair is not None:
-            arrays.append(self._value_pair)
         return sum(x.nbytes for x in arrays) + sum(k.nbytes for k in self._kernels.values())
 
     # -- cached pieces ------------------------------------------------------
 
     def _affine_parts(self, agent: int):
-        """Dense (A, B) of ``agent`` with its own actions on rows.  The columns
-        are the opponents' highest bid, on the grid every one of them bids
-        on, where ``_opponent_factors`` weights that: (L_i, L_top); else the
-        opponents' action profiles: (L_i, L_-i)."""
+        """Dense (A, B) of ``agent`` from one action profile: its own actions
+        on rows; as columns, the opponents' highest bid, on the grid every one
+        of them bids on, where ``_opponent_factors`` weights that: (L_i,
+        L_top); else the opponents' action profiles in agent order, the last
+        opponent's action fastest: (L_i, L_-i)."""
         if agent not in self._affine_cache:
+            own = self.flat_actions[agent]
+            opponents = [j for j in range(self.prior.n_agents) if j != agent]
             top = self._top_bids.get(agent)
-            if top is not None:
-                own = self.flat_actions[agent][:, 0]
-                profile = [(own[:, None] if j == agent else top[None, :],)
-                           for j in range(self.prior.n_agents)]
-                parts = [np.broadcast_to(x, (own.size, top.size))
-                         for x in self.mech.affine_parts(agent, profile)]
+            if top is None:
+                at = np.indices([self.flat_actions[j].shape[0] for j in opponents])
+                columns = [self.flat_actions[j][k.ravel()] for j, k in zip(opponents, at)]
             else:
-                comps = _profile_components(self.flat_actions)
-                counts = tuple(t.shape[0] for t in self.flat_actions)
-                parts = [np.moveaxis(np.broadcast_to(x, counts), agent, 0)
-                         .reshape(counts[agent], -1)
-                         for x in self.mech.affine_parts(agent, comps)]
-            self._affine_cache[agent] = tuple(np.ascontiguousarray(x) for x in parts)
+                columns = [top[:, None]] * len(opponents)
+            # each component as a (1, columns) row, the own ones as (L_i, 1)
+            profile = [tuple(x.T[:, None]) for x in columns]
+            profile.insert(agent, tuple(own.T[:, :, None]))
+            shape = (own.shape[0], columns[0].shape[0])
+            self._affine_cache[agent] = tuple(np.ascontiguousarray(np.broadcast_to(x, shape))
+                                              for x in self.mech.affine_parts(agent, profile))
         return self._affine_cache[agent]
-
-    def _value_weighted_pair(self) -> np.ndarray:
-        """The value-weighted joint stacked on the joint (dense priors); all
-        agents share the value, so one pair serves every agent."""
-        if self._value_pair is None:
-            self._value_pair = np.stack([self.prior.value_weighted, self.prior.obs_joint])
-        return self._value_pair
 
     def _opponent_weights(self, w, strategies, agent: int) -> np.ndarray:
         """W[m, k_i, l_-i]: dense prior mass ``w`` times the opponents'
         conditional strategies, summed over the opponents' observations.
 
-        ``w`` has one leading axis m (the shared value, or the value-weighted
-        pair), then one observation axis per agent.  The own axis is moved
-        first (a copy for all but agent 0), then each opponent's axis gives
-        way, in agent order, to its action axis, one (batched) GEMM per
-        opponent: the own-first rule of ``mechanisms``.
+        ``w`` has one leading axis m (the shared value, or one entry for the
+        value-weighted joint or the joint), then one observation axis per
+        agent.  The own axis is moved first (a copy for all but agent 0),
+        then each opponent's axis gives way, in agent order, to its action
+        axis, one (batched) GEMM per opponent: the own-first rule of
+        ``mechanisms``.
         """
         w = np.ascontiguousarray(np.moveaxis(w, 1 + agent, 1))
         opponents = [j for j in range(self.prior.n_agents) if j != agent]
@@ -396,15 +378,16 @@ class GradientEngine:
         On a component prior G and R come from ``_opponent_factors``, and
         c_i = o * (G . A_R) + G . B_R; where G is one row this is c_i[k] =
         o_k * (r . A) + r . B, the same row for every own observation.  On a
-        dense prior the value-weighted and plain prior mass, contracted with
-        the opponents' conditionals, give Wv and W as rows with R = [1], and
-        c_i = (Wv . A + W . B) / marginal."""
+        dense prior the value-weighted and plain prior mass, each contracted
+        with the opponents' conditionals, give Wv and W as rows with R = [1],
+        and c_i = (Wv . A + W . B) / marginal."""
         if self.prior.components is not None:
             g, r = self._opponent_factors(strategies, agent)
             ca, cb = self._affine_sums(agent, g, g, r)
             c = self.prior.obs_grids[agent].points[:, None] * ca
         else:
-            wv, w = self._opponent_weights(self._value_weighted_pair(), strategies, agent)
+            wv, w = (self._opponent_weights(x[None], strategies, agent)[0]
+                     for x in (self.prior.value_weighted, self.prior.obs_joint))
             c, cb = self._affine_sums(agent, wv, w, np.ones(1))
         c += cb
         return self._per_own_mass(c, agent)
@@ -423,16 +406,11 @@ class GradientEngine:
 
     def _reduced_parts(self, agent: int, r: np.ndarray):
         """``agent``'s dense A and B contracted with ``r`` over the trailing
-        opponents' action axes, each as (columns of G, L_i): one mat-vec over
-        the trailing axes.  Where the trailing opponents are all of them,
-        that is the one row r . A; where they hold none (always so on a dense
-        prior), A and B themselves."""
+        opponents' action axes, each as (columns of G, L_i): A and B
+        themselves where no opponent trails (always so on a dense prior),
+        else one mat-vec over the trailing axes."""
         a, b = self._affine_parts(agent)
-        trailing = self._trailing(agent)
-        if len(trailing) == self.prior.n_agents - 1:
-            w = r[None, :]
-            return w @ a.T, w @ b.T
-        if not trailing:
+        if not self._trailing(agent):
             return a.T, b.T
         return tuple((x.reshape(-1, r.size) @ r).reshape(x.shape[0], -1).T for x in (a, b))
 

@@ -184,15 +184,6 @@ class DiscretePrior:
             if np.max(np.abs(marginals[i] - self.marginals[i])) > 1e-8:
                 raise ValueError(f"components do not marginalize to agent {i}'s marginal")
 
-    def value_weighted_joint(self) -> np.ndarray:
-        """Observation-space mass weighted by the shared value (interdependent
-        priors): ``sum_m v_m * J[m, k]``, the same for every agent.  Exact
-        contraction of the value axis for utilities affine in the value.
-        """
-        if self.value_weighted is None:
-            raise ValueError("value-weighted joint needs an interdependent prior")
-        return self.value_weighted
-
 
 def draw_chunks(sample, rng, count: int, chunk: int):
     """``count`` draws of ``sample(rng, m)`` in chunks of at most ``chunk``.

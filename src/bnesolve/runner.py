@@ -362,14 +362,18 @@ def run_sweep(cfg: RunConfig, grid_values, out, *, runs: int | None = None,
 
     Observation and action axes (and the value axis, for interdependent
     priors) all use the same number of points per sweep entry.  Every entry's
-    config is checked, and a repeated entry refused, before ``out`` is made.
+    problem is built, and a repeated entry refused, before ``out`` is made;
+    each batch then builds its problem again, so at most one entry's
+    discretized problem is held at a time.
     """
     points_list = [int(points) for points in grid_values]
     if len(set(points_list)) != len(points_list):
         raise ValueError(f"grid sizes {points_list} repeat an entry: each is written "
                          "to its own k<points> directory")
-    subs = [replace(cfg, obs_points=points, action_points=points,
-                    value_points=points).validate() for points in points_list]
+    subs = [replace(cfg, obs_points=points, action_points=points, value_points=points)
+            for points in points_list]
+    for sub in subs:
+        build_problem(sub)
     out = prepare_out_dir(out, force)
     results = []
     for points, sub in zip(points_list, subs):

@@ -481,7 +481,7 @@ def test_affine_problem_drops_the_value_joint_to_the_bit(name):
     full = problem.prior_model.discretize(problem.obs_grids, problem.value_grid)
     assert prior.value_joint is None and full.value_joint is not None
     assert prior.value_grid is problem.value_grid
-    assert np.array_equal(prior.value_weighted_joint(), full.value_weighted_joint())
+    assert np.array_equal(prior.value_weighted, full.value_weighted)
     engine = problem.engine()
     full_engine = GradientEngine(problem.mech, full, problem.action_grids, groups=problem.groups)
     assert engine.path == full_engine.path == "affine"
@@ -576,7 +576,7 @@ def test_split_award_kernel_matches_naive_on_interdependent_prior():
     _, _, action_grids, _ = split_tie_setting("scaled")
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
                                 seed=i) for i in range(2)]
-    ratio = prior.value_weighted_joint() / prior.obs_joint
+    ratio = prior.value_weighted / prior.obs_joint
     assert np.ptp(ratio[prior.obs_joint > 0]) > 0.1  # not a multiple of the joint
     for cost_model in ("scaled", "constant"):
         mech = SplitAwardAuction(0.3, cost_model)
@@ -746,7 +746,24 @@ def test_factorized_branch_skips_opponent_weights(monkeypatch):
                for i in range(2)]
     for make in (GradientEngine, tensor_engine):
         make(SingleObjectAuction("spsb", 2), common, grids).gradient(profile, 1)
-    assert calls == [1, 1]
+    assert calls == [1, 1, 1]
+
+
+def test_dense_affine_engine_caches_only_its_dense_parts():
+    """On a dense prior the affine path contracts the value-weighted joint
+    and the joint where the prior holds them: after every agent's gradient
+    the engine's caches are each agent's dense A and B, and nothing else."""
+    og = [make_uniform_grid(0, 2, 4)] * 3
+    prior = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 5))
+    grids = [(make_uniform_grid(0, 1.5, 6),)] * 3
+    profile = [init_strategy("random", og[i], grids[i], prior.marginals[i], seed=i)
+               for i in range(3)]
+    engine = GradientEngine(SingleObjectAuction("spsb", 3), prior, grids)
+    assert engine.path == "affine" and not engine._kernels
+    for agent in range(3):
+        engine.gradient(profile, agent)
+    # A and B of each agent: 6 own bids by the opponents' 6 x 6 bid profiles
+    assert engine.cache_bytes() == 3 * 2 * 6 * 6 ** 2 * 8
 
 
 def llg_component_settings():

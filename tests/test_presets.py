@@ -21,7 +21,7 @@ def test_preset_certifies_at_its_shipped_settings(name):
     result = solve(problem, (0, 0))
     # private values are components; a dense prior carries its shared value
     assert problem.prior.components is not None or \
-        problem.prior.value_weighted_joint().shape == problem.prior.obs_joint.shape
+        problem.prior.value_weighted.shape == problem.prior.obs_joint.shape
     tolerance = problem.config.tolerance
     if name in KNOWN_REDS:
         assert result.termination == "max_iterations"

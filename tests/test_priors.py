@@ -37,7 +37,7 @@ def check_invariants(prior):
     if prior.value_joint is not None:
         assert np.max(np.abs(prior.value_joint.sum(axis=0) - prior.obs_joint)) <= 1e-10
         # the value-weighted joint is the value axis contracted, to the bit
-        assert np.array_equal(prior.value_weighted_joint(), np.tensordot(
+        assert np.array_equal(prior.value_weighted, np.tensordot(
             prior.value_grid.points, prior.value_joint, axes=(0, 0)))
         # the interdependent models are exchangeable: swapping two agents'
         # observation axes leaves the one value joint unchanged
@@ -501,10 +501,9 @@ def test_package_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_value_weighted_joint_refuses_private_values():
+def test_private_value_prior_holds_no_value_weighted_mass():
     prior = prior_from_weights(grids(2, 4), [lambda x: np.ones_like(x)] * 2)
-    with pytest.raises(ValueError, match="interdependent"):
-        prior.value_weighted_joint()
+    assert prior.value_weighted is None
 
 
 def malformed_priors():
@@ -553,7 +552,7 @@ def test_discrete_prior_refuses_malformed_input(arguments, message):
         DiscretePrior(**arguments)
 
 
-def test_dense_prior_holds_its_value_weighted_joint_without_the_value_joint():
+def test_dense_prior_holds_its_value_weighted_mass_without_the_value_joint():
     """Dropped with ``dataclasses.replace``, the value joint leaves a valid
     prior that keeps the value-weighted joint and the value grid."""
     og, vg = grids(2, 4, hi=2.0), make_uniform_grid(0.0, 1.0, 5)

@@ -140,6 +140,9 @@ BAD_RUN_SETTINGS = [
     ({"prior": "affiliated", "prior_samples": 99_999}, "prior_samples"),
     ({"seed": -1}, "seed must be"),
     ({"prior_seed": -1}, "prior_seed must be"),
+    ({"symmetric": 2}, "symmetric"),
+    ({"symmetric": 0.5}, "symmetric"),
+    ({"symmetric": None}, "symmetric"),
 ]
 
 
@@ -961,18 +964,27 @@ def test_cli_sweep(tmp_path, capsys):
     assert "points=8" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("grid, message", [("1", "grids need at least 2 points"),
-                                           ("4,4", "repeat an entry")])
+@pytest.mark.parametrize("lines, grid, message", [
+    ([], "1", "grids need at least 2 points"),
+    ([], "4,4", "repeat an entry"),
+    # three entries for two agents: only building the problem finds it
+    (["obs_lower = [0.0, 0.0, 0.0]"], "4,8", "expected 2 per-agent entries, got 3")],
+    ids=["1-grids need at least 2 points", "4,4-repeat an entry", "config-obs_lower"])
 def test_cli_sweep_checks_every_entry_before_making_out(tmp_path, capsys, monkeypatch,
-                                                         grid, message):
+                                                         lines, grid, message):
     import bnesolve.runner as runner_mod
 
     def never(*a, **kw):
         raise AssertionError("a run started before every sweep entry was checked")
 
     monkeypatch.setattr(runner_mod, "run_batch", never)
+    source = ["--preset", "fpsb_sweep"]
+    if lines:
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text("\n".join(["include = fpsb_sweep"] + lines) + "\n")
+        source = ["--config", str(cfg_path)]
     out = tmp_path / "sw"
-    rc = main(["sweep", "--preset", "fpsb_sweep", "--grid", grid, "--quiet", "--out", str(out)])
+    rc = main(["sweep", *source, "--grid", grid, "--quiet", "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
