@@ -107,6 +107,10 @@ class RunConfig:
         if self.prior == "affiliated" and self.prior_samples < MIN_SAMPLE_COUNT:
             raise ValueError(f"prior_samples must be >= {MIN_SAMPLE_COUNT} for the binned "
                              "affiliated prior")
+        # build_problem reads these per-agent or per-axis lists
+        if self.prior in _MARGINAL_PRIORS:
+            _per_entry(self, self.agents, "agent", "obs_lower", "obs_upper")
+        _action_bounds(self)
         return self
 
     def to_text(self) -> str:
@@ -122,6 +126,7 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_MARGINAL_PRIORS = ("uniform", "gaussian_trunc", "custom_density")  # obs_lower/upper bound them
 
 
 def _coerce(key: str, value):
@@ -228,13 +233,18 @@ def load_config(path) -> RunConfig:
                                                  chain=(path.resolve(),)))
 
 
-def _per_entry(value, n: int, what: str) -> list[float]:
-    """``value`` as ``n`` floats: a list must have ``n`` entries, a scalar is repeated."""
-    if isinstance(value, (list, tuple)):
+def _per_entry(cfg: RunConfig, n: int, what: str, *keys) -> list[list[float]]:
+    """Each of config ``keys`` as ``n`` floats: a list must have ``n`` entries,
+    a scalar is repeated."""
+    out = []
+    for key in keys:
+        value = getattr(cfg, key)
+        value = value if isinstance(value, (list, tuple)) else [value] * n
         if len(value) != n:
-            raise ValueError(f"expected {n} per-{what} entries, got {len(value)}")
-        return [float(v) for v in value]
-    return [float(value)] * n
+            raise ValueError(f"config key '{key}' takes {n} per-{what} entries or one "
+                             f"number, got {len(value)}")
+        out.append([float(v) for v in value])
+    return out
 
 
 # the whitelist of density expressions: operator node type -> operation
@@ -306,9 +316,8 @@ def _compile_density(expr: str):
 
 def build_prior_model(cfg: RunConfig):
     n = cfg.agents
-    if cfg.prior in ("uniform", "gaussian_trunc", "custom_density"):
-        lows = _per_entry(cfg.obs_lower, n, "agent")
-        highs = _per_entry(cfg.obs_upper, n, "agent")
+    if cfg.prior in _MARGINAL_PRIORS:
+        lows, highs = _per_entry(cfg, n, "agent", "obs_lower", "obs_upper")
         # one compiled density per config: CustomDensityMarginal compares its
         # fn by identity, and agents with equal marginals form one group
         density = _compile_density(cfg.density) if cfg.prior == "custom_density" else None
@@ -393,12 +402,9 @@ def _action_bounds(cfg: RunConfig):
     """
     n = cfg.agents
     if cfg.mechanism == "split_award":
-        lo = _per_entry(cfg.action_lower, 2, "axis")
-        hi = _per_entry(cfg.action_upper, 2, "axis")
-        rect = tuple((lo[d], hi[d]) for d in range(2))
-        return [rect] * n
-    lows = _per_entry(cfg.action_lower, n, "agent")
-    highs = _per_entry(cfg.action_upper, n, "agent")
+        lo, hi = _per_entry(cfg, 2, "axis", "action_lower", "action_upper")
+        return [tuple(zip(lo, hi))] * n
+    lows, highs = _per_entry(cfg, n, "agent", "action_lower", "action_upper")
     return [((lo, hi),) for lo, hi in zip(lows, highs)]
 
 

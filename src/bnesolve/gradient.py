@@ -46,13 +46,13 @@ prior:
   covering no opponent.  The value joint itself is not read, so a dense
   prior may hold the value-weighted joint alone.  One contraction takes
   them to the weighted sums of A and B.
-  Where the mechanism has a kernel for the agent
-  (``Mechanism.affine_kernel``), it serves, on either prior, under one
-  contract: it gets the rows, R and the opponents R covers, and never forms
-  A and B.  The split-award kernel sums the weights over
-  threshold index ranges with prefix sums; first-price LLG reads R's strict
-  cdf at the locals' bid sums, or sums G in the bid sums' ascending order
-  for the global (``LLGFirstPriceKernel``).  Else the dense A and B, built
+  A mechanism has a kernel for the agent (``Mechanism.affine_kernel``) only
+  where its form applies, decided from the opponents R covers; it gets the
+  rows and R and never forms A and B.  The split-award kernel sums the
+  weights over threshold index ranges with prefix sums; first-price LLG reads
+  R's strict cdf at the locals' bid sums where R is the global's marginal,
+  or sums the global's full rows in the bid sums' ascending order
+  (``LLGFirstPriceKernel``).  Elsewhere the dense A and B, built
   from one profile of own actions by columns and cached per agent with
   shape (L_i, columns), meet R in a mat-vec each over the trailing axes
   where R covers an opponent, and the rows one product each.  The own
@@ -91,16 +91,20 @@ def _divide_rows(c: np.ndarray, marginal: np.ndarray) -> np.ndarray:
     return c
 
 
-def _block_actions(strategies, agents, mass) -> np.ndarray:
-    """The joint action distribution of one block of opponents: its mass with
-    each agent's observation axis contracted with that agent's conditionals
-    (``q_a^T M q_b`` for two agents); ``mass`` None stands for an agent alone
-    with its marginal, whose distribution is its action marginal."""
-    if mass is None:
-        return strategies[agents[0]].matrix.sum(axis=0)
-    for j in agents:
-        mass = np.tensordot(mass, strategies[j].conditionals(), axes=(0, 0))
-    return mass
+def _own_first(w, strategies, agents, start: int) -> np.ndarray:
+    """``w`` with its axes from ``start`` on, one observation axis per agent in
+    ``agents``, each replaced in turn by the agent's action axis, one (batched)
+    GEMM with its conditionals: the own-first rule of ``mechanisms``."""
+    for pos, j in enumerate(agents, start=start):
+        q = strategies[j].conditionals()
+        shape = w.shape
+        after = int(np.prod(shape[pos + 1:]))
+        if after == 1:
+            w = w.reshape(-1, shape[pos]) @ q
+        else:
+            w = np.matmul(q.T, w.reshape(-1, shape[pos], after))
+        w = w.reshape(shape[:pos] + (q.shape[1],) + shape[pos + 1:])
+    return w
 
 
 def _outer_in_agent_order(factors) -> np.ndarray:
@@ -223,6 +227,11 @@ class GradientEngine:
                 if kernel is not None:
                     self._kernels[i] = kernel
 
+    @property
+    def kernel_agents(self) -> list[int]:
+        """The agents whose affine gradients a mechanism kernel computes."""
+        return sorted(self._kernels)
+
     def cache_bytes(self) -> int:
         """Bytes held by the affine, kernel, utility and scaled block-mass
         caches."""
@@ -264,21 +273,11 @@ class GradientEngine:
         ``w`` has one leading axis m (the shared value, or one entry for the
         value-weighted joint or the joint), then one observation axis per
         agent.  The own axis is moved first (a copy for all but agent 0),
-        then each opponent's axis gives way, in agent order, to its action
-        axis, one (batched) GEMM per opponent: the own-first rule of
-        ``mechanisms``.
+        then ``_own_first`` contracts the opponents' axes in agent order.
         """
-        w = np.ascontiguousarray(np.moveaxis(w, 1 + agent, 1))
         opponents = [j for j in range(self.prior.n_agents) if j != agent]
-        for pos, j in enumerate(opponents, start=2):
-            q = strategies[j].conditionals()
-            shape = w.shape
-            after = int(np.prod(shape[pos + 1:]))
-            if after == 1:
-                w = w.reshape(-1, shape[pos]) @ q
-            else:
-                w = np.matmul(q.T, w.reshape(-1, shape[pos], after))
-            w = w.reshape(shape[:pos] + (q.shape[1],) + shape[pos + 1:])
+        w = _own_first(np.ascontiguousarray(np.moveaxis(w, 1 + agent, 1)), strategies,
+                       opponents, 2)
         return w.reshape(w.shape[:2] + (-1,))
 
     def _component_views(self, agent: int):
@@ -328,14 +327,15 @@ class GradientEngine:
         in agent order.  R is the outer product of the trailing opponents'
         action marginals, flattened.  G sums, over the components, the weight
         (where the agent is alone with its marginal) or the scaled own block
-        mass contracted with the block-mates' conditionals (one small GEMM per
-        mate), times the outer product of the component's other blocks' action
-        distributions; it is one row where no component has a block-mate,
-        else one row per own observation.  With a highest-bid payoff on an
-        independent prior, R is instead the distribution of the opponents'
-        highest bid, prod_j F_j - prod_j (F_j - pi_j), a running product over
-        their action marginals pi_j and their cdfs F_j, over the columns of
-        ``_affine_parts``, and G is [[1]]."""
+        mass contracted with the block-mates' conditionals (``_own_first``),
+        times the outer product of the component's other blocks' action
+        distributions (their mass contracted the same way, or the action
+        marginal of an agent alone with its marginal); it is one row where no
+        component has a block-mate, else one row per own observation.  With a
+        highest-bid payoff on an independent prior, R is instead the
+        distribution of the opponents' highest bid, prod_j F_j - prod_j (F_j -
+        pi_j), a running product over their action marginals pi_j and their
+        cdfs F_j, over the columns of ``_affine_parts``, and G is [[1]]."""
         if agent in self._top_bids:
             top = below = 1.0
             for j, s in enumerate(strategies):
@@ -348,12 +348,11 @@ class GradientEngine:
         trailing, terms = self._views[agent]
         g = None
         for weight, own, mates, others in terms:
-            f = np.full(1, weight) if own is None else own
-            for j in mates:
-                f = np.tensordot(f, strategies[j].conditionals(), axes=(1, 0))
+            f = np.full(1, weight) if own is None else _own_first(own, strategies, mates, 1)
             if others:
                 f = _outer_in_agent_order([((-1,) + mates, f)] + [
-                    (agents, _block_actions(strategies, agents, mass)) for agents, mass in others])
+                    (agents, strategies[agents[0]].matrix.sum(axis=0) if mass is None
+                     else _own_first(mass, strategies, agents, 0)) for agents, mass in others])
             f = f.reshape(f.shape[0], -1)
             g = f if g is None else g + f
         r = np.ones(())

@@ -194,6 +194,7 @@ class RunResult:
     wall_time: float = 0.0
     termination: str = "max_iterations"
     gradient_path: str = ""             # GradientEngine.path that ran
+    kernel_agents: list[int] = field(default_factory=list)  # GradientEngine.kernel_agents
     engine_cache_bytes: int = 0         # bytes held by the engine caches at the end
 
     @property
@@ -271,4 +272,5 @@ def run(engine: GradientEngine, *, rule: str, eta0: float = 1.0, step_beta: floa
     per_agent = profile()
     return RunResult(per_agent, groups, cert, loss_history, distance_history,
                      iterations=updates_done, wall_time=wall, termination=termination,
-                     gradient_path=engine.path, engine_cache_bytes=engine.cache_bytes())
+                     gradient_path=engine.path, kernel_agents=engine.kernel_agents,
+                     engine_cache_bytes=engine.cache_bytes())

@@ -90,9 +90,10 @@ class Mechanism:
         r[l_trail]`` over the opponents in agent order: ``trailing`` names the
         last opponents, those ``r`` covers.  It is empty when ``r`` covers
         none, as on a dense prior; then ``g`` holds full rows over every
-        opponent's actions and ``r`` = [1.0].  Returns a callable taking
-        ``(g, r)`` to ``(W . A, W . B)``, fresh and C-contiguous of shape
-        (K, L_i), or None where only the dense matrices serve.
+        opponent's actions and ``r`` = [1.0].  A mechanism returns a kernel
+        only where its form applies, decided from ``trailing``: a callable
+        taking ``(g, r)`` to ``(W . A, W . B)``, fresh and C-contiguous of
+        shape (K, L_i).  Else it returns None, and the dense matrices serve.
         """
         return None
 
@@ -242,9 +243,11 @@ class LLGAuction(Mechanism):
         return [-(-win.astype(np.float64) * p) for win, p in zip(wins, (p1, p2, p3))]
 
     def affine_kernel(self, agent, action_grids, trailing):
-        if self.payment_rule != "first_price":
-            return None  # core payments are projections, not separable in the bids
-        return LLGFirstPriceKernel(agent, action_grids, trailing)
+        # core payments are projections, not separable in the bids; under first
+        # price a local's r is the global's action marginal, the global's r = [1]
+        if self.payment_rule != "first_price" or trailing != (() if agent == 2 else (2,)):
+            return None
+        return LLGFirstPriceKernel(agent, action_grids)
 
 
 class LLGFirstPriceKernel:
@@ -253,17 +256,18 @@ class LLGFirstPriceKernel:
     Under first price the payoff reads the locals only through their bid sum
     ``b_0 + b_1`` against the global bid ``b_2`` (``LLGAuction.outcome``:
     the locals win iff the sum is strictly above it, the global iff strictly
-    below), and each winner pays its own bid, so ``B = -b_i * A``.
+    below), and each winner pays its own bid, so ``B = -b_i * A``.  It has
+    two forms, one per agent kind, and ``LLGAuction.affine_kernel`` returns
+    one only where the weights take it:
 
-    * A local's A, contracted with the global's weights, is their strict cdf
-      read at ``own + mate``: the count of global bids strictly below each
-      sum, ``searchsorted(side="left")``, indexes it.  Where ``r`` is the
-      global's action marginal alone this gives ``A_R[l_mate, l_i]`` in
-      O(L^2), and ``g @ A_R`` the weighted sums; else the cdf runs along the
-      global's axis of each full weight row.
-    * The global's A, contracted with weights over both locals' actions, is
-      their sum over the bid sums strictly below its bid: the weights are
-      summed in the sums' ascending order and read at
+    * a local, with ``r`` the global's action marginal and ``g`` over the
+      mate's actions: A contracted with ``r`` is its strict cdf read at
+      ``own + mate``, where the count of global bids strictly below each
+      sum, ``searchsorted(side="left")``, indexes it.  This gives
+      ``A_R[l_mate, l_i]`` in O(L^2), and ``g @ A_R`` the weighted sums.
+    * the global, with ``g`` full rows over both locals' actions and ``r`` =
+      [1]: its A is the sum of the weights over the bid sums strictly below
+      its bid, so each row is summed in the sums' ascending order and read at
       ``searchsorted(sums, b_2, side="left")``.
 
     The sums are the same float additions, and the comparisons the same
@@ -271,12 +275,10 @@ class LLGFirstPriceKernel:
     there; the (L_i, L_-i) payoff matrices are never formed.
     """
 
-    def __init__(self, agent: int, action_grids, trailing):
+    def __init__(self, agent: int, action_grids):
         bids = [g[0].points for g in action_grids]
         own = bids[agent]
         self.minus_own = -own
-        # r is the global's action marginal alone: a local's mate is in g
-        self.factored = agent != 2 and trailing == (2,)
         if agent == 2:
             sums = (bids[0][:, None] + bids[1][None, :]).ravel()
             self.order = np.argsort(sums, kind="stable")
@@ -293,22 +295,14 @@ class LLGFirstPriceKernel:
 
     def __call__(self, g, r):
         """(W . A, W . B) for the weights ``W = g x r`` of ``affine_kernel``."""
-        if self.factored:
+        if self.order is None:  # a local
             cdf = np.zeros(r.size + 1)
             np.cumsum(r, out=cdf[1:])
             a = g @ cdf[self.at]
-        else:
-            # full rows over the opponents' actions, in agent order
-            w = (g[:, :, None] * r).reshape(g.shape[0], -1)
-            if self.order is None:  # the mate's axis, then the global's
-                w = w.reshape(w.shape[0], self.at.shape[0], -1)
-                cdf = np.zeros(w.shape[:2] + (w.shape[2] + 1,))
-                np.cumsum(w, axis=2, out=cdf[:, :, 1:])
-                a = cdf[:, np.arange(self.at.shape[0])[:, None], self.at].sum(axis=1)
-            else:
-                cdf = np.zeros((w.shape[0], w.shape[1] + 1))
-                np.cumsum(w[:, self.order], axis=1, out=cdf[:, 1:])
-                a = cdf[:, self.at]
+        else:  # the global
+            cdf = np.zeros((g.shape[0], g.shape[1] + 1))
+            np.cumsum(g[:, self.order], axis=1, out=cdf[:, 1:])
+            a = cdf[:, self.at]
         return a, a * self.minus_own
 
 
@@ -428,17 +422,13 @@ class SplitAwardKernel:
     def __call__(self, g, r):
         """(W . A, W . B) for the weights ``W = g x r`` of ``affine_kernel``:
         full rows g over the opponent's actions with r = [1], or r over them
-        with g one column."""
+        with g of one entry."""
         k, n_s, n_h = g.shape[0], self.n_s, self.n_h
         # t[k, a, b]: weight row k at opponent sole price a and half price b;
         # the zero slabs at a = n_s and b = n_h stand for empty ranges.  Suffix
         # sums run as cumsums over reversed views, the same additions as a loop
         t = np.zeros((k, n_s + 1, n_h + 1))
-        if r.size == 1:
-            rows, cols = g.reshape(k, n_s, n_h), r
-        else:
-            rows, cols = g[:, :, None], r.reshape(n_s, n_h)
-        np.multiply(rows, cols, out=t[:, :n_s, :n_h])
+        t[:, :n_s, :n_h] = (g[:, :, None] * r).reshape(k, n_s, n_h)
         suffix = t[:, ::-1]
         np.cumsum(suffix, axis=1, out=suffix)  # now: sole prices from a on
         flat = t.reshape(k, -1)

@@ -283,6 +283,7 @@ def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
         "losses": result.certificate.losses,
         "loss_history": result.loss_history[-10:],
         "gradient_path": result.gradient_path,
+        "kernel_agents": result.kernel_agents,
         "engine_cache_bytes": result.engine_cache_bytes,
         "prior": problem.prior.meta,
         "baseline": report.baseline_id if report else None,

@@ -941,9 +941,10 @@ def llg_tie_settings():
     dyadic action grids, where local bid sums land exactly on global grid
     points: the exact LLG prior at gamma 0.1, 0.5 and 0.9 with the locals
     grouped and as singletons on grids of one size but unequal points (so
-    swapping the own and the mate's axis changes values, not shapes), and the
+    swapping the own and the mate's axis changes values, not shapes), the
     three-agent common-value prior, whose weights come as full rows, with the
-    locals on grids of unequal size."""
+    locals on grids of unequal size, and an independent prior, whose R covers
+    both of a local's opponents and both of the global's."""
     locals_ = [make_uniform_grid(0, 1, 5), make_uniform_grid(0, 0.5, 5)]
     glob = make_uniform_grid(0, 2, 5)
     for gamma in (0.1, 0.5, 0.9):
@@ -964,23 +965,42 @@ def llg_tie_settings():
     profile = [init_strategy("random", og[i], action_grids[i], common.marginals[i],
                              seed=3 + i) for i in range(3)]
     yield "common_value", None, common, action_grids, profile
+    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 4), make_uniform_grid(0, 2, 3)]
+    independent = prior_from_weights(og, [lambda x: 1.0 + x] * 3)
+    action_grids = [(locals_[0],), (locals_[1],), (glob,)]
+    profile = [init_strategy("random", og[i], action_grids[i], independent.marginals[i],
+                             seed=7 + i) for i in range(3)]
+    yield "independent", None, independent, action_grids, profile
 
 
 def test_llg_first_price_kernel_matches_dense_and_naive_on_tie_grids():
+    # a local's kernel takes R as the global's action marginal alone and the
+    # global's takes full rows with R = [1]; elsewhere dense A and B serve
+    kernel_agents = {"common_value": [2], "independent": []}
     mech = LLGAuction("first_price")
     for label, groups, prior, action_grids, profile in llg_tie_settings():
         bids = [g[0].points for g in action_grids]
         # exact ties between the locals' bid sum and the global bid
         assert np.any(np.isin(np.add.outer(bids[0], bids[1]), bids[2])), label
         engine = GradientEngine(mech, prior, action_grids, groups=groups)
-        assert engine.path == "affine" and sorted(engine._kernels) == [0, 1, 2], label
+        assert engine.path == "affine", label
+        assert engine.kernel_agents == kernel_agents.get(label, [0, 1, 2]), label
         for agent in range(3):
             oracle = naive_gradient(mech, prior, profile, agent)
-            if prior.components is None:  # dense rows meet the kernel in _affine_sums
-                c = engine.gradient(profile, agent)
-            else:
+            if prior.components is not None and agent in engine.kernel_agents:
                 c = assert_kernel_matches_dense(engine, profile, agent, label)
+            else:  # dense rows meet the kernel in _affine_sums, or dense A and B serve
+                c = engine.gradient(profile, agent)
             assert np.max(np.abs(c - oracle)) < 1e-12, (label, agent)
+
+
+@pytest.mark.parametrize("name", [n for n in preset_names()
+                                  if n.startswith(("llg_first_price", "split_award"))])
+def test_shipped_kernel_games_take_a_kernel_for_every_agent(name):
+    # no shipped game whose mechanism has a kernel falls back to dense A and B
+    engine = build_problem(config_from_mapping(get_preset(name))).engine()
+    assert engine.path == "affine"
+    assert engine.kernel_agents == list(range(engine.prior.n_agents))
 
 
 @pytest.mark.parametrize("name", ["llg_first_price_g01", "llg_first_price_g05",

@@ -404,7 +404,7 @@ def test_run_gradients_precede_all_updates():
             self.snapshots = []
             self.prior, self.action_grids = prior, action_grids
             self.groups = [[0], [1]]
-            self.path = self.inner.path
+            self.path, self.kernel_agents = self.inner.path, self.inner.kernel_agents
             self.cache_bytes = self.inner.cache_bytes
 
         def gradient(self, strategies, agent):

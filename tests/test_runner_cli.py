@@ -143,6 +143,10 @@ BAD_RUN_SETTINGS = [
     ({"symmetric": 2}, "symmetric"),
     ({"symmetric": 0.5}, "symmetric"),
     ({"symmetric": None}, "symmetric"),
+    ({"obs_lower": [0.0, 0.0, 0.0]}, "config key 'obs_lower' takes 2 per-agent entries"),
+    ({"action_lower": [0.0, 0.0, 0.0]}, "config key 'action_lower' takes 2 per-agent entries"),
+    ({"mechanism": "split_award", "action_lower": [1.0, 0.3, 0.0]},
+     "config key 'action_lower' takes 2 per-axis entries"),
 ]
 
 
@@ -318,12 +322,21 @@ def test_meta_records_gradient_path_and_cache_bytes(tmp_path):
     # A and B on the 12 x 12 (own bid x highest opponent bid) grid, of the one
     # agent whose gradient a run of one group takes
     assert meta["engine_cache_bytes"] == 2 * 12 * 12 * 8
+    assert meta["kernel_agents"] == []
     cfg = fast_cfg(runs=1, iterations=20, risk_rho=0.5, symmetric=False)
     run_batch(build_problem(cfg), tmp_path / "ra")
     meta = json.loads((tmp_path / "ra" / "run_000" / "meta.json").read_text())
     assert meta["gradient_path"] == "tensor"
     # at least one utility chunk of 12 values x 12 x 12 actions per agent
     assert meta["engine_cache_bytes"] >= 2 * 12 ** 3 * 8
+    assert meta["kernel_agents"] == []
+    # a kernel computes every agent's gradient in these games, none under a core rule
+    for game, agents in (("llg_first_price", [0, 1, 2]), ("split_award", [0, 1]),
+                         ("llg_core_rule", [])):
+        problem = build_problem(replay_cfg(game))
+        run_batch(problem, tmp_path / game)
+        meta = json.loads((tmp_path / game / "run_000" / "meta.json").read_text())
+        assert meta["kernel_agents"] == problem.engine().kernel_agents == agents, game
 
 
 def test_meta_records_prior_discretization(tmp_path):
@@ -967,8 +980,9 @@ def test_cli_sweep(tmp_path, capsys):
 @pytest.mark.parametrize("lines, grid, message", [
     ([], "1", "grids need at least 2 points"),
     ([], "4,4", "repeat an entry"),
-    # three entries for two agents: only building the problem finds it
-    (["obs_lower = [0.0, 0.0, 0.0]"], "4,8", "expected 2 per-agent entries, got 3")],
+    # three entries for two agents
+    (["obs_lower = [0.0, 0.0, 0.0]"], "4,8",
+     "config key 'obs_lower' takes 2 per-agent entries or one number, got 3")],
     ids=["1-grids need at least 2 points", "4,4-repeat an entry", "config-obs_lower"])
 def test_cli_sweep_checks_every_entry_before_making_out(tmp_path, capsys, monkeypatch,
                                                          lines, grid, message):
