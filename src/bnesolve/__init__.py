@@ -8,7 +8,6 @@ discretized game.
 
 __version__ = "0.1.0"
 
-from .grids import make_uniform_grid
 from .mechanisms import LLGAuction, SingleObjectAuction
 from .strategy import init_strategy
 from .gradient import GradientEngine, expected_utility

@@ -79,9 +79,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    grid = [int(v) for v in args.grid.split(",")]
     out = args.out or f"sweep_{cfg.name or cfg.mechanism}"
-    results = run_sweep(cfg, grid, out, runs=args.runs, force=args.force,
+    results = run_sweep(cfg, args.grid, out, runs=args.runs, force=args.force,
                         progress=_progress_printer(args.quiet))
     for entry in results:
         l_keys = [k for k in entry if k.startswith("mean_L_")]
@@ -108,8 +107,7 @@ def _cmd_probe_vs(args) -> int:
         print(f"warning: run did not converge (max loss {result.certificate.max_loss:.2e})",
               file=sys.stderr)
     probe = collusive_profile(result.strategies, scale=args.scale)
-    value = vs_probe(problem.mech, problem.prior, result.strategies, probe,
-                     engine=problem.engine())
+    value = vs_probe(problem.engine(), result.strategies, probe)
     print(f"probe value: {value:.6e} "
           f"({'variational stability violated' if value > 0 else 'no violation found'})")
     if out is not None:
@@ -125,6 +123,14 @@ def _shading_factor(text: str) -> float:
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
+
+
+def _grid_sizes(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="discretization sweep over grid sizes")
     common(sp)
-    sp.add_argument("--grid", required=True,
+    sp.add_argument("--grid", type=_grid_sizes, required=True,
                     help="comma-separated points per axis, e.g. 16,32,64,128")
     sp.set_defaults(fn=_cmd_sweep)
 

@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .gradient import GradientEngine, agent_groups, gradient_path
-from .grids import make_uniform_grid
+from .evaluate import DEFAULT_EVAL_SAMPLES
+from .gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, agent_groups, gradient_path
+from .grids import Grid
 from .learners import make_learner
 from .mechanisms import make_mechanism
 from .priors import (CommonValuePrior, AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
@@ -69,9 +70,9 @@ class RunConfig:
     runs: int = 10
     seed: int = 1
 
-    eval_samples: int = 1 << 18
+    eval_samples: int = DEFAULT_EVAL_SAMPLES
     plot_points: int = 150
-    memory_budget_gib: float = 2.0
+    memory_budget_gib: float = DEFAULT_MEMORY_BUDGET / (1 << 30)
 
     name: str = ""
     notes: str = ""
@@ -129,21 +130,34 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False,
 _MARGINAL_PRIORS = ("uniform", "gaussian_trunc", "custom_density")  # obs_lower/upper bound them
 
 
+def _number(key: str, t: str, value):
+    """``value`` as config key ``key``'s ``t``, ``"int"`` or ``"float"``;
+    a boolean, a fraction for an int and a non-finite float are refused."""
+    kind = "an integer" if t == "int" else "a number"
+    fraction = t == "int" and isinstance(value, float) and not value.is_integer()
+    try:
+        if isinstance(value, bool) or fraction:
+            raise ValueError
+        number = int(value) if t == "int" else float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key '{key}' takes {kind}, got {value!r}") from None
+    if t == "float" and not np.isfinite(number):  # NaN, or JSON's Infinity and 1e999
+        raise ValueError(f"config key '{key}' takes a finite number, got {value!r}")
+    return number
+
+
 def _coerce(key: str, value):
     t = _FIELD_TYPES[key]
-    if t != "object" and isinstance(value, (list, dict)):  # object: scalar or list
+    if t == "object":
+        # a bound: one number, or a list of numbers (per agent or per axis),
+        # kept as given so the config's text and hash stay as written
+        for entry in value if isinstance(value, list) else [value]:
+            _number(key, "float", entry)
+        return value
+    if isinstance(value, (list, dict)):
         raise ValueError(f"config key '{key}' takes one value, got {json.dumps(value)}")
     if t in ("int", "float"):
-        if t == "int" and isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"config key '{key}' takes an integer, got {value}")
-        try:
-            number = int(value) if t == "int" else float(value)
-        except (TypeError, ValueError):
-            kind = "an integer" if t == "int" else "a number"
-            raise ValueError(f"config key '{key}' takes {kind}, got {value!r}") from None
-        if t == "float" and not np.isfinite(number):  # NaN, or JSON's Infinity and 1e999
-            raise ValueError(f"config key '{key}' takes a finite number, got {value!r}")
-        return number
+        return _number(key, t, value)
     if t == "bool":
         # one of the words in any case, or JSON true/false or 1/0; any other
         # number and null are refused, not read as their truth value
@@ -155,9 +169,7 @@ def _coerce(key: str, value):
             raise ValueError(f"config key '{key}' takes a boolean (1/0, true/false or "
                              f"yes/no), got {value!r}")
         return _BOOL_WORDS[word]
-    if t == "str":
-        return str(value)
-    return value
+    return str(value)  # t == "str"
 
 
 def _strip_comment(line: str) -> str:
@@ -243,7 +255,7 @@ def _per_entry(cfg: RunConfig, n: int, what: str, *keys) -> list[list[float]]:
         if len(value) != n:
             raise ValueError(f"config key '{key}' takes {n} per-{what} entries or one "
                              f"number, got {len(value)}")
-        out.append([float(v) for v in value])
+        out.append([_number(key, "float", v) for v in value])
     return out
 
 
@@ -356,11 +368,10 @@ class Problem:
     discretizes ``prior_model`` itself.  The engine's caches live
     as long as the problem: ``run_batch`` does not release them between runs,
     since every run would refill them, and a caller that is done with a
-    problem drops it.  The one-shot checks (``relative_utility_loss``,
-    ``vs_probe`` without an engine, ``replay``) do not use this engine; they
-    hold one agent's caches at a time.  ``dataclasses.replace`` carries the
-    prior over but not the engine, so a copy on another mechanism whose path
-    is ``tensor`` needs its prior discretized anew.
+    problem drops it.  The one-shot certificate ``relative_utility_loss``
+    (behind ``replay``) does not use this engine.  ``dataclasses.replace``
+    carries the prior over but not the engine, so a copy on another mechanism
+    whose path is ``tensor`` needs its prior discretized anew.
     """
 
     config: RunConfig
@@ -417,12 +428,11 @@ def build_problem(cfg: RunConfig) -> Problem:
                           split_cost_factor=cfg.split_cost_factor,
                           split_cost_model=cfg.split_cost_model)
     model = build_prior_model(cfg)
-    obs_grids = [make_uniform_grid(lo, hi, cfg.obs_points) for lo, hi in model.obs_bounds]
-    action_grids = [tuple(make_uniform_grid(lo, hi, cfg.action_points) for lo, hi in rect)
-                    for rect in bounds]
+    obs_grids = [Grid(lo, hi, cfg.obs_points) for lo, hi in model.obs_bounds]
+    action_grids = [tuple(Grid(lo, hi, cfg.action_points) for lo, hi in rect) for rect in bounds]
     value_grid = None
     if model.value_bounds is not None:
-        value_grid = make_uniform_grid(*model.value_bounds, cfg.value_points)
+        value_grid = Grid(*model.value_bounds, cfg.value_points)
     # with ``symmetric``, agents share a strategy when the mechanism, the prior
     # and the action rectangle treat them alike; groups are ordered by first agent
     keys = list(zip(agent_groups(mech.symmetry_groups()), agent_groups(model.symmetry_groups()),

@@ -184,10 +184,8 @@ class GradientEngine:
     between calls.  ``cache_bytes`` counts every cached array.  The
     payoff picks ``path`` (``gradient_path``).  One engine serves any number
     of runs on the same problem, and its caches live as long as it does: the
-    problem's engine keeps them for every run, while the one-shot checks
-    (``verify.relative_utility_loss``, ``verify.vs_probe`` without an engine)
-    take each agent's gradient on an engine of its own and drop it, so they
-    hold one agent's caches at a time.
+    problem's engine keeps them for every run, while the one-shot
+    certificate ``verify.relative_utility_loss`` builds its own engines.
     """
 
     def __init__(self, mech: Mechanism, prior: DiscretePrior, action_grids_per_agent,

@@ -77,8 +77,3 @@ class Grid:
         k += up
         k -= down
         return k
-
-
-def make_uniform_grid(lower: float, upper: float, count: int) -> Grid:
-    """Equidistant grid of ``count`` points spanning ``[lower, upper]``."""
-    return Grid(lower, upper, count)

@@ -92,19 +92,26 @@ def prepare_out_dir(out, force: bool = False) -> Path:
     return out
 
 
-def _write_metrics(path: Path, result: RunResult, header_note: str):
+def _write_table(path: Path, fieldnames, rows, note: str = ""):
+    """Write ``rows`` (dicts) as a CSV table with header ``fieldnames``, under
+    the ``#`` line ``note`` when there is one; a field a row lacks is empty."""
+    with path.open("w", newline="") as fh:
+        fh.write(note)
+        w = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
+        w.writeheader()
+        w.writerows(rows)
+
+
+def _write_metrics(path: Path, result: RunResult, note: str):
     dist_by_iter = dict(result.distance_history)
     owner = agent_groups(result.groups)
-    n_agents = len(owner)
-    with path.open("w", newline="") as fh:
-        fh.write(header_note)
-        w = csv.writer(fh)
-        w.writerow(["iteration"] + [f"l_agent{j}" for j in range(n_agents)]
-                   + [f"dist_agent{j}" for j in range(n_agents)])
-        for t, losses in result.loss_history:
-            dists = dist_by_iter.get(t, [0.0] * len(result.groups))
-            w.writerow([t] + [repr(losses[gi]) for gi in owner]
-                       + [repr(dists[gi]) for gi in owner])
+    names = [f"{kind}_agent{j}" for kind in ("l", "dist") for j in range(len(owner))]
+    rows = []
+    for t, losses in result.loss_history:
+        dists = dist_by_iter.get(t, [0.0] * len(result.groups))
+        values = [repr(losses[gi]) for gi in owner] + [repr(dists[gi]) for gi in owner]
+        rows.append({"iteration": t, **dict(zip(names, values))})
+    _write_table(path, ["iteration"] + names, rows, note)
 
 
 def solve(problem: Problem, seed, *, progress=None) -> RunResult:
@@ -270,12 +277,8 @@ def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
                                     count=cfg.plot_points, seed=eval_seed + 2,
                                     analytic_fn=fns.get(a))
     if plot_rows:
-        keys = sorted({k for r in plot_rows for k in r})
-        with (run_dir / "plotdata.csv").open("w", newline="") as fh:
-            fh.write(note)
-            w = csv.DictWriter(fh, fieldnames=keys)
-            w.writeheader()
-            w.writerows(plot_rows)
+        _write_table(run_dir / "plotdata.csv", sorted({k for r in plot_rows for k in r}),
+                     plot_rows, note)
 
     meta = dict(row)
     meta.update({
@@ -310,16 +313,9 @@ def _aggregate(rows: list[dict]) -> dict:
 def write_summary(path: Path, rows: list[dict], aggregates: dict, note: str):
     keys = ["run", "seed", "status", "iterations", "termination", "max_loss", "wall_time"]
     keys += sorted({k for r in rows for k in r} - set(keys))
-    with path.open("w", newline="") as fh:
-        fh.write(note)
-        w = csv.DictWriter(fh, fieldnames=keys, restval="")
-        w.writeheader()
-        for r in rows:
-            w.writerow(r)
-        for stat in ("mean", "std"):
-            row = {"run": stat, "status": ""}
-            row.update({k: repr(v) for k, v in aggregates[stat].items()})
-            w.writerow(row)
+    stats = [{"run": stat, **{k: repr(v) for k, v in aggregates[stat].items()}}
+             for stat in ("mean", "std")]
+    _write_table(path, keys, rows + stats, note)
 
 
 def run_batch(problem: Problem, out, *, runs: int | None = None, force: bool = False,
@@ -387,8 +383,5 @@ def run_sweep(cfg: RunConfig, grid_values, out, *, runs: int | None = None,
             entry[f"std_{key}"] = summary.aggregates["std"][key]
         results.append(entry)
     keys = sorted({k for r in results for k in r} - {"points"})
-    with (out / "sweep.csv").open("w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["points"] + keys, restval="")
-        w.writeheader()
-        w.writerows(results)
+    _write_table(out / "sweep.csv", ["points"] + keys, results)
     return results

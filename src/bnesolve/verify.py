@@ -84,24 +84,18 @@ def relative_utility_loss(profile, prior, mech, *, action_grids=None,
     return certify(profile, gradients, tolerance=tolerance)
 
 
-def vs_probe(mech, prior, equilibrium, probe, *, engine: GradientEngine | None = None) -> float:
+def vs_probe(engine: GradientEngine, equilibrium, probe) -> float:
     """Sum over agents of <grad_i u_i(probe), probe_i - equilibrium_i>.
 
     A strictly positive value at some feasible probe certifies that the
-    equilibrium profile is not globally variationally stable.  ``engine``
-    is the game's engine, when the caller holds one, and keeps its caches;
-    else each agent's gradient is taken on an engine of its own, dropped
-    before the next is built, as in ``relative_utility_loss``.
+    equilibrium profile is not globally variationally stable.  ``engine`` is
+    the game's engine; each agent's gradient at the probe is taken on it.
     """
-    action_grids = [s.action_grids for s in probe]
     total = 0.0
     for i, (s_star, s_probe) in enumerate(zip(equilibrium, probe)):
         if s_star.matrix.shape != s_probe.matrix.shape:
             raise ValueError("probe and equilibrium strategies have different shapes")
-        if engine is None:  # this agent's own engine, gone when its gradient returns
-            c = GradientEngine(mech, prior, action_grids).gradient(probe, i)
-        else:
-            c = engine.gradient(probe, i)
+        c = engine.gradient(probe, i)
         # einsum, not a BLAS dot, as in expected_utility: no OpenBLAS worker left spinning
         total += float(np.einsum("kl,kl->", c, s_probe.matrix - s_star.matrix))
     return total

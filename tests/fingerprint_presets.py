@@ -5,15 +5,15 @@ the final certificate's max loss, the first 16 hex digits of the SHA-256 of
 the agents' strategy matrices, in agent order, and, for the collusive probe
 at scale 0.5 of those strategies, ``repr`` of its ``vs_probe`` value and the
 first 16 hex digits of the SHA-256 of its matrices.  These seven fields are
-the solve.  The rest of the line scores the solve: one ``evaluate`` of
-``EVAL_SAMPLES`` draws at seed 0, against the preset's analytic baseline if
-it has one, for the first agent of each group, as a run scores itself; it
-gives ``repr`` of the revenue and then, for each agent with a baseline, in
-agent order, ``repr`` of its L (``None`` where the baseline misses an
-opponent) and of each of its L2 values.  Two trees that print the same lines
-solve, probe and score every preset to the same bits, so a refactor that
-should not change results can be checked by diffing this script's output
-before and after it:
+the solve.  The rest of the line scores the solve as a run scores itself,
+with one ``runner.score`` of ``EVAL_SAMPLES`` draws at seed 0 (against the
+preset's analytic baseline if it has one, for the first agent of each
+group); it gives ``repr`` of the revenue and then, for each agent with a
+baseline, in agent order, ``repr`` of its L (``None`` where the baseline
+misses an opponent) and of each of its L2 values.  Two trees that print the
+same lines solve, probe and score every preset to the same bits, so a
+refactor that should not change results can be checked by diffing this
+script's output before and after it:
 
     PYTHONPATH=src python tests/fingerprint_presets.py > fingerprints.txt
 
@@ -34,9 +34,8 @@ import sys
 import numpy as np
 
 from bnesolve.config import build_problem, config_from_mapping
-from bnesolve.evaluate import evaluate, lookup_analytic
 from bnesolve.presets import get_preset, preset_names
-from bnesolve.runner import solve
+from bnesolve.runner import score, solve
 from bnesolve.verify import collusive_profile, vs_probe
 
 EVAL_SAMPLES = 1 << 14
@@ -53,14 +52,10 @@ def fingerprint(name: str) -> str:
     problem = build_problem(config_from_mapping(get_preset(name)))
     result = solve(problem, (0, 0))
     probe = collusive_profile(result.strategies, scale=0.5)
-    value = vs_probe(problem.mech, problem.prior, result.strategies, probe,
-                     engine=problem.engine())
-    reps = [g[0] for g in problem.groups]
-    report = evaluate(result.strategies, lookup_analytic(problem.mech, problem.prior_model),
-                      problem.prior_model, problem.mech, n_samples=EVAL_SAMPLES, seed=0,
-                      agents=reps)
+    value = vs_probe(problem.engine(), result.strategies, probe)
+    _, report = score(problem, result.strategies, 0, EVAL_SAMPLES)
     scores = [report.revenue]
-    for a in reps:
+    for a in (g[0] for g in problem.groups):
         if report.l2.get(a) is not None:
             scores += [report.losses[a], *report.l2[a]]
     # float(): numpy 2 writes np.float64(...) as repr of its own scalars

@@ -13,6 +13,7 @@ import pytest
 
 import bnesolve as b
 from bnesolve.config import build_problem, config_from_mapping
+from bnesolve.grids import Grid
 from bnesolve.presets import get_preset
 from bnesolve.priors import Component, DiscretePrior
 from oracles import (enumerate_row_vertex_value, naive_expected_utility, naive_gradient,
@@ -271,9 +272,9 @@ def test_criterion_09_oracle_equivalences():
     rng = np.random.default_rng(0)
     # general gradient vs direct enumeration of the expected-utility sum
     mech = b.SingleObjectAuction("fpsb", 2)
-    grids = [b.make_uniform_grid(0, 1, 3)] * 2
+    grids = [Grid(0, 1, 3)] * 2
     prior = prior_from_weights(grids, [lambda x: np.ones_like(x)] * 2)
-    action_grids = [(b.make_uniform_grid(0, 1, 3),)] * 2
+    action_grids = [(Grid(0, 1, 3),)] * 2
     strategies = [b.init_strategy("random", grids[i], action_grids[i],
                                   prior.marginals[i], seed=i) for i in range(2)]
     oracle = naive_gradient(mech, prior, strategies, 0)
@@ -289,14 +290,14 @@ def test_criterion_09_oracle_equivalences():
     for kind in ("fpsb", "spsb", "all_pay"):
         for n, k in ((2, 16), (3, 12)):
             m = b.SingleObjectAuction(kind, n)
-            g = [b.make_uniform_grid(0, 1, k)] * n
+            g = [Grid(0, 1, k)] * n
             p = prior_from_weights(g, [lambda x: np.ones_like(x)] * n)
             joint = p.marginals[0]
             for marginal in p.marginals[1:]:
                 joint = np.multiply.outer(joint, marginal)
             held = DiscretePrior(p.obs_grids, p.marginals, None,
                                  components=(Component(1.0, ((tuple(range(n)), joint),)),))
-            ag = [(b.make_uniform_grid(0, 1, k),)] * n
+            ag = [(Grid(0, 1, k),)] * n
             shared = b.init_strategy("random", g[0], ag[0], p.marginals[0], seed=3)
             engine = b.GradientEngine(m, p, ag, groups=[list(range(n))])
             assert 0 in engine._top_bids and not held.independent
@@ -331,8 +332,8 @@ def test_criterion_09_oracle_equivalences():
 
 def test_criterion_10_feasibility_fuzz():
     rng = np.random.default_rng(1)
-    grids = b.make_uniform_grid(0, 1, 5)
-    action_grids = (b.make_uniform_grid(0, 1, 7),)
+    grids = Grid(0, 1, 5)
+    action_grids = (Grid(0, 1, 7),)
     worst_sum, worst_neg = 0.0, 0.0
     rules = ("soda1", "soda2", "soma2", "sofw", "fictitious_play")
     for trial in range(1000):
@@ -353,7 +354,7 @@ def test_criterion_10_feasibility_fuzz():
 def test_criterion_11_variational_stability_probe(fpsb_case):
     problem, result = fpsb_case
     probe = b.collusive_profile(result.strategies)
-    value = b.vs_probe(problem.mech, problem.discretize(), result.strategies, probe)
+    value = b.vs_probe(problem.engine(), result.strategies, probe)
     ok = value > 1e-6
     report("criterion 11 (stability probe)", ok,
            f"probe value {value:.3e} at the half-shaded collusive profile")

@@ -3,7 +3,7 @@ import pytest
 
 from bnesolve.evaluate import (AnalyticBNE, emit_plot_data, estimate_revenue, evaluate,
                                lookup_analytic)
-from bnesolve.grids import make_uniform_grid
+from bnesolve.grids import Grid
 from bnesolve.mechanisms import LLGAuction, SingleObjectAuction
 from bnesolve.priors import CommonValuePrior, IndependentPrivatePrior, UniformMarginal
 from bnesolve.strategy import Strategy
@@ -15,8 +15,8 @@ def uniform_model(n=2):
 
 def gridded_analytic_strategy(fn, k, l, upper=1.0):
     """Push a bid function onto the grid: row k bids the nearest point to fn(o_k)."""
-    og = make_uniform_grid(0, 1, k)
-    ag = make_uniform_grid(0, upper, l)
+    og = Grid(0, 1, k)
+    ag = Grid(0, upper, l)
     marginal = np.full(k, 1.0 / k)
     idx = ag.nearest_index(fn(og.points))
     mat = np.zeros((k, l))
@@ -79,8 +79,8 @@ def test_quantization_loss_decreases_with_grid():
 def test_evaluate_partial_baseline_gives_l2_only():
     mech = LLGAuction("NZ")
     bne = lookup_analytic(mech, None)
-    og = make_uniform_grid(0, 2, 8)
-    ag = make_uniform_grid(0, 2, 8)
+    og = Grid(0, 2, 8)
+    ag = Grid(0, 2, 8)
     marginal = np.full(8, 1 / 8)
     idx = ag.nearest_index(og.points)
     mat = np.zeros((8, 8))
@@ -120,8 +120,8 @@ def test_estimate_revenue_truthful_pair():
 def test_estimate_revenue_zero_bids():
     model = uniform_model()
     mech = SingleObjectAuction("fpsb", 2)
-    og = make_uniform_grid(0, 1, 4)
-    ag = make_uniform_grid(0, 1, 4)
+    og = Grid(0, 1, 4)
+    ag = Grid(0, 1, 4)
     marginal = np.full(4, 0.25)
     mat = np.zeros((4, 4))
     mat[:, 0] = marginal

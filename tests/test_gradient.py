@@ -5,7 +5,7 @@ import pytest
 
 from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, expected_utility
-from bnesolve.grids import make_uniform_grid
+from bnesolve.grids import Grid
 from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuction,
                                  TullockContest)
 from bnesolve.presets import get_preset, preset_names
@@ -19,10 +19,10 @@ from oracles import (dense_joint, naive_expected_utility, naive_gradient, prior_
 
 def ipv_setting(kind="fpsb", n=2, k=3, l=3, rho=1.0, seed=0, density=None):
     mech = SingleObjectAuction(kind, n, risk_rho=rho)
-    grids = [make_uniform_grid(0, 1, k) for _ in range(n)]
+    grids = [Grid(0, 1, k) for _ in range(n)]
     densities = [density or (lambda x: np.ones_like(x))] * n
     prior = prior_from_weights(grids, densities)
-    action_grids = [(make_uniform_grid(0, 1, l),)] * n
+    action_grids = [(Grid(0, 1, l),)] * n
     strategies = [init_strategy("random", grids[i], action_grids[i], prior.marginals[i],
                                 seed=seed + i) for i in range(n)]
     return mech, prior, action_grids, strategies
@@ -96,11 +96,11 @@ def test_tensor_spot_checks_match_expost_utility():
 
 def test_engine_chunks_interdependent_prior_over_budget():
     model = CommonValuePrior(3)
-    og = [make_uniform_grid(0, 2, 5)] * 3
-    vg = make_uniform_grid(0, 1, 7)
+    og = [Grid(0, 2, 5)] * 3
+    vg = Grid(0, 1, 7)
     prior = model.discretize(og, vg)
     mech = SingleObjectAuction("spsb", 3, risk_rho=0.5)
-    action_grids = [(make_uniform_grid(0, 1.5, 4),)] * 3
+    action_grids = [(Grid(0, 1.5, 4),)] * 3
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
                                 seed=i) for i in range(3)]
     full = GradientEngine(mech, prior, action_grids)
@@ -136,11 +136,11 @@ def test_gradient_general_matches_naive_enumeration():
 
 def test_gradient_general_interdependent_matches_naive():
     model = CommonValuePrior(2)
-    og = [make_uniform_grid(0, 2, 3)] * 2
-    vg = make_uniform_grid(0, 1, 3)
+    og = [Grid(0, 2, 3)] * 2
+    vg = Grid(0, 1, 3)
     prior = model.discretize(og, vg)
     mech = SingleObjectAuction("spsb", 2)
-    action_grids = [(make_uniform_grid(0, 1.5, 3),)] * 2
+    action_grids = [(Grid(0, 1.5, 3),)] * 2
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
                                 seed=i) for i in range(2)]
     oracle = naive_gradient(mech, prior, strategies, 0)
@@ -158,13 +158,13 @@ def test_dense_interdependent_gradients_match_naive():
     tensor path at 0.5 agrees with the brute-force oracle; agent 2 of the
     common value bids on a grid of its own, so the opponents' actions must
     meet the payoff in agent order."""
-    og = [make_uniform_grid(0, 2, 4)] * 3
-    common = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 3))
-    common_grids = [(make_uniform_grid(0, 1.5, 3),)] * 2 + [(make_uniform_grid(0, 1.2, 4),)]
+    og = [Grid(0, 2, 4)] * 3
+    common = CommonValuePrior(3).discretize(og, Grid(0, 1, 3))
+    common_grids = [(Grid(0, 1.5, 3),)] * 2 + [(Grid(0, 1.2, 4),)]
     affiliated = AffiliatedValuesPrior(sample_count=100_000, seed=2).discretize(
-        [make_uniform_grid(0, 2, 4)] * 2, make_uniform_grid(0, 2, 3))
+        [Grid(0, 2, 4)] * 2, Grid(0, 2, 3))
     for prior, action_grids in ((common, common_grids),
-                                (affiliated, [(make_uniform_grid(0, 1.5, 4),)] * 2)):
+                                (affiliated, [(Grid(0, 1.5, 4),)] * 2)):
         n = prior.n_agents
         assert prior.components is None and prior.value_joint is not None
         profile = [init_strategy("random", prior.obs_grids[i], action_grids[i],
@@ -183,11 +183,11 @@ def test_dense_interdependent_gradients_match_naive():
 
 def test_gradient_three_agent_llg_matches_naive():
     mech = LLGAuction("NZ")
-    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 3),
-          make_uniform_grid(0, 2, 3)]
+    og = [Grid(0, 1, 3), Grid(0, 1, 3),
+          Grid(0, 2, 3)]
     prior = prior_from_weights(og, [lambda x: np.ones_like(x)] * 3)
-    action_grids = [(make_uniform_grid(0, 1, 2),), (make_uniform_grid(0, 1, 2),),
-                    (make_uniform_grid(0, 2, 3),)]
+    action_grids = [(Grid(0, 1, 2),), (Grid(0, 1, 2),),
+                    (Grid(0, 2, 3),)]
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
                                 seed=i) for i in range(3)]
     for agent in range(3):
@@ -312,7 +312,7 @@ def test_engine_path_selection():
                           memory_budget=200).path == "tensor"
     # asymmetric marginals: the agents cannot form one group, and singleton
     # groups take the general paths
-    lopsided = prior_from_weights([make_uniform_grid(0, 1, 4)] * 2,
+    lopsided = prior_from_weights([Grid(0, 1, 4)] * 2,
                                   [lambda x: np.ones_like(x), lambda x: x + 0.1])
     with pytest.raises(ValueError, match="not interchangeable"):
         GradientEngine(mech, lopsided, action_grids, groups=[[0, 1]])
@@ -375,9 +375,9 @@ def risk_averse_settings():
     yield "llg", llg.mech, prior, llg.action_grids, profile, "tensor", 8 * 6 ** 3
     mech, prior, action_grids, strategies = ipv_setting(n=3, k=9, l=11, rho=0.5, seed=4)
     yield "fpsb", mech, prior, action_grids, [strategies[0]] * 3, "tensor", 8 * 11 ** 2
-    og = [make_uniform_grid(0, 2, 3)] * 3
-    prior = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 5))
-    action_grids = [(make_uniform_grid(0, 1.5, 12),)] * 3
+    og = [Grid(0, 2, 3)] * 3
+    prior = CommonValuePrior(3).discretize(og, Grid(0, 1, 5))
+    action_grids = [(Grid(0, 1.5, 12),)] * 3
     profile = [init_strategy("random", og[i], action_grids[i], prior.marginals[i], seed=i)
                for i in range(3)]
     mech = SingleObjectAuction("spsb", 3, risk_rho=0.5)
@@ -538,10 +538,10 @@ def dense_split_gradient(mech, prior, strategies, agent, rows=512):
 def split_tie_setting(cost_model):
     """Half-price sums land exactly on sole-price points, so strict minima tie."""
     mech = SplitAwardAuction(0.3, cost_model)
-    og = [make_uniform_grid(1.0, 1.4, 3), make_uniform_grid(1.0, 1.4, 4)]
+    og = [Grid(1.0, 1.4, 3), Grid(1.0, 1.4, 4)]
     prior = prior_from_weights(og, [lambda x: x, lambda x: 3.0 - x])
-    action_grids = [(make_uniform_grid(1.0, 2.0, 5), make_uniform_grid(0.5, 1.0, 3)),
-                    (make_uniform_grid(1.0, 2.0, 5), make_uniform_grid(0.25, 1.0, 4))]
+    action_grids = [(Grid(1.0, 2.0, 5), Grid(0.5, 1.0, 3)),
+                    (Grid(1.0, 2.0, 5), Grid(0.25, 1.0, 4))]
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
                                 seed=i) for i in range(2)]
     return mech, prior, action_grids, strategies
@@ -570,8 +570,8 @@ def test_split_award_kernel_matches_naive_on_interdependent_prior():
     # distinct value-weighted and plain weights take the kernel twice, the
     # second time for the B part only
     model = CommonValuePrior(2)
-    og = [make_uniform_grid(0, 2, 3)] * 2
-    vg = make_uniform_grid(0, 1, 4)
+    og = [Grid(0, 2, 3)] * 2
+    vg = Grid(0, 1, 4)
     prior = model.discretize(og, vg)
     _, _, action_grids, _ = split_tie_setting("scaled")
     strategies = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
@@ -642,19 +642,19 @@ def factorized_settings():
     (so a wrong order of the opponents' marginals changes values, not shapes),
     first price with a zero-mass cell in each marginal, and the split-award
     kernel on tie grids."""
-    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 4)]
+    og = [Grid(0, 1, 3), Grid(0, 1, 4)]
     prior = prior_from_weights(og, [lambda x: np.ones_like(x), lambda x: x + 0.5])
-    action_grids = [(make_uniform_grid(0, 1, 3),), (make_uniform_grid(0, 1, 4),)]
+    action_grids = [(Grid(0, 1, 3),), (Grid(0, 1, 4),)]
     yield "tullock", TullockContest(1.0, 2), prior, action_grids
-    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 3), make_uniform_grid(0, 2, 3)]
+    og = [Grid(0, 1, 3), Grid(0, 1, 3), Grid(0, 2, 3)]
     prior = prior_from_weights(og, [lambda x: np.ones_like(x), lambda x: x + 0.2,
                                     lambda x: 2.5 - x])
-    action_grids = [(make_uniform_grid(0, 1, 3),), (make_uniform_grid(0, 1, 3),),
-                    (make_uniform_grid(0, 2, 3),)]
+    action_grids = [(Grid(0, 1, 3),), (Grid(0, 1, 3),),
+                    (Grid(0, 2, 3),)]
     yield "llg", LLGAuction("NZ"), prior, action_grids
-    og = [make_uniform_grid(0, 1, 4)] * 2
+    og = [Grid(0, 1, 4)] * 2
     prior = prior_from_weights(og, [lambda x: x, lambda x: 1.0 - x])
-    yield "zero_mass", SingleObjectAuction("fpsb", 2), prior, [(make_uniform_grid(0, 1, 5),)] * 2
+    yield "zero_mass", SingleObjectAuction("fpsb", 2), prior, [(Grid(0, 1, 5),)] * 2
     mech, prior, action_grids, _ = split_tie_setting("scaled")
     yield "split_award", mech, prior, action_grids
 
@@ -689,15 +689,15 @@ def asymmetric_highest_bid_settings():
     price, second price and all-pay at risk_rho 1 and 0.5, every agent on one
     action grid, and first price with agent 2 on a grid of its own, so only
     agent 2's opponents bid on one grid."""
-    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 4), make_uniform_grid(0, 1.2, 3)]
+    og = [Grid(0, 1, 3), Grid(0, 1, 4), Grid(0, 1.2, 3)]
     prior = prior_from_weights(og, [lambda x: np.ones_like(x), lambda x: x + 0.3,
                                     lambda x: np.maximum(1.0 - x, 0.0)])
-    one_grid = [(make_uniform_grid(0, 1, 4),)] * 3
+    one_grid = [(Grid(0, 1, 4),)] * 3
     for kind in ("fpsb", "spsb", "all_pay"):
         for rho in (1.0, 0.5):
             yield f"{kind}_{rho}", SingleObjectAuction(kind, 3, risk_rho=rho), prior, one_grid
-    mixed = [(make_uniform_grid(0, 1, 4),), (make_uniform_grid(0, 1, 4),),
-             (make_uniform_grid(0, 1.2, 5),)]
+    mixed = [(Grid(0, 1, 4),), (Grid(0, 1, 4),),
+             (Grid(0, 1.2, 5),)]
     for rho in (1.0, 0.5):
         yield f"mixed_{rho}", SingleObjectAuction("fpsb", 3, risk_rho=rho), prior, mixed
 
@@ -738,10 +738,10 @@ def test_factorized_branch_skips_opponent_weights(monkeypatch):
                 engine.gradient(strategies, agent)
     assert calls == []
     # an interdependent prior holds a dense joint, which still takes the GEMMs
-    og = [make_uniform_grid(0, 2, 3)] * 2
-    common = CommonValuePrior(2).discretize(og, make_uniform_grid(0, 1, 4))
+    og = [Grid(0, 2, 3)] * 2
+    common = CommonValuePrior(2).discretize(og, Grid(0, 1, 4))
     assert common.components is None
-    grids = [(make_uniform_grid(0, 1.5, 3),)] * 2
+    grids = [(Grid(0, 1.5, 3),)] * 2
     profile = [init_strategy("random", og[i], grids[i], common.marginals[i], seed=i)
                for i in range(2)]
     for make in (GradientEngine, tensor_engine):
@@ -753,9 +753,9 @@ def test_dense_affine_engine_caches_only_its_dense_parts():
     """On a dense prior the affine path contracts the value-weighted joint
     and the joint where the prior holds them: after every agent's gradient
     the engine's caches are each agent's dense A and B, and nothing else."""
-    og = [make_uniform_grid(0, 2, 4)] * 3
-    prior = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 5))
-    grids = [(make_uniform_grid(0, 1.5, 6),)] * 3
+    og = [Grid(0, 2, 4)] * 3
+    prior = CommonValuePrior(3).discretize(og, Grid(0, 1, 5))
+    grids = [(Grid(0, 1.5, 6),)] * 3
     profile = [init_strategy("random", og[i], grids[i], prior.marginals[i], seed=i)
                for i in range(3)]
     engine = GradientEngine(SingleObjectAuction("spsb", 3), prior, grids)
@@ -776,11 +776,11 @@ def llg_component_settings():
         for gamma in (0.0, 0.5, 1.0):
             for rho in (1.0, 0.5):
                 for grouped in (True, False):
-                    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 3 if grouped else 4),
-                          make_uniform_grid(0, 2, 3)]
+                    og = [Grid(0, 1, 3), Grid(0, 1, 3 if grouped else 4),
+                          Grid(0, 2, 3)]
                     prior = BernoulliWeightsLLGPrior(gamma).discretize(og)
-                    action_grids = [(make_uniform_grid(0, 1, 3),)] * 2 + \
-                        [(make_uniform_grid(0, 2, 3),)]
+                    action_grids = [(Grid(0, 1, 3),)] * 2 + \
+                        [(Grid(0, 2, 3),)]
                     profile = [init_strategy("random", og[i], action_grids[i],
                                              prior.marginals[i], seed=5 + i) for i in range(3)]
                     if grouped:
@@ -798,7 +798,7 @@ def interleaved_component_settings():
     component no single-agent block is its agent's marginal; first and second
     price at risk_rho 1 and 0.5, agent 2 on an action grid of its own."""
     rng = np.random.default_rng(3)
-    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 4), make_uniform_grid(0, 1, 2)]
+    og = [Grid(0, 1, 3), Grid(0, 1, 4), Grid(0, 1, 2)]
 
     def mass(*shape):
         x = rng.random(shape) + 0.1
@@ -812,7 +812,7 @@ def interleaved_component_settings():
     prior = DiscretePrior(og, marginals, None, components=components)
     # agent 2 bids on a grid of its own: the payoff is not symmetric in the
     # opponents, so their actions must meet A in agent order
-    action_grids = [(make_uniform_grid(0, 1, 3),)] * 2 + [(make_uniform_grid(0, 1.2, 4),)]
+    action_grids = [(Grid(0, 1, 3),)] * 2 + [(Grid(0, 1.2, 4),)]
     profile = [init_strategy("random", og[i], action_grids[i], marginals[i], seed=2 + i)
                for i in range(3)]
     for kind in ("fpsb", "spsb"):
@@ -891,9 +891,9 @@ def layout_settings():
     held = one_block(llg_prior)
     yield "affine_one_block", GradientEngine(llg.mech, held, llg.action_grids), profile
     yield "tensor_one_block", tensor_engine(llg.mech, held, llg.action_grids), profile
-    og = [make_uniform_grid(0, 2, 3)] * 2
-    common = CommonValuePrior(2).discretize(og, make_uniform_grid(0, 1, 4))
-    spsb_grids = [(make_uniform_grid(0, 1.5, 3),)] * 2
+    og = [Grid(0, 2, 3)] * 2
+    common = CommonValuePrior(2).discretize(og, Grid(0, 1, 4))
+    spsb_grids = [(Grid(0, 1.5, 3),)] * 2
     profile = [init_strategy("random", og[i], spsb_grids[i], common.marginals[i], seed=i)
                for i in range(2)]
     yield "affine_interdependent", GradientEngine(SingleObjectAuction("spsb", 2), common,
@@ -945,12 +945,12 @@ def llg_tie_settings():
     three-agent common-value prior, whose weights come as full rows, with the
     locals on grids of unequal size, and an independent prior, whose R covers
     both of a local's opponents and both of the global's."""
-    locals_ = [make_uniform_grid(0, 1, 5), make_uniform_grid(0, 0.5, 5)]
-    glob = make_uniform_grid(0, 2, 5)
+    locals_ = [Grid(0, 1, 5), Grid(0, 0.5, 5)]
+    glob = Grid(0, 2, 5)
     for gamma in (0.1, 0.5, 0.9):
         for grouped in (True, False):
-            og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 3 if grouped else 4),
-                  make_uniform_grid(0, 2, 3)]
+            og = [Grid(0, 1, 3), Grid(0, 1, 3 if grouped else 4),
+                  Grid(0, 2, 3)]
             prior = BernoulliWeightsLLGPrior(gamma).discretize(og)
             action_grids = [(locals_[0],), (locals_[0] if grouped else locals_[1],), (glob,)]
             profile = [init_strategy("random", og[i], action_grids[i], prior.marginals[i],
@@ -959,13 +959,13 @@ def llg_tie_settings():
                 profile[1] = profile[0]
             yield (f"{gamma}_{'grouped' if grouped else 'singleton'}",
                    [[0, 1], [2]] if grouped else None, prior, action_grids, profile)
-    og = [make_uniform_grid(0, 2, 3)] * 3
-    common = CommonValuePrior(3).discretize(og, make_uniform_grid(0, 1, 3))
-    action_grids = [(locals_[0],), (make_uniform_grid(0, 1, 3),), (glob,)]
+    og = [Grid(0, 2, 3)] * 3
+    common = CommonValuePrior(3).discretize(og, Grid(0, 1, 3))
+    action_grids = [(locals_[0],), (Grid(0, 1, 3),), (glob,)]
     profile = [init_strategy("random", og[i], action_grids[i], common.marginals[i],
                              seed=3 + i) for i in range(3)]
     yield "common_value", None, common, action_grids, profile
-    og = [make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 4), make_uniform_grid(0, 2, 3)]
+    og = [Grid(0, 1, 3), Grid(0, 1, 4), Grid(0, 2, 3)]
     independent = prior_from_weights(og, [lambda x: 1.0 + x] * 3)
     action_grids = [(locals_[0],), (locals_[1],), (glob,)]
     profile = [init_strategy("random", og[i], action_grids[i], independent.marginals[i],

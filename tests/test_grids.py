@@ -1,29 +1,29 @@
 import numpy as np
 import pytest
 
-from bnesolve.grids import Grid, make_uniform_grid
+from bnesolve.grids import Grid
 
 
 def test_uniform_grid_three_points():
-    g = make_uniform_grid(0, 1, 3)
+    g = Grid(0, 1, 3)
     assert np.array_equal(g.points, [0.0, 0.5, 1.0])
     assert g.count == 3
 
 
 def test_uniform_grid_spacing():
-    g = make_uniform_grid(0, 1, 20)
+    g = Grid(0, 1, 20)
     assert g.count == 20
     assert np.allclose(np.diff(g.points), 1 / 19)
-    g = make_uniform_grid(1.0, 2.5, 64)
+    g = Grid(1.0, 2.5, 64)
     assert np.allclose(np.diff(g.points), 1.5 / 63)
     assert g.points[0] == 1.0 and g.points[-1] == 2.5
 
 
 def test_uniform_grid_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        make_uniform_grid(0, 1, 1)
+        Grid(0, 1, 1)
     with pytest.raises(ValueError):
-        make_uniform_grid(1, 0, 5)
+        Grid(1, 0, 5)
 
 
 def test_grid_validation():
@@ -38,7 +38,7 @@ def test_grid_validation():
 
 def test_grid_is_the_value_of_its_bounds_and_count():
     g = Grid(0.0, 1.0, 5)
-    assert g == make_uniform_grid(0, 1, 5) and hash(g) == hash(make_uniform_grid(0, 1, 5))
+    assert g == Grid(0, 1, 5) and hash(g) == hash(Grid(0, 1, 5))
     assert len({g, Grid(0, 1, 5), Grid(0.0, 1.0, np.int64(5))}) == 1
     assert g != Grid(0.0, 1.0, 6) and g != Grid(0.0, 2.0, 5) and g != Grid(-1.0, 1.0, 5)
     assert np.array_equal(g.points, np.linspace(0.0, 1.0, 5))
@@ -51,7 +51,7 @@ def test_grid_is_the_value_of_its_bounds_and_count():
 
 
 def test_nearest_point_and_ties():
-    g = make_uniform_grid(0, 1, 3)
+    g = Grid(0, 1, 3)
     assert g.nearest_index(0.24) == 0
     # exact midpoint resolves to the lower index
     assert g.nearest_index(0.25) == 0
@@ -61,14 +61,14 @@ def test_nearest_point_and_ties():
 
 
 def test_nearest_point_idempotent():
-    g = make_uniform_grid(-1.5, 2.0, 17)
+    g = Grid(-1.5, 2.0, 17)
     for x in np.linspace(-2, 3, 101):
         idx = g.nearest_index(x)
         assert g.nearest_index(g.points[idx]) == idx
 
 
 def test_nearest_index_vectorized_matches_scalar():
-    g = make_uniform_grid(0, 2, 9)
+    g = Grid(0, 2, 9)
     xs = np.linspace(-0.5, 2.5, 57)
     idx = g.nearest_index(xs)
     assert [int(g.nearest_index(x)) for x in xs] == idx.tolist()
@@ -94,7 +94,7 @@ def nearest_index_probes(g, rng):
 @pytest.mark.parametrize("lower, upper, count", [(0.0, 1.0, 64), (0.0, 2.0, 64), (0.0, 1.0, 256),
                                                  (1.0, 1.4, 32), (0.0, 1.5, 64), (0.3, 1.2, 64)])
 def test_nearest_index_matches_midpoint_search_on_shipped_grids(lower, upper, count):
-    g = make_uniform_grid(lower, upper, count)
+    g = Grid(lower, upper, count)
     x = nearest_index_probes(g, np.random.default_rng(count))
     expected = midpoint_search(g, x)
     assert np.array_equal(g.nearest_index(x), expected)

@@ -3,7 +3,7 @@ import pytest
 
 from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import GradientEngine
-from bnesolve.grids import make_uniform_grid
+from bnesolve.grids import Grid
 from bnesolve.learners import make_learner, project_rows_to_simplex, run, softmax_rows
 from bnesolve.mechanisms import SingleObjectAuction
 from bnesolve.presets import PRESETS, get_preset
@@ -13,9 +13,9 @@ from oracles import enumerate_row_vertex_value, prior_from_weights, qp_project_s
 
 
 def setting(k=4, l=4, n=2, kind="fpsb"):
-    grids = [make_uniform_grid(0, 1, k)] * n
+    grids = [Grid(0, 1, k)] * n
     prior = prior_from_weights(grids, [lambda x: np.ones_like(x)] * n)
-    action_grids = [(make_uniform_grid(0, 1, l),)] * n
+    action_grids = [(Grid(0, 1, l),)] * n
     return SingleObjectAuction(kind, n), prior, action_grids
 
 
@@ -138,7 +138,7 @@ def test_entropic_row_constant_gradient_is_fixed_point():
 def test_entropic_softmax_example():
     # one live row with full mass: closed-form softmax arithmetic
     from bnesolve.strategy import Strategy
-    g = make_uniform_grid(0, 1, 2)
+    g = Grid(0, 1, 2)
     one = Strategy(np.array([[0.5, 0.5], [0.0, 0.0]]), g, (g,), np.array([1.0, 0.0]))
     learner = make_learner("soda1", eta0=1.0, beta=0.5)
     learner.reset(one)
@@ -428,7 +428,7 @@ def test_run_rejects_inconsistent_groups():
     with pytest.raises(ValueError, match="partition"):
         run(GradientEngine(mech, prior, action_grids, groups=[[0], [0, 1]]),
             rule="soda1", iterations=1)
-    grids = [make_uniform_grid(0, 1, 4), make_uniform_grid(0, 1, 4)]
+    grids = [Grid(0, 1, 4), Grid(0, 1, 4)]
     lopsided = prior_from_weights(grids, [lambda x: np.ones_like(x), lambda x: x + 0.1])
     with pytest.raises(ValueError, match="not interchangeable"):
         run(GradientEngine(mech, lopsided, action_grids, groups=[[0, 1]]),

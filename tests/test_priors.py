@@ -11,7 +11,7 @@ from scipy import integrate, stats
 
 from bnesolve import priors
 from bnesolve.config import build_problem, config_from_mapping
-from bnesolve.grids import make_uniform_grid
+from bnesolve.grids import Grid
 from bnesolve.presets import get_preset
 from bnesolve.priors import (CDF_TABLE_SIZE, AffiliatedValuesPrior, BernoulliWeightsLLGPrior,
                              CommonValuePrior, Component, CustomDensityMarginal,
@@ -22,7 +22,7 @@ from oracles import dense_joint, prior_from_weights
 
 
 def grids(n, count=16, hi=1.0):
-    return [make_uniform_grid(0.0, hi, count) for _ in range(n)]
+    return [Grid(0.0, hi, count) for _ in range(n)]
 
 
 def check_invariants(prior):
@@ -84,7 +84,7 @@ def test_independent_is_derived_from_the_joint():
     with pytest.raises(AttributeError):
         correlated.independent = True
     # a shared value needs the joint it sums back to
-    vg = make_uniform_grid(0.0, 1.0, 3)
+    vg = Grid(0.0, 1.0, 3)
     with pytest.raises(ValueError, match="value joint"):
         DiscretePrior(prior.obs_grids, prior.marginals, None, value_grid=vg,
                       value_joint=np.stack([joint / 3] * 3))
@@ -98,7 +98,7 @@ def test_degenerate_sampler_single_atom():
         v = np.repeat(rng.random((size, 1)), 2, axis=1)
         return v, v
 
-    prior = joint_from_latent(sampler, make_uniform_grid(0.0, 1.0, 5), grids(2, 5),
+    prior = joint_from_latent(sampler, Grid(0.0, 1.0, 5), grids(2, 5),
                               sample_count=100_000, seed=0)
     off_diagonal = ~np.eye(5, dtype=bool)
     assert np.all(prior.obs_joint[off_diagonal] == 0.0)
@@ -118,7 +118,7 @@ def test_full_support_enforced_by_default():
         return v, v
 
     with pytest.raises(ValueError, match="zero empirical mass"):
-        joint_from_latent(sampler, make_uniform_grid(0.0, 1.0, 5), grids(2, 5),
+        joint_from_latent(sampler, Grid(0.0, 1.0, 5), grids(2, 5),
                           sample_count=100_000, seed=0)
 
 
@@ -132,7 +132,7 @@ def test_meta_names_each_prior_grid_mass_rule():
     independent = IndependentPrivatePrior([UniformMarginal(0, 1)] * 2).discretize(g)
     assert independent.meta == {"kind": "independent", "construction": "exact"}
     assert np.array_equal(independent.marginals[0], cells)
-    exact = BernoulliWeightsLLGPrior(0.5).discretize([*g, make_uniform_grid(0, 2, 5)])
+    exact = BernoulliWeightsLLGPrior(0.5).discretize([*g, Grid(0, 2, 5)])
     assert exact.meta["construction"] == "exact"
     assert np.array_equal(exact.marginals[0], cells)
 
@@ -140,27 +140,27 @@ def test_meta_names_each_prior_grid_mass_rule():
         w = rng.random((size, 3))
         return np.repeat(w[:, 2:], 2, axis=1), w[:, :2]
 
-    binned = joint_from_latent(sampler, make_uniform_grid(0, 1, 5), g, sample_count=400_000,
+    binned = joint_from_latent(sampler, Grid(0, 1, 5), g, sample_count=400_000,
                                seed=1)
     assert binned.meta["construction"] == "binned"
     assert np.max(np.abs(binned.marginals[0] - cells)) < 0.005
     affiliated = AffiliatedValuesPrior(sample_count=100_000, seed=0).discretize(
-        grids(2, 4, hi=2.0), make_uniform_grid(0, 2, 4))
+        grids(2, 4, hi=2.0), Grid(0, 2, 4))
     assert affiliated.meta["construction"] == "binned"
     assert affiliated.meta["kind"] == "affiliated"
-    common = CommonValuePrior(2).discretize(grids(2, 4, hi=2.0), make_uniform_grid(0, 1, 4))
+    common = CommonValuePrior(2).discretize(grids(2, 4, hi=2.0), Grid(0, 1, 4))
     assert common.meta == {"kind": "common_value", "construction": "exact", "empty_cells": 0}
 
 
 def test_small_sample_count_rejected():
     model = AffiliatedValuesPrior()
     with pytest.raises(ValueError, match="sample_count"):
-        joint_from_latent(model.sample, make_uniform_grid(0.0, 2.0, 4), grids(2, 4, hi=2.0),
+        joint_from_latent(model.sample, Grid(0.0, 2.0, 4), grids(2, 4, hi=2.0),
                           sample_count=10)
 
 
 def test_common_value_marginal_shape():
-    prior = CommonValuePrior(3).discretize(grids(3, 16, hi=2.0), make_uniform_grid(0.0, 1.0, 16))
+    prior = CommonValuePrior(3).discretize(grids(3, 16, hi=2.0), Grid(0.0, 1.0, 16))
     check_invariants(prior)
     # signal density decreases away from zero, so the interior cells' masses
     # do; the end cell at zero is half a cell
@@ -176,7 +176,7 @@ def test_common_value_cells_match_adaptive_quadrature(value_points):
     points 2v sweeps signal cell m across value cell m, so the cells
     (m, m, m, m) are those it crosses; on 11 the crossings fall inside the
     value cells."""
-    og, vg = make_uniform_grid(0.0, 2.0, 16), make_uniform_grid(0.0, 1.0, value_points)
+    og, vg = Grid(0.0, 2.0, 16), Grid(0.0, 1.0, value_points)
     prior = CommonValuePrior(3).discretize([og] * 3, vg)
     signal, value = cell_edges(og, 0.0, 2.0), cell_edges(vg, 0.0, 1.0)
 
@@ -204,7 +204,7 @@ def test_common_value_prior_matches_brute_force_binning():
     cell by cell, within five standard deviations of each cell's binomial
     count; cells of zero mass (signals above twice the value) get no draws."""
     model = CommonValuePrior(3)
-    og, vg = [make_uniform_grid(0.0, 2.0, 6)] * 3, make_uniform_grid(0.0, 1.0, 5)
+    og, vg = [Grid(0.0, 2.0, 6)] * 3, Grid(0.0, 1.0, 5)
     prior = model.discretize(og, vg)
     check_invariants(prior)
     joint = prior.value_joint
@@ -220,8 +220,8 @@ def test_common_value_prior_sums_to_one_and_is_exchangeable():
     differences of the signal's closed form, and swapping any two agents
     leaves every cell as it is, to the bit: grouped agents share one marginal
     array, and agents on different grids are refused."""
-    og = make_uniform_grid(0.0, 2.0, 16)
-    prior = CommonValuePrior(3).discretize([og] * 3, make_uniform_grid(0.0, 1.0, 11))
+    og = Grid(0.0, 2.0, 16)
+    prior = CommonValuePrior(3).discretize([og] * 3, Grid(0.0, 1.0, 11))
     assert abs(prior.value_joint.sum() - 1.0) <= 1e-15
     assert abs(prior.obs_joint.sum() - 1.0) <= 1e-15
     assert prior.marginals[1] is prior.marginals[0] and prior.marginals[2] is prior.marginals[0]
@@ -235,14 +235,14 @@ def test_common_value_prior_sums_to_one_and_is_exchangeable():
         obs_swap = tuple(a - 1 for a in swap[1:])
         assert np.array_equal(prior.obs_joint, prior.obs_joint.transpose(obs_swap))
     with pytest.raises(ValueError, match="one observation grid"):
-        CommonValuePrior(2).discretize([og, make_uniform_grid(0.0, 2.0, 15)],
-                                       make_uniform_grid(0.0, 1.0, 11))
+        CommonValuePrior(2).discretize([og, Grid(0.0, 2.0, 15)],
+                                       Grid(0.0, 1.0, 11))
 
 
 def test_affiliated_marginal_matches_triangle_convolution():
     model = AffiliatedValuesPrior(sample_count=500_000, seed=3)
     og = grids(2, 16, hi=2.0)
-    vg = make_uniform_grid(0.0, 2.0, 16)
+    vg = Grid(0.0, 2.0, 16)
     prior = model.discretize(og, vg)
     check_invariants(prior)
     # sum of two independent uniforms: triangle density on [0, 2] peaked at 1
@@ -261,8 +261,8 @@ def test_affiliated_marginal_matches_triangle_convolution():
 
 
 def test_bernoulli_weights_prior():
-    g = [make_uniform_grid(0, 1, 12), make_uniform_grid(0, 1, 12),
-         make_uniform_grid(0, 2, 12)]
+    g = [Grid(0, 1, 12), Grid(0, 1, 12),
+         Grid(0, 2, 12)]
     p0 = BernoulliWeightsLLGPrior(0.0).discretize(g)
     check_invariants(p0)
     locals_joint = dense_joint(p0).sum(axis=2)
@@ -313,8 +313,8 @@ def test_llg_prior_matches_brute_force_binning(gamma, local_points):
     within five standard deviations of each cell's binomial count; cells of
     zero mass (locals whose cells do not meet, at gamma = 1) get no draws.
     Unequal local grids exercise the cell intersections of the shared block."""
-    g = [make_uniform_grid(0, 1, local_points[0]), make_uniform_grid(0, 1, local_points[1]),
-         make_uniform_grid(0, 2, 4)]
+    g = [Grid(0, 1, local_points[0]), Grid(0, 1, local_points[1]),
+         Grid(0, 2, 4)]
     model = BernoulliWeightsLLGPrior(gamma)
     prior = model.discretize(g)
     check_invariants(prior)
@@ -371,9 +371,9 @@ def test_models_own_their_value_range_and_binning_settings(model):
     model with its binning settings given to its constructor; it states the
     support of the shared value, and no value range for private values."""
     assert list(inspect.signature(model.discretize).parameters) == ["obs_grids", "value_grid"]
-    obs_grids = [make_uniform_grid(lo, hi, 6) for lo, hi in model.obs_bounds]
+    obs_grids = [Grid(lo, hi, 6) for lo, hi in model.obs_bounds]
     value_grid = None if model.value_bounds is None else \
-        make_uniform_grid(*model.value_bounds, 5)
+        Grid(*model.value_bounds, 5)
     prior = model.discretize(obs_grids, value_grid)
     check_invariants(prior)
     private = model.kind in ("independent", "bernoulli_llg")
@@ -394,7 +394,7 @@ def test_models_own_their_value_range_and_binning_settings(model):
 def test_symmetrization_makes_grouped_agents_identical():
     # two agents: the average of a joint and its transpose is symmetric to the bit
     model = AffiliatedValuesPrior(sample_count=200_000, seed=6)
-    prior = model.discretize(grids(2, 8, hi=2.0), make_uniform_grid(0.0, 2.0, 8))
+    prior = model.discretize(grids(2, 8, hi=2.0), Grid(0.0, 2.0, 8))
     assert prior.marginals[1] is prior.marginals[0]
     assert np.array_equal(prior.obs_joint, prior.obs_joint.T)
     assert np.array_equal(prior.value_joint, prior.value_joint.transpose(0, 2, 1))
@@ -410,10 +410,10 @@ def masses_of(marginal, grid):
 
 
 def test_uniform_masses_are_cell_lengths():
-    g = make_uniform_grid(0.0, 1.0, 9)
+    g = Grid(0.0, 1.0, 9)
     assert np.array_equal(masses_of(UniformMarginal(0.0, 1.0), g), np.diff(cell_edges(g, 0, 1)))
     # elsewhere the lengths over the interval's width, up to rounding
-    h = make_uniform_grid(1.0, 2.5, 7)
+    h = Grid(1.0, 2.5, 7)
     assert np.allclose(masses_of(UniformMarginal(1.0, 2.5), h),
                        np.diff(cell_edges(h, 1.0, 2.5)) / 1.5, rtol=0, atol=1e-15)
 
@@ -425,7 +425,7 @@ def test_uniform_masses_are_cell_lengths():
     (3.0, 0.2, 0.0, 1.0),    # far out in the lower tail
 ])
 def test_truncated_gaussian_masses_are_cdf_differences(mu, sigma, lower, upper):
-    g = make_uniform_grid(lower, upper, 32)
+    g = Grid(lower, upper, 32)
     masses = masses_of(TruncatedGaussianMarginal(mu, sigma, lower, upper), g)
     a, b = (lower - mu) / sigma, (upper - mu) / sigma
     cdf = stats.truncnorm.cdf(cell_edges(g, lower, upper), a, b, loc=mu, scale=sigma)
@@ -434,7 +434,7 @@ def test_truncated_gaussian_masses_are_cdf_differences(mu, sigma, lower, upper):
 
 def test_truncated_gaussian_without_mass_in_double_precision_is_refused():
     # 100 to 200 standard deviations above the mean: both tails underflow
-    g = make_uniform_grid(1.0, 2.0, 8)
+    g = Grid(1.0, 2.0, 8)
     with pytest.raises(ValueError, match="no mass on"):
         masses_of(TruncatedGaussianMarginal(0.0, 0.01, 1.0, 2.0), g)
 
@@ -444,7 +444,7 @@ def test_custom_density_masses_are_differences_of_its_table():
     marginal = CustomDensityMarginal(fn, 0.2, 1.7)
     x = np.linspace(0.2, 1.7, CDF_TABLE_SIZE)
     table = integrate.cumulative_trapezoid(fn(x), x, initial=0.0)
-    g = make_uniform_grid(0.2, 1.7, 13)
+    g = Grid(0.2, 1.7, 13)
     cdf = np.interp(cell_edges(g, 0.2, 1.7), x, table / table[-1])
     assert np.max(np.abs(masses_of(marginal, g) - np.diff(cdf))) <= 1e-12
 
@@ -457,7 +457,7 @@ def test_masses_match_nearest_point_binning_of_draws(marginal):
     prior must give every point the probability of its cell: 2^20 draws
     binned that way match every mass within five binomial standard
     deviations, the end points' half cells included."""
-    g = make_uniform_grid(marginal.lower, marginal.upper, 16)
+    g = Grid(marginal.lower, marginal.upper, 16)
     masses = masses_of(marginal, g)
     draws = 1 << 20
     counts = np.bincount(g.nearest_index(marginal.sample(np.random.default_rng(3), draws)),
@@ -478,7 +478,7 @@ def test_custom_density_refuses_a_negative_table_point():
     # negative only near 0.5, where no point of a 16-point grid lies: the
     # density is refused, not clipped to zero where its table reads it
     fn = lambda x: np.abs(x - 0.5) - 1e-3  # noqa: E731
-    assert np.all(fn(make_uniform_grid(0.0, 1.0, 16).points) > 0)
+    assert np.all(fn(Grid(0.0, 1.0, 16).points) > 0)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         CustomDensityMarginal(fn, 0.0, 1.0)
 
@@ -510,7 +510,7 @@ def malformed_priors():
     """(arguments of ``DiscretePrior``, the refusal they meet): one malformed
     prior per refusal, each built from a valid two-agent prior on three-point
     grids that breaks one rule."""
-    g3, g2 = make_uniform_grid(0, 1, 3), make_uniform_grid(0, 1, 2)
+    g3, g2 = Grid(0, 1, 3), Grid(0, 1, 2)
     m3, m2, flat = np.array([0.25, 0.5, 0.25]), np.array([0.5, 0.5]), np.full(3, 1 / 3)
     joint = np.multiply.outer(m3, m3)
     values = np.stack([joint / 2, joint / 2])
@@ -555,7 +555,7 @@ def test_discrete_prior_refuses_malformed_input(arguments, message):
 def test_dense_prior_holds_its_value_weighted_mass_without_the_value_joint():
     """Dropped with ``dataclasses.replace``, the value joint leaves a valid
     prior that keeps the value-weighted joint and the value grid."""
-    og, vg = grids(2, 4, hi=2.0), make_uniform_grid(0.0, 1.0, 5)
+    og, vg = grids(2, 4, hi=2.0), Grid(0.0, 1.0, 5)
     full = CommonValuePrior(2).discretize(og, vg)
     dropped = dataclasses.replace(full, value_joint=None)
     assert dropped.value_joint is None and dropped.value_joints is None
@@ -594,7 +594,7 @@ def reference_value_joints(sampler, val_grids, obs_grids, sample_count, seed, gr
     (AffiliatedValuesPrior(sample_count=200_000, seed=7), 2.0, 2.0)])
 def test_value_joint_matches_per_agent_reference_binning(model, obs_hi, value_hi):
     og = grids(model.n_agents, 6, hi=obs_hi)
-    vg = make_uniform_grid(0.0, value_hi, 5)
+    vg = Grid(0.0, value_hi, 5)
     prior = model.discretize(og, vg)
     reference = reference_value_joints(model.sample, [vg] * model.n_agents, og, 200_000, 7,
                                        model.symmetry_groups())
@@ -610,7 +610,7 @@ def test_unequal_value_columns_rejected():
         return obs, obs  # each agent's value is its own observation
 
     with pytest.raises(ValueError, match="value columns differ"):
-        joint_from_latent(sampler, make_uniform_grid(0.0, 1.0, 4), grids(2, 4),
+        joint_from_latent(sampler, Grid(0.0, 1.0, 4), grids(2, 4),
                           sample_count=100_000, seed=0)
 
 
@@ -624,7 +624,7 @@ def test_non_finite_draws_rejected(bad, column):
         return values, obs
 
     with pytest.raises(ValueError, match="NaN or infinite"):
-        joint_from_latent(sampler, make_uniform_grid(0.0, 1.0, 4), grids(2, 4),
+        joint_from_latent(sampler, Grid(0.0, 1.0, 4), grids(2, 4),
                           sample_count=100_000, seed=0)
 
 

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import bnesolve.runner as runner
+from bnesolve import __version__
 import bnesolve.verify as verify
 from bnesolve.cli import main
 from bnesolve.config import (RunConfig, _compile_density, build_problem,
                              config_from_mapping, load_config, parse_config_text)
-from bnesolve.evaluate import evaluate, lookup_analytic
-from bnesolve.gradient import GradientEngine, agent_groups
+from bnesolve.evaluate import DEFAULT_EVAL_SAMPLES, evaluate, lookup_analytic
+from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, agent_groups
 from bnesolve.presets import get_preset, preset_names
 from bnesolve.runner import run_batch, run_sweep, solve
 from bnesolve.strategy import load_strategy
@@ -147,6 +148,15 @@ BAD_RUN_SETTINGS = [
     ({"action_lower": [0.0, 0.0, 0.0]}, "config key 'action_lower' takes 2 per-agent entries"),
     ({"mechanism": "split_award", "action_lower": [1.0, 0.3, 0.0]},
      "config key 'action_lower' takes 2 per-axis entries"),
+    # a bound is a number or a list of numbers, and no key reads a boolean as one
+    ({"action_upper": None}, "config key 'action_upper' takes a number"),
+    ({"action_upper": {"a": 1.0}}, "config key 'action_upper' takes a number"),
+    ({"action_upper": [[1.0], 1.0]}, "config key 'action_upper' takes a number"),
+    ({"obs_lower": "abc"}, "config key 'obs_lower' takes a number"),
+    ({"obs_upper": True}, "config key 'obs_upper' takes a number"),
+    ({"runs": True}, "config key 'runs' takes an integer"),
+    ({"iterations": False}, "config key 'iterations' takes an integer"),
+    ({"eta0": True}, "config key 'eta0' takes a number"),
 ]
 
 
@@ -155,6 +165,9 @@ def test_config_validation():
         RunConfig(agents=1).validate()
     with pytest.raises(ValueError):
         RunConfig(runs=0).validate()
+    # a bound set in Python, not loaded, is refused by name too
+    with pytest.raises(ValueError, match="config key 'action_upper' takes a number"):
+        RunConfig(action_upper=None).validate()
     # a baseline is always looked up: there is no key to switch it off
     with pytest.raises(ValueError, match="unknown config keys"):
         config_from_mapping({"analytic": "none"})
@@ -190,6 +203,14 @@ def test_config_roundtrip_and_hash():
         assert again.hash() == cfg.hash()
     cfg = fast_cfg()
     assert config_from_mapping({**cfg.__dict__, "seed": 10}).hash() != cfg.hash()
+
+
+def test_config_defaults_are_the_library_defaults():
+    # stated once, in evaluate and gradient; a default config keeps its hash
+    cfg = RunConfig()
+    assert cfg.hash() == "c85780539d48bd74"
+    assert cfg.eval_samples == DEFAULT_EVAL_SAMPLES
+    assert build_problem(cfg).memory_budget == DEFAULT_MEMORY_BUDGET
 
 
 def test_all_presets_build():
@@ -556,6 +577,47 @@ def test_run_sweep(tmp_path):
     assert (tmp_path / "sw" / "sweep.csv").exists()
     assert (tmp_path / "sw" / "k8" / "summary.csv").exists()
     assert results[0]["mean_L_agent0"] > results[1]["mean_L_agent0"] - 0.05
+
+
+def test_run_tables_keep_their_layout(tmp_path):
+    # llg_nz_g05: the global bidder, agent 2, has the llg_global_truthful
+    # baseline, and the locals' first agent, agent 0, has none
+    cfg = config_from_mapping({**get_preset("llg_nz_g05"), **FAST})
+    problem = build_problem(cfg)
+    assert problem.groups == [[0, 1], [2]]
+    out = tmp_path / "batch"
+    summary = run_batch(problem, out)
+    note = f"# config_hash={cfg.hash()} seed={cfg.seed} version={__version__}"
+
+    def table(path):
+        with path.open(newline="") as fh:
+            return list(csv.reader(fh))
+
+    for name in ("run_000/metrics.csv", "run_001/plotdata.csv", "summary.csv"):
+        assert table(out / name)[0] == [note], name
+
+    rows = table(out / "summary.csv")[1:]
+    first = ["run", "seed", "status", "iterations", "termination", "max_loss", "wall_time"]
+    header = rows[0]
+    assert header[:7] == first and header[7:] == sorted(header[7:])
+    assert {"L2_agent2_0", "revenue"} <= set(header[7:])
+    assert [r[0] for r in rows[1:]] == ["run_000", "run_001", "mean", "std"]
+    for stat in rows[-2:]:
+        stat = dict(zip(header, stat))
+        assert stat["seed"] == stat["status"] == stat["termination"] == ""
+        assert stat["max_loss"] != "" and stat["L2_agent2_0"] != ""
+
+    plot = table(out / "run_000" / "plotdata.csv")
+    plot = [dict(zip(plot[1], r)) for r in plot[2:]]
+    assert {r["agent"] for r in plot} == {"0", "2"}
+    assert all((r["analytic_bid"] == "") == (r["agent"] == "0") for r in plot)
+
+    # the same game on other grids: the batch's aggregates, as mean_ and std_ columns
+    run_sweep(cfg, [6, 8], tmp_path / "sweep")
+    rows = table(tmp_path / "sweep" / "sweep.csv")
+    assert rows[0] == ["points"] + sorted(f"{stat}_{k}" for stat in ("mean", "std")
+                                          for k in summary.aggregates["mean"])
+    assert [r[0] for r in rows[1:]] == ["6", "8"]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -1001,6 +1063,17 @@ def test_cli_sweep_checks_every_entry_before_making_out(tmp_path, capsys, monkey
     rc = main(["sweep", *source, "--grid", grid, "--quiet", "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["8,x", "8,", "8.5"])
+def test_cli_sweep_refuses_a_grid_entry_that_is_not_an_integer(tmp_path, capsys, grid):
+    out = tmp_path / "sw"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--preset", "fpsb_sweep", "--grid", grid, "--quiet", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --grid: must be comma-separated integers, got {grid}" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 

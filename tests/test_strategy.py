@@ -9,7 +9,7 @@ import pytest
 
 from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import expected_utility
-from bnesolve.grids import make_uniform_grid
+from bnesolve.grids import Grid
 from bnesolve.presets import get_preset
 from bnesolve.runner import solve
 from bnesolve.strategy import (_HEX_BLOCK, Strategy, _hex_blocks, flatten_action_grids,
@@ -18,21 +18,21 @@ from bnesolve.strategy import (_HEX_BLOCK, Strategy, _hex_blocks, flatten_action
 
 
 def simple_strategy(k=3, l=3, seed=0, marginal=None, ndim=1):
-    og = make_uniform_grid(0, 1, k)
-    ags = tuple(make_uniform_grid(0, 1, l) for _ in range(ndim))
+    og = Grid(0, 1, k)
+    ags = tuple(Grid(0, 1, l) for _ in range(ndim))
     if marginal is None:
         marginal = np.full(k, 1.0 / k)
     return init_strategy("random", og, ags, marginal, seed=seed)
 
 
 def test_uniform_init():
-    s = init_strategy("uniform", make_uniform_grid(0, 1, 2),
-                      [make_uniform_grid(0, 1, 2)], np.array([0.5, 0.5]))
+    s = init_strategy("uniform", Grid(0, 1, 2),
+                      [Grid(0, 1, 2)], np.array([0.5, 0.5]))
     assert np.array_equal(s.matrix, [[0.25, 0.25], [0.25, 0.25]])
 
 
 def test_truthful_init_diagonal():
-    g = make_uniform_grid(0, 1, 3)
+    g = Grid(0, 1, 3)
     s = init_strategy("truthful", g, [g], np.full(3, 1 / 3))
     assert np.allclose(s.matrix, np.eye(3) / 3)
 
@@ -46,13 +46,13 @@ def test_random_init_rows_sum_to_marginal():
 
 
 def test_unknown_init_mode():
-    g = make_uniform_grid(0, 1, 2)
+    g = Grid(0, 1, 2)
     with pytest.raises(ValueError):
         init_strategy("hopeful", g, [g], np.array([0.5, 0.5]))
 
 
 def test_conditional():
-    g = make_uniform_grid(0, 1, 2)
+    g = Grid(0, 1, 2)
     s = Strategy(np.array([[0.1, 0.4], [0.2, 0.3]]), g, (g,), np.array([0.5, 0.5]))
     assert np.allclose(s.conditionals()[0], [0.2, 0.8])
     uni = init_strategy("uniform", g, [g], np.array([0.5, 0.5]))
@@ -60,7 +60,7 @@ def test_conditional():
 
 
 def test_conditional_zero_marginal_errors():
-    g = make_uniform_grid(0, 1, 2)
+    g = Grid(0, 1, 2)
     s = Strategy(np.array([[0.0, 0.0], [0.5, 0.5]]), g, (g,), np.array([0.0, 1.0]))
     assert s.conditionals().tolist() == [[0.0, 0.0], [0.5, 0.5]]
     with pytest.raises(ValueError):
@@ -68,14 +68,14 @@ def test_conditional_zero_marginal_errors():
 
 
 def test_sample_bids_truthful():
-    g = make_uniform_grid(0, 1, 3)
+    g = Grid(0, 1, 3)
     s = init_strategy("truthful", g, [g], np.full(3, 1 / 3))
     b = s.sample_bids([0.52, 0.1, 0.9], np.random.default_rng(0))
     assert b[:, 0].tolist() == [0.5, 0.0, 1.0]
 
 
 def test_sample_bids_degenerate_row():
-    g = make_uniform_grid(0, 1, 3)
+    g = Grid(0, 1, 3)
     mat = np.zeros((3, 3))
     mat[:, 0] = 1 / 3
     s = Strategy(mat, g, (g,), np.full(3, 1 / 3))
@@ -114,8 +114,8 @@ class FixedDraws:
 
 
 def test_sample_bids_matches_table_formula():
-    og = make_uniform_grid(1.0, 1.4, 5)
-    ags = (make_uniform_grid(1.0, 2.5, 4), make_uniform_grid(0.3, 1.2, 3))
+    og = Grid(1.0, 1.4, 5)
+    ags = (Grid(1.0, 2.5, 4), Grid(0.3, 1.2, 3))
     s = init_strategy("random", og, ags, np.full(5, 0.2), seed=4)
     m = s.matrix.copy()
     m[:, [0, 5, 6, 11]] = 0.0  # zero-probability actions: flat CDF steps
@@ -145,8 +145,8 @@ def sparse_strategy(k, action_counts, seed, zero_share):
     """Random strategy with most actions at zero probability (flat CDF steps),
     some masses near 1e-200, one pure row and one zero-mass row."""
     rng = np.random.default_rng(seed)
-    og = make_uniform_grid(1.0, 1.4, k)
-    ags = tuple(make_uniform_grid(0.3, 2.5, c) for c in action_counts)
+    og = Grid(1.0, 1.4, k)
+    ags = tuple(Grid(0.3, 2.5, c) for c in action_counts)
     marginal = rng.dirichlet(np.ones(k))
     marginal[k // 3] = 0.0
     marginal /= marginal.sum()
@@ -194,8 +194,8 @@ def test_sample_bids_cdf_values_and_draws_on_bucket_edges():
     e = 2.0 ** -50
     targets = np.array([1 / 16 - e, 1 / 16, 1 / 16, 4 / 16, 6 / 16 - e, 6 / 16, 6 / 16, 6 / 16,
                         10 / 16, 10 / 16 + e, 11 / 16, 15 / 16 - e, 15 / 16, 1 - e, 1, 1])
-    og = make_uniform_grid(0, 1, 4)
-    ag = make_uniform_grid(0, 1, 16)
+    og = Grid(0, 1, 4)
+    ag = Grid(0, 1, 16)
     row = np.diff(targets, prepend=0.0)
     s = Strategy(np.tile(row / 4, (4, 1)), og, (ag,), np.full(4, 0.25))
     assert np.array_equal(np.cumsum(s.conditionals()[2]), targets)
@@ -208,8 +208,8 @@ def test_sample_bids_cdf_values_and_draws_on_bucket_edges():
 
 
 def test_sample_bids_memory_is_linear_in_draws():
-    og = make_uniform_grid(1.0, 1.4, 32)
-    ags = (make_uniform_grid(1.0, 2.5, 64), make_uniform_grid(0.3, 1.2, 64))
+    og = Grid(1.0, 1.4, 32)
+    ags = (Grid(1.0, 2.5, 64), Grid(0.3, 1.2, 64))
     s = init_strategy("random", og, ags, np.full(32, 1 / 32), seed=0)
     obs = np.random.default_rng(0).uniform(1.0, 1.4, 1 << 18)
     tracemalloc.start()
@@ -223,7 +223,7 @@ def test_sample_bids_memory_is_linear_in_draws():
 
 
 def test_iterate_distance():
-    g = make_uniform_grid(0, 1, 2)
+    g = Grid(0, 1, 2)
     uni = init_strategy("uniform", g, [g], np.array([0.5, 0.5]))
     tru = init_strategy("truthful", g, [g], np.array([0.5, 0.5]))
     assert iterate_distance(uni, uni) == 0.0
@@ -260,7 +260,7 @@ def test_certificate_and_distance_leave_no_thread_busy():
     ((1, 0), 0.25 + 1e-9, "row sums"),   # a row-sum drift of 1e-9
 ])
 def test_constructor_and_with_matrix_refuse_the_same_matrices(entry, value, message):
-    g = make_uniform_grid(0, 1, 2)
+    g = Grid(0, 1, 2)
     marginal = np.array([0.5, 0.5])
     m = np.full((2, 2), 0.25)
     m[entry] = value
@@ -298,14 +298,14 @@ def test_nearest_actions_on_split_award_grid_ties_to_lowest():
 
 
 def test_feasibility_validated():
-    g = make_uniform_grid(0, 1, 2)
+    g = Grid(0, 1, 2)
     with pytest.raises(ValueError):
         Strategy(np.array([[0.3, 0.3], [0.25, 0.25]]), g, (g,), np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("nan_rows", [[(0, 0)], [(1, 0), (1, 1)]])
 def test_nan_entries_rejected(nan_rows):
-    g = make_uniform_grid(0, 1, 2)
+    g = Grid(0, 1, 2)
     marginal = np.array([0.5, 0.5])
     m = np.array([[0.25, 0.25], [0.25, 0.25]])
     for k, l in nan_rows:
@@ -317,9 +317,9 @@ def test_nan_entries_rejected(nan_rows):
 
 
 def test_multidim_action_layout_row_major():
-    og = make_uniform_grid(0, 1, 2)
-    a1 = make_uniform_grid(1.0, 2.5, 2)
-    a2 = make_uniform_grid(0.3, 1.2, 3)
+    og = Grid(0, 1, 2)
+    a1 = Grid(1.0, 2.5, 2)
+    a2 = Grid(0.3, 1.2, 3)
     s = init_strategy("uniform", og, [a1, a2], np.array([0.5, 0.5]))
     av = s.action_values()
     assert av.shape == (6, 2)
@@ -364,8 +364,8 @@ def test_load_strategy_refuses_a_body_of_another_shape(tmp_path):
 
 
 def test_csv_round_trip_two_dimensional(tmp_path):
-    og = make_uniform_grid(1.0, 1.4, 3)
-    ags = (make_uniform_grid(1.0, 2.5, 3), make_uniform_grid(0.3, 1.2, 2))
+    og = Grid(1.0, 1.4, 3)
+    ags = (Grid(1.0, 2.5, 3), Grid(0.3, 1.2, 2))
     marginal = np.array([0.25, 0.5, 0.25])
     s = init_strategy("random", og, ags, marginal, seed=5)
     path = tmp_path / "s.csv"
@@ -381,8 +381,8 @@ def test_csv_round_trip_two_dimensional(tmp_path):
 
 
 def test_load_strategy_rebuilds_uniform_grids_and_refuses_others(tmp_path):
-    og = make_uniform_grid(1.0, 1.4, 3)
-    ags = (make_uniform_grid(1.0, 2.5, 3), make_uniform_grid(0.3, 1.2, 2))
+    og = Grid(1.0, 1.4, 3)
+    ags = (Grid(1.0, 2.5, 3), Grid(0.3, 1.2, 2))
     s = init_strategy("random", og, ags, np.array([0.25, 0.5, 0.25]), seed=5)
     path = tmp_path / "strategy_agent0.csv"
     save_strategy(s, path)
@@ -424,8 +424,8 @@ def reference_save(strategy, path):
 
 
 def test_save_strategy_bytes_match_reference_writer(tmp_path):
-    og = make_uniform_grid(1.0, 1.4, 7)
-    ags = (make_uniform_grid(1.0, 2.5, 9), make_uniform_grid(0.3, 1.2, 5))
+    og = Grid(1.0, 1.4, 7)
+    ags = (Grid(1.0, 2.5, 9), Grid(0.3, 1.2, 5))
     marginal = np.random.default_rng(2).dirichlet(np.ones(7))
     s = init_strategy("random", og, ags, marginal, seed=6)
     m = s.matrix.copy()
@@ -493,8 +493,8 @@ def test_save_strategy_bytes_match_reference_writer_beyond_one_block(tmp_path):
     """A strategy of more masses than one block, with subnormal and zero
     masses on and across block edges, saves to the reference writer's bytes."""
     rng = np.random.default_rng(5)
-    og = make_uniform_grid(0.0, 1.0, 5)
-    ags = (make_uniform_grid(0.0, 1.0, 10007),)
+    og = Grid(0.0, 1.0, 5)
+    ags = (Grid(0.0, 1.0, 10007),)
     marginal = rng.dirichlet(np.ones(5))
     m = rng.exponential(size=(5, 10007))
     m[:, ::3] = 0.0
@@ -539,8 +539,8 @@ def reference_load(path):
 
 def test_load_strategy_matches_reference_reader_bitwise(tmp_path):
     rng = np.random.default_rng(8)
-    og = make_uniform_grid(1.0, 1.4, 8)
-    ags = (make_uniform_grid(1.0, 2.5, 16), make_uniform_grid(0.3, 1.2, 8))
+    og = Grid(1.0, 1.4, 8)
+    ags = (Grid(1.0, 2.5, 16), Grid(0.3, 1.2, 8))
     marginal = rng.dirichlet(np.ones(8))
     kind = rng.random((8, 16 * 8))
     m = np.where(kind >= 0.5, rng.exponential(size=kind.shape), 0.0)
@@ -574,8 +574,8 @@ def write_long_layout(strategy, path, mass_column, mass_text):
 
 @pytest.mark.parametrize("mass_column, mass_text", [("mass_hex", float.hex), ("mass", repr)])
 def test_load_strategy_refuses_the_long_layout(tmp_path, mass_column, mass_text):
-    og = make_uniform_grid(0, 1, 2)
-    s = init_strategy("uniform", og, [make_uniform_grid(0, 1, 2)], np.array([0.5, 0.5]))
+    og = Grid(0, 1, 2)
+    s = init_strategy("uniform", og, [Grid(0, 1, 2)], np.array([0.5, 0.5]))
     path = tmp_path / "strategy_agent0.csv"
     save_strategy(s, path)    # the sidecar is the same in both layouts
     write_long_layout(s, path, mass_column, mass_text)
@@ -587,8 +587,8 @@ def test_load_strategy_refuses_the_long_layout(tmp_path, mass_column, mass_text)
 def test_load_strategy_refuses_decimal_masses_under_another_header(tmp_path):
     """A matrix of decimal masses is refused by its header, though its shape is
     right: read as hex, "0.25" would silently be 0.14453125."""
-    og = make_uniform_grid(0, 1, 2)
-    s = init_strategy("uniform", og, [make_uniform_grid(0, 1, 2)], np.array([0.5, 0.5]))
+    og = Grid(0, 1, 2)
+    s = init_strategy("uniform", og, [Grid(0, 1, 2)], np.array([0.5, 0.5]))
     path = tmp_path / "strategy_agent0.csv"
     save_strategy(s, path)
     body = "".join(",".join(map(repr, row)) + "\n" for row in s.matrix.tolist())
@@ -606,8 +606,8 @@ def edge_value_strategy():
              np.nextafter(1e-120, 0.0), 7.3e-121, 0.1, 1 / 3, 0.25, 2.0 ** -60]
     ordinary = np.random.default_rng(4).dirichlet(np.ones(len(edges)))
     m = np.array([edges, ordinary])
-    ags = (make_uniform_grid(0, 1, 4), make_uniform_grid(0, 1, 3))
-    return Strategy(m, make_uniform_grid(0, 1, 2), ags, m.sum(axis=1))
+    ags = (Grid(0, 1, 4), Grid(0, 1, 3))
+    return Strategy(m, Grid(0, 1, 2), ags, m.sum(axis=1))
 
 
 def learned_split_award_strategy():

@@ -5,7 +5,7 @@ import pytest
 
 from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import GradientEngine, expected_utility
-from bnesolve.grids import make_uniform_grid
+from bnesolve.grids import Grid
 from bnesolve.learners import run
 from bnesolve.mechanisms import SingleObjectAuction
 from bnesolve.presets import get_preset
@@ -17,9 +17,9 @@ from test_gradient import risk_averse_settings
 
 
 def setting(k=4, l=4):
-    grids = [make_uniform_grid(0, 1, k)] * 2
+    grids = [Grid(0, 1, k)] * 2
     prior = prior_from_weights(grids, [lambda x: np.ones_like(x)] * 2)
-    action_grids = [(make_uniform_grid(0, 1, l),)] * 2
+    action_grids = [(Grid(0, 1, l),)] * 2
     return SingleObjectAuction("fpsb", 2), prior, action_grids
 
 
@@ -38,7 +38,7 @@ def test_best_response_beats_every_feasible_strategy():
     br = best_response_matrix(c, marginal)
     assert np.vdot(br, c) == pytest.approx(enumerate_row_vertex_value(c, marginal),
                                            abs=1e-12)
-    g = make_uniform_grid(0, 1, 3)
+    g = Grid(0, 1, 3)
     for seed in range(1000):
         s = init_strategy("random", g, [g], marginal, seed=seed)
         assert np.vdot(br, c) >= np.vdot(s.matrix, c) - 1e-12
@@ -49,8 +49,8 @@ def test_all_equal_gradient_ties_to_lowest_and_indifference():
     marginal = np.array([0.5, 0.5])
     br = best_response_matrix(c, marginal)
     assert np.array_equal(br[:, 0], marginal)
-    g = make_uniform_grid(0, 1, 2)
-    ag = make_uniform_grid(0, 1, 3)
+    g = Grid(0, 1, 2)
+    ag = Grid(0, 1, 3)
     for seed in range(5):
         s = init_strategy("random", g, [ag], marginal, seed=seed)
         assert np.vdot(s.matrix, c) == pytest.approx(np.vdot(br, c), abs=1e-12)
@@ -86,8 +86,8 @@ def test_hand_built_two_action_game_certificate():
     # all prior mass on one observation point with value 1, two bids {0, 0.5};
     # the no-winner tie rule makes (high, high) an equilibrium: undercutting
     # loses the good, matching ties pay nothing
-    g = make_uniform_grid(0, 1, 2)
-    ag = make_uniform_grid(0, 0.5, 2)
+    g = Grid(0, 1, 2)
+    ag = Grid(0, 0.5, 2)
     prior = prior_from_weights([g, g], [lambda x: np.array([0.0, 1.0])] * 2)
     mech = SingleObjectAuction("fpsb", 2)
     marginal = np.array([0.0, 1.0])
@@ -110,7 +110,7 @@ def test_vs_probe_zero_at_equilibrium_point():
     mech, prior, action_grids = setting()
     s = init_strategy("random", prior.obs_grids[0], action_grids[0],
                       prior.marginals[0], seed=2)
-    assert vs_probe(mech, prior, [s, s], [s, s]) == 0.0
+    assert vs_probe(GradientEngine(mech, prior, action_grids), [s, s], [s, s]) == 0.0
 
 
 def test_vs_probe_at_best_response_profile():
@@ -122,7 +122,7 @@ def test_vs_probe_at_best_response_profile():
     for i in range(2):
         c = engine.gradient(star, i)
         brs.append(star[i].with_matrix(best_response_matrix(c, star[i].marginal)))
-    value = vs_probe(mech, prior, star, brs, engine=engine)
+    value = vs_probe(engine, star, brs)
     direct = 0.0
     for i in range(2):
         c = engine.gradient(brs, i)
@@ -149,9 +149,9 @@ def test_vs_probe_shape_mismatch():
     s = init_strategy("random", prior.obs_grids[0], action_grids[0],
                       prior.marginals[0], seed=2)
     other = init_strategy("uniform", prior.obs_grids[0],
-                          (make_uniform_grid(0, 1, 5),), prior.marginals[0])
+                          (Grid(0, 1, 5),), prior.marginals[0])
     with pytest.raises(ValueError):
-        vs_probe(mech, prior, [s, s], [other, other])
+        vs_probe(GradientEngine(mech, prior, action_grids), [s, s], [other, other])
 
 
 def test_run_certifies_from_its_own_step_gradients():
@@ -207,13 +207,12 @@ def traced_peak(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("routine", ["relative_utility_loss", "vs_probe"])
+@pytest.mark.parametrize("routine", ["relative_utility_loss"])
 def test_one_shot_routines_hold_one_agent_engine_at_a_time(routine):
-    """The certificate, and the probe without an engine, allocate no more than
-    one agent's gradient on an engine built for it alone, give or take two
-    rows of ex-post utilities (the gradients already taken, and allocator
-    noise); one engine shared by all agents would hold every agent's
-    utilities at once.  LLG at risk_rho = 0.5 on 12 x 10 points, where a row
+    """The certificate allocates no more than one agent's gradient on an
+    engine built for it alone, give or take two rows of ex-post utilities
+    (the gradients already taken, and allocator noise); one engine shared by
+    all agents would hold every agent's utilities at once.  LLG at risk_rho = 0.5 on 12 x 10 points, where a row
     (8 KB) dwarfs the engine's own objects."""
     llg = build_problem(config_from_mapping({**get_preset("llg_nz_g05"), "risk_rho": 0.5,
                                              "obs_points": 12, "action_points": 10}))
@@ -227,21 +226,6 @@ def test_one_shot_routines_hold_one_agent_engine_at_a_time(routine):
         alone.append(traced_peak(engine.gradient, profile, i))
         assert engine.path == "tensor" and engine._utility_cache[i].nbytes == 12 * row
         utilities += engine._utility_cache[i].nbytes
-    if routine == "vs_probe":
-        peak = traced_peak(vs_probe, mech, prior, profile, profile)
-    else:
-        peak = traced_peak(relative_utility_loss, profile, prior, mech,
-                           action_grids=action_grids)
+    peak = traced_peak(relative_utility_loss, profile, prior, mech, action_grids=action_grids)
     assert peak <= max(alone) + 2 * row
     assert peak < utilities
-
-
-def test_vs_probe_without_an_engine_equals_the_problems_engine():
-    problem = build_problem(config_from_mapping({**get_preset("llg_nz_g05"), "risk_rho": 0.5,
-                                                 "obs_points": 7, "action_points": 6}))
-    prior = problem.discretize()
-    star = [init_strategy("random", prior.obs_grids[i], problem.action_grids[i],
-                          prior.marginals[i], seed=i) for i in range(3)]
-    probe = collusive_profile(star)
-    value = vs_probe(problem.mech, prior, star, probe)
-    assert value == vs_probe(problem.mech, prior, star, probe, engine=problem.engine())
