@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, expected_utility
 from bnesolve.grids import Grid
-from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuction,
-                                 TullockContest)
+from bnesolve.mechanisms import (PAYMENT_RULES, LLGAuction, SingleObjectAuction,
+                                 SplitAwardAuction, TullockContest)
 from bnesolve.presets import get_preset, preset_names
 from bnesolve.priors import (MIN_SAMPLE_COUNT, AffiliatedValuesPrior,
                              BernoulliWeightsLLGPrior, CommonValuePrior, Component,
@@ -347,7 +348,7 @@ class OneExpressionEngine(GradientEngine):
     nothing kept between calls."""
 
     def _contract_utilities(self, agent, w, own_vals):
-        a, b = self._affine_parts(agent)
+        a, b, _, _ = self._merged_parts(agent)
         chunk = max(1, int(self.budget // (8 * a.size)))
         c = np.zeros((w.shape[-2], a.shape[0]))
         for s in range(0, own_vals.size, chunk):
@@ -387,8 +388,10 @@ def risk_averse_settings():
 @pytest.mark.parametrize("rows", [None, 1, 2])
 def test_in_place_utilities_bitwise_equal_one_expression(rows):
     """Utilities filled one own value at a time give the gradients of the one-
-    expression construction bit for bit, with one chunk (kept, then reused),
-    one own value per chunk, and two (odd value axes end on a part chunk)."""
+    expression construction bit for bit, over the same merged columns, with
+    one chunk (kept, then reused) and under budgets of one and two rows of
+    unmerged utilities: one or two own values per chunk where nothing merges,
+    more where columns merge (odd value axes end on a part chunk)."""
     for label, mech, prior, action_grids, profile, path, row in risk_averse_settings():
         budget = DEFAULT_MEMORY_BUDGET if rows is None else rows * row
         groups = [[0, 1, 2]] if label == "fpsb" else None
@@ -406,21 +409,90 @@ def test_in_place_utilities_bitwise_equal_one_expression(rows):
 
 @pytest.mark.parametrize("setting", ["llg", "common_value"])
 def test_tensor_utility_cache_peaks_at_its_own_bytes(setting):
-    """Building an agent's utility cache allocates the cache and at most two
-    rows' worth more (one row of |u|**rho scratch, the opponent weights)."""
+    """Building an agent's utility cache, over its merged columns, allocates
+    the cache and at most two rows of unmerged utilities' worth more (one row
+    of |u|**rho scratch, the opponent weights and their merge)."""
     label, mech, prior, action_grids, profile, path, row = next(
         s for s in risk_averse_settings() if s[0] == setting)
     engine = GradientEngine(mech, prior, action_grids)
     assert engine.path == "tensor"
-    engine._affine_parts(0)  # the dense payoff matrices first: the trace sees the rest
+    # the merged payoff matrices first: the trace sees the rest
+    merged = engine._merged_parts(0)[0]
     tracemalloc.start()
     try:
         engine.gradient(profile, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert engine._utility_cache[0].nbytes == len(engine._utility_cache[0]) * row
+    assert merged.shape[1] == {"llg": 16, "common_value": 12}[setting]
+    assert engine._utility_cache[0].nbytes == len(engine._utility_cache[0]) * merged.nbytes
     assert peak <= engine.cache_bytes() + 2 * row
+
+
+def merging_settings():
+    """(label, mech, prior, action_grids, profile) at risk_rho = 0.5 where
+    payoff columns repeat: the exact LLG prior under every payment rule, on
+    grids where local bid sums repeat, and the three-agent common-value spsb
+    game, whose payoff reads the highest opponent bid."""
+    og = [Grid(0, 1, 3), Grid(0, 1, 3), Grid(0, 2, 3)]
+    prior = BernoulliWeightsLLGPrior(0.5).discretize(og)
+    action_grids = [(Grid(0, 1, 4),), (Grid(0, 1, 4),), (Grid(0, 2, 5),)]
+    profile = [init_strategy("random", og[i], action_grids[i], prior.marginals[i], seed=i)
+               for i in range(3)]
+    for rule in PAYMENT_RULES:
+        yield f"llg_{rule}", LLGAuction(rule, risk_rho=0.5), prior, action_grids, profile
+    og = [Grid(0, 2, 3)] * 3
+    common = CommonValuePrior(3).discretize(og, Grid(0, 1, 4))
+    action_grids = [(Grid(0, 1.5, 5),)] * 3
+    profile = [init_strategy("random", og[i], action_grids[i], common.marginals[i], seed=5 + i)
+               for i in range(3)]
+    yield "common_value", SingleObjectAuction("spsb", 3, risk_rho=0.5), common, action_grids, profile
+
+
+@pytest.mark.parametrize("label", [s[0] for s in merging_settings()])
+def test_merged_tensor_gradients_match_naive(label):
+    """Columns equal in A and in B merge, for some agent of every game, and
+    every agent's merged tensor gradient agrees with the brute-force oracle,
+    in one chunk and in chunks of one own value; the engine counts the merged
+    A and B, their map and the utilities over the merged columns."""
+    _, mech, prior, action_grids, profile = next(s for s in merging_settings() if s[0] == label)
+    oracles = [naive_gradient(mech, prior, profile, agent) for agent in range(3)]
+    merged_any = False
+    for budget in (DEFAULT_MEMORY_BUDGET, 1):
+        engine = GradientEngine(mech, prior, action_grids, memory_budget=budget)
+        assert engine.path == "tensor"
+        for agent in range(3):
+            c = engine.gradient(profile, agent)
+            assert np.max(np.abs(c - oracles[agent])) < 1e-12, (label, budget, agent)
+            a, b, order, starts = engine._merged_parts(agent)
+            full, _ = engine._payoff_columns(agent)
+            merged_any |= order is not None
+            assert a.shape[1] == (full.shape[1] if order is None else starts.size)
+        held = [x for parts in engine._merge_cache.values() for x in parts if x is not None]
+        held += list(engine._utility_cache.values())
+        held += [own for _, terms in engine._views.values() for _, own, _, _ in terms
+                 if own is not None]
+        assert engine.cache_bytes() == sum(x.nbytes for x in held)
+    assert merged_any, label
+
+
+def test_two_bidder_risk_averse_engine_merges_nothing():
+    """Under two-bidder risk-averse first price every payoff column is
+    distinct, so the tensor path keeps A and B in their own order with no map
+    and its gradients keep their bits from before the merge (the digest of
+    both agents' gradients at a seeded profile)."""
+    problem = build_problem(config_from_mapping({**get_preset("risk_fpsb_r05"),
+                                                 "symmetric": False}))
+    prior, engine = problem.discretize(), problem.engine()
+    profile = [init_strategy("random", prior.obs_grids[i], problem.action_grids[i],
+                             prior.marginals[i], seed=i) for i in range(2)]
+    digest = hashlib.sha256()
+    for agent in range(2):
+        digest.update(engine.gradient(profile, agent).tobytes())
+        a, b, order, starts = engine._merged_parts(agent)
+        assert order is None and starts is None
+        assert all(np.array_equal(x, y) for x, y in zip((a, b), engine._payoff_columns(agent)))
+    assert digest.hexdigest()[:16] == "38455ccfcd61afac"
 
 
 def small_grouped_problem(name, **settings):

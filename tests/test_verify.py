@@ -224,7 +224,8 @@ def test_one_shot_routines_hold_one_agent_engine_at_a_time(routine):
     for i in range(3):
         engine = GradientEngine(mech, prior, action_grids)
         alone.append(traced_peak(engine.gradient, profile, i))
-        assert engine.path == "tensor" and engine._utility_cache[i].nbytes == 12 * row
+        assert engine.path == "tensor"
+        assert engine._utility_cache[i].nbytes == 12 * engine._merged_parts(i)[0].nbytes
         utilities += engine._utility_cache[i].nbytes
     peak = traced_peak(relative_utility_loss, profile, prior, mech, action_grids=action_grids)
     assert peak <= max(alone) + 2 * row
