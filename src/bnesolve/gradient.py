@@ -76,13 +76,16 @@ prior:
   built, and cached, over one column per class, which is exact up to
   summation order.  Where every column is distinct (two-bidder first price
   and all-pay), nothing is merged and the bits are those of the unmerged
-  path.  Rows of weights (component priors) are summed by a gather and
-  ``np.add.reduceat``.  The (m, K_i, L_-i) weights of a dense prior are
-  summed by one GEMM with the classes' 0/1 indicator matrix instead: on
-  the three-agent common value at 64 points, 4096 columns in 64 classes,
-  the gather and ``reduceat`` took 70-80 ms per agent, the GEMM 29 ms and
-  the unmerged contraction it replaces 41-46 ms (2 cores).  The affine path
-  does not merge: there one GEMM over every column beat the gather.
+  path.  Rows of weights (component priors) are summed by one
+  ``np.bincount`` per row.  The (m, K_i, L_-i) weights of a dense prior are
+  summed by one GEMM with the classes' 0/1 indicator matrix instead, built
+  with the map.  No benchmark workload runs the tensor path on a dense
+  prior, so that choice rests on one-off timings only: on the three-agent
+  common value at 64 points, 4096 columns in 64 classes, 2 cores, the GEMM
+  took 34-37 ms per agent, the bincounts 47-49 ms and the unmerged
+  contraction it replaces 41-46 ms.  The affine path does not merge: there,
+  on the three-agent common value, one GEMM over every column beat merging
+  first.
 
 Both paths agree to floating-point reassociation error.
 """
@@ -290,43 +293,39 @@ class GradientEngine:
         return self._affine_cache[agent]
 
     def _merged_parts(self, agent: int):
-        """``agent``'s (A, B, order, starts) for the tensor path, built at its
-        first call and cached: A and B over its distinct payoff columns, and
-        the map that ``_merge_weights`` reads, the columns in ascending order
-        of their class and where each class starts.  A class is the columns
-        whose A and B are equal, as floats, at every own action.  Where every
-        column is distinct, A and B as they are, in their own order, and no
-        map (None, None)."""
+        """``agent``'s (A, B, map) for the tensor path, built at its first call
+        and cached: A and B over its distinct payoff columns, and the map that
+        ``_merge_weights`` reads, each column's class on a component prior and
+        the classes' (columns, classes) 0/1 indicator matrix on a dense one.
+        A class is the columns whose A and B are equal, as floats, at every
+        own action.  Where every column is distinct, A and B as they are, in
+        their own order, and no map (None)."""
         if agent not in self._merge_cache:
             a, b = self._payoff_columns(agent)
             # one byte string per column; adding 0.0 makes -0.0 read as 0.0
             key = np.ascontiguousarray(np.concatenate([a, b]).T + 0.0)
             key = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel()
-            _, first, classes, counts = np.unique(key, return_index=True, return_inverse=True,
-                                                  return_counts=True)
+            _, first, classes = np.unique(key, return_index=True, return_inverse=True)
             if first.size == classes.size:
-                self._merge_cache[agent] = (a, b, None, None)
+                self._merge_cache[agent] = (a, b, None)
             else:
-                order = np.argsort(classes, kind="stable")
-                starts = np.cumsum(counts) - counts
+                if self.prior.components is None:
+                    classes = np.eye(first.size)[classes]
                 self._merge_cache[agent] = (np.ascontiguousarray(a[:, first]),
-                                            np.ascontiguousarray(b[:, first]), order, starts)
+                                            np.ascontiguousarray(b[:, first]), classes)
         return self._merge_cache[agent]
 
     def _merge_weights(self, agent: int, w: np.ndarray) -> np.ndarray:
         """``w``, weights over ``agent``'s payoff columns on its last axis,
         summed over each class of equal columns (``_merged_parts``): rows by
-        a gather and ``np.add.reduceat``; weights with a leading value axis
-        by one GEMM with the classes' 0/1 indicator matrix, which there beat
-        the gather (module docstring)."""
-        _, _, order, starts = self._merged_parts(agent)
-        if order is None:
+        one ``np.bincount`` each; a dense prior's (m, K_i, L_-i) weights by
+        one GEMM with the classes' indicator matrix (module docstring)."""
+        merge = self._merged_parts(agent)[2]
+        if merge is None:
             return w
-        if w.ndim == 2:
-            return np.add.reduceat(np.take(w, order, axis=-1), starts, axis=-1)
-        indicator = np.zeros((order.size, starts.size))
-        indicator[order, np.repeat(np.arange(starts.size), np.diff(starts, append=order.size))] = 1
-        return (w.reshape(-1, order.size) @ indicator).reshape(w.shape[:-1] + (starts.size,))
+        if self.prior.components is None:
+            return (w.reshape(-1, merge.shape[0]) @ merge).reshape(w.shape[:-1] + (-1,))
+        return np.stack([np.bincount(merge, x) for x in w])
 
     def _opponent_weights(self, w, strategies, agent: int) -> np.ndarray:
         """W[m, k_i, l_-i]: dense prior mass ``w`` times the opponents'
@@ -483,8 +482,7 @@ class GradientEngine:
         observation; on a dense prior the value joint contracted with the
         opponents' conditionals, with v the shared value."""
         if self.prior.components is not None:
-            w = self._weight_rows(strategies, agent, merge=True)
-            vals = self.prior.obs_grids[agent].points
+            w, vals = self._weight_rows(strategies, agent), self.prior.obs_grids[agent].points
         else:
             # W[m, k_i, l_-i], with the shared value m as the leading axis
             w = self._merge_weights(agent, self._opponent_weights(self.prior.value_joint,
@@ -503,15 +501,13 @@ class GradientEngine:
             c[dead] = 0.0
         return c
 
-    def _weight_rows(self, strategies, agent: int, merge: bool = False) -> np.ndarray:
+    def _weight_rows(self, strategies, agent: int) -> np.ndarray:
         """The weights G x R of ``_opponent_factors`` as (K_i, L_-i) rows, the
-        opponents' actions in agent order; one row, broadcast, where G is one.
-        With ``merge``, summed over the classes of equal payoff columns
-        (``_merge_weights``) before the broadcast."""
+        opponents' actions in agent order, summed over the classes of equal
+        payoff columns (``_merge_weights``); one row, broadcast, where G is
+        one."""
         g, r = self._opponent_factors(strategies, agent)
-        w = np.multiply.outer(g, r).reshape(g.shape[0], -1)
-        if merge:
-            w = self._merge_weights(agent, w)
+        w = self._merge_weights(agent, np.multiply.outer(g, r).reshape(g.shape[0], -1))
         return np.broadcast_to(w, (self.prior.obs_grids[agent].count, w.shape[1]))
 
     def _contract_utilities(self, agent: int, w: np.ndarray, own_vals: np.ndarray) -> np.ndarray:
@@ -521,7 +517,7 @@ class GradientEngine:
         ex-post utilities are built in chunks of own values that fit the
         memory budget, one buffer for every chunk of a call, filled in place
         one own value at a time."""
-        a, b, _, _ = self._merged_parts(agent)
+        a, b, _ = self._merged_parts(agent)
         chunk = min(own_vals.size, max(1, int(self.budget // (8 * a.size))))
         u = self._utility_cache.get(agent)
         fill = u is None

@@ -223,3 +223,37 @@ def enumerate_row_vertex_value(c, marginal):
         v = sum(marginal[i] * c[i, assign[i]] for i in range(k))
         best = max(best, v)
     return best
+
+
+def held_array_bytes(engine):
+    """Bytes of every array the engine holds beyond its inputs: each array
+    reachable from its attributes other than the mechanism, the prior, the
+    action grids and their flattened tables, and that shares no memory with
+    the prior; objects with ``nbytes`` (kernels) count theirs."""
+    inputs = {"mech", "prior", "action_grids", "flat_actions", "_top_bids"}
+    prior_arrays = [a for a in [*engine.prior.marginals, engine.prior.obs_joint,
+                                engine.prior.value_joint] if a is not None]
+    prior_arrays += [m for c in engine.prior.components or () for _, m in c.blocks]
+    seen, total = set(), 0
+
+    def walk(x):
+        nonlocal total
+        if id(x) in seen:
+            return
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            if not any(np.shares_memory(x, p) for p in prior_arrays):
+                total += x.nbytes
+        elif isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, (list, tuple)):
+            for v in x:
+                walk(v)
+        elif hasattr(x, "nbytes"):
+            total += x.nbytes
+
+    for name, value in vars(engine).items():
+        if name not in inputs:
+            walk(value)
+    return total

@@ -7,15 +7,15 @@ import pytest
 from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, expected_utility
 from bnesolve.grids import Grid
-from bnesolve.mechanisms import (PAYMENT_RULES, LLGAuction, SingleObjectAuction,
-                                 SplitAwardAuction, TullockContest)
+from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuction,
+                                 TullockContest)
 from bnesolve.presets import get_preset, preset_names
 from bnesolve.priors import (MIN_SAMPLE_COUNT, AffiliatedValuesPrior,
                              BernoulliWeightsLLGPrior, CommonValuePrior, Component,
                              DiscretePrior)
 from bnesolve.strategy import init_strategy
-from oracles import (dense_joint, naive_expected_utility, naive_gradient, prior_from_weights,
-                     tensor_engine)
+from oracles import (dense_joint, held_array_bytes, naive_expected_utility, naive_gradient,
+                     prior_from_weights, tensor_engine)
 
 
 def ipv_setting(kind="fpsb", n=2, k=3, l=3, rho=1.0, seed=0, density=None):
@@ -156,9 +156,11 @@ def test_dense_interdependent_gradients_match_naive():
     """Dense priors are the interdependent ones: on the three-agent common
     value and the affiliated prior, every agent's gradient (so each opponent
     axis before and after the own one) on both paths at risk_rho 1 and on the
-    tensor path at 0.5 agrees with the brute-force oracle; agent 2 of the
-    common value bids on a grid of its own, so the opponents' actions must
-    meet the payoff in agent order."""
+    tensor path at 0.5, there also in chunks of one value, agrees with the
+    brute-force oracle; agent 2 of the common value bids on a grid of its
+    own, so the opponents' actions must meet the payoff in agent order.  At
+    0.5 the three-agent game merges payoff columns, and every engine counts
+    every array it holds."""
     og = [Grid(0, 2, 4)] * 3
     common = CommonValuePrior(3).discretize(og, Grid(0, 1, 3))
     common_grids = [(Grid(0, 1.5, 3),)] * 2 + [(Grid(0, 1.2, 4),)]
@@ -170,16 +172,22 @@ def test_dense_interdependent_gradients_match_naive():
         assert prior.components is None and prior.value_joint is not None
         profile = [init_strategy("random", prior.obs_grids[i], action_grids[i],
                                  prior.marginals[i], seed=4 + i) for i in range(n)]
-        for kind, rho in (("fpsb", 1.0), ("spsb", 1.0), ("fpsb", 0.5)):
+        for kind, rho in (("fpsb", 1.0), ("spsb", 1.0), ("fpsb", 0.5), ("spsb", 0.5)):
             mech = SingleObjectAuction(kind, n, risk_rho=rho)
             engines = [GradientEngine(mech, prior, action_grids)]
             if rho == 1.0:
                 engines.append(tensor_engine(mech, prior, action_grids))
+            else:
+                engines.append(GradientEngine(mech, prior, action_grids, memory_budget=1))
             for agent in range(n):
                 oracle = naive_gradient(mech, prior, profile, agent)
                 for engine in engines:
                     c = engine.gradient(profile, agent)
                     assert np.max(np.abs(c - oracle)) < 1e-12, (n, kind, rho, engine.path, agent)
+            for engine in engines:
+                assert engine.cache_bytes() == held_array_bytes(engine), (n, kind, rho)
+            if n == 3 and rho < 1.0:
+                assert any(engines[0]._merged_parts(a)[2] is not None for a in range(n)), kind
 
 
 def test_gradient_three_agent_llg_matches_naive():
@@ -348,7 +356,7 @@ class OneExpressionEngine(GradientEngine):
     nothing kept between calls."""
 
     def _contract_utilities(self, agent, w, own_vals):
-        a, b, _, _ = self._merged_parts(agent)
+        a, b, _ = self._merged_parts(agent)
         chunk = max(1, int(self.budget // (8 * a.size)))
         c = np.zeros((w.shape[-2], a.shape[0]))
         for s in range(0, own_vals.size, chunk):
@@ -429,53 +437,6 @@ def test_tensor_utility_cache_peaks_at_its_own_bytes(setting):
     assert peak <= engine.cache_bytes() + 2 * row
 
 
-def merging_settings():
-    """(label, mech, prior, action_grids, profile) at risk_rho = 0.5 where
-    payoff columns repeat: the exact LLG prior under every payment rule, on
-    grids where local bid sums repeat, and the three-agent common-value spsb
-    game, whose payoff reads the highest opponent bid."""
-    og = [Grid(0, 1, 3), Grid(0, 1, 3), Grid(0, 2, 3)]
-    prior = BernoulliWeightsLLGPrior(0.5).discretize(og)
-    action_grids = [(Grid(0, 1, 4),), (Grid(0, 1, 4),), (Grid(0, 2, 5),)]
-    profile = [init_strategy("random", og[i], action_grids[i], prior.marginals[i], seed=i)
-               for i in range(3)]
-    for rule in PAYMENT_RULES:
-        yield f"llg_{rule}", LLGAuction(rule, risk_rho=0.5), prior, action_grids, profile
-    og = [Grid(0, 2, 3)] * 3
-    common = CommonValuePrior(3).discretize(og, Grid(0, 1, 4))
-    action_grids = [(Grid(0, 1.5, 5),)] * 3
-    profile = [init_strategy("random", og[i], action_grids[i], common.marginals[i], seed=5 + i)
-               for i in range(3)]
-    yield "common_value", SingleObjectAuction("spsb", 3, risk_rho=0.5), common, action_grids, profile
-
-
-@pytest.mark.parametrize("label", [s[0] for s in merging_settings()])
-def test_merged_tensor_gradients_match_naive(label):
-    """Columns equal in A and in B merge, for some agent of every game, and
-    every agent's merged tensor gradient agrees with the brute-force oracle,
-    in one chunk and in chunks of one own value; the engine counts the merged
-    A and B, their map and the utilities over the merged columns."""
-    _, mech, prior, action_grids, profile = next(s for s in merging_settings() if s[0] == label)
-    oracles = [naive_gradient(mech, prior, profile, agent) for agent in range(3)]
-    merged_any = False
-    for budget in (DEFAULT_MEMORY_BUDGET, 1):
-        engine = GradientEngine(mech, prior, action_grids, memory_budget=budget)
-        assert engine.path == "tensor"
-        for agent in range(3):
-            c = engine.gradient(profile, agent)
-            assert np.max(np.abs(c - oracles[agent])) < 1e-12, (label, budget, agent)
-            a, b, order, starts = engine._merged_parts(agent)
-            full, _ = engine._payoff_columns(agent)
-            merged_any |= order is not None
-            assert a.shape[1] == (full.shape[1] if order is None else starts.size)
-        held = [x for parts in engine._merge_cache.values() for x in parts if x is not None]
-        held += list(engine._utility_cache.values())
-        held += [own for _, terms in engine._views.values() for _, own, _, _ in terms
-                 if own is not None]
-        assert engine.cache_bytes() == sum(x.nbytes for x in held)
-    assert merged_any, label
-
-
 def test_two_bidder_risk_averse_engine_merges_nothing():
     """Under two-bidder risk-averse first price every payoff column is
     distinct, so the tensor path keeps A and B in their own order with no map
@@ -489,8 +450,8 @@ def test_two_bidder_risk_averse_engine_merges_nothing():
     digest = hashlib.sha256()
     for agent in range(2):
         digest.update(engine.gradient(profile, agent).tobytes())
-        a, b, order, starts = engine._merged_parts(agent)
-        assert order is None and starts is None
+        a, b, merge = engine._merged_parts(agent)
+        assert merge is None
         assert all(np.array_equal(x, y) for x, y in zip((a, b), engine._payoff_columns(agent)))
     assert digest.hexdigest()[:16] == "38455ccfcd61afac"
 
@@ -895,7 +856,10 @@ def interleaved_component_settings():
 
 def test_component_prior_gradients_match_naive():
     """Both paths on component priors agree with the brute-force oracle, which
-    weights each cell by the components' mass, summed with loops."""
+    weights each cell by the components' mass, summed with loops; at risk_rho
+    0.5 the tensor path also in chunks of one own value.  There payoff
+    columns merge for some agent of every game, and every engine counts
+    every array it holds."""
     for label, groups, mech, prior, action_grids, profile in [
             *llg_component_settings(), *interleaved_component_settings()]:
         assert prior.components is not None
@@ -904,11 +868,17 @@ def test_component_prior_gradients_match_naive():
         engines = [GradientEngine(mech, prior, action_grids, groups=groups)]
         if mech.risk_rho == 1.0:
             engines.append(tensor_engine(mech, prior, action_grids, groups=groups))
+        else:
+            engines.append(GradientEngine(mech, prior, action_grids, memory_budget=1,
+                                          groups=groups))
         for engine in engines:
             for a in agents:
                 c = engine.gradient(profile, a)
                 assert c.flags.c_contiguous, (label, engine.path, a)
                 assert np.max(np.abs(c - oracles[a])) < 1e-12, (label, engine.path, a)
+            assert engine.cache_bytes() == held_array_bytes(engine), (label, engine.path)
+        if mech.risk_rho < 1.0:
+            assert any(engines[0]._merged_parts(a)[2] is not None for a in agents), label
 
 
 def test_split_award_kernel_one_row_matches_dense():
@@ -994,12 +964,12 @@ def assert_kernel_matches_dense(engine, strategies, agent, label):
     weight rows G x R; returns the gradient."""
     c = engine.gradient(strategies, agent)
     a, b = engine._affine_parts(agent)
-    w = engine._weight_rows(strategies, agent)
+    g, r = engine._opponent_factors(strategies, agent)
+    w = np.multiply.outer(g, r).reshape(g.shape[0], -1)
     wa, wb = w @ a.T, w @ b.T
     dense = engine.prior.obs_grids[agent].points[:, None] * wa + wb
     dense[~(engine.prior.marginals[agent] > 0)] = 0.0
     assert np.max(np.abs(c - dense)) < 1e-12, (label, agent)
-    g, r = engine._opponent_factors(strategies, agent)
     ka, kb = engine._kernels[agent](g, r)
     # one kernel row per row of G: all own observations, or the one they share
     for got, want in ((ka, wa[:g.shape[0]]), (kb, wb[:g.shape[0]])):

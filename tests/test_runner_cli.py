@@ -20,6 +20,7 @@ from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, agent_group
 from bnesolve.presets import get_preset, preset_names
 from bnesolve.runner import run_batch, run_sweep, solve
 from bnesolve.strategy import load_strategy
+from oracles import held_array_bytes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -461,40 +462,6 @@ def test_meta_metrics_are_one_evaluate_at_the_eval_seed(tmp_path, game):
     assert meta["baseline"] == (analytic.id if analytic else None)
     if analytic is None:
         assert meta["notes"] == {}
-
-def held_array_bytes(engine):
-    """Bytes of every array the engine holds beyond its inputs: each array
-    reachable from its attributes other than the mechanism, the prior, the
-    action grids and their flattened tables, and that shares no memory with
-    the prior; objects with ``nbytes`` (kernels) count theirs."""
-    inputs = {"mech", "prior", "action_grids", "flat_actions", "_top_bids"}
-    prior_arrays = [a for a in [*engine.prior.marginals, engine.prior.obs_joint,
-                                engine.prior.value_joint] if a is not None]
-    prior_arrays += [m for c in engine.prior.components or () for _, m in c.blocks]
-    seen, total = set(), 0
-
-    def walk(x):
-        nonlocal total
-        if id(x) in seen:
-            return
-        seen.add(id(x))
-        if isinstance(x, np.ndarray):
-            if not any(np.shares_memory(x, p) for p in prior_arrays):
-                total += x.nbytes
-        elif isinstance(x, dict):
-            for v in x.values():
-                walk(v)
-        elif isinstance(x, (list, tuple)):
-            for v in x:
-                walk(v)
-        elif hasattr(x, "nbytes"):
-            total += x.nbytes
-
-    for name, value in vars(engine).items():
-        if name not in inputs:
-            walk(value)
-    return total
-
 
 @pytest.mark.parametrize("rho", [1.0, 0.5])
 def test_meta_records_exact_llg_prior_and_cache_bytes(tmp_path, rho):
