@@ -50,15 +50,12 @@ prior:
   where its form applies, decided from the opponents R covers; it gets the
   rows and R and never forms A and B.  The split-award kernel sums the
   weights over threshold index ranges with prefix sums; first-price LLG reads
-  R's strict cdf at the locals' bid sums where R is the global's marginal,
-  or sums the global's full rows in the bid sums' ascending order
-  (``LLGFirstPriceKernel``).  Elsewhere the dense A and B, built
-  from one profile of own actions by columns and cached per agent with
-  shape (L_i, columns), meet R in a mat-vec each over the trailing axes
-  where R covers an opponent, and the rows one product each.  The own
-  value then enters as a row scaling on component priors, c_i = o * (G .
-  A_R) + G . B_R (an outer product where G is one row), and on dense priors
-  c_i = (Wv . A + W . B) / marginal; and
+  R's strict cdf at a local's bid sums where R is the global's marginal
+  (``LLGFirstPriceKernel``).  Elsewhere A and B meet R in a mat-vec each
+  over the trailing axes where R covers an opponent, and the rows one
+  product each.  The own value then enters as a row scaling on component
+  priors, c_i = o * (G . A_R) + G . B_R (an outer product where G is one
+  row), and on dense priors c_i = (Wv . A + W . B) / marginal; and
 * ``tensor``: the generic formulation for payoffs ``crra(v*A(b) + B(b))``.
   It takes the weights as (K_i, L_-i) rows (G x R on component priors, one
   stack of rows per shared value on dense ones) and walks the value axis
@@ -67,25 +64,22 @@ prior:
   time.  The memory budget sets the chunk size, not which path runs, and so
   bounds the bytes of ex-post utilities the path holds, give or take one
   value's worth of scratch.  On dense priors it reads the value joint, so
-  the prior must hold it.  The columns are merged first.  Two columns
-  (opponent action profiles, or highest bids) fall in one class where their
-  A and B are equal, as floats, at every own action; they then give equal
-  ex-post utilities.  One ``np.unique`` over an agent's stacked A and B
-  columns finds its classes at its first tensor gradient.  The weights are
-  summed over each class before the contraction, and the utilities are
-  built, and cached, over one column per class, which is exact up to
-  summation order.  Where every column is distinct (two-bidder first price
-  and all-pay), nothing is merged and the bits are those of the unmerged
-  path.  Rows of weights (component priors) are summed by one
-  ``np.bincount`` per row.  The (m, K_i, L_-i) weights of a dense prior are
-  summed by one GEMM with the classes' 0/1 indicator matrix instead, built
-  with the map.  No benchmark workload runs the tensor path on a dense
-  prior, so that choice rests on one-off timings only: on the three-agent
-  common value at 64 points, 4096 columns in 64 classes, 2 cores, the GEMM
-  took 34-37 ms per agent, the bincounts 47-49 ms and the unmerged
-  contraction it replaces 41-46 ms.  The affine path does not merge: there,
-  on the three-agent common value, one GEMM over every column beat merging
-  first.
+  the prior must hold it.
+
+Each agent without a kernel holds one layout of its A and B, built from one
+profile of own actions by columns with shape (L_i, columns) at its first
+gradient and cached.  It is merged wherever the agent's weights reach the
+columns as rows over every opponent's action: on the tensor path, and on the
+affine path where R covers no opponent (the global on the exact LLG prior,
+every agent on a dense prior).  Two columns (opponent action profiles, or
+highest bids) fall in one class where their A and B are equal, as floats, at
+every own action, so they give equal payoffs.  One ``np.unique`` over the
+agent's stacked A and B columns finds its classes.  The weight rows are
+summed over each class, one ``np.bincount`` per row, and meet A and B, or
+the ex-post utilities built from them, over one column per class, which is
+exact up to summation order.  Where every column is distinct (two-bidder
+first price and all-pay), or R covers an opponent on the affine path, A and
+B stay as built.
 
 Both paths agree to floating-point reassociation error.
 """
@@ -193,9 +187,9 @@ class GradientEngine:
     C-contiguous (K_i, L_i) gradient.  A dense prior's arrays are read where
     the prior holds them; no cache copies them.  The tensor path on a dense
     prior needs its value joint, and an engine for it is refused without
-    one.  On the tensor path each agent's A and B are held over its distinct
-    payoff columns, with the map of its classes (the merge rule of the
-    module docstring), from its first gradient on.  ``memory_budget`` sets
+    one.  Each agent without a kernel holds one layout of its A and B, with
+    the classes of its merged columns (the merge rule of the module
+    docstring), from its first gradient on.  ``memory_budget`` sets
     the chunk size along the value axis of the tensor path; it never changes
     which path runs.  One chunk-sized buffer
     serves every chunk of a call and is filled in place, one value at a
@@ -219,7 +213,6 @@ class GradientEngine:
         _validate_groups(self.groups, prior, self.action_grids)
         self.flat_actions = [flatten_action_grids(g) for g in self.action_grids]
         self.budget = memory_budget
-        self._affine_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._merge_cache: dict[int, tuple] = {}
         self._utility_cache: dict[int, np.ndarray] = {}
         self.path = gradient_path(mech)
@@ -253,10 +246,9 @@ class GradientEngine:
         return sorted(self._kernels)
 
     def cache_bytes(self) -> int:
-        """Bytes held by the affine, kernel, merge, utility and scaled
+        """Bytes held by the kernel, payoff-column, utility and scaled
         block-mass caches."""
-        arrays = [x for pair in self._affine_cache.values() for x in pair]
-        arrays += [x for parts in self._merge_cache.values() for x in parts if x is not None]
+        arrays = [x for parts in self._merge_cache.values() for x in parts if x is not None]
         arrays += list(self._utility_cache.values())
         arrays += [own for _, terms in self._views.values() for _, own, _, _ in terms
                    if own is not None]
@@ -285,47 +277,38 @@ class GradientEngine:
         return tuple(np.ascontiguousarray(np.broadcast_to(x, shape))
                      for x in self.mech.affine_parts(agent, profile))
 
-    def _affine_parts(self, agent: int):
-        """``agent``'s dense (A, B) (``_payoff_columns``), cached for the
-        affine path."""
-        if agent not in self._affine_cache:
-            self._affine_cache[agent] = self._payoff_columns(agent)
-        return self._affine_cache[agent]
-
     def _merged_parts(self, agent: int):
-        """``agent``'s (A, B, map) for the tensor path, built at its first call
-        and cached: A and B over its distinct payoff columns, and the map that
-        ``_merge_weights`` reads, each column's class on a component prior and
-        the classes' (columns, classes) 0/1 indicator matrix on a dense one.
-        A class is the columns whose A and B are equal, as floats, at every
-        own action.  Where every column is distinct, A and B as they are, in
-        their own order, and no map (None)."""
+        """``agent``'s one payoff-column layout, (A, B, classes), built at its
+        first call and cached: where its weights reach the columns as rows
+        over every opponent's action (the tensor path, or the affine path
+        where R covers no opponent), A and B over its distinct payoff columns
+        and each column's class.  A class is the columns whose A and B are
+        equal, as floats, at every own action.  Where every column is
+        distinct, or R covers an opponent on the affine path, A and B as they
+        are, in their own order, and no classes (None)."""
         if agent not in self._merge_cache:
             a, b = self._payoff_columns(agent)
-            # one byte string per column; adding 0.0 makes -0.0 read as 0.0
-            key = np.ascontiguousarray(np.concatenate([a, b]).T + 0.0)
-            key = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel()
-            _, first, classes = np.unique(key, return_index=True, return_inverse=True)
-            if first.size == classes.size:
-                self._merge_cache[agent] = (a, b, None)
-            else:
-                if self.prior.components is None:
-                    classes = np.eye(first.size)[classes]
-                self._merge_cache[agent] = (np.ascontiguousarray(a[:, first]),
-                                            np.ascontiguousarray(b[:, first]), classes)
+            parts = (a, b, None)
+            if self.path == "tensor" or not self._trailing(agent):
+                # one byte string per column; adding 0.0 makes -0.0 read as 0.0
+                key = np.ascontiguousarray(np.concatenate([a, b]).T + 0.0)
+                key = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel()
+                _, first, classes = np.unique(key, return_index=True, return_inverse=True)
+                if first.size < classes.size:
+                    parts = (np.ascontiguousarray(a[:, first]),
+                             np.ascontiguousarray(b[:, first]), classes)
+            self._merge_cache[agent] = parts
         return self._merge_cache[agent]
 
     def _merge_weights(self, agent: int, w: np.ndarray) -> np.ndarray:
         """``w``, weights over ``agent``'s payoff columns on its last axis,
-        summed over each class of equal columns (``_merged_parts``): rows by
-        one ``np.bincount`` each; a dense prior's (m, K_i, L_-i) weights by
-        one GEMM with the classes' indicator matrix (module docstring)."""
-        merge = self._merged_parts(agent)[2]
-        if merge is None:
+        summed over each class of equal columns (``_merged_parts``), one
+        ``np.bincount`` per row."""
+        classes = self._merged_parts(agent)[2]
+        if classes is None:
             return w
-        if self.prior.components is None:
-            return (w.reshape(-1, merge.shape[0]) @ merge).reshape(w.shape[:-1] + (-1,))
-        return np.stack([np.bincount(merge, x) for x in w])
+        rows = [np.bincount(classes, x) for x in w.reshape(-1, w.shape[-1])]
+        return np.stack(rows).reshape(w.shape[:-1] + (-1,))
 
     def _opponent_weights(self, w, strategies, agent: int) -> np.ndarray:
         """W[m, k_i, l_-i]: dense prior mass ``w`` times the opponents'
@@ -396,7 +379,7 @@ class GradientEngine:
         highest-bid payoff on an independent prior, R is instead the
         distribution of the opponents' highest bid, prod_j F_j - prod_j (F_j -
         pi_j), a running product over their action marginals pi_j and their
-        cdfs F_j, over the columns of ``_affine_parts``, and G is [[1]]."""
+        cdfs F_j, over the columns of ``_payoff_columns``, and G is [[1]]."""
         if agent in self._top_bids:
             top = below = 1.0
             for j, s in enumerate(strategies):
@@ -454,25 +437,21 @@ class GradientEngine:
 
     def _affine_sums(self, agent: int, ga: np.ndarray, gb: np.ndarray, r: np.ndarray):
         """(ga . A_R, gb . B_R): the mechanism's kernel where it has one for
-        ``agent``, once, or twice where ``gb`` is not ``ga``; else R meets the
-        dense A and B first (``_reduced_parts``), then ga and gb one product
-        each."""
+        ``agent``, once, or twice where ``gb`` is not ``ga``; else A and B of
+        ``_merged_parts`` meet R first where it covers an opponent, one
+        mat-vec each over the trailing axes, or the rows are summed over each
+        class of equal columns where it covers none (``_merge_weights``),
+        then ga and gb one product each."""
         kernel = self._kernels.get(agent)
         if kernel is not None:
             ca, cb = kernel(ga, r)
             return ca, cb if gb is ga else kernel(gb, r)[1]
-        ra, rb = self._reduced_parts(agent, r)
-        return ga @ ra, gb @ rb
-
-    def _reduced_parts(self, agent: int, r: np.ndarray):
-        """``agent``'s dense A and B contracted with ``r`` over the trailing
-        opponents' action axes, each as (columns of G, L_i): A and B
-        themselves where no opponent trails (always so on a dense prior),
-        else one mat-vec over the trailing axes."""
-        a, b = self._affine_parts(agent)
-        if not self._trailing(agent):
-            return a.T, b.T
-        return tuple((x.reshape(-1, r.size) @ r).reshape(x.shape[0], -1).T for x in (a, b))
+        a, b, _ = self._merged_parts(agent)
+        if self._trailing(agent):
+            a, b = ((x.reshape(-1, r.size) @ r).reshape(x.shape[0], -1) for x in (a, b))
+            return ga @ a.T, gb @ b.T
+        wa = self._merge_weights(agent, ga)
+        return wa @ a.T, (wa if gb is ga else self._merge_weights(agent, gb)) @ b.T
 
     def _gradient_tensor(self, strategies, agent: int) -> np.ndarray:
         """c_i[k, l] sums crra(v*A + B) over ``agent``'s distinct payoff

@@ -244,65 +244,47 @@ class LLGAuction(Mechanism):
 
     def affine_kernel(self, agent, action_grids, trailing):
         # core payments are projections, not separable in the bids; under first
-        # price a local's r is the global's action marginal, the global's r = [1]
-        if self.payment_rule != "first_price" or trailing != (() if agent == 2 else (2,)):
+        # price a local's r is the global's action marginal
+        if self.payment_rule != "first_price" or trailing != (2,):
             return None
         return LLGFirstPriceKernel(agent, action_grids)
 
 
 class LLGFirstPriceKernel:
-    """First-price LLG contraction of opponent weights through bid-sum cdfs.
+    """First-price LLG contraction of a local's opponent weights through the
+    global's bid cdf.
 
     Under first price the payoff reads the locals only through their bid sum
     ``b_0 + b_1`` against the global bid ``b_2`` (``LLGAuction.outcome``:
-    the locals win iff the sum is strictly above it, the global iff strictly
-    below), and each winner pays its own bid, so ``B = -b_i * A``.  It has
-    two forms, one per agent kind, and ``LLGAuction.affine_kernel`` returns
-    one only where the weights take it:
-
-    * a local, with ``r`` the global's action marginal and ``g`` over the
-      mate's actions: A contracted with ``r`` is its strict cdf read at
-      ``own + mate``, where the count of global bids strictly below each
-      sum, ``searchsorted(side="left")``, indexes it.  This gives
-      ``A_R[l_mate, l_i]`` in O(L^2), and ``g @ A_R`` the weighted sums.
-    * the global, with ``g`` full rows over both locals' actions and ``r`` =
-      [1]: its A is the sum of the weights over the bid sums strictly below
-      its bid, so each row is summed in the sums' ascending order and read at
-      ``searchsorted(sums, b_2, side="left")``.
-
-    The sums are the same float additions, and the comparisons the same
-    strict inequalities, as in ``outcome``, so ties void the win exactly as
-    there; the (L_i, L_-i) payoff matrices are never formed.
+    the locals win iff the sum is strictly above it), and each winner pays
+    its own bid, so ``B = -b_i * A``.  ``LLGAuction.affine_kernel`` returns
+    one for a local whose ``r`` is the global's action marginal, with ``g``
+    over the mate's actions: A contracted with ``r`` is its strict cdf read at
+    ``own + mate``, where the count of global bids strictly below each sum,
+    ``searchsorted(side="left")``, indexes it.  This gives ``A_R[l_mate,
+    l_i]`` in O(L^2), and ``g @ A_R`` the weighted sums.  The sums are the
+    same float additions, and the comparisons the same strict inequalities,
+    as in ``outcome``, so ties void the win exactly as there; the (L_i,
+    L_-i) payoff matrices are never formed.
     """
 
     def __init__(self, agent: int, action_grids):
         bids = [g[0].points for g in action_grids]
         own = bids[agent]
         self.minus_own = -own
-        if agent == 2:
-            sums = (bids[0][:, None] + bids[1][None, :]).ravel()
-            self.order = np.argsort(sums, kind="stable")
-            self.at = np.searchsorted(sums[self.order], own, side="left")
-        else:
-            # fl(b_0 + b_1) as in outcome (an IEEE addition commutes), the mate's bid on rows
-            sums = own[None, :] + bids[1 - agent][:, None]
-            self.order = None
-            self.at = np.searchsorted(bids[2], sums, side="left")
+        # fl(b_0 + b_1) as in outcome (an IEEE addition commutes), the mate's bid on rows
+        sums = own[None, :] + bids[1 - agent][:, None]
+        self.at = np.searchsorted(bids[2], sums, side="left")
 
     @property
     def nbytes(self) -> int:
-        return sum(x.nbytes for x in (self.minus_own, self.at, self.order) if x is not None)
+        return self.minus_own.nbytes + self.at.nbytes
 
     def __call__(self, g, r):
         """(W . A, W . B) for the weights ``W = g x r`` of ``affine_kernel``."""
-        if self.order is None:  # a local
-            cdf = np.zeros(r.size + 1)
-            np.cumsum(r, out=cdf[1:])
-            a = g @ cdf[self.at]
-        else:  # the global
-            cdf = np.zeros((g.shape[0], g.shape[1] + 1))
-            np.cumsum(g[:, self.order], axis=1, out=cdf[:, 1:])
-            a = cdf[:, self.at]
+        cdf = np.zeros(r.size + 1)
+        np.cumsum(r, out=cdf[1:])
+        a = g @ cdf[self.at]
         return a, a * self.minus_own
 
 

@@ -7,8 +7,8 @@ import pytest
 from bnesolve.config import build_problem, config_from_mapping
 from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, expected_utility
 from bnesolve.grids import Grid
-from bnesolve.mechanisms import (LLGAuction, SingleObjectAuction, SplitAwardAuction,
-                                 TullockContest)
+from bnesolve.mechanisms import (PAYMENT_RULES, LLGAuction, SingleObjectAuction,
+                                 SplitAwardAuction, TullockContest)
 from bnesolve.presets import get_preset, preset_names
 from bnesolve.priors import (MIN_SAMPLE_COUNT, AffiliatedValuesPrior,
                              BernoulliWeightsLLGPrior, CommonValuePrior, Component,
@@ -158,9 +158,9 @@ def test_dense_interdependent_gradients_match_naive():
     axis before and after the own one) on both paths at risk_rho 1 and on the
     tensor path at 0.5, there also in chunks of one value, agrees with the
     brute-force oracle; agent 2 of the common value bids on a grid of its
-    own, so the opponents' actions must meet the payoff in agent order.  At
-    0.5 the three-agent game merges payoff columns, and every engine counts
-    every array it holds."""
+    own, so the opponents' actions must meet the payoff in agent order.  On
+    both paths every agent of the three-agent game merges payoff columns, and
+    every engine counts every array it holds."""
     og = [Grid(0, 2, 4)] * 3
     common = CommonValuePrior(3).discretize(og, Grid(0, 1, 3))
     common_grids = [(Grid(0, 1.5, 3),)] * 2 + [(Grid(0, 1.2, 4),)]
@@ -186,8 +186,9 @@ def test_dense_interdependent_gradients_match_naive():
                     assert np.max(np.abs(c - oracle)) < 1e-12, (n, kind, rho, engine.path, agent)
             for engine in engines:
                 assert engine.cache_bytes() == held_array_bytes(engine), (n, kind, rho)
-            if n == 3 and rho < 1.0:
-                assert any(engines[0]._merged_parts(a)[2] is not None for a in range(n)), kind
+            if n == 3:
+                assert all(engines[0]._merged_parts(a)[2] is not None for a in range(n)), \
+                    (kind, rho)
 
 
 def test_gradient_three_agent_llg_matches_naive():
@@ -596,7 +597,7 @@ def test_split_award_kernel_matches_naive_on_tie_grids():
             assert np.max(np.abs(c - oracle)) < 1e-12, (cost_model, agent)
             assert np.max(np.abs(dense_split_gradient(mech, prior, strategies, agent)
                                  - oracle)) < 1e-12
-        assert not engine._affine_cache
+        assert not engine._merge_cache
 
 
 def test_split_award_kernel_matches_naive_on_interdependent_prior():
@@ -784,8 +785,10 @@ def test_factorized_branch_skips_opponent_weights(monkeypatch):
 
 def test_dense_affine_engine_caches_only_its_dense_parts():
     """On a dense prior the affine path contracts the value-weighted joint
-    and the joint where the prior holds them: after every agent's gradient
-    the engine's caches are each agent's dense A and B, and nothing else."""
+    and the joint where the prior holds them, as full rows, so every agent
+    merges its payoff columns: after every agent's gradient the engine's
+    caches are each agent's merged A and B and its columns' classes, and
+    nothing else."""
     og = [Grid(0, 2, 4)] * 3
     prior = CommonValuePrior(3).discretize(og, Grid(0, 1, 5))
     grids = [(Grid(0, 1.5, 6),)] * 3
@@ -795,8 +798,12 @@ def test_dense_affine_engine_caches_only_its_dense_parts():
     assert engine.path == "affine" and not engine._kernels
     for agent in range(3):
         engine.gradient(profile, agent)
-    # A and B of each agent: 6 own bids by the opponents' 6 x 6 bid profiles
-    assert engine.cache_bytes() == 3 * 2 * 6 * 6 ** 2 * 8
+    # second price reads the opponents through their highest bid: A and B of
+    # each agent are 6 own bids by 6 classes, and the class of each of the
+    # opponents' 6 x 6 bid profiles
+    for agent in range(3):
+        assert engine._merged_parts(agent)[0].shape == (6, 6)
+    assert engine.cache_bytes() == held_array_bytes(engine) == 3 * (2 * 6 * 6 + 6 ** 2) * 8
 
 
 def llg_component_settings():
@@ -958,18 +965,24 @@ def test_gradients_are_c_contiguous():
         assert (path == "kernel") == bool(engine._kernels), label
 
 
-def assert_kernel_matches_dense(engine, strategies, agent, label):
-    """The kernel's own (W . A, W . B) and the gradient it serves agree to
-    1e-12 with the dense ``_affine_parts`` of the engine, contracted with its
-    weight rows G x R; returns the gradient."""
+def assert_matches_dense(engine, strategies, agent, label):
+    """The gradient agrees to 1e-12 with the dense A and B of the engine
+    (``_payoff_columns``), contracted with its weight rows G x R, and so does
+    the kernel's own (W . A, W . B) where the agent has a kernel; where it has
+    none, the gradient came from merged payoff columns.  Returns the
+    gradient."""
     c = engine.gradient(strategies, agent)
-    a, b = engine._affine_parts(agent)
+    a, b = engine._payoff_columns(agent)
     g, r = engine._opponent_factors(strategies, agent)
     w = np.multiply.outer(g, r).reshape(g.shape[0], -1)
     wa, wb = w @ a.T, w @ b.T
     dense = engine.prior.obs_grids[agent].points[:, None] * wa + wb
     dense[~(engine.prior.marginals[agent] > 0)] = 0.0
     assert np.max(np.abs(c - dense)) < 1e-12, (label, agent)
+    if agent not in engine._kernels:
+        merged, _, classes = engine._merged_parts(agent)
+        assert classes is not None and merged.shape[1] < a.shape[1], (label, agent)
+        return c
     ka, kb = engine._kernels[agent](g, r)
     # one kernel row per row of G: all own observations, or the one they share
     for got, want in ((ka, wa[:g.shape[0]]), (kb, wb[:g.shape[0]])):
@@ -1016,33 +1029,48 @@ def llg_tie_settings():
 
 
 def test_llg_first_price_kernel_matches_dense_and_naive_on_tie_grids():
-    # a local's kernel takes R as the global's action marginal alone and the
-    # global's takes full rows with R = [1]; elsewhere dense A and B serve
-    kernel_agents = {"common_value": [2], "independent": []}
-    mech = LLGAuction("first_price")
-    for label, groups, prior, action_grids, profile in llg_tie_settings():
-        bids = [g[0].points for g in action_grids]
-        # exact ties between the locals' bid sum and the global bid
-        assert np.any(np.isin(np.add.outer(bids[0], bids[1]), bids[2])), label
-        engine = GradientEngine(mech, prior, action_grids, groups=groups)
-        assert engine.path == "affine", label
-        assert engine.kernel_agents == kernel_agents.get(label, [0, 1, 2]), label
-        for agent in range(3):
-            oracle = naive_gradient(mech, prior, profile, agent)
-            if prior.components is not None and agent in engine.kernel_agents:
-                c = assert_kernel_matches_dense(engine, profile, agent, label)
-            else:  # dense rows meet the kernel in _affine_sums, or dense A and B serve
-                c = engine.gradient(profile, agent)
-            assert np.max(np.abs(c - oracle)) < 1e-12, (label, agent)
+    """On the affine path under every payment rule, where R covers no
+    opponent (the global on the exact LLG prior, every agent on the common
+    value) the weight rows are summed over merged payoff columns; under
+    first price a local's kernel takes R as the global's action marginal
+    alone.  Both agree with the dense contraction and the oracle; elsewhere
+    unmerged A and B meet R in a mat-vec."""
+    for rule in PAYMENT_RULES:
+        mech = LLGAuction(rule)
+        for label, groups, prior, action_grids, profile in llg_tie_settings():
+            bids = [g[0].points for g in action_grids]
+            # exact ties between the locals' bid sum and the global bid
+            assert np.any(np.isin(np.add.outer(bids[0], bids[1]), bids[2])), label
+            engine = GradientEngine(mech, prior, action_grids, groups=groups)
+            assert engine.path == "affine", label
+            exact = label not in ("common_value", "independent")
+            assert engine.kernel_agents == ([0, 1] if rule == "first_price" and exact else []), \
+                (rule, label)
+            for agent in range(3):
+                oracle = naive_gradient(mech, prior, profile, agent)
+                if prior.components is not None and (agent in engine.kernel_agents
+                                                     or not engine._trailing(agent)):
+                    c = assert_matches_dense(engine, profile, agent, (rule, label))
+                else:  # merged rows on the common value, or R meets unmerged A and B
+                    c = engine.gradient(profile, agent)
+                assert np.max(np.abs(c - oracle)) < 1e-12, (rule, label, agent)
+            # the global merges wherever its weights are full rows, and only there
+            assert (engine._merge_cache[2][2] is None) == (label == "independent"), \
+                (rule, label)
 
 
 @pytest.mark.parametrize("name", [n for n in preset_names()
                                   if n.startswith(("llg_first_price", "split_award"))])
 def test_shipped_kernel_games_take_a_kernel_for_every_agent(name):
-    # no shipped game whose mechanism has a kernel falls back to dense A and B
+    # no agent of a shipped game whose mechanism has a kernel falls back to
+    # unmerged A and B: every split-award supplier and first-price LLG local
+    # takes a kernel, and the first-price global, whose weights are full rows
+    # over both locals' actions, takes merged payoff columns
     engine = build_problem(config_from_mapping(get_preset(name))).engine()
     assert engine.path == "affine"
-    assert engine.kernel_agents == list(range(engine.prior.n_agents))
+    assert engine.kernel_agents == [0, 1]
+    if engine.prior.n_agents == 3:
+        assert not engine._trailing(2) and engine._merged_parts(2)[2] is not None
 
 
 @pytest.mark.parametrize("name", ["llg_first_price_g01", "llg_first_price_g05",
@@ -1057,7 +1085,7 @@ def test_llg_first_price_kernel_matches_dense_on_shipped_grids(name):
                              prior.marginals[i], seed=i) for i in range(3)]
     engine = GradientEngine(problem.mech, prior, problem.action_grids, groups=problem.groups)
     for agent in range(3):
-        assert np.max(np.abs(assert_kernel_matches_dense(engine, profile, agent, name))) > 0.1
+        assert np.max(np.abs(assert_matches_dense(engine, profile, agent, name))) > 0.1
 
 
 def test_llg_first_price_engine_holds_no_dense_parts():
@@ -1068,16 +1096,20 @@ def test_llg_first_price_engine_holds_no_dense_parts():
     engine = GradientEngine(problem.mech, prior, problem.action_grids, groups=problem.groups)
     for agent in range(3):
         engine.gradient(profile, agent)
-    assert not engine._affine_cache
+    # only the global holds payoff columns, merged: its 64 own bids by 64
+    # classes of the locals' 64^2 bid profiles, and each profile's class
+    assert sorted(engine._merge_cache) == [2]
+    a, b, classes = engine._merge_cache[2]
+    assert a.shape == b.shape == (64, 64) and classes.shape == (64 * 64,)
     kernels = engine._kernels
-    # the locals' tables are one 64 x 64 index table each, the global's the
-    # sort order of the 64^2 bid sums and one index per own bid; with each
-    # agent's minus own bids
-    assert [k.nbytes for k in kernels.values()] == [(64 * 64 + 64) * 8] * 2 + \
-        [(64 * 64 + 2 * 64) * 8]
+    # the locals' tables are one 64 x 64 index table each, with each local's
+    # minus own bids
+    assert [k.nbytes for k in kernels.values()] == [(64 * 64 + 64) * 8] * 2
     views = sum(own.nbytes for _, terms in engine._views.values()
                 for _, own, _, _ in terms if own is not None)
-    assert engine.cache_bytes() == views + sum(k.nbytes for k in kernels.values())
+    merged = a.nbytes + b.nbytes + classes.nbytes
+    assert engine.cache_bytes() == held_array_bytes(engine) == \
+        views + merged + sum(k.nbytes for k in kernels.values())
     # core rules and the tensor path have no kernel
     for rule in ("NZ", "NVCG", "NB"):
         assert not GradientEngine(LLGAuction(rule), prior, problem.action_grids)._kernels

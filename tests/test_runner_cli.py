@@ -352,8 +352,9 @@ def test_meta_records_gradient_path_and_cache_bytes(tmp_path):
     # at least one utility chunk of 12 values x 12 x 12 actions per agent
     assert meta["engine_cache_bytes"] >= 2 * 12 ** 3 * 8
     assert meta["kernel_agents"] == []
-    # a kernel computes every agent's gradient in these games, none under a core rule
-    for game, agents in (("llg_first_price", [0, 1, 2]), ("split_award", [0, 1]),
+    # a kernel computes both split-award suppliers' gradients and the first-price
+    # LLG locals', none under a core rule; the first-price global merges columns
+    for game, agents in (("llg_first_price", [0, 1]), ("split_award", [0, 1]),
                          ("llg_core_rule", [])):
         problem = build_problem(replay_cfg(game))
         run_batch(problem, tmp_path / game)
