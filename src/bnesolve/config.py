@@ -16,7 +16,7 @@ import ast
 import hashlib
 import json
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -360,18 +360,20 @@ class Problem:
     """A fully materialized game: mechanism, grids, discretized prior and engine.
 
     The discretized prior and the gradient engine are built on first use and
-    kept, so every run of the problem shares them.  The prior keeps what the
-    mechanism's gradient path reads: a dense prior keeps its value joint only
-    where that path is ``tensor`` (``risk_rho < 1``), and the ``affine`` path
-    reads its value-weighted joint alone; ``value_grid`` is always kept.  A
-    caller that needs the full prior on an affine game (a brute-force oracle)
-    discretizes ``prior_model`` itself.  The engine's caches live
-    as long as the problem: ``run_batch`` does not release them between runs,
-    since every run would refill them, and a caller that is done with a
-    problem drops it.  The one-shot certificate ``relative_utility_loss``
-    (behind ``replay``) does not use this engine.  ``dataclasses.replace``
-    carries the prior over but not the engine, so a copy on another mechanism
-    whose path is ``tensor`` needs its prior discretized anew.
+    kept, so every run of the problem shares them.  The prior holds what the
+    mechanism's gradient path reads: the model builds a dense prior's value
+    joint only where that path is ``tensor`` (``risk_rho < 1``), and never
+    allocates it for the ``affine`` path, which reads the value-weighted
+    joint alone; ``value_grid`` is always kept.  A caller that needs the full
+    prior on an affine game (a brute-force oracle) discretizes
+    ``prior_model`` itself, which builds the value joint by default.  The
+    engine's caches live as long as the problem: ``run_batch`` does not
+    release them between runs, since every run would refill them, and a
+    caller that is done with a problem drops it.  The one-shot certificate
+    ``relative_utility_loss`` (behind ``replay``) does not use this engine.
+    ``dataclasses.replace`` carries the prior over but not the engine, so a
+    copy on another mechanism whose path is ``tensor`` needs its prior
+    discretized anew.
     """
 
     config: RunConfig
@@ -387,10 +389,9 @@ class Problem:
 
     def discretize(self):
         if self.prior is None:
-            prior = self.prior_model.discretize(self.obs_grids, self.value_grid)
-            if prior.value_joint is not None and gradient_path(self.mech) == "affine":
-                prior = replace(prior, value_joint=None)
-            self.prior = prior
+            self.prior = self.prior_model.discretize(
+                self.obs_grids, self.value_grid,
+                value_joint=gradient_path(self.mech) == "tensor")
         return self.prior
 
     @property

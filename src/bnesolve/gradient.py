@@ -219,7 +219,7 @@ class GradientEngine:
         if self.path == "tensor" and prior.obs_joint is not None and prior.value_joint is None:
             raise ValueError("the tensor path needs the dense prior's value joint, and this "
                              "prior holds only its value-weighted joint (Problem.discretize "
-                             "keeps the value joint only where risk_rho < 1)")
+                             "builds the value joint only where risk_rho < 1)")
         # agent -> the one bid grid of its opponents, for agents whose
         # opponents' weights are the distribution of their highest bid
         self._top_bids: dict[int, np.ndarray] = {}

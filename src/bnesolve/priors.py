@@ -12,14 +12,17 @@ and the common-value model integrates each cell over the shared value.
 ``"binned"``: the affiliated-values latent model estimates them by counting
 Monte-Carlo draws at their nearest grid points.  The two interdependent
 models give all agents one shared value on one value grid; their dense
-priors hold the mass weighted by that value (``value_weighted``) and, until
-dropped, the full value joint it is contracted from.
+priors hold the mass weighted by that value (``value_weighted``) and, where
+asked for, the full value joint it is contracted from.
 
 Each continuous prior model owns what its discretization reads: its
 observation supports (``obs_bounds``), the support of the shared value
 (``value_bounds``, ``None`` for private values) and, for the binned
 affiliated model, the draw count and seed given to its constructor.  So every
-model's ``discretize`` takes the grids alone.
+model's ``discretize`` takes the grids alone, and ``value_joint=False``
+when the caller reads the value-weighted joint alone: the interdependent
+models then never build the value joint, and private values hold none
+either way.
 """
 
 from __future__ import annotations
@@ -68,13 +71,17 @@ class DiscretePrior:
 
     A dense prior is always interdependent: all agents share one value on
     ``value_grid``.  It always holds ``value_weighted``, the observation-space
-    mass weighted by the shared value, ``sum_m v_m * value_joint[m]``, which
-    is all the affine gradient path reads of the value.  ``value_joint``, the
-    mass over (shared value) x (all observations), is held where the tensor
-    path needs it: ``Problem.discretize`` drops it from a risk-neutral game's
-    prior.  Where it is held it sums back to ``obs_joint`` and weights back to
-    ``value_weighted``, which that contraction fills when it is not given.  A
-    dense prior with neither is refused.
+    mass weighted by the shared value, which is all the affine gradient path
+    reads of the value.  ``value_joint``, the mass over (shared value) x (all
+    observations), is held where the tensor path needs it: for a risk-neutral
+    game ``Problem.discretize`` asks the model not to build it.
+    ``value_weighted`` always follows one rule, ``_value_weighted``: the sum
+    of ``v_m * value_joint[m]`` in value order, so a prior built without its
+    value joint holds the same bits as one built with it.  Where the value
+    joint is held it sums back to ``obs_joint`` and weights back to
+    ``value_weighted``, which that rule fills when it is not given.  A dense
+    prior with neither is refused.  ``nbytes`` counts every mass array the
+    prior holds.
     """
 
     obs_grids: tuple[Grid, ...]
@@ -92,8 +99,7 @@ class DiscretePrior:
                                                     for i, m in enumerate(self.marginals))),)
         if self.value_weighted is None and self.value_joint is not None and \
                 self._value_joint_fits():
-            self.value_weighted = np.tensordot(self.value_grid.points, self.value_joint,
-                                               axes=(0, 0))
+            self.value_weighted = _value_weighted(self.value_grid.points, self.value_joint)
         self.validate()
 
     def _value_joint_fits(self) -> bool:
@@ -116,6 +122,16 @@ class DiscretePrior:
         # read by perfbench/spans.py: drop this when perfbench is next edited
         return None if self.value_joint is None else (self.value_joint,)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every mass array the prior holds, each counted once (an
+        independent prior's blocks are its marginals); the grids belong to the
+        problem and are not counted."""
+        arrays = [*self.marginals, self.obs_joint, self.value_joint, self.value_weighted]
+        arrays += [mass for c in self.components or () for _, mass in c.blocks]
+        held = {id(a): a for a in arrays if a is not None}
+        return sum(a.nbytes for a in held.values())
+
     def validate(self):
         n = len(self.obs_grids)
         if len(self.marginals) != n:
@@ -133,29 +149,33 @@ class DiscretePrior:
                                  "joint: private values are held as components")
             if self.obs_joint.shape != tuple(g.count for g in self.obs_grids):
                 raise ValueError("obs_joint shape must match observation grids")
-            if abs(self.obs_joint.sum() - 1.0) > 1e-10 or np.any(self.obs_joint < 0):
-                raise ValueError("obs_joint must be a probability mass (sum 1 within 1e-10)")
+            # each bound is written ``not (x <= tol)``, so that NaN mass fails it
+            if not abs(self.obs_joint.sum() - 1.0) <= 1e-10 or np.any(self.obs_joint < 0):
+                raise ValueError("obs_joint must be a probability mass (finite, sum 1 within "
+                                 "1e-10)")
             for i in range(n):
                 axes = tuple(a for a in range(n) if a != i)
                 marg = self.obs_joint.sum(axis=axes)
-                if np.max(np.abs(marg - self.marginals[i])) > 1e-8:
+                if not np.max(np.abs(marg - self.marginals[i])) <= 1e-8:
                     raise ValueError(f"obs_joint does not marginalize to agent {i}'s marginal")
         else:
             self._validate_components()
         if self.value_joint is not None and not self._value_joint_fits():
             raise ValueError("value joint needs a value grid and obs_joint of its shape")
-        if self.value_weighted is not None and (
-                self.obs_joint is None or self.value_weighted.shape != self.obs_joint.shape):
-            raise ValueError("value-weighted joint needs an obs_joint of its shape")
+        if self.value_weighted is not None:
+            if self.obs_joint is None or self.value_weighted.shape != self.obs_joint.shape:
+                raise ValueError("value-weighted joint needs an obs_joint of its shape")
+            if not np.isfinite(self.value_weighted).all():
+                raise ValueError("value_weighted holds a NaN or infinite entry")
         if self.value_joint is not None:
             # the plain and the value-weighted sums in one pass over the value joint
             ones_and_values = np.stack([np.ones(self.value_grid.count), self.value_grid.points])
             total, weighted = np.tensordot(ones_and_values, self.value_joint, axes=(1, 0))
-            if np.max(np.abs(total - self.obs_joint)) > 1e-10:
-                raise ValueError("value joint does not sum back to obs_joint")
+            if not np.max(np.abs(total - self.obs_joint)) <= 1e-10:
+                raise ValueError("value_joint does not sum back to obs_joint (or holds a NaN)")
             if self.value_weighted is None or \
-                    np.max(np.abs(weighted - self.value_weighted)) > 1e-10:
-                raise ValueError("value joint does not weight back to the value-weighted joint")
+                    not np.max(np.abs(weighted - self.value_weighted)) <= 1e-10:
+                raise ValueError("value_joint does not weight back to the value-weighted joint")
 
     def _validate_components(self):
         """Positive weights summing to one; blocks that partition the agents,
@@ -174,15 +194,34 @@ class DiscretePrior:
                         mass.shape != tuple(self.obs_grids[a].count for a in agents):
                     raise ValueError("block mass shape must match its agents' grids, "
                                      "in ascending agent order")
-                if np.any(mass < 0) or abs(mass.sum() - 1.0) > 1e-12:
+                if np.any(mass < 0) or not abs(mass.sum() - 1.0) <= 1e-12:
                     raise ValueError("block masses must be probability masses "
-                                     "(sum 1 within 1e-12)")
+                                     "(finite, sum 1 within 1e-12)")
                 for pos, a in enumerate(agents):
                     rest = tuple(x for x in range(len(agents)) if x != pos)
                     marginals[a] += c.weight * mass.sum(axis=rest)
         for i in range(n):
-            if np.max(np.abs(marginals[i] - self.marginals[i])) > 1e-8:
+            if not np.max(np.abs(marginals[i] - self.marginals[i])) <= 1e-8:
                 raise ValueError(f"components do not marginalize to agent {i}'s marginal")
+
+
+def _weigh_by_value(value_weighted, v, mass):
+    """Add value ``v``'s cell ``mass`` to ``value_weighted`` in place.
+
+    The one rule for a prior's value-weighted joint: ``v_m * joint[m]`` added
+    to zeros value cell by value cell, in value order.  A model that never
+    builds the value joint adds each cell as it computes it, and so gets the
+    bits of ``_value_weighted`` over the full joint.
+    """
+    value_weighted += v * mass
+
+
+def _value_weighted(points, value_joint):
+    """The value-weighted joint of a value joint, by ``_weigh_by_value``."""
+    value_weighted = np.zeros(value_joint.shape[1:])
+    for v, mass in zip(points, value_joint):
+        _weigh_by_value(value_weighted, v, mass)
+    return value_weighted
 
 
 def draw_chunks(sample, rng, count: int, chunk: int):
@@ -283,8 +322,8 @@ def _symmetrize(obs_joint, value_joint, groups):
 
 
 def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAULT_SAMPLE_COUNT,
-                      seed: int = 0, *, symmetry_groups=None,
-                      meta: dict | None = None) -> DiscretePrior:
+                      seed: int = 0, *, symmetry_groups=None, meta: dict | None = None,
+                      value_joint: bool = True) -> DiscretePrior:
     """Empirical discrete prior from a latent-variable sampler.
 
     ``sampler(rng, size)`` must return ``(values, observations)`` arrays of
@@ -298,7 +337,9 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
     observation point with zero empirical mass are errors.  ``meta`` records
     the construction (``"binned"``), the sample count, the seed and the number
     of empty ``obs_joint`` cells (cells off the support of a singular joint
-    may be empty; the marginals may not).
+    may be empty; the marginals may not).  The value-weighted joint is taken
+    from the binned value joint, which the prior then holds only with
+    ``value_joint``.
     """
     if value_grid is None:
         raise ValueError("a binned prior needs a value grid for the shared value")
@@ -307,14 +348,17 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
                          "too noisy")
     obs_grids = tuple(obs_grids)
     # normalized in place, no second copy
-    value_joint = _bin_counts(sampler, value_grid, obs_grids, int(sample_count), seed)
+    counts = _bin_counts(sampler, value_grid, obs_grids, int(sample_count), seed)
     n = len(obs_grids)
-    obs_joint = value_joint.sum(axis=0)
+    obs_joint = counts.sum(axis=0)
     total = float(obs_joint.sum())
     obs_joint /= total
-    value_joint /= total
+    counts /= total
     if symmetry_groups:
-        obs_joint, value_joint = _symmetrize(obs_joint, value_joint, symmetry_groups)
+        obs_joint, counts = _symmetrize(obs_joint, counts, symmetry_groups)
+    value_weighted = _value_weighted(value_grid.points, counts)
+    if not value_joint:
+        counts = None
     marginals = []
     for i in range(n):
         axes = tuple(a for a in range(n) if a != i)
@@ -333,8 +377,8 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
     info = {"construction": "binned", "sample_count": int(sample_count), "seed": int(seed),
             "empty_cells": int(np.count_nonzero(obs_joint == 0))}
     info.update(meta or {})
-    return DiscretePrior(obs_grids, tuple(marginals), obs_joint,
-                         value_grid=value_grid, value_joint=value_joint, meta=info)
+    return DiscretePrior(obs_grids, tuple(marginals), obs_joint, value_grid=value_grid,
+                         value_joint=counts, meta=info, value_weighted=value_weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +501,8 @@ class IndependentPrivatePrior:
         obs = np.column_stack([s.sample(rng, size) for s in self.marginal_specs])
         return obs, obs
 
-    def discretize(self, obs_grids, value_grid=None) -> DiscretePrior:
+    def discretize(self, obs_grids, value_grid=None, *, value_joint: bool = True
+                   ) -> DiscretePrior:
         marginals = tuple(_cell_masses(g, s) for g, s in zip(obs_grids, self.marginal_specs))
         return DiscretePrior(tuple(obs_grids), marginals, None,
                              meta={"kind": self.kind, "construction": "exact"})
@@ -481,6 +526,11 @@ class CommonValuePrior:
     nodes' weighted rank-one terms; each cell then takes the mass computed
     for its signal cells in ascending order, so the joint is exchangeable to
     the bit, as a stored run's certificate needs to replay on every agent.
+    Each value cell's mass is added to ``obs_joint`` and, weighted by its
+    value, to ``value_weighted`` as soon as it is computed.  With
+    ``value_joint=False`` it is computed into one reused scratch array, so
+    the (value x observations) array is never allocated; the two joints kept
+    are the same to the bit either way.
     """
 
     kind = "common_value"
@@ -500,7 +550,8 @@ class CommonValuePrior:
         values = np.repeat(value[:, None], self.n_agents, axis=1)
         return values, obs
 
-    def discretize(self, obs_grids, value_grid=None) -> DiscretePrior:
+    def discretize(self, obs_grids, value_grid=None, *, value_joint: bool = True
+                   ) -> DiscretePrior:
         # imported here: numpy.polynomial is not loaded with numpy itself
         from numpy.polynomial.legendre import leggauss
 
@@ -529,23 +580,28 @@ class CommonValuePrior:
         cell_of_piece = np.searchsorted(value_hi[:-1], (lo + hi) / 2)
         rows = np.searchsorted(cell_of_piece, np.arange(value_grid.count + 1)) * GAUSS_NODES
         obs_shape = (grid.count,) * n
-        canonical = np.ravel_multi_index(np.sort(np.indices(obs_shape).reshape(n, -1), axis=0),
-                                         obs_shape)
-        value_joint = np.empty((value_grid.count,) + obs_shape)
-        obs_joint = np.zeros(obs_shape)
+        # grid indices in the smallest int type that holds them: the sort's copy is small
+        index = np.indices(obs_shape, dtype=np.min_scalar_type(grid.count)).reshape(n, -1)
+        canonical = np.ravel_multi_index(np.sort(index, axis=0), obs_shape)
+        del index
+        joint = np.empty((value_grid.count,) + obs_shape) if value_joint else None
+        scratch = None if value_joint else np.empty(obs_shape)
+        obs_joint, value_weighted = np.zeros(obs_shape), np.zeros(obs_shape)
         computed = np.empty((grid.count, grid.count ** (n - 1)))
-        for m in range(value_grid.count):
+        for m, v in enumerate(value_grid.points):
             f = cell_prob[rows[m]:rows[m + 1]]
             others = f
             for _ in range(n - 2):
                 others = (others[:, :, None] * f[:, None, :]).reshape(len(f), -1)
             np.matmul((weights[rows[m]:rows[m + 1], None] * f).T, others, out=computed)
-            np.take(computed.ravel(), canonical, out=value_joint[m].ravel())
-            obs_joint += value_joint[m]
+            cell = scratch if joint is None else joint[m]
+            np.take(computed.ravel(), canonical, out=cell.ravel())
+            obs_joint += cell
+            _weigh_by_value(value_weighted, v, cell)
         meta = {"kind": self.kind, "construction": "exact",
                 "empty_cells": int(np.count_nonzero(obs_joint == 0))}
         return DiscretePrior(obs_grids, (marginal,) * n, obs_joint, value_grid=value_grid,
-                             value_joint=value_joint, meta=meta)
+                             value_joint=joint, meta=meta, value_weighted=value_weighted)
 
 
 class AffiliatedValuesPrior:
@@ -574,10 +630,11 @@ class AffiliatedValuesPrior:
         value = 0.5 * (w[:, 0] + w[:, 1]) + w[:, 2]
         return np.repeat(value[:, None], 2, axis=1), obs
 
-    def discretize(self, obs_grids, value_grid=None) -> DiscretePrior:
+    def discretize(self, obs_grids, value_grid=None, *, value_joint: bool = True
+                   ) -> DiscretePrior:
         return joint_from_latent(self.sample, value_grid, obs_grids, self.sample_count,
                                  self.seed, symmetry_groups=self.symmetry_groups(),
-                                 meta={"kind": self.kind})
+                                 meta={"kind": self.kind}, value_joint=value_joint)
 
 
 class BernoulliWeightsLLGPrior:
@@ -617,7 +674,8 @@ class BernoulliWeightsLLGPrior:
         values = np.column_stack([v1, v2, v3])
         return values, values
 
-    def discretize(self, obs_grids, value_grid=None) -> DiscretePrior:
+    def discretize(self, obs_grids, value_grid=None, *, value_joint: bool = True
+                   ) -> DiscretePrior:
         obs_grids = tuple(obs_grids)
         specs = [UniformMarginal(lo, hi) for lo, hi in self.obs_bounds]
         marginals = tuple(_cell_masses(g, s) for g, s in zip(obs_grids, specs))

@@ -288,6 +288,7 @@ def _run_once(problem: Problem, run_dir: Path, run_seed, analytic, *,
         "gradient_path": result.gradient_path,
         "kernel_agents": result.kernel_agents,
         "engine_cache_bytes": result.engine_cache_bytes,
+        "prior_bytes": problem.prior.nbytes,
         "prior": problem.prior.meta,
         "baseline": report.baseline_id if report else None,
         "eval_samples": cfg.eval_samples, "eval_seed": eval_seed,

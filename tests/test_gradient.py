@@ -505,8 +505,8 @@ def value_axis_problem(name, **settings):
 
 @pytest.mark.parametrize("name", ["common_value_spsb", "affiliated_fpsb"])
 def test_affine_problem_drops_the_value_joint_to_the_bit(name):
-    """A risk-neutral problem's prior holds no value joint, since its affine
-    path reads the value-weighted joint alone, and every agent's gradient on
+    """A risk-neutral problem's prior never builds the value joint, since its
+    affine path reads the value-weighted joint alone, and every agent's gradient on
     it equals, to the bit, the gradient on the model's full prior, the one
     the brute-force oracles read.  At risk_rho = 0.5 the tensor path runs,
     and the problem keeps the value joint."""

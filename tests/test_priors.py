@@ -3,6 +3,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +37,12 @@ def check_invariants(prior):
         assert np.max(np.abs(joint.sum(axis=axes) - m)) <= 1e-8
     if prior.value_joint is not None:
         assert np.max(np.abs(prior.value_joint.sum(axis=0) - prior.obs_joint)) <= 1e-10
-        # the value-weighted joint is the value axis contracted, to the bit
-        assert np.array_equal(prior.value_weighted, np.tensordot(
-            prior.value_grid.points, prior.value_joint, axes=(0, 0)))
+        # the value-weighted joint is the value axis contracted, to the bit,
+        # as the in-order sum over the value cells
+        weighted = np.zeros(prior.obs_joint.shape)
+        for v, mass in zip(prior.value_grid.points, prior.value_joint):
+            weighted += v * mass
+        assert np.array_equal(prior.value_weighted, weighted)
         # the interdependent models are exchangeable: swapping two agents'
         # observation axes leaves the one value joint unchanged
         swap = (0, 2, 1) + tuple(range(3, n + 1))
@@ -356,7 +360,30 @@ def test_common_value_prior_reads_no_draws():
             for samples, seed in [(1000, 1), (1 << 22, 987654321)])
     assert a.meta == b.meta == {"kind": "common_value", "construction": "exact",
                                 "empty_cells": 0}
-    assert np.array_equal(a.value_joint, b.value_joint)
+    assert np.array_equal(a.obs_joint, b.obs_joint)
+    assert np.array_equal(a.value_weighted, b.value_weighted)
+
+
+def test_affine_common_value_problem_never_allocates_the_value_joint():
+    """For the risk-neutral ``common_value_spsb`` at its shipped settings, the
+    problem's prior never allocates the (value x observations) joint: set-up
+    peaks below 4 times the bytes the prior keeps, itself far below that
+    joint's bytes.  At risk_rho = 0.5 the tensor path runs, and the problem
+    holds the value joint as well."""
+    problem = build_problem(config_from_mapping(get_preset("common_value_spsb")))
+    tracemalloc.start()
+    try:
+        prior = problem.discretize()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    value_joint_bytes = problem.value_grid.count * prior.obs_joint.nbytes
+    assert prior.value_joint is None and prior.value_weighted is not None
+    assert peak < 4 * prior.nbytes < value_joint_bytes
+    risk_averse = build_problem(config_from_mapping({**get_preset("common_value_spsb"),
+                                                     "risk_rho": 0.5})).discretize()
+    assert risk_averse.value_joint.nbytes == value_joint_bytes
+    assert risk_averse.nbytes == prior.nbytes + value_joint_bytes
 
 
 MODELS = [IndependentPrivatePrior([UniformMarginal(0.0, 1.0), UniformMarginal(0.0, 2.0)]),
@@ -369,8 +396,12 @@ MODELS = [IndependentPrivatePrior([UniformMarginal(0.0, 1.0), UniformMarginal(0.
 def test_models_own_their_value_range_and_binning_settings(model):
     """Every model discretizes from the grids alone, the binned affiliated
     model with its binning settings given to its constructor; it states the
-    support of the shared value, and no value range for private values."""
-    assert list(inspect.signature(model.discretize).parameters) == ["obs_grids", "value_grid"]
+    support of the shared value, and no value range for private values.
+    ``value_joint=False``, keyword only, leaves the value joint unbuilt and
+    every array the prior keeps the same to the bit."""
+    signature = inspect.signature(model.discretize)
+    assert list(signature.parameters) == ["obs_grids", "value_grid", "value_joint"]
+    assert signature.parameters["value_joint"].kind is inspect.Parameter.KEYWORD_ONLY
     obs_grids = [Grid(lo, hi, 6) for lo, hi in model.obs_bounds]
     value_grid = None if model.value_bounds is None else \
         Grid(*model.value_bounds, 5)
@@ -378,6 +409,10 @@ def test_models_own_their_value_range_and_binning_settings(model):
     check_invariants(prior)
     private = model.kind in ("independent", "bernoulli_llg")
     assert (model.value_bounds is None) == private == (prior.value_joint is None)
+    lean = model.discretize(obs_grids, value_grid, value_joint=False)
+    assert lean.value_joint is None and lean.meta == prior.meta
+    for name in ("marginals", "obs_joint", "value_weighted"):
+        assert np.array_equal(getattr(lean, name), getattr(prior, name)), name
     assert (prior.meta["construction"] == "binned") == (model.kind == "affiliated")
     if model.kind == "affiliated":
         assert prior.meta["sample_count"] == model.sample_count == 100_000
@@ -549,6 +584,44 @@ def malformed_priors():
                          ids=[message for _, message in malformed_priors()])
 def test_discrete_prior_refuses_malformed_input(arguments, message):
     with pytest.raises(ValueError, match=message):
+        DiscretePrior(**arguments)
+
+
+def non_finite_priors():
+    """(arguments of ``DiscretePrior``, the array named in its refusal): a
+    valid two-agent prior with one entry of one mass array made NaN or
+    infinite.  The value joint's case gives its valid value-weighted joint,
+    so that only the value joint is broken."""
+    g3, g2 = Grid(0, 1, 3), Grid(0, 1, 2)
+    m3 = np.array([0.25, 0.5, 0.25])
+    joint = np.multiply.outer(m3, m3)
+    dense = dict(obs_grids=(g3, g3), marginals=(m3, m3), obs_joint=joint, value_grid=g2,
+                 value_weighted=joint / 2)
+
+    def broken(array, bad=np.nan):
+        out = np.array(array)
+        out.flat[1] = bad
+        return out
+
+    values = np.stack([joint / 2, joint / 2])
+    blocks = (((0,), broken(m3)), ((1,), m3))
+    return [
+        (dict(dense, obs_joint=broken(joint)), "obs_joint"),
+        (dict(dense, value_joint=broken(values)), "value_joint"),
+        (dict(dense, obs_joint=None, value_grid=None, value_weighted=None,
+              components=(Component(1.0, blocks),)), "block mass"),
+        (dict(dense, value_weighted=broken(joint)), "value_weighted"),
+        (dict(dense, value_weighted=broken(joint, np.inf)), "value_weighted"),
+    ]
+
+
+@pytest.mark.parametrize("arguments, name", non_finite_priors(),
+                         ids=["obs_joint", "value_joint", "block_mass", "value_weighted_nan",
+                              "value_weighted_inf"])
+def test_discrete_prior_refuses_non_finite_mass(arguments, name):
+    """A NaN fails every ``x > tol`` check, so each bound is written to fail
+    it; the refusal names the array, long before the first gradient."""
+    with pytest.raises(ValueError, match=name):
         DiscretePrior(**arguments)
 
 

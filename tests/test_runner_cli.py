@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -18,6 +19,7 @@ from bnesolve.config import (RunConfig, _compile_density, build_problem,
 from bnesolve.evaluate import DEFAULT_EVAL_SAMPLES, evaluate, lookup_analytic
 from bnesolve.gradient import DEFAULT_MEMORY_BUDGET, GradientEngine, agent_groups
 from bnesolve.presets import get_preset, preset_names
+from bnesolve.priors import Component
 from bnesolve.runner import run_batch, run_sweep, solve
 from bnesolve.strategy import load_strategy
 from oracles import held_array_bytes
@@ -337,14 +339,40 @@ def test_run_batch_artifacts(tmp_path):
     assert summary.mean("L_agent0") is not None
 
 
+def held_mass_bytes(prior):
+    """Bytes of every distinct array reachable from the prior's fields,
+    through tuples and components; the grids are not arrays."""
+    seen, total = set(), 0
+
+    def walk(x):
+        nonlocal total
+        if id(x) in seen:
+            return
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            total += x.nbytes
+        elif isinstance(x, (list, tuple)):
+            for v in x:
+                walk(v)
+        elif isinstance(x, Component):
+            walk(x.blocks)
+
+    for f in dataclasses.fields(prior):
+        walk(getattr(prior, f.name))
+    return total
+
+
 def test_meta_records_gradient_path_and_cache_bytes(tmp_path):
-    run_batch(build_problem(fast_cfg(runs=1, iterations=20)), tmp_path / "sym")
+    problem = build_problem(fast_cfg(runs=1, iterations=20))
+    run_batch(problem, tmp_path / "sym")
     meta = json.loads((tmp_path / "sym" / "run_000" / "meta.json").read_text())
     assert meta["gradient_path"] == "affine"
     # A and B on the 12 x 12 (own bid x highest opponent bid) grid, of the one
     # agent whose gradient a run of one group takes
     assert meta["engine_cache_bytes"] == 2 * 12 * 12 * 8
     assert meta["kernel_agents"] == []
+    # the two 12-point marginals, which are also the one component's blocks
+    assert meta["prior_bytes"] == held_mass_bytes(problem.prior) == 2 * 12 * 8
     cfg = fast_cfg(runs=1, iterations=20, risk_rho=0.5, symmetric=False)
     run_batch(build_problem(cfg), tmp_path / "ra")
     meta = json.loads((tmp_path / "ra" / "run_000" / "meta.json").read_text())
@@ -355,11 +383,16 @@ def test_meta_records_gradient_path_and_cache_bytes(tmp_path):
     # a kernel computes both split-award suppliers' gradients and the first-price
     # LLG locals', none under a core rule; the first-price global merges columns
     for game, agents in (("llg_first_price", [0, 1]), ("split_award", [0, 1]),
-                         ("llg_core_rule", [])):
+                         ("llg_core_rule", []), ("common_value", [])):
         problem = build_problem(replay_cfg(game))
         run_batch(problem, tmp_path / game)
         meta = json.loads((tmp_path / game / "run_000" / "meta.json").read_text())
         assert meta["kernel_agents"] == problem.engine().kernel_agents == agents, game
+        assert meta["prior_bytes"] == problem.prior.nbytes == held_mass_bytes(problem.prior)
+    # the affine common-value run holds no value joint: its 6^3 obs_joint and
+    # value-weighted joint, and the one marginal its three agents share
+    assert problem.prior.value_joint is None
+    assert meta["prior_bytes"] == (2 * 6 ** 3 + 6) * 8
 
 
 def test_meta_records_prior_discretization(tmp_path):
