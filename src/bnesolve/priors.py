@@ -23,6 +23,14 @@ model's ``discretize`` takes the grids alone, and ``value_joint=False``
 when the caller reads the value-weighted joint alone: the interdependent
 models then never build the value joint, and private values hold none
 either way.
+
+The independent marginals draw one way: each defines its ``cdf`` and its
+inverse ``ppf``, and ``sample`` is ``ppf`` of ``rng.random`` uniforms.  The
+uniform's ``ppf`` is ``rng.uniform``'s arithmetic, so its draws are
+``rng.uniform``'s to the bit.  The custom density inverts its tabulated cdf,
+and the truncated Gaussian a table of its exact tail, at ``CDF_TABLE_SIZE``
+points: its draws lie within 1e-8 of the exact inverse cdf's on the tested
+intervals.
 """
 
 from __future__ import annotations
@@ -36,8 +44,8 @@ from .grids import Grid
 
 DEFAULT_SAMPLE_COUNT = 1_000_000
 MIN_SAMPLE_COUNT = 100_000
-_BIN_CHUNK = 1 << 20
-CDF_TABLE_SIZE = 8193  # points of the tabulated cdf of a custom density
+_BIN_CHUNK = 1 << 16
+CDF_TABLE_SIZE = 8193  # points of a custom density's cdf table and a Gaussian's tail table
 GAUSS_NODES = 16  # Gauss-Legendre nodes per smooth piece of the common-value integral
 
 
@@ -387,57 +395,91 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
 # ---------------------------------------------------------------------------
 
 # the probability that a standard normal exceeds t, elementwise, from
-# math.erfc: discretizing does not import scipy
+# math.erfc: the truncated Gaussian's exact cdf and its tabulated inverse
+# (within 1e-8 of the exact one on the tested intervals) both read it, so
+# neither discretizing nor drawing needs scipy
 _upper_tail = np.vectorize(lambda t: 0.5 * math.erfc(t / math.sqrt(2.0)), otypes=[float])
 
+
+class _InverseCdfSampling:
+    """The one draw rule of the marginals: each defines its ``cdf`` and its
+    inverse ``ppf``, and a draw is ``ppf`` of a uniform from ``rng.random``."""
+
+    def sample(self, rng, size):
+        return self.ppf(rng.random(size))
+
+
 @dataclass(frozen=True)
-class UniformMarginal:
+class UniformMarginal(_InverseCdfSampling):
     lower: float
     upper: float
 
     def cdf(self, x):
         return (np.asarray(x, dtype=np.float64) - self.lower) / (self.upper - self.lower)
 
-    def sample(self, rng, size):
-        return rng.uniform(self.lower, self.upper, size)
+    def ppf(self, u):
+        # the arithmetic of rng.uniform, so its draws are rng.uniform's to the bit
+        return self.lower + (self.upper - self.lower) * u
 
 
 @dataclass(frozen=True)
-class TruncatedGaussianMarginal:
+class TruncatedGaussianMarginal(_InverseCdfSampling):
+    """A Gaussian truncated to [lower, upper].
+
+    ``cdf`` is exact, from ``math.erfc``.  It is read from the tail on the
+    interval's side of the mean (``s`` mirrors the axis when that is the lower
+    tail), so an interval far out in a tail keeps its digits; one with no mass
+    in double precision is refused.  ``ppf`` inverts the same tail, tabulated
+    once at ``CDF_TABLE_SIZE`` equidistant points, by linear interpolation in
+    its logarithm, which is close to linear in x even far out in a tail: it
+    lies within 1e-8 of the exact inverse on the intervals of the tests,
+    tail intervals included.
+    """
+
     mu: float
     sigma: float
     lower: float
     upper: float
+    _table: tuple = field(init=False, repr=False, compare=False)
 
-    def cdf(self, x):
-        """Phi normalized over [lower, upper].  It is read from the tail on the
-        interval's side of the mean (``s`` mirrors the axis when that is the
-        lower tail), so an interval far out in a tail keeps its digits; one
-        with no mass in double precision is refused."""
-        z, a, b = ((np.asarray(v, dtype=np.float64) - self.mu) / self.sigma
-                   for v in (x, self.lower, self.upper))
+    def __post_init__(self):
+        x = np.linspace(self.lower, self.upper, CDF_TABLE_SIZE)
+        s, _, _ = self._tail()
+        # clipped at the least subnormal, so a tail that underflows far out
+        # keeps a finite, nondecreasing key
+        tail = np.maximum(_upper_tail(s * (x - self.mu) / self.sigma),
+                          np.finfo(np.float64).smallest_subnormal)
+        object.__setattr__(self, "_table", (-s * np.log(tail), x))
+
+    def _tail(self):
+        """``(s, top, mass)``: the side ``s`` of the interval's tail, the tail
+        beyond its near end and its mass, refused where that mass is zero."""
+        a, b = ((v - self.mu) / self.sigma for v in (self.lower, self.upper))
         s = 1.0 if a + b > 0 else -1.0
         top = _upper_tail(s * a)
         mass = s * (top - _upper_tail(s * b))
         if not mass > 0:
             raise ValueError(f"truncated Gaussian has no mass on [{self.lower}, {self.upper}]")
+        return s, top, mass
+
+    def cdf(self, x):
+        """Phi normalized over [lower, upper], by the tail of ``_tail``."""
+        s, top, mass = self._tail()
+        z = (np.asarray(x, dtype=np.float64) - self.mu) / self.sigma
         return s * (top - _upper_tail(s * z)) / mass
 
-    def sample(self, rng, size):
-        from scipy import stats  # imported here: it is most of the package's import time
-
-        a = (self.lower - self.mu) / self.sigma
-        b = (self.upper - self.mu) / self.sigma
-        return stats.truncnorm.rvs(a, b, loc=self.mu, scale=self.sigma,
-                                   size=size, random_state=rng)
+    def ppf(self, u):
+        s, top, mass = self._tail()
+        with np.errstate(divide="ignore"):  # a far tail that underflows reads log 0 at u = 1
+            return np.interp(-s * np.log(top - s * mass * u), *self._table)
 
 
 @dataclass(frozen=True)
-class CustomDensityMarginal:
+class CustomDensityMarginal(_InverseCdfSampling):
     """Marginal given by an arbitrary nonnegative density on a bounded interval.
 
     Its cdf is the trapezoid rule over ``CDF_TABLE_SIZE`` equidistant points,
-    tabulated once: ``cdf`` interpolates the table and ``sample`` inverts it.
+    tabulated once: ``cdf`` interpolates the table and ``ppf`` inverts it.
     A density that is negative or not finite at a table point, or that
     integrates to zero, is refused.
     """
@@ -460,9 +502,9 @@ class CustomDensityMarginal:
     def cdf(self, x):
         return np.interp(x, *self._table)
 
-    def sample(self, rng, size):
+    def ppf(self, u):
         x, cdf = self._table
-        return np.interp(rng.random(size), cdf, x)
+        return np.interp(u, cdf, x)
 
 
 def _cell_edges(grid: Grid, lower: float, upper: float):

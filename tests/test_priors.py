@@ -3,6 +3,7 @@ import inspect
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -386,6 +387,32 @@ def test_affine_common_value_problem_never_allocates_the_value_joint():
     assert risk_averse.nbytes == prior.nbytes + value_joint_bytes
 
 
+def test_binned_set_up_peaks_below_16_mib():
+    """The shipped ``affiliated_fpsb`` bins 2^22 draws in chunks of
+    ``_BIN_CHUNK``: set-up holds one chunk's draws and indices at a time, so
+    its traced peak stays below 16 MiB for a prior that keeps 0.06 MiB."""
+    problem = build_problem(config_from_mapping(get_preset("affiliated_fpsb")))
+    tracemalloc.start()
+    try:
+        problem.discretize()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_bin_chunk_does_not_move_the_prior(monkeypatch):
+    # counts are integers drawn from one stream, so the chunk size is not
+    # seen: 300000 draws in chunks of 2^16 and in one chunk give one prior
+    cfg = config_from_mapping({**get_preset("affiliated_fpsb"), "prior_samples": 300_000})
+    small = build_problem(cfg).discretize()
+    monkeypatch.setattr(priors, "_BIN_CHUNK", 1 << 20)
+    large = build_problem(cfg).discretize()
+    assert np.array_equal(small.obs_joint, large.obs_joint)
+    assert np.array_equal(small.value_weighted, large.value_weighted)
+    assert all(np.array_equal(a, b) for a, b in zip(small.marginals, large.marginals))
+
+
 MODELS = [IndependentPrivatePrior([UniformMarginal(0.0, 1.0), UniformMarginal(0.0, 2.0)]),
           CommonValuePrior(3),
           AffiliatedValuesPrior(sample_count=100_000, seed=2),
@@ -526,10 +553,67 @@ def test_truncated_gaussian_sampling_within_bounds():
     assert abs(x.mean() - 1.2) < 0.01
 
 
+def test_uniform_draws_are_rng_uniform_to_the_bit():
+    for lower, upper in [(0.0, 1.0), (0, 2), (1.0, 1.4), (-0.3, 0.7)]:
+        draws = UniformMarginal(lower, upper).sample(np.random.default_rng(4), 50_000)
+        assert np.array_equal(draws, np.random.default_rng(4).uniform(lower, upper, 50_000))
+
+
+def test_custom_density_draws_invert_its_table():
+    fn = lambda x: np.exp(-3.0 * x) + np.sin(9.0 * x) ** 2  # noqa: E731
+    marginal = CustomDensityMarginal(fn, 0.2, 1.7)
+    x = np.linspace(0.2, 1.7, CDF_TABLE_SIZE)
+    cdf = marginal.cdf(x)
+    draws = marginal.sample(np.random.default_rng(6), 50_000)
+    assert np.array_equal(draws, np.interp(np.random.default_rng(6).random(50_000), cdf, x))
+
+
+@pytest.mark.parametrize("mu, sigma, lower, upper", [
+    (1.2, 0.1, 1.0, 1.4),    # split_award_gaussian
+    (0.5, 1.0, 0.0, 1.0),
+    (0.0, 0.1, 1.0, 2.0),    # far out in the upper tail
+    (3.0, 0.2, 0.0, 1.0),    # far out in the lower tail
+])
+def test_truncated_gaussian_ppf_matches_scipy(mu, sigma, lower, upper):
+    u = np.concatenate([np.random.default_rng(7).random(1 << 16), np.linspace(0.0, 1.0, 4097)])
+    a, b = (lower - mu) / sigma, (upper - mu) / sigma
+    reference = stats.truncnorm.ppf(u, a, b, loc=mu, scale=sigma)
+    ppf = TruncatedGaussianMarginal(mu, sigma, lower, upper).ppf(u)
+    assert np.max(np.abs(ppf - reference)) <= 1e-7
+    assert ppf[-4097] == lower and ppf[-1] == upper
+
+
+def test_runs_and_replays_need_no_scipy(tmp_path):
+    """With scipy unimportable, a truncated-Gaussian and a custom-density
+    batch run, and each run replays to the bit."""
+    code = textwrap.dedent("""
+        import json, sys
+        sys.modules["scipy"] = None
+        from bnesolve.config import build_problem, config_from_mapping
+        from bnesolve.presets import get_preset
+        from bnesolve.runner import replay, run_batch
+        small = {"runs": 1, "iterations": 20, "eval_samples": 4000}
+        configs = {"gaussian": {**get_preset("split_award_gaussian"), **small,
+                                "obs_points": 8, "action_points": 16},
+                   "custom": {**get_preset("fpsb_2_uniform"), **small, "obs_points": 12,
+                              "action_points": 12, "prior": "custom_density",
+                              "density": "2 * o"}}
+        for name, cfg in configs.items():
+            run_batch(build_problem(config_from_mapping(cfg)), f"{sys.argv[1]}/{name}")
+            report = replay(f"{sys.argv[1]}/{name}/run_000")
+            print(name, "revenue" in report["compared"], json.dumps(report["differ"]))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["gaussian True []", "custom True []"]
+
+
 def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time; only truncated-Gaussian sampling needs it
+    # scipy is no runtime dependency: importing the package loads none of it
     code = ("import sys, bnesolve, bnesolve.runner, bnesolve.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)

@@ -884,6 +884,19 @@ def test_cli_refuses_bad_run_settings_at_load(tmp_path, capsys, bad, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_refuses_a_truncated_gaussian_without_mass_before_making_out(tmp_path, capsys):
+    # 100 to 200 standard deviations above the mean: the marginal is refused
+    # when the problem is built, not in a run
+    cfg_path = tmp_path / "far.cfg"
+    cfg_path.write_text("include = fpsb_2_uniform\nprior = \"gaussian_trunc\"\nmu = 0.0\n"
+                        "sigma = 0.01\nobs_lower = 1.0\nobs_upper = 2.0\n")
+    rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+               "--quiet"])
+    assert rc == 2
+    assert "truncated Gaussian has no mass on [1.0, 2.0]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_refuses_a_negative_seed_before_making_out(tmp_path, capsys):
     rc = main(["solve", "--preset", "fpsb_2_uniform", "--seed", "-1", "--quiet",
                "--out", str(tmp_path / "out")])
