@@ -397,7 +397,7 @@ def joint_from_latent(sampler, value_grid, obs_grids, sample_count: int = DEFAUL
 # the probability that a standard normal exceeds t, elementwise, from
 # math.erfc: the truncated Gaussian's exact cdf and its tabulated inverse
 # (within 1e-8 of the exact one on the tested intervals) both read it, so
-# neither discretizing nor drawing needs scipy
+# neither discretizing nor drawing imports anything beyond numpy and math
 _upper_tail = np.vectorize(lambda t: 0.5 * math.erfc(t / math.sqrt(2.0)), otypes=[float])
 
 
